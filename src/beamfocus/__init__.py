@@ -11,9 +11,7 @@ from .geometry import (
     DdfRegime,
     DegeneratePositionError,
     UePosition,
-    antenna_positions,
     ddf_regime,
-    distance,
     distance_difference,
     distances,
     random_geometry,
@@ -38,7 +36,6 @@ from .combiner import (
 )
 from .sim import (
     GainProfile,
-    MeasurementRecord,
     avg_amplitude_gain,
     gain_profile,
     measure_power,
@@ -50,17 +47,12 @@ from .critic import (
     PowerDataset,
     TrainOptions,
     critic_loss_and_gradient,
-    critic_value,
     predict_power,
     train_critic,
 )
 from .phase_learning import (
     LearnerOptions,
-    LearnerState,
-    exploit_critic,
     learn_phases,
-    propose_action,
-    reward,
 )
 from .delay_search import (
     DelayGrid,

@@ -12,13 +12,8 @@ import numpy as np
 
 from .channel import ChannelMatrix, SystemConfig
 from .combiner import CombinerConfig, quantize_phase, recompensate_phases, wrap_angle
-from .geometry import (
-    SPEED_OF_LIGHT,
-    ArrayGeometry,
-    UePosition,
-    distance_difference,
-)
-from .delay_search import subarray_deltas
+from .geometry import ArrayGeometry, UePosition, distance_difference
+from .delay_search import delays_from_ddf, subarray_deltas
 from .sim import center_bin
 
 
@@ -44,8 +39,7 @@ def pdf_oracle(
     conjugate center-frequency design recompensated for those delays.
     """
     deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
-    raw = distance_difference(geom, deltas, ue) / SPEED_OF_LIGHT
-    tau = np.clip(raw - raw.min(), 0.0, cfg.tau_max_s)
+    tau = delays_from_ddf(distance_difference(geom, deltas, ue), cfg.tau_max_s)
     theta_star = ps_only_oracle(H, cfg, cb).theta
     theta = recompensate_phases(theta_star, tau, cfg, cb)
     return CombinerConfig(theta=theta, tau=tau)

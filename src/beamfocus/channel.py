@@ -131,11 +131,18 @@ def near_field_channel(
             raise ValueError("rho must have one entry per subcarrier")
         if np.any(rho <= 0.0):
             raise ValueError("rho entries must be positive")
-    d = distances(geom, ue)  # (M,)
-    lam = SPEED_OF_LIGHT / freqs  # (K,)
-    amp = (rho * lam)[None, :] / (4.0 * np.pi * d[:, None])
-    coeffs = amp * np.exp(-2j * np.pi * d[:, None] / lam[None, :])
+    coeffs = spherical_wave(distances(geom, ue)[:, None], freqs, rho)
     return ChannelMatrix(coeffs=coeffs, freqs_hz=freqs)
+
+
+def spherical_wave(d, freqs_hz, rho):
+    """Coefficients (rho lambda / (4 pi d)) exp(-2 pi j d / lambda).
+
+    `d` (distances in meters), `freqs_hz` and `rho` broadcast against each
+    other; lambda = c / f.
+    """
+    lam = SPEED_OF_LIGHT / freqs_hz
+    return (rho * lam) / (4.0 * np.pi * d) * np.exp(-2j * np.pi * d / lam)
 
 
 def flat_amplitude_rho(cfg: SystemConfig) -> np.ndarray:
@@ -147,37 +154,53 @@ def flat_amplitude_rho(cfg: SystemConfig) -> np.ndarray:
     return subcarrier_frequencies(cfg) / cfg.center_freq_hz
 
 
+def matrix_to_text(a: np.ndarray) -> str:
+    """Header `rows cols`, then one line per row of `re:im` entries.
+
+    Floats use shortest round-trip decimal form, so matrix_from_lines
+    restores the matrix bit-exactly.
+    """
+    rows, cols = a.shape
+    lines = [f"{rows} {cols}"]
+    for row in a:
+        lines.append(" ".join(f"{float(c.real)!r}:{float(c.imag)!r}" for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def matrix_from_lines(lines: list[str]) -> np.ndarray:
+    """Parse a matrix_to_text block at the start of `lines` (no comments)."""
+    try:
+        rows, cols = (int(tok) for tok in lines[0].split())
+    except (ValueError, IndexError) as exc:
+        raise ValueError("malformed header, expected 'rows cols'") from exc
+    if len(lines) < rows + 1:
+        raise ValueError(f"expected {rows} rows")
+    out = np.empty((rows, cols), dtype=complex)
+    for i in range(rows):
+        entries = lines[1 + i].split()
+        if len(entries) != cols:
+            raise ValueError(f"row {i} has {len(entries)} entries, expected {cols}")
+        for j, entry in enumerate(entries):
+            re, _, im = entry.partition(":")
+            out[i, j] = complex(float(re), float(im))
+    return out
+
+
 def channel_to_text(H: ChannelMatrix) -> str:
     """Serialize to the textual interchange format.
 
-    Line 1: `M K`; lines 2..M+1: K entries per row as `re:im` pairs; final
-    line: the K subcarrier frequencies in Hz. All floats use shortest
-    round-trip decimal form, so load(save(H)) is bit-exact.
+    The matrix_to_text block of the M x K coefficients, then a final line
+    with the K subcarrier frequencies in Hz; load(save(H)) is bit-exact.
     """
-    M, K = H.coeffs.shape
-    lines = [f"{M} {K}"]
-    for m in range(M):
-        lines.append(" ".join(f"{float(c.real)!r}:{float(c.imag)!r}" for c in H.coeffs[m]))
-    lines.append(" ".join(repr(float(f)) for f in H.freqs_hz))
-    return "\n".join(lines) + "\n"
+    return matrix_to_text(H.coeffs) + " ".join(repr(float(f)) for f in H.freqs_hz) + "\n"
 
 
 def channel_from_text(text: str) -> ChannelMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    try:
-        M, K = (int(tok) for tok in lines[0].split())
-    except (ValueError, IndexError) as exc:
-        raise ValueError("malformed header, expected 'M K'") from exc
+    coeffs = matrix_from_lines(lines)
+    M, K = coeffs.shape
     if len(lines) != M + 2:
         raise ValueError(f"expected {M} rows plus a frequency line")
-    coeffs = np.empty((M, K), dtype=complex)
-    for m in range(M):
-        entries = lines[1 + m].split()
-        if len(entries) != K:
-            raise ValueError(f"row {m} has {len(entries)} entries, expected {K}")
-        for k, entry in enumerate(entries):
-            re, _, im = entry.partition(":")
-            coeffs[m, k] = complex(float(re), float(im))
     freqs = np.array([float(tok) for tok in lines[M + 1].split()])
     if freqs.size != K:
         raise ValueError("frequency line length mismatch")

@@ -19,8 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import pdf_oracle, ps_only_oracle
-from .channel import ChannelMatrix, SystemConfig
-from .combiner import CombinerConfig, effective_combiner, load_combiner, save_combiner
+from .channel import ChannelMatrix, SystemConfig, spherical_wave
+from .combiner import (
+    DIGIT_STRING_MAX_BITS,
+    CombinerConfig,
+    effective_combiner,
+    load_combiner,
+    save_combiner,
+)
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -37,7 +43,7 @@ from .config import (
 )
 from .critic import save_critic
 from .delay_search import search_delays, write_search_trace_csv
-from .geometry import SPEED_OF_LIGHT, ArrayGeometry
+from .geometry import ArrayGeometry
 from .phase_learning import learn_phases, write_history_csv
 from .sim import (
     avg_amplitude_gain,
@@ -117,13 +123,11 @@ def gain_map(
 
     Returns shape (len(ys), len(xs)); rows follow ys, columns follow xs.
     """
-    lam = SPEED_OF_LIGHT / freq_hz
     elem_y = 0.5 * geom.aperture * geom.alphas  # (M,)
     gx, gy = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float))
     pts = np.column_stack([gx.ravel(), gy.ravel()])  # (n, 2)
     d = np.hypot(pts[:, 0][:, None], elem_y[None, :] - pts[:, 1][:, None])  # (n, M)
-    coeffs = (rho_factor * lam / (4.0 * np.pi * d)) * np.exp(-2j * np.pi * d / lam)
-    vals = np.abs(coeffs @ np.conj(w)) ** 2
+    vals = np.abs(spherical_wave(d, freq_hz, rho_factor) @ np.conj(w)) ** 2
     return vals.reshape(gx.shape)
 
 
@@ -295,6 +299,11 @@ def _cmd_heatmap(ec: ExperimentConfig, args) -> int:
 
 
 def _cmd_learn(ec: ExperimentConfig, args) -> int:
+    # history.csv holds one base-2^r digit per antenna; fail before the run
+    if ec.ps_bits > DIGIT_STRING_MAX_BITS:
+        raise ConfigError(
+            f"system.ps_bits: learn writes at most {DIGIT_STRING_MAX_BITS} bits per phase"
+        )
     geom = build_geometry(ec)
     cb = build_codebook(ec)
     cfg = build_system(ec)

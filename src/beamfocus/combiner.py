@@ -80,13 +80,14 @@ def phase_indices(theta, cb: PhaseCodebook) -> np.ndarray:
     return idx
 
 
-# digits for base-2^bits phase strings; covers bits <= 5
+# digits for base-2^bits phase strings
 _DIGITS = "0123456789abcdefghijklmnopqrstuv"
+DIGIT_STRING_MAX_BITS = 5
 
 
 def indices_to_digits(idx: np.ndarray, cb: PhaseCodebook) -> str:
-    if cb.size > len(_DIGITS):
-        raise ValueError("digit-string export supports at most 5 bits")
+    if cb.bits > DIGIT_STRING_MAX_BITS:
+        raise ValueError(f"digit-string export supports at most {DIGIT_STRING_MAX_BITS} bits")
     return "".join(_DIGITS[i] for i in idx)
 
 

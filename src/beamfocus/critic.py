@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import matrix_from_lines, matrix_to_text
+
 
 @dataclass(frozen=True)
 class CriticModel:
@@ -64,9 +66,9 @@ class PowerDataset:
 
 
 def beam_from_phases(phases) -> np.ndarray:
-    """Constant-modulus beam (1/sqrt(M)) exp(j phases)."""
+    """Constant-modulus beam (1/sqrt(M)) exp(j phases); one per row of a 2-D array."""
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    return np.exp(1j * phases) / np.sqrt(phases.size)
+    return np.exp(1j * phases) / np.sqrt(phases.shape[-1])
 
 
 def predict_power(model: CriticModel, w: np.ndarray) -> float:
@@ -78,21 +80,18 @@ def predict_power(model: CriticModel, w: np.ndarray) -> float:
     return float(np.real(np.vdot(g, g)))
 
 
-def critic_value(model: CriticModel, s, a) -> float:
-    """Predicted reward: power of the action beam minus power of the state beam."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if s.shape != a.shape:
-        raise ValueError("state and action lengths differ")
-    return predict_power(model, beam_from_phases(a)) - predict_power(
-        model, beam_from_phases(s)
-    )
-
-
 def _predictions(q: np.ndarray, beams: np.ndarray) -> np.ndarray:
     # row i of beams is beam w_i; prediction_i = ||Q^H w_i||^2
     g = beams.conj() @ q
     return np.sum(np.abs(g) ** 2, axis=1)
+
+
+def _residuals_and_gradient(q: np.ndarray, beams: np.ndarray, powers: np.ndarray):
+    # prediction errors and the loss gradient of critic_loss_and_gradient,
+    # without the dataset checks (train_critic calls it once per batch)
+    g = beams.conj() @ q
+    err = np.sum(np.abs(g) ** 2, axis=1) - powers
+    return err, (4.0 / powers.size) * (beams.T @ (err[:, None] * g))
 
 
 def critic_loss_and_gradient(model: CriticModel, data: PowerDataset):
@@ -107,11 +106,8 @@ def critic_loss_and_gradient(model: CriticModel, data: PowerDataset):
         raise ValueError("dataset is empty")
     if data.beams.shape[1] != model.num_antennas:
         raise ValueError("beam length does not match the model")
-    q = model.matrix
-    err = _predictions(q, data.beams) - data.powers
-    loss = float(np.mean(err**2))
-    grad = (4.0 / len(data)) * (data.beams.T @ (err[:, None] * (data.beams.conj() @ q)))
-    return loss, grad
+    err, grad = _residuals_and_gradient(model.matrix, data.beams, data.powers)
+    return float(np.mean(err**2)), grad
 
 
 def initialize_critic(
@@ -186,8 +182,7 @@ def train_critic(model: CriticModel, data: PowerDataset, opts: TrainOptions):
     batch_size = min(opts.batch, n)
     for it in range(opts.iters):
         idx = rng.choice(n, size=batch_size, replace=False)
-        batch = PowerDataset(beams=data.beams[idx], powers=powers_scaled[idx])
-        _, grad = critic_loss_and_gradient(CriticModel(matrix=q), batch)
+        _, grad = _residuals_and_gradient(q, data.beams[idx], powers_scaled[idx])
         # backtrack from the fixed base step each iteration; a persistent
         # step decay would let one noisy batch freeze all later progress
         lr = opts.lr
@@ -204,26 +199,14 @@ def train_critic(model: CriticModel, data: PowerDataset, opts: TrainOptions):
 
 def critic_to_text(model: CriticModel) -> str:
     """Header `M v` followed by M rows of rank `re:im` entries."""
-    m, v = model.matrix.shape
-    lines = [f"{m} {v}"]
-    for row in model.matrix:
-        lines.append(" ".join(f"{float(c.real)!r}:{float(c.imag)!r}" for c in row))
-    return "\n".join(lines) + "\n"
+    return matrix_to_text(model.matrix)
 
 
 def critic_from_text(text: str) -> CriticModel:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    m, v = (int(tok) for tok in lines[0].split())
-    if len(lines) != m + 1:
-        raise ValueError(f"expected {m} rows")
-    q = np.empty((m, v), dtype=complex)
-    for i in range(m):
-        entries = lines[1 + i].split()
-        if len(entries) != v:
-            raise ValueError(f"row {i} has {len(entries)} entries, expected {v}")
-        for j, entry in enumerate(entries):
-            re, _, im = entry.partition(":")
-            q[i, j] = complex(float(re), float(im))
+    q = matrix_from_lines(lines)
+    if len(lines) != q.shape[0] + 1:
+        raise ValueError(f"expected {q.shape[0]} rows")
     return CriticModel(matrix=q)
 
 

@@ -91,15 +91,19 @@ def subarray_deltas(geom: ArrayGeometry, num_td_units: int, ps_per_td: int) -> n
     return 1.0 - 0.5 * (first + last)
 
 
-def delays_from_approx(ap: LinearApprox, deltas: np.ndarray, tau_max: float) -> np.ndarray:
-    """Delay vector sampled from the approximation at the sub-array centers.
+def delays_from_ddf(ddf: np.ndarray, tau_max: float) -> np.ndarray:
+    """Delay vector for distance differences `ddf` (meters) at the sub-arrays.
 
-    Raw delays linear_ddf(delta)/c are shifted so their minimum is 0 (a
-    common delay never changes gains) and clipped into [0, tau_max].
+    Raw delays ddf/c are shifted so their minimum is 0 (a common delay never
+    changes gains) and clipped into [0, tau_max].
     """
-    raw = np.asarray(linear_ddf(ap, np.asarray(deltas, dtype=float))) / SPEED_OF_LIGHT
-    shifted = raw - raw.min()
-    return np.clip(shifted, 0.0, tau_max)
+    raw = np.asarray(ddf) / SPEED_OF_LIGHT
+    return np.clip(raw - raw.min(), 0.0, tau_max)
+
+
+def delays_from_approx(ap: LinearApprox, deltas: np.ndarray, tau_max: float) -> np.ndarray:
+    """Delay vector sampled from the approximation at the sub-array centers."""
+    return delays_from_ddf(linear_ddf(ap, np.asarray(deltas, dtype=float)), tau_max)
 
 
 def grid_candidates(grid: DelayGrid, aperture: float) -> list[LinearApprox]:

@@ -79,14 +79,6 @@ class UePosition:
         return np.array([self.x, self.y], dtype=float)
 
 
-def antenna_positions(geom: ArrayGeometry) -> np.ndarray:
-    """(M, 2) element positions [0, (D/2) * alpha_m]."""
-    half = 0.5 * geom.aperture
-    pos = np.zeros((geom.num_antennas, 2))
-    pos[:, 1] = half * geom.alphas
-    return pos
-
-
 def distances(geom: ArrayGeometry, ue: UePosition) -> np.ndarray:
     """Euclidean distances from every element to the user, shape (M,).
 
@@ -94,18 +86,6 @@ def distances(geom: ArrayGeometry, ue: UePosition) -> np.ndarray:
     """
     d = np.hypot(ue.x, 0.5 * geom.aperture * geom.alphas - ue.y)
     if np.any(d < _DEGENERATE_DISTANCE):
-        raise DegeneratePositionError(
-            "user position coincides with an array element"
-        )
-    return d
-
-
-def distance(geom: ArrayGeometry, m: int, ue: UePosition) -> float:
-    """Distance from element m (0-based) to the user."""
-    if not 0 <= m < geom.num_antennas:
-        raise IndexError(f"element index {m} out of range for M={geom.num_antennas}")
-    d = float(np.hypot(ue.x, 0.5 * geom.aperture * geom.alphas[m] - ue.y))
-    if d < _DEGENERATE_DISTANCE:
         raise DegeneratePositionError(
             "user position coincides with an array element"
         )

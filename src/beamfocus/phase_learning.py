@@ -8,7 +8,7 @@ codebook. Only the measurement callback touches the channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +22,6 @@ from .critic import (
     initialize_critic,
     train_critic,
 )
-
-
-def reward(p_new: float, p_old: float) -> float:
-    """Gain difference between the new beam and the previous one."""
-    return p_new - p_old
 
 
 @dataclass(frozen=True)
@@ -65,30 +60,6 @@ class LearnerOptions:
             raise ValueError("critic rank must be positive")
 
 
-@dataclass
-class LearnerState:
-    """Mutable loop state: current phases, best-so-far, and the buffer.
-
-    The (beams, powers) lists realize the critic's training buffer and are
-    materialized into a PowerDataset at refit time. best_power is monotone:
-    it never trails any measurement it was compared against.
-    """
-
-    current: np.ndarray
-    best_phases: np.ndarray
-    best_power: float
-    beams: list = field(default_factory=list)
-    powers: list = field(default_factory=list)
-    iter: int = 0
-
-    def buffer(self) -> PowerDataset:
-        return PowerDataset(beams=np.array(self.beams), powers=np.array(self.powers))
-
-
-def _random_codebook_phases(M: int, cb: PhaseCodebook, rng) -> np.ndarray:
-    return cb.values[rng.integers(0, cb.size, size=M)]
-
-
 def _perturb(phases: np.ndarray, count: int, cb: PhaseCodebook, rng) -> np.ndarray:
     out = phases.copy()
     if count == 0:
@@ -96,14 +67,6 @@ def _perturb(phases: np.ndarray, count: int, cb: PhaseCodebook, rng) -> np.ndarr
     pos = rng.choice(phases.size, size=min(count, phases.size), replace=False)
     out[pos] = cb.values[rng.integers(0, cb.size, size=pos.size)]
     return out
-
-
-def propose_action(state: LearnerState, opts: LearnerOptions, rng, cb: PhaseCodebook) -> np.ndarray:
-    """Exploration action: the current phases with perturb_count positions re-drawn."""
-    count = opts.perturb_count
-    if count is None:
-        count = max(1, state.current.size // 4)
-    return _perturb(state.current, count, cb, rng)
 
 
 def coordinate_ascent(
@@ -151,12 +114,6 @@ def coordinate_ascent(
     return theta, cycles, best
 
 
-def exploit_critic(model: CriticModel, init, cb: PhaseCodebook) -> np.ndarray:
-    """Phases maximizing the critic from `init`; prediction never decreases."""
-    theta, _, _ = coordinate_ascent(model, np.asarray(init, dtype=float), cb)
-    return theta
-
-
 @dataclass
 class LearnHistory:
     """Per-measurement log plus the final critic and exploitation stats."""
@@ -193,51 +150,41 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, opts: LearnerOpt
         frac = (t - 1) / (total - 1)
         return max(1, int(round(p0 + (p_end - p0) * frac)))
 
-    log_iters: list[int] = []
+    # the measurement log doubles as the critic's training buffer
     log_powers: list[float] = []
     log_best: list[float] = []
     log_phases: list[np.ndarray] = []
     exploit_events: list[tuple[int, int, float]] = []
+    best_phases, best_power = None, -np.inf
     model: CriticModel | None = None
-    invocation = 0
 
     def take(phases: np.ndarray) -> float:
-        nonlocal invocation
-        invocation += 1
+        nonlocal best_phases, best_power
         p = float(measure(phases))
-        log_iters.append(invocation)
+        if best_phases is None or p > best_power:
+            best_power, best_phases = p, phases
         log_powers.append(p)
+        log_best.append(best_power)
         log_phases.append(phases)
         return p
 
-    current = _random_codebook_phases(M, cb, rng)
-    p = take(current)
-    state = LearnerState(
-        current=current, best_phases=current, best_power=p, iter=1
-    )
-    state.beams.append(beam_from_phases(current))
-    state.powers.append(max(p, 0.0))
-    log_best.append(state.best_power)
+    current = cb.values[rng.integers(0, cb.size, size=M)]
+    take(current)
 
     refit_index = 0
-    while state.iter < total:
-        state.iter += 1
-        t = state.iter
-        action = _perturb(state.current, scheduled_count(t), cb, rng)
-        p = take(action)
-        state.beams.append(beam_from_phases(action))
-        state.powers.append(max(p, 0.0))
-        if p > state.best_power:
-            state.best_power, state.best_phases = p, action
-        log_best.append(state.best_power)
-        state.current = action
+    for t in range(2, total + 1):
+        current = _perturb(current, scheduled_count(t), cb, rng)
+        take(current)
 
         due = t % opts.critic_refit_period == 0 or t == opts.exploit_start or t == total
         if due and t >= opts.exploit_start:
             # the critic is consumed only by exploitation, so fitting is
             # deferred until then; each fit restarts from a fresh seeded
             # init (warm starts inherit overfit basins from small buffers)
-            data = state.buffer()
+            data = PowerDataset(
+                beams=beam_from_phases(np.array(log_phases)),
+                powers=np.maximum(log_powers, 0.0),
+            )
             train_opts = TrainOptions(
                 lr=opts.train_lr,
                 iters=opts.train_iters,
@@ -250,25 +197,19 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, opts: LearnerOpt
             model, _ = train_critic(model, data, train_opts)
             refit_index += 1
 
-            theta_x, cycles, _ = coordinate_ascent(model, state.best_phases, cb)
-            p_x = take(theta_x)
-            state.beams.append(beam_from_phases(theta_x))
-            state.powers.append(max(p_x, 0.0))
-            if p_x > state.best_power:
-                state.best_power, state.best_phases = p_x, theta_x
-            log_best.append(state.best_power)
-            state.current = theta_x
-            exploit_events.append((invocation, cycles, p_x))
+            current, cycles, _ = coordinate_ascent(model, best_phases, cb)
+            p_x = take(current)
+            exploit_events.append((len(log_powers), cycles, p_x))
 
     history = LearnHistory(
-        iters=np.array(log_iters),
+        iters=np.arange(1, len(log_powers) + 1),
         measured_powers=np.array(log_powers),
         best_powers=np.array(log_best),
         phases=np.array(log_phases),
         final_model=model,
         exploit_events=exploit_events,
     )
-    return state.best_phases, history
+    return best_phases, history
 
 
 def write_history_csv(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix, SystemConfig
-from .combiner import TWO_PI, CombinerConfig, repeat_delays
+from .combiner import TWO_PI, CombinerConfig, effective_combiner, repeat_delays
 
 
 @dataclass(frozen=True)
@@ -35,25 +35,6 @@ class GainProfile:
         object.__setattr__(self, "freqs_hz", freqs)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """A full set of per-subcarrier power measurements for one configuration."""
-
-    config: CombinerConfig
-    powers: np.ndarray
-    snapshots: int
-    seed: int
-
-    def __post_init__(self):
-        powers = np.atleast_1d(np.asarray(self.powers, dtype=float))
-        if np.any(powers < 0.0):
-            raise ValueError("powers must be nonnegative")
-        if self.snapshots < 1:
-            raise ValueError("need at least one snapshot")
-        powers.setflags(write=False)
-        object.__setattr__(self, "powers", powers)
-
-
 def _check_dims(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> None:
     if H.num_antennas != cfg.num_antennas:
         raise ValueError("channel and config disagree on antenna count")
@@ -67,15 +48,6 @@ def _inner_products(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> 
     phases = cc.theta[:, None] - TWO_PI * H.freqs_hz[None, :] * tau_full[:, None]
     W = np.exp(1j * phases) / np.sqrt(cfg.num_antennas)
     return np.sum(np.conj(W) * H.coeffs, axis=0)
-
-
-def _inner_product_at(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig, k: int) -> complex:
-    """w_k^H h_k for a single subcarrier; avoids touching the other bins."""
-    tau_full = repeat_delays(cc.tau, cfg.ps_per_td)
-    w = np.exp(1j * (cc.theta - TWO_PI * H.freqs_hz[k] * tau_full)) / np.sqrt(
-        cfg.num_antennas
-    )
-    return complex(np.vdot(w, H.coeffs[:, k]))
 
 
 def gain_profile(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> GainProfile:
@@ -119,7 +91,7 @@ def measure_power(
     if snapshots < 1:
         raise ValueError("need at least one snapshot")
     sym_power = cfg.tx_power_w / cfg.num_subcarriers
-    wh = _inner_product_at(cc, H, cfg, k)
+    wh = np.vdot(effective_combiner(cc, cfg, H.freqs_hz[k]), H.coeffs[:, k])
     if cfg.noise_power_w == 0.0:
         return sym_power * float(np.abs(wh) ** 2)
     rng = _rng_for(seed, k)
@@ -141,27 +113,15 @@ def measure_profile_powers(
 ) -> np.ndarray:
     """Measured power for every subcarrier of H; vector of length K."""
     _check_dims(cc, H, cfg)
-    sym_power = cfg.tx_power_w / cfg.num_subcarriers
-    wh = _inner_products(cc, H, cfg)
     if cfg.noise_power_w == 0.0:
-        return sym_power * np.abs(wh) ** 2
+        sym_power = cfg.tx_power_w / cfg.num_subcarriers
+        return sym_power * np.abs(_inner_products(cc, H, cfg)) ** 2
     return np.array(
         [
             measure_power(cc, H, cfg, k, snapshots=snapshots, seed=seed)
             for k in range(H.num_subcarriers)
         ]
     )
-
-
-def measure_record(
-    cc: CombinerConfig,
-    H: ChannelMatrix,
-    cfg: SystemConfig,
-    snapshots: int = 1,
-    seed: int = 0,
-) -> MeasurementRecord:
-    powers = measure_profile_powers(cc, H, cfg, snapshots=snapshots, seed=seed)
-    return MeasurementRecord(config=cc, powers=powers, snapshots=snapshots, seed=seed)
 
 
 def center_bin(freqs_hz: np.ndarray, center_freq_hz: float) -> int:

@@ -118,6 +118,23 @@ def test_gain_map_single_point_matches_gain_profile():
         assert val[0, 0] == pytest.approx(gp.per_subcarrier[k], rel=1e-10)
 
 
+def test_gain_map_flat_amplitude_rho_matches_gain_profile():
+    ec = tiny_config(rho_mode="flat_amplitude")
+    geom = build_geometry(ec)
+    cfg = build_system(ec)
+    cb = build_codebook(ec)
+    ue = build_ue(ec)
+    H = build_channel(ec, geom, cfg)
+    cc = pdf_oracle(geom, ue, H, cfg, cb)
+    gp = gain_profile(cc, H, cfg)
+    for k in (0, 31, 63):
+        f = H.freqs_hz[k]
+        w = effective_combiner(cc, cfg, f)
+        rho_factor = f / cfg.center_freq_hz
+        val = gain_map(geom, w, f, np.array([ue.x]), np.array([ue.y]), rho_factor=rho_factor)
+        assert val[0, 0] == pytest.approx(gp.per_subcarrier[k], rel=1e-12)
+
+
 def test_run_heatmap_files(tmp_path):
     ec = tiny_config()
     geom = build_geometry(ec)
@@ -248,6 +265,45 @@ def test_cli_config_error_exit_code(tmp_path):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("system.M = 255\nsystem.N = 8\n")
     assert main(["--config", str(cfg_path), "profile", "--oracle"]) == 2
+
+
+def test_cli_learn_rejects_ps_bits_beyond_history_digits(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        "\n".join(
+            [
+                "system.M = 16",
+                "system.N = 4",
+                "system.K = 16",
+                "system.ps_bits = 6",
+                "learner.total_measurements = 30",
+                "learner.exploit_start = 15",
+                "learner.critic_refit_period = 15",
+                "learner.critic_rank = 2",
+                "learner.train_iters = 50",
+                "learner.train_batch = 32",
+                "profile.n_sweep = 0,4",
+                "grid.ax_points = 2",
+                "grid.ay_points = 3",
+                "grid.b_points = 3",
+                "heatmap.x_min_m = 1.9",
+                "heatmap.x_max_m = 2.1",
+                "heatmap.y_min_m = -2.1",
+                "heatmap.y_max_m = -1.9",
+                "heatmap.resolution_m = 0.1",
+            ]
+        )
+        + "\n"
+    )
+    out = tmp_path / "learn"
+    assert main(["--config", str(cfg_path), "--out", str(out), "learn"]) == 2
+    assert capsys.readouterr().err.startswith("config error: system.ps_bits")
+    assert not out.exists()
+    # the commands that write no phase digit strings still run at 6 bits
+    for cmd in (["profile"], ["search-delays"], ["heatmap", "--source", "pdf-oracle"]):
+        out = tmp_path / cmd[0]
+        assert main(["--config", str(cfg_path), "--out", str(out), *cmd]) == 0
+        assert any(out.iterdir())
 
 
 def test_cli_module_invocation():

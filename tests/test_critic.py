@@ -9,7 +9,6 @@ from beamfocus.critic import (
     critic_from_text,
     critic_loss_and_gradient,
     critic_to_text,
-    critic_value,
     initialize_critic,
     load_critic,
     predict_power,
@@ -64,31 +63,6 @@ def test_predict_gauge_invariance():
         p1 = predict_power(CriticModel(matrix=q), w)
         p2 = predict_power(CriticModel(matrix=q @ u), w)
         assert p2 == pytest.approx(p1, rel=1e-10)
-
-
-def test_critic_value_antisymmetry_and_zero():
-    rng = np.random.default_rng(1)
-    M = 4
-    model = CriticModel(matrix=rng.standard_normal((M, 2)) + 1j * rng.standard_normal((M, 2)))
-    s = rng.uniform(-np.pi, np.pi, M)
-    a = rng.uniform(-np.pi, np.pi, M)
-    assert critic_value(model, s, s) == 0.0
-    assert critic_value(model, s, a) == pytest.approx(-critic_value(model, a, s), rel=1e-12)
-
-
-def test_critic_value_matches_true_reward_for_true_channel():
-    rng = np.random.default_rng(2)
-    M = 6
-    h = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-    model = CriticModel(matrix=h[:, None])
-    for _ in range(5):
-        s = rng.uniform(-np.pi, np.pi, M)
-        a = rng.uniform(-np.pi, np.pi, M)
-        true_reward = (
-            abs(np.vdot(beam_from_phases(a), h)) ** 2
-            - abs(np.vdot(beam_from_phases(s), h)) ** 2
-        )
-        assert critic_value(model, s, a) == pytest.approx(true_reward, rel=1e-10, abs=1e-12)
 
 
 def test_loss_perfect_fit_is_stationary():

@@ -7,31 +7,12 @@ from beamfocus.geometry import (
     DdfRegime,
     DegeneratePositionError,
     UePosition,
-    antenna_positions,
     ddf_regime,
-    distance,
     distance_difference,
     distances,
     random_geometry,
     uniform_geometry,
 )
-
-
-def test_antenna_positions_endpoints():
-    g = ArrayGeometry(alphas=[1.0, -1.0], aperture=2.0)
-    assert np.allclose(antenna_positions(g), [[0, 1], [0, -1]])
-
-
-def test_antenna_positions_single_center():
-    g = ArrayGeometry(alphas=[0.0], aperture=5.0)
-    assert np.allclose(antenna_positions(g), [[0, 0]])
-
-
-def test_antenna_positions_ula4():
-    g = ArrayGeometry(alphas=[1.0, 1 / 3, -1 / 3, -1.0], aperture=2.0)
-    # direct evaluation of (D/2) * alpha_m
-    assert np.allclose(antenna_positions(g)[:, 1], [1.0, 1 / 3, -1 / 3, -1.0])
-    assert np.all(antenna_positions(g)[:, 0] == 0.0)
 
 
 def test_geometry_invariants_enforced():
@@ -52,24 +33,16 @@ def test_ue_position_requires_positive_x():
 
 def test_distance_examples():
     g = ArrayGeometry(alphas=[1.0, -1.0], aperture=2.0)
-    # element at [0, 1], user at [2, -2]
-    assert distance(g, 0, UePosition(2.0, -2.0)) == pytest.approx(np.sqrt(13), abs=1e-15)
+    # element 0 at [0, 1], user at [2, -2]
+    assert distances(g, UePosition(2.0, -2.0))[0] == pytest.approx(np.sqrt(13), abs=1e-15)
     g0 = ArrayGeometry(alphas=[0.0], aperture=2.0)
-    assert distance(g0, 0, UePosition(1.0, 0.0)) == 1.0
+    assert distances(g0, UePosition(1.0, 0.0))[0] == 1.0
 
 
 def test_distance_degenerate_raises():
     g = ArrayGeometry(alphas=[1.0, -1.0], aperture=2.0)
     with pytest.raises(DegeneratePositionError):
-        distance(g, 0, UePosition(1e-300, 1.0))
-    with pytest.raises(DegeneratePositionError):
         distances(g, UePosition(1e-300, 1.0))
-
-
-def test_distance_index_range():
-    g = ArrayGeometry(alphas=[1.0, -1.0], aperture=2.0)
-    with pytest.raises(IndexError):
-        distance(g, 2, UePosition(1.0, 0.0))
 
 
 def test_ddf_zero_at_reference():

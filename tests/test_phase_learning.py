@@ -7,12 +7,9 @@ from beamfocus.critic import CriticModel, beam_from_phases, predict_power
 from beamfocus.geometry import UePosition, random_geometry
 from beamfocus.phase_learning import (
     LearnerOptions,
-    LearnerState,
+    _perturb,
     coordinate_ascent,
-    exploit_critic,
     learn_phases,
-    propose_action,
-    reward,
     write_history_csv,
 )
 from beamfocus.sim import gain_profile
@@ -39,12 +36,6 @@ def center_measure(H, cfg):
     return measure
 
 
-def test_reward():
-    assert reward(2.0, 0.5) == 1.5
-    assert reward(0.7, 0.7) == 0.0
-    assert reward(1.0, 3.0) == -reward(3.0, 1.0)
-
-
 def test_learner_options_validation():
     LearnerOptions(total_measurements=10, exploit_start=10)
     with pytest.raises(ValueError):
@@ -58,39 +49,25 @@ def test_learner_options_validation():
     LearnerOptions(perturb_count=0)  # degenerate stationary probe is allowed
 
 
-def _state(phases):
-    return LearnerState(
-        current=np.asarray(phases, float),
-        best_phases=np.asarray(phases, float),
-        best_power=0.0,
-    )
-
-
 def test_propose_action_zero_perturbation():
     cb = PhaseCodebook(bits=2)
-    opts = LearnerOptions(total_measurements=5, exploit_start=5, perturb_count=0)
-    rng = np.random.default_rng(0)
-    state = _state(cb.values[[0, 1, 2, 3]])
-    out = propose_action(state, opts, rng, cb)
-    assert np.array_equal(out, state.current)
+    current = cb.values[[0, 1, 2, 3]]
+    out = _perturb(current, 0, cb, np.random.default_rng(0))
+    assert np.array_equal(out, current)
 
 
 def test_propose_action_full_perturbation_is_codebook_vector():
     cb = PhaseCodebook(bits=2)
-    opts = LearnerOptions(total_measurements=5, exploit_start=5, perturb_count=4)
-    rng = np.random.default_rng(1)
-    state = _state(cb.values[[0, 0, 0, 0]])
-    out = propose_action(state, opts, rng, cb)
+    out = _perturb(cb.values[[0, 0, 0, 0]], 4, cb, np.random.default_rng(1))
     assert all(v in cb.values for v in out)
 
 
 def test_propose_action_bounded_change_count():
     cb = PhaseCodebook(bits=3)
-    opts = LearnerOptions(total_measurements=5, exploit_start=5, perturb_count=3)
-    state = _state(cb.values[np.zeros(10, int)])
+    current = cb.values[np.zeros(10, int)]
     for seed in range(50):
-        out = propose_action(state, opts, np.random.default_rng(seed), cb)
-        assert np.count_nonzero(out != state.current) <= 3
+        out = _perturb(current, 3, cb, np.random.default_rng(seed))
+        assert np.count_nonzero(out != current) <= 3
 
 
 def test_coordinate_ascent_single_antenna_returns_init():
@@ -151,7 +128,7 @@ def test_exploit_with_perfect_critic_near_exhaustive_optimum():
             for ix in np.ndindex(*(cb.size,) * M)
         )
         init = cb.values[rng.integers(0, cb.size, M)]
-        theta = exploit_critic(model, init, cb)
+        theta, _, _ = coordinate_ascent(model, init, cb)
         got = abs(np.vdot(beam_from_phases(theta), h)) ** 2
         assert got >= 0.95 * best
 
@@ -165,7 +142,7 @@ def test_exploit_critic_never_decreases_prediction():
     )
     for seed in range(10):
         init = cb.values[np.random.default_rng(seed).integers(0, 4, M)]
-        out = exploit_critic(model, init, cb)
+        out, _, _ = coordinate_ascent(model, init, cb)
         assert predict_power(model, beam_from_phases(out)) >= predict_power(
             model, beam_from_phases(init)
         ) - 1e-15

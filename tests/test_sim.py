@@ -6,13 +6,11 @@ from beamfocus.combiner import CombinerConfig, PhaseCodebook
 from beamfocus.geometry import UePosition, random_geometry
 from beamfocus.sim import (
     GainProfile,
-    MeasurementRecord,
     avg_amplitude_gain,
     center_bin,
     gain_profile,
     measure_power,
     measure_profile_powers,
-    measure_record,
     normalized_gain_db,
     three_db_bandwidth,
     write_gain_csv,
@@ -175,9 +173,6 @@ def test_measure_profile_matches_scalar_measurements():
     vec = measure_profile_powers(cc, H, cfg, snapshots=9, seed=7)
     scalars = [measure_power(cc, H, cfg, k, snapshots=9, seed=7) for k in range(3)]
     assert np.allclose(vec, scalars)
-    rec = measure_record(cc, H, cfg, snapshots=9, seed=7)
-    assert isinstance(rec, MeasurementRecord)
-    assert np.array_equal(rec.powers, vec)
 
 
 def test_gain_invariance_global_codebook_rotation():
