@@ -334,6 +334,8 @@ def _cmd_search_delays(ec: ExperimentConfig, args) -> int:
     H = build_channel(ec, geom, cfg)
     if args.combiner:
         cc_in, _ = load_combiner(args.combiner)
+        if cc_in.theta.size != cfg.num_antennas:
+            raise ConfigError("combiner file does not match system.M")
         theta_star = cc_in.theta
     else:
         theta_star = ps_only_oracle(H, cfg, cb).theta

@@ -80,18 +80,21 @@ def predict_power(model: CriticModel, w: np.ndarray) -> float:
     return float(np.real(np.vdot(g, g)))
 
 
-def _predictions(q: np.ndarray, beams: np.ndarray) -> np.ndarray:
-    # row i of beams is beam w_i; prediction_i = ||Q^H w_i||^2
-    g = beams.conj() @ q
-    return np.sum(np.abs(g) ** 2, axis=1)
+def _rank_rows(beams: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # conj(beams) @ q as conj(beams @ conj(q)): bit-identical, but only the
+    # (n, rank) result is conjugated, never the (n, M) beams
+    return (beams @ q.conj()).conj()
 
 
-def _residuals_and_gradient(q: np.ndarray, beams: np.ndarray, powers: np.ndarray):
-    # prediction errors and the loss gradient of critic_loss_and_gradient,
-    # without the dataset checks (train_critic calls it once per batch)
-    g = beams.conj() @ q
-    err = np.sum(np.abs(g) ** 2, axis=1) - powers
-    return err, (4.0 / powers.size) * (beams.T @ (err[:, None] * g))
+def _residuals(g: np.ndarray, powers) -> np.ndarray:
+    # prediction errors ||Q^H w_i||^2 - p_i from the rank-space rows
+    # g = _rank_rows(beams, Q)
+    return np.sum(np.abs(g) ** 2, axis=1) - powers
+
+
+def _gradient(beams: np.ndarray, g: np.ndarray, err: np.ndarray) -> np.ndarray:
+    # (4/n) sum_i err_i w_i (w_i^H Q), with g and err from _residuals
+    return (4.0 / err.size) * (beams.T @ (err[:, None] * g))
 
 
 def critic_loss_and_gradient(model: CriticModel, data: PowerDataset):
@@ -106,8 +109,9 @@ def critic_loss_and_gradient(model: CriticModel, data: PowerDataset):
         raise ValueError("dataset is empty")
     if data.beams.shape[1] != model.num_antennas:
         raise ValueError("beam length does not match the model")
-    err, grad = _residuals_and_gradient(model.matrix, data.beams, data.powers)
-    return float(np.mean(err**2)), grad
+    g = _rank_rows(data.beams, model.matrix)
+    err = _residuals(g, data.powers)
+    return float(np.mean(err**2)), _gradient(data.beams, g, err)
 
 
 def initialize_critic(
@@ -124,7 +128,8 @@ def initialize_critic(
         rng.standard_normal((num_antennas, rank))
         + 1j * rng.standard_normal((num_antennas, rank))
     ) / np.sqrt(2.0 * rank)
-    mean_pred = float(np.mean(_predictions(q, data.beams)))
+    # residuals against zero powers are the predictions themselves
+    mean_pred = float(np.mean(_residuals(_rank_rows(data.beams, q), 0.0)))
     mean_power = float(np.mean(data.powers))
     if mean_pred > 0.0 and mean_power > 0.0:
         q *= np.sqrt(mean_power / mean_pred)
@@ -159,6 +164,14 @@ def train_critic(model: CriticModel, data: PowerDataset, opts: TrainOptions):
     Returns the trained model and the per-iteration full-dataset loss trace
     (in original units); the final loss never exceeds the initial one.
     Deterministic per opts.seed.
+
+    The line search runs in rank space: G = conj(B) Q is carried across
+    iterations and D = conj(B) grad is formed once per iteration, so each
+    backtracking trial Q - lr grad is scored through G - lr D at O(n rank)
+    instead of an (n, M) x (M, rank) product. The accepted Q is still
+    Q - lr grad, so the steps taken are the same as scoring every trial from
+    scratch; only the loss values round differently. No (n, M) conjugate of
+    the beams is ever formed (see _rank_rows).
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
@@ -168,29 +181,33 @@ def train_critic(model: CriticModel, data: PowerDataset, opts: TrainOptions):
         scale = 1.0
     powers_scaled = data.powers / scale
 
-    def full_loss(q):
-        return float(np.mean((_predictions(q, data.beams) - powers_scaled) ** 2))
+    def full_loss(g):
+        return float(np.mean(_residuals(g, powers_scaled) ** 2))
 
+    q = model.matrix / np.sqrt(scale)
+    g = _rank_rows(data.beams, q)
+    current = full_loss(g)
     if opts.lr == 0.0:
-        trace = np.full(opts.iters, full_loss(model.matrix / np.sqrt(scale)) * scale**2)
-        return model, trace
+        return model, np.full(opts.iters, current * scale**2)
 
     rng = np.random.default_rng(opts.seed)
-    q = model.matrix / np.sqrt(scale)
-    current = full_loss(q)
     trace = np.empty(opts.iters)
     batch_size = min(opts.batch, n)
     for it in range(opts.iters):
         idx = rng.choice(n, size=batch_size, replace=False)
-        _, grad = _residuals_and_gradient(q, data.beams[idx], powers_scaled[idx])
+        batch = data.beams[idx]
+        g_batch = _rank_rows(batch, q)
+        err = _residuals(g_batch, powers_scaled[idx])
+        grad = _gradient(batch, g_batch, err)
+        d = _rank_rows(data.beams, grad)
         # backtrack from the fixed base step each iteration; a persistent
         # step decay would let one noisy batch freeze all later progress
         lr = opts.lr
         for _ in range(30):
-            candidate = q - lr * grad
-            cand_loss = full_loss(candidate)
+            g_cand = g - lr * d
+            cand_loss = full_loss(g_cand)
             if cand_loss <= current:
-                q, current = candidate, cand_loss
+                q, g, current = q - lr * grad, g_cand, cand_loss
                 break
             lr *= 0.5
         trace[it] = current * scale**2

@@ -124,6 +124,7 @@ class LearnHistory:
     phases: np.ndarray  # (n, M) codebook values
     final_model: CriticModel | None
     exploit_events: list  # (measurement index, ascent cycles, measured power)
+    critic_loss_traces: list  # one train_critic loss trace per exploit event
 
 
 def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, opts: LearnerOptions):
@@ -155,6 +156,7 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, opts: LearnerOpt
     log_best: list[float] = []
     log_phases: list[np.ndarray] = []
     exploit_events: list[tuple[int, int, float]] = []
+    loss_traces: list[np.ndarray] = []
     best_phases, best_power = None, -np.inf
     model: CriticModel | None = None
 
@@ -194,7 +196,8 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, opts: LearnerOpt
             model = initialize_critic(
                 M, opts.critic_rank, data, seed=opts.seed + 7919 * refit_index
             )
-            model, _ = train_critic(model, data, train_opts)
+            model, trace = train_critic(model, data, train_opts)
+            loss_traces.append(trace)
             refit_index += 1
 
             current, cycles, _ = coordinate_ascent(model, best_phases, cb)
@@ -208,6 +211,7 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, opts: LearnerOpt
         phases=np.array(log_phases),
         final_model=model,
         exploit_events=exploit_events,
+        critic_loss_traces=loss_traces,
     )
     return best_phases, history
 

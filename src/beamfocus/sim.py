@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix, SystemConfig
-from .combiner import TWO_PI, CombinerConfig, effective_combiner, repeat_delays
+from .combiner import TWO_PI, CombinerConfig, effective_combiner
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,19 @@ def _check_dims(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> None
 
 
 def _inner_products(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> np.ndarray:
-    """w_k^H h_k for every subcarrier of H, shape (K,) complex."""
-    tau_full = repeat_delays(cc.tau, cfg.ps_per_td)
-    phases = cc.theta[:, None] - TWO_PI * H.freqs_hz[None, :] * tau_full[:, None]
-    W = np.exp(1j * phases) / np.sqrt(cfg.num_antennas)
-    return np.sum(np.conj(W) * H.coeffs, axis=0)
+    """w_k^H h_k for every subcarrier of H, shape (K,) complex.
+
+    Factored by sub-array: conj(w_mk) = e^{-j theta_m} e^{j 2 pi f_k tau_n} /
+    sqrt(M) for element m of sub-array n, so the N per-sub-array sums of
+    e^{-j theta_m} h_mk come from one batched (N, 1, P) @ (N, P, K) product
+    and only the N x K delay phasors need complex exponentials (not M x K).
+    """
+    N, P = cfg.num_td_units, cfg.ps_per_td
+    K = H.num_subcarriers
+    ps = np.exp(-1j * cc.theta).reshape(N, 1, P)
+    partial = (ps @ H.coeffs.reshape(N, P, K))[:, 0, :]
+    delays = np.exp(1j * TWO_PI * cc.tau[:, None] * H.freqs_hz[None, :])
+    return np.sum(delays * partial, axis=0) / np.sqrt(cfg.num_antennas)
 
 
 def gain_profile(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> GainProfile:

@@ -14,7 +14,12 @@ from beamfocus.cli import (
 )
 from beamfocus.baselines import pdf_oracle
 from beamfocus.channel import near_field_channel
-from beamfocus.combiner import CombinerConfig, effective_combiner
+from beamfocus.combiner import (
+    CombinerConfig,
+    PhaseCodebook,
+    effective_combiner,
+    save_combiner,
+)
 from beamfocus.config import (
     ExperimentConfig,
     build_channel,
@@ -304,6 +309,22 @@ def test_cli_learn_rejects_ps_bits_beyond_history_digits(tmp_path, capsys):
         out = tmp_path / cmd[0]
         assert main(["--config", str(cfg_path), "--out", str(out), *cmd]) == 0
         assert any(out.iterdir())
+
+
+def test_cli_combiner_file_must_match_system_m(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        "system.M = 16\nsystem.N = 4\nsystem.K = 16\n"
+        "grid.ax_points = 2\ngrid.ay_points = 3\ngrid.b_points = 3\n"
+    )
+    eight = tmp_path / "combiner_m8.txt"
+    save_combiner(CombinerConfig(theta=np.zeros(8), tau=np.zeros(4)), PhaseCodebook(3), eight)
+    for cmd in (["search-delays"], ["heatmap", "--freqs", "1e11"]):
+        out = tmp_path / cmd[0]
+        argv = ["--config", str(cfg_path), "--out", str(out), *cmd, "--combiner", str(eight)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: combiner file")
+        assert not out.exists()
 
 
 def test_cli_module_invocation():

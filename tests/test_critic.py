@@ -161,6 +161,54 @@ def test_train_deterministic_per_seed():
     assert np.array_equal(t1, t2)
 
 
+def reference_train_critic(model, data, opts):
+    # reference line search: every backtracking trial scores the full-data
+    # loss of the (M, rank) candidate Q - lr grad from scratch
+    def full_loss(q):
+        err = np.sum(np.abs(data.beams.conj() @ q) ** 2, axis=1) - powers
+        return float(np.mean(err**2))
+
+    n = len(data)
+    scale = float(np.mean(data.powers))
+    powers = data.powers / scale
+    rng = np.random.default_rng(opts.seed)
+    q = model.matrix / np.sqrt(scale)
+    current = full_loss(q)
+    trace, halvings = np.empty(opts.iters), 0
+    for it in range(opts.iters):
+        idx = rng.choice(n, size=min(opts.batch, n), replace=False)
+        beams = data.beams[idx]
+        g = beams.conj() @ q
+        err = np.sum(np.abs(g) ** 2, axis=1) - powers[idx]
+        grad = (4.0 / idx.size) * (beams.T @ (err[:, None] * g))
+        lr = opts.lr
+        for _ in range(30):
+            candidate = q - lr * grad
+            cand_loss = full_loss(candidate)
+            if cand_loss <= current:
+                q, current = candidate, cand_loss
+                break
+            lr *= 0.5
+            halvings += 1
+        trace[it] = current * scale**2
+    return q * np.sqrt(scale), trace, halvings
+
+
+def test_train_matches_full_loss_line_search():
+    rng = np.random.default_rng(12)
+    M, n = 8, 60
+    h = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    beams = random_beams(rng, n, M)
+    data = PowerDataset(beams=beams, powers=np.abs(beams.conj() @ h) ** 2)
+    model = initialize_critic(M, 2, data, seed=1)
+    opts = TrainOptions(lr=4.0, iters=200, batch=16, seed=5)
+    q_ref, trace_ref, halvings = reference_train_critic(model, data, opts)
+    assert halvings > 0  # the step is large enough to backtrack
+    trained, trace = train_critic(model, data, opts)
+    assert np.array_equal(trained.matrix, q_ref)
+    np.testing.assert_allclose(trace, trace_ref, rtol=1e-9, atol=0.0)
+
+
 def test_train_options_validation():
     with pytest.raises(ValueError):
         TrainOptions(lr=-0.1)

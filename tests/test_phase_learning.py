@@ -260,6 +260,25 @@ def test_learn_phases_invocation_budget():
     assert count == history.iters[-1]
 
 
+def test_learn_phases_keeps_one_loss_trace_per_exploit():
+    cfg, H = small_scene(4, seed=2)
+    cb = PhaseCodebook(bits=2)
+    opts = LearnerOptions(
+        total_measurements=40,
+        exploit_start=20,
+        critic_refit_period=10,
+        seed=4,
+        critic_rank=2,
+        train_iters=50,
+        train_batch=32,
+    )
+    _, history = learn_phases(center_measure(H, cfg), cfg, cb, opts)
+    assert len(history.critic_loss_traces) == len(history.exploit_events) == 3
+    for trace in history.critic_loss_traces:
+        assert trace.shape == (opts.train_iters,)
+        assert np.all(np.diff(trace) <= 0.0)
+
+
 def test_learn_phases_callback_failure_propagates():
     cfg, H = small_scene(2, seed=1)
     cb = PhaseCodebook(bits=1)

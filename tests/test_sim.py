@@ -56,13 +56,18 @@ def brute_force_gains(cc, H, cfg):
 
 def test_gain_profile_matches_brute_force():
     rng = np.random.default_rng(21)
-    cfg, H = random_scene(M=4, N=2, K=2, seed=4)
-    for _ in range(10):
-        cc = CombinerConfig(
-            theta=rng.uniform(-np.pi, np.pi, 4), tau=rng.uniform(0, 1e-10, 2)
-        )
-        gp = gain_profile(cc, H, cfg)
-        assert np.allclose(gp.per_subcarrier, brute_force_gains(cc, H, cfg), rtol=1e-12)
+    # M=16 with N in {1, 4, 16}: one sub-array, square blocks, one element each
+    cases = [(4, 2, 2, 1e-10), (16, 1, 8, 1e-9), (16, 4, 8, 1e-9), (16, 16, 8, 1e-9)]
+    for M, N, K, tau_max in cases:
+        cfg, H = random_scene(M=M, N=N, K=K, seed=4)
+        for _ in range(10):
+            cc = CombinerConfig(
+                theta=rng.uniform(-np.pi, np.pi, M), tau=rng.uniform(0, tau_max, N)
+            )
+            gains = gain_profile(cc, H, cfg).per_subcarrier
+            expected = brute_force_gains(cc, H, cfg)
+            # the gains are ~1e-9, so the tolerance must scale with them
+            np.testing.assert_allclose(gains, expected, rtol=1e-12, atol=1e-12 * expected.max())
 
 
 def test_gain_profile_single_antenna_is_channel_power():
