@@ -59,8 +59,10 @@ class SystemConfig:
             raise ValueError("tau_max must be nonnegative")
         if self.ps_bits < 1:
             raise ValueError("need at least 1 phase-shifter bit")
-        if self.tx_power_w < 0.0 or self.noise_power_w < 0.0:
-            raise ValueError("powers must be nonnegative")
+        if self.tx_power_w < 0.0:
+            raise ValueError("tx_power_w must be nonnegative")
+        if self.noise_power_w < 0.0:
+            raise ValueError("noise_power_w must be nonnegative")
 
     @property
     def wavelength_m(self) -> float:

@@ -40,6 +40,7 @@ from .config import (
     emit_config,
     parse_config,
     stamp_lines,
+    validate,
 )
 from .critic import save_critic
 from .delay_search import search_delays, write_search_trace_csv
@@ -74,10 +75,11 @@ def decimate_channel(H: ChannelMatrix, target: int = 128, minimum: int = 16) -> 
     return ChannelMatrix(coeffs=H.coeffs[:, idx], freqs_hz=H.freqs_hz[idx])
 
 
-def _noise_settings(ec: ExperimentConfig):
-    if ec.noise_mode == "snapshots":
-        return ec.snapshots, ec.noise_power_w
-    return 1, 0.0
+def _noise_rng(ec: ExperimentConfig, stream: int) -> np.random.Generator:
+    # learner.seed spawns one noise stream per measurement callback (0 center,
+    # 1 profile); each callback owns its Generator, so its measurements are
+    # independent and a config still reproduces its files
+    return np.random.default_rng(np.random.SeedSequence(ec.learner_seed).spawn(2)[stream])
 
 
 def make_center_measure(ec: ExperimentConfig, H: ChannelMatrix, cfg: SystemConfig):
@@ -87,26 +89,24 @@ def make_center_measure(ec: ExperimentConfig, H: ChannelMatrix, cfg: SystemConfi
     the critic regresses calibrated signal powers.
     """
     k = center_bin(H.freqs_hz, cfg.center_freq_hz)
-    snapshots, noise_floor = _noise_settings(ec)
+    rng = _noise_rng(ec, 0)
     zeros = np.zeros(cfg.num_td_units)
 
     def measure(phases):
         cc = CombinerConfig(theta=phases, tau=zeros)
-        p = measure_power(cc, H, cfg, k, snapshots=snapshots, seed=ec.learner_seed)
-        return max(p - noise_floor, 0.0)
+        p = measure_power(cc, H, cfg, k, snapshots=ec.snapshots, rng=rng)
+        return max(p - cfg.noise_power_w, 0.0)
 
     return measure
 
 
 def make_profile_measure(ec: ExperimentConfig, H_dec: ChannelMatrix, cfg: SystemConfig):
     """Callback config -> per-subcarrier powers for the delay search."""
-    snapshots, noise_floor = _noise_settings(ec)
+    rng = _noise_rng(ec, 1)
 
     def measure(cc):
-        powers = measure_profile_powers(
-            cc, H_dec, cfg, snapshots=snapshots, seed=ec.learner_seed + 1
-        )
-        return np.maximum(powers - noise_floor, 0.0)
+        powers = measure_profile_powers(cc, H_dec, cfg, snapshots=ec.snapshots, rng=rng)
+        return np.maximum(powers - cfg.noise_power_w, 0.0)
 
     return measure
 
@@ -401,7 +401,7 @@ def main(argv=None) -> int:
     try:
         ec = parse_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
-            ec = replace(ec, learner_seed=args.seed)
+            ec = validate(replace(ec, learner_seed=args.seed))
         args.out = args.out or ec.output_dir
         handlers = {
             "profile": _cmd_profile,

@@ -8,6 +8,7 @@ few values derived from the rest of the configuration at build time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .channel import SystemConfig, flat_amplitude_rho, near_field_channel
@@ -73,11 +74,14 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _parse_auto_float(text: str):
-    return None if text == "auto" else float(text)
+    return None if text == "auto" else _parse_float(text)
 
 
 def _parse_auto_int(text: str):
@@ -152,7 +156,8 @@ _CHOICES = {
 }
 
 
-def _validate(ec: ExperimentConfig) -> ExperimentConfig:
+def validate(ec: ExperimentConfig) -> ExperimentConfig:
+    """Return ec if every command can run on it; else raise ConfigError."""
     for key, allowed in _CHOICES.items():
         field_name, _ = KEY_TABLE[key]
         value = getattr(ec, field_name)
@@ -178,6 +183,14 @@ def _validate(ec: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("heatmap.x_max_m/y_max_m: extent must be nonempty")
     if not ec.heatmap_resolution_m > 0.0:
         raise ConfigError("heatmap.resolution_m: must be positive")
+    if ec.snapshots < 1:
+        raise ConfigError("noise.snapshots: need at least one snapshot")
+    # build the objects whose own checks would otherwise fail at run time
+    try:
+        build_system(ec)
+    except ValueError as exc:
+        raise ConfigError(f"system.*: {exc}") from exc
+    build_learner_options(ec)
     return ec
 
 
@@ -197,7 +210,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             values[field_name] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: bad value '{value}'") from exc
-    return _validate(ExperimentConfig(**values))
+    return validate(ExperimentConfig(**values))
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -58,6 +58,10 @@ class LearnerOptions:
             raise ValueError("perturb_count must be nonnegative")
         if self.critic_rank < 1:
             raise ValueError("critic rank must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        # the fit settings are checked here, not first at the first fit
+        TrainOptions(lr=self.train_lr, iters=self.train_iters, batch=self.train_batch)
 
 
 def _perturb(phases: np.ndarray, count: int, cb: PhaseCodebook, rng) -> np.ndarray:

@@ -71,45 +71,52 @@ def avg_amplitude_gain(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) 
     return float(np.mean(np.sqrt(gp.per_subcarrier)))
 
 
-def _rng_for(seed: int, k: int) -> np.random.Generator:
-    # randomness keyed on (seed, subcarrier) so concurrent evaluations of
-    # different subcarriers stay reproducible and independent
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+def _signal_powers(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> np.ndarray:
+    # (P_T/K) |w_k^H h_k|^2 for every subcarrier of H
+    return cfg.tx_power_w / cfg.num_subcarriers * np.abs(_inner_products(cc, H, cfg)) ** 2
 
 
 def measure_power(
     cc: CombinerConfig,
     H: ChannelMatrix,
     cfg: SystemConfig,
-    k: int,
+    k,
     snapshots: int = 1,
-    seed: int = 0,
-) -> float:
-    """Average received power |y_k|^2 over independent snapshots.
+    rng: np.random.Generator | None = None,
+) -> float | np.ndarray:
+    """Received power |y_k|^2 averaged over `snapshots` snapshots.
 
     Each snapshot transmits a constant-modulus symbol of power P_T/K through
-    the combined channel and adds combined noise of variance noise_power_w
-    (the combiner is unit-norm). Expectation is
-    (P_T/K) |w_k^H h_k|^2 + noise_power_w; the noiseless case is returned
-    exactly. Deterministic per (seed, k, snapshot index).
+    the combined channel and adds combined noise n ~ CN(0, sigma^2), with
+    sigma^2 = noise_power_w (the combiner is unit-norm). For the signal power
+    a = (P_T/K) |w_k^H h_k|^2, the mean of |y|^2 over S snapshots is
+    distributed as (sigma^2 / 2S) chi'^2(2S, 2S a / sigma^2), with mean
+    a + sigma^2 and variance (sigma^4 + 2 a sigma^2) / S. It is drawn in
+    closed form, one noncentral chi-square draw from `rng` per bin, so the
+    cost does not grow with S and successive calls are independent. The
+    noiseless case returns a exactly and needs no `rng`.
+
+    `k` is one bin index (returns a float) or an array of indices (returns
+    one power per index, drawn in index order).
     """
     _check_dims(cc, H, cfg)
-    if not 0 <= k < H.num_subcarriers:
+    bins = np.asarray(k)
+    if np.any((bins < 0) | (bins >= H.num_subcarriers)):
         raise ValueError(f"subcarrier index {k} out of range")
     if snapshots < 1:
         raise ValueError("need at least one snapshot")
-    sym_power = cfg.tx_power_w / cfg.num_subcarriers
-    wh = np.vdot(effective_combiner(cc, cfg, H.freqs_hz[k]), H.coeffs[:, k])
+    if bins.ndim == 0:
+        wh = np.vdot(effective_combiner(cc, cfg, H.freqs_hz[k]), H.coeffs[:, k])
+        signal = cfg.tx_power_w / cfg.num_subcarriers * float(np.abs(wh) ** 2)
+    else:
+        signal = _signal_powers(cc, H, cfg)[bins]
     if cfg.noise_power_w == 0.0:
-        return sym_power * float(np.abs(wh) ** 2)
-    rng = _rng_for(seed, k)
-    sym = np.sqrt(sym_power) * np.exp(1j * rng.uniform(0.0, TWO_PI, size=snapshots))
-    noise_scale = np.sqrt(cfg.noise_power_w / 2.0)
-    noise = noise_scale * (
-        rng.standard_normal(snapshots) + 1j * rng.standard_normal(snapshots)
-    )
-    y = wh * sym + noise
-    return float(np.mean(np.abs(y) ** 2))
+        return signal
+    if rng is None:
+        raise ValueError("a noisy measurement needs an rng")
+    scale = cfg.noise_power_w / (2.0 * snapshots)
+    powers = scale * rng.noncentral_chisquare(2 * snapshots, signal / scale)
+    return float(powers) if bins.ndim == 0 else powers
 
 
 def measure_profile_powers(
@@ -117,19 +124,17 @@ def measure_profile_powers(
     H: ChannelMatrix,
     cfg: SystemConfig,
     snapshots: int = 1,
-    seed: int = 0,
+    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Measured power for every subcarrier of H; vector of length K."""
+    """Measured power for every subcarrier of H; vector of length K.
+
+    Noisy powers are one `measure_power` draw over all bins at once.
+    """
+    if cfg.noise_power_w > 0.0:
+        bins = np.arange(H.num_subcarriers)
+        return measure_power(cc, H, cfg, bins, snapshots=snapshots, rng=rng)
     _check_dims(cc, H, cfg)
-    if cfg.noise_power_w == 0.0:
-        sym_power = cfg.tx_power_w / cfg.num_subcarriers
-        return sym_power * np.abs(_inner_products(cc, H, cfg)) ** 2
-    return np.array(
-        [
-            measure_power(cc, H, cfg, k, snapshots=snapshots, seed=seed)
-            for k in range(H.num_subcarriers)
-        ]
-    )
+    return _signal_powers(cc, H, cfg)
 
 
 def center_bin(freqs_hz: np.ndarray, center_freq_hz: float) -> int:

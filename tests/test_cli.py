@@ -1,14 +1,20 @@
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamfocus.cli import (
     decimate_channel,
     decimated_indices,
     gain_map,
     main,
+    make_center_measure,
+    make_profile_measure,
     run_heatmap,
     run_profile,
 )
@@ -21,6 +27,7 @@ from beamfocus.combiner import (
     save_combiner,
 )
 from beamfocus.config import (
+    ConfigError,
     ExperimentConfig,
     build_channel,
     build_codebook,
@@ -28,6 +35,7 @@ from beamfocus.config import (
     build_system,
     build_ue,
     emit_config,
+    parse_config_text,
 )
 from beamfocus.sim import gain_profile
 
@@ -325,6 +333,126 @@ def test_cli_combiner_file_must_match_system_m(tmp_path, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: combiner file")
         assert not out.exists()
+
+
+# M=16, K=16 with a small grid and budget: every command finishes in well
+# under a second
+M16_KEYS = (
+    "system.M = 16",
+    "system.N = 4",
+    "system.K = 16",
+    "learner.total_measurements = 30",
+    "learner.exploit_start = 15",
+    "learner.critic_refit_period = 15",
+    "learner.critic_rank = 2",
+    "learner.train_iters = 20",
+    "learner.train_batch = 32",
+    "grid.ax_points = 2",
+    "grid.ay_points = 3",
+    "grid.b_points = 3",
+)
+NOISY_KEYS = ("noise.mode = snapshots", "noise.snapshots = 100", "system.noise_power_w = 1e-9")
+
+
+def write_m16_config(path, *extra):
+    path.write_text("\n".join([*M16_KEYS, *extra]) + "\n")
+    return path
+
+
+def assert_rejected(tmp_path, capsys, key, lines, cmd, flags=()):
+    cfg_path = write_m16_config(tmp_path / "exp.cfg", *lines)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), *flags, cmd]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert not out.exists()
+
+
+def test_cli_rejects_zero_snapshots(tmp_path, capsys):
+    lines = (*NOISY_KEYS, "noise.snapshots = 0")
+    assert_rejected(tmp_path, capsys, "noise.snapshots", lines, "learn")
+
+
+def test_cli_rejects_negative_noise_power(tmp_path, capsys):
+    lines = ("noise.mode = snapshots", "system.noise_power_w = -1e-9")
+    assert_rejected(tmp_path, capsys, "system.", lines, "search-delays")
+
+
+def test_cli_rejects_learner_range_errors(tmp_path, capsys):
+    for line in (
+        "learner.train_iters = 0",
+        "learner.train_batch = 0",
+        "learner.train_lr = -0.5",
+        "learner.seed = -1",
+    ):
+        assert_rejected(tmp_path, capsys, "learner.", (line,), "learn")
+    # the --seed override is checked as a config value too
+    assert_rejected(tmp_path, capsys, "learner.", (), "learn", flags=("--seed", "-1"))
+
+
+def test_noisy_measure_callbacks_draw_fresh_noise():
+    ec = tiny_config(noise_mode="snapshots", noise_power_w=1e-9, snapshots=100)
+    cfg = build_system(ec)
+    H = build_channel(ec, build_geometry(ec), cfg)
+    center = make_center_measure(ec, H, cfg)
+    phases = np.zeros(cfg.num_antennas)
+    assert center(phases) != center(phases)
+    profile = make_profile_measure(ec, decimate_channel(H, target=16), cfg)
+    cc = CombinerConfig(theta=phases, tau=np.zeros(cfg.num_td_units))
+    assert not np.array_equal(profile(cc), profile(cc))
+    # a fresh callback replays its stream from learner.seed
+    assert make_center_measure(ec, H, cfg)(phases) == make_center_measure(ec, H, cfg)(phases)
+
+
+def test_cli_noisy_search_reproduces_per_seed(tmp_path):
+    cfg_path = write_m16_config(tmp_path / "exp.cfg", *NOISY_KEYS)
+
+    def run(name, *flags):
+        out = tmp_path / name
+        assert main(["--config", str(cfg_path), "--out", str(out), *flags, "search-delays"]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    first = run("a")
+    assert set(first) == {"search_trace.csv", "combiner_final.txt"}
+    assert run("b") == first
+
+    def data_lines(files):
+        return [ln for ln in files["search_trace.csv"].splitlines() if not ln.startswith(b"#")]
+
+    # beyond the stamped learner.seed, the measured scores differ
+    assert data_lines(run("c", "--seed", "7")) != data_lines(first)
+
+
+# values on both sides of each key's valid range
+FUZZ_KEYS = {
+    "noise.mode": st.sampled_from(["noiseless", "snapshots"]),
+    "noise.snapshots": st.integers(0, 300).map(str),
+    "system.noise_power_w": st.sampled_from(["-1e-9", "0", "1e-12", "1e-9", "1.0", "nan"]),
+    "learner.total_measurements": st.integers(0, 60).map(str),
+    "learner.perturb_count": st.one_of(st.just("auto"), st.integers(-1, 40).map(str)),
+    "learner.critic_refit_period": st.integers(0, 40).map(str),
+    "learner.exploit_start": st.integers(0, 60).map(str),
+    "learner.critic_rank": st.integers(0, 20).map(str),
+    "learner.train_iters": st.integers(0, 30).map(str),
+    "learner.train_lr": st.one_of(st.sampled_from(["nan", "0"]), st.floats(-0.5, 8.0).map(str)),
+    "learner.train_batch": st.integers(0, 80).map(str),
+    "learner.seed": st.integers(-1, 2**64).map(str),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.fixed_dictionaries({}, optional=FUZZ_KEYS))
+def test_every_accepted_config_runs_learn_and_search(keys):
+    text = "\n".join([*M16_KEYS, *(f"{k} = {v}" for k, v in keys.items())]) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "exp.cfg"
+        cfg_path.write_text(text)
+        try:
+            parse_config_text(text)
+        except ConfigError:
+            assert main(["--config", str(cfg_path), "--out", tmp + "/out", "learn"]) == 2
+            return
+        for cmd in ("learn", "search-delays"):
+            assert main(["--config", str(cfg_path), "--out", f"{tmp}/{cmd}", cmd]) == 0
 
 
 def test_cli_module_invocation():

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from beamfocus.channel import ChannelMatrix, SystemConfig, near_field_channel
-from beamfocus.combiner import CombinerConfig, PhaseCodebook
+from beamfocus.combiner import CombinerConfig, PhaseCodebook, effective_combiner
 from beamfocus.geometry import UePosition, random_geometry
 from beamfocus.sim import (
     GainProfile,
@@ -117,7 +119,7 @@ def test_measure_power_noiseless_exact():
     gp = gain_profile(cc, H, cfg)
     for k in range(2):
         for snaps in (1, 7):
-            p = measure_power(cc, H, cfg, k, snapshots=snaps, seed=123)
+            p = measure_power(cc, H, cfg, k, snapshots=snaps, rng=np.random.default_rng(123))
             assert p == (cfg.tx_power_w / cfg.num_subcarriers) * gp.per_subcarrier[k]
 
 
@@ -126,11 +128,16 @@ def test_measure_power_deterministic_per_seed():
     geom = random_geometry(4, 0.05, seed=2)
     H = near_field_channel(geom, UePosition(1.0, 0.2), cfg)
     cc = CombinerConfig(theta=np.zeros(4), tau=np.zeros(2))
-    a = measure_power(cc, H, cfg, 1, snapshots=50, seed=5)
-    b = measure_power(cc, H, cfg, 1, snapshots=50, seed=5)
-    c = measure_power(cc, H, cfg, 1, snapshots=50, seed=6)
-    assert a == b
-    assert a != c
+
+    def draw(seed):
+        return measure_power(cc, H, cfg, 1, snapshots=50, rng=np.random.default_rng(seed))
+
+    assert draw(5) == draw(5)
+    assert draw(5) != draw(6)
+    # successive measurements from one generator are fresh draws
+    rng = np.random.default_rng(5)
+    first = measure_power(cc, H, cfg, 1, snapshots=50, rng=rng)
+    assert measure_power(cc, H, cfg, 1, snapshots=50, rng=rng) != first
 
 
 def test_measure_power_pure_noise_mean():
@@ -139,7 +146,7 @@ def test_measure_power_pure_noise_mean():
     cfg = make_cfg(2, 1, K=1, B=0.0, noise=sigma2)
     H = ChannelMatrix(coeffs=np.zeros((2, 1), complex), freqs_hz=[cfg.center_freq_hz])
     cc = CombinerConfig(theta=np.zeros(2), tau=[0.0])
-    p = measure_power(cc, H, cfg, 0, snapshots=10_000, seed=0)
+    p = measure_power(cc, H, cfg, 0, snapshots=10_000, rng=np.random.default_rng(0))
     assert abs(p - sigma2) / sigma2 < 0.05
 
 
@@ -153,7 +160,7 @@ def test_measure_power_concentration():
     gp = gain_profile(cc, H, cfg)
     expected = (cfg.tx_power_w / cfg.num_subcarriers) * gp.per_subcarrier[0] + sigma2
     ok = sum(
-        abs(measure_power(cc, H, cfg, 0, snapshots=10_000, seed=s) - expected)
+        abs(measure_power(cc, H, cfg, 0, snapshots=10_000, rng=np.random.default_rng(s)) - expected)
         / expected
         < 0.05
         for s in range(100)
@@ -167,6 +174,8 @@ def test_measure_power_bad_subcarrier():
     with pytest.raises(ValueError):
         measure_power(cc, H, cfg, 5)
     with pytest.raises(ValueError):
+        measure_power(cc, H, cfg, np.array([0, 2]))
+    with pytest.raises(ValueError):
         measure_power(cc, H, cfg, 0, snapshots=0)
 
 
@@ -175,9 +184,97 @@ def test_measure_profile_matches_scalar_measurements():
     geom = random_geometry(4, 0.05, seed=12)
     H = near_field_channel(geom, UePosition(1.0, 0.1), cfg)
     cc = CombinerConfig(theta=np.zeros(4), tau=np.zeros(2))
-    vec = measure_profile_powers(cc, H, cfg, snapshots=9, seed=7)
-    scalars = [measure_power(cc, H, cfg, k, snapshots=9, seed=7) for k in range(3)]
-    assert np.allclose(vec, scalars)
+    vec = measure_profile_powers(cc, H, cfg, snapshots=9, rng=np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    scalars = [measure_power(cc, H, cfg, k, snapshots=9, rng=rng) for k in range(3)]
+    # the same draws; only the signal powers' last bits differ between the
+    # all-bin kernel and the per-bin combiner
+    np.testing.assert_allclose(vec, scalars, rtol=1e-12)
+
+
+def reference_measure_power(cc, H, cfg, k, snapshots, rng):
+    """The explicit S-snapshot simulation that measure_power draws in closed form.
+
+    Each snapshot sends a random-phase symbol of power P_T/K through the
+    combined channel and adds CN(0, noise_power_w) noise; returns the mean
+    of |y|^2 over the snapshots.
+    """
+    sym_power = cfg.tx_power_w / cfg.num_subcarriers
+    wh = np.vdot(effective_combiner(cc, cfg, H.freqs_hz[k]), H.coeffs[:, k])
+    sym = np.sqrt(sym_power) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=snapshots))
+    noise = np.sqrt(cfg.noise_power_w / 2.0) * (
+        rng.standard_normal(snapshots) + 1j * rng.standard_normal(snapshots)
+    )
+    return float(np.mean(np.abs(wh * sym + noise) ** 2))
+
+
+def snapshot_mean_cdf(x, signal, sigma2, snapshots):
+    """P(mean of |y|^2 <= x): (sigma2 / 2S) chi'^2(2S, 2S signal / sigma2).
+
+    For even degrees of freedom the noncentral chi-square CDF is a
+    Poisson(lambda/2) mixture of Erlang CDFs, summed here term by term.
+    """
+    half_nonc = snapshots * signal / sigma2
+    t = x * snapshots / sigma2  # half the chi-square variate
+    total, weight, erlang_tail, term = 0.0, math.exp(-half_nonc), 0.0, math.exp(-t)
+    # erlang_tail accumulates e^-t sum_{i < n} t^i / i! for n = S + j
+    for i in range(snapshots):
+        erlang_tail += term
+        term *= t / (i + 1)
+    for j in range(int(half_nonc + 40 * math.sqrt(half_nonc + 1) + 40)):
+        total += weight * (1.0 - erlang_tail)
+        erlang_tail += term
+        term *= t / (snapshots + j + 1)
+        weight *= half_nonc / (j + 1)
+    return total
+
+
+def snapshot_mean_quantile(p, signal, sigma2, snapshots):
+    lo, hi = 0.0, signal + sigma2
+    while snapshot_mean_cdf(hi, signal, sigma2, snapshots) < p:
+        hi *= 2.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if snapshot_mean_cdf(mid, signal, sigma2, snapshots) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_measure_power_statistics_match_snapshot_model():
+    # closed-form draws, the explicit snapshot loop and the analytic law agree
+    # on mean, variance and quantiles at small S and 0 dB per-snapshot SNR
+    draws, snapshots = 4000, 4
+    cfg0, H = random_scene(M=4, N=2, K=2, seed=3)
+    cc = CombinerConfig(theta=np.zeros(4), tau=np.zeros(2))
+    signal = measure_power(cc, H, cfg0, 0)
+    cfg = make_cfg(4, 2, K=2, noise=signal)
+    sigma2 = cfg.noise_power_w
+
+    rng = np.random.default_rng(2024)
+    closed = np.array([measure_power(cc, H, cfg, 0, snapshots, rng) for _ in range(draws)])
+    rng = np.random.default_rng(2025)
+    loop = np.array(
+        [reference_measure_power(cc, H, cfg, 0, snapshots, rng) for _ in range(draws)]
+    )
+
+    mean = sigma2 + signal
+    var = (sigma2**2 + 2.0 * signal * sigma2) / snapshots
+    se = np.sqrt(var / draws)
+    for sample in (closed, loop):
+        assert abs(sample.mean() - mean) < 4.0 * se
+        assert sample.var(ddof=1) == pytest.approx(var, rel=0.1)
+    assert abs(closed.mean() - loop.mean()) < 4.0 * np.sqrt(2.0) * se
+    assert closed.var(ddof=1) / loop.var(ddof=1) == pytest.approx(1.0, rel=0.15)
+
+    for p in (0.05, 0.5, 0.95):
+        tol = 4.0 * np.sqrt(p * (1.0 - p) / draws)
+        q = snapshot_mean_quantile(p, signal, sigma2, snapshots)
+        for sample in (closed, loop):
+            assert abs(np.mean(sample <= q) - p) < tol
+        # the loop's share below the closed-form sample quantile
+        assert abs(np.mean(loop <= np.quantile(closed, p)) - p) < np.sqrt(2.0) * tol
 
 
 def test_gain_invariance_global_codebook_rotation():
