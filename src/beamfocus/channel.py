@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import write_atomic
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, UePosition, distances
 
 
@@ -210,7 +211,7 @@ def channel_from_text(text: str) -> ChannelMatrix:
 
 
 def save_channel(H: ChannelMatrix, path) -> None:
-    with open(path, "w") as fh:
+    with write_atomic(path) as fh:
         fh.write(channel_to_text(H))
 
 

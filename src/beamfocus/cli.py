@@ -44,7 +44,8 @@ from .config import (
 )
 from .critic import save_critic
 from .delay_search import search_delays, write_search_trace_csv
-from .geometry import ArrayGeometry
+from .files import write_atomic
+from .geometry import ArrayGeometry, point_distances
 from .phase_learning import learn_phases, write_history_csv
 from .sim import (
     avg_amplitude_gain,
@@ -75,11 +76,13 @@ def decimate_channel(H: ChannelMatrix, target: int = 128, minimum: int = 16) -> 
     return ChannelMatrix(coeffs=H.coeffs[:, idx], freqs_hz=H.freqs_hz[idx])
 
 
-def _noise_rng(ec: ExperimentConfig, stream: int) -> np.random.Generator:
-    # learner.seed spawns one noise stream per measurement callback (0 center,
-    # 1 profile); each callback owns its Generator, so its measurements are
-    # independent and a config still reproduces its files
-    return np.random.default_rng(np.random.SeedSequence(ec.learner_seed).spawn(2)[stream])
+def _noise_rng(ec: ExperimentConfig, *key: int) -> np.random.Generator:
+    # learner.seed keys one noise stream per measurement callback: (0,) for
+    # the center callback, (1, N) for the profile callback of the N-TD-unit
+    # search. Each callback owns its Generator, so its measurements are
+    # independent, the searches of one sweep draw different noise, and a
+    # config still reproduces its files.
+    return np.random.default_rng(np.random.SeedSequence(ec.learner_seed, spawn_key=key))
 
 
 def make_center_measure(ec: ExperimentConfig, H: ChannelMatrix, cfg: SystemConfig):
@@ -101,14 +104,23 @@ def make_center_measure(ec: ExperimentConfig, H: ChannelMatrix, cfg: SystemConfi
 
 
 def make_profile_measure(ec: ExperimentConfig, H_dec: ChannelMatrix, cfg: SystemConfig):
-    """Callback config -> per-subcarrier powers for the delay search."""
-    rng = _noise_rng(ec, 1)
+    """Callback config -> per-subcarrier powers for the delay search.
+
+    Takes one configuration or a stack and returns one row of powers per
+    configuration (see `measure_profile_powers`). Its noise stream is keyed
+    by cfg.num_td_units.
+    """
+    rng = _noise_rng(ec, 1, cfg.num_td_units)
 
     def measure(cc):
         powers = measure_profile_powers(cc, H_dec, cfg, snapshots=ec.snapshots, rng=rng)
         return np.maximum(powers - cfg.noise_power_w, 0.0)
 
     return measure
+
+
+# heatmap points evaluated per block, bounding the (points x M) temporaries
+GAIN_MAP_BLOCK = 512
 
 
 def gain_map(
@@ -122,12 +134,17 @@ def gain_map(
     """|w^H h(q')|^2 over a position grid, channel re-synthesized per point.
 
     Returns shape (len(ys), len(xs)); rows follow ys, columns follow xs.
+    The points are evaluated in blocks of GAIN_MAP_BLOCK into one output,
+    so memory stays bounded at any grid size.
     """
-    elem_y = 0.5 * geom.aperture * geom.alphas  # (M,)
     gx, gy = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float))
-    pts = np.column_stack([gx.ravel(), gy.ravel()])  # (n, 2)
-    d = np.hypot(pts[:, 0][:, None], elem_y[None, :] - pts[:, 1][:, None])  # (n, M)
-    vals = np.abs(spherical_wave(d, freq_hz, rho_factor) @ np.conj(w)) ** 2
+    px, py = gx.ravel(), gy.ravel()
+    w_conj = np.conj(w)
+    vals = np.empty(px.size)
+    for start in range(0, px.size, GAIN_MAP_BLOCK):
+        block = slice(start, start + GAIN_MAP_BLOCK)
+        d = point_distances(geom, px[block], py[block])  # (points, M)
+        vals[block] = np.abs(spherical_wave(d, freq_hz, rho_factor) @ w_conj) ** 2
     return vals.reshape(gx.shape)
 
 
@@ -212,7 +229,7 @@ def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Pat
         summary_rows.append((n, three_db_bandwidth(gp, cfg_n), amp, gap_db))
 
     summary = out / "summary.csv"
-    with open(summary, "w") as fh:
+    with write_atomic(summary) as fh:
         fh.write(stamp_lines(ec, command="profile", oracle=oracle))
         fh.write("N,three_db_bandwidth_hz,avg_amplitude_gain,gap_to_pdf_db\n")
         for n, bw, amp, gap in summary_rows:
@@ -244,7 +261,7 @@ def run_heatmap(
         w = effective_combiner(cc, cfg, f)
         gains = gain_map(geom, w, f, xs, ys, rho_factor=rho_factor)
         path = out / f"{label}_f{f / 1e9:.6g}GHz.csv"
-        with open(path, "w") as fh:
+        with write_atomic(path) as fh:
             fh.write(stamp_lines(ec, command="heatmap", freq_hz=f))
             fh.write(f"# ue_m = {ec.ue_x_m} {ec.ue_y_m}\n")
             fh.write("# x_m = " + " ".join(f"{x:.10g}" for x in xs) + "\n")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemConfig
+from .files import write_atomic
 
 TWO_PI = 2.0 * np.pi
 
@@ -48,21 +49,38 @@ class PhaseCodebook:
         return -np.pi + TWO_PI * np.arange(1, n + 1) / n
 
 
+def _nearest_member(phi: np.ndarray, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # among the codebook indices idx (..., c): the smallest wrapped distance,
+    # exact ties to the largest index
+    dist = np.abs(wrap_angle(phi[..., None] - values[idx]))
+    tied = dist == dist.min(axis=-1, keepdims=True)
+    return np.where(tied, idx, -1).max(axis=-1)
+
+
+# beyond this magnitude rounding could move the nearest member past the
+# rounded guess's neighbours, so such phases are checked against every member
+_GUESS_LIMIT = 1e9
+
+
 def quantize_phase(phi, cb: PhaseCodebook):
     """Nearest codebook member in wrapped angular distance.
 
     Ties are broken toward the larger codebook value. Accepts scalars or
-    arrays; 2pi-periodic and idempotent.
+    arrays; 2pi-periodic and idempotent. The rule is applied to the rounded
+    guess and its two neighbours, which hold the nearest member of every
+    phase up to _GUESS_LIMIT in magnitude; larger phases are compared with
+    all members.
     """
     phi_arr = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi_arr)):
         raise ValueError("phase must be finite")
     values = cb.values
-    dist = np.abs(wrap_angle(phi_arr[..., None] - values))
-    min_d = dist.min(axis=-1, keepdims=True)
-    # last index among exact ties = largest tied codebook value
-    tied = dist == min_d
-    idx = values.size - 1 - np.argmax(tied[..., ::-1], axis=-1)
+    n = values.size
+    far = np.abs(phi_arr) > _GUESS_LIMIT
+    guess = np.rint(np.where(far, 0.0, phi_arr) * (n / TWO_PI)).astype(np.int64) + n // 2 - 1
+    idx = _nearest_member(phi_arr, (guess[..., None] + np.array([-1, 0, 1])) % n, values)
+    if np.any(far):
+        idx = np.where(far, _nearest_member(phi_arr, np.arange(n), values), idx)
     out = values[idx]
     return float(out) if np.isscalar(phi) else out
 
@@ -93,8 +111,10 @@ def indices_to_digits(idx: np.ndarray, cb: PhaseCodebook) -> str:
 
 @dataclass(frozen=True)
 class CombinerConfig:
-    """One analog configuration: M phase settings and N delays.
+    """One configuration or a stack: M phase settings and N delays each.
 
+    `theta` has shape (..., M) and `tau` shape (..., N) with the same
+    leading batch dims; a stack holds one configuration per batch index.
     Phases are wrapped to (-pi, pi] at construction; delays are seconds and
     must be nonnegative (the per-config upper bound tau_max is checked where
     a SystemConfig is in scope).
@@ -106,6 +126,8 @@ class CombinerConfig:
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
         tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
+        if theta.shape[:-1] != tau.shape[:-1]:
+            raise ValueError("phases and delays have different batch shapes")
         if not np.all(np.isfinite(theta)) or not np.all(np.isfinite(tau)):
             raise ValueError("configuration must be finite")
         if np.any(tau < 0.0):
@@ -118,8 +140,8 @@ class CombinerConfig:
 
 
 def repeat_delays(tau: np.ndarray, ps_per_td: int) -> np.ndarray:
-    """Expand the N TD delays to the M phase-shifter branches."""
-    return np.repeat(np.asarray(tau, dtype=float), ps_per_td)
+    """Expand the N TD delays (last axis) to the M phase-shifter branches."""
+    return np.repeat(np.asarray(tau, dtype=float), ps_per_td, axis=-1)
 
 
 def effective_combiner(cc: CombinerConfig, cfg: SystemConfig, f: float) -> np.ndarray:
@@ -140,7 +162,8 @@ def recompensate_phases(theta_star, tau, cfg: SystemConfig, cb) -> np.ndarray:
     """Re-quantize phases so delays leave the center-frequency beam intact.
 
     Each branch m in sub-array n gets the codebook value nearest
-    theta_star[m] + 2 pi f_c tau[n]. At f = f_c the resulting combiner then
+    theta_star[m] + 2 pi f_c tau[n]. A stack of delay vectors (..., N)
+    gives one row of phases per vector. At f = f_c the resulting combiner then
     equals the delay-free one up to per-element quantization error. Passing
     cb=None skips quantization (continuous-phase mode) and only wraps.
     """
@@ -190,7 +213,7 @@ def combiner_from_text(text: str):
 def save_combiner(
     cc: CombinerConfig, cb: PhaseCodebook, path, header_comment: str = ""
 ) -> None:
-    with open(path, "w") as fh:
+    with write_atomic(path) as fh:
         if header_comment:
             fh.write(header_comment)
         fh.write(combiner_to_text(cc, cb))

@@ -190,6 +190,10 @@ def validate(ec: ExperimentConfig) -> ExperimentConfig:
         build_system(ec)
     except ValueError as exc:
         raise ConfigError(f"system.*: {exc}") from exc
+    try:
+        build_grid(ec)
+    except ValueError as exc:
+        raise ConfigError(f"grid.*: {exc}") from exc
     build_learner_options(ec)
     return ec
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import matrix_from_lines, matrix_to_text
+from .files import write_atomic
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def critic_from_text(text: str) -> CriticModel:
 
 
 def save_critic(model: CriticModel, path, header_comment: str = "") -> None:
-    with open(path, "w") as fh:
+    with write_atomic(path) as fh:
         if header_comment:
             fh.write(header_comment)
         fh.write(critic_to_text(model))

@@ -16,6 +16,7 @@ import numpy as np
 
 from .channel import SystemConfig
 from .combiner import CombinerConfig, recompensate_phases
+from .files import write_atomic
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry
 
 
@@ -53,29 +54,33 @@ class DelayGrid:
             raise ValueError("grid axes need at least one point")
 
 
-def linear_ddf(ap: LinearApprox, delta):
+def linear_ddf(ap, delta):
     """Evaluate the piecewise-linear approximation at delta in [0, 2].
 
     f(0) = 0 and f(2) = end_value; the two segments join continuously at
     the breakpoint. A degenerate breakpoint at 0 leaves the single segment
     from (0, 0) to (2, end_value); a breakpoint at 2 leaves the first
     segment only.
+
+    `ap` is one LinearApprox or an array (..., 3) of (break_delta,
+    break_value, end_value) rows; rows give values of shape (..., *delta's
+    shape), one set per approximation, equal to one call per row.
     """
     delta_arr = np.asarray(delta, dtype=float)
     if np.any(delta_arr < 0.0) or np.any(delta_arr > 2.0):
         raise ValueError("delta must lie in [0, 2]")
-    ax, ay, b = ap.break_delta, ap.break_value, ap.end_value
-    if ax == 0.0:
-        out = 0.5 * b * delta_arr
-    elif ax == 2.0:
-        out = (ay / ax) * delta_arr
+    if isinstance(ap, LinearApprox):
+        params = np.array([ap.break_delta, ap.break_value, ap.end_value])
     else:
-        out = np.where(
-            delta_arr <= ax,
-            (ay / ax) * delta_arr,
-            (b - ay) / (2.0 - ax) * (delta_arr - ax) + ay,
-        )
-    return float(out) if np.isscalar(delta) else out
+        params = np.asarray(ap, dtype=float)
+    shape = params.shape[:-1] + (1,) * delta_arr.ndim
+    ax, ay, b = (params[..., i].reshape(shape) for i in range(3))
+    # the unused branches divide by zero at the degenerate breakpoints
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = (ay / ax) * delta_arr
+        second = (b - ay) / (2.0 - ax) * (delta_arr - ax) + ay
+    out = np.where(ax == 0.0, 0.5 * b * delta_arr, np.where(delta_arr <= ax, first, second))
+    return float(out) if np.isscalar(delta) and isinstance(ap, LinearApprox) else out
 
 
 def subarray_deltas(geom: ArrayGeometry, num_td_units: int, ps_per_td: int) -> np.ndarray:
@@ -92,17 +97,18 @@ def subarray_deltas(geom: ArrayGeometry, num_td_units: int, ps_per_td: int) -> n
 
 
 def delays_from_ddf(ddf: np.ndarray, tau_max: float) -> np.ndarray:
-    """Delay vector for distance differences `ddf` (meters) at the sub-arrays.
+    """Delay vectors for distance differences `ddf` (meters) at the sub-arrays.
 
     Raw delays ddf/c are shifted so their minimum is 0 (a common delay never
-    changes gains) and clipped into [0, tau_max].
+    changes gains) and clipped into [0, tau_max]. The last axis holds the
+    sub-arrays; leading axes stack independent vectors.
     """
     raw = np.asarray(ddf) / SPEED_OF_LIGHT
-    return np.clip(raw - raw.min(), 0.0, tau_max)
+    return np.clip(raw - raw.min(axis=-1, keepdims=True), 0.0, tau_max)
 
 
-def delays_from_approx(ap: LinearApprox, deltas: np.ndarray, tau_max: float) -> np.ndarray:
-    """Delay vector sampled from the approximation at the sub-array centers."""
+def delays_from_approx(ap, deltas: np.ndarray, tau_max: float) -> np.ndarray:
+    """Delay vector(s) sampled from the approximation(s) at the sub-array centers."""
     return delays_from_ddf(linear_ddf(ap, np.asarray(deltas, dtype=float)), tau_max)
 
 
@@ -143,6 +149,10 @@ class DelaySearchResult:
     trace: list  # (break_delta, break_value, end_value, score) per candidate
 
 
+# candidates recompensated and measured per callback invocation
+SEARCH_BLOCK = 256
+
+
 def search_delays(
     theta_star,
     measure,
@@ -153,33 +163,40 @@ def search_delays(
 ) -> DelaySearchResult:
     """Three-step search cycle over the candidate grid.
 
-    For every candidate: build the delay vector, recompensate the phases,
-    measure the per-subcarrier powers through the callback, and score by
-    mean amplitude. Returns the argmax candidate's delays and phases; ties
-    keep the earliest candidate, which the injected zero-delay candidate
-    makes at least as good as the delay-free configuration.
+    Every candidate's delay vector comes from one vectorized evaluation of
+    the approximations; then, block by block, the phases are recompensated
+    and `measure` scores the block. `measure` takes a stacked
+    CombinerConfig of C candidates (theta (C, M), tau (C, N)) and returns
+    their per-subcarrier powers, shape (C, K), row c equal to what it
+    would return for candidate c alone, measured in candidate order. Each
+    candidate scores the mean amplitude of its row. Returns the argmax
+    candidate's delays and phases; ties keep the earliest candidate, which
+    the injected zero-delay candidate makes at least as good as the
+    delay-free configuration.
     """
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
+    candidates = grid_candidates(grid, geom.aperture)
+    params = np.array([(ap.break_delta, ap.break_value, ap.end_value) for ap in candidates])
+    taus = delays_from_approx(params, deltas, cfg.tau_max_s)
+    scores = np.empty(len(candidates))
     best_score = -np.inf
     best_tau = best_theta = None
-    ps_only_score = None
-    trace = []
-    for ap in grid_candidates(grid, geom.aperture):
-        tau = delays_from_approx(ap, deltas, cfg.tau_max_s)
+    for start in range(0, len(candidates), SEARCH_BLOCK):
+        tau = taus[start : start + SEARCH_BLOCK]
         theta = recompensate_phases(theta_star, tau, cfg, cb)
         powers = np.asarray(measure(CombinerConfig(theta=theta, tau=tau)), dtype=float)
-        score = float(np.mean(np.sqrt(np.maximum(powers, 0.0))))
-        if ps_only_score is None:
-            ps_only_score = score  # first candidate is the zero-delay one
-        trace.append((ap.break_delta, ap.break_value, ap.end_value, score))
-        if score > best_score:
-            best_score, best_tau, best_theta = score, tau, theta
+        block = np.mean(np.sqrt(np.maximum(powers, 0.0)), axis=-1)
+        scores[start : start + SEARCH_BLOCK] = block
+        i = int(np.argmax(block))  # the earliest of tied maxima
+        if block[i] > best_score:
+            best_score, best_tau, best_theta = float(block[i]), tau[i], theta[i]
+    trace = [(*row, float(score)) for row, score in zip(params.tolist(), scores)]
     return DelaySearchResult(
         tau=best_tau,
         theta=best_theta,
         score=best_score,
-        ps_only_score=ps_only_score,
+        ps_only_score=float(scores[0]),  # the first candidate is the zero-delay one
         trace=trace,
     )
 
@@ -187,7 +204,7 @@ def search_delays(
 def write_search_trace_csv(result: DelaySearchResult, path, header_comment: str = "") -> None:
     """CSV export: ax,ay,b,score_amplitude_mean,score_db_rel_ps_only."""
     ref = result.ps_only_score
-    with open(path, "w") as fh:
+    with write_atomic(path) as fh:
         if header_comment:
             fh.write(header_comment)
         fh.write("ax,ay,b,score_amplitude_mean,score_db_rel_ps_only\n")

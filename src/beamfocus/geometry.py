@@ -79,12 +79,22 @@ class UePosition:
         return np.array([self.x, self.y], dtype=float)
 
 
+def point_distances(geom: ArrayGeometry, x, y) -> np.ndarray:
+    """Euclidean distances from every element to the points (x, y).
+
+    `x` and `y` broadcast to a shape S; the result has shape (*S, M).
+    """
+    x = np.asarray(x, dtype=float)[..., None]
+    y = np.asarray(y, dtype=float)[..., None]
+    return np.hypot(x, 0.5 * geom.aperture * geom.alphas - y)
+
+
 def distances(geom: ArrayGeometry, ue: UePosition) -> np.ndarray:
     """Euclidean distances from every element to the user, shape (M,).
 
     Raises DegeneratePositionError if the user coincides with an element.
     """
-    d = np.hypot(ue.x, 0.5 * geom.aperture * geom.alphas - ue.y)
+    d = point_distances(geom, ue.x, ue.y)
     if np.any(d < _DEGENERATE_DISTANCE):
         raise DegeneratePositionError(
             "user position coincides with an array element"

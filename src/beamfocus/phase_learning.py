@@ -22,6 +22,7 @@ from .critic import (
     initialize_critic,
     train_critic,
 )
+from .files import write_atomic
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,7 @@ def write_history_csv(
 
     Phases are written as a base-2^bits digit string, one digit per antenna.
     """
-    with open(path, "w") as fh:
+    with write_atomic(path) as fh:
         if header_comment:
             fh.write(header_comment)
         fh.write("iter,measured_power,best_power,phase_indices\n")

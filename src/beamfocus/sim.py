@@ -13,11 +13,16 @@ import numpy as np
 
 from .channel import ChannelMatrix, SystemConfig
 from .combiner import TWO_PI, CombinerConfig, effective_combiner
+from .files import write_atomic
 
 
 @dataclass(frozen=True)
 class GainProfile:
-    """Per-subcarrier power gain |w_k^H h_k|^2 with the bin frequencies."""
+    """Per-subcarrier power gain |w_k^H h_k|^2 with the bin frequencies.
+
+    `per_subcarrier` has shape (..., K): one row per configuration of a
+    stack. The bandwidth and dB helpers take a single profile.
+    """
 
     per_subcarrier: np.ndarray
     freqs_hz: np.ndarray
@@ -25,7 +30,7 @@ class GainProfile:
     def __post_init__(self):
         gains = np.atleast_1d(np.asarray(self.per_subcarrier, dtype=float))
         freqs = np.atleast_1d(np.asarray(self.freqs_hz, dtype=float))
-        if gains.shape != freqs.shape:
+        if gains.shape[-1:] != freqs.shape:
             raise ValueError("gain and frequency lengths differ")
         if np.any(gains < 0.0):
             raise ValueError("gains must be nonnegative")
@@ -38,28 +43,37 @@ class GainProfile:
 def _check_dims(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> None:
     if H.num_antennas != cfg.num_antennas:
         raise ValueError("channel and config disagree on antenna count")
-    if cc.theta.size != cfg.num_antennas or cc.tau.size != cfg.num_td_units:
+    if cc.theta.shape[-1] != cfg.num_antennas or cc.tau.shape[-1] != cfg.num_td_units:
         raise ValueError("configuration does not match the system dimensions")
 
 
 def _inner_products(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> np.ndarray:
-    """w_k^H h_k for every subcarrier of H, shape (K,) complex.
+    """w_k^H h_k for every subcarrier of H, shape (..., K) complex.
 
     Factored by sub-array: conj(w_mk) = e^{-j theta_m} e^{j 2 pi f_k tau_n} /
     sqrt(M) for element m of sub-array n, so the N per-sub-array sums of
-    e^{-j theta_m} h_mk come from one batched (N, 1, P) @ (N, P, K) product
-    and only the N x K delay phasors need complex exponentials (not M x K).
+    e^{-j theta_m} h_mk come from one batched (..., N, 1, P) @ (N, P, K)
+    product and only the delay phasors need complex exponentials (not
+    M x K), one row of K per distinct delay value of the stack. A stacked
+    configuration (leading batch dims) gives one row per configuration.
     """
     N, P = cfg.num_td_units, cfg.ps_per_td
     K = H.num_subcarriers
-    ps = np.exp(-1j * cc.theta).reshape(N, 1, P)
-    partial = (ps @ H.coeffs.reshape(N, P, K))[:, 0, :]
-    delays = np.exp(1j * TWO_PI * cc.tau[:, None] * H.freqs_hz[None, :])
-    return np.sum(delays * partial, axis=0) / np.sqrt(cfg.num_antennas)
+    batch = cc.theta.shape[:-1]
+    ps = np.exp(-1j * cc.theta).reshape(*batch, N, 1, P)
+    partial = (ps @ H.coeffs.reshape(N, P, K))[..., 0, :]
+    taus, which = np.unique(cc.tau, return_inverse=True)
+    phasors = np.exp(1j * TWO_PI * taus[:, None] * H.freqs_hz[None, :])
+    terms = phasors[which.reshape(cc.tau.shape)]
+    terms *= partial
+    return np.sum(terms, axis=-2) / np.sqrt(cfg.num_antennas)
 
 
 def gain_profile(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> GainProfile:
-    """Noiseless per-subcarrier power gain |w_k^H h_k|^2."""
+    """Noiseless per-subcarrier power gain |w_k^H h_k|^2.
+
+    A stacked configuration gives one row of K gains per configuration.
+    """
     _check_dims(cc, H, cfg)
     vals = np.abs(_inner_products(cc, H, cfg)) ** 2
     return GainProfile(per_subcarrier=vals, freqs_hz=H.freqs_hz)
@@ -96,8 +110,11 @@ def measure_power(
     cost does not grow with S and successive calls are independent. The
     noiseless case returns a exactly and needs no `rng`.
 
-    `k` is one bin index (returns a float) or an array of indices (returns
-    one power per index, drawn in index order).
+    `k` is one bin index of one configuration (returns a float) or an
+    array of indices (returns one power per index). A stacked
+    configuration with an array `k` gives one row per configuration; the
+    draws run in C order, configuration by configuration, so a stack draws
+    what sequential per-configuration calls on the same `rng` would.
     """
     _check_dims(cc, H, cfg)
     bins = np.asarray(k)
@@ -109,7 +126,7 @@ def measure_power(
         wh = np.vdot(effective_combiner(cc, cfg, H.freqs_hz[k]), H.coeffs[:, k])
         signal = cfg.tx_power_w / cfg.num_subcarriers * float(np.abs(wh) ** 2)
     else:
-        signal = _signal_powers(cc, H, cfg)[bins]
+        signal = _signal_powers(cc, H, cfg)[..., bins]
     if cfg.noise_power_w == 0.0:
         return signal
     if rng is None:
@@ -126,9 +143,11 @@ def measure_profile_powers(
     snapshots: int = 1,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Measured power for every subcarrier of H; vector of length K.
+    """Measured power for every subcarrier of H, shape (..., K).
 
-    Noisy powers are one `measure_power` draw over all bins at once.
+    A stacked configuration gives one row per configuration, equal to what
+    one call per configuration returns. Noisy powers are one
+    `measure_power` draw over all bins (and configurations) at once.
     """
     if cfg.noise_power_w > 0.0:
         bins = np.arange(H.num_subcarriers)
@@ -181,7 +200,7 @@ def normalized_gain_db(gp: GainProfile) -> np.ndarray:
 def write_gain_csv(gp: GainProfile, path, header_comment: str = "") -> None:
     """CSV export: freq_hz,gain_linear,gain_db_rel_center."""
     db = normalized_gain_db(gp)
-    with open(path, "w") as fh:
+    with write_atomic(path) as fh:
         if header_comment:
             fh.write(header_comment)
         fh.write("freq_hz,gain_linear,gain_db_rel_center\n")

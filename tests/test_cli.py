@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamfocus import cli
 from beamfocus.cli import (
+    GAIN_MAP_BLOCK,
     decimate_channel,
     decimated_indices,
     gain_map,
@@ -19,7 +21,7 @@ from beamfocus.cli import (
     run_profile,
 )
 from beamfocus.baselines import pdf_oracle
-from beamfocus.channel import near_field_channel
+from beamfocus.channel import near_field_channel, spherical_wave
 from beamfocus.combiner import (
     CombinerConfig,
     PhaseCodebook,
@@ -37,6 +39,7 @@ from beamfocus.config import (
     emit_config,
     parse_config_text,
 )
+from beamfocus.files import write_atomic
 from beamfocus.sim import gain_profile
 
 
@@ -146,6 +149,24 @@ def test_gain_map_flat_amplitude_rho_matches_gain_profile():
         rho_factor = f / cfg.center_freq_hz
         val = gain_map(geom, w, f, np.array([ue.x]), np.array([ue.y]), rho_factor=rho_factor)
         assert val[0, 0] == pytest.approx(gp.per_subcarrier[k], rel=1e-12)
+
+
+@pytest.mark.parametrize("M", [16, 256])
+def test_blocked_gain_map_equals_one_shot_formula(M):
+    ec = tiny_config(num_antennas=M, num_td_units=16)
+    geom = build_geometry(ec)
+    cfg = build_system(ec)
+    H = build_channel(ec, geom, cfg)
+    cc = pdf_oracle(geom, build_ue(ec), H, cfg, build_codebook(ec))
+    xs, ys = np.linspace(0.5, 4.0, 37), np.linspace(-4.0, 4.0, 41)
+    assert (xs.size * ys.size) % GAIN_MAP_BLOCK != 0
+    for f, rho_factor in ((H.freqs_hz[0], 1.0), (H.freqs_hz[-1], 1.3)):
+        w = effective_combiner(cc, cfg, f)
+        gx, gy = np.meshgrid(xs, ys)
+        elem_y = 0.5 * geom.aperture * geom.alphas
+        d = np.hypot(gx.ravel()[:, None], elem_y[None, :] - gy.ravel()[:, None])
+        want = (np.abs(spherical_wave(d, f, rho_factor) @ np.conj(w)) ** 2).reshape(gx.shape)
+        assert np.array_equal(gain_map(geom, w, f, xs, ys, rho_factor=rho_factor), want)
 
 
 def test_run_heatmap_files(tmp_path):
@@ -403,6 +424,57 @@ def test_noisy_measure_callbacks_draw_fresh_noise():
     assert make_center_measure(ec, H, cfg)(phases) == make_center_measure(ec, H, cfg)(phases)
 
 
+def test_profile_noise_stream_is_keyed_by_td_count():
+    ec = tiny_config(noise_mode="snapshots", noise_power_w=1e-9, snapshots=100)
+    H_dec = decimate_channel(build_channel(ec, build_geometry(ec), build_system(ec)), target=16)
+    phases = np.zeros(ec.num_antennas)
+    powers = {}
+    for n in (4, 8):
+        cfg_n = build_system(ec, num_td_units=n)
+        cc = CombinerConfig(theta=phases, tau=np.zeros(n))
+        powers[n] = make_profile_measure(ec, H_dec, cfg_n)(cc)
+        # a fresh callback for the same N replays its stream
+        assert np.array_equal(make_profile_measure(ec, H_dec, cfg_n)(cc), powers[n])
+    # one beam, two searches of one sweep: different noise, not only the
+    # last bits that the N-dependent sub-array sums change
+    assert not np.allclose(powers[4], powers[8], rtol=1e-6, atol=0.0)
+
+
+def test_cli_noisy_profile_reproduces(tmp_path):
+    cfg_path = write_m16_config(tmp_path / "exp.cfg", *NOISY_KEYS, "profile.n_sweep = 0,2,4")
+
+    def run(name):
+        out = tmp_path / name
+        assert main(["--config", str(cfg_path), "--out", str(out), "profile"]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    first = run("a")
+    assert set(first) == {"profile_N0.csv", "profile_N2.csv", "profile_N4.csv", "summary.csv"}
+    assert run("b") == first
+
+
+def test_failed_writer_leaves_no_partial_file(tmp_path, monkeypatch):
+    path = tmp_path / "kept.csv"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with write_atomic(path) as fh:
+            fh.write("new, partial")
+            raise RuntimeError("writer failed")
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+    # a CLI writer that fails after its header and first row
+    def bad_gain_map(*args, **kwargs):
+        return np.array([[1.0, 2.0], [3.0, "not a number"]], dtype=object)
+
+    monkeypatch.setattr(cli, "gain_map", bad_gain_map)
+    cfg_path = write_m16_config(tmp_path / "exp.cfg")
+    out = tmp_path / "maps"
+    with pytest.raises(ValueError):
+        main(["--config", str(cfg_path), "--out", str(out), "heatmap", "--source", "pdf-oracle"])
+    assert list(out.iterdir()) == []
+
+
 def test_cli_noisy_search_reproduces_per_seed(tmp_path):
     cfg_path = write_m16_config(tmp_path / "exp.cfg", *NOISY_KEYS)
 
@@ -453,6 +525,36 @@ def test_every_accepted_config_runs_learn_and_search(keys):
             return
         for cmd in ("learn", "search-delays"):
             assert main(["--config", str(cfg_path), "--out", f"{tmp}/{cmd}", cmd]) == 0
+
+
+GRID_HEATMAP_KEYS = {
+    "grid.ax_points": st.integers(-1, 6).map(str),
+    "grid.ay_points": st.integers(-1, 6).map(str),
+    "grid.b_points": st.integers(-1, 6).map(str),
+    "heatmap.x_min_m": st.floats(-1.0, 3.0).map(str),
+    "heatmap.x_max_m": st.floats(-1.0, 4.0).map(str),
+    "heatmap.y_min_m": st.floats(-3.0, 3.0).map(str),
+    "heatmap.y_max_m": st.floats(-3.0, 3.0).map(str),
+    "heatmap.resolution_m": st.one_of(
+        st.sampled_from(["0", "-0.1", "nan", "inf"]), st.floats(0.05, 5.0).map(str)
+    ),
+}
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.fixed_dictionaries({}, optional=GRID_HEATMAP_KEYS))
+def test_every_accepted_config_runs_search_and_heatmap(keys):
+    text = "\n".join([*M16_KEYS, *(f"{k} = {v}" for k, v in keys.items())]) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "exp.cfg"
+        cfg_path.write_text(text)
+        try:
+            parse_config_text(text)
+        except ConfigError:
+            assert main(["--config", str(cfg_path), "--out", tmp + "/out", "search-delays"]) == 2
+            return
+        for cmd in (["search-delays"], ["heatmap", "--source", "pdf-oracle"]):
+            assert main(["--config", str(cfg_path), "--out", f"{tmp}/{cmd[0]}", *cmd]) == 0
 
 
 def test_cli_module_invocation():

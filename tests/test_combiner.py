@@ -84,6 +84,44 @@ def test_quantize_idempotent_and_periodic(phi, bits):
     assert quantize_phase(phi + 2 * np.pi, cb) == q
 
 
+def reference_quantize_phase(phi, cb):
+    # the nearest/tie rule applied to every codebook member
+    values = cb.values
+    dist = np.abs(wrap_angle(np.asarray(phi, dtype=float)[..., None] - values))
+    tied = dist == dist.min(axis=-1, keepdims=True)
+    return values[values.size - 1 - np.argmax(tied[..., ::-1], axis=-1)]
+
+
+@pytest.mark.parametrize("bits", range(1, 7))
+def test_quantize_equals_the_all_members_rule(bits):
+    cb = PhaseCodebook(bits=bits)
+    rng = np.random.default_rng(bits)
+    step = 2 * np.pi / cb.size
+    values = cb.values
+    midpoints = np.concatenate(
+        [0.5 * (values[:-1] + values[1:]), values[-1] + 0.5 * step - 2 * np.pi * np.arange(-3, 4)]
+    )
+    multiples = 0.5 * step * np.concatenate([np.arange(-64, 65), rng.integers(-10**9, 10**9, 500)])
+    phases = np.concatenate(
+        [
+            rng.uniform(-20.0, 20.0, 2000),
+            values,
+            midpoints,
+            np.nextafter(midpoints, np.inf),
+            np.nextafter(midpoints, -np.inf),
+            multiples,
+            np.nextafter(multiples, np.inf),
+            np.nextafter(multiples, -np.inf),
+            [1e9, -1e9, 1e9 + 0.3, 3e12, -7e15, 1e300, -1e300],  # past the guess limit
+        ]
+    )
+    got = quantize_phase(phases, cb)
+    assert np.array_equal(got, reference_quantize_phase(phases, cb))
+    assert np.array_equal(got.reshape(-1, 1), quantize_phase(phases.reshape(-1, 1), cb))
+    for phi in phases[::97]:
+        assert quantize_phase(float(phi), cb) == reference_quantize_phase(phi, cb)
+
+
 def test_effective_combiner_identity():
     cfg = make_cfg(4, 2)
     cc = CombinerConfig(theta=np.zeros(4), tau=np.zeros(2))

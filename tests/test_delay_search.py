@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from beamfocus.channel import SystemConfig, near_field_channel
-from beamfocus.combiner import CombinerConfig, PhaseCodebook
+from beamfocus.combiner import CombinerConfig, PhaseCodebook, recompensate_phases
 from beamfocus.delay_search import (
+    SEARCH_BLOCK,
     DelayGrid,
+    DelaySearchResult,
     LinearApprox,
     delays_from_approx,
+    delays_from_ddf,
     grid_candidates,
     linear_ddf,
     search_delays,
@@ -18,7 +21,7 @@ from beamfocus.geometry import SPEED_OF_LIGHT, UePosition, random_geometry, unif
 from beamfocus.sim import measure_profile_powers
 
 
-def make_cfg(M, N, K=16, fc=100e9, B=10e9, tau_max=2e-9):
+def make_cfg(M, N, K=16, fc=100e9, B=10e9, tau_max=2e-9, noise=0.0):
     return SystemConfig(
         num_antennas=M,
         num_td_units=N,
@@ -28,6 +31,7 @@ def make_cfg(M, N, K=16, fc=100e9, B=10e9, tau_max=2e-9):
         bandwidth_hz=B,
         ps_bits=3,
         tau_max_s=tau_max,
+        noise_power_w=noise,
     )
 
 
@@ -217,3 +221,98 @@ def test_search_trace_csv(tmp_path):
     assert len(lines) == 2 + len(result.trace)
     first = lines[2].split(",")
     assert float(first[4]) == pytest.approx(0.0)  # zero candidate relative to itself
+
+
+def reference_linear_ddf(ap: LinearApprox, delta: np.ndarray) -> np.ndarray:
+    # the scalar-parameter form of the piecewise-linear curve
+    ax, ay, b = ap.break_delta, ap.break_value, ap.end_value
+    if ax == 0.0:
+        return 0.5 * b * delta
+    if ax == 2.0:
+        return (ay / ax) * delta
+    return np.where(delta <= ax, (ay / ax) * delta, (b - ay) / (2.0 - ax) * (delta - ax) + ay)
+
+
+def reference_search_delays(theta_star, measure, geom, cfg, cb, grid):
+    """One candidate at a time: delays, recompensation, measurement, score."""
+    theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
+    deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
+    best_score = -np.inf
+    best_tau = best_theta = None
+    ps_only_score = None
+    trace = []
+    for ap in grid_candidates(grid, geom.aperture):
+        tau = delays_from_ddf(reference_linear_ddf(ap, deltas), cfg.tau_max_s)
+        theta = recompensate_phases(theta_star, tau, cfg, cb)
+        powers = np.asarray(measure(CombinerConfig(theta=theta, tau=tau)), dtype=float)
+        score = float(np.mean(np.sqrt(np.maximum(powers, 0.0))))
+        if ps_only_score is None:
+            ps_only_score = score
+        trace.append((ap.break_delta, ap.break_value, ap.end_value, score))
+        if score > best_score:
+            best_score, best_tau, best_theta = score, tau, theta
+    return DelaySearchResult(best_tau, best_theta, best_score, ps_only_score, trace)
+
+
+def test_vectorized_linear_ddf_equals_scalar_form():
+    geom = random_geometry(64, 0.05, seed=5)
+    deltas = subarray_deltas(geom, 16, 4)
+    cands = grid_candidates(DelayGrid(9, 17, 17), geom.aperture)
+    params = np.array([(ap.break_delta, ap.break_value, ap.end_value) for ap in cands])
+    rows = linear_ddf(params, deltas)
+    assert rows.shape == (len(cands), deltas.size)
+    for ap, row in zip(cands, rows):
+        assert np.array_equal(row, reference_linear_ddf(ap, deltas))
+        assert np.array_equal(row, linear_ddf(ap, deltas))
+
+
+def noisy_profile_measure(H, cfg, seed):
+    rng = np.random.default_rng(seed)
+
+    def measure(cc):
+        return measure_profile_powers(cc, H, cfg, snapshots=50, rng=rng)
+
+    return measure
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize(
+    "M, N, grid",
+    [
+        (16, 4, DelayGrid(3, 5, 5)),
+        (16, 8, DelayGrid(9, 17, 17)),
+        (64, 4, DelayGrid(5, 9, 7)),
+        (64, 16, DelayGrid(9, 17, 17)),
+    ],
+)
+def test_blocked_search_equals_per_candidate_loop(M, N, grid, noisy):
+    cfg = make_cfg(M, N, K=32, noise=1e-9 if noisy else 0.0)
+    geom = random_geometry(M, 0.02 * M / 16, seed=M + N)
+    H = near_field_channel(geom, UePosition(1.0, -0.7), cfg)
+    cb = PhaseCodebook(bits=3)
+    theta_star = ps_only_oracle(H, cfg, cb).theta
+    assert len(grid_candidates(grid, geom.aperture)) % SEARCH_BLOCK != 0
+
+    def measure(seed):
+        return noisy_profile_measure(H, cfg, seed) if noisy else profile_measure(H, cfg)
+
+    got = search_delays(theta_star, measure(11), geom, cfg, cb, grid)
+    want = reference_search_delays(theta_star, measure(11), geom, cfg, cb, grid)
+    assert got.trace == want.trace
+    assert np.array_equal(got.tau, want.tau)
+    assert np.array_equal(got.theta, want.theta)
+    assert got.score == want.score
+    assert got.ps_only_score == want.ps_only_score
+
+
+def test_search_ties_keep_the_earliest_candidate():
+    # every candidate scores the same, so the zero-delay candidate wins
+    cfg, geom, H = scene()
+    cb = PhaseCodebook(bits=3)
+
+    def flat(cc):
+        return np.ones(cc.theta.shape[:-1] + (4,))
+
+    result = search_delays(np.zeros(cfg.num_antennas), flat, geom, cfg, cb, DelayGrid(9, 17, 17))
+    assert result.score == result.ps_only_score == 1.0
+    assert np.all(result.tau == 0.0)

@@ -192,6 +192,50 @@ def test_measure_profile_matches_scalar_measurements():
     np.testing.assert_allclose(vec, scalars, rtol=1e-12)
 
 
+def stacked_scene(M=16, N=4, K=24, C=7, noise=0.0, seed=3):
+    cfg = make_cfg(M, N, K=K, noise=noise)
+    geom = random_geometry(M, 0.05, seed=seed)
+    H = near_field_channel(geom, UePosition(1.2, -0.4), cfg)
+    rng = np.random.default_rng(seed)
+    theta = PhaseCodebook(bits=3).values[rng.integers(0, 8, size=(C, M))]
+    tau = rng.uniform(0.0, 1e-10, size=(C, N))
+    tau[2] = tau[1]  # repeated delay values share their phasors
+    tau[3, :2] = 0.0
+    return cfg, H, theta, tau
+
+
+def test_stacked_gain_profile_rows_equal_single_configs():
+    cfg, H, theta, tau = stacked_scene()
+    stacked = gain_profile(CombinerConfig(theta=theta, tau=tau), H, cfg).per_subcarrier
+    assert stacked.shape == (theta.shape[0], H.num_subcarriers)
+    for c in range(theta.shape[0]):
+        single = gain_profile(CombinerConfig(theta=theta[c], tau=tau[c]), H, cfg)
+        assert np.array_equal(stacked[c], single.per_subcarrier)
+    # a (2, 3) stack keeps its batch shape
+    two_d = CombinerConfig(theta=theta[:6].reshape(2, 3, -1), tau=tau[:6].reshape(2, 3, -1))
+    assert np.array_equal(gain_profile(two_d, H, cfg).per_subcarrier.reshape(6, -1), stacked[:6])
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-9])
+def test_stacked_profile_powers_equal_sequential_measurements(noise):
+    cfg, H, theta, tau = stacked_scene(noise=noise)
+    stacked = measure_profile_powers(
+        CombinerConfig(theta=theta, tau=tau), H, cfg, snapshots=20, rng=np.random.default_rng(4)
+    )
+    rng = np.random.default_rng(4)
+    for c in range(theta.shape[0]):
+        cc = CombinerConfig(theta=theta[c], tau=tau[c])
+        assert np.array_equal(stacked[c], measure_profile_powers(cc, H, cfg, snapshots=20, rng=rng))
+
+
+def test_stacked_config_checks_batch_shapes():
+    with pytest.raises(ValueError):
+        CombinerConfig(theta=np.zeros((3, 4)), tau=np.zeros((2, 2)))
+    cfg, H, theta, tau = stacked_scene()
+    with pytest.raises(ValueError):
+        gain_profile(CombinerConfig(theta=theta[:, :8], tau=tau[:, :2]), H, cfg)
+
+
 def reference_measure_power(cc, H, cfg, k, snapshots, rng):
     """The explicit S-snapshot simulation that measure_power draws in closed form.
 
