@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .files import write_atomic
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, UePosition, distances
 
 
@@ -64,10 +63,6 @@ class SystemConfig:
             raise ValueError("tx_power_w must be nonnegative")
         if self.noise_power_w < 0.0:
             raise ValueError("noise_power_w must be nonnegative")
-
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.center_freq_hz
 
 
 @dataclass(frozen=True)
@@ -155,66 +150,3 @@ def flat_amplitude_rho(cfg: SystemConfig) -> np.ndarray:
     1/f amplitude slope that no combiner can influence.
     """
     return subcarrier_frequencies(cfg) / cfg.center_freq_hz
-
-
-def matrix_to_text(a: np.ndarray) -> str:
-    """Header `rows cols`, then one line per row of `re:im` entries.
-
-    Floats use shortest round-trip decimal form, so matrix_from_lines
-    restores the matrix bit-exactly.
-    """
-    rows, cols = a.shape
-    lines = [f"{rows} {cols}"]
-    for row in a:
-        lines.append(" ".join(f"{float(c.real)!r}:{float(c.imag)!r}" for c in row))
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_lines(lines: list[str]) -> np.ndarray:
-    """Parse a matrix_to_text block at the start of `lines` (no comments)."""
-    try:
-        rows, cols = (int(tok) for tok in lines[0].split())
-    except (ValueError, IndexError) as exc:
-        raise ValueError("malformed header, expected 'rows cols'") from exc
-    if len(lines) < rows + 1:
-        raise ValueError(f"expected {rows} rows")
-    out = np.empty((rows, cols), dtype=complex)
-    for i in range(rows):
-        entries = lines[1 + i].split()
-        if len(entries) != cols:
-            raise ValueError(f"row {i} has {len(entries)} entries, expected {cols}")
-        for j, entry in enumerate(entries):
-            re, _, im = entry.partition(":")
-            out[i, j] = complex(float(re), float(im))
-    return out
-
-
-def channel_to_text(H: ChannelMatrix) -> str:
-    """Serialize to the textual interchange format.
-
-    The matrix_to_text block of the M x K coefficients, then a final line
-    with the K subcarrier frequencies in Hz; load(save(H)) is bit-exact.
-    """
-    return matrix_to_text(H.coeffs) + " ".join(repr(float(f)) for f in H.freqs_hz) + "\n"
-
-
-def channel_from_text(text: str) -> ChannelMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    coeffs = matrix_from_lines(lines)
-    M, K = coeffs.shape
-    if len(lines) != M + 2:
-        raise ValueError(f"expected {M} rows plus a frequency line")
-    freqs = np.array([float(tok) for tok in lines[M + 1].split()])
-    if freqs.size != K:
-        raise ValueError("frequency line length mismatch")
-    return ChannelMatrix(coeffs=coeffs, freqs_hz=freqs)
-
-
-def save_channel(H: ChannelMatrix, path) -> None:
-    with write_atomic(path) as fh:
-        fh.write(channel_to_text(H))
-
-
-def load_channel(path) -> ChannelMatrix:
-    with open(path) as fh:
-        return channel_from_text(fh.read())

@@ -20,13 +20,7 @@ import numpy as np
 
 from .baselines import pdf_oracle, ps_only_oracle
 from .channel import ChannelMatrix, SystemConfig, spherical_wave
-from .combiner import (
-    DIGIT_STRING_MAX_BITS,
-    CombinerConfig,
-    effective_combiner,
-    load_combiner,
-    save_combiner,
-)
+from .combiner import CombinerConfig, effective_combiner, load_combiner, save_combiner
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -46,7 +40,7 @@ from .critic import save_critic
 from .delay_search import search_delays, write_search_trace_csv
 from .files import write_atomic
 from .geometry import ArrayGeometry, point_distances
-from .phase_learning import learn_phases, write_history_csv
+from .phase_learning import DIGIT_STRING_MAX_BITS, learn_phases, write_history_csv
 from .sim import (
     avg_amplitude_gain,
     center_bin,
@@ -126,26 +120,34 @@ GAIN_MAP_BLOCK = 512
 def gain_map(
     geom: ArrayGeometry,
     w: np.ndarray,
-    freq_hz: float,
+    freq_hz,
     xs: np.ndarray,
     ys: np.ndarray,
-    rho_factor: float = 1.0,
+    rho_factor=1.0,
 ) -> np.ndarray:
     """|w^H h(q')|^2 over a position grid, channel re-synthesized per point.
 
     Returns shape (len(ys), len(xs)); rows follow ys, columns follow xs.
-    The points are evaluated in blocks of GAIN_MAP_BLOCK into one output,
-    so memory stays bounded at any grid size.
+    `w` may stack one combining vector per frequency, shape (F, M), with
+    `freq_hz` and `rho_factor` broadcasting to (F,); the result then has
+    shape (F, len(ys), len(xs)). The points are evaluated in blocks of
+    GAIN_MAP_BLOCK, each block's distances once for every frequency, so
+    memory stays bounded at any grid size.
     """
     gx, gy = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float))
     px, py = gx.ravel(), gy.ravel()
     w_conj = np.conj(w)
-    vals = np.empty(px.size)
+    batch = w_conj.shape[:-1]
+    freqs = np.broadcast_to(freq_hz, batch)
+    rhos = np.broadcast_to(rho_factor, batch)
+    vals = np.empty(batch + (px.size,))
     for start in range(0, px.size, GAIN_MAP_BLOCK):
         block = slice(start, start + GAIN_MAP_BLOCK)
         d = point_distances(geom, px[block], py[block])  # (points, M)
-        vals[block] = np.abs(spherical_wave(d, freq_hz, rho_factor) @ w_conj) ** 2
-    return vals.reshape(gx.shape)
+        for i in np.ndindex(batch):
+            h = spherical_wave(d, freqs[i], rhos[i])
+            vals[i + (block,)] = np.abs(h @ w_conj[i]) ** 2
+    return vals.reshape(batch + gx.shape)
 
 
 def _heatmap_axes(ec: ExperimentConfig):
@@ -255,11 +257,12 @@ def run_heatmap(
     out.mkdir(parents=True, exist_ok=True)
     geom = build_geometry(ec)
     xs, ys = _heatmap_axes(ec)
+    freqs = np.asarray(freqs_hz, dtype=float)
+    rho = freqs / ec.center_freq_hz if ec.rho_mode == "flat_amplitude" else 1.0
+    w = np.array([effective_combiner(cc, cfg, f) for f in freqs])
+    maps = gain_map(geom, w, freqs, xs, ys, rho_factor=rho)
     written = []
-    for f in freqs_hz:
-        rho_factor = f / ec.center_freq_hz if ec.rho_mode == "flat_amplitude" else 1.0
-        w = effective_combiner(cc, cfg, f)
-        gains = gain_map(geom, w, f, xs, ys, rho_factor=rho_factor)
+    for f, gains in zip(freqs, maps):
         path = out / f"{label}_f{f / 1e9:.6g}GHz.csv"
         with write_atomic(path) as fh:
             fh.write(stamp_lines(ec, command="heatmap", freq_hz=f))
@@ -284,6 +287,15 @@ def _cmd_profile(ec: ExperimentConfig, args) -> int:
     return 0
 
 
+def _load_combiner_arg(path) -> CombinerConfig:
+    """The --combiner file's configuration; a file it cannot load is a config error."""
+    try:
+        cc, _ = load_combiner(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--combiner: {exc}") from exc
+    return cc
+
+
 def _cmd_heatmap(ec: ExperimentConfig, args) -> int:
     geom = build_geometry(ec)
     ue = build_ue(ec)
@@ -292,7 +304,7 @@ def _cmd_heatmap(ec: ExperimentConfig, args) -> int:
     H = build_channel(ec, geom, cfg)
 
     if args.combiner:
-        cc, _ = load_combiner(args.combiner)
+        cc = _load_combiner_arg(args.combiner)
         if cc.theta.size != cfg.num_antennas or cc.tau.size != cfg.num_td_units:
             raise ConfigError("combiner file does not match system.M/system.N")
     elif args.source == "ps-oracle":
@@ -350,7 +362,7 @@ def _cmd_search_delays(ec: ExperimentConfig, args) -> int:
     cfg = build_system(ec)
     H = build_channel(ec, geom, cfg)
     if args.combiner:
-        cc_in, _ = load_combiner(args.combiner)
+        cc_in = _load_combiner_arg(args.combiner)
         if cc_in.theta.size != cfg.num_antennas:
             raise ConfigError("combiner file does not match system.M")
         theta_star = cc_in.theta

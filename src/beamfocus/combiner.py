@@ -17,6 +17,8 @@ from .channel import SystemConfig
 from .files import write_atomic
 
 TWO_PI = 2.0 * np.pi
+# the most phase-shifter bits a codebook supports: each index fits one byte
+MAX_BITS = 8
 
 
 def wrap_angle(x):
@@ -29,14 +31,14 @@ class PhaseCodebook:
     """The 2^bits admissible phase-shifter values, uniform over (-pi, pi].
 
     Anchored so that both 0 and pi are members (identity configurations are
-    representable).
+    representable). At most MAX_BITS bits.
     """
 
     bits: int
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("need at least one bit")
+        if not 1 <= self.bits <= MAX_BITS:
+            raise ValueError(f"need 1 to {MAX_BITS} bits, got {self.bits}")
 
     @property
     def size(self) -> int:
@@ -96,17 +98,6 @@ def phase_indices(theta, cb: PhaseCodebook) -> np.ndarray:
     if np.any(dist[np.arange(theta.size), idx] > 1e-9):
         raise ValueError("phase is not a codebook member")
     return idx
-
-
-# digits for base-2^bits phase strings
-_DIGITS = "0123456789abcdefghijklmnopqrstuv"
-DIGIT_STRING_MAX_BITS = 5
-
-
-def indices_to_digits(idx: np.ndarray, cb: PhaseCodebook) -> str:
-    if cb.bits > DIGIT_STRING_MAX_BITS:
-        raise ValueError(f"digit-string export supports at most {DIGIT_STRING_MAX_BITS} bits")
-    return "".join(_DIGITS[i] for i in idx)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     UePosition,
+    distances,
     random_geometry,
     uniform_geometry,
 )
@@ -185,15 +186,22 @@ def validate(ec: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("heatmap.resolution_m: must be positive")
     if ec.snapshots < 1:
         raise ConfigError("noise.snapshots: need at least one snapshot")
+    if not ec.center_freq_hz > 0.0:
+        raise ConfigError("system.center_freq_hz: must be positive")
+    if ec.num_antennas < 2:
+        raise ConfigError("system.M: need at least two array elements")
     # build the objects whose own checks would otherwise fail at run time
-    try:
-        build_system(ec)
-    except ValueError as exc:
-        raise ConfigError(f"system.*: {exc}") from exc
-    try:
-        build_grid(ec)
-    except ValueError as exc:
-        raise ConfigError(f"grid.*: {exc}") from exc
+    for key, build in (
+        ("geometry.*", build_geometry),
+        ("ue.*", lambda ec: distances(build_geometry(ec), build_ue(ec))),
+        ("system.*", build_system),
+        ("system.ps_bits", build_codebook),
+        ("grid.*", build_grid),
+    ):
+        try:
+            build(ec)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     build_learner_options(ec)
     return ec
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import matrix_from_lines, matrix_to_text
 from .files import write_atomic
 
 
@@ -70,15 +69,6 @@ def beam_from_phases(phases) -> np.ndarray:
     """Constant-modulus beam (1/sqrt(M)) exp(j phases); one per row of a 2-D array."""
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
     return np.exp(1j * phases) / np.sqrt(phases.shape[-1])
-
-
-def predict_power(model: CriticModel, w: np.ndarray) -> float:
-    """Predicted power ||Q^H w||^2 (real, nonnegative)."""
-    w = np.asarray(w, dtype=complex)
-    if w.shape != (model.num_antennas,):
-        raise ValueError("beam length does not match the model")
-    g = model.matrix.conj().T @ w
-    return float(np.real(np.vdot(g, g)))
 
 
 def _rank_rows(beams: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -215,17 +205,22 @@ def train_critic(model: CriticModel, data: PowerDataset, opts: TrainOptions):
     return CriticModel(matrix=q * np.sqrt(scale)), trace
 
 
+def matrix_to_text(a: np.ndarray) -> str:
+    """Header `rows cols`, then one line per row of `re:im` entries.
+
+    Floats use shortest round-trip decimal form, so the text holds the
+    matrix bit-exactly.
+    """
+    rows, cols = a.shape
+    lines = [f"{rows} {cols}"]
+    for row in a:
+        lines.append(" ".join(f"{float(c.real)!r}:{float(c.imag)!r}" for c in row))
+    return "\n".join(lines) + "\n"
+
+
 def critic_to_text(model: CriticModel) -> str:
     """Header `M v` followed by M rows of rank `re:im` entries."""
     return matrix_to_text(model.matrix)
-
-
-def critic_from_text(text: str) -> CriticModel:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    q = matrix_from_lines(lines)
-    if len(lines) != q.shape[0] + 1:
-        raise ValueError(f"expected {q.shape[0]} rows")
-    return CriticModel(matrix=q)
 
 
 def save_critic(model: CriticModel, path, header_comment: str = "") -> None:
@@ -233,8 +228,3 @@ def save_critic(model: CriticModel, path, header_comment: str = "") -> None:
         if header_comment:
             fh.write(header_comment)
         fh.write(critic_to_text(model))
-
-
-def load_critic(path) -> CriticModel:
-    with open(path) as fh:
-        return critic_from_text(fh.read())

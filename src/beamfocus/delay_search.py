@@ -21,27 +21,6 @@ from .geometry import SPEED_OF_LIGHT, ArrayGeometry
 
 
 @dataclass(frozen=True)
-class LinearApprox:
-    """Piecewise-linear distance-difference approximation on [0, 2].
-
-    The curve runs from (0, 0) through the breakpoint
-    (break_delta, break_value) to (2, end_value). Validity against an
-    aperture D requires |break_value| <= (D/2) * break_delta and
-    |end_value| <= D; those are checked where D is known.
-    """
-
-    break_delta: float
-    break_value: float
-    end_value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.break_delta <= 2.0:
-            raise ValueError("break_delta must lie in [0, 2]")
-        if self.break_delta == 0.0 and self.break_value != 0.0:
-            raise ValueError("break_value must be 0 when break_delta is 0")
-
-
-@dataclass(frozen=True)
 class DelayGrid:
     """Grid resolution of the three-parameter candidate search."""
 
@@ -54,33 +33,29 @@ class DelayGrid:
             raise ValueError("grid axes need at least one point")
 
 
-def linear_ddf(ap, delta):
-    """Evaluate the piecewise-linear approximation at delta in [0, 2].
+def linear_ddf(params, delta):
+    """Evaluate piecewise-linear approximations at delta in [0, 2].
 
-    f(0) = 0 and f(2) = end_value; the two segments join continuously at
-    the breakpoint. A degenerate breakpoint at 0 leaves the single segment
-    from (0, 0) to (2, end_value); a breakpoint at 2 leaves the first
-    segment only.
+    Each approximation is a (break_delta, break_value, end_value) row: the
+    curve runs from (0, 0) through the breakpoint (break_delta,
+    break_value) to (2, end_value), the two segments joining continuously.
+    A degenerate breakpoint at 0 leaves the single segment from (0, 0) to
+    (2, end_value); a breakpoint at 2 leaves the first segment only.
 
-    `ap` is one LinearApprox or an array (..., 3) of (break_delta,
-    break_value, end_value) rows; rows give values of shape (..., *delta's
-    shape), one set per approximation, equal to one call per row.
+    `params` has shape (..., 3); the values have shape (..., *delta's
+    shape), one set per row, equal to one call per row.
     """
     delta_arr = np.asarray(delta, dtype=float)
     if np.any(delta_arr < 0.0) or np.any(delta_arr > 2.0):
         raise ValueError("delta must lie in [0, 2]")
-    if isinstance(ap, LinearApprox):
-        params = np.array([ap.break_delta, ap.break_value, ap.end_value])
-    else:
-        params = np.asarray(ap, dtype=float)
+    params = np.asarray(params, dtype=float)
     shape = params.shape[:-1] + (1,) * delta_arr.ndim
     ax, ay, b = (params[..., i].reshape(shape) for i in range(3))
     # the unused branches divide by zero at the degenerate breakpoints
     with np.errstate(divide="ignore", invalid="ignore"):
         first = (ay / ax) * delta_arr
         second = (b - ay) / (2.0 - ax) * (delta_arr - ax) + ay
-    out = np.where(ax == 0.0, 0.5 * b * delta_arr, np.where(delta_arr <= ax, first, second))
-    return float(out) if np.isscalar(delta) and isinstance(ap, LinearApprox) else out
+    return np.where(ax == 0.0, 0.5 * b * delta_arr, np.where(delta_arr <= ax, first, second))
 
 
 def subarray_deltas(geom: ArrayGeometry, num_td_units: int, ps_per_td: int) -> np.ndarray:
@@ -107,35 +82,34 @@ def delays_from_ddf(ddf: np.ndarray, tau_max: float) -> np.ndarray:
     return np.clip(raw - raw.min(axis=-1, keepdims=True), 0.0, tau_max)
 
 
-def delays_from_approx(ap, deltas: np.ndarray, tau_max: float) -> np.ndarray:
-    """Delay vector(s) sampled from the approximation(s) at the sub-array centers."""
-    return delays_from_ddf(linear_ddf(ap, np.asarray(deltas, dtype=float)), tau_max)
+def delays_from_approx(params, deltas: np.ndarray, tau_max: float) -> np.ndarray:
+    """Delay vector(s) sampled from the approximation row(s) at the sub-array centers."""
+    return delays_from_ddf(linear_ddf(params, np.asarray(deltas, dtype=float)), tau_max)
 
 
-def grid_candidates(grid: DelayGrid, aperture: float) -> list[LinearApprox]:
-    """Enumerate the candidate approximations, zero-delay candidate first.
+def grid_candidates(grid: DelayGrid, aperture: float) -> np.ndarray:
+    """The candidate approximations as (C, 3) rows, zero-delay candidate first.
 
-    break_delta sweeps [0, 2], break_value sweeps its aperture-bounded range
-    given break_delta, and end_value sweeps [-D, D]; single-point axes sit
-    at the range center. The leading (1, 0, 0) candidate yields zero delays,
-    so the search can never score below the delay-free configuration.
+    Each row is (break_delta, break_value, end_value). break_delta sweeps
+    [0, 2], break_value sweeps its aperture-bounded range |break_value| <=
+    (D/2) break_delta, and end_value sweeps [-D, D]; single-point axes sit
+    at the range center. The leading (1, 0, 0) row yields zero delays, so
+    the search can never score below the delay-free configuration.
     """
     half = 0.5 * aperture
     ax_vals = np.linspace(0.0, 2.0, grid.ax_points) if grid.ax_points > 1 else [1.0]
     b_vals = (
         np.linspace(-aperture, aperture, grid.b_points) if grid.b_points > 1 else [0.0]
     )
-    candidates = [LinearApprox(1.0, 0.0, 0.0)]
+    rows = [(1.0, 0.0, 0.0)]
     for ax in ax_vals:
         ay_range = half * ax
         if grid.ay_points > 1:
             ay_vals = np.unique(np.linspace(-ay_range, ay_range, grid.ay_points))
         else:
             ay_vals = [0.0]
-        for ay in ay_vals:
-            for b in b_vals:
-                candidates.append(LinearApprox(float(ax), float(ay), float(b)))
-    return candidates
+        rows.extend((ax, ay, b) for ay in ay_vals for b in b_vals)
+    return np.array(rows, dtype=float)
 
 
 @dataclass
@@ -176,13 +150,12 @@ def search_delays(
     """
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
-    candidates = grid_candidates(grid, geom.aperture)
-    params = np.array([(ap.break_delta, ap.break_value, ap.end_value) for ap in candidates])
+    params = grid_candidates(grid, geom.aperture)
     taus = delays_from_approx(params, deltas, cfg.tau_max_s)
-    scores = np.empty(len(candidates))
+    scores = np.empty(len(params))
     best_score = -np.inf
     best_tau = best_theta = None
-    for start in range(0, len(candidates), SEARCH_BLOCK):
+    for start in range(0, len(params), SEARCH_BLOCK):
         tau = taus[start : start + SEARCH_BLOCK]
         theta = recompensate_phases(theta_star, tau, cfg, cb)
         powers = np.asarray(measure(CombinerConfig(theta=theta, tau=tau)), dtype=float)

@@ -74,10 +74,6 @@ class UePosition:
         if not self.x > 0.0:
             raise ValueError("x must be positive (user in front of the array)")
 
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 def point_distances(geom: ArrayGeometry, x, y) -> np.ndarray:
     """Euclidean distances from every element to the points (x, y).
@@ -102,11 +98,6 @@ def distances(geom: ArrayGeometry, ue: UePosition) -> np.ndarray:
     return d
 
 
-def reference_distance(geom: ArrayGeometry, ue: UePosition) -> float:
-    """Distance from the reference array edge [0, D/2] to the user."""
-    return float(np.hypot(ue.x, 0.5 * geom.aperture - ue.y))
-
-
 def distance_difference(geom: ArrayGeometry, delta, ue: UePosition):
     """Distance difference d(delta) - d_ref for relative coefficient delta.
 
@@ -120,7 +111,7 @@ def distance_difference(geom: ArrayGeometry, delta, ue: UePosition):
         raise ValueError("delta must lie in [0, 2]")
     half = 0.5 * geom.aperture
     d = np.hypot(ue.x, (1.0 - delta_arr) * half - ue.y)
-    out = d - reference_distance(geom, ue)
+    out = d - np.hypot(ue.x, half - ue.y)  # the edge [0, D/2] is delta = 0
     return float(out) if np.isscalar(delta) else out
 
 

@@ -13,16 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemConfig
-from .combiner import PhaseCodebook, indices_to_digits, phase_indices
-from .critic import (
-    CriticModel,
-    PowerDataset,
-    TrainOptions,
-    beam_from_phases,
-    initialize_critic,
-    train_critic,
-)
+from .combiner import PhaseCodebook
+from .critic import CriticModel, PowerDataset, TrainOptions, initialize_critic, train_critic
 from .files import write_atomic
+
+# digits of the base-2^bits phase strings in history.csv
+_DIGITS = "0123456789abcdefghijklmnopqrstuv"
+DIGIT_STRING_MAX_BITS = 5
 
 
 @dataclass(frozen=True)
@@ -65,12 +62,17 @@ class LearnerOptions:
         TrainOptions(lr=self.train_lr, iters=self.train_iters, batch=self.train_batch)
 
 
-def _perturb(phases: np.ndarray, count: int, cb: PhaseCodebook, rng) -> np.ndarray:
-    out = phases.copy()
+def _phasors(cb: PhaseCodebook, M: int) -> np.ndarray:
+    # beam element (1/sqrt(M)) exp(j theta) of each codebook index
+    return np.exp(1j * cb.values) / np.sqrt(M)
+
+
+def _perturb(idx: np.ndarray, count: int, cb: PhaseCodebook, rng) -> np.ndarray:
+    out = idx.copy()
     if count == 0:
         return out
-    pos = rng.choice(phases.size, size=min(count, phases.size), replace=False)
-    out[pos] = cb.values[rng.integers(0, cb.size, size=pos.size)]
+    pos = rng.choice(idx.size, size=min(count, idx.size), replace=False)
+    out[pos] = rng.integers(0, cb.size, size=pos.size)
     return out
 
 
@@ -82,31 +84,34 @@ def coordinate_ascent(
 ):
     """Cyclic coordinate ascent of the predicted power over the codebook.
 
-    Sweeps the phases in order, setting each to the codebook value that
-    maximizes the critic's prediction with the rest fixed; stops after a
-    full cycle without change (each accepted change strictly increases the
-    prediction, so termination is guaranteed). Returns
-    (phases, cycles_used, predicted_power).
+    Sweeps the antennas in order, setting each codebook index to the one
+    that maximizes the critic's prediction with the rest fixed; stops after
+    a full cycle without change (each accepted change strictly increases
+    the prediction, so termination is guaranteed). `init` holds one
+    codebook index per antenna. Returns (indices, cycles_used,
+    predicted_power).
     """
-    theta = np.atleast_1d(np.asarray(init, dtype=float)).copy()
-    M = theta.size
+    idx = np.atleast_1d(np.asarray(init))
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise TypeError("init must hold codebook indices")
+    idx = idx.astype(np.uint8)
+    M = idx.size
     if M != model.num_antennas:
         raise ValueError("init length does not match the model")
     q_conj = model.matrix.conj()  # rows indexed by antenna
-    inv_sqrt_m = 1.0 / np.sqrt(M)
-    phasors = np.exp(1j * cb.values) * inv_sqrt_m  # (2^r,)
-    g = model.matrix.conj().T @ beam_from_phases(theta)  # (rank,)
+    phasors = _phasors(cb, M)  # (2^r,)
+    g = q_conj.T @ phasors[idx]  # (rank,)
     best = float(np.real(np.vdot(g, g)))
     cycles = 0
     for _ in range(max_cycles):
         changed = False
         for m in range(M):
-            g_base = g - (np.exp(1j * theta[m]) * inv_sqrt_m) * q_conj[m]
+            g_base = g - phasors[idx[m]] * q_conj[m]
             cand = g_base[None, :] + phasors[:, None] * q_conj[m][None, :]
             powers = np.sum(np.abs(cand) ** 2, axis=1)
             i = int(np.argmax(powers))
             if powers[i] > best * (1.0 + 1e-12):
-                theta[m] = cb.values[i]
+                idx[m] = i
                 g = cand[i]
                 best = float(powers[i])
                 changed = True
@@ -114,9 +119,9 @@ def coordinate_ascent(
         if not changed:
             break
         # refresh the running inner product to stop incremental drift
-        g = model.matrix.conj().T @ beam_from_phases(theta)
+        g = q_conj.T @ phasors[idx]
         best = float(np.real(np.vdot(g, g)))
-    return theta, cycles, best
+    return idx, cycles, best
 
 
 @dataclass
@@ -126,7 +131,7 @@ class LearnHistory:
     iters: np.ndarray
     measured_powers: np.ndarray
     best_powers: np.ndarray
-    phases: np.ndarray  # (n, M) codebook values
+    indices: np.ndarray  # (n, M) uint8 codebook indices
     final_model: CriticModel | None
     exploit_events: list  # (measurement index, ascent cycles, measured power)
     critic_loss_traces: list  # one train_critic loss trace per exploit event
@@ -135,8 +140,9 @@ class LearnHistory:
 def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, opts: LearnerOptions):
     """Run the online search; returns (best phases, LearnHistory).
 
-    `measure` maps an M-vector of codebook phases to the received power at
-    the center frequency. Exploration measurements number exactly
+    The search and its log hold codebook indices; `measure` maps the
+    M-vector of their codebook phases to the received power at the center
+    frequency. Exploration measurements number exactly
     opts.total_measurements; each exploitation adds one more callback
     invocation. Deterministic per opts.seed, including callback order.
     """
@@ -157,25 +163,24 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, opts: LearnerOpt
         return max(1, int(round(p0 + (p_end - p0) * frac)))
 
     # the measurement log doubles as the critic's training buffer
+    phasors = _phasors(cb, M)
     log_powers: list[float] = []
-    log_best: list[float] = []
-    log_phases: list[np.ndarray] = []
+    log_indices: list[np.ndarray] = []
     exploit_events: list[tuple[int, int, float]] = []
     loss_traces: list[np.ndarray] = []
-    best_phases, best_power = None, -np.inf
+    best_idx, best_power = None, -np.inf
     model: CriticModel | None = None
 
-    def take(phases: np.ndarray) -> float:
-        nonlocal best_phases, best_power
-        p = float(measure(phases))
-        if best_phases is None or p > best_power:
-            best_power, best_phases = p, phases
+    def take(idx: np.ndarray) -> float:
+        nonlocal best_idx, best_power
+        p = float(measure(cb.values[idx]))
+        if best_idx is None or p > best_power:
+            best_power, best_idx = p, idx
         log_powers.append(p)
-        log_best.append(best_power)
-        log_phases.append(phases)
+        log_indices.append(idx)
         return p
 
-    current = cb.values[rng.integers(0, cb.size, size=M)]
+    current = rng.integers(0, cb.size, size=M).astype(np.uint8)
     take(current)
 
     refit_index = 0
@@ -189,7 +194,7 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, opts: LearnerOpt
             # deferred until then; each fit restarts from a fresh seeded
             # init (warm starts inherit overfit basins from small buffers)
             data = PowerDataset(
-                beams=beam_from_phases(np.array(log_phases)),
+                beams=phasors[np.array(log_indices)],
                 powers=np.maximum(log_powers, 0.0),
             )
             train_opts = TrainOptions(
@@ -205,20 +210,21 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, opts: LearnerOpt
             loss_traces.append(trace)
             refit_index += 1
 
-            current, cycles, _ = coordinate_ascent(model, best_phases, cb)
+            current, cycles, _ = coordinate_ascent(model, best_idx, cb)
             p_x = take(current)
             exploit_events.append((len(log_powers), cycles, p_x))
 
+    powers = np.array(log_powers)
     history = LearnHistory(
-        iters=np.arange(1, len(log_powers) + 1),
-        measured_powers=np.array(log_powers),
-        best_powers=np.array(log_best),
-        phases=np.array(log_phases),
+        iters=np.arange(1, powers.size + 1),
+        measured_powers=powers,
+        best_powers=np.maximum.accumulate(powers),
+        indices=np.array(log_indices),
         final_model=model,
         exploit_events=exploit_events,
         critic_loss_traces=loss_traces,
     )
-    return best_phases, history
+    return cb.values[best_idx], history
 
 
 def write_history_csv(
@@ -226,14 +232,17 @@ def write_history_csv(
 ) -> None:
     """CSV export: iter,measured_power,best_power,phase_indices.
 
-    Phases are written as a base-2^bits digit string, one digit per antenna.
+    Phases are written as a base-2^bits digit string, one digit per antenna,
+    for at most DIGIT_STRING_MAX_BITS bits.
     """
+    if cb.bits > DIGIT_STRING_MAX_BITS:
+        raise ValueError(f"digit-string export supports at most {DIGIT_STRING_MAX_BITS} bits")
+    digits = np.frombuffer(_DIGITS.encode("ascii"), dtype=np.uint8)[history.indices]
     with write_atomic(path) as fh:
         if header_comment:
             fh.write(header_comment)
         fh.write("iter,measured_power,best_power,phase_indices\n")
-        for i, p, b, phases in zip(
-            history.iters, history.measured_powers, history.best_powers, history.phases
+        for i, p, b, row in zip(
+            history.iters, history.measured_powers, history.best_powers, digits
         ):
-            digits = indices_to_digits(phase_indices(phases, cb), cb)
-            fh.write(f"{i},{p:.12g},{b:.12g},{digits}\n")
+            fh.write(f"{i},{p:.12g},{b:.12g},{row.tobytes().decode('ascii')}\n")

@@ -150,7 +150,7 @@ def test_criterion_5_learning_convergence(scenario, learned):
 
     model = history.final_model
     rng = np.random.default_rng(2024)
-    init = cb.values[rng.integers(0, cb.size, cfg.num_antennas)]
+    init = rng.integers(0, cb.size, cfg.num_antennas)
     _, cycles, _ = coordinate_ascent(model, init, cb)
 
     ok = ratio >= 0.9 and measurements <= 5000 and cycles <= 50

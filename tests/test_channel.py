@@ -4,12 +4,8 @@ import pytest
 from beamfocus.channel import (
     ChannelMatrix,
     SystemConfig,
-    channel_from_text,
-    channel_to_text,
     flat_amplitude_rho,
-    load_channel,
     near_field_channel,
-    save_channel,
     subcarrier_frequencies,
 )
 from beamfocus.geometry import (
@@ -164,29 +160,6 @@ def test_channel_degenerate_position_propagates():
     g = ArrayGeometry(alphas=[1.0, -1.0], aperture=2.0)
     with pytest.raises(DegeneratePositionError):
         near_field_channel(g, UePosition(1e-300, 1.0), cfg)
-
-
-def test_channel_text_roundtrip_bit_exact(tmp_path):
-    cfg = make_cfg(M=3, N=3, K=4)
-    g = random_geometry(3, 0.2, seed=3)
-    H = near_field_channel(g, UePosition(1.0, 0.3), cfg)
-    text = channel_to_text(H)
-    header = text.splitlines()[0]
-    assert header == "3 4"
-    H2 = channel_from_text(text)
-    assert np.array_equal(H2.coeffs, H.coeffs)
-    assert np.array_equal(H2.freqs_hz, H.freqs_hz)
-    path = tmp_path / "chan.txt"
-    save_channel(H, path)
-    H3 = load_channel(path)
-    assert np.array_equal(H3.coeffs, H.coeffs)
-
-
-def test_channel_text_rejects_malformed():
-    with pytest.raises(ValueError):
-        channel_from_text("not a header\n")
-    with pytest.raises(ValueError):
-        channel_from_text("1 2\n0.0:0.0\n1.0 2.0\n")  # wrong row width
 
 
 def test_channel_matrix_requires_increasing_freqs():

@@ -1,11 +1,12 @@
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamfocus import cli
@@ -25,6 +26,7 @@ from beamfocus.channel import near_field_channel, spherical_wave
 from beamfocus.combiner import (
     CombinerConfig,
     PhaseCodebook,
+    combiner_to_text,
     effective_combiner,
     save_combiner,
 )
@@ -169,6 +171,48 @@ def test_blocked_gain_map_equals_one_shot_formula(M):
         assert np.array_equal(gain_map(geom, w, f, xs, ys, rho_factor=rho_factor), want)
 
 
+def test_gain_map_stacked_frequencies_equal_single_calls():
+    ec = tiny_config(rho_mode="flat_amplitude")
+    geom = build_geometry(ec)
+    cfg = build_system(ec)
+    H = build_channel(ec, geom, cfg)
+    cc = pdf_oracle(geom, build_ue(ec), H, cfg, build_codebook(ec))
+    freqs = H.freqs_hz[[0, 31, 63]]
+    rho = freqs / cfg.center_freq_hz
+    w = np.array([effective_combiner(cc, cfg, f) for f in freqs])
+    xs, ys = np.linspace(0.5, 4.0, 37), np.linspace(-4.0, 4.0, 41)
+    maps = gain_map(geom, w, freqs, xs, ys, rho_factor=rho)
+    assert maps.shape == (3, ys.size, xs.size)
+    for wf, f, r, got in zip(w, freqs, rho, maps):
+        assert np.array_equal(got, gain_map(geom, wf, f, xs, ys, rho_factor=r))
+
+
+def test_run_heatmap_computes_each_block_distances_once(tmp_path, monkeypatch):
+    ec = tiny_config()
+    geom = build_geometry(ec)
+    cfg = build_system(ec)
+    H = build_channel(ec, geom, cfg)
+    cc = pdf_oracle(geom, build_ue(ec), H, cfg, build_codebook(ec))
+    calls = {"gain_map": 0, "point_distances": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "gain_map", counted("gain_map", cli.gain_map))
+    monkeypatch.setattr(cli, "point_distances", counted("point_distances", cli.point_distances))
+    ec = replace(ec, heatmap_resolution_m=0.01)
+    files = run_heatmap(ec, tmp_path, cc, cfg, [H.freqs_hz[0], H.freqs_hz[31], H.freqs_hz[-1]])
+    assert len(files) == 3
+    xs, ys = cli._heatmap_axes(ec)
+    blocks = -(-(xs.size * ys.size) // GAIN_MAP_BLOCK)
+    assert blocks > 1
+    assert calls == {"gain_map": 1, "point_distances": blocks}
+
+
 def test_run_heatmap_files(tmp_path):
     ec = tiny_config()
     geom = build_geometry(ec)
@@ -245,11 +289,9 @@ def test_cli_learn_and_search(tmp_path):
     assert (out / "critic.txt").exists()
     # stamped outputs still parse
     from beamfocus.combiner import load_combiner
-    from beamfocus.critic import load_critic
 
     cc, cb = load_combiner(out / "combiner_learned.txt")
     assert cc.theta.size == 8 and cb.bits == 3
-    assert load_critic(out / "critic.txt").num_antennas == 8
     assert (out / "combiner_learned.txt").read_text().startswith("# system.M = 8")
     assert (
         main(
@@ -353,6 +395,36 @@ def test_cli_combiner_file_must_match_system_m(tmp_path, capsys):
         argv = ["--config", str(cfg_path), "--out", str(out), *cmd, "--combiner", str(eight)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: combiner file")
+        assert not out.exists()
+
+
+def test_cli_rejects_geometry_and_user_that_fail_after_parsing(tmp_path, capsys):
+    assert_rejected(tmp_path, capsys, "ue.", ("ue.x_m = -1.0",), "search-delays")
+    assert_rejected(tmp_path, capsys, "geometry.", ("geometry.aperture_m = 0.0",), "search-delays")
+    assert_rejected(tmp_path, capsys, "geometry.", ("geometry.seed = -1",), "heatmap")
+
+
+@pytest.mark.parametrize("cmd", [["search-delays"], ["heatmap", "--freqs", "1e11"]])
+def test_cli_combiner_file_errors_are_config_errors(tmp_path, capsys, cmd):
+    cfg_path = write_m16_config(tmp_path / "exp.cfg")
+    text = combiner_to_text(
+        CombinerConfig(theta=np.zeros(16), tau=np.zeros(4)), PhaseCodebook(3)
+    )
+    assert "theta_idx 3 " in text
+    broken = {
+        "no_tau.txt": "".join(ln for ln in text.splitlines(True) if not ln.startswith("tau_ps")),
+        "bad_index.txt": text.replace("theta_idx 3 ", "theta_idx 8 "),
+        "bad_bits.txt": text.replace("ps_bits 3", "ps_bits x"),
+    }
+    paths = [tmp_path / "missing.txt"]
+    for name, body in broken.items():
+        paths.append(tmp_path / name)
+        paths[-1].write_text(body)
+    out = tmp_path / "out"
+    for path in paths:
+        argv = ["--config", str(cfg_path), "--out", str(out), *cmd, "--combiner", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: --combiner: ")
         assert not out.exists()
 
 
@@ -464,8 +536,9 @@ def test_failed_writer_leaves_no_partial_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [path]
 
     # a CLI writer that fails after its header and first row
-    def bad_gain_map(*args, **kwargs):
-        return np.array([[1.0, 2.0], [3.0, "not a number"]], dtype=object)
+    def bad_gain_map(geom, w, freq_hz, *args, **kwargs):
+        one_map = [[1.0, 2.0], [3.0, "not a number"]]
+        return np.array([one_map] * len(freq_hz), dtype=object)
 
     monkeypatch.setattr(cli, "gain_map", bad_gain_map)
     cfg_path = write_m16_config(tmp_path / "exp.cfg")
@@ -554,6 +627,54 @@ def test_every_accepted_config_runs_search_and_heatmap(keys):
             assert main(["--config", str(cfg_path), "--out", tmp + "/out", "search-delays"]) == 2
             return
         for cmd in (["search-delays"], ["heatmap", "--source", "pdf-oracle"]):
+            assert main(["--config", str(cfg_path), "--out", f"{tmp}/{cmd[0]}", *cmd]) == 0
+
+
+# values on both sides of each key's valid range; M and K stay at most 32
+SYSTEM_GEOMETRY_UE_KEYS = {
+    "system.M": st.sampled_from(["2", "4", "8", "16", "24", "32", "-4", "0", "1"]),
+    "system.N": st.sampled_from(["1", "2", "4", "8", "3", "33", "0"]),
+    "system.K": st.integers(0, 32).map(str),
+    "system.center_freq_hz": st.sampled_from(["1e11", "3e10", "1e9", "0", "-1e9"]),
+    "system.bandwidth_hz": st.sampled_from(["1e10", "1e8", "0", "2e11", "-1e9"]),
+    "system.ps_bits": st.integers(0, 10).map(str),
+    "system.tau_max_s": st.sampled_from(["auto", "1e-9", "1e-12", "0", "-1e-12"]),
+    "system.tx_power_w": st.sampled_from(["1", "1e3", "0", "-1"]),
+    "geometry.kind": st.sampled_from(["random", "uniform", "grid"]),
+    "geometry.seed": st.integers(-1, 2**64).map(str),
+    "geometry.aperture_m": st.one_of(
+        st.floats(-0.05, 0.5).map(str), st.sampled_from(["auto", "0", "-0.01"])
+    ),
+    "ue.x_m": st.one_of(st.floats(-1.0, 3.0).map(str), st.sampled_from(["0", "-1"])),
+    "ue.y_m": st.floats(-3.0, 3.0).map(str),
+    "channel.rho": st.sampled_from(["unit", "flat_amplitude", "bogus"]),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.fixed_dictionaries({}, optional=SYSTEM_GEOMETRY_UE_KEYS))
+@example({"ue.x_m": "-1.0"})
+@example({"geometry.aperture_m": "0.0"})
+@example({"system.ps_bits": "10"})
+@example({"system.N": "3"})
+@example({"system.K": "1", "system.bandwidth_hz": "0"})
+@example({"system.K": "1", "system.bandwidth_hz": "1e9"})
+def test_every_accepted_system_config_runs_every_command(keys):
+    lines = [*M16_KEYS, "profile.n_sweep = 0", *(f"{k} = {v}" for k, v in keys.items())]
+    text = "\n".join(lines) + "\n"
+    cmds = [["search-delays"], ["heatmap", "--source", "pdf-oracle"], ["learn"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "exp.cfg"
+        cfg_path.write_text(text)
+        try:
+            ec = parse_config_text(text)
+        except ConfigError:
+            for cmd in cmds:
+                assert main(["--config", str(cfg_path), "--out", f"{tmp}/{cmd[0]}", *cmd]) == 2
+            return
+        if ec.ps_bits > 5:
+            cmds.pop()  # history.csv holds one base-32 digit per phase at most
+        for cmd in cmds:
             assert main(["--config", str(cfg_path), "--out", f"{tmp}/{cmd[0]}", *cmd]) == 0
 
 

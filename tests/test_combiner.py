@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from beamfocus.channel import SystemConfig
 from beamfocus.combiner import (
     CombinerConfig,
+    MAX_BITS,
     PhaseCodebook,
     combiner_from_text,
     combiner_to_text,
@@ -38,6 +39,13 @@ def make_cfg(M, N, fc=1e9, K=1, B=0.0, tau_max=1.0, bits=3):
 def test_codebook_values_r2():
     cb = PhaseCodebook(bits=2)
     assert np.allclose(cb.values, [-np.pi / 2, 0.0, np.pi / 2, np.pi])
+
+
+def test_codebook_bits_range():
+    assert PhaseCodebook(bits=MAX_BITS).size == 256
+    for bits in (0, MAX_BITS + 1, 40):
+        with pytest.raises(ValueError, match="bits"):
+            PhaseCodebook(bits=bits)
 
 
 def test_codebook_contains_zero_and_pi():

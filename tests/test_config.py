@@ -143,3 +143,29 @@ def test_noiseless_mode_zeroes_noise_power():
 def test_parse_rejects_bad_choice():
     with pytest.raises(ConfigError, match="geometry.kind"):
         parse_config_text("geometry.kind = spiral\n")
+
+
+M16 = "system.M = 16\nsystem.N = 4\nsystem.K = 16\nprofile.n_sweep = 0,1\nue.y_m = 0.0\n"
+
+
+def test_parse_rejects_codebook_beyond_max_bits():
+    assert build_codebook(parse_config_text(M16 + "system.ps_bits = 8\n")).size == 256
+    for bits in (9, 40):
+        with pytest.raises(ConfigError, match=r"^system\.ps_bits: "):
+            parse_config_text(M16 + f"system.ps_bits = {bits}\n")
+
+
+def test_parse_rejects_geometry_and_user_that_cannot_be_built():
+    for line, key in (
+        ("ue.x_m = -1.0", "ue."),
+        ("ue.x_m = 0.0", "ue."),
+        # an element of the 17-element uniform array sits at y = 0
+        ("ue.x_m = 1e-300\ngeometry.kind = uniform\nsystem.M = 17\nsystem.N = 1", "ue."),
+        ("geometry.aperture_m = 0.0", "geometry."),
+        ("geometry.aperture_m = -0.01", "geometry."),
+        ("geometry.seed = -1", "geometry."),
+        ("system.M = 1\nsystem.N = 1", "system.M: "),
+        ("system.center_freq_hz = 0", "system.center_freq_hz: "),
+    ):
+        with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.")):
+            parse_config_text(M16 + line + "\n")

@@ -5,13 +5,12 @@ from beamfocus.critic import (
     CriticModel,
     PowerDataset,
     TrainOptions,
+    _rank_rows,
+    _residuals,
     beam_from_phases,
-    critic_from_text,
     critic_loss_and_gradient,
     critic_to_text,
     initialize_critic,
-    load_critic,
-    predict_power,
     save_critic,
     train_critic,
 )
@@ -21,6 +20,13 @@ def random_beams(rng, n, M):
     return np.array([beam_from_phases(rng.uniform(-np.pi, np.pi, M)) for _ in range(n)])
 
 
+def predicted(model, beams):
+    # ||Q^H w||^2 per beam through the kernel that training runs; the
+    # residuals against zero powers are the predictions
+    pred = _residuals(_rank_rows(np.atleast_2d(beams), model.matrix), 0.0)
+    return pred if np.ndim(beams) == 2 else float(pred[0])
+
+
 def test_predict_rank1_equals_true_gain():
     rng = np.random.default_rng(0)
     M = 5
@@ -28,28 +34,28 @@ def test_predict_rank1_equals_true_gain():
     model = CriticModel(matrix=h[:, None])
     for _ in range(10):
         w = beam_from_phases(rng.uniform(-np.pi, np.pi, M))
-        assert predict_power(model, w) == pytest.approx(abs(np.vdot(w, h)) ** 2, rel=1e-12)
+        assert predicted(model, w) == pytest.approx(abs(np.vdot(w, h)) ** 2, rel=1e-12)
 
 
 def test_predict_zero_model():
     model = CriticModel(matrix=np.zeros((3, 2), complex))
-    assert predict_power(model, beam_from_phases([0.0, 1.0, 2.0])) == 0.0
+    assert predicted(model, beam_from_phases([0.0, 1.0, 2.0])) == 0.0
 
 
 def test_predict_hand_value():
     model = CriticModel(matrix=np.array([[1.0], [1j]]))
     w = np.array([1.0, 1.0]) / np.sqrt(2)
     # |(1 - j)/sqrt(2)|^2 = 1
-    assert predict_power(model, w) == pytest.approx(1.0, rel=1e-12)
+    assert predicted(model, w) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_predict_nonnegative_and_quadratic_scaling():
     rng = np.random.default_rng(4)
     model = CriticModel(matrix=rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
     w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    p = predict_power(model, w)
+    p = predicted(model, w)
     assert p >= 0.0
-    assert predict_power(model, 2 * w) == pytest.approx(4 * p, rel=1e-12)
+    assert predicted(model, 2 * w) == pytest.approx(4 * p, rel=1e-12)
 
 
 def test_predict_gauge_invariance():
@@ -60,8 +66,8 @@ def test_predict_gauge_invariance():
         z = rng.standard_normal((v, v)) + 1j * rng.standard_normal((v, v))
         u, _ = np.linalg.qr(z)  # random unitary
         w = beam_from_phases(rng.uniform(-np.pi, np.pi, M))
-        p1 = predict_power(CriticModel(matrix=q), w)
-        p2 = predict_power(CriticModel(matrix=q @ u), w)
+        p1 = predicted(CriticModel(matrix=q), w)
+        p2 = predicted(CriticModel(matrix=q @ u), w)
         assert p2 == pytest.approx(p1, rel=1e-10)
 
 
@@ -118,7 +124,9 @@ def test_loss_rejects_empty_and_mismatched():
             model, PowerDataset(beams=np.empty((0, 2), complex), powers=[])
         )
     with pytest.raises(ValueError):
-        predict_power(model, np.ones(3, complex))
+        critic_loss_and_gradient(
+            model, PowerDataset(beams=[beam_from_phases([0.0, 0.0, 0.0])], powers=[1.0])
+        )
 
 
 def test_dataset_validation():
@@ -137,7 +145,7 @@ def test_train_recovers_hidden_rank1_channel():
     data = PowerDataset(beams=beams, powers=powers)
     model = initialize_critic(M, 1, data, seed=7)
     trained, trace = train_critic(model, data, TrainOptions(lr=0.5, iters=5000, batch=200, seed=8))
-    pred = np.array([predict_power(trained, w) for w in beams])
+    pred = predicted(trained, beams)
     rel = np.linalg.norm(pred - powers) / np.linalg.norm(powers)
     assert rel < 1e-2
     assert trace[-1] <= trace[0]
@@ -218,14 +226,15 @@ def test_train_options_validation():
         TrainOptions(batch=0)
 
 
-def test_model_text_roundtrip(tmp_path):
+def test_critic_text_holds_the_matrix_bit_exactly(tmp_path):
     rng = np.random.default_rng(11)
     q = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     model = CriticModel(matrix=q)
     text = critic_to_text(model)
-    assert text.splitlines()[0] == "4 3"
-    restored = critic_from_text(text)
-    assert np.array_equal(restored.matrix, q)
+    lines = text.splitlines()
+    assert lines[0] == "4 3"
+    parsed = [[complex(*map(float, e.split(":"))) for e in ln.split()] for ln in lines[1:]]
+    assert np.array_equal(np.array(parsed), q)
     path = tmp_path / "critic.txt"
-    save_critic(model, path)
-    assert np.array_equal(load_critic(path).matrix, q)
+    save_critic(model, path, header_comment="# run = test\n")
+    assert path.read_text() == "# run = test\n" + text

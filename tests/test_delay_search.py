@@ -7,7 +7,6 @@ from beamfocus.delay_search import (
     SEARCH_BLOCK,
     DelayGrid,
     DelaySearchResult,
-    LinearApprox,
     delays_from_approx,
     delays_from_ddf,
     grid_candidates,
@@ -36,45 +35,42 @@ def make_cfg(M, N, K=16, fc=100e9, B=10e9, tau_max=2e-9, noise=0.0):
 
 
 def test_linear_ddf_endpoints():
-    ap = LinearApprox(0.7, -0.4, 0.9)
+    ap = (0.7, -0.4, 0.9)
     assert linear_ddf(ap, 0.0) == 0.0
     assert linear_ddf(ap, 2.0) == pytest.approx(0.9, abs=1e-15)
 
 
 def test_linear_ddf_second_branch_value():
-    ap = LinearApprox(1.0, -0.5, 0.5)
+    ap = (1.0, -0.5, 0.5)
     # slope of the second branch is 1; half a step past the breakpoint
     assert linear_ddf(ap, 1.5) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_linear_ddf_continuity_at_breakpoint():
-    for ap in (LinearApprox(0.6, 0.2, -0.7), LinearApprox(1.4, -0.9, 1.0)):
-        left = linear_ddf(ap, ap.break_delta - 1e-9)
-        right = linear_ddf(ap, ap.break_delta + 1e-9)
+    for ap in ((0.6, 0.2, -0.7), (1.4, -0.9, 1.0)):
+        break_delta, break_value, _ = ap
+        left = linear_ddf(ap, break_delta - 1e-9)
+        right = linear_ddf(ap, break_delta + 1e-9)
         assert left == pytest.approx(right, abs=1e-8)
-        assert linear_ddf(ap, ap.break_delta) == pytest.approx(ap.break_value, abs=1e-12)
+        assert linear_ddf(ap, break_delta) == pytest.approx(break_value, abs=1e-12)
 
 
 def test_linear_ddf_degenerate_breakpoints():
     # breakpoint at 0 degenerates to the single chord through (2, end_value)
-    ap0 = LinearApprox(0.0, 0.0, 1.0)
+    ap0 = (0.0, 0.0, 1.0)
     assert linear_ddf(ap0, 1.0) == pytest.approx(0.5)
     assert linear_ddf(ap0, 2.0) == pytest.approx(1.0)
     # breakpoint at 2 leaves only the first segment
-    ap2 = LinearApprox(2.0, 0.8, -0.3)
+    ap2 = (2.0, 0.8, -0.3)
     assert linear_ddf(ap2, 1.0) == pytest.approx(0.4)
     assert linear_ddf(ap2, 2.0) == pytest.approx(0.8)
 
 
 def test_linear_approx_validation():
     with pytest.raises(ValueError):
-        LinearApprox(-0.1, 0.0, 0.0)
+        linear_ddf((1.0, 0.0, 0.0), 2.3)
     with pytest.raises(ValueError):
-        LinearApprox(2.5, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        LinearApprox(0.0, 0.5, 0.0)  # nonzero break_value needs nonzero break_delta
-    with pytest.raises(ValueError):
-        linear_ddf(LinearApprox(1.0, 0.0, 0.0), 2.3)
+        linear_ddf((1.0, 0.0, 0.0), -0.1)
 
 
 def test_subarray_deltas_ula():
@@ -97,22 +93,20 @@ def test_subarray_deltas_degenerate_groupings():
 
 
 def test_delays_from_approx_zero_curve():
-    ap = LinearApprox(1.0, 0.0, 0.0)
-    tau = delays_from_approx(ap, np.array([0.0, 1.0, 2.0]), 1e-9)
+    tau = delays_from_approx((1.0, 0.0, 0.0), np.array([0.0, 1.0, 2.0]), 1e-9)
     assert np.all(tau == 0.0)
 
 
 def test_delays_from_approx_shift_by_minimum():
     D = 1.0
-    ap = LinearApprox(1.0, -D / 2, 0.0)
-    tau = delays_from_approx(ap, np.array([0.0, 1.0, 2.0]), 1.0)
+    tau = delays_from_approx((1.0, -D / 2, 0.0), np.array([0.0, 1.0, 2.0]), 1.0)
     c = SPEED_OF_LIGHT
     assert np.allclose(tau, [D / (2 * c), 0.0, D / (2 * c)])
     assert tau.min() == 0.0
 
 
 def test_delays_from_approx_clipping():
-    ap = LinearApprox(1.0, -0.5, 0.5)
+    ap = (1.0, -0.5, 0.5)
     tau = delays_from_approx(ap, np.array([0.0, 1.0, 2.0]), 0.0)
     assert np.all(tau == 0.0)
     tau_max = 1e-12
@@ -124,16 +118,17 @@ def test_delays_from_approx_clipping():
 def test_grid_candidates_structure():
     grid = DelayGrid(ax_points=3, ay_points=3, b_points=3)
     cands = grid_candidates(grid, aperture=1.0)
-    assert cands[0] == LinearApprox(1.0, 0.0, 0.0)  # injected zero-delay candidate
-    for ap in cands:
-        assert 0.0 <= ap.break_delta <= 2.0
-        assert abs(ap.break_value) <= 0.5 * ap.break_delta + 1e-12
-        assert abs(ap.end_value) <= 1.0 + 1e-12
+    assert cands.shape == (1 + 3 * 3 * 3 - 2 * 3, 3)  # ax = 0 leaves one break_value
+    assert cands[0].tolist() == [1.0, 0.0, 0.0]  # injected zero-delay candidate
+    for break_delta, break_value, end_value in cands:
+        assert 0.0 <= break_delta <= 2.0
+        assert abs(break_value) <= 0.5 * break_delta + 1e-12
+        assert abs(end_value) <= 1.0 + 1e-12
 
 
 def test_grid_candidates_single_point_axes():
     cands = grid_candidates(DelayGrid(1, 1, 1), aperture=2.0)
-    assert cands == [LinearApprox(1.0, 0.0, 0.0), LinearApprox(1.0, 0.0, 0.0)]
+    assert cands.tolist() == [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
 
 def scene(M=16, N=4, K=32, seed=0):
@@ -223,9 +218,10 @@ def test_search_trace_csv(tmp_path):
     assert float(first[4]) == pytest.approx(0.0)  # zero candidate relative to itself
 
 
-def reference_linear_ddf(ap: LinearApprox, delta: np.ndarray) -> np.ndarray:
-    # the scalar-parameter form of the piecewise-linear curve
-    ax, ay, b = ap.break_delta, ap.break_value, ap.end_value
+def reference_linear_ddf(ap, delta: np.ndarray) -> np.ndarray:
+    # the scalar-parameter form of the piecewise-linear curve for one
+    # (break_delta, break_value, end_value) row
+    ax, ay, b = (float(v) for v in ap)
     if ax == 0.0:
         return 0.5 * b * delta
     if ax == 2.0:
@@ -248,7 +244,7 @@ def reference_search_delays(theta_star, measure, geom, cfg, cb, grid):
         score = float(np.mean(np.sqrt(np.maximum(powers, 0.0))))
         if ps_only_score is None:
             ps_only_score = score
-        trace.append((ap.break_delta, ap.break_value, ap.end_value, score))
+        trace.append((*(float(v) for v in ap), score))
         if score > best_score:
             best_score, best_tau, best_theta = score, tau, theta
     return DelaySearchResult(best_tau, best_theta, best_score, ps_only_score, trace)
@@ -258,8 +254,7 @@ def test_vectorized_linear_ddf_equals_scalar_form():
     geom = random_geometry(64, 0.05, seed=5)
     deltas = subarray_deltas(geom, 16, 4)
     cands = grid_candidates(DelayGrid(9, 17, 17), geom.aperture)
-    params = np.array([(ap.break_delta, ap.break_value, ap.end_value) for ap in cands])
-    rows = linear_ddf(params, deltas)
+    rows = linear_ddf(cands, deltas)
     assert rows.shape == (len(cands), deltas.size)
     for ap, row in zip(cands, rows):
         assert np.array_equal(row, reference_linear_ddf(ap, deltas))

@@ -3,7 +3,7 @@ import pytest
 
 from beamfocus.channel import SystemConfig, near_field_channel
 from beamfocus.combiner import CombinerConfig, PhaseCodebook
-from beamfocus.critic import CriticModel, beam_from_phases, predict_power
+from beamfocus.critic import CriticModel, beam_from_phases
 from beamfocus.geometry import UePosition, random_geometry
 from beamfocus.phase_learning import (
     LearnerOptions,
@@ -26,6 +26,13 @@ def make_cfg(M, K=1, B=0.0, fc=100e9):
         ps_bits=1,
         tau_max_s=0.0,
     )
+
+
+def predicted(model, idx, cb):
+    # the critic's prediction ||Q^H w||^2 for the beam of codebook indices
+    # idx, formed as coordinate_ascent forms it
+    g = model.matrix.conj().T @ beam_from_phases(cb.values[np.asarray(idx)])
+    return float(np.real(np.vdot(g, g)))
 
 
 def center_measure(H, cfg):
@@ -51,20 +58,21 @@ def test_learner_options_validation():
 
 def test_propose_action_zero_perturbation():
     cb = PhaseCodebook(bits=2)
-    current = cb.values[[0, 1, 2, 3]]
+    current = np.array([0, 1, 2, 3], dtype=np.uint8)
     out = _perturb(current, 0, cb, np.random.default_rng(0))
     assert np.array_equal(out, current)
 
 
 def test_propose_action_full_perturbation_is_codebook_vector():
     cb = PhaseCodebook(bits=2)
-    out = _perturb(cb.values[[0, 0, 0, 0]], 4, cb, np.random.default_rng(1))
-    assert all(v in cb.values for v in out)
+    out = _perturb(np.zeros(4, dtype=np.uint8), 4, cb, np.random.default_rng(1))
+    assert out.dtype == np.uint8
+    assert all(0 <= i < cb.size for i in out)
 
 
 def test_propose_action_bounded_change_count():
     cb = PhaseCodebook(bits=3)
-    current = cb.values[np.zeros(10, int)]
+    current = np.zeros(10, dtype=np.uint8)
     for seed in range(50):
         out = _perturb(current, 3, cb, np.random.default_rng(seed))
         assert np.count_nonzero(out != current) <= 3
@@ -74,8 +82,8 @@ def test_coordinate_ascent_single_antenna_returns_init():
     # the beam power of a single element is phase-invariant
     cb = PhaseCodebook(bits=2)
     model = CriticModel(matrix=np.array([[np.exp(0.3j)]]))
-    theta, cycles, _ = coordinate_ascent(model, np.array([cb.values[1]]), cb)
-    assert theta[0] == cb.values[1]
+    idx, cycles, _ = coordinate_ascent(model, np.array([1]), cb)
+    assert idx[0] == 1
     assert cycles == 1
 
 
@@ -85,9 +93,9 @@ def test_coordinate_ascent_aligns_equal_phase_channel():
     h = np.full(M, np.exp(0.0j))
     model = CriticModel(matrix=h[:, None])
     rng = np.random.default_rng(3)
-    init = cb.values[rng.integers(0, 4, M)]
-    theta, _, _ = coordinate_ascent(model, init, cb)
-    assert np.allclose(theta, theta[0])  # all equal up to the global step
+    init = rng.integers(0, 4, M)
+    idx, _, _ = coordinate_ascent(model, init, cb)
+    assert np.all(idx == idx[0])  # all equal up to the global step
 
 
 def test_coordinate_ascent_monotone_and_near_exhaustive():
@@ -98,15 +106,12 @@ def test_coordinate_ascent_monotone_and_near_exhaustive():
     for trial in range(25):
         q = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         model = CriticModel(matrix=q[:, None])
-        init = cb.values[rng.integers(0, 2, M)]
-        p0 = predict_power(model, beam_from_phases(init))
-        theta, cycles, p = coordinate_ascent(model, init, cb)
+        init = rng.integers(0, 2, M)
+        p0 = predicted(model, init, cb)
+        idx, cycles, p = coordinate_ascent(model, init, cb)
         assert p >= p0 - 1e-15
         # exhaustive oracle over all 16 quantized beams
-        best = max(
-            predict_power(model, beam_from_phases(cb.values[np.array(bits)]))
-            for bits in np.ndindex(*(2,) * M)
-        )
+        best = max(predicted(model, bits, cb) for bits in np.ndindex(*(2,) * M))
         assert p >= 0.95 * best
         hits += p >= best * (1 - 1e-12)
     assert hits >= 20  # coordinate ascent finds the global optimum almost always
@@ -127,9 +132,9 @@ def test_exploit_with_perfect_critic_near_exhaustive_optimum():
             abs(np.vdot(beam_from_phases(cb.values[np.array(ix)]), h)) ** 2
             for ix in np.ndindex(*(cb.size,) * M)
         )
-        init = cb.values[rng.integers(0, cb.size, M)]
-        theta, _, _ = coordinate_ascent(model, init, cb)
-        got = abs(np.vdot(beam_from_phases(theta), h)) ** 2
+        init = rng.integers(0, cb.size, M)
+        idx, _, _ = coordinate_ascent(model, init, cb)
+        got = abs(np.vdot(beam_from_phases(cb.values[idx]), h)) ** 2
         assert got >= 0.95 * best
 
 
@@ -141,12 +146,10 @@ def test_exploit_critic_never_decreases_prediction():
         matrix=rng.standard_normal((M, 2)) + 1j * rng.standard_normal((M, 2))
     )
     for seed in range(10):
-        init = cb.values[np.random.default_rng(seed).integers(0, 4, M)]
+        init = np.random.default_rng(seed).integers(0, 4, M)
         out, _, _ = coordinate_ascent(model, init, cb)
-        assert predict_power(model, beam_from_phases(out)) >= predict_power(
-            model, beam_from_phases(init)
-        ) - 1e-15
-        assert all(v in cb.values for v in out)
+        assert predicted(model, out, cb) >= predicted(model, init, cb) - 1e-15
+        assert all(0 <= i < cb.size for i in out)
 
 
 def small_scene(M, seed=0):
@@ -312,3 +315,33 @@ def test_history_csv_export(tmp_path):
     assert row[0] == "1"
     assert len(row[3]) == 3  # one base-4 digit per antenna
     assert set(row[3]) <= set("0123")
+    digits = [ln.split(",")[3] for ln in lines[2:]]
+    assert digits == ["".join(str(i) for i in idx) for idx in history.indices]
+
+
+def test_history_logs_the_measured_indices():
+    cfg, H = small_scene(4, seed=6)
+    cb = PhaseCodebook(bits=2)
+    opts = LearnerOptions(
+        total_measurements=25,
+        exploit_start=20,
+        critic_refit_period=10,
+        seed=3,
+        critic_rank=2,
+        train_iters=20,
+        train_batch=16,
+    )
+    calls = []
+    base = center_measure(H, cfg)
+
+    def measure(phases):
+        calls.append(np.array(phases))
+        return base(phases)
+
+    theta, history = learn_phases(measure, cfg, cb, opts)
+    assert history.indices.dtype == np.uint8
+    assert history.indices.shape == (len(calls), cfg.num_antennas)
+    assert np.array_equal(cb.values[history.indices], np.array(calls))
+    assert np.array_equal(history.best_powers, np.maximum.accumulate(history.measured_powers))
+    best = int(np.argmax(history.measured_powers))  # the first of equal maxima
+    assert np.array_equal(theta, cb.values[history.indices[best]])
