@@ -24,7 +24,6 @@ class SystemConfig:
     num_subcarriers: K, frequency bins tiling the band
     center_freq_hz:  f_c
     bandwidth_hz:    B (total two-sided band around f_c)
-    ps_bits:         r, phase-shifter resolution (2^r codebook values)
     tau_max_s:       maximum delay a TD unit supports
     tx_power_w:      total transmit power, split evenly over subcarriers
     noise_power_w:   per-subcarrier receive noise power (0 = noiseless)
@@ -36,7 +35,6 @@ class SystemConfig:
     num_subcarriers: int
     center_freq_hz: float
     bandwidth_hz: float
-    ps_bits: int
     tau_max_s: float
     tx_power_w: float = 1.0
     noise_power_w: float = 0.0
@@ -57,8 +55,6 @@ class SystemConfig:
             raise ValueError("center frequency must exceed half the bandwidth")
         if self.tau_max_s < 0.0:
             raise ValueError("tau_max must be nonnegative")
-        if self.ps_bits < 1:
-            raise ValueError("need at least 1 phase-shifter bit")
         if self.tx_power_w < 0.0:
             raise ValueError("tx_power_w must be nonnegative")
         if self.noise_power_w < 0.0:

@@ -40,7 +40,7 @@ from .critic import save_critic
 from .delay_search import search_delays, write_search_trace_csv
 from .files import write_atomic
 from .geometry import ArrayGeometry, point_distances
-from .phase_learning import DIGIT_STRING_MAX_BITS, learn_phases, write_history_csv
+from .phase_learning import learn_phases, write_history_csv
 from .sim import (
     avg_amplitude_gain,
     center_bin,
@@ -206,6 +206,7 @@ def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Pat
     summary_rows = []
     for n in ec.n_sweep:
         cfg_n = build_system(ec, num_td_units=n)
+        pdf_cc = pdf_oracle(geom, ue, H, cfg_n, cb)
         if oracle:
             theta_star = ps_only_oracle(H, cfg_n, cb).theta
         else:
@@ -214,7 +215,7 @@ def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Pat
         if n == 0:
             cc = CombinerConfig(theta=theta_star, tau=np.zeros(cfg_n.num_td_units))
         elif oracle:
-            cc = pdf_oracle(geom, ue, H, cfg_n, cb)
+            cc = pdf_cc
         else:
             result = search_pipeline(ec, theta_star, geom, H, cfg_n, cb)
             cc = CombinerConfig(theta=result.theta, tau=result.tau)
@@ -224,9 +225,8 @@ def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Pat
         write_gain_csv(gp, path, header_comment=stamp_lines(ec, command="profile", n=n))
         written.append(path)
 
-        pdf_cc = pdf_oracle(geom, ue, H, cfg_n, cb)
-        amp = avg_amplitude_gain(cc, H, cfg_n)
-        amp_pdf = avg_amplitude_gain(pdf_cc, H, cfg_n)
+        amp = float(np.mean(np.sqrt(gp.per_subcarrier)))  # avg_amplitude_gain of cc
+        amp_pdf = amp if cc is pdf_cc else avg_amplitude_gain(pdf_cc, H, cfg_n)
         gap_db = 20.0 * np.log10(amp / amp_pdf) if amp > 0 and amp_pdf > 0 else float("nan")
         summary_rows.append((n, three_db_bandwidth(gp, cfg_n), amp, gap_db))
 
@@ -275,11 +275,6 @@ def run_heatmap(
     return written
 
 
-def _edge_center_freqs(H: ChannelMatrix, cfg: SystemConfig):
-    k = center_bin(H.freqs_hz, cfg.center_freq_hz)
-    return [H.freqs_hz[0], H.freqs_hz[k], H.freqs_hz[-1]]
-
-
 def _cmd_profile(ec: ExperimentConfig, args) -> int:
     files = run_profile(ec, args.out, oracle=args.oracle)
     for path in files:
@@ -296,7 +291,19 @@ def _load_combiner_arg(path) -> CombinerConfig:
     return cc
 
 
+def _parse_freqs(text: str) -> list[float]:
+    """The --freqs list in Hz; each entry must be a finite positive number."""
+    try:
+        freqs = [float(tok) for tok in text.split(",")]
+        if not all(0.0 < f < np.inf for f in freqs):
+            raise ValueError(f"'{text}' holds a frequency that is not finite and positive")
+    except ValueError as exc:
+        raise ConfigError(f"--freqs: {exc}") from exc
+    return freqs
+
+
 def _cmd_heatmap(ec: ExperimentConfig, args) -> int:
+    freqs = None if args.freqs == "edges" else _parse_freqs(args.freqs)
     geom = build_geometry(ec)
     ue = build_ue(ec)
     cb = build_codebook(ec)
@@ -316,10 +323,10 @@ def _cmd_heatmap(ec: ExperimentConfig, args) -> int:
         result = search_pipeline(ec, theta, geom, H, cfg, cb)
         cc = CombinerConfig(theta=result.theta, tau=result.tau)
 
-    if args.freqs == "edges":
-        freqs = _edge_center_freqs(H, cfg)
-    else:
-        freqs = [float(tok) for tok in args.freqs.split(",")]
+    if freqs is None:  # the lowest, center and highest bins
+        freqs = H.freqs_hz[[0, center_bin(H.freqs_hz, cfg.center_freq_hz), -1]]
+    # one file per distinct frequency, in the order first given
+    freqs = list(dict.fromkeys(freqs))
     label = "heatmap_custom" if args.combiner else f"heatmap_{args.source}"
     files = run_heatmap(ec, args.out, cc, cfg, freqs, label=label)
     for path in files:
@@ -328,11 +335,6 @@ def _cmd_heatmap(ec: ExperimentConfig, args) -> int:
 
 
 def _cmd_learn(ec: ExperimentConfig, args) -> int:
-    # history.csv holds one base-2^r digit per antenna; fail before the run
-    if ec.ps_bits > DIGIT_STRING_MAX_BITS:
-        raise ConfigError(
-            f"system.ps_bits: learn writes at most {DIGIT_STRING_MAX_BITS} bits per phase"
-        )
     geom = build_geometry(ec)
     cb = build_codebook(ec)
     cfg = build_system(ec)

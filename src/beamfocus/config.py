@@ -9,7 +9,7 @@ few values derived from the rest of the configuration at build time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 
 from .channel import SystemConfig, flat_amplitude_rho, near_field_channel
 from .combiner import PhaseCodebook
@@ -29,49 +29,55 @@ class ConfigError(ValueError):
     """Configuration file problem; the message names the offending key."""
 
 
+def _key(key: str, default, choices: tuple = ()):
+    """A field read from the config text's `key`, limited to `choices` if given."""
+    return field(default=default, metadata={"key": key, "choices": choices})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    num_antennas: int = 256
-    num_td_units: int = 16
-    num_subcarriers: int = 2048
-    center_freq_hz: float = 100e9
-    bandwidth_hz: float = 10e9
-    ps_bits: int = 3
-    tau_max_s: float | None = None  # auto: aperture / c
-    tx_power_w: float = 1.0
-    noise_power_w: float = 0.0
-    geometry_kind: str = "random"
-    geometry_seed: int = 1
-    aperture_m: float | None = None  # auto: (M - 1) * lambda_c / 2
-    ue_x_m: float = 2.0
-    ue_y_m: float = -2.0
-    rho_mode: str = "unit"
-    total_measurements: int = 5000
-    perturb_count: int | None = None  # auto: M // 4
-    critic_refit_period: int = 1000
-    exploit_start: int = 2000
-    critic_rank: int = 4
-    train_iters: int = 1500
-    train_lr: float = 0.5
-    train_batch: int = 1024
-    learner_seed: int = 0
-    ax_points: int = 9
-    ay_points: int = 17
-    b_points: int = 17
-    noise_mode: str = "noiseless"
-    snapshots: int = 10000
-    n_sweep: tuple = (0, 8, 16)
-    search_subcarriers: int = 128
-    heatmap_x_min_m: float = 0.5
-    heatmap_x_max_m: float = 4.0
-    heatmap_y_min_m: float = -4.0
-    heatmap_y_max_m: float = 4.0
-    heatmap_resolution_m: float = 0.05
-    output_dir: str = "out"
+    """One field per config key, in the order of the canonical text form.
 
+    A field's type selects its parser (`X | None` fields also take `auto`).
+    """
 
-def _parse_int(text: str) -> int:
-    return int(text)
+    num_antennas: int = _key("system.M", 256)
+    num_td_units: int = _key("system.N", 16)
+    num_subcarriers: int = _key("system.K", 2048)
+    center_freq_hz: float = _key("system.center_freq_hz", 100e9)
+    bandwidth_hz: float = _key("system.bandwidth_hz", 10e9)
+    ps_bits: int = _key("system.ps_bits", 3)
+    tau_max_s: float | None = _key("system.tau_max_s", None)  # auto: aperture / c
+    tx_power_w: float = _key("system.tx_power_w", 1.0)
+    noise_power_w: float = _key("system.noise_power_w", 0.0)
+    geometry_kind: str = _key("geometry.kind", "random", choices=("uniform", "random"))
+    geometry_seed: int = _key("geometry.seed", 1)
+    aperture_m: float | None = _key("geometry.aperture_m", None)  # auto: (M - 1) * lambda_c / 2
+    ue_x_m: float = _key("ue.x_m", 2.0)
+    ue_y_m: float = _key("ue.y_m", -2.0)
+    rho_mode: str = _key("channel.rho", "unit", choices=("unit", "flat_amplitude"))
+    total_measurements: int = _key("learner.total_measurements", 5000)
+    perturb_count: int | None = _key("learner.perturb_count", None)  # auto: M // 4
+    critic_refit_period: int = _key("learner.critic_refit_period", 1000)
+    exploit_start: int = _key("learner.exploit_start", 2000)
+    critic_rank: int = _key("learner.critic_rank", 4)
+    train_iters: int = _key("learner.train_iters", 1500)
+    train_lr: float = _key("learner.train_lr", 0.5)
+    train_batch: int = _key("learner.train_batch", 1024)
+    learner_seed: int = _key("learner.seed", 0)
+    ax_points: int = _key("grid.ax_points", 9)
+    ay_points: int = _key("grid.ay_points", 17)
+    b_points: int = _key("grid.b_points", 17)
+    noise_mode: str = _key("noise.mode", "noiseless", choices=("noiseless", "snapshots"))
+    snapshots: int = _key("noise.snapshots", 10000)
+    n_sweep: tuple = _key("profile.n_sweep", (0, 8, 16))
+    search_subcarriers: int = _key("profile.search_subcarriers", 128)
+    heatmap_x_min_m: float = _key("heatmap.x_min_m", 0.5)
+    heatmap_x_max_m: float = _key("heatmap.x_max_m", 4.0)
+    heatmap_y_min_m: float = _key("heatmap.y_min_m", -4.0)
+    heatmap_y_max_m: float = _key("heatmap.y_max_m", 4.0)
+    heatmap_resolution_m: float = _key("heatmap.resolution_m", 0.05)
+    output_dir: str = _key("output.dir", "out")
 
 
 def _parse_float(text: str) -> float:
@@ -81,20 +87,18 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_auto_float(text: str):
-    return None if text == "auto" else _parse_float(text)
-
-
-def _parse_auto_int(text: str):
-    return None if text == "auto" else int(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
 def _parse_int_list(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+_PARSERS = {"int": int, "float": _parse_float, "str": str, "tuple": _parse_int_list}
+
+
+def _parse_value(f: Field, text: str):
+    kind, _, optional = f.type.partition(" | ")
+    if optional and text == "auto":
+        return None
+    return _PARSERS[kind](text)
 
 
 def _fmt(value) -> str:
@@ -107,77 +111,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# dotted key -> (dataclass field, parser)
-KEY_TABLE = {
-    "system.M": ("num_antennas", _parse_int),
-    "system.N": ("num_td_units", _parse_int),
-    "system.K": ("num_subcarriers", _parse_int),
-    "system.center_freq_hz": ("center_freq_hz", _parse_float),
-    "system.bandwidth_hz": ("bandwidth_hz", _parse_float),
-    "system.ps_bits": ("ps_bits", _parse_int),
-    "system.tau_max_s": ("tau_max_s", _parse_auto_float),
-    "system.tx_power_w": ("tx_power_w", _parse_float),
-    "system.noise_power_w": ("noise_power_w", _parse_float),
-    "geometry.kind": ("geometry_kind", _parse_str),
-    "geometry.seed": ("geometry_seed", _parse_int),
-    "geometry.aperture_m": ("aperture_m", _parse_auto_float),
-    "ue.x_m": ("ue_x_m", _parse_float),
-    "ue.y_m": ("ue_y_m", _parse_float),
-    "channel.rho": ("rho_mode", _parse_str),
-    "learner.total_measurements": ("total_measurements", _parse_int),
-    "learner.perturb_count": ("perturb_count", _parse_auto_int),
-    "learner.critic_refit_period": ("critic_refit_period", _parse_int),
-    "learner.exploit_start": ("exploit_start", _parse_int),
-    "learner.critic_rank": ("critic_rank", _parse_int),
-    "learner.train_iters": ("train_iters", _parse_int),
-    "learner.train_lr": ("train_lr", _parse_float),
-    "learner.train_batch": ("train_batch", _parse_int),
-    "learner.seed": ("learner_seed", _parse_int),
-    "grid.ax_points": ("ax_points", _parse_int),
-    "grid.ay_points": ("ay_points", _parse_int),
-    "grid.b_points": ("b_points", _parse_int),
-    "noise.mode": ("noise_mode", _parse_str),
-    "noise.snapshots": ("snapshots", _parse_int),
-    "profile.n_sweep": ("n_sweep", _parse_int_list),
-    "profile.search_subcarriers": ("search_subcarriers", _parse_int),
-    "heatmap.x_min_m": ("heatmap_x_min_m", _parse_float),
-    "heatmap.x_max_m": ("heatmap_x_max_m", _parse_float),
-    "heatmap.y_min_m": ("heatmap_y_min_m", _parse_float),
-    "heatmap.y_max_m": ("heatmap_y_max_m", _parse_float),
-    "heatmap.resolution_m": ("heatmap_resolution_m", _parse_float),
-    "output.dir": ("output_dir", _parse_str),
-}
-
-_FIELD_TO_KEY = {field: key for key, (field, _) in KEY_TABLE.items()}
-
-_CHOICES = {
-    "geometry.kind": ("uniform", "random"),
-    "channel.rho": ("unit", "flat_amplitude"),
-    "noise.mode": ("noiseless", "snapshots"),
-}
+# dotted key -> ExperimentConfig field
+KEY_TABLE = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
 def validate(ec: ExperimentConfig) -> ExperimentConfig:
     """Return ec if every command can run on it; else raise ConfigError."""
-    for key, allowed in _CHOICES.items():
-        field_name, _ = KEY_TABLE[key]
-        value = getattr(ec, field_name)
-        if value not in allowed:
+    for key, f in KEY_TABLE.items():
+        allowed = f.metadata["choices"]
+        value = getattr(ec, f.name)
+        if allowed and value not in allowed:
             raise ConfigError(f"{key}: '{value}' is not one of {allowed}")
     if ec.num_td_units < 1:
         raise ConfigError("system.N: need at least one TD unit")
-    if ec.num_antennas % ec.num_td_units != 0:
-        raise ConfigError(
-            f"system.N: M = N*P violated (M={ec.num_antennas} is not a "
-            f"multiple of N={ec.num_td_units})"
-        )
     if any(n < 0 for n in ec.n_sweep):
         raise ConfigError("profile.n_sweep: entries must be nonnegative")
-    for n in ec.n_sweep:
-        if n > 0 and ec.num_antennas % n != 0:
-            raise ConfigError(
-                f"profile.n_sweep: M = N*P violated for sweep entry N={n}"
-            )
     if not ec.heatmap_x_min_m > 0.0:
         raise ConfigError("heatmap.x_min_m: must be positive (in front of the array)")
     if ec.heatmap_x_max_m < ec.heatmap_x_min_m or ec.heatmap_y_max_m < ec.heatmap_y_min_m:
@@ -190,11 +138,13 @@ def validate(ec: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("system.center_freq_hz: must be positive")
     if ec.num_antennas < 2:
         raise ConfigError("system.M: need at least two array elements")
-    # build the objects whose own checks would otherwise fail at run time
+    # build the objects whose own checks would otherwise fail at run time,
+    # among them M = N*P for system.N and for every sweep entry
     for key, build in (
         ("geometry.*", build_geometry),
         ("ue.*", lambda ec: distances(build_geometry(ec), build_ue(ec))),
         ("system.*", build_system),
+        *(("profile.n_sweep", lambda ec, n=n: build_system(ec, n)) for n in ec.n_sweep),
         ("system.ps_bits", build_codebook),
         ("grid.*", build_grid),
     ):
@@ -217,9 +167,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'section.key = value'")
         if key not in KEY_TABLE:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
-        field_name, parser = KEY_TABLE[key]
+        f = KEY_TABLE[key]
         try:
-            values[field_name] = parser(value)
+            values[f.name] = _parse_value(f, value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: bad value '{value}'") from exc
     return validate(ExperimentConfig(**values))
@@ -236,10 +186,7 @@ def parse_config(path) -> ExperimentConfig:
 
 def emit_config(ec: ExperimentConfig) -> str:
     """Canonical text form; parse_config_text(emit_config(ec)) == ec."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        key = _FIELD_TO_KEY[f.name]
-        lines.append(f"{key} = {_fmt(getattr(ec, f.name))}")
+    lines = [f"{key} = {_fmt(getattr(ec, f.name))}" for key, f in KEY_TABLE.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -294,8 +241,6 @@ def build_system(ec: ExperimentConfig, num_td_units: int | None = None) -> Syste
     n = ec.num_td_units if num_td_units is None else num_td_units
     if n == 0:
         n = 1
-    if ec.num_antennas % n != 0:
-        raise ConfigError(f"system.N: M = N*P violated (M={ec.num_antennas}, N={n})")
     return SystemConfig(
         num_antennas=ec.num_antennas,
         num_td_units=n,
@@ -303,7 +248,6 @@ def build_system(ec: ExperimentConfig, num_td_units: int | None = None) -> Syste
         num_subcarriers=ec.num_subcarriers,
         center_freq_hz=ec.center_freq_hz,
         bandwidth_hz=ec.bandwidth_hz,
-        ps_bits=ec.ps_bits,
         tau_max_s=resolved_tau_max(ec),
         tx_power_w=ec.tx_power_w,
         noise_power_w=ec.noise_power_w if ec.noise_mode == "snapshots" else 0.0,

@@ -17,10 +17,6 @@ from .combiner import PhaseCodebook
 from .critic import CriticModel, PowerDataset, TrainOptions, initialize_critic, train_critic
 from .files import write_atomic
 
-# digits of the base-2^bits phase strings in history.csv
-_DIGITS = "0123456789abcdefghijklmnopqrstuv"
-DIGIT_STRING_MAX_BITS = 5
-
 
 @dataclass(frozen=True)
 class LearnerOptions:
@@ -232,17 +228,17 @@ def write_history_csv(
 ) -> None:
     """CSV export: iter,measured_power,best_power,phase_indices.
 
-    Phases are written as a base-2^bits digit string, one digit per antenna,
-    for at most DIGIT_STRING_MAX_BITS bits.
+    Phases are written as a hex string holding each antenna's codebook index
+    in ceil(bits/4) digits.
     """
-    if cb.bits > DIGIT_STRING_MAX_BITS:
-        raise ValueError(f"digit-string export supports at most {DIGIT_STRING_MAX_BITS} bits")
-    digits = np.frombuffer(_DIGITS.encode("ascii"), dtype=np.uint8)[history.indices]
+    # hex() writes two digits per uint8 index; up to 4 bits the first is 0
+    one_digit = cb.bits <= 4
     with write_atomic(path) as fh:
         if header_comment:
             fh.write(header_comment)
         fh.write("iter,measured_power,best_power,phase_indices\n")
         for i, p, b, row in zip(
-            history.iters, history.measured_powers, history.best_powers, digits
+            history.iters, history.measured_powers, history.best_powers, history.indices
         ):
-            fh.write(f"{i},{p:.12g},{b:.12g},{row.tobytes().decode('ascii')}\n")
+            digits = row.tobytes().hex()
+            fh.write(f"{i},{p:.12g},{b:.12g},{digits[1::2] if one_digit else digits}\n")

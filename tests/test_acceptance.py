@@ -236,7 +236,6 @@ def test_criterion_7b_common_delay_invariance():
             num_subcarriers=K,
             center_freq_hz=100e9,
             bandwidth_hz=10e9,
-            ps_bits=3,
             tau_max_s=1e-8,
         )
         geom = random_geometry(M, 0.023, seed=seed)
@@ -301,7 +300,6 @@ def test_criterion_7d_exhaustive_oracle_equivalence():
         num_subcarriers=1,
         center_freq_hz=100e9,
         bandwidth_hz=0.0,
-        ps_bits=1,
         tau_max_s=0.0,
     )
     hits = 0
@@ -347,7 +345,6 @@ def test_criterion_7e_pdf_full_td_flatness():
         num_subcarriers=256,
         center_freq_hz=100e9,
         bandwidth_hz=10e9,
-        ps_bits=3,
         tau_max_s=1e-9,
     )
     from beamfocus.geometry import SPEED_OF_LIGHT

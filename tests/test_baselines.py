@@ -14,7 +14,7 @@ from beamfocus.geometry import UePosition, random_geometry
 from beamfocus.sim import gain_profile, normalized_gain_db
 
 
-def make_cfg(M, N, K=64, fc=100e9, B=10e9, bits=3, tau_max=None):
+def make_cfg(M, N, K=64, fc=100e9, B=10e9, tau_max=None):
     from beamfocus.geometry import SPEED_OF_LIGHT
 
     if tau_max is None:
@@ -27,7 +27,6 @@ def make_cfg(M, N, K=64, fc=100e9, B=10e9, bits=3, tau_max=None):
         num_subcarriers=K,
         center_freq_hz=fc,
         bandwidth_hz=B,
-        ps_bits=bits,
         tau_max_s=tau_max,
     )
 
@@ -70,7 +69,6 @@ def test_ps_only_quantization_loss_bound():
         cb = PhaseCodebook(bits=bits)
         for seed in range(5):
             cfg, geom, ue, H = scene(16, 4, K=5, seed=seed)
-            cfg = make_cfg(16, 4, K=5, bits=bits)
             cc = ps_only_oracle(H, cfg, cb)
             gp = gain_profile(cc, H, cfg)
             k = 2

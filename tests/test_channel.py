@@ -26,7 +26,6 @@ def make_cfg(M=4, N=2, K=8, fc=100e9, B=10e9, **kw):
         num_subcarriers=K,
         center_freq_hz=fc,
         bandwidth_hz=B,
-        ps_bits=3,
         tau_max_s=1e-9,
         **kw,
     )
@@ -41,7 +40,6 @@ def test_system_config_mnp_constraint():
             num_subcarriers=4,
             center_freq_hz=1e9,
             bandwidth_hz=1e8,
-            ps_bits=3,
             tau_max_s=0.0,
         )
 
@@ -84,7 +82,6 @@ def test_channel_single_antenna_hand_value():
         num_subcarriers=1,
         center_freq_hz=fc,
         bandwidth_hz=0.0,
-        ps_bits=1,
         tau_max_s=0.0,
     )
     g = ArrayGeometry(alphas=[0.0], aperture=1.0)
@@ -102,7 +99,6 @@ def test_channel_magnitude_formula():
         num_subcarriers=1,
         center_freq_hz=fc,
         bandwidth_hz=0.0,
-        ps_bits=1,
         tau_max_s=0.0,
     )
     g = ArrayGeometry(alphas=[0.0], aperture=1.0)

@@ -231,10 +231,53 @@ def test_run_heatmap_files(tmp_path):
     assert len(data_lines[0].split(",")) == 3
 
 
+# every output file's stamp header repeats these lines, in this order
+PRINT_DEFAULTS = """\
+system.M = 256
+system.N = 16
+system.K = 2048
+system.center_freq_hz = 100000000000.0
+system.bandwidth_hz = 10000000000.0
+system.ps_bits = 3
+system.tau_max_s = auto
+system.tx_power_w = 1.0
+system.noise_power_w = 0.0
+geometry.kind = random
+geometry.seed = 1
+geometry.aperture_m = auto
+ue.x_m = 2.0
+ue.y_m = -2.0
+channel.rho = unit
+learner.total_measurements = 5000
+learner.perturb_count = auto
+learner.critic_refit_period = 1000
+learner.exploit_start = 2000
+learner.critic_rank = 4
+learner.train_iters = 1500
+learner.train_lr = 0.5
+learner.train_batch = 1024
+learner.seed = 0
+grid.ax_points = 9
+grid.ay_points = 17
+grid.b_points = 17
+noise.mode = noiseless
+noise.snapshots = 10000
+profile.n_sweep = 0,8,16
+profile.search_subcarriers = 128
+heatmap.x_min_m = 0.5
+heatmap.x_max_m = 4.0
+heatmap.y_min_m = -4.0
+heatmap.y_max_m = 4.0
+heatmap.resolution_m = 0.05
+output.dir = out
+"""
+
+
 def test_cli_print_defaults(capsys):
     assert main(["print-defaults"]) == 0
     out = capsys.readouterr().out
     assert out == emit_config(ExperimentConfig())
+    assert out == PRINT_DEFAULTS
 
 
 def test_cli_profile_end_to_end(tmp_path):
@@ -337,49 +380,61 @@ def test_cli_heatmap_oracle(tmp_path):
     assert len(list(out.glob("heatmap_pdf-oracle_f*.csv"))) == 3
 
 
+@pytest.mark.parametrize("freqs", ["x", "-1e9", "0", "nan", "1e11,inf"])
+def test_cli_heatmap_rejects_bad_freqs_before_building(tmp_path, capsys, monkeypatch, freqs):
+    cfg_path = write_m16_config(tmp_path / "exp.cfg")
+    monkeypatch.setattr(cli, "build_geometry", None)  # building would raise TypeError
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), "heatmap", f"--freqs={freqs}"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --freqs: ")
+    assert not out.exists()
+
+
+# K=1 has one bin for all three edge/center frequencies; at K=2 the center
+# bin ties to the lower edge
+@pytest.mark.parametrize("K, files", [(1, 1), (2, 2)])
+def test_cli_heatmap_writes_each_frequency_once(tmp_path, capsys, K, files):
+    cfg_path = write_m16_config(
+        tmp_path / "exp.cfg", f"system.K = {K}", "heatmap.resolution_m = 0.5"
+    )
+    out = tmp_path / "hm"
+    assert main(["--config", str(cfg_path), "--out", str(out), "heatmap"]) == 0
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == files
+    assert sorted(printed) == sorted(str(path) for path in out.iterdir())
+
+
+def test_cli_mnp_violation_is_a_config_error(tmp_path, capsys):
+    for line in ("system.N = 3", "profile.n_sweep = 0,3"):
+        cfg_path = write_m16_config(tmp_path / "exp.cfg", line)
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "profile"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "M = N*P violated" in err
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("system.M = 255\nsystem.N = 8\n")
     assert main(["--config", str(cfg_path), "profile", "--oracle"]) == 2
 
 
-def test_cli_learn_rejects_ps_bits_beyond_history_digits(tmp_path, capsys):
-    cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(
-        "\n".join(
-            [
-                "system.M = 16",
-                "system.N = 4",
-                "system.K = 16",
-                "system.ps_bits = 6",
-                "learner.total_measurements = 30",
-                "learner.exploit_start = 15",
-                "learner.critic_refit_period = 15",
-                "learner.critic_rank = 2",
-                "learner.train_iters = 50",
-                "learner.train_batch = 32",
-                "profile.n_sweep = 0,4",
-                "grid.ax_points = 2",
-                "grid.ay_points = 3",
-                "grid.b_points = 3",
-                "heatmap.x_min_m = 1.9",
-                "heatmap.x_max_m = 2.1",
-                "heatmap.y_min_m = -2.1",
-                "heatmap.y_max_m = -1.9",
-                "heatmap.resolution_m = 0.1",
-            ]
-        )
-        + "\n"
-    )
+@pytest.mark.parametrize("bits", [5, 6, 8])
+def test_cli_learn_history_digits_decode_to_the_learned_phases(tmp_path, bits):
+    cfg_path = write_m16_config(tmp_path / "exp.cfg", f"system.ps_bits = {bits}")
     out = tmp_path / "learn"
-    assert main(["--config", str(cfg_path), "--out", str(out), "learn"]) == 2
-    assert capsys.readouterr().err.startswith("config error: system.ps_bits")
-    assert not out.exists()
-    # the commands that write no phase digit strings still run at 6 bits
-    for cmd in (["profile"], ["search-delays"], ["heatmap", "--source", "pdf-oracle"]):
-        out = tmp_path / cmd[0]
-        assert main(["--config", str(cfg_path), "--out", str(out), *cmd]) == 0
-        assert any(out.iterdir())
+    assert main(["--config", str(cfg_path), "--out", str(out), "learn"]) == 0
+    rows = [ln.split(",") for ln in (out / "history.csv").read_text().splitlines()]
+    rows = rows[rows.index(["iter", "measured_power", "best_power", "phase_indices"]) + 1 :]
+    best = rows[int(np.argmax([float(row[1]) for row in rows]))][3]
+    width = (bits + 3) // 4  # hex digits per antenna
+    assert len(best) == 16 * width
+    history_idx = [int(best[i : i + width], 16) for i in range(0, len(best), width)]
+    theta_line = next(
+        ln
+        for ln in (out / "combiner_learned.txt").read_text().splitlines()
+        if ln.startswith("theta_idx ")
+    )
+    assert history_idx == [int(tok) for tok in theta_line.split()[1:]]
 
 
 def test_cli_combiner_file_must_match_system_m(tmp_path, capsys):
@@ -667,13 +722,11 @@ def test_every_accepted_system_config_runs_every_command(keys):
         cfg_path = Path(tmp) / "exp.cfg"
         cfg_path.write_text(text)
         try:
-            ec = parse_config_text(text)
+            parse_config_text(text)
         except ConfigError:
             for cmd in cmds:
                 assert main(["--config", str(cfg_path), "--out", f"{tmp}/{cmd[0]}", *cmd]) == 2
             return
-        if ec.ps_bits > 5:
-            cmds.pop()  # history.csv holds one base-32 digit per phase at most
         for cmd in cmds:
             assert main(["--config", str(cfg_path), "--out", f"{tmp}/{cmd[0]}", *cmd]) == 0
 

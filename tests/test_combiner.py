@@ -23,7 +23,7 @@ from beamfocus.geometry import UePosition, random_geometry
 from beamfocus.sim import gain_profile
 
 
-def make_cfg(M, N, fc=1e9, K=1, B=0.0, tau_max=1.0, bits=3):
+def make_cfg(M, N, fc=1e9, K=1, B=0.0, tau_max=1.0):
     return SystemConfig(
         num_antennas=M,
         num_td_units=N,
@@ -31,7 +31,6 @@ def make_cfg(M, N, fc=1e9, K=1, B=0.0, tau_max=1.0, bits=3):
         num_subcarriers=K,
         center_freq_hz=fc,
         bandwidth_hz=B,
-        ps_bits=bits,
         tau_max_s=tau_max,
     )
 
@@ -206,7 +205,7 @@ def test_center_frequency_preservation_bound():
         bound = 2.0 * (1.0 - np.cos(np.pi / 2**bits))
         for trial in range(25):
             M, N = 64, 8
-            cfg = make_cfg(M, N, fc=100e9, K=1, B=0.0, bits=bits)
+            cfg = make_cfg(M, N, fc=100e9, K=1, B=0.0)
             geom = random_geometry(M, 0.38, seed=100 * bits + trial)
             H = near_field_channel(geom, UePosition(2.0, -2.0), cfg)
             theta_star = ps_only_oracle(H, cfg, cb).theta

@@ -28,7 +28,6 @@ def make_cfg(M, N, K=16, fc=100e9, B=10e9, tau_max=2e-9, noise=0.0):
         num_subcarriers=K,
         center_freq_hz=fc,
         bandwidth_hz=B,
-        ps_bits=3,
         tau_max_s=tau_max,
         noise_power_w=noise,
     )

@@ -23,7 +23,6 @@ def make_cfg(M, K=1, B=0.0, fc=100e9):
         num_subcarriers=K,
         center_freq_hz=fc,
         bandwidth_hz=B,
-        ps_bits=1,
         tau_max_s=0.0,
     )
 

@@ -27,7 +27,6 @@ def make_cfg(M, N, K=4, fc=100e9, B=10e9, noise=0.0, P_T=1.0):
         num_subcarriers=K,
         center_freq_hz=fc,
         bandwidth_hz=B,
-        ps_bits=3,
         tau_max_s=1e-9,
         tx_power_w=P_T,
         noise_power_w=noise,
