@@ -62,8 +62,6 @@ class ExperimentConfig:
     exploit_start: int = _key("learner.exploit_start", 2000)
     critic_rank: int = _key("learner.critic_rank", 4)
     train_iters: int = _key("learner.train_iters", 1500)
-    train_lr: float = _key("learner.train_lr", 0.5)
-    train_batch: int = _key("learner.train_batch", 1024)
     learner_seed: int = _key("learner.seed", 0)
     ax_points: int = _key("grid.ax_points", 9)
     ay_points: int = _key("grid.ay_points", 17)
@@ -269,8 +267,6 @@ def build_learner_options(ec: ExperimentConfig) -> LearnerOptions:
             seed=ec.learner_seed,
             critic_rank=ec.critic_rank,
             train_iters=ec.train_iters,
-            train_lr=ec.train_lr,
-            train_batch=ec.train_batch,
         )
     except ValueError as exc:
         raise ConfigError(f"learner.*: {exc}") from exc

@@ -4,8 +4,8 @@ The critic predicts the received power of a constant-modulus beam w as
 ||Q^H w||^2 for a learned complex matrix Q of shape (M, rank). Because the
 true single-path power is |h^H w|^2, a rank-1 Q equal to the channel
 reproduces it exactly; extra rank over-parameterizes benignly and speeds up
-the regression. Training minimizes squared error on measured powers with an
-exact analytic gradient.
+the regression. Training minimizes squared error on measured powers by
+conjugate gradient on the exact analytic gradient.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class CriticModel:
     def num_antennas(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def rank(self) -> int:
-        return self.matrix.shape[1]
-
 
 @dataclass(frozen=True)
 class PowerDataset:
@@ -63,12 +59,6 @@ class PowerDataset:
 
     def __len__(self) -> int:
         return self.powers.size
-
-
-def beam_from_phases(phases) -> np.ndarray:
-    """Constant-modulus beam (1/sqrt(M)) exp(j phases); one per row of a 2-D array."""
-    phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    return np.exp(1j * phases) / np.sqrt(phases.shape[-1])
 
 
 def _rank_rows(beams: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -127,82 +117,92 @@ def initialize_critic(
     return CriticModel(matrix=q)
 
 
-@dataclass(frozen=True)
-class TrainOptions:
-    """Gradient-descent settings for the power regression."""
-
-    lr: float = 0.2
-    iters: int = 300
-    batch: int = 1024
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.lr < 0.0:
-            raise ValueError("learning rate must be nonnegative")
-        if self.iters < 1:
-            raise ValueError("need at least one iteration")
-        if self.batch < 1:
-            raise ValueError("batch size must be positive")
+# A fit stops once the RMS power error is at most this fraction of the mean
+# measured power, or once an iteration lowers the loss by less than
+# STALL_TOL of its value (a noisy buffer's plateau).
+RMS_TOL = 0.01
+STALL_TOL = 1e-3
 
 
-def train_critic(model: CriticModel, data: PowerDataset, opts: TrainOptions):
-    """Mini-batch gradient descent with halving-on-increase backtracking.
+def _line_search(err: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """Step alpha minimizing mean((err + 2 alpha b + alpha^2 c)^2); 0 if none lowers it.
 
-    Steps use the analytic batch gradient; a step is only accepted if the
-    full-dataset loss does not increase (halving the step until it fits, the
-    halved step persisting). Powers are rescaled to unit mean internally,
+    The loss along a direction is a quartic in alpha; its minimum lies at a
+    real root of the derivative, a cubic whose coefficients are the means
+    below. The real parts of all three roots are scored, which also covers
+    a real root returned with a rounding-size imaginary part.
+    """
+    cubic = [np.mean(c * c), 3.0 * np.mean(b * c), np.mean(err * c + 2.0 * b * b), np.mean(err * b)]
+    if not cubic[0] > 0.0:  # the direction moves no prediction (or is not finite)
+        return 0.0
+    alphas = np.roots(cubic).real
+    # the quartic's coefficients, highest power first, minus its constant
+    quartic = np.array([cubic[0], 4.0 * cubic[1] / 3.0, 2.0 * cubic[2], 4.0 * cubic[3], 0.0])
+    change = np.polyval(quartic, alphas)
+    i = int(np.argmin(change))
+    return float(alphas[i]) if change[i] < 0.0 else 0.0
+
+
+def train_critic(model: CriticModel, data: PowerDataset, max_iters: int):
+    """Full-batch Polak-Ribiere+ conjugate gradient with an exact line search.
+
+    Each iteration takes the full-dataset gradient, forms the direction
+    -g + beta P with beta = max(0, Re<g, g - g_prev> / ||g_prev||^2) (-g when
+    that is not a descent direction), and steps to the exact minimum of the
+    loss along it, which is the root of a cubic (see _line_search). A step
+    never raises the loss. Powers are rescaled to unit mean internally,
     which rescales Q by the square root and leaves predictions consistent.
-    Returns the trained model and the per-iteration full-dataset loss trace
-    (in original units); the final loss never exceeds the initial one.
-    Deterministic per opts.seed.
 
-    The line search runs in rank space: G = conj(B) Q is carried across
-    iterations and D = conj(B) grad is formed once per iteration, so each
-    backtracking trial Q - lr grad is scored through G - lr D at O(n rank)
-    instead of an (n, M) x (M, rank) product. The accepted Q is still
-    Q - lr grad, so the steps taken are the same as scoring every trial from
-    scratch; only the loss values round differently. No (n, M) conjugate of
-    the beams is ever formed (see _rank_rows).
+    Stops after max_iters iterations, or earlier once the RMS power error
+    is at most RMS_TOL of the mean measured power or an iteration lowers
+    the loss by less than STALL_TOL of its value. Returns the trained model
+    and the loss after each iteration (original units; non-empty and
+    non-increasing). Deterministic: no randomness is drawn.
+
+    G = conj(B) Q is carried across iterations: with D = conj(B) P the rows
+    along the step are G + alpha D, so each iteration makes two passes over
+    the (n, M) beams, one for the gradient and one for D. No (n, M)
+    conjugate of the beams is ever formed (see _rank_rows).
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
-    n = len(data)
+    if max_iters < 1:
+        raise ValueError("need at least one iteration")
     scale = float(np.mean(data.powers))
     if scale <= 0.0:
         scale = 1.0
-    powers_scaled = data.powers / scale
-
-    def full_loss(g):
-        return float(np.mean(_residuals(g, powers_scaled) ** 2))
+    powers = data.powers / scale
+    # loss at which the RMS error is RMS_TOL of the (rescaled) mean power
+    target = (RMS_TOL * float(np.mean(powers))) ** 2
 
     q = model.matrix / np.sqrt(scale)
     g = _rank_rows(data.beams, q)
-    current = full_loss(g)
-    if opts.lr == 0.0:
-        return model, np.full(opts.iters, current * scale**2)
-
-    rng = np.random.default_rng(opts.seed)
-    trace = np.empty(opts.iters)
-    batch_size = min(opts.batch, n)
-    for it in range(opts.iters):
-        idx = rng.choice(n, size=batch_size, replace=False)
-        batch = data.beams[idx]
-        g_batch = _rank_rows(batch, q)
-        err = _residuals(g_batch, powers_scaled[idx])
-        grad = _gradient(batch, g_batch, err)
-        d = _rank_rows(data.beams, grad)
-        # backtrack from the fixed base step each iteration; a persistent
-        # step decay would let one noisy batch freeze all later progress
-        lr = opts.lr
-        for _ in range(30):
-            g_cand = g - lr * d
-            cand_loss = full_loss(g_cand)
-            if cand_loss <= current:
-                q, g, current = q - lr * grad, g_cand, cand_loss
-                break
-            lr *= 0.5
-        trace[it] = current * scale**2
-    return CriticModel(matrix=q * np.sqrt(scale)), trace
+    err = _residuals(g, powers)
+    current = float(np.mean(err**2))
+    trace = []
+    grad_prev = direction = None
+    for _ in range(max_iters):
+        grad = _gradient(data.beams, g, err)
+        if direction is not None:
+            norm_prev = np.vdot(grad_prev, grad_prev).real
+            beta = np.vdot(grad, grad - grad_prev).real / norm_prev if norm_prev > 0.0 else 0.0
+            direction = max(0.0, beta) * direction - grad
+        if direction is None or not np.vdot(grad, direction).real < 0.0:
+            direction = -grad
+        grad_prev = grad
+        d = _rank_rows(data.beams, direction)
+        alpha = _line_search(err, np.sum((g.conj() * d).real, axis=1), _residuals(d, 0.0))
+        previous = current
+        if alpha != 0.0:
+            g_new = g + alpha * d
+            err_new = _residuals(g_new, powers)
+            loss_new = float(np.mean(err_new**2))
+            if loss_new <= current:
+                q, g, err, current = q + alpha * direction, g_new, err_new, loss_new
+        trace.append(current * scale**2)
+        if current <= target or previous - current < STALL_TOL * previous:
+            break
+    return CriticModel(matrix=q * np.sqrt(scale)), np.array(trace)
 
 
 def matrix_to_text(a: np.ndarray) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import SystemConfig
 from .combiner import PhaseCodebook
-from .critic import CriticModel, PowerDataset, TrainOptions, initialize_critic, train_critic
+from .critic import CriticModel, PowerDataset, initialize_critic, train_critic
 from .files import write_atomic
 
 
@@ -28,7 +28,8 @@ class LearnerOptions:
     exploit_start onward the critic is refit on the buffer every
     critic_refit_period measurements, each refit followed by a
     coordinate-ascent exploitation whose measurement does not count against
-    total_measurements.
+    total_measurements. train_iters caps the iterations of each critic fit,
+    which may stop earlier (see critic.train_critic).
     """
 
     total_measurements: int = 5000
@@ -38,8 +39,6 @@ class LearnerOptions:
     seed: int = 0
     critic_rank: int = 4
     train_iters: int = 1500
-    train_lr: float = 0.5
-    train_batch: int = 1024
 
     def __post_init__(self):
         if self.total_measurements < 1:
@@ -54,8 +53,8 @@ class LearnerOptions:
             raise ValueError("critic rank must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        # the fit settings are checked here, not first at the first fit
-        TrainOptions(lr=self.train_lr, iters=self.train_iters, batch=self.train_batch)
+        if self.train_iters < 1:
+            raise ValueError("need at least one critic iteration")
 
 
 def _phasors(cb: PhaseCodebook, M: int) -> np.ndarray:
@@ -193,16 +192,10 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, opts: LearnerOpt
                 beams=phasors[np.array(log_indices)],
                 powers=np.maximum(log_powers, 0.0),
             )
-            train_opts = TrainOptions(
-                lr=opts.train_lr,
-                iters=opts.train_iters,
-                batch=opts.train_batch,
-                seed=opts.seed + 104729 * (refit_index + 1),
-            )
             model = initialize_critic(
                 M, opts.critic_rank, data, seed=opts.seed + 7919 * refit_index
             )
-            model, trace = train_critic(model, data, train_opts)
+            model, trace = train_critic(model, data, opts.train_iters)
             loss_traces.append(trace)
             refit_index += 1
 

@@ -23,11 +23,12 @@ from beamfocus.config import (
     build_system,
     build_ue,
 )
-from beamfocus.critic import CriticModel, PowerDataset, beam_from_phases, critic_loss_and_gradient
+from beamfocus.critic import CriticModel, PowerDataset, critic_loss_and_gradient
 from beamfocus.geometry import DdfRegime, UePosition, ddf_regime, distance_difference, random_geometry
 from beamfocus.phase_learning import LearnerOptions, coordinate_ascent, learn_phases
 from beamfocus.sim import center_bin, gain_profile, normalized_gain_db, three_db_bandwidth
 from beamfocus.sim import avg_amplitude_gain
+from beam_model import beam_from_phases
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -324,7 +325,6 @@ def test_criterion_7d_exhaustive_oracle_equivalence():
             seed=seed,
             critic_rank=2,
             train_iters=150,
-            train_batch=32,
         )
         theta, _ = learn_phases(measure, cfg, cb, opts)
         got = gain_profile(CombinerConfig(theta=theta, tau=[0.0]), H, cfg).per_subcarrier[0]

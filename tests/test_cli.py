@@ -57,7 +57,6 @@ def tiny_config(**kw):
         critic_refit_period=15,
         critic_rank=2,
         train_iters=150,
-        train_batch=64,
         ax_points=3,
         ay_points=5,
         b_points=5,
@@ -254,8 +253,6 @@ learner.critic_refit_period = 1000
 learner.exploit_start = 2000
 learner.critic_rank = 4
 learner.train_iters = 1500
-learner.train_lr = 0.5
-learner.train_batch = 1024
 learner.seed = 0
 grid.ax_points = 9
 grid.ay_points = 17
@@ -316,7 +313,6 @@ def test_cli_learn_and_search(tmp_path):
                 "learner.critic_refit_period = 15",
                 "learner.critic_rank = 2",
                 "learner.train_iters = 100",
-                "learner.train_batch = 32",
                 "profile.n_sweep = 0,2",
                 "grid.ax_points = 2",
                 "grid.ay_points = 3",
@@ -494,7 +490,6 @@ M16_KEYS = (
     "learner.critic_refit_period = 15",
     "learner.critic_rank = 2",
     "learner.train_iters = 20",
-    "learner.train_batch = 32",
     "grid.ax_points = 2",
     "grid.ay_points = 3",
     "grid.b_points = 3",
@@ -528,13 +523,20 @@ def test_cli_rejects_negative_noise_power(tmp_path, capsys):
 def test_cli_rejects_learner_range_errors(tmp_path, capsys):
     for line in (
         "learner.train_iters = 0",
-        "learner.train_batch = 0",
-        "learner.train_lr = -0.5",
         "learner.seed = -1",
     ):
         assert_rejected(tmp_path, capsys, "learner.", (line,), "learn")
     # the --seed override is checked as a config value too
     assert_rejected(tmp_path, capsys, "learner.", (), "learn", flags=("--seed", "-1"))
+
+
+def test_cli_rejects_the_removed_fit_keys(tmp_path, capsys):
+    # the critic fit takes no learning rate or batch size; a file that sets
+    # one is refused before anything runs
+    lineno = len(M16_KEYS) + 1  # the line after the M16 keys
+    for key in ("learner.train_lr", "learner.train_batch"):
+        expected = f"line {lineno}: unknown key '{key}'"
+        assert_rejected(tmp_path, capsys, expected, (f"{key} = 1",), "learn")
 
 
 def test_noisy_measure_callbacks_draw_fresh_noise():
@@ -633,8 +635,6 @@ FUZZ_KEYS = {
     "learner.exploit_start": st.integers(0, 60).map(str),
     "learner.critic_rank": st.integers(0, 20).map(str),
     "learner.train_iters": st.integers(0, 30).map(str),
-    "learner.train_lr": st.one_of(st.sampled_from(["nan", "0"]), st.floats(-0.5, 8.0).map(str)),
-    "learner.train_batch": st.integers(0, 80).map(str),
     "learner.seed": st.integers(-1, 2**64).map(str),
 }
 

@@ -76,7 +76,7 @@ def test_emit_parse_roundtrip_identity():
         perturb_count=5,
         n_sweep=(0, 4),
         rho_mode="flat_amplitude",
-        train_lr=0.3,
+        heatmap_resolution_m=0.3,
     )
     assert parse_config_text(emit_config(ec)) == ec
     # defaults round-trip too, including the `auto` markers

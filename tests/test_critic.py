@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from beamfocus.critic import (
+    RMS_TOL,
+    STALL_TOL,
     CriticModel,
     PowerDataset,
-    TrainOptions,
     _rank_rows,
     _residuals,
-    beam_from_phases,
     critic_loss_and_gradient,
     critic_to_text,
     initialize_critic,
     save_critic,
     train_critic,
 )
+from beam_model import beam_from_phases
 
 
 def random_beams(rng, n, M):
@@ -136,94 +137,167 @@ def test_dataset_validation():
         PowerDataset(beams=np.array([beam_from_phases([0.0, 0.0])]), powers=[-1.0])
 
 
+def rank1_buffer(rng, n, M, noise=0.0):
+    # powers |w^H h|^2 of a hidden channel h, times (1 + noise * N(0, 1))
+    # and clipped at zero as the learner clips its buffer
+    h = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    beams = random_beams(rng, n, M)
+    powers = np.abs(beams.conj() @ h) ** 2 * (1.0 + noise * rng.standard_normal(n))
+    return PowerDataset(beams=beams, powers=np.maximum(powers, 0.0))
+
+
+def full_loss(model, data):
+    return critic_loss_and_gradient(model, data)[0]
+
+
 def test_train_recovers_hidden_rank1_channel():
     rng = np.random.default_rng(6)
     M = 8
-    h = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-    beams = random_beams(rng, 200, M)
-    powers = np.abs(beams.conj() @ h) ** 2
-    data = PowerDataset(beams=beams, powers=powers)
+    data = rank1_buffer(rng, 200, M)
     model = initialize_critic(M, 1, data, seed=7)
-    trained, trace = train_critic(model, data, TrainOptions(lr=0.5, iters=5000, batch=200, seed=8))
-    pred = predicted(trained, beams)
-    rel = np.linalg.norm(pred - powers) / np.linalg.norm(powers)
+    trained, trace = train_critic(model, data, 5000)
+    pred = predicted(trained, data.beams)
+    rel = np.linalg.norm(pred - data.powers) / np.linalg.norm(data.powers)
     assert rel < 1e-2
-    assert trace[-1] <= trace[0]
+    assert trace[-1] <= full_loss(model, data)
 
 
-def test_train_zero_lr_is_identity():
-    rng = np.random.default_rng(9)
-    data = PowerDataset(beams=random_beams(rng, 5, 3), powers=rng.uniform(0, 1, 5))
-    model = CriticModel(matrix=rng.standard_normal((3, 2)) + 0j)
-    trained, trace = train_critic(model, data, TrainOptions(lr=0.0, iters=10))
-    assert trained is model
-    assert np.all(trace == trace[0])
+def test_train_trace_is_nonincreasing_and_capped():
+    rng = np.random.default_rng(13)
+    data = rank1_buffer(rng, 80, 6, noise=0.05)
+    model = initialize_critic(6, 3, data, seed=2)
+    for cap in (1, 7, 400):
+        _, trace = train_critic(model, data, cap)
+        assert 1 <= len(trace) <= cap
+        assert np.all(np.diff(trace) <= 0.0)
+        assert trace[0] <= full_loss(model, data)
+
+
+def test_train_step_is_the_exact_line_minimum():
+    # one iteration steps along -grad; no step along that line may score
+    # lower, which a dense two-stage scan of the full loss checks
+    rng = np.random.default_rng(12)
+    M, n = 8, 60
+    data = rank1_buffer(rng, n, M, noise=0.1)
+    model = initialize_critic(M, 2, data, seed=1)
+    trained, trace = train_critic(model, data, 1)
+    q0 = model.matrix
+    _, grad = critic_loss_and_gradient(model, data)
+    step = trained.matrix - q0
+    alpha = np.vdot(-grad, step).real / np.vdot(grad, grad).real
+    np.testing.assert_allclose(step, -alpha * grad, rtol=0.0, atol=1e-12 * np.abs(step).max())
+    assert alpha > 0.0
+
+    g0, d = _rank_rows(data.beams, q0), _rank_rows(data.beams, -grad)
+
+    def scan(alphas):
+        g = g0[None] + alphas[:, None, None] * d[None]
+        err = np.sum(np.abs(g) ** 2, axis=2) - data.powers
+        return np.mean(err**2, axis=1)
+
+    coarse = np.linspace(-4.0 * alpha, 4.0 * alpha, 20001)
+    i = int(np.argmin(scan(coarse)))
+    width = coarse[1] - coarse[0]
+    fine = np.linspace(coarse[i] - 2 * width, coarse[i] + 2 * width, 20001)
+    best = float(np.min(scan(fine)))
+    got = full_loss(trained, data)
+    assert abs(got - best) <= 1e-9 * best
+    assert trace[-1] == pytest.approx(got, rel=1e-9)
+
+
+def test_train_final_trace_value_is_the_true_loss():
+    # G = conj(B) Q is carried across iterations; after any number of them
+    # it still matches the returned model, so the last trace entry is the
+    # model's full loss
+    rng = np.random.default_rng(14)
+    data = rank1_buffer(rng, 150, 8, noise=0.2)
+    model = initialize_critic(8, 4, data, seed=3)
+    for cap in (1, 5, 30, 300):
+        trained, trace = train_critic(model, data, cap)
+        assert trace[-1] == pytest.approx(full_loss(trained, data), rel=1e-9)
+
+
+def test_train_noiseless_buffer_stops_on_the_rms_rule():
+    rng = np.random.default_rng(15)
+    data = rank1_buffer(rng, 200, 8)
+    model = initialize_critic(8, 2, data, seed=4)
+    _, trace = train_critic(model, data, 5000)
+    target = (RMS_TOL * np.mean(data.powers)) ** 2
+    assert len(trace) < 5000
+    assert trace[-1] <= target < trace[-2]
+
+
+def test_train_noisy_buffer_stops_on_the_stall_rule():
+    rng = np.random.default_rng(16)
+    data = rank1_buffer(rng, 200, 8, noise=0.3)
+    model = initialize_critic(8, 2, data, seed=4)
+    _, trace = train_critic(model, data, 5000)
+    assert len(trace) < 5000
+    assert trace[-1] > (RMS_TOL * np.mean(data.powers)) ** 2
+    assert trace[-2] - trace[-1] < STALL_TOL * trace[-2]
 
 
 def test_train_deterministic_per_seed():
     rng = np.random.default_rng(10)
     data = PowerDataset(beams=random_beams(rng, 30, 4), powers=rng.uniform(0, 1, 30))
     model = initialize_critic(4, 2, data, seed=0)
-    t1 = train_critic(model, data, TrainOptions(lr=0.3, iters=50, batch=8, seed=3))[1]
-    t2 = train_critic(model, data, TrainOptions(lr=0.3, iters=50, batch=8, seed=3))[1]
+    m1, t1 = train_critic(model, data, 50)
+    m2, t2 = train_critic(model, data, 50)
+    assert np.array_equal(m1.matrix, m2.matrix)
     assert np.array_equal(t1, t2)
 
 
-def reference_train_critic(model, data, opts):
-    # reference line search: every backtracking trial scores the full-data
-    # loss of the (M, rank) candidate Q - lr grad from scratch
-    def full_loss(q):
-        err = np.sum(np.abs(data.beams.conj() @ q) ** 2, axis=1) - powers
-        return float(np.mean(err**2))
-
-    n = len(data)
-    scale = float(np.mean(data.powers))
-    powers = data.powers / scale
-    rng = np.random.default_rng(opts.seed)
-    q = model.matrix / np.sqrt(scale)
-    current = full_loss(q)
-    trace, halvings = np.empty(opts.iters), 0
-    for it in range(opts.iters):
-        idx = rng.choice(n, size=min(opts.batch, n), replace=False)
-        beams = data.beams[idx]
-        g = beams.conj() @ q
-        err = np.sum(np.abs(g) ** 2, axis=1) - powers[idx]
-        grad = (4.0 / idx.size) * (beams.T @ (err[:, None] * g))
-        lr = opts.lr
-        for _ in range(30):
-            candidate = q - lr * grad
-            cand_loss = full_loss(candidate)
-            if cand_loss <= current:
-                q, current = candidate, cand_loss
-                break
-            lr *= 0.5
-            halvings += 1
-        trace[it] = current * scale**2
-    return q * np.sqrt(scale), trace, halvings
+def assert_clean_fit(model, data, max_iters=100):
+    trained, trace = train_critic(model, data, max_iters)
+    assert 1 <= len(trace) <= max_iters
+    assert np.all(np.isfinite(trained.matrix)) and np.all(np.isfinite(trace))
+    assert np.all(np.diff(trace) <= 0.0)
+    return trained, trace
 
 
-def test_train_matches_full_loss_line_search():
-    rng = np.random.default_rng(12)
-    M, n = 8, 60
+def test_train_all_zero_powers_ends_cleanly():
+    rng = np.random.default_rng(17)
+    data = PowerDataset(beams=random_beams(rng, 20, 4), powers=np.zeros(20))
+    _, trace = assert_clean_fit(initialize_critic(4, 2, data, seed=0), data)
+    assert trace[-1] < full_loss(initialize_critic(4, 2, data, seed=0), data)
+
+
+def test_train_single_sample_ends_cleanly():
+    rng = np.random.default_rng(18)
+    data = PowerDataset(beams=random_beams(rng, 1, 4), powers=[0.7])
+    assert_clean_fit(initialize_critic(4, 2, data, seed=0), data)
+
+
+def test_train_rank_above_sample_count_ends_cleanly():
+    rng = np.random.default_rng(19)
+    data = rank1_buffer(rng, 3, 6)
+    assert_clean_fit(initialize_critic(6, 5, data, seed=0), data)
+
+
+def test_train_already_fitted_model_ends_at_once():
+    # the gradient is zero, so the direction is zero and its line search
+    # cubic has no root
+    rng = np.random.default_rng(20)
+    M = 5
     h = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-    beams = random_beams(rng, n, M)
-    data = PowerDataset(beams=beams, powers=np.abs(beams.conj() @ h) ** 2)
-    model = initialize_critic(M, 2, data, seed=1)
-    opts = TrainOptions(lr=4.0, iters=200, batch=16, seed=5)
-    q_ref, trace_ref, halvings = reference_train_critic(model, data, opts)
-    assert halvings > 0  # the step is large enough to backtrack
-    trained, trace = train_critic(model, data, opts)
-    assert np.array_equal(trained.matrix, q_ref)
-    np.testing.assert_allclose(trace, trace_ref, rtol=1e-9, atol=0.0)
+    beams = random_beams(rng, 30, M)
+    model = CriticModel(matrix=h[:, None])
+    data = PowerDataset(beams=beams, powers=predicted(model, beams))
+    trained, trace = assert_clean_fit(model, data)
+    assert len(trace) == 1
+    np.testing.assert_allclose(trained.matrix, model.matrix, rtol=1e-12)
+    zero = PowerDataset(beams=beams, powers=np.zeros(30))
+    trained, trace = assert_clean_fit(CriticModel(matrix=np.zeros((M, 2), complex)), zero)
+    assert len(trace) == 1 and trace[0] == 0.0
 
 
-def test_train_options_validation():
+def test_train_rejects_empty_data_and_no_iterations():
+    model = CriticModel(matrix=np.ones((2, 1), complex))
     with pytest.raises(ValueError):
-        TrainOptions(lr=-0.1)
+        train_critic(model, PowerDataset(beams=np.empty((0, 2), complex), powers=[]), 10)
+    data = PowerDataset(beams=[beam_from_phases([0.0, 0.0])], powers=[1.0])
     with pytest.raises(ValueError):
-        TrainOptions(iters=0)
-    with pytest.raises(ValueError):
-        TrainOptions(batch=0)
+        train_critic(model, data, 0)
 
 
 def test_critic_text_holds_the_matrix_bit_exactly(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from beamfocus.channel import SystemConfig, near_field_channel
 from beamfocus.combiner import CombinerConfig, PhaseCodebook
-from beamfocus.critic import CriticModel, beam_from_phases
+from beamfocus.critic import CriticModel
 from beamfocus.geometry import UePosition, random_geometry
 from beamfocus.phase_learning import (
     LearnerOptions,
@@ -13,6 +13,7 @@ from beamfocus.phase_learning import (
     write_history_csv,
 )
 from beamfocus.sim import gain_profile
+from beam_model import beam_from_phases
 
 
 def make_cfg(M, K=1, B=0.0, fc=100e9):
@@ -178,7 +179,6 @@ def test_learn_phases_reaches_exhaustive_optimum_m2():
         seed=0,
         critic_rank=1,
         train_iters=200,
-        train_batch=64,
     )
     theta, history = learn_phases(center_measure(H, cfg), cfg, cb, opts)
     best = exhaustive_best_gain(H, cfg, cb)
@@ -196,7 +196,6 @@ def test_learn_phases_history_monotone_best():
         seed=1,
         critic_rank=2,
         train_iters=100,
-        train_batch=32,
     )
     theta, history = learn_phases(center_measure(H, cfg), cfg, cb, opts)
     assert np.all(np.diff(history.best_powers) >= 0)
@@ -213,7 +212,6 @@ def test_learn_phases_deterministic_callback_order():
         seed=9,
         critic_rank=2,
         train_iters=50,
-        train_batch=16,
     )
 
     def run():
@@ -245,7 +243,6 @@ def test_learn_phases_invocation_budget():
         seed=4,
         critic_rank=2,
         train_iters=50,
-        train_batch=32,
     )
     count = 0
     base = center_measure(H, cfg)
@@ -272,12 +269,11 @@ def test_learn_phases_keeps_one_loss_trace_per_exploit():
         seed=4,
         critic_rank=2,
         train_iters=50,
-        train_batch=32,
     )
     _, history = learn_phases(center_measure(H, cfg), cfg, cb, opts)
     assert len(history.critic_loss_traces) == len(history.exploit_events) == 3
     for trace in history.critic_loss_traces:
-        assert trace.shape == (opts.train_iters,)
+        assert 1 <= len(trace) <= opts.train_iters
         assert np.all(np.diff(trace) <= 0.0)
 
 
@@ -303,7 +299,6 @@ def test_history_csv_export(tmp_path):
         seed=2,
         critic_rank=1,
         train_iters=20,
-        train_batch=8,
     )
     _, history = learn_phases(center_measure(H, cfg), cfg, cb, opts)
     path = tmp_path / "history.csv"
@@ -328,7 +323,6 @@ def test_history_logs_the_measured_indices():
         seed=3,
         critic_rank=2,
         train_iters=20,
-        train_batch=16,
     )
     calls = []
     base = center_measure(H, cfg)
