@@ -1,23 +1,33 @@
 import numpy as np
 import pytest
 
+from beamfocus import delay_search
 from beamfocus.channel import SystemConfig, near_field_channel
+from beamfocus.cli import decimate_channel, make_profile_measure, search_pipeline
 from beamfocus.combiner import CombinerConfig, PhaseCodebook, recompensate_phases
+from beamfocus.config import (
+    ExperimentConfig,
+    build_channel,
+    build_codebook,
+    build_geometry,
+    build_system,
+    build_ue,
+)
 from beamfocus.delay_search import (
+    REFINE_ROUNDS,
     SEARCH_BLOCK,
     DelayGrid,
     DelaySearchResult,
     delays_from_approx,
     delays_from_ddf,
-    grid_candidates,
     linear_ddf,
     search_delays,
     subarray_deltas,
     write_search_trace_csv,
 )
-from beamfocus.baselines import ps_only_oracle
+from beamfocus.baselines import pdf_oracle, ps_only_oracle
 from beamfocus.geometry import SPEED_OF_LIGHT, UePosition, random_geometry, uniform_geometry
-from beamfocus.sim import measure_profile_powers
+from beamfocus.sim import avg_amplitude_gain, measure_profile_powers
 
 
 def make_cfg(M, N, K=16, fc=100e9, B=10e9, tau_max=2e-9, noise=0.0):
@@ -114,6 +124,31 @@ def test_delays_from_approx_clipping():
     assert tau2.max() <= tau_max
 
 
+def grid_candidates(grid: DelayGrid, aperture: float) -> np.ndarray:
+    """The full grid as (C, 3) rows, zero-delay row first.
+
+    Each row is (break_delta, break_value, end_value). break_delta sweeps
+    [0, 2], break_value sweeps its aperture-bounded range |break_value| <=
+    (D/2) break_delta, and end_value sweeps [-D, D]; single-point axes sit
+    at the range center. It is the full-grid reference for the
+    coarse-to-fine search.
+    """
+    half = 0.5 * aperture
+    ax_vals = np.linspace(0.0, 2.0, grid.ax_points) if grid.ax_points > 1 else [1.0]
+    b_vals = (
+        np.linspace(-aperture, aperture, grid.b_points) if grid.b_points > 1 else [0.0]
+    )
+    rows = [(1.0, 0.0, 0.0)]
+    for ax in ax_vals:
+        ay_range = half * ax
+        if grid.ay_points > 1:
+            ay_vals = np.unique(np.linspace(-ay_range, ay_range, grid.ay_points))
+        else:
+            ay_vals = [0.0]
+        rows.extend((ax, ay, b) for ay in ay_vals for b in b_vals)
+    return np.array(rows, dtype=float)
+
+
 def test_grid_candidates_structure():
     grid = DelayGrid(ax_points=3, ay_points=3, b_points=3)
     cands = grid_candidates(grid, aperture=1.0)
@@ -186,7 +221,9 @@ def test_search_deterministic():
     r1 = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, DelayGrid(3, 5, 5))
     r2 = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, DelayGrid(3, 5, 5))
     assert np.array_equal(r1.tau, r2.tau)
+    assert np.array_equal(r1.theta, r2.theta)
     assert r1.score == r2.score
+    assert r1.trace == r2.trace
 
 
 def test_search_improves_wideband_gain():
@@ -229,24 +266,24 @@ def reference_linear_ddf(ap, delta: np.ndarray) -> np.ndarray:
 
 
 def reference_search_delays(theta_star, measure, geom, cfg, cb, grid):
-    """One candidate at a time: delays, recompensation, measurement, score."""
+    """The full-grid search: every grid_candidates row, SEARCH_BLOCK at a time."""
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
+    params = grid_candidates(grid, geom.aperture)
     best_score = -np.inf
     best_tau = best_theta = None
-    ps_only_score = None
     trace = []
-    for ap in grid_candidates(grid, geom.aperture):
-        tau = delays_from_ddf(reference_linear_ddf(ap, deltas), cfg.tau_max_s)
+    for start in range(0, len(params), SEARCH_BLOCK):
+        rows = params[start : start + SEARCH_BLOCK]
+        tau = delays_from_approx(rows, deltas, cfg.tau_max_s)
         theta = recompensate_phases(theta_star, tau, cfg, cb)
         powers = np.asarray(measure(CombinerConfig(theta=theta, tau=tau)), dtype=float)
-        score = float(np.mean(np.sqrt(np.maximum(powers, 0.0))))
-        if ps_only_score is None:
-            ps_only_score = score
-        trace.append((*(float(v) for v in ap), score))
-        if score > best_score:
-            best_score, best_tau, best_theta = score, tau, theta
-    return DelaySearchResult(best_tau, best_theta, best_score, ps_only_score, trace)
+        scores = np.mean(np.sqrt(np.maximum(powers, 0.0)), axis=-1)
+        trace.extend((*row, float(score)) for row, score in zip(rows.tolist(), scores))
+        i = int(np.argmax(scores))
+        if scores[i] > best_score:
+            best_score, best_tau, best_theta = float(scores[i]), tau[i], theta[i]
+    return DelaySearchResult(best_tau, best_theta, best_score, trace[0][3], trace)
 
 
 def test_vectorized_linear_ddf_equals_scalar_form():
@@ -279,19 +316,31 @@ def noisy_profile_measure(H, cfg, seed):
         (64, 16, DelayGrid(9, 17, 17)),
     ],
 )
-def test_blocked_search_equals_per_candidate_loop(M, N, grid, noisy):
+def test_blocked_search_equals_per_candidate_loop(M, N, grid, noisy, monkeypatch):
+    # the same search with one candidate per measurement call
     cfg = make_cfg(M, N, K=32, noise=1e-9 if noisy else 0.0)
     geom = random_geometry(M, 0.02 * M / 16, seed=M + N)
     H = near_field_channel(geom, UePosition(1.0, -0.7), cfg)
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
-    assert len(grid_candidates(grid, geom.aperture)) % SEARCH_BLOCK != 0
+    calls = []
 
     def measure(seed):
-        return noisy_profile_measure(H, cfg, seed) if noisy else profile_measure(H, cfg)
+        inner = noisy_profile_measure(H, cfg, seed) if noisy else profile_measure(H, cfg)
+
+        def counted(cc):
+            calls.append(len(cc.theta))
+            return inner(cc)
+
+        return counted
 
     got = search_delays(theta_star, measure(11), geom, cfg, cb, grid)
-    want = reference_search_delays(theta_star, measure(11), geom, cfg, cb, grid)
+    blocked_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(delay_search, "SEARCH_BLOCK", 1)
+    want = search_delays(theta_star, measure(11), geom, cfg, cb, grid)
+    assert calls == [1] * len(want.trace)
+    assert blocked_calls < len(calls)
     assert got.trace == want.trace
     assert np.array_equal(got.tau, want.tau)
     assert np.array_equal(got.theta, want.theta)
@@ -308,5 +357,145 @@ def test_search_ties_keep_the_earliest_candidate():
         return np.ones(cc.theta.shape[:-1] + (4,))
 
     result = search_delays(np.zeros(cfg.num_antennas), flat, geom, cfg, cb, DelayGrid(9, 17, 17))
+    assert result.trace[0][:3] == (1.0, 0.0, 0.0)
     assert result.score == result.ps_only_score == 1.0
     assert np.all(result.tau == 0.0)
+
+
+def coarse_count(grid: DelayGrid) -> int:
+    """Rows of the zero-delay row plus the coarse pass, each row once.
+
+    The coarse pass has m = (n + 1) // 2 points per axis; at break_delta =
+    0 every break_value gives the same row, and the zero-delay row is a
+    coarse point when every m is odd.
+    """
+    m = [(n + 1) // 2 for n in (grid.ax_points, grid.ay_points, grid.b_points)]
+    rows = (m[0] - 1) * m[1] * m[2] + m[2] if m[0] > 1 else m[1] * m[2]
+    return rows + (0 if all(k % 2 for k in m) else 1)
+
+
+SEARCH_GRIDS = [
+    DelayGrid(9, 17, 17),
+    DelayGrid(5, 5, 5),
+    DelayGrid(3, 5, 5),
+    DelayGrid(2, 3, 3),
+    DelayGrid(4, 6, 8),
+    DelayGrid(1, 17, 1),
+    DelayGrid(7, 1, 9),
+    DelayGrid(1, 1, 1),
+]
+
+
+@pytest.mark.parametrize("grid", SEARCH_GRIDS)
+def test_search_budget_and_unique_rows(grid):
+    cfg, geom, H = scene(M=32, N=8, K=32, seed=3)
+    cb = PhaseCodebook(bits=3)
+    theta_star = ps_only_oracle(H, cfg, cb).theta
+    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid)
+    rows = [row[:3] for row in result.trace]
+    assert len(rows) <= coarse_count(grid) + 6 * REFINE_ROUNDS
+    assert len(set(rows)) == len(rows)
+    assert result.score == max(row[3] for row in result.trace)
+
+
+@pytest.mark.parametrize("grid", SEARCH_GRIDS)
+def test_search_coarse_pass_is_every_other_grid_point(grid):
+    # the coarse pass with (n + 1) // 2 points per axis is the full grid of
+    # that size: every other configured point for odd n, ends included
+    cfg, geom, H = scene(M=32, N=8, K=32, seed=3)
+    cb = PhaseCodebook(bits=3)
+    theta_star = ps_only_oracle(H, cfg, cb).theta
+    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid)
+    coarse = np.array([row[:3] for row in result.trace[: coarse_count(grid)]])
+    assert coarse[0].tolist() == [1.0, 0.0, 0.0]
+    halved = DelayGrid(*((n + 1) // 2 for n in (grid.ax_points, grid.ay_points, grid.b_points)))
+    want = grid_candidates(halved, geom.aperture)
+    scale = np.array([1.0, geom.aperture, geom.aperture])
+    dist = np.abs(coarse[:, None, :] - want[None, :, :]) / scale
+    assert np.all(dist.max(axis=-1).min(axis=1) < 1e-12)  # each coarse row is a grid row
+    assert np.all(dist.max(axis=-1).min(axis=0) < 1e-12)  # and each grid row is scored
+
+
+@pytest.mark.parametrize("grid", SEARCH_GRIDS)
+def test_search_final_score_at_least_best_coarse_score(grid):
+    cb = PhaseCodebook(bits=3)
+    for seed in range(3):
+        cfg, geom, H = scene(M=32, N=8, K=32, seed=seed)
+        theta_star = ps_only_oracle(H, cfg, cb).theta
+        result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid)
+        coarse = [row[3] for row in result.trace[: coarse_count(grid)]]
+        assert result.score >= max(coarse)
+
+
+def test_search_refines_down_to_an_eighth_of_the_spacing(monkeypatch):
+    # Delay vectors are replaced by the (ax, ay, b) rows themselves, shifted
+    # to be nonnegative, so the measurement can score each row by its
+    # distance to a target row. The target sits on the coarse grid in ax and
+    # ay and 5/8 of the spacing past a coarse point in b; steps of 1, 1/2 and
+    # 1/8 spacing reach it.
+    cfg = make_cfg(12, 3)
+    geom = uniform_geometry(12, 0.02)
+    D = geom.aperture
+    shift = np.array([0.0, D, D])
+    monkeypatch.setattr(
+        delay_search, "delays_from_approx", lambda params, deltas, tau_max: params + shift
+    )
+    grid = DelayGrid(9, 17, 17)
+    spacing = 2.0 * D / (grid.b_points - 1)
+    target = np.array([1.5, 0.25 * 0.5 * D * 1.5, -0.5 * D + 5 / 8 * spacing])
+    scale = np.array([1.0, D, D])
+
+    def measure(cc):
+        dist = np.abs(cc.tau - shift - target) / scale
+        return (1.0 / (1.0 + dist.sum(axis=-1)))[:, None] ** 2
+
+    result = search_delays(np.zeros(12), measure, geom, cfg, PhaseCodebook(bits=3), grid)
+    best = max(result.trace, key=lambda row: row[3])
+    assert result.score == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(best[:3], target, rtol=0.0, atol=1e-12 * D)
+    assert len(result.trace) <= coarse_count(grid) + 6 * REFINE_ROUNDS
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """The acceptance scenario with oracle phases (M = 256, K = 2048)."""
+    ec = ExperimentConfig()
+    geom = build_geometry(ec)
+    cb = build_codebook(ec)
+    H = build_channel(ec, geom, build_system(ec, num_td_units=1))
+    theta = ps_only_oracle(H, build_system(ec, num_td_units=1), cb).theta
+    return {"ec": ec, "geom": geom, "ue": build_ue(ec), "cb": cb, "H": H, "theta": theta}
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_search_matches_the_full_grid_at_reference_scale(reference, n):
+    # on the 128-bin decimated channel the coarse-to-fine search scores
+    # within 0.1 dB of the best of all 2,330 grid candidates
+    ec, geom, cb = reference["ec"], reference["geom"], reference["cb"]
+    cfg = build_system(ec, num_td_units=n)
+    measure = make_profile_measure(ec, decimate_channel(reference["H"], ec.search_subcarriers), cfg)
+    grid = DelayGrid()
+    got = search_delays(reference["theta"], measure, geom, cfg, cb, grid)
+    full = reference_search_delays(reference["theta"], measure, geom, cfg, cb, grid)
+    assert len(full.trace) == 2330
+    assert len(got.trace) <= coarse_count(grid) + 6 * REFINE_ROUNDS
+    assert got.score >= 10 ** (-0.1 / 20) * full.score
+
+
+def test_noisy_search_stays_near_the_oracle(reference):
+    # noisy-oracle's settings: greedy refinement must not chase a noisy
+    # maximum far from the noiseless optimum
+    ec = ExperimentConfig(
+        noise_mode="snapshots",
+        snapshots=10000,
+        noise_power_w=1e-9,
+        ax_points=5,
+        ay_points=5,
+        b_points=5,
+    )
+    H, geom, cb = reference["H"], reference["geom"], reference["cb"]
+    cfg = build_system(ec, num_td_units=16)
+    result = search_pipeline(ec, reference["theta"], geom, H, cfg, cb)
+    design = avg_amplitude_gain(CombinerConfig(theta=result.theta, tau=result.tau), H, cfg)
+    oracle = avg_amplitude_gain(pdf_oracle(geom, reference["ue"], H, cfg, cb), H, cfg)
+    assert 20.0 * np.log10(oracle / design) <= 0.5
