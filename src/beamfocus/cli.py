@@ -27,8 +27,6 @@ from .config import (
     build_channel,
     build_codebook,
     build_geometry,
-    build_grid,
-    build_learner_options,
     build_system,
     build_ue,
     emit_config,
@@ -163,7 +161,7 @@ def _heatmap_axes(ec: ExperimentConfig):
 def learn_pipeline(ec: ExperimentConfig, H: ChannelMatrix, cfg: SystemConfig, cb):
     """Run the measurement-only phase learner; returns (theta, history)."""
     measure = make_center_measure(ec, H, cfg)
-    return learn_phases(measure, cfg, cb, build_learner_options(ec))
+    return learn_phases(measure, cfg, cb, ec)
 
 
 def search_pipeline(
@@ -177,7 +175,8 @@ def search_pipeline(
     """Run the delay search against a decimated measurement set."""
     H_dec = decimate_channel(H, target=ec.search_subcarriers)
     measure = make_profile_measure(ec, H_dec, cfg)
-    return search_delays(theta_star, measure, geom, cfg, cb, build_grid(ec))
+    points = (ec.ax_points, ec.ay_points, ec.b_points)
+    return search_delays(theta_star, measure, geom, cfg, cb, points)
 
 
 def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Path]:

@@ -13,7 +13,6 @@ from dataclasses import Field, dataclass, field, fields
 
 from .channel import SystemConfig, flat_amplitude_rho, near_field_channel
 from .combiner import PhaseCodebook
-from .delay_search import DelayGrid
 from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
@@ -22,16 +21,19 @@ from .geometry import (
     random_geometry,
     uniform_geometry,
 )
-from .phase_learning import LearnerOptions
 
 
 class ConfigError(ValueError):
     """Configuration file problem; the message names the offending key."""
 
 
-def _key(key: str, default, choices: tuple = ()):
-    """A field read from the config text's `key`, limited to `choices` if given."""
-    return field(default=default, metadata={"key": key, "choices": choices})
+def _key(key: str, default, choices: tuple = (), least=None):
+    """A field read from the config text's `key`.
+
+    Its value is limited to `choices` if given, and to at least `least`
+    if given (`auto` always passes).
+    """
+    return field(default=default, metadata={"key": key, "choices": choices, "least": least})
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,8 @@ class ExperimentConfig:
     A field's type selects its parser (`X | None` fields also take `auto`).
     """
 
-    num_antennas: int = _key("system.M", 256)
-    num_td_units: int = _key("system.N", 16)
+    num_antennas: int = _key("system.M", 256, least=2)
+    num_td_units: int = _key("system.N", 16, least=1)
     num_subcarriers: int = _key("system.K", 2048)
     center_freq_hz: float = _key("system.center_freq_hz", 100e9)
     bandwidth_hz: float = _key("system.bandwidth_hz", 10e9)
@@ -56,20 +58,20 @@ class ExperimentConfig:
     ue_x_m: float = _key("ue.x_m", 2.0)
     ue_y_m: float = _key("ue.y_m", -2.0)
     rho_mode: str = _key("channel.rho", "unit", choices=("unit", "flat_amplitude"))
-    total_measurements: int = _key("learner.total_measurements", 5000)
-    perturb_count: int | None = _key("learner.perturb_count", None)  # auto: M // 4
-    critic_refit_period: int = _key("learner.critic_refit_period", 1000)
-    exploit_start: int = _key("learner.exploit_start", 2000)
-    critic_rank: int = _key("learner.critic_rank", 4)
-    train_iters: int = _key("learner.train_iters", 1500)
-    learner_seed: int = _key("learner.seed", 0)
-    ax_points: int = _key("grid.ax_points", 9)
-    ay_points: int = _key("grid.ay_points", 17)
-    b_points: int = _key("grid.b_points", 17)
+    total_measurements: int = _key("learner.total_measurements", 5000, least=1)
+    perturb_count: int | None = _key("learner.perturb_count", None, least=0)  # auto: M // 4
+    critic_refit_period: int = _key("learner.critic_refit_period", 1000, least=1)
+    exploit_start: int = _key("learner.exploit_start", 2000, least=1)
+    critic_rank: int = _key("learner.critic_rank", 4, least=1)
+    train_iters: int = _key("learner.train_iters", 1500, least=1)
+    learner_seed: int = _key("learner.seed", 0, least=0)
+    ax_points: int = _key("grid.ax_points", 9, least=1)
+    ay_points: int = _key("grid.ay_points", 17, least=1)
+    b_points: int = _key("grid.b_points", 17, least=1)
     noise_mode: str = _key("noise.mode", "noiseless", choices=("noiseless", "snapshots"))
-    snapshots: int = _key("noise.snapshots", 10000)
+    snapshots: int = _key("noise.snapshots", 10000, least=1)
     n_sweep: tuple = _key("profile.n_sweep", (0, 8, 16))
-    search_subcarriers: int = _key("profile.search_subcarriers", 128)
+    search_subcarriers: int = _key("profile.search_subcarriers", 128, least=1)
     heatmap_x_min_m: float = _key("heatmap.x_min_m", 0.5)
     heatmap_x_max_m: float = _key("heatmap.x_max_m", 4.0)
     heatmap_y_min_m: float = _key("heatmap.y_min_m", -4.0)
@@ -116,26 +118,26 @@ KEY_TABLE = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 def validate(ec: ExperimentConfig) -> ExperimentConfig:
     """Return ec if every command can run on it; else raise ConfigError."""
     for key, f in KEY_TABLE.items():
-        allowed = f.metadata["choices"]
+        allowed, least = f.metadata["choices"], f.metadata["least"]
         value = getattr(ec, f.name)
         if allowed and value not in allowed:
             raise ConfigError(f"{key}: '{value}' is not one of {allowed}")
-    if ec.num_td_units < 1:
-        raise ConfigError("system.N: need at least one TD unit")
+        if least is not None and value is not None and value < least:
+            raise ConfigError(f"{key}: must be at least {least}, not {value}")
+    if ec.exploit_start > ec.total_measurements:
+        raise ConfigError("learner.exploit_start: must lie within learner.total_measurements")
     if any(n < 0 for n in ec.n_sweep):
         raise ConfigError("profile.n_sweep: entries must be nonnegative")
+    if len(set(ec.n_sweep)) < len(ec.n_sweep):
+        raise ConfigError("profile.n_sweep: entries must be distinct")
     if not ec.heatmap_x_min_m > 0.0:
         raise ConfigError("heatmap.x_min_m: must be positive (in front of the array)")
     if ec.heatmap_x_max_m < ec.heatmap_x_min_m or ec.heatmap_y_max_m < ec.heatmap_y_min_m:
         raise ConfigError("heatmap.x_max_m/y_max_m: extent must be nonempty")
     if not ec.heatmap_resolution_m > 0.0:
         raise ConfigError("heatmap.resolution_m: must be positive")
-    if ec.snapshots < 1:
-        raise ConfigError("noise.snapshots: need at least one snapshot")
     if not ec.center_freq_hz > 0.0:
         raise ConfigError("system.center_freq_hz: must be positive")
-    if ec.num_antennas < 2:
-        raise ConfigError("system.M: need at least two array elements")
     # build the objects whose own checks would otherwise fail at run time,
     # among them M = N*P for system.N and for every sweep entry
     for key, build in (
@@ -144,13 +146,11 @@ def validate(ec: ExperimentConfig) -> ExperimentConfig:
         ("system.*", build_system),
         *(("profile.n_sweep", lambda ec, n=n: build_system(ec, n)) for n in ec.n_sweep),
         ("system.ps_bits", build_codebook),
-        ("grid.*", build_grid),
     ):
         try:
             build(ec)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    build_learner_options(ec)
     return ec
 
 
@@ -255,24 +255,3 @@ def build_system(ec: ExperimentConfig, num_td_units: int | None = None) -> Syste
 def build_channel(ec: ExperimentConfig, geom: ArrayGeometry, cfg: SystemConfig):
     rho = flat_amplitude_rho(cfg) if ec.rho_mode == "flat_amplitude" else None
     return near_field_channel(geom, build_ue(ec), cfg, rho=rho)
-
-
-def build_learner_options(ec: ExperimentConfig) -> LearnerOptions:
-    try:
-        return LearnerOptions(
-            total_measurements=ec.total_measurements,
-            perturb_count=ec.perturb_count,
-            critic_refit_period=ec.critic_refit_period,
-            exploit_start=ec.exploit_start,
-            seed=ec.learner_seed,
-            critic_rank=ec.critic_rank,
-            train_iters=ec.train_iters,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"learner.*: {exc}") from exc
-
-
-def build_grid(ec: ExperimentConfig) -> DelayGrid:
-    return DelayGrid(
-        ax_points=ec.ax_points, ay_points=ec.ay_points, b_points=ec.b_points
-    )

@@ -218,13 +218,9 @@ def matrix_to_text(a: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def critic_to_text(model: CriticModel) -> str:
-    """Header `M v` followed by M rows of rank `re:im` entries."""
-    return matrix_to_text(model.matrix)
-
-
 def save_critic(model: CriticModel, path, header_comment: str = "") -> None:
+    """Write the header comment, then the (M, rank) matrix as matrix_to_text does."""
     with write_atomic(path) as fh:
         if header_comment:
             fh.write(header_comment)
-        fh.write(critic_to_text(model))
+        fh.write(matrix_to_text(model.matrix))

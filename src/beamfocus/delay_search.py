@@ -26,28 +26,6 @@ from .files import write_atomic
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry
 
 
-@dataclass(frozen=True)
-class DelayGrid:
-    """Resolution of the three-parameter delay search, per axis.
-
-    Each axis spans its range (break_delta over [0, 2], break_value over
-    its aperture-bounded range, end_value over [-D, D]) with this many
-    evenly spaced points; a single-point axis sits at its range center and
-    is never searched. The search scores (n + 1) // 2 of them per axis,
-    every other point for odd n, and refines from there in steps of the
-    spacing, halved each round down to 1/8 of it: at most those coarse
-    points plus 24 candidates per search.
-    """
-
-    ax_points: int = 9
-    ay_points: int = 17
-    b_points: int = 17
-
-    def __post_init__(self):
-        if min(self.ax_points, self.ay_points, self.b_points) < 1:
-            raise ValueError("grid axes need at least one point")
-
-
 def linear_ddf(params, delta):
     """Evaluate piecewise-linear approximations at delta in [0, 2].
 
@@ -139,15 +117,18 @@ def search_delays(
     geom: ArrayGeometry,
     cfg: SystemConfig,
     cb,
-    grid: DelayGrid,
+    points: tuple,
 ) -> DelaySearchResult:
     """Coarse-to-fine search of the (break_delta, break_value, end_value) box.
 
     A position (x, u, v) in [-1, 1]^3 is the row break_delta = 1 + x,
     break_value = u (D/2) break_delta, end_value = v D, for aperture D; so
     break_delta spans [0, 2], |break_value| <= (D/2) break_delta and
-    |end_value| <= D. The zero-delay row (1, 0, 0) is scored first, then
-    the coarse grid of every other `grid` point per axis. Each of
+    |end_value| <= D. `points` holds the `grid.*` point counts (ax, ay, b):
+    each axis spans its range with that many evenly spaced points, and a
+    single-point axis sits at its range center and is never searched. The
+    zero-delay row (1, 0, 0) is scored first, then the coarse grid of every
+    other grid point per axis, (n + 1) // 2 points of an n-point axis. Each of
     REFINE_ROUNDS rounds then scores the six compass positions one step
     along each axis from the incumbent, clipped to the box, as one block;
     the first step is the grid spacing and each round halves it, down to
@@ -168,7 +149,7 @@ def search_delays(
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
     aperture = geom.aperture
-    axes = [_axis(n) for n in (grid.ax_points, grid.ay_points, grid.b_points)]
+    axes = [_axis(n) for n in points]
     trace = []
     seen = set()
     best_score, best_position, best_tau, best_theta = -np.inf, None, None, None

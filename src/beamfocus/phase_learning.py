@@ -14,47 +14,9 @@ import numpy as np
 
 from .channel import SystemConfig
 from .combiner import PhaseCodebook
+from .config import ExperimentConfig
 from .critic import CriticModel, PowerDataset, initialize_critic, train_critic
 from .files import write_atomic
-
-
-@dataclass(frozen=True)
-class LearnerOptions:
-    """Budget and schedule of the online search.
-
-    perturb_count is the initial number of phases re-drawn per exploration
-    step (None picks M//4); the loop decays it linearly down to M//16 over
-    the budget. perturb_count = 0 degenerates to a stationary probe. From
-    exploit_start onward the critic is refit on the buffer every
-    critic_refit_period measurements, each refit followed by a
-    coordinate-ascent exploitation whose measurement does not count against
-    total_measurements. train_iters caps the iterations of each critic fit,
-    which may stop earlier (see critic.train_critic).
-    """
-
-    total_measurements: int = 5000
-    perturb_count: int | None = None
-    critic_refit_period: int = 1000
-    exploit_start: int = 2000
-    seed: int = 0
-    critic_rank: int = 4
-    train_iters: int = 1500
-
-    def __post_init__(self):
-        if self.total_measurements < 1:
-            raise ValueError("need a positive measurement budget")
-        if self.critic_refit_period < 1:
-            raise ValueError("refit period must be positive")
-        if not 1 <= self.exploit_start <= self.total_measurements:
-            raise ValueError("exploit_start must lie within the budget")
-        if self.perturb_count is not None and self.perturb_count < 0:
-            raise ValueError("perturb_count must be nonnegative")
-        if self.critic_rank < 1:
-            raise ValueError("critic rank must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.train_iters < 1:
-            raise ValueError("need at least one critic iteration")
 
 
 def _phasors(cb: PhaseCodebook, M: int) -> np.ndarray:
@@ -132,20 +94,26 @@ class LearnHistory:
     critic_loss_traces: list  # one train_critic loss trace per exploit event
 
 
-def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, opts: LearnerOptions):
+def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentConfig):
     """Run the online search; returns (best phases, LearnHistory).
 
     The search and its log hold codebook indices; `measure` maps the
     M-vector of their codebook phases to the received power at the center
-    frequency. Exploration measurements number exactly
-    opts.total_measurements; each exploitation adds one more callback
-    invocation. Deterministic per opts.seed, including callback order.
+    frequency. The `learner.*` settings of `ec` set the budget and the
+    schedule. Exploration measurements number exactly total_measurements;
+    each re-draws perturb_count phases (auto: M//4; 0 is a stationary
+    probe), decaying linearly to M//16 over the budget. From exploit_start
+    on, the critic is refit on the buffer every critic_refit_period
+    measurements, each fit capped at train_iters iterations (see
+    critic.train_critic) and followed by a coordinate-ascent exploitation
+    that adds one callback invocation. Deterministic per learner_seed,
+    including callback order.
     """
     M = cfg.num_antennas
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(ec.learner_seed)
 
-    p0 = opts.perturb_count if opts.perturb_count is not None else max(1, M // 4)
-    total = opts.total_measurements
+    p0 = ec.perturb_count if ec.perturb_count is not None else max(1, M // 4)
+    total = ec.total_measurements
     # decaying all the way to single-phase flips leaves the late buffer too
     # correlated for the critic regression to identify the channel, so the
     # coarse-to-fine decay bottoms out at M/16
@@ -183,8 +151,8 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, opts: LearnerOpt
         current = _perturb(current, scheduled_count(t), cb, rng)
         take(current)
 
-        due = t % opts.critic_refit_period == 0 or t == opts.exploit_start or t == total
-        if due and t >= opts.exploit_start:
+        due = t % ec.critic_refit_period == 0 or t == ec.exploit_start or t == total
+        if due and t >= ec.exploit_start:
             # the critic is consumed only by exploitation, so fitting is
             # deferred until then; each fit restarts from a fresh seeded
             # init (warm starts inherit overfit basins from small buffers)
@@ -193,9 +161,9 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, opts: LearnerOpt
                 powers=np.maximum(log_powers, 0.0),
             )
             model = initialize_critic(
-                M, opts.critic_rank, data, seed=opts.seed + 7919 * refit_index
+                M, ec.critic_rank, data, seed=ec.learner_seed + 7919 * refit_index
             )
-            model, trace = train_critic(model, data, opts.train_iters)
+            model, trace = train_critic(model, data, ec.train_iters)
             loss_traces.append(trace)
             refit_index += 1
 

@@ -2,11 +2,14 @@
 
 Scenario: 256-element random linear array with aperture 255 * lambda_c / 2,
 100 GHz center frequency, 10 GHz bandwidth over 2048 subcarriers, 3-bit
-phase shifters, user at [2, -2] m, noiseless measurements. Run with
-`pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
+phase shifters, user at [2, -2] m, noiseless measurements; one more test
+holds the learned pipeline to the same bars under thermal snapshot noise.
+Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
+lines.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from beamfocus.config import (
 )
 from beamfocus.critic import CriticModel, PowerDataset, critic_loss_and_gradient
 from beamfocus.geometry import DdfRegime, UePosition, ddf_regime, distance_difference, random_geometry
-from beamfocus.phase_learning import LearnerOptions, coordinate_ascent, learn_phases
+from beamfocus.phase_learning import coordinate_ascent, learn_phases
 from beamfocus.sim import center_bin, gain_profile, normalized_gain_db, three_db_bandwidth
 from beamfocus.sim import avg_amplitude_gain
 from beam_model import beam_from_phases
@@ -190,6 +193,50 @@ def test_criterion_6_beam_split_heatmap(scenario, searched_n16):
     )
 
 
+# Boltzmann constant (J/K) and the standard noise temperature (K)
+BOLTZMANN = 1.380649e-23
+T0_K = 290.0
+# receiver noise figure: an assumption, since the abstract states none
+NOISE_FIGURE_DB = 10.0
+
+
+@pytest.mark.parametrize("snapshots", [10000, 1])
+def test_noisy_learned_pipeline_meets_the_noiseless_bars(scenario, snapshots):
+    """The learned pipeline under snapshot noise at the thermal floor.
+
+    Every measurement the learner and the delay search take sees noise of
+    power sigma^2 = k_B T0 (B/K) NF per subcarrier, with T0 = 290 K, B/K =
+    10 GHz / 2048 and an assumed noise figure NF = 10 dB: sigma^2 is about
+    1.955e-13 W. The bars are the noiseless ones: N=8 3-dB bandwidth at
+    least 5 GHz, N=16 gap to the oracle at most 1.5 dB, at most 5000
+    learner callback invocations.
+    """
+    ec = scenario["ec"]
+    sigma2 = BOLTZMANN * T0_K * (ec.bandwidth_hz / ec.num_subcarriers)
+    sigma2 *= 10.0 ** (NOISE_FIGURE_DB / 10.0)
+    ec = replace(ec, noise_mode="snapshots", snapshots=snapshots, noise_power_w=sigma2)
+    geom, ue, cb, H = scenario["geom"], scenario["ue"], scenario["cb"], scenario["H"]
+    theta, history = learn_pipeline(ec, H, build_system(ec, num_td_units=1), cb)
+    measurements = int(history.iters[-1])
+    designs = {}
+    for n in (8, 16):
+        cfg_n = build_system(ec, num_td_units=n)
+        result = search_pipeline(ec, theta, geom, H, cfg_n, cb)
+        designs[n] = (CombinerConfig(theta=result.theta, tau=result.tau), cfg_n)
+    cc8, cfg8 = designs[8]
+    bw8 = three_db_bandwidth(gain_profile(cc8, H, cfg8), cfg8)
+    cc16, cfg16 = designs[16]
+    pdf16 = pdf_oracle(geom, ue, H, cfg16, cb)
+    amp16 = avg_amplitude_gain(cc16, H, cfg16)
+    gap16 = 20.0 * np.log10(avg_amplitude_gain(pdf16, H, cfg16) / amp16)
+    _report(
+        f"noisy gate (S = {snapshots}, sigma^2 = {sigma2:.4g} W)",
+        bw8 >= 5e9 and gap16 <= 1.5 and measurements <= 5000,
+        f"N=8 bandwidth {bw8 / 1e9:.2f} GHz >= 5, N=16 gap {gap16:.3f} dB <= 1.5, "
+        f"{measurements} <= 5000 measurements",
+    )
+
+
 # --- criterion 7: property suite -------------------------------------------
 
 
@@ -318,15 +365,15 @@ def test_criterion_7d_exhaustive_oracle_equivalence():
             cc = CombinerConfig(theta=phases, tau=[0.0])
             return gain_profile(cc, H, cfg).per_subcarrier[0]
 
-        opts = LearnerOptions(
+        ec = ExperimentConfig(
             total_measurements=40,
             exploit_start=20,
             critic_refit_period=10,
-            seed=seed,
+            learner_seed=seed,
             critic_rank=2,
             train_iters=150,
         )
-        theta, _ = learn_phases(measure, cfg, cb, opts)
+        theta, _ = learn_phases(measure, cfg, cb, ec)
         got = gain_profile(CombinerConfig(theta=theta, tau=[0.0]), H, cfg).per_subcarrier[0]
         hits += got >= best * (1 - 1e-9)
     _report(

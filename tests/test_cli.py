@@ -502,10 +502,10 @@ def write_m16_config(path, *extra):
     return path
 
 
-def assert_rejected(tmp_path, capsys, key, lines, cmd, flags=()):
+def assert_rejected(tmp_path, capsys, key, lines, cmd, flags=(), cmd_flags=()):
     cfg_path = write_m16_config(tmp_path / "exp.cfg", *lines)
     out = tmp_path / "out"
-    assert main(["--config", str(cfg_path), "--out", str(out), *flags, cmd]) == 2
+    assert main(["--config", str(cfg_path), "--out", str(out), *flags, cmd, *cmd_flags]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}")
     assert not out.exists()
 
@@ -521,13 +521,37 @@ def test_cli_rejects_negative_noise_power(tmp_path, capsys):
 
 
 def test_cli_rejects_learner_range_errors(tmp_path, capsys):
-    for line in (
-        "learner.train_iters = 0",
-        "learner.seed = -1",
+    for line, key in (
+        ("learner.total_measurements = 0", "learner.total_measurements: "),
+        ("learner.exploit_start = 31", "learner.exploit_start: "),  # the budget is 30
+        ("learner.critic_refit_period = 0", "learner.critic_refit_period: "),
+        ("learner.perturb_count = -1", "learner.perturb_count: "),
+        ("learner.critic_rank = 0", "learner.critic_rank: "),
+        ("learner.train_iters = 0", "learner.train_iters: "),
+        ("learner.seed = -1", "learner.seed: "),
     ):
-        assert_rejected(tmp_path, capsys, "learner.", (line,), "learn")
+        assert_rejected(tmp_path, capsys, key, (line,), "learn")
+    for axis in ("ax", "ay", "b"):
+        key = f"grid.{axis}_points"
+        assert_rejected(tmp_path, capsys, key + ": ", (f"{key} = 0",), "search-delays")
     # the --seed override is checked as a config value too
-    assert_rejected(tmp_path, capsys, "learner.", (), "learn", flags=("--seed", "-1"))
+    assert_rejected(tmp_path, capsys, "learner.seed: ", (), "learn", flags=("--seed", "-1"))
+    # the edges of the ranges are accepted
+    for line in ("learner.perturb_count = 0", "learner.exploit_start = 30"):
+        cfg_path = write_m16_config(tmp_path / "exp.cfg", line)
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "ok"), "learn"]) == 0
+
+
+def test_cli_rejects_profile_values_that_run_silently_wrong(tmp_path, capsys):
+    # a repeated sweep entry would write its profile file twice and its
+    # summary row twice; fewer than one search bin would score 16 bins
+    for line, key in (
+        ("profile.n_sweep = 0,4,4", "profile.n_sweep: "),
+        ("profile.search_subcarriers = 0", "profile.search_subcarriers: "),
+        ("profile.search_subcarriers = -5", "profile.search_subcarriers: "),
+    ):
+        for flags in ((), ("--oracle",)):
+            assert_rejected(tmp_path, capsys, key, (line,), "profile", cmd_flags=flags)
 
 
 def test_cli_rejects_the_removed_fit_keys(tmp_path, capsys):

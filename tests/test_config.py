@@ -7,8 +7,6 @@ from beamfocus.config import (
     build_channel,
     build_codebook,
     build_geometry,
-    build_grid,
-    build_learner_options,
     build_system,
     build_ue,
     emit_config,
@@ -116,10 +114,6 @@ def test_builders_produce_consistent_scene():
     assert H.coeffs.shape == (16, 8)
     assert cb.bits == 3
     assert ue.x == 2.0 and ue.y == -2.0
-    opts = build_learner_options(ec)
-    assert opts.total_measurements == 50
-    grid = build_grid(ec)
-    assert (grid.ax_points, grid.ay_points, grid.b_points) == (9, 17, 17)
 
 
 def test_build_geometry_random_deterministic():

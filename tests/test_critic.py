@@ -9,8 +9,8 @@ from beamfocus.critic import (
     _rank_rows,
     _residuals,
     critic_loss_and_gradient,
-    critic_to_text,
     initialize_critic,
+    matrix_to_text,
     save_critic,
     train_critic,
 )
@@ -304,7 +304,7 @@ def test_critic_text_holds_the_matrix_bit_exactly(tmp_path):
     rng = np.random.default_rng(11)
     q = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     model = CriticModel(matrix=q)
-    text = critic_to_text(model)
+    text = matrix_to_text(q)
     lines = text.splitlines()
     assert lines[0] == "4 3"
     parsed = [[complex(*map(float, e.split(":"))) for e in ln.split()] for ln in lines[1:]]

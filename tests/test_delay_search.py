@@ -16,7 +16,6 @@ from beamfocus.config import (
 from beamfocus.delay_search import (
     REFINE_ROUNDS,
     SEARCH_BLOCK,
-    DelayGrid,
     DelaySearchResult,
     delays_from_approx,
     delays_from_ddf,
@@ -124,8 +123,8 @@ def test_delays_from_approx_clipping():
     assert tau2.max() <= tau_max
 
 
-def grid_candidates(grid: DelayGrid, aperture: float) -> np.ndarray:
-    """The full grid as (C, 3) rows, zero-delay row first.
+def grid_candidates(points: tuple, aperture: float) -> np.ndarray:
+    """The full (ax, ay, b)-point grid as (C, 3) rows, zero-delay row first.
 
     Each row is (break_delta, break_value, end_value). break_delta sweeps
     [0, 2], break_value sweeps its aperture-bounded range |break_value| <=
@@ -133,16 +132,15 @@ def grid_candidates(grid: DelayGrid, aperture: float) -> np.ndarray:
     at the range center. It is the full-grid reference for the
     coarse-to-fine search.
     """
+    ax_points, ay_points, b_points = points
     half = 0.5 * aperture
-    ax_vals = np.linspace(0.0, 2.0, grid.ax_points) if grid.ax_points > 1 else [1.0]
-    b_vals = (
-        np.linspace(-aperture, aperture, grid.b_points) if grid.b_points > 1 else [0.0]
-    )
+    ax_vals = np.linspace(0.0, 2.0, ax_points) if ax_points > 1 else [1.0]
+    b_vals = np.linspace(-aperture, aperture, b_points) if b_points > 1 else [0.0]
     rows = [(1.0, 0.0, 0.0)]
     for ax in ax_vals:
         ay_range = half * ax
-        if grid.ay_points > 1:
-            ay_vals = np.unique(np.linspace(-ay_range, ay_range, grid.ay_points))
+        if ay_points > 1:
+            ay_vals = np.unique(np.linspace(-ay_range, ay_range, ay_points))
         else:
             ay_vals = [0.0]
         rows.extend((ax, ay, b) for ay in ay_vals for b in b_vals)
@@ -150,8 +148,7 @@ def grid_candidates(grid: DelayGrid, aperture: float) -> np.ndarray:
 
 
 def test_grid_candidates_structure():
-    grid = DelayGrid(ax_points=3, ay_points=3, b_points=3)
-    cands = grid_candidates(grid, aperture=1.0)
+    cands = grid_candidates((3, 3, 3), aperture=1.0)
     assert cands.shape == (1 + 3 * 3 * 3 - 2 * 3, 3)  # ax = 0 leaves one break_value
     assert cands[0].tolist() == [1.0, 0.0, 0.0]  # injected zero-delay candidate
     for break_delta, break_value, end_value in cands:
@@ -161,7 +158,7 @@ def test_grid_candidates_structure():
 
 
 def test_grid_candidates_single_point_axes():
-    cands = grid_candidates(DelayGrid(1, 1, 1), aperture=2.0)
+    cands = grid_candidates((1, 1, 1), aperture=2.0)
     assert cands.tolist() == [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
 
@@ -184,7 +181,7 @@ def test_search_single_point_grid_scores_ps_only():
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
     result = search_delays(
-        theta_star, profile_measure(H, cfg), geom, cfg, cb, DelayGrid(1, 1, 1)
+        theta_star, profile_measure(H, cfg), geom, cfg, cb, (1, 1, 1)
     )
     assert np.all(result.tau == 0.0)
     assert result.score == result.ps_only_score
@@ -196,7 +193,7 @@ def test_search_never_below_ps_only():
         cfg, geom, H = scene(seed=seed)
         theta_star = ps_only_oracle(H, cfg, cb).theta
         result = search_delays(
-            theta_star, profile_measure(H, cfg), geom, cfg, cb, DelayGrid(3, 5, 5)
+            theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 5, 5)
         )
         assert result.score >= result.ps_only_score
         assert result.tau.min() >= 0.0
@@ -209,7 +206,7 @@ def test_search_single_td_unit_matches_ps_only_score():
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
     result = search_delays(
-        theta_star, profile_measure(H, cfg), geom, cfg, cb, DelayGrid(3, 3, 3)
+        theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 3, 3)
     )
     assert result.score == pytest.approx(result.ps_only_score, rel=1e-9)
 
@@ -218,8 +215,8 @@ def test_search_deterministic():
     cfg, geom, H = scene(seed=2)
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
-    r1 = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, DelayGrid(3, 5, 5))
-    r2 = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, DelayGrid(3, 5, 5))
+    r1 = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 5, 5))
+    r2 = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 5, 5))
     assert np.array_equal(r1.tau, r2.tau)
     assert np.array_equal(r1.theta, r2.theta)
     assert r1.score == r2.score
@@ -232,7 +229,7 @@ def test_search_improves_wideband_gain():
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
     result = search_delays(
-        theta_star, profile_measure(H, cfg), geom, cfg, cb, DelayGrid(9, 17, 17)
+        theta_star, profile_measure(H, cfg), geom, cfg, cb, (9, 17, 17)
     )
     assert result.score > result.ps_only_score
 
@@ -242,7 +239,7 @@ def test_search_trace_csv(tmp_path):
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
     result = search_delays(
-        theta_star, profile_measure(H, cfg), geom, cfg, cb, DelayGrid(2, 3, 3)
+        theta_star, profile_measure(H, cfg), geom, cfg, cb, (2, 3, 3)
     )
     path = tmp_path / "trace.csv"
     write_search_trace_csv(result, path, header_comment="# run = test\n")
@@ -289,7 +286,7 @@ def reference_search_delays(theta_star, measure, geom, cfg, cb, grid):
 def test_vectorized_linear_ddf_equals_scalar_form():
     geom = random_geometry(64, 0.05, seed=5)
     deltas = subarray_deltas(geom, 16, 4)
-    cands = grid_candidates(DelayGrid(9, 17, 17), geom.aperture)
+    cands = grid_candidates((9, 17, 17), geom.aperture)
     rows = linear_ddf(cands, deltas)
     assert rows.shape == (len(cands), deltas.size)
     for ap, row in zip(cands, rows):
@@ -310,10 +307,10 @@ def noisy_profile_measure(H, cfg, seed):
 @pytest.mark.parametrize(
     "M, N, grid",
     [
-        (16, 4, DelayGrid(3, 5, 5)),
-        (16, 8, DelayGrid(9, 17, 17)),
-        (64, 4, DelayGrid(5, 9, 7)),
-        (64, 16, DelayGrid(9, 17, 17)),
+        (16, 4, (3, 5, 5)),
+        (16, 8, (9, 17, 17)),
+        (64, 4, (5, 9, 7)),
+        (64, 16, (9, 17, 17)),
     ],
 )
 def test_blocked_search_equals_per_candidate_loop(M, N, grid, noisy, monkeypatch):
@@ -356,33 +353,33 @@ def test_search_ties_keep_the_earliest_candidate():
     def flat(cc):
         return np.ones(cc.theta.shape[:-1] + (4,))
 
-    result = search_delays(np.zeros(cfg.num_antennas), flat, geom, cfg, cb, DelayGrid(9, 17, 17))
+    result = search_delays(np.zeros(cfg.num_antennas), flat, geom, cfg, cb, (9, 17, 17))
     assert result.trace[0][:3] == (1.0, 0.0, 0.0)
     assert result.score == result.ps_only_score == 1.0
     assert np.all(result.tau == 0.0)
 
 
-def coarse_count(grid: DelayGrid) -> int:
+def coarse_count(grid: tuple) -> int:
     """Rows of the zero-delay row plus the coarse pass, each row once.
 
     The coarse pass has m = (n + 1) // 2 points per axis; at break_delta =
     0 every break_value gives the same row, and the zero-delay row is a
     coarse point when every m is odd.
     """
-    m = [(n + 1) // 2 for n in (grid.ax_points, grid.ay_points, grid.b_points)]
+    m = [(n + 1) // 2 for n in grid]
     rows = (m[0] - 1) * m[1] * m[2] + m[2] if m[0] > 1 else m[1] * m[2]
     return rows + (0 if all(k % 2 for k in m) else 1)
 
 
 SEARCH_GRIDS = [
-    DelayGrid(9, 17, 17),
-    DelayGrid(5, 5, 5),
-    DelayGrid(3, 5, 5),
-    DelayGrid(2, 3, 3),
-    DelayGrid(4, 6, 8),
-    DelayGrid(1, 17, 1),
-    DelayGrid(7, 1, 9),
-    DelayGrid(1, 1, 1),
+    (9, 17, 17),
+    (5, 5, 5),
+    (3, 5, 5),
+    (2, 3, 3),
+    (4, 6, 8),
+    (1, 17, 1),
+    (7, 1, 9),
+    (1, 1, 1),
 ]
 
 
@@ -408,7 +405,7 @@ def test_search_coarse_pass_is_every_other_grid_point(grid):
     result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid)
     coarse = np.array([row[:3] for row in result.trace[: coarse_count(grid)]])
     assert coarse[0].tolist() == [1.0, 0.0, 0.0]
-    halved = DelayGrid(*((n + 1) // 2 for n in (grid.ax_points, grid.ay_points, grid.b_points)))
+    halved = tuple((n + 1) // 2 for n in grid)
     want = grid_candidates(halved, geom.aperture)
     scale = np.array([1.0, geom.aperture, geom.aperture])
     dist = np.abs(coarse[:, None, :] - want[None, :, :]) / scale
@@ -440,8 +437,8 @@ def test_search_refines_down_to_an_eighth_of_the_spacing(monkeypatch):
     monkeypatch.setattr(
         delay_search, "delays_from_approx", lambda params, deltas, tau_max: params + shift
     )
-    grid = DelayGrid(9, 17, 17)
-    spacing = 2.0 * D / (grid.b_points - 1)
+    grid = (9, 17, 17)
+    spacing = 2.0 * D / (grid[2] - 1)
     target = np.array([1.5, 0.25 * 0.5 * D * 1.5, -0.5 * D + 5 / 8 * spacing])
     scale = np.array([1.0, D, D])
 
@@ -474,7 +471,7 @@ def test_search_matches_the_full_grid_at_reference_scale(reference, n):
     ec, geom, cb = reference["ec"], reference["geom"], reference["cb"]
     cfg = build_system(ec, num_td_units=n)
     measure = make_profile_measure(ec, decimate_channel(reference["H"], ec.search_subcarriers), cfg)
-    grid = DelayGrid()
+    grid = (9, 17, 17)  # the grid.* defaults
     got = search_delays(reference["theta"], measure, geom, cfg, cb, grid)
     full = reference_search_delays(reference["theta"], measure, geom, cfg, cb, grid)
     assert len(full.trace) == 2330

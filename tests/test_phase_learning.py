@@ -3,10 +3,10 @@ import pytest
 
 from beamfocus.channel import SystemConfig, near_field_channel
 from beamfocus.combiner import CombinerConfig, PhaseCodebook
+from beamfocus.config import ConfigError, ExperimentConfig, parse_config_text
 from beamfocus.critic import CriticModel
 from beamfocus.geometry import UePosition, random_geometry
 from beamfocus.phase_learning import (
-    LearnerOptions,
     _perturb,
     coordinate_ascent,
     learn_phases,
@@ -44,16 +44,17 @@ def center_measure(H, cfg):
 
 
 def test_learner_options_validation():
-    LearnerOptions(total_measurements=10, exploit_start=10)
-    with pytest.raises(ValueError):
-        LearnerOptions(total_measurements=0)
-    with pytest.raises(ValueError):
-        LearnerOptions(total_measurements=10, exploit_start=11)
-    with pytest.raises(ValueError):
-        LearnerOptions(critic_refit_period=0)
-    with pytest.raises(ValueError):
-        LearnerOptions(perturb_count=-1)
-    LearnerOptions(perturb_count=0)  # degenerate stationary probe is allowed
+    # the learner.* range checks run once, when the config is parsed
+    parse_config_text("learner.total_measurements = 10\nlearner.exploit_start = 10\n")
+    for text, key in (
+        ("learner.total_measurements = 0", "total_measurements"),
+        ("learner.total_measurements = 10\nlearner.exploit_start = 11", "exploit_start"),
+        ("learner.critic_refit_period = 0", "critic_refit_period"),
+        ("learner.perturb_count = -1", "perturb_count"),
+    ):
+        with pytest.raises(ConfigError, match=rf"^learner\.{key}: "):
+            parse_config_text(text + "\n")
+    parse_config_text("learner.perturb_count = 0\n")  # degenerate stationary probe is allowed
 
 
 def test_propose_action_zero_perturbation():
@@ -171,16 +172,16 @@ def exhaustive_best_gain(H, cfg, cb):
 def test_learn_phases_reaches_exhaustive_optimum_m2():
     cfg, H = small_scene(2, seed=11)
     cb = PhaseCodebook(bits=1)
-    opts = LearnerOptions(
+    ec = ExperimentConfig(
         total_measurements=20,
         exploit_start=10,
         critic_refit_period=5,
         perturb_count=1,
-        seed=0,
+        learner_seed=0,
         critic_rank=1,
         train_iters=200,
     )
-    theta, history = learn_phases(center_measure(H, cfg), cfg, cb, opts)
+    theta, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
     best = exhaustive_best_gain(H, cfg, cb)
     measured = gain_profile(CombinerConfig(theta=theta, tau=[0.0]), H, cfg).per_subcarrier[0]
     assert measured == pytest.approx(best, rel=1e-9)
@@ -189,15 +190,15 @@ def test_learn_phases_reaches_exhaustive_optimum_m2():
 def test_learn_phases_history_monotone_best():
     cfg, H = small_scene(4, seed=3)
     cb = PhaseCodebook(bits=2)
-    opts = LearnerOptions(
+    ec = ExperimentConfig(
         total_measurements=30,
         exploit_start=15,
         critic_refit_period=10,
-        seed=1,
+        learner_seed=1,
         critic_rank=2,
         train_iters=100,
     )
-    theta, history = learn_phases(center_measure(H, cfg), cfg, cb, opts)
+    theta, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
     assert np.all(np.diff(history.best_powers) >= 0)
     assert history.best_powers[-1] == np.max(history.measured_powers)
 
@@ -205,11 +206,11 @@ def test_learn_phases_history_monotone_best():
 def test_learn_phases_deterministic_callback_order():
     cfg, H = small_scene(4, seed=6)
     cb = PhaseCodebook(bits=2)
-    opts = LearnerOptions(
+    ec = ExperimentConfig(
         total_measurements=25,
         exploit_start=20,
         critic_refit_period=10,
-        seed=9,
+        learner_seed=9,
         critic_rank=2,
         train_iters=50,
     )
@@ -222,7 +223,7 @@ def test_learn_phases_deterministic_callback_order():
             calls.append(np.array(phases))
             return base(phases)
 
-        theta, history = learn_phases(measure, cfg, cb, opts)
+        theta, history = learn_phases(measure, cfg, cb, ec)
         return theta, history, calls
 
     t1, h1, c1 = run()
@@ -236,11 +237,11 @@ def test_learn_phases_deterministic_callback_order():
 def test_learn_phases_invocation_budget():
     cfg, H = small_scene(4, seed=2)
     cb = PhaseCodebook(bits=2)
-    opts = LearnerOptions(
+    ec = ExperimentConfig(
         total_measurements=40,
         exploit_start=20,
         critic_refit_period=10,
-        seed=4,
+        learner_seed=4,
         critic_rank=2,
         train_iters=50,
     )
@@ -252,55 +253,55 @@ def test_learn_phases_invocation_budget():
         count += 1
         return base(phases)
 
-    _, history = learn_phases(measure, cfg, cb, opts)
+    _, history = learn_phases(measure, cfg, cb, ec)
     n_exploits = len(history.exploit_events)
     assert n_exploits == 3  # refits at 20, 30, 40 once exploiting starts
-    assert count == opts.total_measurements + n_exploits
+    assert count == ec.total_measurements + n_exploits
     assert count == history.iters[-1]
 
 
 def test_learn_phases_keeps_one_loss_trace_per_exploit():
     cfg, H = small_scene(4, seed=2)
     cb = PhaseCodebook(bits=2)
-    opts = LearnerOptions(
+    ec = ExperimentConfig(
         total_measurements=40,
         exploit_start=20,
         critic_refit_period=10,
-        seed=4,
+        learner_seed=4,
         critic_rank=2,
         train_iters=50,
     )
-    _, history = learn_phases(center_measure(H, cfg), cfg, cb, opts)
+    _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
     assert len(history.critic_loss_traces) == len(history.exploit_events) == 3
     for trace in history.critic_loss_traces:
-        assert 1 <= len(trace) <= opts.train_iters
+        assert 1 <= len(trace) <= ec.train_iters
         assert np.all(np.diff(trace) <= 0.0)
 
 
 def test_learn_phases_callback_failure_propagates():
     cfg, H = small_scene(2, seed=1)
     cb = PhaseCodebook(bits=1)
-    opts = LearnerOptions(total_measurements=5, exploit_start=5, critic_refit_period=5)
+    ec = ExperimentConfig(total_measurements=5, exploit_start=5, critic_refit_period=5)
 
     def measure(phases):
         raise RuntimeError("hardware fault")
 
     with pytest.raises(RuntimeError, match="hardware fault"):
-        learn_phases(measure, cfg, cb, opts)
+        learn_phases(measure, cfg, cb, ec)
 
 
 def test_history_csv_export(tmp_path):
     cfg, H = small_scene(3, seed=5)
     cb = PhaseCodebook(bits=2)
-    opts = LearnerOptions(
+    ec = ExperimentConfig(
         total_measurements=8,
         exploit_start=8,
         critic_refit_period=4,
-        seed=2,
+        learner_seed=2,
         critic_rank=1,
         train_iters=20,
     )
-    _, history = learn_phases(center_measure(H, cfg), cfg, cb, opts)
+    _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
     path = tmp_path / "history.csv"
     write_history_csv(history, cb, path, header_comment="# seed = 2\n")
     lines = path.read_text().splitlines()
@@ -316,11 +317,11 @@ def test_history_csv_export(tmp_path):
 def test_history_logs_the_measured_indices():
     cfg, H = small_scene(4, seed=6)
     cb = PhaseCodebook(bits=2)
-    opts = LearnerOptions(
+    ec = ExperimentConfig(
         total_measurements=25,
         exploit_start=20,
         critic_refit_period=10,
-        seed=3,
+        learner_seed=3,
         critic_rank=2,
         train_iters=20,
     )
@@ -331,7 +332,7 @@ def test_history_logs_the_measured_indices():
         calls.append(np.array(phases))
         return base(phases)
 
-    theta, history = learn_phases(measure, cfg, cb, opts)
+    theta, history = learn_phases(measure, cfg, cb, ec)
     assert history.indices.dtype == np.uint8
     assert history.indices.shape == (len(calls), cfg.num_antennas)
     assert np.array_equal(cb.values[history.indices], np.array(calls))
