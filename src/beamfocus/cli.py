@@ -50,21 +50,16 @@ from .sim import (
 )
 
 
-def decimated_indices(num_subcarriers: int, target: int = 128, minimum: int = 16) -> np.ndarray:
-    """Subcarrier indices used while scoring delay candidates.
+def decimate_channel(H: ChannelMatrix, target: int) -> ChannelMatrix:
+    """H on the subcarriers used while scoring delay candidates.
 
-    Every (K/target)-th bin, but never fewer than `minimum` bins (all bins
-    when K is small). Final reported profiles always use every bin.
+    Every (K/target)-th bin, but never fewer than 16 bins (all bins when K
+    is small). Final reported profiles always use every bin.
     """
-    step = max(1, num_subcarriers // max(target, minimum))
-    idx = np.arange(0, num_subcarriers, step)
-    if idx.size < minimum:
-        return np.arange(num_subcarriers)
-    return idx
-
-
-def decimate_channel(H: ChannelMatrix, target: int = 128, minimum: int = 16) -> ChannelMatrix:
-    idx = decimated_indices(H.num_subcarriers, target=target, minimum=minimum)
+    K = H.num_subcarriers
+    idx = np.arange(0, K, max(1, K // max(target, 16)))
+    if idx.size < 16:
+        idx = np.arange(K)
     return ChannelMatrix(coeffs=H.coeffs[:, idx], freqs_hz=H.freqs_hz[idx])
 
 
@@ -80,16 +75,19 @@ def _noise_rng(ec: ExperimentConfig, *key: int) -> np.random.Generator:
 def make_center_measure(ec: ExperimentConfig, H: ChannelMatrix, cfg: SystemConfig):
     """Callback phases -> center-frequency power for the phase learner.
 
-    In noisy mode the known noise floor is subtracted (clipped at zero) so
-    the critic regresses calibrated signal powers.
+    `phases` are the M codebook phases of a zero-delay beam. In noisy mode
+    the known noise floor is subtracted (clipped at zero) so the critic
+    regresses calibrated signal powers.
     """
-    k = center_bin(H.freqs_hz, cfg.center_freq_hz)
+    h = H.coeffs[:, center_bin(H.freqs_hz, cfg.center_freq_hz)]
     rng = _noise_rng(ec, 0)
-    zeros = np.zeros(cfg.num_td_units)
 
     def measure(phases):
-        cc = CombinerConfig(theta=phases, tau=zeros)
-        p = measure_power(cc, H, cfg, k, snapshots=ec.snapshots, rng=rng)
+        # w^H h at the center bin for w = e^{j phases} / sqrt(M) (zero delays)
+        wh = np.vdot(np.exp(1j * phases) / np.sqrt(cfg.num_antennas), h)
+        p = cfg.tx_power_w / cfg.num_subcarriers * float(np.abs(wh) ** 2)
+        if cfg.noise_power_w > 0.0:
+            p = measure_power(p, cfg, ec.snapshots, rng)
         return max(p - cfg.noise_power_w, 0.0)
 
     return measure
@@ -349,10 +347,11 @@ def _cmd_learn(ec: ExperimentConfig, args) -> int:
         out / "combiner_learned.txt",
         header_comment=stamp,
     )
-    if history.final_model is not None:
-        save_critic(history.final_model, out / "critic.txt", header_comment=stamp)
     print(out / "history.csv")
     print(out / "combiner_learned.txt")
+    if history.final_model is not None:
+        save_critic(history.final_model, out / "critic.txt", header_comment=stamp)
+        print(out / "critic.txt")
     return 0
 
 

@@ -126,6 +126,8 @@ def validate(ec: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{key}: must be at least {least}, not {value}")
     if ec.exploit_start > ec.total_measurements:
         raise ConfigError("learner.exploit_start: must lie within learner.total_measurements")
+    if not ec.n_sweep:
+        raise ConfigError("profile.n_sweep: needs at least one entry")
     if any(n < 0 for n in ec.n_sweep):
         raise ConfigError("profile.n_sweep: entries must be nonnegative")
     if len(set(ec.n_sweep)) < len(ec.n_sweep):

@@ -8,7 +8,6 @@ element m at [0, (D/2) * alpha_m] for coefficients alpha in [-1, 1].
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,14 +20,6 @@ _DEGENERATE_DISTANCE = 10.0 * np.finfo(float).eps
 
 class DegeneratePositionError(ValueError):
     """User position numerically coincides with an array element."""
-
-
-class DdfRegime(enum.Enum):
-    """Monotonicity regime of the distance difference function."""
-
-    MONOTONE_INCREASING = "monotone_increasing"
-    MONOTONE_DECREASING = "monotone_decreasing"
-    VALLEY = "valley"
 
 
 @dataclass(frozen=True)
@@ -113,22 +104,6 @@ def distance_difference(geom: ArrayGeometry, delta, ue: UePosition):
     d = np.hypot(ue.x, (1.0 - delta_arr) * half - ue.y)
     out = d - np.hypot(ue.x, half - ue.y)  # the edge [0, D/2] is delta = 0
     return float(out) if np.isscalar(delta) else out
-
-
-def ddf_regime(geom: ArrayGeometry, ue: UePosition) -> DdfRegime:
-    """Classify the monotonicity of the distance difference function.
-
-    Increasing for users above the array (y > D/2), decreasing below
-    (y < -D/2), and valley-shaped (decreasing then increasing) when the
-    user projects onto the array; the boundary |y| = D/2 counts as valley
-    (its minimum sits at an array edge).
-    """
-    half = 0.5 * geom.aperture
-    if ue.y > half:
-        return DdfRegime.MONOTONE_INCREASING
-    if ue.y < -half:
-        return DdfRegime.MONOTONE_DECREASING
-    return DdfRegime.VALLEY
 
 
 def uniform_geometry(M: int, aperture: float) -> ArrayGeometry:

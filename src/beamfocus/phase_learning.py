@@ -15,7 +15,7 @@ import numpy as np
 from .channel import SystemConfig
 from .combiner import PhaseCodebook
 from .config import ExperimentConfig
-from .critic import CriticModel, PowerDataset, initialize_critic, train_critic
+from .critic import initialize_critic, train_critic
 from .files import write_atomic
 
 
@@ -34,7 +34,7 @@ def _perturb(idx: np.ndarray, count: int, cb: PhaseCodebook, rng) -> np.ndarray:
 
 
 def coordinate_ascent(
-    model: CriticModel,
+    q: np.ndarray,
     init: np.ndarray,
     cb: PhaseCodebook,
     max_cycles: int = 1000,
@@ -42,20 +42,20 @@ def coordinate_ascent(
     """Cyclic coordinate ascent of the predicted power over the codebook.
 
     Sweeps the antennas in order, setting each codebook index to the one
-    that maximizes the critic's prediction with the rest fixed; stops after
-    a full cycle without change (each accepted change strictly increases
-    the prediction, so termination is guaranteed). `init` holds one
-    codebook index per antenna. Returns (indices, cycles_used,
-    predicted_power).
+    that maximizes the prediction ||Q^H w||^2 of the (M, rank) critic `q`
+    with the rest fixed; stops after a full cycle without change (each
+    accepted change strictly increases the prediction, so termination is
+    guaranteed). `init` holds one codebook index per antenna. Returns
+    (indices, cycles_used, predicted_power).
     """
     idx = np.atleast_1d(np.asarray(init))
     if not np.issubdtype(idx.dtype, np.integer):
         raise TypeError("init must hold codebook indices")
     idx = idx.astype(np.uint8)
     M = idx.size
-    if M != model.num_antennas:
-        raise ValueError("init length does not match the model")
-    q_conj = model.matrix.conj()  # rows indexed by antenna
+    if M != q.shape[0]:
+        raise ValueError("init length does not match the critic")
+    q_conj = q.conj()  # rows indexed by antenna
     phasors = _phasors(cb, M)  # (2^r,)
     g = q_conj.T @ phasors[idx]  # (rank,)
     best = float(np.real(np.vdot(g, g)))
@@ -89,7 +89,7 @@ class LearnHistory:
     measured_powers: np.ndarray
     best_powers: np.ndarray
     indices: np.ndarray  # (n, M) uint8 codebook indices
-    final_model: CriticModel | None
+    final_model: np.ndarray | None  # the last fit's (M, rank) critic
     exploit_events: list  # (measurement index, ascent cycles, measured power)
     critic_loss_traces: list  # one train_critic loss trace per exploit event
 
@@ -132,7 +132,7 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     exploit_events: list[tuple[int, int, float]] = []
     loss_traces: list[np.ndarray] = []
     best_idx, best_power = None, -np.inf
-    model: CriticModel | None = None
+    model = None
 
     def take(idx: np.ndarray) -> float:
         nonlocal best_idx, best_power
@@ -156,14 +156,12 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
             # the critic is consumed only by exploitation, so fitting is
             # deferred until then; each fit restarts from a fresh seeded
             # init (warm starts inherit overfit basins from small buffers)
-            data = PowerDataset(
-                beams=phasors[np.array(log_indices)],
-                powers=np.maximum(log_powers, 0.0),
-            )
+            beams = phasors[np.array(log_indices)]
+            powers = np.maximum(log_powers, 0.0)
             model = initialize_critic(
-                M, ec.critic_rank, data, seed=ec.learner_seed + 7919 * refit_index
+                ec.critic_rank, beams, powers, seed=ec.learner_seed + 7919 * refit_index
             )
-            model, trace = train_critic(model, data, ec.train_iters)
+            model, trace = train_critic(model, beams, powers, ec.train_iters)
             loss_traces.append(trace)
             refit_index += 1
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix, SystemConfig
-from .combiner import TWO_PI, CombinerConfig, effective_combiner
+from .combiner import TWO_PI, CombinerConfig
 from .files import write_atomic
 
 
@@ -85,55 +85,21 @@ def avg_amplitude_gain(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) 
     return float(np.mean(np.sqrt(gp.per_subcarrier)))
 
 
-def _signal_powers(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> np.ndarray:
-    # (P_T/K) |w_k^H h_k|^2 for every subcarrier of H
-    return cfg.tx_power_w / cfg.num_subcarriers * np.abs(_inner_products(cc, H, cfg)) ** 2
-
-
-def measure_power(
-    cc: CombinerConfig,
-    H: ChannelMatrix,
-    cfg: SystemConfig,
-    k,
-    snapshots: int = 1,
-    rng: np.random.Generator | None = None,
-) -> float | np.ndarray:
-    """Received power |y_k|^2 averaged over `snapshots` snapshots.
+def measure_power(signal, cfg: SystemConfig, snapshots: int, rng: np.random.Generator):
+    """Received power |y|^2 averaged over `snapshots` snapshots, per signal power.
 
     Each snapshot transmits a constant-modulus symbol of power P_T/K through
     the combined channel and adds combined noise n ~ CN(0, sigma^2), with
-    sigma^2 = noise_power_w (the combiner is unit-norm). For the signal power
+    sigma^2 = noise_power_w > 0 (the combiner is unit-norm). For a signal power
     a = (P_T/K) |w_k^H h_k|^2, the mean of |y|^2 over S snapshots is
     distributed as (sigma^2 / 2S) chi'^2(2S, 2S a / sigma^2), with mean
     a + sigma^2 and variance (sigma^4 + 2 a sigma^2) / S. It is drawn in
-    closed form, one noncentral chi-square draw from `rng` per bin, so the
-    cost does not grow with S and successive calls are independent. The
-    noiseless case returns a exactly and needs no `rng`.
-
-    `k` is one bin index of one configuration (returns a float) or an
-    array of indices (returns one power per index). A stacked
-    configuration with an array `k` gives one row per configuration; the
-    draws run in C order, configuration by configuration, so a stack draws
-    what sequential per-configuration calls on the same `rng` would.
+    closed form, one noncentral chi-square draw from `rng` per entry of
+    `signal` (a float or an array, drawn in C order), so the cost does not
+    grow with S and successive calls are independent.
     """
-    _check_dims(cc, H, cfg)
-    bins = np.asarray(k)
-    if np.any((bins < 0) | (bins >= H.num_subcarriers)):
-        raise ValueError(f"subcarrier index {k} out of range")
-    if snapshots < 1:
-        raise ValueError("need at least one snapshot")
-    if bins.ndim == 0:
-        wh = np.vdot(effective_combiner(cc, cfg, H.freqs_hz[k]), H.coeffs[:, k])
-        signal = cfg.tx_power_w / cfg.num_subcarriers * float(np.abs(wh) ** 2)
-    else:
-        signal = _signal_powers(cc, H, cfg)[..., bins]
-    if cfg.noise_power_w == 0.0:
-        return signal
-    if rng is None:
-        raise ValueError("a noisy measurement needs an rng")
     scale = cfg.noise_power_w / (2.0 * snapshots)
-    powers = scale * rng.noncentral_chisquare(2 * snapshots, signal / scale)
-    return float(powers) if bins.ndim == 0 else powers
+    return scale * rng.noncentral_chisquare(2 * snapshots, signal / scale)
 
 
 def measure_profile_powers(
@@ -146,14 +112,15 @@ def measure_profile_powers(
     """Measured power for every subcarrier of H, shape (..., K).
 
     A stacked configuration gives one row per configuration, equal to what
-    one call per configuration returns. Noisy powers are one
+    one call per configuration returns. Noiseless powers are the signal
+    powers (P_T/K) |w_k^H h_k|^2 and need no `rng`; noisy powers are one
     `measure_power` draw over all bins (and configurations) at once.
     """
-    if cfg.noise_power_w > 0.0:
-        bins = np.arange(H.num_subcarriers)
-        return measure_power(cc, H, cfg, bins, snapshots=snapshots, rng=rng)
     _check_dims(cc, H, cfg)
-    return _signal_powers(cc, H, cfg)
+    signal = cfg.tx_power_w / cfg.num_subcarriers * np.abs(_inner_products(cc, H, cfg)) ** 2
+    if cfg.noise_power_w > 0.0:
+        return measure_power(signal, cfg, snapshots, rng)
+    return signal
 
 
 def center_bin(freqs_hz: np.ndarray, center_freq_hz: float) -> int:

@@ -26,12 +26,12 @@ from beamfocus.config import (
     build_system,
     build_ue,
 )
-from beamfocus.critic import CriticModel, PowerDataset, critic_loss_and_gradient
-from beamfocus.geometry import DdfRegime, UePosition, ddf_regime, distance_difference, random_geometry
+from beamfocus.geometry import UePosition, distance_difference, random_geometry
 from beamfocus.phase_learning import coordinate_ascent, learn_phases
 from beamfocus.sim import center_bin, gain_profile, normalized_gain_db, three_db_bandwidth
 from beamfocus.sim import avg_amplitude_gain
 from beam_model import beam_from_phases
+from model_checks import DdfRegime, critic_loss_and_gradient, ddf_regime
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -251,8 +251,8 @@ def test_criterion_7a_gradient_vs_finite_differences():
         beams = np.array(
             [beam_from_phases(rng.uniform(-np.pi, np.pi, M)) for _ in range(n)]
         )
-        data = PowerDataset(beams=beams, powers=rng.uniform(0, 2, n))
-        _, grad = critic_loss_and_gradient(CriticModel(matrix=q), data)
+        powers = rng.uniform(0, 2, n)
+        _, grad = critic_loss_and_gradient(q, beams, powers)
         step = 1e-6
         fd = np.zeros_like(q)
         for i in range(M):
@@ -261,8 +261,8 @@ def test_criterion_7a_gradient_vs_finite_differences():
                     qp, qm = q.copy(), q.copy()
                     qp[i, j] += step * direction
                     qm[i, j] -= step * direction
-                    lp = critic_loss_and_gradient(CriticModel(matrix=qp), data)[0]
-                    lm = critic_loss_and_gradient(CriticModel(matrix=qm), data)[0]
+                    lp = critic_loss_and_gradient(qp, beams, powers)[0]
+                    lm = critic_loss_and_gradient(qm, beams, powers)[0]
                     fd[i, j] += direction * (lp - lm) / (2 * step)
         worst = max(worst, np.max(np.abs(fd - grad)) / np.max(np.abs(grad)))
     _report(

@@ -13,7 +13,6 @@ from beamfocus import cli
 from beamfocus.cli import (
     GAIN_MAP_BLOCK,
     decimate_channel,
-    decimated_indices,
     gain_map,
     main,
     make_center_measure,
@@ -22,7 +21,7 @@ from beamfocus.cli import (
     run_profile,
 )
 from beamfocus.baselines import pdf_oracle
-from beamfocus.channel import near_field_channel, spherical_wave
+from beamfocus.channel import ChannelMatrix, near_field_channel, spherical_wave
 from beamfocus.combiner import (
     CombinerConfig,
     PhaseCodebook,
@@ -42,7 +41,7 @@ from beamfocus.config import (
     parse_config_text,
 )
 from beamfocus.files import write_atomic
-from beamfocus.sim import gain_profile
+from beamfocus.sim import center_bin, gain_profile, measure_power
 
 
 def tiny_config(**kw):
@@ -72,13 +71,20 @@ def tiny_config(**kw):
     return ExperimentConfig(**base)
 
 
+def decimated_indices(K, target):
+    # the bins decimate_channel keeps, read back from a channel whose bin
+    # k sits at k + 1 Hz
+    H = ChannelMatrix(coeffs=np.zeros((1, K), complex), freqs_hz=np.arange(1.0, K + 1))
+    return decimate_channel(H, target).freqs_hz.astype(int) - 1
+
+
 def test_decimated_indices():
     idx = decimated_indices(2048, target=128)
     assert idx.size == 128
     assert idx[0] == 0 and idx[-1] == 2032
     assert np.all(np.diff(idx) == 16)
     # small K keeps every bin
-    assert decimated_indices(12).size == 12
+    assert decimated_indices(12, target=128).size == 12
     assert decimated_indices(64, target=128).size == 64
 
 
@@ -300,7 +306,7 @@ def test_cli_profile_end_to_end(tmp_path):
     assert (tmp_path / "out" / "summary.csv").exists()
 
 
-def test_cli_learn_and_search(tmp_path):
+def test_cli_learn_and_search(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(
         "\n".join(
@@ -323,9 +329,10 @@ def test_cli_learn_and_search(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["--config", str(cfg_path), "--out", str(out), "learn"]) == 0
-    assert (out / "history.csv").exists()
-    assert (out / "combiner_learned.txt").exists()
-    assert (out / "critic.txt").exists()
+    # learn prints each file it writes, and nothing else
+    printed = capsys.readouterr().out.splitlines()
+    assert sorted(printed) == sorted(str(p) for p in out.iterdir())
+    assert {Path(p).name for p in printed} == {"history.csv", "combiner_learned.txt", "critic.txt"}
     # stamped outputs still parse
     from beamfocus.combiner import load_combiner
 
@@ -547,6 +554,7 @@ def test_cli_rejects_profile_values_that_run_silently_wrong(tmp_path, capsys):
     # summary row twice; fewer than one search bin would score 16 bins
     for line, key in (
         ("profile.n_sweep = 0,4,4", "profile.n_sweep: "),
+        ("profile.n_sweep =", "profile.n_sweep: "),  # no entry: a header-only summary
         ("profile.search_subcarriers = 0", "profile.search_subcarriers: "),
         ("profile.search_subcarriers = -5", "profile.search_subcarriers: "),
     ):
@@ -575,6 +583,48 @@ def test_noisy_measure_callbacks_draw_fresh_noise():
     assert not np.array_equal(profile(cc), profile(cc))
     # a fresh callback replays its stream from learner.seed
     assert make_center_measure(ec, H, cfg)(phases) == make_center_measure(ec, H, cfg)(phases)
+
+
+@pytest.mark.parametrize("M", [16, 256])
+def test_center_measure_equals_the_gain_profile_kernel(M):
+    # the center callback's vdot and gain_profile's sub-array-factored
+    # kernel agree on random codebook beams
+    ec = tiny_config(num_antennas=M)
+    cfg = build_system(ec)
+    H = build_channel(ec, build_geometry(ec), cfg)
+    k = center_bin(H.freqs_hz, cfg.center_freq_hz)
+    measure = make_center_measure(ec, H, cfg)
+    cb = build_codebook(ec)
+    rng = np.random.default_rng(M)
+    for _ in range(20):
+        phases = cb.values[rng.integers(0, cb.size, M)]
+        cc = CombinerConfig(theta=phases, tau=np.zeros(cfg.num_td_units))
+        expected = cfg.tx_power_w / cfg.num_subcarriers * gain_profile(cc, H, cfg).per_subcarrier[k]
+        assert measure(phases) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_noisy_center_measure_is_one_measure_power_draw():
+    # each call is one measure_power draw on the center-bin signal power from
+    # the stream keyed (learner.seed, 0), minus the noise floor, clipped at 0
+    sigma2 = 1e-9
+    ec = tiny_config(noise_mode="snapshots", noise_power_w=sigma2, snapshots=3, learner_seed=5)
+    cfg = build_system(ec)
+    H = build_channel(ec, build_geometry(ec), cfg)
+    k = center_bin(H.freqs_hz, cfg.center_freq_hz)
+    measure = make_center_measure(ec, H, cfg)
+    rng = np.random.default_rng(np.random.SeedSequence(ec.learner_seed, spawn_key=(0,)))
+    cb = build_codebook(ec)
+    beams = np.random.default_rng(1)
+    clipped = 0
+    for _ in range(50):
+        phases = cb.values[beams.integers(0, cb.size, cfg.num_antennas)]
+        cc = CombinerConfig(theta=phases, tau=np.zeros(cfg.num_td_units))
+        signal = cfg.tx_power_w / cfg.num_subcarriers * gain_profile(cc, H, cfg).per_subcarrier[k]
+        expected = max(measure_power(signal, cfg, ec.snapshots, rng) - sigma2, 0.0)
+        got = measure(phases)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * sigma2)
+        clipped += got == 0.0
+    assert 0 < clipped < 50  # both sides of the clip are exercised
 
 
 def test_profile_noise_stream_is_keyed_by_td_count():

@@ -4,15 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from beamfocus.geometry import (
     ArrayGeometry,
-    DdfRegime,
     DegeneratePositionError,
     UePosition,
-    ddf_regime,
     distance_difference,
     distances,
     random_geometry,
     uniform_geometry,
 )
+from model_checks import DdfRegime, ddf_regime
 
 
 def test_geometry_invariants_enforced():

@@ -12,16 +12,6 @@ import beamfocus
 MODULES = sorted(Path(beamfocus.__file__).parent.glob("*.py"))
 BENCH_FILES = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
 
-# public names that no pipeline path calls, kept on purpose
-UNREFERENCED_OK = {
-    # the critic's analytic gradient, which the critic tests and acceptance
-    # criterion 7a check against finite differences
-    "critic.critic_loss_and_gradient",
-    # the distance-difference regime that acceptance criterion 7c checks
-    "geometry.ddf_regime",
-}
-
-
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = {}
@@ -70,9 +60,7 @@ def unreferenced_public_names(modules: dict, others: list) -> list:
 def test_every_public_name_is_referenced():
     assert BENCH_FILES, "the bench sources are missing"
     modules = {path.stem: path.read_text() for path in MODULES}
-    found = unreferenced_public_names(modules, [path.read_text() for path in BENCH_FILES])
-    assert sorted(set(found) - UNREFERENCED_OK) == []
-    assert sorted(UNREFERENCED_OK - set(found)) == []  # each exemption is still needed
+    assert unreferenced_public_names(modules, [path.read_text() for path in BENCH_FILES]) == []
 
 
 def test_unreferenced_public_name_is_found():

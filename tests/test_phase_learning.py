@@ -4,7 +4,6 @@ import pytest
 from beamfocus.channel import SystemConfig, near_field_channel
 from beamfocus.combiner import CombinerConfig, PhaseCodebook
 from beamfocus.config import ConfigError, ExperimentConfig, parse_config_text
-from beamfocus.critic import CriticModel
 from beamfocus.geometry import UePosition, random_geometry
 from beamfocus.phase_learning import (
     _perturb,
@@ -31,7 +30,7 @@ def make_cfg(M, K=1, B=0.0, fc=100e9):
 def predicted(model, idx, cb):
     # the critic's prediction ||Q^H w||^2 for the beam of codebook indices
     # idx, formed as coordinate_ascent forms it
-    g = model.matrix.conj().T @ beam_from_phases(cb.values[np.asarray(idx)])
+    g = model.conj().T @ beam_from_phases(cb.values[np.asarray(idx)])
     return float(np.real(np.vdot(g, g)))
 
 
@@ -82,7 +81,7 @@ def test_propose_action_bounded_change_count():
 def test_coordinate_ascent_single_antenna_returns_init():
     # the beam power of a single element is phase-invariant
     cb = PhaseCodebook(bits=2)
-    model = CriticModel(matrix=np.array([[np.exp(0.3j)]]))
+    model = np.array([[np.exp(0.3j)]])
     idx, cycles, _ = coordinate_ascent(model, np.array([1]), cb)
     assert idx[0] == 1
     assert cycles == 1
@@ -92,7 +91,7 @@ def test_coordinate_ascent_aligns_equal_phase_channel():
     M = 6
     cb = PhaseCodebook(bits=2)
     h = np.full(M, np.exp(0.0j))
-    model = CriticModel(matrix=h[:, None])
+    model = h[:, None]
     rng = np.random.default_rng(3)
     init = rng.integers(0, 4, M)
     idx, _, _ = coordinate_ascent(model, init, cb)
@@ -106,7 +105,7 @@ def test_coordinate_ascent_monotone_and_near_exhaustive():
     hits = 0
     for trial in range(25):
         q = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        model = CriticModel(matrix=q[:, None])
+        model = q[:, None]
         init = rng.integers(0, 2, M)
         p0 = predicted(model, init, cb)
         idx, cycles, p = coordinate_ascent(model, init, cb)
@@ -128,7 +127,7 @@ def test_exploit_with_perfect_critic_near_exhaustive_optimum():
     for trial in range(5):
         cfg, H = small_scene(M, seed=20 + trial)
         h = H.coeffs[:, 0]
-        model = CriticModel(matrix=h[:, None])
+        model = h[:, None]
         best = max(
             abs(np.vdot(beam_from_phases(cb.values[np.array(ix)]), h)) ** 2
             for ix in np.ndindex(*(cb.size,) * M)
@@ -143,9 +142,7 @@ def test_exploit_critic_never_decreases_prediction():
     rng = np.random.default_rng(5)
     cb = PhaseCodebook(bits=2)
     M = 5
-    model = CriticModel(
-        matrix=rng.standard_normal((M, 2)) + 1j * rng.standard_normal((M, 2))
-    )
+    model = rng.standard_normal((M, 2)) + 1j * rng.standard_normal((M, 2))
     for seed in range(10):
         init = np.random.default_rng(seed).integers(0, 4, M)
         out, _, _ = coordinate_ascent(model, init, cb)
