@@ -58,8 +58,6 @@ def decimate_channel(H: ChannelMatrix, target: int) -> ChannelMatrix:
     """
     K = H.num_subcarriers
     idx = np.arange(0, K, max(1, K // max(target, 16)))
-    if idx.size < 16:
-        idx = np.arange(K)
     return ChannelMatrix(coeffs=H.coeffs[:, idx], freqs_hz=H.freqs_hz[idx])
 
 
@@ -156,6 +154,13 @@ def _heatmap_axes(ec: ExperimentConfig):
     return xs, ys
 
 
+def _scenario(ec: ExperimentConfig, num_td_units: int | None = None):
+    """(geom, cb, cfg, H): the seeded scenario every command starts from."""
+    geom = build_geometry(ec)
+    cfg = build_system(ec, num_td_units=num_td_units)
+    return geom, build_codebook(ec), cfg, build_channel(ec, geom, cfg)
+
+
 def learn_pipeline(ec: ExperimentConfig, H: ChannelMatrix, cfg: SystemConfig, cb):
     """Run the measurement-only phase learner; returns (theta, history)."""
     measure = make_center_measure(ec, H, cfg)
@@ -186,29 +191,20 @@ def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Pat
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    geom = build_geometry(ec)
     ue = build_ue(ec)
-    cb = build_codebook(ec)
-
-    # the channel and the phase-learning stage are independent of the
-    # TD-unit count, so both are built once for the whole sweep
-    base_cfg = build_system(ec, num_td_units=1)
-    H = build_channel(ec, geom, base_cfg)
-
-    theta_learned = None
-    if not oracle:
-        theta_learned, _ = learn_pipeline(ec, H, base_cfg, cb)
+    # the channel and the zero-delay phases are independent of the TD-unit
+    # count, so both are built once for the whole sweep
+    geom, cb, base_cfg, H = _scenario(ec, num_td_units=1)
+    if oracle:
+        theta_star = ps_only_oracle(H, base_cfg, cb).theta
+    else:
+        theta_star, _ = learn_pipeline(ec, H, base_cfg, cb)
 
     written = []
     summary_rows = []
     for n in ec.n_sweep:
         cfg_n = build_system(ec, num_td_units=n)
         pdf_cc = pdf_oracle(geom, ue, H, cfg_n, cb)
-        if oracle:
-            theta_star = ps_only_oracle(H, cfg_n, cb).theta
-        else:
-            theta_star = theta_learned
-
         if n == 0:
             cc = CombinerConfig(theta=theta_star, tau=np.zeros(cfg_n.num_td_units))
         elif oracle:
@@ -272,13 +268,6 @@ def run_heatmap(
     return written
 
 
-def _cmd_profile(ec: ExperimentConfig, args) -> int:
-    files = run_profile(ec, args.out, oracle=args.oracle)
-    for path in files:
-        print(path)
-    return 0
-
-
 def _load_combiner_arg(path) -> CombinerConfig:
     """The --combiner file's configuration; a file it cannot load is a config error."""
     try:
@@ -299,22 +288,22 @@ def _parse_freqs(text: str) -> list[float]:
     return freqs
 
 
-def _cmd_heatmap(ec: ExperimentConfig, args) -> int:
+def _cmd_heatmap(ec: ExperimentConfig, args) -> list[Path]:
     freqs = None if args.freqs == "edges" else _parse_freqs(args.freqs)
-    geom = build_geometry(ec)
-    ue = build_ue(ec)
-    cb = build_codebook(ec)
-    cfg = build_system(ec)
-    H = build_channel(ec, geom, cfg)
+    geom, cb, cfg, H = _scenario(ec)
 
     if args.combiner:
         cc = _load_combiner_arg(args.combiner)
         if cc.theta.size != cfg.num_antennas or cc.tau.size != cfg.num_td_units:
             raise ConfigError("combiner file does not match system.M/system.N")
+        # delays are stored to 1e-18 s, so a delay clipped to tau_max may
+        # read back up to half of that above it
+        if np.any(cc.tau > cfg.tau_max_s + 0.5e-18):
+            raise ConfigError(f"combiner file delays exceed system.tau_max_s = {cfg.tau_max_s:.6g}")
     elif args.source == "ps-oracle":
         cc = ps_only_oracle(H, cfg, cb)
     elif args.source == "pdf-oracle":
-        cc = pdf_oracle(geom, ue, H, cfg, cb)
+        cc = pdf_oracle(geom, build_ue(ec), H, cfg, cb)
     else:  # learned
         theta, _ = learn_pipeline(ec, H, cfg, cb)
         result = search_pipeline(ec, theta, geom, H, cfg, cb)
@@ -325,42 +314,27 @@ def _cmd_heatmap(ec: ExperimentConfig, args) -> int:
     # one file per distinct frequency, in the order first given
     freqs = list(dict.fromkeys(freqs))
     label = "heatmap_custom" if args.combiner else f"heatmap_{args.source}"
-    files = run_heatmap(ec, args.out, cc, cfg, freqs, label=label)
-    for path in files:
-        print(path)
-    return 0
+    return run_heatmap(ec, args.out, cc, cfg, freqs, label=label)
 
 
-def _cmd_learn(ec: ExperimentConfig, args) -> int:
-    geom = build_geometry(ec)
-    cb = build_codebook(ec)
-    cfg = build_system(ec)
-    H = build_channel(ec, geom, cfg)
+def _cmd_learn(ec: ExperimentConfig, args) -> list[Path]:
+    _, cb, cfg, H = _scenario(ec)
     theta, history = learn_pipeline(ec, H, cfg, cb)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stamp = stamp_lines(ec, command="learn")
     write_history_csv(history, cb, out / "history.csv", stamp)
-    save_combiner(
-        CombinerConfig(theta=theta, tau=np.zeros(cfg.num_td_units)),
-        cb,
-        out / "combiner_learned.txt",
-        header_comment=stamp,
-    )
-    print(out / "history.csv")
-    print(out / "combiner_learned.txt")
+    cc = CombinerConfig(theta=theta, tau=np.zeros(cfg.num_td_units))
+    save_combiner(cc, cb, out / "combiner_learned.txt", header_comment=stamp)
+    written = [out / "history.csv", out / "combiner_learned.txt"]
     if history.final_model is not None:
         save_critic(history.final_model, out / "critic.txt", header_comment=stamp)
-        print(out / "critic.txt")
-    return 0
+        written.append(out / "critic.txt")
+    return written
 
 
-def _cmd_search_delays(ec: ExperimentConfig, args) -> int:
-    geom = build_geometry(ec)
-    ue = build_ue(ec)
-    cb = build_codebook(ec)
-    cfg = build_system(ec)
-    H = build_channel(ec, geom, cfg)
+def _cmd_search_delays(ec: ExperimentConfig, args) -> list[Path]:
+    geom, cb, cfg, H = _scenario(ec)
     if args.combiner:
         cc_in = _load_combiner_arg(args.combiner)
         if cc_in.theta.size != cfg.num_antennas:
@@ -371,18 +345,11 @@ def _cmd_search_delays(ec: ExperimentConfig, args) -> int:
     result = search_pipeline(ec, theta_star, geom, H, cfg, cb)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_search_trace_csv(
-        result, out / "search_trace.csv", stamp_lines(ec, command="search-delays")
-    )
-    save_combiner(
-        CombinerConfig(theta=result.theta, tau=result.tau),
-        cb,
-        out / "combiner_final.txt",
-        header_comment=stamp_lines(ec, command="search-delays"),
-    )
-    print(out / "search_trace.csv")
-    print(out / "combiner_final.txt")
-    return 0
+    stamp = stamp_lines(ec, command="search-delays")
+    write_search_trace_csv(result, out / "search_trace.csv", stamp)
+    cc = CombinerConfig(theta=result.theta, tau=result.tau)
+    save_combiner(cc, cb, out / "combiner_final.txt", header_comment=stamp)
+    return [out / "search_trace.csv", out / "combiner_final.txt"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,12 +400,15 @@ def main(argv=None) -> int:
             ec = validate(replace(ec, learner_seed=args.seed))
         args.out = args.out or ec.output_dir
         handlers = {
-            "profile": _cmd_profile,
+            "profile": lambda ec, args: run_profile(ec, args.out, oracle=args.oracle),
             "heatmap": _cmd_heatmap,
             "learn": _cmd_learn,
             "search-delays": _cmd_search_delays,
         }
-        return handlers[args.command](ec, args)
+        # each handler returns the paths it wrote, printed once all are written
+        for path in handlers[args.command](ec, args):
+            print(path)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -107,8 +107,9 @@ class CombinerConfig:
     `theta` has shape (..., M) and `tau` shape (..., N) with the same
     leading batch dims; a stack holds one configuration per batch index.
     Phases are wrapped to (-pi, pi] at construction; delays are seconds and
-    must be nonnegative (the per-config upper bound tau_max is checked where
-    a SystemConfig is in scope).
+    must be nonnegative. The upper bound system.tau_max_s is not checked
+    here: the delay search and the oracles clip to it, and `heatmap
+    --combiner` rejects a file that exceeds it.
     """
 
     theta: np.ndarray
@@ -167,29 +168,31 @@ def recompensate_phases(theta_star, tau, cfg: SystemConfig, cb) -> np.ndarray:
     return quantize_phase(shifted, cb)
 
 
-def combiner_to_text(cc: CombinerConfig, cb: PhaseCodebook) -> str:
-    """Serialize a configuration: phases as codebook indices, delays in ps.
+def save_combiner(
+    cc: CombinerConfig, cb: PhaseCodebook, path, header_comment: str = ""
+) -> None:
+    """Write the header comment, then phases as codebook indices and delays in ps.
 
     Indices make the phase round-trip bit-exact; delays carry 6 decimal
     digits of a picosecond.
     """
     idx = phase_indices(cc.theta, cb)
-    lines = [
-        f"ps_bits {cb.bits}",
-        "theta_idx " + " ".join(str(i) for i in idx),
-        "tau_ps " + " ".join(f"{t * 1e12:.6f}" for t in cc.tau),
-    ]
-    return "\n".join(lines) + "\n"
+    with write_atomic(path) as fh:
+        fh.write(header_comment)
+        fh.write(f"ps_bits {cb.bits}\n")
+        fh.write("theta_idx " + " ".join(str(i) for i in idx) + "\n")
+        fh.write("tau_ps " + " ".join(f"{t * 1e12:.6f}" for t in cc.tau) + "\n")
 
 
-def combiner_from_text(text: str):
-    """Parse `combiner_to_text` output; returns (CombinerConfig, PhaseCodebook)."""
+def load_combiner(path):
+    """Read a `save_combiner` file; returns (CombinerConfig, PhaseCodebook)."""
     fields = {}
-    for ln in text.splitlines():
-        if not ln.strip() or ln.startswith("#"):
-            continue
-        key, _, rest = ln.partition(" ")
-        fields[key] = rest.split()
+    with open(path) as fh:
+        for ln in fh.read().splitlines():
+            if not ln.strip() or ln.startswith("#"):
+                continue
+            key, _, rest = ln.partition(" ")
+            fields[key] = rest.split()
     try:
         cb = PhaseCodebook(bits=int(fields["ps_bits"][0]))
         idx = np.array([int(tok) for tok in fields["theta_idx"]])
@@ -199,17 +202,3 @@ def combiner_from_text(text: str):
     if np.any(idx < 0) or np.any(idx >= cb.size):
         raise ValueError("phase index out of codebook range")
     return CombinerConfig(theta=cb.values[idx], tau=tau), cb
-
-
-def save_combiner(
-    cc: CombinerConfig, cb: PhaseCodebook, path, header_comment: str = ""
-) -> None:
-    with write_atomic(path) as fh:
-        if header_comment:
-            fh.write(header_comment)
-        fh.write(combiner_to_text(cc, cb))
-
-
-def load_combiner(path):
-    with open(path) as fh:
-        return combiner_from_text(fh.read())

@@ -209,14 +209,6 @@ def resolved_aperture(ec: ExperimentConfig) -> float:
     return (ec.num_antennas - 1) * lam_c / 2.0
 
 
-def resolved_tau_max(ec: ExperimentConfig) -> float:
-    # the distance difference across the array never exceeds the aperture,
-    # so aperture/c delays always suffice
-    if ec.tau_max_s is not None:
-        return ec.tau_max_s
-    return resolved_aperture(ec) / SPEED_OF_LIGHT
-
-
 def build_geometry(ec: ExperimentConfig) -> ArrayGeometry:
     aperture = resolved_aperture(ec)
     if ec.geometry_kind == "uniform":
@@ -241,6 +233,11 @@ def build_system(ec: ExperimentConfig, num_td_units: int | None = None) -> Syste
     n = ec.num_td_units if num_td_units is None else num_td_units
     if n == 0:
         n = 1
+    tau_max = ec.tau_max_s
+    if tau_max is None:
+        # the distance difference across the array never exceeds the
+        # aperture, so aperture/c delays always suffice
+        tau_max = resolved_aperture(ec) / SPEED_OF_LIGHT
     return SystemConfig(
         num_antennas=ec.num_antennas,
         num_td_units=n,
@@ -248,7 +245,7 @@ def build_system(ec: ExperimentConfig, num_td_units: int | None = None) -> Syste
         num_subcarriers=ec.num_subcarriers,
         center_freq_hz=ec.center_freq_hz,
         bandwidth_hz=ec.bandwidth_hz,
-        tau_max_s=resolved_tau_max(ec),
+        tau_max_s=tau_max,
         tx_power_w=ec.tx_power_w,
         noise_power_w=ec.noise_power_w if ec.noise_mode == "snapshots" else 0.0,
     )

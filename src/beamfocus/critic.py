@@ -145,22 +145,14 @@ def train_critic(q: np.ndarray, beams: np.ndarray, powers: np.ndarray, max_iters
     return q * np.sqrt(scale), np.array(trace)
 
 
-def matrix_to_text(a: np.ndarray) -> str:
-    """Header `rows cols`, then one line per row of `re:im` entries.
+def save_critic(q: np.ndarray, path, header_comment: str = "") -> None:
+    """Write the header comment, then `rows cols` and one `re:im` line per row.
 
-    Floats use shortest round-trip decimal form, so the text holds the
+    Floats use shortest round-trip decimal form, so the file holds the
     matrix bit-exactly.
     """
-    rows, cols = a.shape
-    lines = [f"{rows} {cols}"]
-    for row in a:
-        lines.append(" ".join(f"{float(c.real)!r}:{float(c.imag)!r}" for c in row))
-    return "\n".join(lines) + "\n"
-
-
-def save_critic(q: np.ndarray, path, header_comment: str = "") -> None:
-    """Write the header comment, then the (M, rank) matrix as matrix_to_text does."""
     with write_atomic(path) as fh:
-        if header_comment:
-            fh.write(header_comment)
-        fh.write(matrix_to_text(q))
+        fh.write(header_comment)
+        fh.write(f"{q.shape[0]} {q.shape[1]}\n")
+        for row in q:
+            fh.write(" ".join(f"{float(c.real)!r}:{float(c.imag)!r}" for c in row) + "\n")

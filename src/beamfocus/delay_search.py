@@ -208,8 +208,7 @@ def write_search_trace_csv(result: DelaySearchResult, path, header_comment: str 
     """CSV export: ax,ay,b,score_amplitude_mean,score_db_rel_ps_only."""
     ref = result.ps_only_score
     with write_atomic(path) as fh:
-        if header_comment:
-            fh.write(header_comment)
+        fh.write(header_comment)
         fh.write("ax,ay,b,score_amplitude_mean,score_db_rel_ps_only\n")
         for ax, ay, b, score in result.trace:
             if ref > 0.0 and score > 0.0:

@@ -99,15 +99,16 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
 
     The search and its log hold codebook indices; `measure` maps the
     M-vector of their codebook phases to the received power at the center
-    frequency. The `learner.*` settings of `ec` set the budget and the
-    schedule. Exploration measurements number exactly total_measurements;
-    each re-draws perturb_count phases (auto: M//4; 0 is a stationary
-    probe), decaying linearly to M//16 over the budget. From exploit_start
-    on, the critic is refit on the buffer every critic_refit_period
-    measurements, each fit capped at train_iters iterations (see
-    critic.train_critic) and followed by a coordinate-ascent exploitation
-    that adds one callback invocation. Deterministic per learner_seed,
-    including callback order.
+    frequency, which the critic fits as is (so it must not be negative;
+    `cli.make_center_measure` clips). The `learner.*` settings of `ec` set
+    the budget and the schedule. Exploration measurements number exactly
+    total_measurements; each re-draws perturb_count phases (auto: M//4; 0 is
+    a stationary probe), decaying linearly to M//16 over the budget. From
+    exploit_start on, the critic is refit on the buffer every
+    critic_refit_period measurements, each fit capped at train_iters
+    iterations (see critic.train_critic) and followed by a coordinate-ascent
+    exploitation that adds one callback invocation. Deterministic per
+    learner_seed, including callback order.
     """
     M = cfg.num_antennas
     rng = np.random.default_rng(ec.learner_seed)
@@ -146,7 +147,6 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     current = rng.integers(0, cb.size, size=M).astype(np.uint8)
     take(current)
 
-    refit_index = 0
     for t in range(2, total + 1):
         current = _perturb(current, scheduled_count(t), cb, rng)
         take(current)
@@ -157,13 +157,12 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
             # deferred until then; each fit restarts from a fresh seeded
             # init (warm starts inherit overfit basins from small buffers)
             beams = phasors[np.array(log_indices)]
-            powers = np.maximum(log_powers, 0.0)
+            powers = np.array(log_powers)
             model = initialize_critic(
-                ec.critic_rank, beams, powers, seed=ec.learner_seed + 7919 * refit_index
+                ec.critic_rank, beams, powers, seed=ec.learner_seed + 7919 * len(loss_traces)
             )
             model, trace = train_critic(model, beams, powers, ec.train_iters)
             loss_traces.append(trace)
-            refit_index += 1
 
             current, cycles, _ = coordinate_ascent(model, best_idx, cb)
             p_x = take(current)
@@ -193,8 +192,7 @@ def write_history_csv(
     # hex() writes two digits per uint8 index; up to 4 bits the first is 0
     one_digit = cb.bits <= 4
     with write_atomic(path) as fh:
-        if header_comment:
-            fh.write(header_comment)
+        fh.write(header_comment)
         fh.write("iter,measured_power,best_power,phase_indices\n")
         for i, p, b, row in zip(
             history.iters, history.measured_powers, history.best_powers, history.indices

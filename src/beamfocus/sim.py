@@ -1,8 +1,11 @@
 """Measurement oracle: received-power evaluation and bandwidth metrics.
 
-The only module that touches the true channel. Learners observe it purely
-through (optionally noisy) power measurements returned by the functions
-here.
+Learners observe the true channel only through (optionally noisy) power
+measurements. This module holds the profile measurement, the noise draw
+and the reported gain profiles; `cli.make_center_measure` computes the
+center-bin inner product itself and draws its noise with `measure_power`.
+The `baselines` oracles and `cli.gain_map` also read or re-synthesize the
+channel, for comparison only.
 """
 
 from __future__ import annotations
@@ -168,8 +171,7 @@ def write_gain_csv(gp: GainProfile, path, header_comment: str = "") -> None:
     """CSV export: freq_hz,gain_linear,gain_db_rel_center."""
     db = normalized_gain_db(gp)
     with write_atomic(path) as fh:
-        if header_comment:
-            fh.write(header_comment)
+        fh.write(header_comment)
         fh.write("freq_hz,gain_linear,gain_db_rel_center\n")
         for f, g, d in zip(gp.freqs_hz, gp.per_subcarrier, db):
             fh.write(f"{f:.10g},{g:.12g},{d:.6f}\n")

@@ -25,7 +25,6 @@ from beamfocus.channel import ChannelMatrix, near_field_channel, spherical_wave
 from beamfocus.combiner import (
     CombinerConfig,
     PhaseCodebook,
-    combiner_to_text,
     effective_combiner,
     save_combiner,
 )
@@ -86,6 +85,13 @@ def test_decimated_indices():
     # small K keeps every bin
     assert decimated_indices(12, target=128).size == 12
     assert decimated_indices(64, target=128).size == 64
+    # any K keeps at least min(K, 16) evenly spaced bins from bin 0
+    for K in range(1, 301):
+        for target in (1, 16, 128, K):
+            idx = decimated_indices(K, target)
+            assert idx.size >= min(K, 16)
+            assert idx[0] == 0 and idx[-1] < K
+            assert np.unique(np.diff(idx)).size <= 1
 
 
 def test_decimate_channel_slices_consistently():
@@ -407,6 +413,15 @@ def test_cli_heatmap_writes_each_frequency_once(tmp_path, capsys, K, files):
     assert sorted(printed) == sorted(str(path) for path in out.iterdir())
 
 
+@pytest.mark.parametrize("cmd", [["profile"], ["profile", "--oracle"], ["search-delays"]])
+def test_cli_prints_each_file_it_writes(tmp_path, capsys, cmd):
+    cfg_path = write_m16_config(tmp_path / "exp.cfg", "profile.n_sweep = 0,4")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), *cmd]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert sorted(printed) == sorted(str(path) for path in out.iterdir())
+
+
 def test_cli_mnp_violation_is_a_config_error(tmp_path, capsys):
     for line in ("system.N = 3", "profile.n_sweep = 0,3"):
         cfg_path = write_m16_config(tmp_path / "exp.cfg", line)
@@ -448,12 +463,31 @@ def test_cli_combiner_file_must_match_system_m(tmp_path, capsys):
     )
     eight = tmp_path / "combiner_m8.txt"
     save_combiner(CombinerConfig(theta=np.zeros(8), tau=np.zeros(4)), PhaseCodebook(3), eight)
-    for cmd in (["search-delays"], ["heatmap", "--freqs", "1e11"]):
+    # delays of 1 us, far above the aperture/c bound of an M=16 array
+    slow = tmp_path / "combiner_1us.txt"
+    save_combiner(CombinerConfig(theta=np.zeros(16), tau=np.full(4, 1e-6)), PhaseCodebook(3), slow)
+    heatmap = ["heatmap", "--freqs", "1e11"]
+    for cmd, path in ((["search-delays"], eight), (heatmap, eight), (heatmap, slow)):
         out = tmp_path / cmd[0]
-        argv = ["--config", str(cfg_path), "--out", str(out), *cmd, "--combiner", str(eight)]
+        argv = ["--config", str(cfg_path), "--out", str(out), *cmd, "--combiner", str(path)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: combiner file")
         assert not out.exists()
+
+
+def test_cli_heatmap_loads_a_combiner_rounded_above_tau_max(tmp_path, capsys):
+    # 1000.0000006 ps is saved as 1000.000001 ps, 0.4e-18 s above the bound
+    tau_max = 1.0000000006e-9
+    cfg_path = write_m16_config(
+        tmp_path / "exp.cfg", f"system.tau_max_s = {tau_max!r}", "heatmap.resolution_m = 0.5"
+    )
+    path = tmp_path / "combiner.txt"
+    save_combiner(CombinerConfig(theta=np.zeros(16), tau=np.full(4, tau_max)), PhaseCodebook(3), path)
+    assert "tau_ps 1000.000001 " in path.read_text()
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg_path), "--out", str(out), "heatmap", "--freqs", "1e11"]
+    assert main([*argv, "--combiner", str(path)]) == 0
+    assert capsys.readouterr().out.split() == [str(out / "heatmap_custom_f100GHz.csv")]
 
 
 def test_cli_rejects_geometry_and_user_that_fail_after_parsing(tmp_path, capsys):
@@ -465,9 +499,9 @@ def test_cli_rejects_geometry_and_user_that_fail_after_parsing(tmp_path, capsys)
 @pytest.mark.parametrize("cmd", [["search-delays"], ["heatmap", "--freqs", "1e11"]])
 def test_cli_combiner_file_errors_are_config_errors(tmp_path, capsys, cmd):
     cfg_path = write_m16_config(tmp_path / "exp.cfg")
-    text = combiner_to_text(
-        CombinerConfig(theta=np.zeros(16), tau=np.zeros(4)), PhaseCodebook(3)
-    )
+    good = tmp_path / "good.txt"
+    save_combiner(CombinerConfig(theta=np.zeros(16), tau=np.zeros(4)), PhaseCodebook(3), good)
+    text = good.read_text()
     assert "theta_idx 3 " in text
     broken = {
         "no_tau.txt": "".join(ln for ln in text.splitlines(True) if not ln.startswith("tau_ps")),

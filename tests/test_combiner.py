@@ -7,8 +7,6 @@ from beamfocus.combiner import (
     CombinerConfig,
     MAX_BITS,
     PhaseCodebook,
-    combiner_from_text,
-    combiner_to_text,
     effective_combiner,
     load_combiner,
     phase_indices,
@@ -251,22 +249,22 @@ def test_serialization_roundtrip_bit_exact(tmp_path):
     theta = cb.values[rng.integers(0, cb.size, size=16)]
     tau = rng.uniform(0, 1e-9, 4)
     cc = CombinerConfig(theta=theta, tau=tau)
-    text = combiner_to_text(cc, cb)
-    cc2, cb2 = combiner_from_text(text)
+    path = tmp_path / "combiner.txt"
+    save_combiner(cc, cb, path, header_comment="# run = test\n")
+    assert path.read_text().startswith("# run = test\nps_bits 3\ntheta_idx ")
+    cc2, cb2 = load_combiner(path)
     assert cb2.bits == 3
     assert np.array_equal(cc2.theta, cc.theta)  # indices make phases bit-exact
     assert np.allclose(cc2.tau, cc.tau, atol=1e-18)  # ps with 6 decimals
-    path = tmp_path / "combiner.txt"
-    save_combiner(cc, cb, path)
-    cc3, _ = load_combiner(path)
-    assert np.array_equal(cc3.theta, cc.theta)
 
 
-def test_serialization_rejects_non_codebook_phase():
+def test_serialization_rejects_non_codebook_phase(tmp_path):
     cb = PhaseCodebook(bits=2)
     cc = CombinerConfig(theta=[0.3], tau=[0.0])
+    path = tmp_path / "combiner.txt"
     with pytest.raises(ValueError):
-        combiner_to_text(cc, cb)
+        save_combiner(cc, cb, path)
+    assert not path.exists()
 
 
 def test_phase_indices_roundtrip():

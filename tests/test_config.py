@@ -13,7 +13,6 @@ from beamfocus.config import (
     parse_config,
     parse_config_text,
     resolved_aperture,
-    resolved_tau_max,
     stamp_lines,
 )
 from beamfocus.geometry import SPEED_OF_LIGHT
@@ -28,7 +27,7 @@ def test_defaults_match_reference_scenario():
     # aperture defaults to (M-1) * lambda_c / 2
     lam_c = SPEED_OF_LIGHT / 100e9
     assert resolved_aperture(ec) == pytest.approx(255 * lam_c / 2)
-    assert resolved_tau_max(ec) == pytest.approx(resolved_aperture(ec) / SPEED_OF_LIGHT)
+    assert build_system(ec).tau_max_s == pytest.approx(resolved_aperture(ec) / SPEED_OF_LIGHT)
 
 
 def test_parse_minimal_file_gets_defaults(tmp_path):

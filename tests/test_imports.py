@@ -36,6 +36,65 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["line 1: os", "line 3: y"]
 
 
+def _own_nodes(func):
+    # the nodes of a function's body, not descending into nested scopes
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, ast.FunctionDef):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(source: str) -> list[str]:
+    """`function: name` for each local a function assigns and never reads.
+
+    A nested function's reads count for the function around it; names a
+    function declares global or nonlocal, and `_`, are not its locals.
+    """
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        own = list(_own_nodes(func))
+        declared = {n for node in own if isinstance(node, (ast.Global, ast.Nonlocal)) for n in node.names}
+        stored = {
+            node.id for node in own if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        read = {
+            node.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found += [f"{func.name}: {name}" for name in sorted(stored - read - declared - {"_"})]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_local(path):
+    assert unread_locals(path.read_text()) == []
+
+
+def test_unread_local_is_found():
+    source = (
+        "def f(a):\n"
+        "    used, unused = a\n"
+        "    for _ in range(2):\n"
+        "        closed = 1\n"
+        "    def g():\n"
+        "        nonlocal used\n"
+        "        used = closed\n"
+        "    with open(a) as fh:\n"
+        "        pass\n"
+        "    return used, g\n"
+        "\n"
+        "def h():\n"
+        "    x = [y for y in range(3)]\n"
+        "    x += [1]\n"
+    )
+    assert unread_locals(source) == ["f: fh", "f: unused", "h: x"]
+
+
 def unreferenced_public_names(modules: dict, others: list) -> list:
     """`module.name` of each public top-level function and class in `modules`
     (module name -> source) that no source, `others` included, names."""
