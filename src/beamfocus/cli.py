@@ -154,10 +154,10 @@ def _heatmap_axes(ec: ExperimentConfig):
     return xs, ys
 
 
-def _scenario(ec: ExperimentConfig, num_td_units: int | None = None):
+def _scenario(ec: ExperimentConfig):
     """(geom, cb, cfg, H): the seeded scenario every command starts from."""
     geom = build_geometry(ec)
-    cfg = build_system(ec, num_td_units=num_td_units)
+    cfg = build_system(ec)
     return geom, build_codebook(ec), cfg, build_channel(ec, geom, cfg)
 
 
@@ -194,7 +194,7 @@ def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Pat
     ue = build_ue(ec)
     # the channel and the zero-delay phases are independent of the TD-unit
     # count, so both are built once for the whole sweep
-    geom, cb, base_cfg, H = _scenario(ec, num_td_units=1)
+    geom, cb, base_cfg, H = _scenario(ec)
     if oracle:
         theta_star = ps_only_oracle(H, base_cfg, cb).theta
     else:
@@ -297,8 +297,8 @@ def _cmd_heatmap(ec: ExperimentConfig, args) -> list[Path]:
         if cc.theta.size != cfg.num_antennas or cc.tau.size != cfg.num_td_units:
             raise ConfigError("combiner file does not match system.M/system.N")
         # delays are stored to 1e-18 s, so a delay clipped to tau_max may
-        # read back up to half of that above it
-        if np.any(cc.tau > cfg.tau_max_s + 0.5e-18):
+        # read back above it; one full step leaves room for float rounding
+        if np.any(cc.tau > cfg.tau_max_s + 1e-18):
             raise ConfigError(f"combiner file delays exceed system.tau_max_s = {cfg.tau_max_s:.6g}")
     elif args.source == "ps-oracle":
         cc = ps_only_oracle(H, cfg, cb)

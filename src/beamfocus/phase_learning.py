@@ -99,16 +99,15 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
 
     The search and its log hold codebook indices; `measure` maps the
     M-vector of their codebook phases to the received power at the center
-    frequency, which the critic fits as is (so it must not be negative;
-    `cli.make_center_measure` clips). The `learner.*` settings of `ec` set
-    the budget and the schedule. Exploration measurements number exactly
-    total_measurements; each re-draws perturb_count phases (auto: M//4; 0 is
-    a stationary probe), decaying linearly to M//16 over the budget. From
-    exploit_start on, the critic is refit on the buffer every
-    critic_refit_period measurements, each fit capped at train_iters
-    iterations (see critic.train_critic) and followed by a coordinate-ascent
-    exploitation that adds one callback invocation. Deterministic per
-    learner_seed, including callback order.
+    frequency; the critic fits those powers clipped at 0. The `learner.*`
+    settings of `ec` set the budget and the schedule. Exploration
+    measurements number exactly total_measurements; each re-draws
+    perturb_count phases (auto: M//4; 0 is a stationary probe), decaying
+    linearly to M//16 over the budget. From exploit_start on, the critic is
+    refit on the buffer every critic_refit_period measurements, each fit
+    capped at train_iters iterations (see critic.train_critic) and followed
+    by a coordinate-ascent exploitation that adds one callback invocation.
+    Deterministic per learner_seed, including callback order.
     """
     M = cfg.num_antennas
     rng = np.random.default_rng(ec.learner_seed)
@@ -157,7 +156,7 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
             # deferred until then; each fit restarts from a fresh seeded
             # init (warm starts inherit overfit basins from small buffers)
             beams = phasors[np.array(log_indices)]
-            powers = np.array(log_powers)
+            powers = np.maximum(log_powers, 0.0)
             model = initialize_critic(
                 ec.critic_rank, beams, powers, seed=ec.learner_seed + 7919 * len(loss_traces)
             )

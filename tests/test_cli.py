@@ -475,15 +475,20 @@ def test_cli_combiner_file_must_match_system_m(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_cli_heatmap_loads_a_combiner_rounded_above_tau_max(tmp_path, capsys):
-    # 1000.0000006 ps is saved as 1000.000001 ps, 0.4e-18 s above the bound
-    tau_max = 1.0000000006e-9
+@pytest.mark.parametrize(
+    "tau_max, saved",
+    [
+        (1.0000000006e-9, "1000.000001"),  # 0.4e-18 s above the bound
+        (1.0000000005e-9, "1000.000000"),  # the round-half tie
+    ],
+)
+def test_cli_heatmap_loads_a_combiner_rounded_above_tau_max(tmp_path, capsys, tau_max, saved):
     cfg_path = write_m16_config(
         tmp_path / "exp.cfg", f"system.tau_max_s = {tau_max!r}", "heatmap.resolution_m = 0.5"
     )
     path = tmp_path / "combiner.txt"
     save_combiner(CombinerConfig(theta=np.zeros(16), tau=np.full(4, tau_max)), PhaseCodebook(3), path)
-    assert "tau_ps 1000.000001 " in path.read_text()
+    assert f"tau_ps {saved} " in path.read_text()
     out = tmp_path / "out"
     argv = ["--config", str(cfg_path), "--out", str(out), "heatmap", "--freqs", "1e11"]
     assert main([*argv, "--combiner", str(path)]) == 0

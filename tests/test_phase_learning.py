@@ -287,6 +287,33 @@ def test_learn_phases_callback_failure_propagates():
         learn_phases(measure, cfg, cb, ec)
 
 
+def test_learn_phases_fits_negative_readings_as_zero():
+    # a reading below zero (a noisy or offset detector) reaches the critic
+    # as 0, so the run is the one a clipping callback gives
+    cfg, H = small_scene(4, seed=1)
+    cb = PhaseCodebook(bits=2)
+    ec = ExperimentConfig(
+        total_measurements=40,
+        exploit_start=20,
+        critic_refit_period=10,
+        learner_seed=4,
+        critic_rank=2,
+        train_iters=50,
+    )
+    _, plain = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+    offset = float(np.median(plain.measured_powers))
+
+    def shifted(phases):
+        return center_measure(H, cfg)(phases) - offset
+
+    theta, history = learn_phases(shifted, cfg, cb, ec)
+    clipped_theta, clipped = learn_phases(lambda ph: max(shifted(ph), 0.0), cfg, cb, ec)
+    assert history.measured_powers.min() < 0.0
+    assert np.array_equal(history.indices, clipped.indices)
+    assert np.array_equal(theta, clipped_theta)
+    assert np.array_equal(history.final_model, clipped.final_model)
+
+
 def test_history_csv_export(tmp_path):
     cfg, H = small_scene(3, seed=5)
     cb = PhaseCodebook(bits=2)
