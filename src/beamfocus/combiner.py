@@ -199,6 +199,8 @@ def load_combiner(path):
         tau = np.array([float(tok) * 1e-12 for tok in fields["tau_ps"]])
     except KeyError as exc:
         raise ValueError(f"missing combiner field {exc}") from exc
+    except IndexError:
+        raise ValueError("combiner field 'ps_bits' has no value") from None
     if np.any(idx < 0) or np.any(idx >= cb.size):
         raise ValueError("phase index out of codebook range")
     return CombinerConfig(theta=cb.values[idx], tau=tau), cb

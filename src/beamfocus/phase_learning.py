@@ -107,6 +107,8 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     refit on the buffer every critic_refit_period measurements, each fit
     capped at train_iters iterations (see critic.train_critic) and followed
     by a coordinate-ascent exploitation that adds one callback invocation.
+    The first fit starts from initialize_critic seeded with learner_seed,
+    each refit from the previous fit's matrix (the buffer only grows).
     Deterministic per learner_seed, including callback order.
     """
     M = cfg.num_antennas
@@ -153,13 +155,11 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
         due = t % ec.critic_refit_period == 0 or t == ec.exploit_start or t == total
         if due and t >= ec.exploit_start:
             # the critic is consumed only by exploitation, so fitting is
-            # deferred until then; each fit restarts from a fresh seeded
-            # init (warm starts inherit overfit basins from small buffers)
+            # deferred until then; refits start from the previous fit
             beams = phasors[np.array(log_indices)]
             powers = np.maximum(log_powers, 0.0)
-            model = initialize_critic(
-                ec.critic_rank, beams, powers, seed=ec.learner_seed + 7919 * len(loss_traces)
-            )
+            if model is None:
+                model = initialize_critic(ec.critic_rank, beams, powers, seed=ec.learner_seed)
             model, trace = train_critic(model, beams, powers, ec.train_iters)
             loss_traces.append(trace)
 

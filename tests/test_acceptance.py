@@ -166,6 +166,21 @@ def test_criterion_5_learning_convergence(scenario, learned):
     )
 
 
+# critic iterations over all fits of the reference run, a cost guard that
+# needs no timer: warm-started refits take 133, and restarting every refit
+# from a random matrix (397) fails it
+CRITIC_ITERATION_BUDGET = 200
+
+
+def test_learned_critic_fit_cost(learned):
+    iters = [len(trace) for trace in learned["history"].critic_loss_traces]
+    _report(
+        "critic fit cost",
+        sum(iters) <= CRITIC_ITERATION_BUDGET,
+        f"{sum(iters)} iterations over fits {iters} (need <= {CRITIC_ITERATION_BUDGET})",
+    )
+
+
 def test_criterion_6_beam_split_heatmap(scenario, searched_n16):
     from beamfocus.cli import gain_map
 

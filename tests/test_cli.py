@@ -512,6 +512,7 @@ def test_cli_combiner_file_errors_are_config_errors(tmp_path, capsys, cmd):
         "no_tau.txt": "".join(ln for ln in text.splitlines(True) if not ln.startswith("tau_ps")),
         "bad_index.txt": text.replace("theta_idx 3 ", "theta_idx 8 "),
         "bad_bits.txt": text.replace("ps_bits 3", "ps_bits x"),
+        "bare_bits.txt": text.replace("ps_bits 3", "ps_bits"),
     }
     paths = [tmp_path / "missing.txt"]
     for name, body in broken.items():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beamfocus import phase_learning
 from beamfocus.channel import SystemConfig, near_field_channel
 from beamfocus.combiner import CombinerConfig, PhaseCodebook
 from beamfocus.config import ConfigError, ExperimentConfig, parse_config_text
@@ -273,6 +274,50 @@ def test_learn_phases_keeps_one_loss_trace_per_exploit():
     for trace in history.critic_loss_traces:
         assert 1 <= len(trace) <= ec.train_iters
         assert np.all(np.diff(trace) <= 0.0)
+
+
+def test_learn_phases_warm_starts_each_refit(monkeypatch):
+    # only the first fit of a run draws a random critic; each refit starts
+    # from the matrix the previous fit returned, on a buffer that extends
+    # the previous one
+    cfg, H = small_scene(4, seed=2)
+    cb = PhaseCodebook(bits=2)
+    ec = ExperimentConfig(
+        total_measurements=40,
+        exploit_start=20,
+        critic_refit_period=10,
+        learner_seed=4,
+        critic_rank=2,
+        train_iters=50,
+    )
+    real_init, real_train = phase_learning.initialize_critic, phase_learning.train_critic
+    # seeds passed to the init; (starting matrix, beams, fitted matrix) per
+    # step, the init recorded as a step with no input
+    inits, fits = [], []
+
+    def init(rank, beams, powers, seed=0):
+        inits.append(seed)
+        fits.append((None, None, real_init(rank, beams, powers, seed=seed)))
+        return fits[-1][2]
+
+    def train(q, beams, powers, max_iters):
+        out = real_train(q, beams, powers, max_iters)
+        fits.append((q, beams, out[0]))
+        return out
+
+    monkeypatch.setattr(phase_learning, "initialize_critic", init)
+    monkeypatch.setattr(phase_learning, "train_critic", train)
+    for run in range(2):
+        fits.clear()
+        _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+        assert inits == [ec.learner_seed] * (run + 1)
+        assert len(fits) == 1 + len(history.exploit_events) == 4
+        for (_, prev_beams, prev_q), (q, beams, _) in zip(fits, fits[1:]):
+            assert q is prev_q
+            if prev_beams is not None:
+                assert np.array_equal(beams[: len(prev_beams)], prev_beams)
+                assert len(beams) > len(prev_beams)
+        assert history.final_model is fits[-1][2]
 
 
 def test_learn_phases_callback_failure_propagates():
