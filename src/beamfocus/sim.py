@@ -4,8 +4,9 @@ Learners observe the true channel only through (optionally noisy) power
 measurements. This module holds the profile measurement, the noise draw
 and the reported gain profiles; `cli.make_center_measure` computes the
 center-bin inner product itself and draws its noise with `measure_power`.
-The `baselines` oracles and `cli.gain_map` also read or re-synthesize the
-channel, for comparison only.
+The `baselines` oracles read the channel, for comparison only;
+`cli.gain_map` evaluates the spherical wave at each map point with phasors
+from a root-of-unity table, within 2e-15 of the complex exponential.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from beamfocus import cli
 from beamfocus.cli import (
     GAIN_MAP_BLOCK,
+    PHASOR_TABLE,
     decimate_channel,
     gain_map,
     main,
@@ -19,6 +20,7 @@ from beamfocus.cli import (
     make_profile_measure,
     run_heatmap,
     run_profile,
+    unit_phasors,
 )
 from beamfocus.baselines import pdf_oracle
 from beamfocus.channel import ChannelMatrix, near_field_channel, spherical_wave
@@ -165,7 +167,7 @@ def test_gain_map_flat_amplitude_rho_matches_gain_profile():
 
 
 @pytest.mark.parametrize("M", [16, 256])
-def test_blocked_gain_map_equals_one_shot_formula(M):
+def test_blocked_gain_map_equals_one_shot_formula(M, monkeypatch):
     ec = tiny_config(num_antennas=M, num_td_units=16)
     geom = build_geometry(ec)
     cfg = build_system(ec)
@@ -175,11 +177,52 @@ def test_blocked_gain_map_equals_one_shot_formula(M):
     assert (xs.size * ys.size) % GAIN_MAP_BLOCK != 0
     for f, rho_factor in ((H.freqs_hz[0], 1.0), (H.freqs_hz[-1], 1.3)):
         w = effective_combiner(cc, cfg, f)
-        gx, gy = np.meshgrid(xs, ys)
-        elem_y = 0.5 * geom.aperture * geom.alphas
-        d = np.hypot(gx.ravel()[:, None], elem_y[None, :] - gy.ravel()[:, None])
-        want = (np.abs(spherical_wave(d, f, rho_factor) @ np.conj(w)) ** 2).reshape(gx.shape)
-        assert np.array_equal(gain_map(geom, w, f, xs, ys, rho_factor=rho_factor), want)
+        blocked = gain_map(geom, w, f, xs, ys, rho_factor=rho_factor)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "GAIN_MAP_BLOCK", xs.size * ys.size + 1)
+            assert np.array_equal(blocked, gain_map(geom, w, f, xs, ys, rho_factor=rho_factor))
+
+
+@pytest.mark.parametrize("rho_mode", ["unit", "flat_amplitude"])
+def test_reference_gain_maps_match_the_spherical_wave_formula(rho_mode):
+    ec = ExperimentConfig(rho_mode=rho_mode)
+    geom = build_geometry(ec)
+    cfg = build_system(ec)
+    H = build_channel(ec, geom, cfg)
+    cc = pdf_oracle(geom, build_ue(ec), H, cfg, build_codebook(ec))
+    freqs = H.freqs_hz[[0, center_bin(H.freqs_hz, cfg.center_freq_hz), -1]]
+    rho = freqs / cfg.center_freq_hz if rho_mode == "flat_amplitude" else np.ones(3)
+    w = np.array([effective_combiner(cc, cfg, f) for f in freqs])
+    xs, ys = np.linspace(0.5, 4.0, 36), np.linspace(-4.0, 4.0, 81)
+    maps = gain_map(geom, w, freqs, xs, ys, rho_factor=rho)
+    gx, gy = np.meshgrid(xs, ys)
+    elem_y = 0.5 * geom.aperture * geom.alphas
+    d = np.hypot(gx.ravel()[:, None], elem_y[None, :] - gy.ravel()[:, None])
+    for wf, f, r, got in zip(w, freqs, rho, maps):
+        want = (np.abs(spherical_wave(d, f, r) @ np.conj(wf)) ** 2).reshape(gx.shape)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+def test_unit_phasors_match_the_complex_exponential():
+    rng = np.random.default_rng(0)
+    ties = (np.arange(-3 * PHASOR_TABLE, 3 * PHASOR_TABLE) + 0.5) / PHASOR_TABLE
+    cycles = np.concatenate(
+        [rng.uniform(-1e6, 1e6, 100_000), rng.uniform(-2.0, 2.0, 10_000), ties, [0.0, 1e6, -1e6]]
+    )
+    re, im = unit_phasors(cycles)
+    want = np.exp(-2j * np.pi * (cycles - np.rint(cycles)))
+    assert np.max(np.abs(re + 1j * im - want)) <= 2e-15
+
+
+def test_gain_map_far_point_is_finite():
+    ec = tiny_config()
+    geom = build_geometry(ec)
+    cfg = build_system(ec)
+    w = effective_combiner(CombinerConfig(np.zeros(16), np.zeros(4)), cfg, 1e11)
+    # 1e15 m is about 3e17 cycles at 100 GHz, far beyond the int64 range
+    # once scaled by the table size
+    val = gain_map(geom, w, 1e11, np.array([1e15]), np.array([0.0]))
+    assert np.isfinite(val).all() and val[0, 0] > 0.0
 
 
 def test_gain_map_stacked_frequencies_equal_single_calls():
@@ -411,6 +454,28 @@ def test_cli_heatmap_writes_each_frequency_once(tmp_path, capsys, K, files):
     printed = capsys.readouterr().out.split()
     assert len(printed) == files
     assert sorted(printed) == sorted(str(path) for path in out.iterdir())
+
+
+# a 1 kHz band puts every bin at "100GHz" in the file name; two --freqs
+# entries 10 kHz apart do the same
+@pytest.mark.parametrize(
+    "keys, flags",
+    [
+        (("system.K = 8", "system.bandwidth_hz = 1000.0"), []),
+        ((), ["--freqs", "1e11,1.0000001e11"]),
+    ],
+)
+def test_cli_heatmap_rejects_frequencies_sharing_a_file_name(
+    tmp_path, capsys, monkeypatch, keys, flags
+):
+    cfg_path = write_m16_config(tmp_path / "exp.cfg", *keys)
+    monkeypatch.setattr(cli, "pdf_oracle", None)  # searching would raise TypeError
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), "heatmap", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: heatmap: ")
+    assert err.count(" Hz") == 2 and "heatmap_pdf-oracle_f100GHz.csv" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", [["profile"], ["profile", "--oracle"], ["search-delays"]])
