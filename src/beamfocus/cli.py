@@ -71,22 +71,25 @@ def _noise_rng(ec: ExperimentConfig, *key: int) -> np.random.Generator:
 
 
 def make_center_measure(ec: ExperimentConfig, H: ChannelMatrix, cfg: SystemConfig):
-    """Callback phases -> center-frequency power for the phase learner.
+    """Callback phases -> center-frequency powers for the phase learner.
 
-    `phases` are the M codebook phases of a zero-delay beam. In noisy mode
-    the known noise floor is subtracted (clipped at zero) so the critic
-    regresses calibrated signal powers.
+    `phases` holds the M codebook phases of a zero-delay beam, or a (..., M)
+    stack of beams; the callback returns one power per beam, shape (...), a
+    stacked call equal to one call per beam in C order. In noisy mode each
+    beam's power is one `measure_power` draw, in that order, and the known
+    noise floor is subtracted (clipped at zero) so the critic regresses
+    calibrated signal powers.
     """
-    h = H.coeffs[:, center_bin(H.freqs_hz, cfg.center_freq_hz)]
+    h = H.coeffs[:, center_bin(H.freqs_hz, cfg.center_freq_hz)] / np.sqrt(cfg.num_antennas)
     rng = _noise_rng(ec, 0)
 
     def measure(phases):
         # w^H h at the center bin for w = e^{j phases} / sqrt(M) (zero delays)
-        wh = np.vdot(np.exp(1j * phases) / np.sqrt(cfg.num_antennas), h)
-        p = cfg.tx_power_w / cfg.num_subcarriers * float(np.abs(wh) ** 2)
+        wh = np.exp(-1j * np.asarray(phases)) @ h
+        p = cfg.tx_power_w / cfg.num_subcarriers * np.abs(wh) ** 2
         if cfg.noise_power_w > 0.0:
             p = measure_power(p, cfg, ec.snapshots, rng)
-        return max(p - cfg.noise_power_w, 0.0)
+        return np.maximum(p - cfg.noise_power_w, 0.0)
 
     return measure
 
@@ -108,7 +111,7 @@ def make_profile_measure(ec: ExperimentConfig, H_dec: ChannelMatrix, cfg: System
 
 
 # heatmap points evaluated per block, bounding the (points x M) temporaries
-GAIN_MAP_BLOCK = 512
+GAIN_MAP_BLOCK = 128
 # the roots of unity exp(-2 pi j k / PHASOR_TABLE) that gain_map's phasors
 # start from, as (real, imaginary) rows
 PHASOR_TABLE = 4096
@@ -279,8 +282,11 @@ def run_heatmap(
     """Write one gain-matrix CSV per requested frequency.
 
     Rows follow the y axis, columns the x axis; the header records the axes
-    and the true user position marker.
+    and the true user position marker. Two frequencies that would write the
+    same file are a ConfigError, raised before anything is computed or
+    written.
     """
+    names = _heatmap_names(label, freqs_hz)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     geom = build_geometry(ec)
@@ -290,8 +296,8 @@ def run_heatmap(
     w = np.array([effective_combiner(cc, cfg, f) for f in freqs])
     maps = gain_map(geom, w, freqs, xs, ys, rho_factor=rho)
     written = []
-    for f, gains in zip(freqs, maps):
-        path = out / _heatmap_name(label, f)
+    for f, name, gains in zip(freqs, names, maps):
+        path = out / name
         with write_atomic(path) as fh:
             fh.write(stamp_lines(ec, command="heatmap", freq_hz=f))
             fh.write(f"# ue_m = {ec.ue_x_m} {ec.ue_y_m}\n")
@@ -303,8 +309,14 @@ def run_heatmap(
     return written
 
 
-def _heatmap_name(label: str, freq_hz: float) -> str:
-    return f"{label}_f{freq_hz / 1e9:.6g}GHz.csv"
+def _heatmap_names(label: str, freqs_hz) -> list[str]:
+    """The file name of each frequency's map; two frequencies may not share one."""
+    names = [f"{label}_f{f / 1e9:.6g}GHz.csv" for f in freqs_hz]
+    first = {}
+    for f, name in zip(freqs_hz, names):
+        if first.setdefault(name, f) != f:
+            raise ConfigError(f"heatmap: {first[name]} Hz and {f} Hz would both write {name}")
+    return names
 
 
 def _load_combiner_arg(path) -> CombinerConfig:
@@ -335,11 +347,7 @@ def _cmd_heatmap(ec: ExperimentConfig, args) -> list[Path]:
     # one file per distinct frequency, in the order first given
     freqs = list(dict.fromkeys(freqs))
     label = "heatmap_custom" if args.combiner else f"heatmap_{args.source}"
-    named = {}
-    for f in freqs:
-        name = _heatmap_name(label, f)
-        if named.setdefault(name, f) != f:
-            raise ConfigError(f"heatmap: {named[name]} Hz and {f} Hz would both write {name}")
+    _heatmap_names(label, freqs)  # fails before any combiner work
 
     if args.combiner:
         cc = _load_combiner_arg(args.combiner)

@@ -9,8 +9,9 @@ consumed; only the measurement callback.
 
 The search is coarse to fine: it scores every other point of the
 configured grid, then refines the best candidate with compass steps from
-the grid spacing down to 1/8 of it. At the default 9 x 17 x 17 grid a
-search scores at most 333 + 24 of the grid's 2,330 candidates.
+the grid spacing down to 1/8 of it, and measures each delay vector once.
+At the default 9 x 17 x 17 grid a search scores at most 333 + 24 of the
+grid's 2,330 candidates.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class DelaySearchResult:
 
 
 # candidates recompensated and measured per callback invocation
-SEARCH_BLOCK = 256
+SEARCH_BLOCK = 128
 # compass rounds after the coarse pass; the step halves every round
 REFINE_ROUNDS = 4
 
@@ -132,13 +133,16 @@ def search_delays(
     REFINE_ROUNDS rounds then scores the six compass positions one step
     along each axis from the incumbent, clipped to the box, as one block;
     the first step is the grid spacing and each round halves it, down to
-    1/8 of the spacing. A row already scored is skipped (at break_delta = 0
-    every u gives the same row), so a search scores at most the coarse
-    rows plus 6 * REFINE_ROUNDS.
+    1/8 of the spacing. A row whose delay vector is bitwise equal to one
+    already scored is skipped (at break_delta = 0 every u gives the same
+    row, and rows that differ only where the delays clip give the same
+    vector); it would tie the earlier score, which the incumbent keeps. So
+    a search scores at most the coarse rows plus 6 * REFINE_ROUNDS.
 
-    Scored rows go through `measure` SEARCH_BLOCK at a time: each block's
-    delay vectors come from one vectorized evaluation of the
-    approximations, its phases are recompensated, and `measure` takes the
+    The delay vectors of a pass come from one vectorized evaluation of the
+    approximations, before any is measured. Scored rows go through
+    `measure` SEARCH_BLOCK at a time: each block's phases are
+    recompensated, and `measure` takes the
     stacked CombinerConfig (theta (C, M), tau (C, N)) and returns
     per-subcarrier powers, shape (C, K), row c equal to what it would
     return for candidate c alone, measured in candidate order. A candidate
@@ -162,23 +166,25 @@ def search_delays(
 
     def score(positions):
         nonlocal best_score, best_position, best_tau, best_theta
-        fresh = {}
-        for position in positions:
-            key = row(position)
+        positions = list(positions)
+        params = [row(position) for position in positions]
+        taus = delays_from_approx(np.reshape(params, (-1, 3)), deltas, cfg.tau_max_s)
+        fresh = []
+        for i, tau in enumerate(taus):
+            key = tau.tobytes()
             if key not in seen:
                 seen.add(key)
-                fresh[key] = position
-        rows, positions = list(fresh), list(fresh.values())
-        for start in range(0, len(rows), SEARCH_BLOCK):
-            params = rows[start : start + SEARCH_BLOCK]
-            tau = delays_from_approx(np.array(params), deltas, cfg.tau_max_s)
+                fresh.append(i)
+        for start in range(0, len(fresh), SEARCH_BLOCK):
+            block = fresh[start : start + SEARCH_BLOCK]
+            tau = taus[block]
             theta = recompensate_phases(theta_star, tau, cfg, cb)
             powers = np.asarray(measure(CombinerConfig(theta=theta, tau=tau)), dtype=float)
-            block = np.mean(np.sqrt(np.maximum(powers, 0.0)), axis=-1)
-            trace.extend((*p, float(s)) for p, s in zip(params, block))
-            i = int(np.argmax(block))  # the earliest of tied maxima
-            if block[i] > best_score:
-                best_score, best_position = float(block[i]), positions[start + i]
+            scores = np.mean(np.sqrt(np.maximum(powers, 0.0)), axis=-1)
+            trace.extend((*params[j], float(v)) for j, v in zip(block, scores))
+            i = int(np.argmax(scores))  # the earliest of tied maxima
+            if scores[i] > best_score:
+                best_score, best_position = float(scores[i]), positions[block[i]]
                 best_tau, best_theta = tau[i], theta[i]
 
     coarse = itertools.product(*(positions for positions, _ in axes))

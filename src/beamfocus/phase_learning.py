@@ -3,7 +3,8 @@
 The loop explores quantized beams by randomly perturbing a few phases per
 step, fits the Gram-form critic to the measured (beam, power) pairs, and
 periodically exploits the critic via cyclic coordinate ascent over the
-codebook. Only the measurement callback touches the channel.
+codebook. The walk between two refits is drawn and measured in blocks of
+stacked beams. Only the measurement callback touches the channel.
 """
 
 from __future__ import annotations
@@ -24,13 +25,31 @@ def _phasors(cb: PhaseCodebook, M: int) -> np.ndarray:
     return np.exp(1j * cb.values) / np.sqrt(M)
 
 
-def _perturb(idx: np.ndarray, count: int, cb: PhaseCodebook, rng) -> np.ndarray:
-    out = idx.copy()
-    if count == 0:
-        return out
-    pos = rng.choice(idx.size, size=min(count, idx.size), replace=False)
-    out[pos] = rng.integers(0, cb.size, size=pos.size)
-    return out
+# exploration steps walked and measured per callback invocation; bounds the
+# walk's (steps, M) temporaries at any learner.exploit_start
+WALK_BLOCK = 256
+
+
+def _walk(start: np.ndarray, counts: np.ndarray, size: int, rng) -> np.ndarray:
+    """The (T, M) uint8 beams of a random walk from `start`, one per step.
+
+    Step t re-draws counts[t] distinct uniform positions of the previous beam
+    with uniform codebook indices below `size`, a power of two. Each step
+    takes 2M uniform doubles from `rng`, whatever its count: M keys whose
+    argsort orders the positions, and one candidate index per antenna. A
+    forward fill of each antenna's last hit applies the steps in order. A
+    walk drawn in pieces equals the walk drawn at once.
+    """
+    T, M = counts.size, start.size
+    u = rng.random((T, 2, M))
+    order = np.argsort(u[:, 0], axis=1)[:, : counts.max()]
+    hit = np.arange(order.shape[1]) < counts[:, None]
+    steps = np.nonzero(hit)[0] + 1  # row 0 is the start
+    last = np.zeros((T + 1, M), np.intp)
+    last[steps, order[hit]] = steps
+    np.maximum.accumulate(last, axis=0, out=last)
+    values = np.vstack([start, (u[:, 1] * size).astype(np.uint8)])
+    return np.take_along_axis(values, last, axis=0)[1:]
 
 
 def coordinate_ascent(
@@ -97,22 +116,28 @@ class LearnHistory:
 def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentConfig):
     """Run the online search; returns (best phases, LearnHistory).
 
-    The search and its log hold codebook indices; `measure` maps the
-    M-vector of their codebook phases to the received power at the center
-    frequency; the critic fits those powers clipped at 0. The `learner.*`
-    settings of `ec` set the budget and the schedule. Exploration
-    measurements number exactly total_measurements; each re-draws
-    perturb_count phases (auto: M//4; 0 is a stationary probe), decaying
-    linearly to M//16 over the budget. From exploit_start on, the critic is
-    refit on the buffer every critic_refit_period measurements, each fit
-    capped at train_iters iterations (see critic.train_critic) and followed
-    by a coordinate-ascent exploitation that adds one callback invocation.
-    The first fit starts from initialize_critic seeded with learner_seed,
-    each refit from the previous fit's matrix (the buffer only grows).
-    Deterministic per learner_seed, including callback order.
+    The search and its log hold codebook indices; `measure` maps a (T, M)
+    stack of beams, each row the M codebook phases of one beam, to their T
+    received powers at the center frequency, measured in row order; the
+    critic fits those powers clipped at 0. The `learner.*` settings of `ec`
+    set the budget and the schedule. Exploration measurements number
+    exactly total_measurements; each step re-draws perturb_count distinct
+    phases (auto: M//4; 0 is a stationary probe), decaying linearly to
+    M//16 over the budget. From exploit_start on, the critic is refit on
+    the buffer every critic_refit_period measurements, each fit capped at
+    train_iters iterations (see critic.train_critic) and followed by a
+    coordinate-ascent exploitation from the earliest best beam so far,
+    which measures one more beam. The walk between two refits never
+    depends on a measurement, so it is drawn and measured WALK_BLOCK steps
+    at a time; the block size changes no result. The first fit starts from
+    initialize_critic seeded with learner_seed, each refit from the
+    previous fit's matrix (the buffer only grows). Deterministic per
+    learner_seed, including the beams and order of every callback
+    invocation.
     """
     M = cfg.num_antennas
     rng = np.random.default_rng(ec.learner_seed)
+    values = cb.values
 
     p0 = ec.perturb_count if ec.perturb_count is not None else max(1, M // 4)
     total = ec.total_measurements
@@ -121,63 +146,74 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     # coarse-to-fine decay bottoms out at M/16
     p_end = min(p0, max(1, M // 16))
 
-    def scheduled_count(t: int) -> int:
+    def scheduled_count(t: np.ndarray) -> np.ndarray:
         if total <= 1 or p0 == 0:
-            return p0
+            return np.full(t.shape, p0)
         frac = (t - 1) / (total - 1)
-        return max(1, int(round(p0 + (p_end - p0) * frac)))
+        return np.maximum(1, np.rint(p0 + (p_end - p0) * frac).astype(int))
+
+    def refit_due(t: int) -> bool:
+        return t >= ec.exploit_start and (
+            t % ec.critic_refit_period == 0 or t == ec.exploit_start or t == total
+        )
+
+    # the walk stops at each refit point and at the end of the budget
+    stops = [t for t in range(2, total + 1) if refit_due(t) or t == total]
 
     # the measurement log doubles as the critic's training buffer
     phasors = _phasors(cb, M)
-    log_powers: list[float] = []
-    log_indices: list[np.ndarray] = []
+    log = np.empty((total + sum(map(refit_due, stops)), M), np.uint8)
+    powers = np.empty(len(log))
+    n = 0
     exploit_events: list[tuple[int, int, float]] = []
     loss_traces: list[np.ndarray] = []
-    best_idx, best_power = None, -np.inf
     model = None
 
-    def take(idx: np.ndarray) -> float:
-        nonlocal best_idx, best_power
-        p = float(measure(cb.values[idx]))
-        if best_idx is None or p > best_power:
-            best_power, best_idx = p, idx
-        log_powers.append(p)
-        log_indices.append(idx)
-        return p
+    def take(rows: np.ndarray) -> None:
+        nonlocal n
+        got = np.asarray(measure(values[rows]), dtype=float)
+        if got.shape != rows.shape[:1]:
+            raise ValueError(f"measure returned shape {got.shape} for {len(rows)} beams")
+        log[n : n + len(rows)] = rows
+        powers[n : n + len(rows)] = got
+        n += len(rows)
 
     current = rng.integers(0, cb.size, size=M).astype(np.uint8)
-    take(current)
+    take(current[None])
 
-    for t in range(2, total + 1):
-        current = _perturb(current, scheduled_count(t), cb, rng)
-        take(current)
-
-        due = t % ec.critic_refit_period == 0 or t == ec.exploit_start or t == total
-        if due and t >= ec.exploit_start:
+    walked = 1
+    for stop in stops:
+        for start in range(walked + 1, stop + 1, WALK_BLOCK):
+            steps = np.arange(start, min(start + WALK_BLOCK, stop + 1))
+            rows = _walk(current, scheduled_count(steps), cb.size, rng)
+            take(rows)
+            current = rows[-1]
+        walked = stop
+        if refit_due(stop):
             # the critic is consumed only by exploitation, so fitting is
             # deferred until then; refits start from the previous fit
-            beams = phasors[np.array(log_indices)]
-            powers = np.maximum(log_powers, 0.0)
+            beams = phasors[log[:n]]
+            clipped = np.maximum(powers[:n], 0.0)
             if model is None:
-                model = initialize_critic(ec.critic_rank, beams, powers, seed=ec.learner_seed)
-            model, trace = train_critic(model, beams, powers, ec.train_iters)
+                model = initialize_critic(ec.critic_rank, beams, clipped, seed=ec.learner_seed)
+            model, trace = train_critic(model, beams, clipped, ec.train_iters)
             loss_traces.append(trace)
 
-            current, cycles, _ = coordinate_ascent(model, best_idx, cb)
-            p_x = take(current)
-            exploit_events.append((len(log_powers), cycles, p_x))
+            best = int(np.argmax(powers[:n]))  # the earliest of equal maxima
+            current, cycles, _ = coordinate_ascent(model, log[best], cb)
+            take(current[None])
+            exploit_events.append((n, cycles, float(powers[n - 1])))
 
-    powers = np.array(log_powers)
     history = LearnHistory(
-        iters=np.arange(1, powers.size + 1),
+        iters=np.arange(1, n + 1),
         measured_powers=powers,
         best_powers=np.maximum.accumulate(powers),
-        indices=np.array(log_indices),
+        indices=log,
         final_model=model,
         exploit_events=exploit_events,
         critic_loss_traces=loss_traces,
     )
-    return cb.values[best_idx], history
+    return values[log[int(np.argmax(powers))]], history
 
 
 def write_history_csv(

@@ -16,6 +16,7 @@ import pytest
 
 from beamfocus.baselines import pdf_oracle, ps_only_oracle
 from beamfocus.channel import SystemConfig, flat_amplitude_rho, near_field_channel
+from beamfocus import cli
 from beamfocus.cli import learn_pipeline, search_pipeline
 from beamfocus.combiner import CombinerConfig, PhaseCodebook, effective_combiner, quantize_phase
 from beamfocus.config import (
@@ -27,7 +28,7 @@ from beamfocus.config import (
     build_ue,
 )
 from beamfocus.geometry import UePosition, distance_difference, random_geometry
-from beamfocus.phase_learning import coordinate_ascent, learn_phases
+from beamfocus.phase_learning import WALK_BLOCK, coordinate_ascent, learn_phases
 from beamfocus.sim import center_bin, gain_profile, normalized_gain_db, three_db_bandwidth
 from beamfocus.sim import avg_amplitude_gain
 from beam_model import beam_from_phases
@@ -54,11 +55,26 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def learned(scenario):
+    calls = []
+    make = cli.make_center_measure
+
+    def counted(*args):
+        measure = make(*args)
+
+        def count(phases):
+            calls.append(len(phases))
+            return measure(phases)
+
+        return count
+
     t0 = time.time()
-    theta, history = learn_pipeline(
-        scenario["ec"], scenario["H"], scenario["cfg1"], scenario["cb"]
-    )
-    return {"theta": theta, "history": history, "seconds": time.time() - t0}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "make_center_measure", counted)
+        theta, history = learn_pipeline(
+            scenario["ec"], scenario["H"], scenario["cfg1"], scenario["cb"]
+        )
+    seconds = time.time() - t0
+    return {"theta": theta, "history": history, "seconds": seconds, "calls": calls}
 
 
 def _searched(scenario, learned, n):
@@ -167,8 +183,8 @@ def test_criterion_5_learning_convergence(scenario, learned):
 
 
 # critic iterations over all fits of the reference run, a cost guard that
-# needs no timer: warm-started refits take 133, and restarting every refit
-# from a random matrix (397) fails it
+# needs no timer: warm-started refits take 140, and restarting every refit
+# from a random matrix (365) fails it
 CRITIC_ITERATION_BUDGET = 200
 
 
@@ -178,6 +194,25 @@ def test_learned_critic_fit_cost(learned):
         "critic fit cost",
         sum(iters) <= CRITIC_ITERATION_BUDGET,
         f"{sum(iters)} iterations over fits {iters} (need <= {CRITIC_ITERATION_BUDGET})",
+    )
+
+
+def test_learned_measurement_call_cost(learned):
+    # callback invocations of the reference run, a cost guard that needs no
+    # timer: the first beam, one call per WALK_BLOCK steps of each walk
+    # between refits, one per exploitation. Measuring every beam in its own
+    # call (4,984 calls) fails it.
+    events = learned["history"].exploit_events
+    # walk steps up to each refit: the measurements so far minus the exploits
+    stops = [1] + [inv - i for i, (inv, _, _) in enumerate(events, start=1)]
+    chunks = sum(-(-(b - a) // WALK_BLOCK) for a, b in zip(stops, stops[1:]))
+    budget = 1 + chunks + len(events)
+    calls = learned["calls"]
+    rows = sum(calls)
+    _report(
+        "measurement call cost",
+        len(calls) <= budget and rows == int(learned["history"].iters[-1]),
+        f"{len(calls)} calls for {rows} beams (need <= {budget})",
     )
 
 
@@ -376,9 +411,9 @@ def test_criterion_7d_exhaustive_oracle_equivalence():
             for bits in np.ndindex(2, 2, 2, 2)
         )
 
-        def measure(phases):
-            cc = CombinerConfig(theta=phases, tau=[0.0])
-            return gain_profile(cc, H, cfg).per_subcarrier[0]
+        def measure(phases):  # one power per beam of a (T, M) stack
+            cc = CombinerConfig(theta=phases, tau=np.zeros((len(phases), 1)))
+            return gain_profile(cc, H, cfg).per_subcarrier[:, 0]
 
         ec = ExperimentConfig(
             total_measurements=40,

@@ -285,6 +285,19 @@ def test_run_heatmap_files(tmp_path):
     assert len(data_lines[0].split(",")) == 3
 
 
+def test_run_heatmap_rejects_frequencies_sharing_a_file_name(tmp_path, monkeypatch):
+    # checked before any map is computed or any directory made
+    ec = tiny_config()
+    cfg = build_system(ec)
+    cc = CombinerConfig(theta=np.zeros(cfg.num_antennas), tau=np.zeros(cfg.num_td_units))
+    monkeypatch.setattr(cli, "effective_combiner", None)  # calling either raises TypeError
+    monkeypatch.setattr(cli, "gain_map", None)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"^heatmap: .* would both write hm_f100GHz\.csv$"):
+        run_heatmap(ec, out, cc, cfg, [1e11, 1.0000001e11], label="hm")
+    assert not out.exists()
+
+
 # every output file's stamp header repeats these lines, in this order
 PRINT_DEFAULTS = """\
 system.M = 256
@@ -706,6 +719,23 @@ def test_center_measure_equals_the_gain_profile_kernel(M):
         cc = CombinerConfig(theta=phases, tau=np.zeros(cfg.num_td_units))
         expected = cfg.tx_power_w / cfg.num_subcarriers * gain_profile(cc, H, cfg).per_subcarrier[k]
         assert measure(phases) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("noise_mode", ["noiseless", "snapshots"])
+def test_stacked_center_call_equals_one_call_per_beam(noise_mode):
+    # noisy calls draw one measure_power value per beam in row order, so a
+    # fresh callback given the stack replays a fresh callback given the rows
+    ec = tiny_config(noise_mode=noise_mode, noise_power_w=1e-9, snapshots=3)
+    cfg = build_system(ec)
+    H = build_channel(ec, build_geometry(ec), cfg)
+    cb = build_codebook(ec)
+    phases = cb.values[np.random.default_rng(2).integers(0, cb.size, (3, 5, cfg.num_antennas))]
+    stacked = make_center_measure(ec, H, cfg)(phases)
+    single = make_center_measure(ec, H, cfg)
+    rows = np.array([single(row) for row in phases.reshape(-1, cfg.num_antennas)])
+    assert stacked.shape == (3, 5)
+    assert np.allclose(stacked.ravel(), rows, rtol=1e-12, atol=0.0)
+    assert np.count_nonzero(rows) >= 5  # not all clipped to zero
 
 
 def test_noisy_center_measure_is_one_measure_power_draw():

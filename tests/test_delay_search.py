@@ -383,6 +383,12 @@ SEARCH_GRIDS = [
 ]
 
 
+def trace_delays(result, geom, cfg):
+    # the delay vector of each scored row, computed as the search computes it
+    rows = np.array([row[:3] for row in result.trace])
+    return delays_from_approx(rows, subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td), cfg.tau_max_s)
+
+
 @pytest.mark.parametrize("grid", SEARCH_GRIDS)
 def test_search_budget_and_unique_rows(grid):
     cfg, geom, H = scene(M=32, N=8, K=32, seed=3)
@@ -392,25 +398,40 @@ def test_search_budget_and_unique_rows(grid):
     rows = [row[:3] for row in result.trace]
     assert len(rows) <= coarse_count(grid) + 6 * REFINE_ROUNDS
     assert len(set(rows)) == len(rows)
+    # each delay vector is measured once
+    assert len({tau.tobytes() for tau in trace_delays(result, geom, cfg)}) == len(rows)
     assert result.score == max(row[3] for row in result.trace)
 
 
 @pytest.mark.parametrize("grid", SEARCH_GRIDS)
-def test_search_coarse_pass_is_every_other_grid_point(grid):
+def test_search_coarse_pass_is_every_other_grid_point(grid, monkeypatch):
     # the coarse pass with (n + 1) // 2 points per axis is the full grid of
-    # that size: every other configured point for odd n, ends included
+    # that size: every other configured point for odd n, ends included. It
+    # is one measurement when blocks hold every row; the rows it skips
+    # repeat the delay vector of a row it scored
     cfg, geom, H = scene(M=32, N=8, K=32, seed=3)
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
-    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid)
-    coarse = np.array([row[:3] for row in result.trace[: coarse_count(grid)]])
+    sizes = []
+
+    def measure(cc):
+        sizes.append(len(cc.tau))
+        return measure_profile_powers(cc, H, cfg)
+
+    monkeypatch.setattr(delay_search, "SEARCH_BLOCK", 10**6)
+    result = search_delays(theta_star, measure, geom, cfg, cb, grid)
+    coarse = np.array([row[:3] for row in result.trace[: sizes[0]]])
     assert coarse[0].tolist() == [1.0, 0.0, 0.0]
     halved = tuple((n + 1) // 2 for n in grid)
     want = grid_candidates(halved, geom.aperture)
     scale = np.array([1.0, geom.aperture, geom.aperture])
     dist = np.abs(coarse[:, None, :] - want[None, :, :]) / scale
     assert np.all(dist.max(axis=-1).min(axis=1) < 1e-12)  # each coarse row is a grid row
-    assert np.all(dist.max(axis=-1).min(axis=0) < 1e-12)  # and each grid row is scored
+    deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
+    scored = trace_delays(result, geom, cfg)[: sizes[0]]
+    wanted = delays_from_approx(want, deltas, cfg.tau_max_s)
+    gap = np.abs(wanted[:, None, :] - scored[None, :, :]).max(axis=-1).min(axis=1)
+    assert np.all(gap <= 1e-12 * cfg.tau_max_s)  # and each grid row's delays are scored
 
 
 @pytest.mark.parametrize("grid", SEARCH_GRIDS)

@@ -7,7 +7,7 @@ from beamfocus.combiner import CombinerConfig, PhaseCodebook
 from beamfocus.config import ConfigError, ExperimentConfig, parse_config_text
 from beamfocus.geometry import UePosition, random_geometry
 from beamfocus.phase_learning import (
-    _perturb,
+    _walk,
     coordinate_ascent,
     learn_phases,
     write_history_csv,
@@ -36,9 +36,9 @@ def predicted(model, idx, cb):
 
 
 def center_measure(H, cfg):
-    def measure(phases):
-        cc = CombinerConfig(theta=phases, tau=np.zeros(cfg.num_td_units))
-        return gain_profile(cc, H, cfg).per_subcarrier[0]
+    def measure(phases):  # one power per beam of a (T, M) stack
+        cc = CombinerConfig(theta=phases, tau=np.zeros((len(phases), cfg.num_td_units)))
+        return gain_profile(cc, H, cfg).per_subcarrier[:, 0]
 
     return measure
 
@@ -57,26 +57,72 @@ def test_learner_options_validation():
     parse_config_text("learner.perturb_count = 0\n")  # degenerate stationary probe is allowed
 
 
-def test_propose_action_zero_perturbation():
-    cb = PhaseCodebook(bits=2)
-    current = np.array([0, 1, 2, 3], dtype=np.uint8)
-    out = _perturb(current, 0, cb, np.random.default_rng(0))
-    assert np.array_equal(out, current)
+class ForcedDraws:
+    """A Generator whose candidate codebook indices are all the top one."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, size):
+        u = self.rng.random(size)
+        u[:, 1] = 1.0 - 1e-9  # (steps, keys / candidates, M)
+        return u
 
 
-def test_propose_action_full_perturbation_is_codebook_vector():
-    cb = PhaseCodebook(bits=2)
-    out = _perturb(np.zeros(4, dtype=np.uint8), 4, cb, np.random.default_rng(1))
-    assert out.dtype == np.uint8
-    assert all(0 <= i < cb.size for i in out)
-
-
-def test_propose_action_bounded_change_count():
+def test_walk_steps_change_at_most_the_scheduled_count():
     cb = PhaseCodebook(bits=3)
-    current = np.zeros(10, dtype=np.uint8)
-    for seed in range(50):
-        out = _perturb(current, 3, cb, np.random.default_rng(seed))
-        assert np.count_nonzero(out != current) <= 3
+    rng = np.random.default_rng(0)
+    start = rng.integers(0, cb.size, 10).astype(np.uint8)
+    counts = rng.integers(0, 11, 200)
+    rows = _walk(start, counts, cb.size, rng)
+    assert rows.dtype == np.uint8 and rows.shape == (200, 10)
+    assert rows.max() < cb.size
+    changed = np.count_nonzero(rows != np.vstack([start, rows[:-1]]), axis=1)
+    assert np.all(changed <= counts)
+    assert np.any(changed == 10)  # full re-draws do occur
+
+
+def test_walk_draws_exactly_the_scheduled_count():
+    # with every candidate index off the start's, a single step changes
+    # exactly the positions it draws
+    M = 8
+    start = np.zeros(M, dtype=np.uint8)
+    for count in range(M + 1):
+        rows = _walk(start, np.array([count]), 4, ForcedDraws(count))
+        assert np.count_nonzero(rows[0]) == count
+        assert rows[0].max(initial=0) <= 3
+
+
+def test_walk_zero_count_is_a_stationary_probe():
+    start = np.array([0, 1, 2, 3], dtype=np.uint8)
+    rows = _walk(start, np.zeros(5, dtype=int), 4, np.random.default_rng(0))
+    assert rows.dtype == np.uint8
+    assert np.array_equal(rows, np.tile(start, (5, 1)))
+
+
+def test_walk_equals_the_stepwise_walk():
+    # the reference: the same draws applied one step at a time
+    cb = PhaseCodebook(bits=2)
+    M = 6
+    start = np.arange(M, dtype=np.uint8) % cb.size
+    counts = np.random.default_rng(7).integers(0, M + 1, 50)
+    rows = _walk(start, counts, cb.size, np.random.default_rng(3))
+    u = np.random.default_rng(3).random((counts.size, 2, M))
+    beam = start.copy()
+    for t, count in enumerate(counts):
+        for m in np.argsort(u[t, 0])[:count]:
+            beam[m] = int(u[t, 1, m] * cb.size)
+        assert np.array_equal(rows[t], beam)
+
+
+def test_walk_drawn_in_pieces_equals_the_walk_drawn_at_once():
+    start = np.zeros(5, dtype=np.uint8)
+    counts = np.random.default_rng(2).integers(0, 6, 30)
+    whole = _walk(start, counts, 8, np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    first = _walk(start, counts[:11], 8, rng)
+    second = _walk(first[-1], counts[11:], 8, rng)
+    assert np.array_equal(whole, np.vstack([first, second]))
 
 
 def test_coordinate_ascent_single_antenna_returns_init():
@@ -243,19 +289,50 @@ def test_learn_phases_invocation_budget():
         critic_rank=2,
         train_iters=50,
     )
-    count = 0
+    calls = []
     base = center_measure(H, cfg)
 
     def measure(phases):
-        nonlocal count
-        count += 1
+        calls.append(np.array(phases))
         return base(phases)
 
     _, history = learn_phases(measure, cfg, cb, ec)
     n_exploits = len(history.exploit_events)
     assert n_exploits == 3  # refits at 20, 30, 40 once exploiting starts
-    assert count == ec.total_measurements + n_exploits
-    assert count == history.iters[-1]
+    rows = np.concatenate(calls)
+    assert len(rows) == ec.total_measurements + n_exploits == history.iters[-1]
+    assert np.array_equal(cb.values[history.indices], rows)
+    # the first beam, one stack per walk segment (2-20, 21-30, 31-40) and
+    # one per exploitation
+    assert [len(c) for c in calls] == [1, 19, 1, 10, 1, 10, 1]
+
+
+def test_learn_phases_measures_the_walk_in_blocks(monkeypatch):
+    cfg, H = small_scene(4, seed=2)
+    cb = PhaseCodebook(bits=2)
+    ec = ExperimentConfig(
+        total_measurements=40,
+        exploit_start=20,
+        critic_refit_period=10,
+        learner_seed=4,
+        critic_rank=2,
+        train_iters=50,
+    )
+    sizes = []
+    base = center_measure(H, cfg)
+
+    def measure(phases):
+        sizes.append(len(phases))
+        return base(phases)
+
+    theta, whole = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+    monkeypatch.setattr(phase_learning, "WALK_BLOCK", 8)
+    blocked_theta, blocked = learn_phases(measure, cfg, cb, ec)
+    assert sizes == [1, 8, 8, 3, 1, 8, 2, 1, 8, 2, 1]
+    # the block size bounds memory and changes no result
+    assert np.array_equal(blocked.indices, whole.indices)
+    assert np.array_equal(blocked.measured_powers, whole.measured_powers)
+    assert np.array_equal(blocked_theta, theta)
 
 
 def test_learn_phases_keeps_one_loss_trace_per_exploit():
@@ -352,7 +429,7 @@ def test_learn_phases_fits_negative_readings_as_zero():
         return center_measure(H, cfg)(phases) - offset
 
     theta, history = learn_phases(shifted, cfg, cb, ec)
-    clipped_theta, clipped = learn_phases(lambda ph: max(shifted(ph), 0.0), cfg, cb, ec)
+    clipped_theta, clipped = learn_phases(lambda ph: np.maximum(shifted(ph), 0.0), cfg, cb, ec)
     assert history.measured_powers.min() < 0.0
     assert np.array_equal(history.indices, clipped.indices)
     assert np.array_equal(theta, clipped_theta)
@@ -403,8 +480,9 @@ def test_history_logs_the_measured_indices():
 
     theta, history = learn_phases(measure, cfg, cb, ec)
     assert history.indices.dtype == np.uint8
-    assert history.indices.shape == (len(calls), cfg.num_antennas)
-    assert np.array_equal(cb.values[history.indices], np.array(calls))
+    rows = np.concatenate(calls)
+    assert history.indices.shape == (len(rows), cfg.num_antennas)
+    assert np.array_equal(cb.values[history.indices], rows)
     assert np.array_equal(history.best_powers, np.maximum.accumulate(history.measured_powers))
     best = int(np.argmax(history.measured_powers))  # the first of equal maxima
     assert np.array_equal(theta, cb.values[history.indices[best]])
