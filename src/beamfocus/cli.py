@@ -6,7 +6,9 @@ profiles plus a summary, `heatmap` maps the beam gain over user positions
 at chosen frequencies, `learn` runs only the phase-learning stage, and
 `search-delays` runs only the delay search. Every output file starts with
 a `#` header embedding the resolved configuration, so identical configs
-reproduce byte-identical files.
+reproduce byte-identical files. The module holds the pipelines and the
+command line only: the measurement callbacks come from `sim`, the heatmap
+kernel from `channel`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import pdf_oracle, ps_only_oracle
-from .channel import ChannelMatrix, SystemConfig
+from .channel import ChannelMatrix, SystemConfig, gain_map
 from .combiner import CombinerConfig, effective_combiner, load_combiner, save_combiner
 from .config import (
     ConfigError,
@@ -37,14 +39,14 @@ from .config import (
 from .critic import save_critic
 from .delay_search import search_delays, write_search_trace_csv
 from .files import write_atomic
-from .geometry import SPEED_OF_LIGHT, ArrayGeometry, point_distances
+from .geometry import ArrayGeometry
 from .phase_learning import learn_phases, write_history_csv
 from .sim import (
     avg_amplitude_gain,
     center_bin,
     gain_profile,
-    measure_power,
-    measure_profile_powers,
+    make_center_measure,
+    make_profile_measure,
     three_db_bandwidth,
     write_gain_csv,
 )
@@ -59,127 +61,6 @@ def decimate_channel(H: ChannelMatrix, target: int) -> ChannelMatrix:
     K = H.num_subcarriers
     idx = np.arange(0, K, max(1, K // max(target, 16)))
     return ChannelMatrix(coeffs=H.coeffs[:, idx], freqs_hz=H.freqs_hz[idx])
-
-
-def _noise_rng(ec: ExperimentConfig, *key: int) -> np.random.Generator:
-    # learner.seed keys one noise stream per measurement callback: (0,) for
-    # the center callback, (1, N) for the profile callback of the N-TD-unit
-    # search. Each callback owns its Generator, so its measurements are
-    # independent, the searches of one sweep draw different noise, and a
-    # config still reproduces its files.
-    return np.random.default_rng(np.random.SeedSequence(ec.learner_seed, spawn_key=key))
-
-
-def make_center_measure(ec: ExperimentConfig, H: ChannelMatrix, cfg: SystemConfig):
-    """Callback phases -> center-frequency powers for the phase learner.
-
-    `phases` holds the M codebook phases of a zero-delay beam, or a (..., M)
-    stack of beams; the callback returns one power per beam, shape (...), a
-    stacked call equal to one call per beam in C order. In noisy mode each
-    beam's power is one `measure_power` draw, in that order, and the known
-    noise floor is subtracted (clipped at zero) so the critic regresses
-    calibrated signal powers.
-    """
-    h = H.coeffs[:, center_bin(H.freqs_hz, cfg.center_freq_hz)] / np.sqrt(cfg.num_antennas)
-    rng = _noise_rng(ec, 0)
-
-    def measure(phases):
-        # w^H h at the center bin for w = e^{j phases} / sqrt(M) (zero delays)
-        wh = np.exp(-1j * np.asarray(phases)) @ h
-        p = cfg.tx_power_w / cfg.num_subcarriers * np.abs(wh) ** 2
-        if cfg.noise_power_w > 0.0:
-            p = measure_power(p, cfg, ec.snapshots, rng)
-        return np.maximum(p - cfg.noise_power_w, 0.0)
-
-    return measure
-
-
-def make_profile_measure(ec: ExperimentConfig, H_dec: ChannelMatrix, cfg: SystemConfig):
-    """Callback config -> per-subcarrier powers for the delay search.
-
-    Takes one configuration or a stack and returns one row of powers per
-    configuration (see `measure_profile_powers`). Its noise stream is keyed
-    by cfg.num_td_units.
-    """
-    rng = _noise_rng(ec, 1, cfg.num_td_units)
-
-    def measure(cc):
-        powers = measure_profile_powers(cc, H_dec, cfg, snapshots=ec.snapshots, rng=rng)
-        return np.maximum(powers - cfg.noise_power_w, 0.0)
-
-    return measure
-
-
-# heatmap points evaluated per block, bounding the (points x M) temporaries
-GAIN_MAP_BLOCK = 128
-# the roots of unity exp(-2 pi j k / PHASOR_TABLE) that gain_map's phasors
-# start from, as (real, imaginary) rows
-PHASOR_TABLE = 4096
-_TURNS = 2.0 * np.pi * np.arange(PHASOR_TABLE) / PHASOR_TABLE
-_ROOTS = np.stack([np.cos(_TURNS), -np.sin(_TURNS)])
-
-
-def unit_phasors(cycles):
-    """exp(-2 pi j cycles) as its (real, imaginary) parts, without np.exp.
-
-    cycles * PHASOR_TABLE splits into its nearest integer q and a remainder
-    of at most half a step. The table gives exp(-2 pi j q / PHASOR_TABLE);
-    the remainder's angle x (|x| <= pi / PHASOR_TABLE) turns it by the Taylor
-    series cos x ~ 1 - x^2/2 + x^4/24, sin x ~ x - x^3/6, both exact to
-    below 1e-17. The result is within 2e-15 of the exact phasor. q is
-    reduced modulo the table in float64 before the integer cast, so no
-    cycle count, however large, overflows it.
-    """
-    steps = cycles * PHASOR_TABLE
-    q = np.rint(steps)
-    x = (steps - q) * (2.0 * np.pi / PHASOR_TABLE)
-    k = (q - PHASOR_TABLE * np.floor(q / PHASOR_TABLE)).astype(np.intp)
-    x2 = x * x
-    cos = 1.0 - x2 * (0.5 - x2 / 24.0)
-    sin = x * (1.0 - x2 / 6.0)
-    re, im = _ROOTS.take(k, axis=1)
-    return re * cos + im * sin, im * cos - re * sin
-
-
-def gain_map(
-    geom: ArrayGeometry,
-    w: np.ndarray,
-    freq_hz,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    rho_factor=1.0,
-) -> np.ndarray:
-    """|w^H h(q')|^2 over a position grid, h(q') the spherical wave at each point.
-
-    Returns shape (len(ys), len(xs)); rows follow ys, columns follow xs.
-    `w` may stack one combining vector per frequency, shape (F, M), with
-    `freq_hz` and `rho_factor` broadcasting to (F,); the result then has
-    shape (F, len(ys), len(xs)). The points are evaluated in blocks of
-    GAIN_MAP_BLOCK, each block's distances once for every frequency, so
-    memory stays bounded at any grid size. h(q') has the magnitude and
-    phase of `channel.spherical_wave`, its phasors from `unit_phasors`
-    instead of a complex exponential; the map stays within 1e-12 of its
-    peak of the `spherical_wave` one.
-    """
-    gx, gy = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float))
-    px, py = gx.ravel(), gy.ravel()
-    w_conj = np.conj(w)
-    batch = w_conj.shape[:-1]
-    lams = SPEED_OF_LIGHT / np.broadcast_to(freq_hz, batch)
-    rhos = np.broadcast_to(rho_factor, batch)
-    vals = np.empty(batch + (px.size,))
-    for start in range(0, px.size, GAIN_MAP_BLOCK):
-        block = slice(start, start + GAIN_MAP_BLOCK)
-        d = point_distances(geom, px[block], py[block])  # (points, M)
-        inv_d = 1.0 / d
-        for i in np.ndindex(batch):
-            re, im = unit_phasors(d * (1.0 / lams[i]))
-            amp = (rhos[i] * lams[i] / (4.0 * np.pi)) * inv_d
-            re *= amp
-            im *= amp
-            u, v = w_conj[i].real, w_conj[i].imag
-            vals[i + (block,)] = (re @ u - im @ v) ** 2 + (re @ v + im @ u) ** 2
-    return vals.reshape(batch + gx.shape)
 
 
 def _heatmap_axes(ec: ExperimentConfig):

@@ -28,6 +28,8 @@ def _phasors(cb: PhaseCodebook, M: int) -> np.ndarray:
 # exploration steps walked and measured per callback invocation; bounds the
 # walk's (steps, M) temporaries at any learner.exploit_start
 WALK_BLOCK = 256
+# coordinate_ascent's cap on full cycles over the antennas
+MAX_ASCENT_CYCLES = 1000
 
 
 def _walk(start: np.ndarray, counts: np.ndarray, size: int, rng) -> np.ndarray:
@@ -52,20 +54,16 @@ def _walk(start: np.ndarray, counts: np.ndarray, size: int, rng) -> np.ndarray:
     return np.take_along_axis(values, last, axis=0)[1:]
 
 
-def coordinate_ascent(
-    q: np.ndarray,
-    init: np.ndarray,
-    cb: PhaseCodebook,
-    max_cycles: int = 1000,
-):
+def coordinate_ascent(q: np.ndarray, init: np.ndarray, cb: PhaseCodebook):
     """Cyclic coordinate ascent of the predicted power over the codebook.
 
     Sweeps the antennas in order, setting each codebook index to the one
     that maximizes the prediction ||Q^H w||^2 of the (M, rank) critic `q`
     with the rest fixed; stops after a full cycle without change (each
     accepted change strictly increases the prediction, so termination is
-    guaranteed). `init` holds one codebook index per antenna. Returns
-    (indices, cycles_used, predicted_power).
+    guaranteed) or after MAX_ASCENT_CYCLES cycles. `init` holds one
+    codebook index per antenna. Returns (indices, cycles_used,
+    predicted_power).
     """
     idx = np.atleast_1d(np.asarray(init))
     if not np.issubdtype(idx.dtype, np.integer):
@@ -79,7 +77,7 @@ def coordinate_ascent(
     g = q_conj.T @ phasors[idx]  # (rank,)
     best = float(np.real(np.vdot(g, g)))
     cycles = 0
-    for _ in range(max_cycles):
+    for _ in range(MAX_ASCENT_CYCLES):
         changed = False
         for m in range(M):
             g_base = g - phasors[idx[m]] * q_conj[m]

@@ -1,12 +1,11 @@
 """Measurement oracle: received-power evaluation and bandwidth metrics.
 
 Learners observe the true channel only through (optionally noisy) power
-measurements. This module holds the profile measurement, the noise draw
-and the reported gain profiles; `cli.make_center_measure` computes the
-center-bin inner product itself and draws its noise with `measure_power`.
-The `baselines` oracles read the channel, for comparison only;
-`cli.gain_map` evaluates the spherical wave at each map point with phasors
-from a root-of-unity table, within 2e-15 of the complex exponential.
+measurements. This module is the one home of that measurement model: the
+center and profile callbacks the learners are given share one observation
+step (signal power, snapshot noise drawn by `measure_power`, noise-floor
+subtraction), and it also computes the reported gain profiles. The
+`baselines` oracles read the channel, for comparison only.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import numpy as np
 
 from .channel import ChannelMatrix, SystemConfig
 from .combiner import TWO_PI, CombinerConfig
+from .config import ExperimentConfig
 from .files import write_atomic
 
 
@@ -106,25 +106,60 @@ def measure_power(signal, cfg: SystemConfig, snapshots: int, rng: np.random.Gene
     return scale * rng.noncentral_chisquare(2 * snapshots, signal / scale)
 
 
-def measure_profile_powers(
-    cc: CombinerConfig,
-    H: ChannelMatrix,
-    cfg: SystemConfig,
-    snapshots: int = 1,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Measured power for every subcarrier of H, shape (..., K).
+def _observer(ec: ExperimentConfig, cfg: SystemConfig, *key: int):
+    """The observation step of one measurement callback, amplitudes -> powers.
 
-    A stacked configuration gives one row per configuration, equal to what
-    one call per configuration returns. Noiseless powers are the signal
-    powers (P_T/K) |w_k^H h_k|^2 and need no `rng`; noisy powers are one
-    `measure_power` draw over all bins (and configurations) at once.
+    Each combined amplitude w^H h becomes the signal power (P_T/K)|w^H h|^2;
+    in noisy mode one `measure_power` draw per entry, in C order; then the
+    known noise floor is subtracted, clipped at zero, so the learners
+    regress calibrated signal powers. learner.seed keys one noise stream
+    per callback: (0,) for the center callback, (1, N) for the profile
+    callback of the N-TD-unit search. Each callback owns its Generator, so
+    its measurements are independent, the searches of one sweep draw
+    different noise, and a config still reproduces its files.
     """
-    _check_dims(cc, H, cfg)
-    signal = cfg.tx_power_w / cfg.num_subcarriers * np.abs(_inner_products(cc, H, cfg)) ** 2
-    if cfg.noise_power_w > 0.0:
-        return measure_power(signal, cfg, snapshots, rng)
-    return signal
+    rng = np.random.default_rng(np.random.SeedSequence(ec.learner_seed, spawn_key=key))
+
+    def observe(amplitudes):
+        p = cfg.tx_power_w / cfg.num_subcarriers * np.abs(amplitudes) ** 2
+        if cfg.noise_power_w > 0.0:
+            p = measure_power(p, cfg, ec.snapshots, rng)
+        return np.maximum(p - cfg.noise_power_w, 0.0)
+
+    return observe
+
+
+def make_center_measure(ec: ExperimentConfig, H: ChannelMatrix, cfg: SystemConfig):
+    """Callback phases -> center-frequency powers for the phase learner.
+
+    `phases` holds the M codebook phases of a zero-delay beam, or a (..., M)
+    stack of beams; the callback returns one power per beam, shape (...), a
+    stacked call equal to one call per beam in C order.
+    """
+    h = H.coeffs[:, center_bin(H.freqs_hz, cfg.center_freq_hz)] / np.sqrt(cfg.num_antennas)
+    observe = _observer(ec, cfg, 0)
+
+    def measure(phases):
+        # w^H h at the center bin for w = e^{j phases} / sqrt(M) (zero delays)
+        return observe(np.exp(-1j * np.asarray(phases)) @ h)
+
+    return measure
+
+
+def make_profile_measure(ec: ExperimentConfig, H: ChannelMatrix, cfg: SystemConfig):
+    """Callback config -> per-subcarrier powers for the delay search.
+
+    Takes one configuration or a stack and returns the powers of every bin
+    of H, shape (..., K), a stacked call equal to one call per configuration
+    in C order. Its noise stream is keyed by cfg.num_td_units.
+    """
+    observe = _observer(ec, cfg, 1, cfg.num_td_units)
+
+    def measure(cc):
+        _check_dims(cc, H, cfg)
+        return observe(_inner_products(cc, H, cfg))
+
+    return measure
 
 
 def center_bin(freqs_hz: np.ndarray, center_freq_hz: float) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from beamfocus.baselines import pdf_oracle, ps_only_oracle
-from beamfocus.channel import SystemConfig, flat_amplitude_rho, near_field_channel
+from beamfocus.channel import SystemConfig, flat_amplitude_rho, gain_map, near_field_channel
 from beamfocus import cli
 from beamfocus.cli import learn_pipeline, search_pipeline
 from beamfocus.combiner import CombinerConfig, PhaseCodebook, effective_combiner, quantize_phase
@@ -217,8 +217,6 @@ def test_learned_measurement_call_cost(learned):
 
 
 def test_criterion_6_beam_split_heatmap(scenario, searched_n16):
-    from beamfocus.cli import gain_map
-
     geom, ue, cb, H = scenario["geom"], scenario["ue"], scenario["cb"], scenario["H"]
     cfg1 = scenario["cfg1"]
     k = center_bin(H.freqs_hz, cfg1.center_freq_hz)

@@ -9,21 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beamfocus import cli
-from beamfocus.cli import (
+from beamfocus import channel, cli, sim
+from beamfocus.cli import decimate_channel, main, run_heatmap, run_profile
+from beamfocus.baselines import pdf_oracle
+from beamfocus.channel import (
     GAIN_MAP_BLOCK,
     PHASOR_TABLE,
-    decimate_channel,
+    ChannelMatrix,
     gain_map,
-    main,
-    make_center_measure,
-    make_profile_measure,
-    run_heatmap,
-    run_profile,
+    near_field_channel,
+    spherical_wave,
     unit_phasors,
 )
-from beamfocus.baselines import pdf_oracle
-from beamfocus.channel import ChannelMatrix, near_field_channel, spherical_wave
 from beamfocus.combiner import (
     CombinerConfig,
     PhaseCodebook,
@@ -42,7 +39,13 @@ from beamfocus.config import (
     parse_config_text,
 )
 from beamfocus.files import write_atomic
-from beamfocus.sim import center_bin, gain_profile, measure_power
+from beamfocus.sim import (
+    center_bin,
+    gain_profile,
+    make_center_measure,
+    make_profile_measure,
+    measure_power,
+)
 
 
 def tiny_config(**kw):
@@ -179,7 +182,7 @@ def test_blocked_gain_map_equals_one_shot_formula(M, monkeypatch):
         w = effective_combiner(cc, cfg, f)
         blocked = gain_map(geom, w, f, xs, ys, rho_factor=rho_factor)
         with monkeypatch.context() as m:
-            m.setattr(cli, "GAIN_MAP_BLOCK", xs.size * ys.size + 1)
+            m.setattr(channel, "GAIN_MAP_BLOCK", xs.size * ys.size + 1)
             assert np.array_equal(blocked, gain_map(geom, w, f, xs, ys, rho_factor=rho_factor))
 
 
@@ -257,7 +260,9 @@ def test_run_heatmap_computes_each_block_distances_once(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cli, "gain_map", counted("gain_map", cli.gain_map))
-    monkeypatch.setattr(cli, "point_distances", counted("point_distances", cli.point_distances))
+    monkeypatch.setattr(
+        channel, "point_distances", counted("point_distances", channel.point_distances)
+    )
     ec = replace(ec, heatmap_resolution_m=0.01)
     files = run_heatmap(ec, tmp_path, cc, cfg, [H.freqs_hz[0], H.freqs_hz[31], H.freqs_hz[-1]])
     assert len(files) == 3
@@ -760,6 +765,29 @@ def test_noisy_center_measure_is_one_measure_power_draw():
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * sigma2)
         clipped += got == 0.0
     assert 0 < clipped < 50  # both sides of the clip are exercised
+
+
+def test_noisy_callbacks_draw_through_sim_measure_power(monkeypatch):
+    # the callbacks the pipelines look up on cli draw their noise through
+    # sim.measure_power, so a patch there sees every noisy measurement:
+    # one draw call per callback call, stacked or not
+    ec = tiny_config(noise_mode="snapshots", noise_power_w=1e-9, snapshots=3)
+    cfg = build_system(ec)
+    H = build_channel(ec, build_geometry(ec), cfg)
+    H_dec = decimate_channel(H, target=16)
+    shapes = []
+
+    def counted(signal, *args):
+        shapes.append(np.shape(signal))
+        return measure_power(signal, *args)
+
+    monkeypatch.setattr(sim, "measure_power", counted)
+    M, N = cfg.num_antennas, cfg.num_td_units
+    center = cli.make_center_measure(ec, H, cfg)(np.zeros((3, M)))
+    cc = CombinerConfig(theta=np.zeros((2, M)), tau=np.zeros((2, N)))
+    profile = cli.make_profile_measure(ec, H_dec, cfg)(cc)
+    assert center.shape == (3,) and profile.shape == (2, H_dec.num_subcarriers)
+    assert shapes == [(3,), (2, H_dec.num_subcarriers)]
 
 
 def test_profile_noise_stream_is_keyed_by_td_count():

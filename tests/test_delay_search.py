@@ -3,7 +3,7 @@ import pytest
 
 from beamfocus import delay_search
 from beamfocus.channel import SystemConfig, near_field_channel
-from beamfocus.cli import decimate_channel, make_profile_measure, search_pipeline
+from beamfocus.cli import decimate_channel, search_pipeline
 from beamfocus.combiner import CombinerConfig, PhaseCodebook, recompensate_phases
 from beamfocus.config import (
     ExperimentConfig,
@@ -26,7 +26,7 @@ from beamfocus.delay_search import (
 )
 from beamfocus.baselines import pdf_oracle, ps_only_oracle
 from beamfocus.geometry import SPEED_OF_LIGHT, UePosition, random_geometry, uniform_geometry
-from beamfocus.sim import avg_amplitude_gain, measure_profile_powers
+from beamfocus.sim import avg_amplitude_gain, make_profile_measure
 
 
 def make_cfg(M, N, K=16, fc=100e9, B=10e9, tau_max=2e-9, noise=0.0):
@@ -170,10 +170,7 @@ def scene(M=16, N=4, K=32, seed=0):
 
 
 def profile_measure(H, cfg):
-    def measure(cc):
-        return measure_profile_powers(cc, H, cfg)
-
-    return measure
+    return make_profile_measure(ExperimentConfig(), H, cfg)
 
 
 def test_search_single_point_grid_scores_ps_only():
@@ -295,12 +292,7 @@ def test_vectorized_linear_ddf_equals_scalar_form():
 
 
 def noisy_profile_measure(H, cfg, seed):
-    rng = np.random.default_rng(seed)
-
-    def measure(cc):
-        return measure_profile_powers(cc, H, cfg, snapshots=50, rng=rng)
-
-    return measure
+    return make_profile_measure(ExperimentConfig(learner_seed=seed, snapshots=50), H, cfg)
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -413,10 +405,11 @@ def test_search_coarse_pass_is_every_other_grid_point(grid, monkeypatch):
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
     sizes = []
+    profile = profile_measure(H, cfg)
 
     def measure(cc):
         sizes.append(len(cc.tau))
-        return measure_profile_powers(cc, H, cfg)
+        return profile(cc)
 
     monkeypatch.setattr(delay_search, "SEARCH_BLOCK", 10**6)
     result = search_delays(theta_star, measure, geom, cfg, cb, grid)

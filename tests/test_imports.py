@@ -1,6 +1,6 @@
-"""Every name a beamfocus module imports is used in that module, and every
+"""Every name a beamfocus module imports is used in that module, every
 public top-level function and class of beamfocus is referenced by beamfocus
-or the bench."""
+or the bench, and no library module imports the command line."""
 
 import ast
 from pathlib import Path
@@ -132,3 +132,39 @@ def test_unreferenced_public_name_is_found():
     )
     user = "import lib\nlib.via_attribute()\n"
     assert unreferenced_public_names({"lib": lib}, [user]) == ["lib.Dead", "lib.dead"]
+
+
+def imports_cli(source: str) -> bool:
+    """Whether `source` imports beamfocus's command-line module `cli`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.module in ("cli", "beamfocus.cli"):
+                return True
+            if node.module in (None, "beamfocus") and "cli" in names:
+                return True
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "beamfocus.cli" for alias in node.names):
+                return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.stem != "__main__"], ids=lambda p: p.name
+)
+def test_library_never_imports_the_cli(path):
+    # the layering runs one way: cli builds on the library, and only the
+    # `python -m beamfocus` entry point imports cli
+    assert not imports_cli(path.read_text())
+
+
+def test_cli_import_is_found():
+    for source in (
+        "from .cli import main\n",
+        "from . import cli\n",
+        "from beamfocus import cli\n",
+        "from beamfocus.cli import gain_map\n",
+        "import beamfocus.cli\n",
+    ):
+        assert imports_cli(source), source
+    assert not imports_cli("from .channel import gain_map\nfrom . import sim\nimport click\n")

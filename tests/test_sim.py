@@ -5,14 +5,15 @@ import pytest
 
 from beamfocus.channel import ChannelMatrix, SystemConfig, near_field_channel
 from beamfocus.combiner import CombinerConfig, PhaseCodebook, effective_combiner
+from beamfocus.config import ExperimentConfig
 from beamfocus.geometry import UePosition, random_geometry
 from beamfocus.sim import (
     GainProfile,
     avg_amplitude_gain,
     center_bin,
     gain_profile,
+    make_profile_measure,
     measure_power,
-    measure_profile_powers,
     normalized_gain_db,
     three_db_bandwidth,
     write_gain_csv,
@@ -122,7 +123,7 @@ def test_measure_power_noiseless_exact():
     cc = CombinerConfig(theta=np.zeros(4), tau=np.zeros(2))
     gp = gain_profile(cc, H, cfg)
     for snaps in (1, 7):
-        p = measure_profile_powers(cc, H, cfg, snapshots=snaps, rng=np.random.default_rng(123))
+        p = make_profile_measure(ExperimentConfig(snapshots=snaps), H, cfg)(cc)
         for k in range(2):
             assert p[k] == (cfg.tx_power_w / cfg.num_subcarriers) * gp.per_subcarrier[k]
 
@@ -177,11 +178,15 @@ def test_measure_profile_matches_scalar_measurements():
     geom = random_geometry(4, 0.05, seed=12)
     H = near_field_channel(geom, UePosition(1.0, 0.1), cfg)
     cc = CombinerConfig(theta=np.zeros(4), tau=np.zeros(2))
-    vec = measure_profile_powers(cc, H, cfg, snapshots=9, rng=np.random.default_rng(7))
-    rng = np.random.default_rng(7)
+    vec = make_profile_measure(ExperimentConfig(learner_seed=7, snapshots=9), H, cfg)(cc)
+    # the profile callback's stream is keyed (learner.seed, 1, N)
+    rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(1, cfg.num_td_units)))
     scalars = [measure_power(signal_power(cc, H, cfg, k), cfg, 9, rng) for k in range(3)]
-    # one draw per bin, in bin order, from the same stream
-    np.testing.assert_allclose(vec, scalars, rtol=1e-12)
+    # one draw per bin, in bin order, from the same stream, minus the
+    # noise floor and clipped at zero
+    floored = np.maximum(np.subtract(scalars, cfg.noise_power_w), 0.0)
+    np.testing.assert_allclose(vec, floored, rtol=1e-12)
+    assert np.count_nonzero(vec) > 0
 
 
 def stacked_scene(M=16, N=4, K=24, C=7, noise=0.0, seed=3):
@@ -211,13 +216,12 @@ def test_stacked_gain_profile_rows_equal_single_configs():
 @pytest.mark.parametrize("noise", [0.0, 1e-9])
 def test_stacked_profile_powers_equal_sequential_measurements(noise):
     cfg, H, theta, tau = stacked_scene(noise=noise)
-    stacked = measure_profile_powers(
-        CombinerConfig(theta=theta, tau=tau), H, cfg, snapshots=20, rng=np.random.default_rng(4)
-    )
-    rng = np.random.default_rng(4)
+    ec = ExperimentConfig(learner_seed=4, snapshots=20)
+    stacked = make_profile_measure(ec, H, cfg)(CombinerConfig(theta=theta, tau=tau))
+    sequential = make_profile_measure(ec, H, cfg)
     for c in range(theta.shape[0]):
         cc = CombinerConfig(theta=theta[c], tau=tau[c])
-        assert np.array_equal(stacked[c], measure_profile_powers(cc, H, cfg, snapshots=20, rng=rng))
+        assert np.array_equal(stacked[c], sequential(cc))
 
 
 def test_stacked_config_checks_batch_shapes():
