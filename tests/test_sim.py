@@ -6,6 +6,7 @@ import pytest
 from beamfocus.channel import ChannelMatrix, SystemConfig, near_field_channel
 from beamfocus.combiner import CombinerConfig, PhaseCodebook, effective_combiner
 from beamfocus.config import ExperimentConfig
+from beamfocus import sim
 from beamfocus.geometry import UePosition, random_geometry
 from beamfocus.sim import (
     GainProfile,
@@ -173,20 +174,36 @@ def test_measure_power_concentration():
     assert ok >= 99
 
 
-def test_measure_profile_matches_scalar_measurements():
+def record_draws(monkeypatch):
+    """Patch sim.measure_power to keep each raw draw, before the noise floor
+    is subtracted and the powers are clipped at zero."""
+    draws = []
+
+    def recording_measure_power(*args):
+        draws.append(measure_power(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(sim, "measure_power", recording_measure_power)
+    return draws
+
+
+def test_measure_profile_matches_scalar_measurements(monkeypatch):
     cfg = make_cfg(4, 2, K=3, noise=1e-6)
     geom = random_geometry(4, 0.05, seed=12)
     H = near_field_channel(geom, UePosition(1.0, 0.1), cfg)
     cc = CombinerConfig(theta=np.zeros(4), tau=np.zeros(2))
+    draws = record_draws(monkeypatch)
     vec = make_profile_measure(ExperimentConfig(learner_seed=7, snapshots=9), H, cfg)(cc)
     # the profile callback's stream is keyed (learner.seed, 1, N)
     rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(1, cfg.num_td_units)))
     scalars = [measure_power(signal_power(cc, H, cfg, k), cfg, 9, rng) for k in range(3)]
-    # one draw per bin, in bin order, from the same stream, minus the
-    # noise floor and clipped at zero
+    # one draw per bin, in bin order, from the same stream: the raw draws,
+    # before the noise floor is subtracted, equal the scalar draws
+    assert len(draws) == 1
+    np.testing.assert_allclose(draws[0], scalars, rtol=1e-12)
+    # the returned powers are those draws minus the floor, clipped at zero
     floored = np.maximum(np.subtract(scalars, cfg.noise_power_w), 0.0)
     np.testing.assert_allclose(vec, floored, rtol=1e-12)
-    assert np.count_nonzero(vec) > 0
 
 
 def stacked_scene(M=16, N=4, K=24, C=7, noise=0.0, seed=3):
@@ -214,14 +231,20 @@ def test_stacked_gain_profile_rows_equal_single_configs():
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-9])
-def test_stacked_profile_powers_equal_sequential_measurements(noise):
+def test_stacked_profile_powers_equal_sequential_measurements(noise, monkeypatch):
     cfg, H, theta, tau = stacked_scene(noise=noise)
+    draws = record_draws(monkeypatch)
     ec = ExperimentConfig(learner_seed=4, snapshots=20)
     stacked = make_profile_measure(ec, H, cfg)(CombinerConfig(theta=theta, tau=tau))
     sequential = make_profile_measure(ec, H, cfg)
     for c in range(theta.shape[0]):
         cc = CombinerConfig(theta=theta[c], tau=tau[c])
         assert np.array_equal(stacked[c], sequential(cc))
+    if noise > 0.0:
+        # the raw draws match too, also in the bins that clip at zero
+        assert len(draws) == 1 + theta.shape[0]
+        for c in range(theta.shape[0]):
+            assert np.array_equal(draws[0][c], draws[1 + c])
 
 
 def test_stacked_config_checks_batch_shapes():
