@@ -184,8 +184,9 @@ def run_heatmap(
             fh.write(f"# ue_m = {ec.ue_x_m} {ec.ue_y_m}\n")
             fh.write("# x_m = " + " ".join(f"{x:.10g}" for x in xs) + "\n")
             fh.write("# y_m = " + " ".join(f"{y:.10g}" for y in ys) + "\n")
-            for row in gains:
-                fh.write(",".join(f"{g:.12g}" for g in row) + "\n")
+            rows = np.asarray(gains, dtype=float)
+            line = ",".join(["%.12g"] * rows.shape[-1]) + "\n"
+            fh.write("".join([line % tuple(row) for row in rows.tolist()]))
         written.append(path)
     return written
 

@@ -5,13 +5,17 @@ function parameterized by its breakpoint (break_delta, break_value) and its
 endpoint value at delta = 2, samples it at the sub-array centers to obtain
 candidate delay vectors, and scores each candidate by measured wideband
 gain after phase recompensation. No user position or channel knowledge is
-consumed; only the measurement callback.
+consumed; only the phases, the array geometry and the measurement callback.
 
-The search is coarse to fine: it scores every other point of the
-configured grid, then refines the best candidate with compass steps from
-the grid spacing down to 1/8 of it, and measures each delay vector once.
-At the default 9 x 17 x 17 grid a search scores at most 333 + 24 of the
-grid's 2,330 candidates.
+The search starts from the focus of the phases when they have one: it
+locates the point theta* focuses on (`focus.locate_focus`, no
+measurement), fits an approximation row to the delays that focus there,
+and refines that row with compass steps from the grid spacing down to 1/8
+of it. Phases that focus nowhere get a coarse pass over every other point
+of the configured grid instead, refined the same way. Each delay vector is
+measured once. At the default 9 x 17 x 17 grid a search scores at most
+2 + 24 of the grid's 2,330 candidates from a focus, and at most 333 + 24
+without one.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import numpy as np
 from .channel import SystemConfig
 from .combiner import CombinerConfig, recompensate_phases
 from .files import write_atomic
-from .geometry import SPEED_OF_LIGHT, ArrayGeometry
+from .focus import locate_focus
+from .geometry import SPEED_OF_LIGHT, ArrayGeometry, UePosition, distance_difference
 
 
 def linear_ddf(params, delta):
@@ -94,8 +99,13 @@ class DelaySearchResult:
 
 # candidates recompensated and measured per callback invocation
 SEARCH_BLOCK = 128
-# compass rounds after the coarse pass; the step halves every round
+# compass rounds after the coarse pass or the seed row; the step halves every round
 REFINE_ROUNDS = 4
+# focus coherence (focus.locate_focus) from which the search starts from
+# the seed row; below it the phases focus nowhere and the coarse pass runs
+SEED_COHERENCE = 0.5
+# break_delta values fit_approx tries, evenly spaced over (0, 2]
+SEED_BREAKS = 128
 
 
 def _axis(points: int):
@@ -112,6 +122,63 @@ def _axis(points: int):
     return positions, 2.0 / (points - 1)
 
 
+def focal_delays(geom: ArrayGeometry, cfg: SystemConfig, ue: UePosition) -> np.ndarray:
+    """Delays that focus every sub-array center on the point `ue`.
+
+    The exact distance differences at the sub-array centers, through
+    delays_from_ddf.
+    """
+    deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
+    return delays_from_ddf(distance_difference(geom, deltas, ue), cfg.tau_max_s)
+
+
+def fit_approx(tau, deltas: np.ndarray) -> tuple:
+    """The approximation row whose delays fit `tau` best in least squares.
+
+    For each of SEED_BREAKS break_delta values evenly spaced over (0, 2],
+    the curve is linear in (break_value, end_value); those two and a common
+    offset, which no delay vector depends on, are solved for against tau * c
+    at the sub-array centers. Where the two are not both determined (no
+    sub-array center past the break, or none before it), end_value is 0.
+    The row of the smallest residual wins.
+    """
+    breaks = 2.0 * np.arange(1, SEED_BREAKS + 1) / SEED_BREAKS
+    unit = np.zeros((SEED_BREAKS, 2, 3))
+    unit[:, :, 0] = breaks[:, None]
+    unit[:, 0, 1] = unit[:, 1, 2] = 1.0
+    # centering over the sub-arrays takes out the common offset
+    g = linear_ddf(unit, deltas)
+    g -= g.mean(axis=-1, keepdims=True)
+    t = np.asarray(tau) * SPEED_OF_LIGHT
+    t = t - t.mean()
+    gram = np.einsum("bin,bjn->bij", g, g)
+    s11, s12, s22 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+    r1, r2 = (g @ t).T
+    det = s11 * s22 - s12 * s12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        both = det > 1e-12 * s11 * s22
+        ay = np.where(both, (s22 * r1 - s12 * r2) / det, np.where(s11 > 0.0, r1 / s11, 0.0))
+        b = np.where(both, (s11 * r2 - s12 * r1) / det, 0.0)
+    residual = np.sum((ay[:, None] * g[:, 0] + b[:, None] * g[:, 1] - t) ** 2, axis=-1)
+    i = int(np.argmin(residual))
+    return (float(breaks[i]), float(ay[i]), float(b[i]))
+
+
+def _seed_position(theta_star, geom: ArrayGeometry, cfg: SystemConfig, points: tuple):
+    """Box position of the row fit to the delays focusing on theta_star's focus.
+
+    None when the focus coherence is below SEED_COHERENCE. The position is
+    clipped to the box, and single-point axes stay at their range centers.
+    """
+    x, y, fit = locate_focus(theta_star, geom, cfg.center_freq_hz)
+    if fit < SEED_COHERENCE:
+        return None
+    deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
+    ax, ay, b = fit_approx(focal_delays(geom, cfg, UePosition(x, y)), deltas)
+    position = (ax - 1.0, ay / (0.5 * geom.aperture * ax), b / geom.aperture)
+    return tuple(min(max(p, -1.0), 1.0) if n > 1 else 0.0 for p, n in zip(position, points))
+
+
 def search_delays(
     theta_star,
     measure,
@@ -120,7 +187,7 @@ def search_delays(
     cb,
     points: tuple,
 ) -> DelaySearchResult:
-    """Coarse-to-fine search of the (break_delta, break_value, end_value) box.
+    """Focus-seeded or coarse-to-fine search of the (break_delta, break_value, end_value) box.
 
     A position (x, u, v) in [-1, 1]^3 is the row break_delta = 1 + x,
     break_value = u (D/2) break_delta, end_value = v D, for aperture D; so
@@ -128,16 +195,23 @@ def search_delays(
     |end_value| <= D. `points` holds the `grid.*` point counts (ax, ay, b):
     each axis spans its range with that many evenly spaced points, and a
     single-point axis sits at its range center and is never searched. The
-    zero-delay row (1, 0, 0) is scored first, then the coarse grid of every
-    other grid point per axis, (n + 1) // 2 points of an n-point axis. Each of
-    REFINE_ROUNDS rounds then scores the six compass positions one step
-    along each axis from the incumbent, clipped to the box, as one block;
-    the first step is the grid spacing and each round halves it, down to
-    1/8 of the spacing. A row whose delay vector is bitwise equal to one
-    already scored is skipped (at break_delta = 0 every u gives the same
+    zero-delay row (1, 0, 0) is scored first. When the focus of theta_star
+    (`focus.locate_focus`) has a coherence of at least SEED_COHERENCE, the
+    seed row comes next in the same block: `fit_approx` of the
+    `focal_delays` at that focus, clipped to the box. Otherwise the coarse
+    grid of every other grid point per axis follows, (n + 1) // 2 points of
+    an n-point axis. A walk then starts from the seed row, or else from the
+    best row of that block (the earliest of tied maxima). Each of
+    REFINE_ROUNDS rounds scores the six compass positions one step along
+    each axis from the walk's position, clipped to the box, as one block,
+    and the walk moves to the best of them on a strictly higher score; the
+    first step is the grid spacing and each round halves it, down to 1/8 of
+    the spacing. A row whose delay vector is bitwise equal to one already
+    scored is not measured again (at break_delta = 0 every u gives the same
     row, and rows that differ only where the delays clip give the same
-    vector); it would tie the earlier score, which the incumbent keeps. So
-    a search scores at most the coarse rows plus 6 * REFINE_ROUNDS.
+    vector); it takes the earlier score. So a search scores at most
+    2 + 6 * REFINE_ROUNDS rows from a seed, and the coarse rows plus
+    6 * REFINE_ROUNDS without one.
 
     The delay vectors of a pass come from one vectorized evaluation of the
     approximations, before any is measured. Scored rows go through
@@ -146,17 +220,17 @@ def search_delays(
     stacked CombinerConfig (theta (C, M), tau (C, N)) and returns
     per-subcarrier powers, shape (C, K), row c equal to what it would
     return for candidate c alone, measured in candidate order. A candidate
-    scores the mean amplitude of its row. The incumbent moves only on a
-    strictly higher score, so ties keep the earliest candidate and the
-    result never scores below the zero-delay row.
+    scores the mean amplitude of its row. The result is the best row scored,
+    the earliest of tied maxima, so it never scores below the zero-delay
+    row.
     """
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
     aperture = geom.aperture
     axes = [_axis(n) for n in points]
     trace = []
-    seen = set()
-    best_score, best_position, best_tau, best_theta = -np.inf, None, None, None
+    scored = {}  # delay vector bytes -> score
+    best_score, best_tau, best_theta = -np.inf, None, None
 
     def row(position):
         x, u, v = position
@@ -165,15 +239,15 @@ def search_delays(
         return (ax, u * (0.5 * aperture) * ax + 0.0, v * aperture + 0.0)
 
     def score(positions):
-        nonlocal best_score, best_position, best_tau, best_theta
-        positions = list(positions)
+        """Every position's score, measuring only delay vectors not yet scored."""
+        nonlocal best_score, best_tau, best_theta
         params = [row(position) for position in positions]
         taus = delays_from_approx(np.reshape(params, (-1, 3)), deltas, cfg.tau_max_s)
+        keys = [tau.tobytes() for tau in taus]
         fresh = []
-        for i, tau in enumerate(taus):
-            key = tau.tobytes()
-            if key not in seen:
-                seen.add(key)
+        for i, key in enumerate(keys):
+            if key not in scored:
+                scored[key] = None
                 fresh.append(i)
         for start in range(0, len(fresh), SEARCH_BLOCK):
             block = fresh[start : start + SEARCH_BLOCK]
@@ -181,17 +255,25 @@ def search_delays(
             theta = recompensate_phases(theta_star, tau, cfg, cb)
             powers = np.asarray(measure(CombinerConfig(theta=theta, tau=tau)), dtype=float)
             scores = np.mean(np.sqrt(np.maximum(powers, 0.0)), axis=-1)
-            trace.extend((*params[j], float(v)) for j, v in zip(block, scores))
+            for j, v in zip(block, scores.tolist()):
+                scored[keys[j]] = v
+                trace.append((*params[j], v))
             i = int(np.argmax(scores))  # the earliest of tied maxima
             if scores[i] > best_score:
-                best_score, best_position = float(scores[i]), positions[block[i]]
-                best_tau, best_theta = tau[i], theta[i]
+                best_score, best_tau, best_theta = float(scores[i]), tau[i], theta[i]
+        return [scored[key] for key in keys]
 
-    coarse = itertools.product(*(positions for positions, _ in axes))
-    score(itertools.chain([(0.0, 0.0, 0.0)], coarse))
+    seed = _seed_position(theta_star, geom, cfg, points)
+    if seed is None:
+        first = [(0.0, 0.0, 0.0), *itertools.product(*(positions for positions, _ in axes))]
+    else:
+        first = [(0.0, 0.0, 0.0), seed]
+    scores = score(first)
+    # the walk starts from the seed, or else from the best row scored
+    i = 1 if seed is not None else int(np.argmax(scores))
+    center, center_score = first[i], scores[i]
     steps = [step for _, step in axes]
     for _ in range(REFINE_ROUNDS):
-        center = best_position
         compass = []
         for k, step in enumerate(steps):
             if step:
@@ -199,7 +281,10 @@ def search_delays(
                     moved = list(center)
                     moved[k] = min(max(center[k] + sign * step, -1.0), 1.0)
                     compass.append(tuple(moved))
-        score(compass)
+        scores = score(compass)
+        top = max(scores, default=-np.inf)
+        if top > center_score:
+            center, center_score = compass[scores.index(top)], top
         steps = [0.5 * step for step in steps]
     return DelaySearchResult(
         tau=best_tau,

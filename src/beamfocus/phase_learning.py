@@ -224,11 +224,14 @@ def write_history_csv(
     """
     # hex() writes two digits per uint8 index; up to 4 bits the first is 0
     one_digit = cb.bits <= 4
+    rows = zip(
+        history.iters.tolist(),
+        history.measured_powers.tolist(),
+        history.best_powers.tolist(),
+        (row.tobytes().hex() for row in history.indices),
+    )
     with write_atomic(path) as fh:
         fh.write(header_comment)
         fh.write("iter,measured_power,best_power,phase_indices\n")
-        for i, p, b, row in zip(
-            history.iters, history.measured_powers, history.best_powers, history.indices
-        ):
-            digits = row.tobytes().hex()
-            fh.write(f"{i},{p:.12g},{b:.12g},{digits[1::2] if one_digit else digits}\n")
+        line = "%d,%.12g,%.12g,%s\n"
+        fh.write("".join([line % (i, p, b, d[1::2] if one_digit else d) for i, p, b, d in rows]))

@@ -209,5 +209,5 @@ def write_gain_csv(gp: GainProfile, path, header_comment: str = "") -> None:
     with write_atomic(path) as fh:
         fh.write(header_comment)
         fh.write("freq_hz,gain_linear,gain_db_rel_center\n")
-        for f, g, d in zip(gp.freqs_hz, gp.per_subcarrier, db):
-            fh.write(f"{f:.10g},{g:.12g},{d:.6f}\n")
+        rows = zip(gp.freqs_hz.tolist(), gp.per_subcarrier.tolist(), db.tolist())
+        fh.write("".join(["%.10g,%.12g,%.6f\n" % row for row in rows]))

@@ -9,8 +9,9 @@ from beamfocus.channel import (
     near_field_channel,
     subcarrier_frequencies,
 )
-from beamfocus.combiner import CombinerConfig, PhaseCodebook
-from beamfocus.geometry import UePosition, random_geometry
+from beamfocus.combiner import CombinerConfig, PhaseCodebook, recompensate_phases
+from beamfocus.delay_search import delays_from_ddf, subarray_deltas
+from beamfocus.geometry import UePosition, distance_difference, random_geometry
 from beamfocus.sim import gain_profile, normalized_gain_db
 
 
@@ -75,6 +76,22 @@ def test_ps_only_quantization_loss_bound():
             coherent = np.sum(np.abs(H.coeffs[:, k])) ** 2 / cfg.num_antennas
             bound = np.cos(np.pi / 2**bits) ** 2 * (1 - 1e-9)
             assert gp.per_subcarrier[k] / coherent >= bound
+
+
+@pytest.mark.parametrize("bits", [3, None])
+def test_pdf_oracle_is_the_inline_focusing_formula(bits):
+    # the oracle's delays are the exact distance differences at the
+    # sub-array centers, shifted and clipped; its phases the conjugate design
+    # recompensated for them, bit for bit
+    cb = None if bits is None else PhaseCodebook(bits=bits)
+    for M, N in ((16, 4), (64, 16)):
+        cfg, geom, ue, H = scene(M, N, seed=M)
+        cc = pdf_oracle(geom, ue, H, cfg, cb)
+        deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
+        tau = delays_from_ddf(distance_difference(geom, deltas, ue), cfg.tau_max_s)
+        theta = recompensate_phases(ps_only_oracle(H, cfg, cb).theta, tau, cfg, cb)
+        assert np.array_equal(cc.tau, tau)
+        assert np.array_equal(cc.theta, theta)
 
 
 def test_pdf_oracle_delays_respect_bounds():

@@ -288,6 +288,10 @@ def test_run_heatmap_files(tmp_path):
     data_lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert len(data_lines) == 3  # y axis: -2.2, -2.0, -1.8
     assert len(data_lines[0].split(",")) == 3
+    # one format per row writes what a per-value f-string loop writes
+    xs, ys = np.linspace(1.8, 2.2, 3), np.linspace(-2.2, -1.8, 3)
+    gains = gain_map(geom, effective_combiner(cc, cfg, freqs[0]), freqs[0], xs, ys)
+    assert data_lines == [",".join(f"{g:.12g}" for g in row) for row in gains]
 
 
 def test_run_heatmap_rejects_frequencies_sharing_a_file_name(tmp_path, monkeypatch):

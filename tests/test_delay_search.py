@@ -16,14 +16,19 @@ from beamfocus.config import (
 from beamfocus.delay_search import (
     REFINE_ROUNDS,
     SEARCH_BLOCK,
+    SEED_BREAKS,
+    SEED_COHERENCE,
     DelaySearchResult,
     delays_from_approx,
     delays_from_ddf,
+    fit_approx,
+    focal_delays,
     linear_ddf,
     search_delays,
     subarray_deltas,
     write_search_trace_csv,
 )
+from beamfocus.focus import locate_focus
 from beamfocus.baselines import pdf_oracle, ps_only_oracle
 from beamfocus.geometry import SPEED_OF_LIGHT, UePosition, random_geometry, uniform_geometry
 from beamfocus.sim import avg_amplitude_gain, make_profile_measure
@@ -171,6 +176,12 @@ def scene(M=16, N=4, K=32, seed=0):
 
 def profile_measure(H, cfg):
     return make_profile_measure(ExperimentConfig(), H, cfg)
+
+
+@pytest.fixture
+def no_focus(monkeypatch):
+    """The locator finds no focus, so every search runs the coarse pass."""
+    monkeypatch.setattr(delay_search, "locate_focus", lambda theta, geom, freq: (1.0, 0.0, 0.0))
 
 
 def test_search_single_point_grid_scores_ps_only():
@@ -382,7 +393,7 @@ def trace_delays(result, geom, cfg):
 
 
 @pytest.mark.parametrize("grid", SEARCH_GRIDS)
-def test_search_budget_and_unique_rows(grid):
+def test_search_budget_and_unique_rows(grid, no_focus):
     cfg, geom, H = scene(M=32, N=8, K=32, seed=3)
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
@@ -396,7 +407,7 @@ def test_search_budget_and_unique_rows(grid):
 
 
 @pytest.mark.parametrize("grid", SEARCH_GRIDS)
-def test_search_coarse_pass_is_every_other_grid_point(grid, monkeypatch):
+def test_search_coarse_pass_is_every_other_grid_point(grid, monkeypatch, no_focus):
     # the coarse pass with (n + 1) // 2 points per axis is the full grid of
     # that size: every other configured point for odd n, ends included. It
     # is one measurement when blocks hold every row; the rows it skips
@@ -428,7 +439,7 @@ def test_search_coarse_pass_is_every_other_grid_point(grid, monkeypatch):
 
 
 @pytest.mark.parametrize("grid", SEARCH_GRIDS)
-def test_search_final_score_at_least_best_coarse_score(grid):
+def test_search_final_score_at_least_best_coarse_score(grid, no_focus):
     cb = PhaseCodebook(bits=3)
     for seed in range(3):
         cfg, geom, H = scene(M=32, N=8, K=32, seed=seed)
@@ -438,7 +449,7 @@ def test_search_final_score_at_least_best_coarse_score(grid):
         assert result.score >= max(coarse)
 
 
-def test_search_refines_down_to_an_eighth_of_the_spacing(monkeypatch):
+def test_search_refines_down_to_an_eighth_of_the_spacing(monkeypatch, no_focus):
     # Delay vectors are replaced by the (ax, ay, b) rows themselves, shifted
     # to be nonnegative, so the measurement can score each row by its
     # distance to a target row. The target sits on the coarse grid in ax and
@@ -479,18 +490,82 @@ def reference():
 
 
 @pytest.mark.parametrize("n", [8, 16])
-def test_search_matches_the_full_grid_at_reference_scale(reference, n):
-    # on the 128-bin decimated channel the coarse-to-fine search scores
-    # within 0.1 dB of the best of all 2,330 grid candidates
+def test_search_matches_the_full_grid_at_reference_scale(reference, n, monkeypatch):
+    # on the 128-bin decimated channel the search from the focus of the
+    # oracle phases and the coarse-to-fine fallback each score within 0.1 dB
+    # of the best of all 2,330 grid candidates
     ec, geom, cb = reference["ec"], reference["geom"], reference["cb"]
     cfg = build_system(ec, num_td_units=n)
     measure = make_profile_measure(ec, decimate_channel(reference["H"], ec.search_subcarriers), cfg)
     grid = (9, 17, 17)  # the grid.* defaults
-    got = search_delays(reference["theta"], measure, geom, cfg, cb, grid)
+    seeded = search_delays(reference["theta"], measure, geom, cfg, cb, grid)
     full = reference_search_delays(reference["theta"], measure, geom, cfg, cb, grid)
+    monkeypatch.setattr(delay_search, "locate_focus", lambda theta, geom, freq: (1.0, 0.0, 0.0))
+    fallback = search_delays(reference["theta"], measure, geom, cfg, cb, grid)
     assert len(full.trace) == 2330
-    assert len(got.trace) <= coarse_count(grid) + 6 * REFINE_ROUNDS
-    assert got.score >= 10 ** (-0.1 / 20) * full.score
+    assert len(seeded.trace) <= 2 + 6 * REFINE_ROUNDS
+    assert len(fallback.trace) <= coarse_count(grid) + 6 * REFINE_ROUNDS
+    for got in (seeded, fallback):
+        assert got.score >= 10 ** (-0.1 / 20) * full.score
+
+
+@pytest.mark.parametrize("grid", SEARCH_GRIDS)
+def test_seeded_search_budget_and_unique_rows(grid):
+    # oracle phases focus on the user, so the search starts from the seed
+    # row: the zero-delay row, the seed row and REFINE_ROUNDS compass rounds
+    cfg, geom, H = scene(M=32, N=8, K=32, seed=3)
+    cb = PhaseCodebook(bits=3)
+    theta_star = ps_only_oracle(H, cfg, cb).theta
+    assert locate_focus(theta_star, geom, cfg.center_freq_hz)[2] >= SEED_COHERENCE
+    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid)
+    rows = [row[:3] for row in result.trace]
+    assert rows[0] == (1.0, 0.0, 0.0)
+    assert result.ps_only_score == result.trace[0][3]
+    assert len(rows) <= 2 + 6 * REFINE_ROUNDS
+    assert len({tau.tobytes() for tau in trace_delays(result, geom, cfg)}) == len(rows)
+    assert result.score == max(row[3] for row in result.trace)
+    assert result.score >= result.ps_only_score
+
+
+def test_random_phases_fall_back_to_the_coarse_pass(reference, monkeypatch):
+    # random codebook phases focus nowhere: their coherence stays below the
+    # seed threshold, and the search is the one without a focus
+    ec, geom, cb = reference["ec"], reference["geom"], reference["cb"]
+    draws = [
+        cb.values[np.random.default_rng(seed).integers(0, cb.size, geom.num_antennas)]
+        for seed in range(8)
+    ]
+    for theta in draws:
+        assert locate_focus(theta, geom, ec.center_freq_hz)[2] < SEED_COHERENCE
+    cfg = build_system(ec, num_td_units=8)
+    measure = make_profile_measure(ec, decimate_channel(reference["H"], ec.search_subcarriers), cfg)
+    got = search_delays(draws[0], measure, geom, cfg, cb, (5, 5, 5))
+    monkeypatch.setattr(delay_search, "locate_focus", lambda theta, geom, freq: (1.0, 0.0, 0.0))
+    want = search_delays(draws[0], measure, geom, cfg, cb, (5, 5, 5))
+    assert got.trace == want.trace
+    assert len(got.trace) > 2 + 6 * REFINE_ROUNDS
+
+
+def test_fit_approx_recovers_a_row_on_its_break_grid():
+    geom = random_geometry(64, 0.05, seed=5)
+    deltas = subarray_deltas(geom, 16, 4)
+    row = (2.0 * 45 / SEED_BREAKS, -0.004, 0.01)
+    tau = delays_from_approx(row, deltas, 1.0)
+    fit = fit_approx(tau, deltas)
+    assert fit[0] == row[0]
+    assert np.allclose(fit[1:], row[1:], rtol=1e-9, atol=0.0)
+    # a common delay changes nothing
+    assert fit_approx(tau + 1e-10, deltas) == pytest.approx(fit, rel=1e-9)
+
+
+def test_focal_delays_vanish_where_the_array_is_equidistant():
+    # a point on the array axis is equally far from mirrored sub-arrays
+    geom = uniform_geometry(16, 0.1)
+    cfg = make_cfg(16, 4)
+    tau = focal_delays(geom, cfg, UePosition(1.0, 0.0))
+    assert tau.min() == 0.0
+    assert tau[0] == pytest.approx(tau[-1], abs=1e-24)
+    assert tau[1] == pytest.approx(tau[2], abs=1e-24)
 
 
 def test_noisy_search_stays_near_the_oracle(reference):

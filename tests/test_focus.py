@@ -1,0 +1,57 @@
+import numpy as np
+import pytest
+
+from beamfocus.baselines import ps_only_oracle
+from beamfocus.config import (
+    ExperimentConfig,
+    build_channel,
+    build_codebook,
+    build_geometry,
+    build_system,
+)
+from beamfocus.focus import coherence, locate_focus
+from beamfocus.geometry import SPEED_OF_LIGHT, point_distances
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """The acceptance scenario's array (M = 256) and channel."""
+    ec = ExperimentConfig()
+    geom = build_geometry(ec)
+    cfg = build_system(ec, num_td_units=1)
+    return ec, geom, build_codebook(ec), cfg, build_channel(ec, geom, cfg)
+
+
+def conjugate_phases(geom, freq_hz, point, offset=0.7):
+    """Continuous phases conjugating the spherical wave from `point`, plus a common phase."""
+    lam = SPEED_OF_LIGHT / freq_hz
+    return offset - 2.0 * np.pi * point_distances(geom, *point) / lam
+
+
+def test_oracle_phases_locate_the_user(reference):
+    # the 3-bit conjugate phases of the reference channel focus on the user
+    ec, geom, cb, cfg, H = reference
+    x, y, fit = locate_focus(ps_only_oracle(H, cfg, cb).theta, geom, ec.center_freq_hz)
+    assert np.hypot(x - 2.0, y + 2.0) <= 0.02
+    assert fit >= 0.95
+
+
+@pytest.mark.parametrize("point", [(2.0, -2.0), (1.0, 0.5), (3.0, -1.0), (0.5, 0.2), (1.5, 1.5)])
+def test_conjugate_phases_locate_their_source(reference, point):
+    ec, geom = reference[0], reference[1]
+    theta = conjugate_phases(geom, ec.center_freq_hz, point)
+    x, y, fit = locate_focus(theta, geom, ec.center_freq_hz)
+    assert np.hypot(x - point[0], y - point[1]) <= 5e-3
+    assert fit >= 0.9999
+
+
+def test_coherence_is_one_at_the_source_only(reference):
+    ec, geom = reference[0], reference[1]
+    theta = conjugate_phases(geom, ec.center_freq_hz, (2.0, -2.0))
+    xs = np.array([[2.0, 2.0], [2.5, 2.0]])
+    ys = np.array([[-2.0, -1.0], [-2.0, -2.0]])
+    got = coherence(theta, geom, ec.center_freq_hz, xs, ys)
+    assert got.shape == (2, 2)
+    assert got[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert got[0, 1] < 0.5 and got[1, 0] < 0.5
+    assert got[1, 1] == got[0, 0]

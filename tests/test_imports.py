@@ -1,6 +1,7 @@
 """Every name a beamfocus module imports is used in that module, every
 public top-level function and class of beamfocus is referenced by beamfocus
-or the bench, and no library module imports the command line."""
+or the bench, no library module imports the command line, and the focus
+locator cannot reach the true user position or the channel."""
 
 import ast
 from pathlib import Path
@@ -168,3 +169,46 @@ def test_cli_import_is_found():
     ):
         assert imports_cli(source), source
     assert not imports_cli("from .channel import gain_map\nfrom . import sim\nimport click\n")
+
+
+def imported_modules(source: str) -> set:
+    """The beamfocus module names `source` imports, relatively or absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.startswith("beamfocus"):
+                parts = module.split(".")
+                if parts[0] == "beamfocus":
+                    parts = parts[1:]
+                found.update(parts[:1] if parts and parts[0] else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in node.names if alias.name.startswith("beamfocus.")
+            )
+    return found
+
+
+def test_focus_locator_is_measurement_only():
+    # the locator reads phases and the array geometry only: the modules that
+    # build or hold the true user position and the channel stay out of
+    # reach, directly or through the modules it imports
+    package = Path(beamfocus.__file__).parent
+    reached, todo = set(), ["focus"]
+    while todo:
+        found = imported_modules((package / f"{todo.pop()}.py").read_text()) - reached
+        reached |= found
+        todo.extend(found)
+    assert reached.isdisjoint({"baselines", "config", "sim", "channel", "cli"})
+
+
+def test_imported_modules_are_found():
+    source = (
+        "import numpy as np\n"
+        "from .geometry import point_distances\n"
+        "from . import sim\n"
+        "from beamfocus.config import build_ue\n"
+        "from beamfocus import baselines\n"
+        "import beamfocus.channel\n"
+    )
+    assert imported_modules(source) == {"geometry", "sim", "config", "baselines", "channel"}

@@ -460,6 +460,30 @@ def test_history_csv_export(tmp_path):
     assert digits == ["".join(str(i) for i in idx) for idx in history.indices]
 
 
+@pytest.mark.parametrize("bits", [2, 5])
+def test_history_csv_rows_equal_the_per_row_loop(tmp_path, bits):
+    # the one-format-per-row writer against the per-row f-string loop, with
+    # one hex digit per index up to 4 bits and two from 5 bits
+    cfg, H = small_scene(3, seed=5)
+    cb = PhaseCodebook(bits=bits)
+    ec = ExperimentConfig(
+        total_measurements=8,
+        exploit_start=8,
+        critic_refit_period=4,
+        learner_seed=2,
+        critic_rank=1,
+        train_iters=20,
+    )
+    _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+    path = tmp_path / "history.csv"
+    write_history_csv(history, cb, path)
+    want = []
+    for i, p, b, row in zip(history.iters, history.measured_powers, history.best_powers, history.indices):
+        digits = row.tobytes().hex()
+        want.append(f"{i},{p:.12g},{b:.12g},{digits[1::2] if bits <= 4 else digits}")
+    assert path.read_text().splitlines()[1:] == want
+
+
 def test_history_logs_the_measured_indices():
     cfg, H = small_scene(4, seed=6)
     cb = PhaseCodebook(bits=2)

@@ -402,6 +402,19 @@ def test_gain_csv_export(tmp_path):
     assert len(lines) == 2 + 4
 
 
+def test_gain_csv_rows_equal_the_per_value_format(tmp_path):
+    # the one-format-per-row writer against a per-value f-string loop, with
+    # a zero gain (-inf dB) and values needing every printed digit
+    cfg = make_cfg(2, 1, K=5)
+    gp = _profile(np.array([1 / 3, 0.0, 1.0, 2e-17, np.pi]), cfg)
+    path = tmp_path / "gain.csv"
+    write_gain_csv(gp, path)
+    db = normalized_gain_db(gp)
+    want = [f"{f:.10g},{g:.12g},{d:.6f}" for f, g, d in zip(gp.freqs_hz, gp.per_subcarrier, db)]
+    assert path.read_text().splitlines()[1:] == want
+    assert "-inf" in want[1]
+
+
 def test_center_bin_even_grid_tie():
     from beamfocus.channel import subcarrier_frequencies
 
