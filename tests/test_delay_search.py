@@ -178,10 +178,15 @@ def profile_measure(H, cfg):
     return make_profile_measure(ExperimentConfig(), H, cfg)
 
 
+def focus_nowhere(theta, geom, freq):
+    """A locator stand-in that finds no focus: coherence 0."""
+    return 1.0, 0.0, 0.0
+
+
 @pytest.fixture
 def no_focus(monkeypatch):
     """The locator finds no focus, so every search runs the coarse pass."""
-    monkeypatch.setattr(delay_search, "locate_focus", lambda theta, geom, freq: (1.0, 0.0, 0.0))
+    monkeypatch.setattr(delay_search, "locate_focus", focus_nowhere)
 
 
 def test_search_single_point_grid_scores_ps_only():
@@ -306,18 +311,8 @@ def noisy_profile_measure(H, cfg, seed):
     return make_profile_measure(ExperimentConfig(learner_seed=seed, snapshots=50), H, cfg)
 
 
-@pytest.mark.parametrize("noisy", [False, True])
-@pytest.mark.parametrize(
-    "M, N, grid",
-    [
-        (16, 4, (3, 5, 5)),
-        (16, 8, (9, 17, 17)),
-        (64, 4, (5, 9, 7)),
-        (64, 16, (9, 17, 17)),
-    ],
-)
-def test_blocked_search_equals_per_candidate_loop(M, N, grid, noisy, monkeypatch):
-    # the same search with one candidate per measurement call
+def blocked_and_per_candidate_searches(M, N, grid, noisy, monkeypatch):
+    """The same search blocked and with one candidate per measurement call."""
     cfg = make_cfg(M, N, K=32, noise=1e-9 if noisy else 0.0)
     geom = random_geometry(M, 0.02 * M / 16, seed=M + N)
     H = near_field_channel(geom, UePosition(1.0, -0.7), cfg)
@@ -346,9 +341,38 @@ def test_blocked_search_equals_per_candidate_loop(M, N, grid, noisy, monkeypatch
     assert np.array_equal(got.theta, want.theta)
     assert got.score == want.score
     assert got.ps_only_score == want.ps_only_score
+    return got
 
 
-def test_search_ties_keep_the_earliest_candidate():
+BLOCKED_SCENES = pytest.mark.parametrize(
+    "M, N, grid",
+    [
+        (16, 4, (3, 5, 5)),
+        (16, 8, (9, 17, 17)),
+        (64, 4, (5, 9, 7)),
+        (64, 16, (9, 17, 17)),
+    ],
+)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@BLOCKED_SCENES
+def test_blocked_search_equals_per_candidate_loop(M, N, grid, noisy, monkeypatch, no_focus):
+    # the coarse pass of the (9, 17, 17) grids spans several SEARCH_BLOCK
+    # blocks; under noise the random stream carries on across them
+    got = blocked_and_per_candidate_searches(M, N, grid, noisy, monkeypatch)
+    if grid == (9, 17, 17):
+        assert len(got.trace) > SEARCH_BLOCK
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@BLOCKED_SCENES
+def test_seeded_blocked_search_equals_per_candidate_loop(M, N, grid, noisy, monkeypatch):
+    got = blocked_and_per_candidate_searches(M, N, grid, noisy, monkeypatch)
+    assert len(got.trace) <= 2 + 6 * REFINE_ROUNDS
+
+
+def tie_search():
     # every candidate scores the same, so the zero-delay candidate wins
     cfg, geom, H = scene()
     cb = PhaseCodebook(bits=3)
@@ -360,6 +384,17 @@ def test_search_ties_keep_the_earliest_candidate():
     assert result.trace[0][:3] == (1.0, 0.0, 0.0)
     assert result.score == result.ps_only_score == 1.0
     assert np.all(result.tau == 0.0)
+    return result
+
+
+def test_search_ties_keep_the_earliest_candidate(no_focus):
+    # the ties span more than one block of the coarse pass
+    assert len(tie_search().trace) > SEARCH_BLOCK
+
+
+def test_seeded_search_ties_keep_the_earliest_candidate():
+    # zero phases focus far out on broadside, so the search starts from a seed
+    assert len(tie_search().trace) <= 2 + 6 * REFINE_ROUNDS
 
 
 def coarse_count(grid: tuple) -> int:
@@ -500,7 +535,7 @@ def test_search_matches_the_full_grid_at_reference_scale(reference, n, monkeypat
     grid = (9, 17, 17)  # the grid.* defaults
     seeded = search_delays(reference["theta"], measure, geom, cfg, cb, grid)
     full = reference_search_delays(reference["theta"], measure, geom, cfg, cb, grid)
-    monkeypatch.setattr(delay_search, "locate_focus", lambda theta, geom, freq: (1.0, 0.0, 0.0))
+    monkeypatch.setattr(delay_search, "locate_focus", focus_nowhere)
     fallback = search_delays(reference["theta"], measure, geom, cfg, cb, grid)
     assert len(full.trace) == 2330
     assert len(seeded.trace) <= 2 + 6 * REFINE_ROUNDS
@@ -540,7 +575,7 @@ def test_random_phases_fall_back_to_the_coarse_pass(reference, monkeypatch):
     cfg = build_system(ec, num_td_units=8)
     measure = make_profile_measure(ec, decimate_channel(reference["H"], ec.search_subcarriers), cfg)
     got = search_delays(draws[0], measure, geom, cfg, cb, (5, 5, 5))
-    monkeypatch.setattr(delay_search, "locate_focus", lambda theta, geom, freq: (1.0, 0.0, 0.0))
+    monkeypatch.setattr(delay_search, "locate_focus", focus_nowhere)
     want = search_delays(draws[0], measure, geom, cfg, cb, (5, 5, 5))
     assert got.trace == want.trace
     assert len(got.trace) > 2 + 6 * REFINE_ROUNDS

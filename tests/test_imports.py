@@ -135,42 +135,6 @@ def test_unreferenced_public_name_is_found():
     assert unreferenced_public_names({"lib": lib}, [user]) == ["lib.Dead", "lib.dead"]
 
 
-def imports_cli(source: str) -> bool:
-    """Whether `source` imports beamfocus's command-line module `cli`."""
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
-            names = {alias.name for alias in node.names}
-            if node.module in ("cli", "beamfocus.cli"):
-                return True
-            if node.module in (None, "beamfocus") and "cli" in names:
-                return True
-        elif isinstance(node, ast.Import):
-            if any(alias.name == "beamfocus.cli" for alias in node.names):
-                return True
-    return False
-
-
-@pytest.mark.parametrize(
-    "path", [path for path in MODULES if path.stem != "__main__"], ids=lambda p: p.name
-)
-def test_library_never_imports_the_cli(path):
-    # the layering runs one way: cli builds on the library, and only the
-    # `python -m beamfocus` entry point imports cli
-    assert not imports_cli(path.read_text())
-
-
-def test_cli_import_is_found():
-    for source in (
-        "from .cli import main\n",
-        "from . import cli\n",
-        "from beamfocus import cli\n",
-        "from beamfocus.cli import gain_map\n",
-        "import beamfocus.cli\n",
-    ):
-        assert imports_cli(source), source
-    assert not imports_cli("from .channel import gain_map\nfrom . import sim\nimport click\n")
-
-
 def imported_modules(source: str) -> set:
     """The beamfocus module names `source` imports, relatively or absolutely."""
     found = set()
@@ -189,6 +153,36 @@ def imported_modules(source: str) -> set:
     return found
 
 
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.stem != "__main__"], ids=lambda p: p.name
+)
+def test_library_never_imports_the_cli(path):
+    # the layering runs one way: cli builds on the library, and only the
+    # `python -m beamfocus` entry point imports cli
+    assert "cli" not in imported_modules(path.read_text())
+
+
+def test_cli_import_is_found():
+    for source in (
+        "from .cli import main\n",
+        "from . import cli\n",
+        "from beamfocus import cli\n",
+        "from beamfocus.cli import gain_map\n",
+        "import beamfocus.cli\n",
+    ):
+        assert imported_modules(source) == {"cli"}, source
+    source = (
+        "import numpy as np\n"
+        "import click\n"
+        "from .geometry import point_distances\n"
+        "from . import sim\n"
+        "from beamfocus.config import build_ue\n"
+        "from beamfocus import baselines\n"
+        "import beamfocus.channel\n"
+    )
+    assert imported_modules(source) == {"geometry", "sim", "config", "baselines", "channel"}
+
+
 def test_focus_locator_is_measurement_only():
     # the locator reads phases and the array geometry only: the modules that
     # build or hold the true user position and the channel stay out of
@@ -200,15 +194,3 @@ def test_focus_locator_is_measurement_only():
         reached |= found
         todo.extend(found)
     assert reached.isdisjoint({"baselines", "config", "sim", "channel", "cli"})
-
-
-def test_imported_modules_are_found():
-    source = (
-        "import numpy as np\n"
-        "from .geometry import point_distances\n"
-        "from . import sim\n"
-        "from beamfocus.config import build_ue\n"
-        "from beamfocus import baselines\n"
-        "import beamfocus.channel\n"
-    )
-    assert imported_modules(source) == {"geometry", "sim", "config", "baselines", "channel"}
