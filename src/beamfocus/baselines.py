@@ -2,9 +2,8 @@
 
 These exist only for benchmarking: the conjugate center-frequency
 phase-shifter design, and the phase-delay focusing combiner whose delays
-focus on the true user position (`delay_search.focal_delays`, the formula
-the delay search evaluates at the focus it locates in the learned phases).
-Pass cb=None for continuous (unquantized) phases.
+focus the sub-array centers on the true user position. Pass cb=None for
+continuous (unquantized) phases.
 """
 
 from __future__ import annotations
@@ -13,8 +12,8 @@ import numpy as np
 
 from .channel import ChannelMatrix, SystemConfig
 from .combiner import CombinerConfig, quantize_phase, recompensate_phases, wrap_angle
-from .delay_search import focal_delays
-from .geometry import ArrayGeometry, UePosition
+from .delay_search import delays_from_ddf, subarray_deltas
+from .geometry import ArrayGeometry, UePosition, distance_difference
 from .sim import center_bin
 
 
@@ -35,11 +34,12 @@ def pdf_oracle(
 ) -> CombinerConfig:
     """Phase-delay focusing from the true geometry (comparison target).
 
-    Delays focus the sub-array centers on the true position
-    (`focal_delays`); phases are the conjugate center-frequency design
-    recompensated for those delays.
+    Delays are the exact distance differences at the sub-array centers,
+    through `delay_search.delays_from_ddf`; phases are the conjugate
+    center-frequency design recompensated for those delays.
     """
-    tau = focal_delays(geom, cfg, ue)
+    deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
+    tau = delays_from_ddf(distance_difference(geom, deltas, ue), cfg.tau_max_s)
     theta_star = ps_only_oracle(H, cfg, cb).theta
     theta = recompensate_phases(theta_star, tau, cfg, cb)
     return CombinerConfig(theta=theta, tau=tau)

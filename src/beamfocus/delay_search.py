@@ -9,13 +9,13 @@ consumed; only the phases, the array geometry and the measurement callback.
 
 The search starts from the focus of the phases when they have one: it
 locates the point theta* focuses on (`focus.locate_focus`, no
-measurement), fits an approximation row to the delays that focus there,
-and refines that row with compass steps from the grid spacing down to 1/8
-of it. Phases that focus nowhere get a coarse pass over every other point
-of the configured grid instead, refined the same way. Each delay vector is
-measured once. At the default 9 x 17 x 17 grid a search scores at most
-2 + 24 of the grid's 2,330 candidates from a focus, and at most 333 + 24
-without one.
+measurement), takes the row that interpolates that point's
+distance-difference curve at delta = 0, 1 and 2, and refines that row
+with compass steps from the grid spacing down to 1/8 of it. Phases that
+focus nowhere get a coarse pass over every other point of the configured
+grid instead, refined the same way. Each delay vector is measured once.
+At the default 9 x 17 x 17 grid a search scores at most 2 + 24 of the
+grid's 2,330 candidates from a focus, and at most 333 + 24 without one.
 """
 
 from __future__ import annotations
@@ -104,8 +104,6 @@ REFINE_ROUNDS = 4
 # focus coherence (focus.locate_focus) from which the search starts from
 # the seed row; below it the phases focus nowhere and the coarse pass runs
 SEED_COHERENCE = 0.5
-# break_delta values fit_approx tries, evenly spaced over (0, 2]
-SEED_BREAKS = 128
 
 
 def _axis(points: int):
@@ -122,60 +120,20 @@ def _axis(points: int):
     return positions, 2.0 / (points - 1)
 
 
-def focal_delays(geom: ArrayGeometry, cfg: SystemConfig, ue: UePosition) -> np.ndarray:
-    """Delays that focus every sub-array center on the point `ue`.
-
-    The exact distance differences at the sub-array centers, through
-    delays_from_ddf.
-    """
-    deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
-    return delays_from_ddf(distance_difference(geom, deltas, ue), cfg.tau_max_s)
-
-
-def fit_approx(tau, deltas: np.ndarray) -> tuple:
-    """The approximation row whose delays fit `tau` best in least squares.
-
-    For each of SEED_BREAKS break_delta values evenly spaced over (0, 2],
-    the curve is linear in (break_value, end_value); those two and a common
-    offset, which no delay vector depends on, are solved for against tau * c
-    at the sub-array centers. Where the two are not both determined (no
-    sub-array center past the break, or none before it), end_value is 0.
-    The row of the smallest residual wins.
-    """
-    breaks = 2.0 * np.arange(1, SEED_BREAKS + 1) / SEED_BREAKS
-    unit = np.zeros((SEED_BREAKS, 2, 3))
-    unit[:, :, 0] = breaks[:, None]
-    unit[:, 0, 1] = unit[:, 1, 2] = 1.0
-    # centering over the sub-arrays takes out the common offset
-    g = linear_ddf(unit, deltas)
-    g -= g.mean(axis=-1, keepdims=True)
-    t = np.asarray(tau) * SPEED_OF_LIGHT
-    t = t - t.mean()
-    gram = np.einsum("bin,bjn->bij", g, g)
-    s11, s12, s22 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
-    r1, r2 = (g @ t).T
-    det = s11 * s22 - s12 * s12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        both = det > 1e-12 * s11 * s22
-        ay = np.where(both, (s22 * r1 - s12 * r2) / det, np.where(s11 > 0.0, r1 / s11, 0.0))
-        b = np.where(both, (s11 * r2 - s12 * r1) / det, 0.0)
-    residual = np.sum((ay[:, None] * g[:, 0] + b[:, None] * g[:, 1] - t) ** 2, axis=-1)
-    i = int(np.argmin(residual))
-    return (float(breaks[i]), float(ay[i]), float(b[i]))
-
-
 def _seed_position(theta_star, geom: ArrayGeometry, cfg: SystemConfig, points: tuple):
-    """Box position of the row fit to the delays focusing on theta_star's focus.
+    """Box position of the seed row at theta_star's focus.
 
-    None when the focus coherence is below SEED_COHERENCE. The position is
-    clipped to the box, and single-point axes stay at their range centers.
+    The seed row is the two-piece interpolant of the focus's distance
+    differences at delta = 0, 1 and 2: (1, ddf(1), ddf(2)). None when the
+    focus coherence is below SEED_COHERENCE. The triangle inequality
+    (|ddf(delta)| <= delta D/2) keeps the row in the box; the clip guards
+    rounding. Single-point axes stay at their range centers.
     """
     x, y, fit = locate_focus(theta_star, geom, cfg.center_freq_hz)
     if fit < SEED_COHERENCE:
         return None
-    deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
-    ax, ay, b = fit_approx(focal_delays(geom, cfg, UePosition(x, y)), deltas)
-    position = (ax - 1.0, ay / (0.5 * geom.aperture * ax), b / geom.aperture)
+    mid, end = distance_difference(geom, np.array([1.0, 2.0]), UePosition(x, y))
+    position = (0.0, mid / (0.5 * geom.aperture), end / geom.aperture)
     return tuple(min(max(p, -1.0), 1.0) if n > 1 else 0.0 for p, n in zip(position, points))
 
 
@@ -197,11 +155,11 @@ def search_delays(
     single-point axis sits at its range center and is never searched. The
     zero-delay row (1, 0, 0) is scored first. When the focus of theta_star
     (`focus.locate_focus`) has a coherence of at least SEED_COHERENCE, the
-    seed row comes next in the same block: `fit_approx` of the
-    `focal_delays` at that focus, clipped to the box. Otherwise the coarse
-    grid of every other grid point per axis follows, (n + 1) // 2 points of
-    an n-point axis. A walk then starts from the seed row, or else from the
-    best row of that block (the earliest of tied maxima). Each of
+    seed row comes next in the same block: (1, ddf(1), ddf(2)) for the
+    distance differences ddf at that focus (`_seed_position`). Otherwise
+    the coarse grid of every other grid point per axis follows, (n + 1) // 2
+    points of an n-point axis. A walk then starts from the seed row, or else
+    from the best row of that block (the earliest of tied maxima). Each of
     REFINE_ROUNDS rounds scores the six compass positions one step along
     each axis from the walk's position, clipped to the box, as one block,
     and the walk moves to the best of them on a strictly higher score; the

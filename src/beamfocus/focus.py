@@ -13,9 +13,8 @@ Fresnel coordinates u = sin(phi), v = cos(phi)^2 / (2 r) of a point at range
 r and angle phi, d_m ~ r - y_m u + y_m^2 v for element height y_m, so the
 coherence of a whole (v, u) grid is a complex matrix product of two phasor
 tables. A coarse grid (u steps lambda/D, v steps lambda/D^2, ranges from
-MIN_RANGE_M out) and a fine one at 1/FINE of those steps around its peak
-find the focus; compass rounds on the exact distances then refine it to
-1/64 of the coarse steps.
+MIN_RANGE_M out) finds the focus; compass rounds on the exact distances
+then refine it from half the coarse steps to 1/64 of them.
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ from .geometry import SPEED_OF_LIGHT, ArrayGeometry, point_distances
 
 # nearest range the coarse grid covers, meters
 MIN_RANGE_M = 0.3
-# the fine pass steps 1/FINE of the coarse steps, one coarse step each way
-FINE = 8
-# cap on the exact compass rounds after the fine pass
+# cap on the exact compass rounds after the coarse pass
 MAX_EXACT_ROUNDS = 40
 # u columns per block of the Fresnel product, bounding its (M, columns)
 # phasor table at any aperture
@@ -83,9 +80,9 @@ def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[flo
     """(x, y, coherence) of the point the phases `theta` focus on.
 
     The coarse grid spans u in (-1, 1) and v in (0, 1 / (2 MIN_RANGE_M)]
-    with steps of at most lambda/D and lambda/D^2, for aperture D. The fine
-    and exact stages stay inside that box, with v at least 1/64 of its
-    step: ranges up to about 32 D^2 / lambda.
+    with steps of at most lambda/D and lambda/D^2, for aperture D. The
+    exact stage stays inside that box, with v at least 1/64 of its step:
+    ranges up to about 32 D^2 / lambda.
     """
     theta = np.asarray(theta, dtype=float)
     lam = SPEED_OF_LIGHT / center_freq_hz
@@ -97,18 +94,13 @@ def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[flo
     nv = int(np.ceil(v_max * geom.aperture**2 / lam))
     dv = v_max / nv
     u_lo, v_lo = -1.0 + 0.5 * du, dv / 64.0
-    theta_conj = np.exp(-1j * theta)
-    u, v = _fresnel_peak(theta_conj, k, y, u_lo, du, nu, dv, dv, nv)
-
-    fine_u, fine_v = du / FINE, dv / FINE
-    u, v = _fresnel_peak(theta_conj, k, y, u - du, fine_u, 2 * FINE + 1, v - dv, fine_v, 2 * FINE + 1)
-    u, v = min(max(u, u_lo), -u_lo), min(max(v, v_lo), v_max)
+    u, v = _fresnel_peak(np.exp(-1j * theta), k, y, u_lo, du, nu, dv, dv, nv)
 
     # compass search on the exact distances: move to the best of the 3 x 3
-    # stencil while it improves, else halve the steps, from 1/FINE of the
-    # coarse steps to 1/64 of them
+    # stencil while it improves, else halve the steps, from half the coarse
+    # steps to 1/64 of them
     offsets = np.array([-1.0, 0.0, 1.0])
-    step_u, step_v = fine_u, fine_v
+    step_u, step_v = 0.5 * du, 0.5 * dv
     best = float(coherence(theta, geom, center_freq_hz, *_to_xy(u, v)))
     for _ in range(MAX_EXACT_ROUNDS):
         us = np.clip(u + step_u * offsets, u_lo, -u_lo)[None, :]

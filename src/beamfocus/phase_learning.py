@@ -158,9 +158,11 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     # the walk stops at each refit point and at the end of the budget
     stops = [t for t in range(2, total + 1) if refit_due(t) or t == total]
 
-    # the measurement log doubles as the critic's training buffer
+    # the measurement log and, beside it, the critic's training buffer of
+    # the logged beams, each allocated once and filled as beams are measured
     phasors = _phasors(cb, M)
     log = np.empty((total + sum(map(refit_due, stops)), M), np.uint8)
+    beams = np.empty(log.shape, complex)
     powers = np.empty(len(log))
     n = 0
     exploit_events: list[tuple[int, int, float]] = []
@@ -173,6 +175,7 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
         if got.shape != rows.shape[:1]:
             raise ValueError(f"measure returned shape {got.shape} for {len(rows)} beams")
         log[n : n + len(rows)] = rows
+        beams[n : n + len(rows)] = phasors[rows]
         powers[n : n + len(rows)] = got
         n += len(rows)
 
@@ -190,11 +193,10 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
         if refit_due(stop):
             # the critic is consumed only by exploitation, so fitting is
             # deferred until then; refits start from the previous fit
-            beams = phasors[log[:n]]
             clipped = np.maximum(powers[:n], 0.0)
             if model is None:
-                model = initialize_critic(ec.critic_rank, beams, clipped, seed=ec.learner_seed)
-            model, trace = train_critic(model, beams, clipped, ec.train_iters)
+                model = initialize_critic(ec.critic_rank, beams[:n], clipped, seed=ec.learner_seed)
+            model, trace = train_critic(model, beams[:n], clipped, ec.train_iters)
             loss_traces.append(trace)
 
             best = int(np.argmax(powers[:n]))  # the earliest of equal maxima

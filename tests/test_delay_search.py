@@ -16,13 +16,10 @@ from beamfocus.config import (
 from beamfocus.delay_search import (
     REFINE_ROUNDS,
     SEARCH_BLOCK,
-    SEED_BREAKS,
     SEED_COHERENCE,
     DelaySearchResult,
     delays_from_approx,
     delays_from_ddf,
-    fit_approx,
-    focal_delays,
     linear_ddf,
     search_delays,
     subarray_deltas,
@@ -30,8 +27,15 @@ from beamfocus.delay_search import (
 )
 from beamfocus.focus import locate_focus
 from beamfocus.baselines import pdf_oracle, ps_only_oracle
-from beamfocus.geometry import SPEED_OF_LIGHT, UePosition, random_geometry, uniform_geometry
+from beamfocus.geometry import (
+    SPEED_OF_LIGHT,
+    UePosition,
+    distance_difference,
+    random_geometry,
+    uniform_geometry,
+)
 from beamfocus.sim import avg_amplitude_gain, make_profile_measure
+from beam_model import conjugate_phases
 
 
 def make_cfg(M, N, K=16, fc=100e9, B=10e9, tau_max=2e-9, noise=0.0):
@@ -581,23 +585,51 @@ def test_random_phases_fall_back_to_the_coarse_pass(reference, monkeypatch):
     assert len(got.trace) > 2 + 6 * REFINE_ROUNDS
 
 
-def test_fit_approx_recovers_a_row_on_its_break_grid():
-    geom = random_geometry(64, 0.05, seed=5)
-    deltas = subarray_deltas(geom, 16, 4)
-    row = (2.0 * 45 / SEED_BREAKS, -0.004, 0.01)
-    tau = delays_from_approx(row, deltas, 1.0)
-    fit = fit_approx(tau, deltas)
-    assert fit[0] == row[0]
-    assert np.allclose(fit[1:], row[1:], rtol=1e-9, atol=0.0)
-    # a common delay changes nothing
-    assert fit_approx(tau + 1e-10, deltas) == pytest.approx(fit, rel=1e-9)
+# close, steep and reference points the seed tests focus conjugate phases on
+SEED_POINTS = [(0.5, 0.2), (1.5, 1.5), (3.0, -1.0), (2.0, -2.0)]
+
+
+@pytest.mark.parametrize("point", SEED_POINTS)
+def test_seed_row_interpolates_the_focus_distance_differences(reference, point):
+    # the seed row is the second row scored; it runs through (0, 0),
+    # (1, ddf(1)) and (2, ddf(2)) of the located focus, and its unclipped
+    # box position lies inside the box
+    ec, geom = reference["ec"], reference["geom"]
+    theta = conjugate_phases(geom, ec.center_freq_hz, point)
+    x, y, fit = locate_focus(theta, geom, ec.center_freq_hz)
+    assert fit >= SEED_COHERENCE
+    ddf = distance_difference(geom, np.array([0.0, 1.0, 2.0]), UePosition(x, y))
+    D = geom.aperture
+    assert abs(ddf[1]) / (0.5 * D) <= 1.0 + 1e-12
+    assert abs(ddf[2]) / D <= 1.0 + 1e-12
+    cfg = build_system(ec, num_td_units=16)
+
+    def measure(cc):
+        return np.ones((len(cc.tau), 4))
+
+    result = search_delays(theta, measure, geom, cfg, None, (9, 17, 17))
+    seed = result.trace[1][:3]
+    assert seed[0] == 1.0
+    assert np.allclose(linear_ddf(seed, [0.0, 1.0, 2.0]), ddf, rtol=0.0, atol=1e-12)
+
+
+def test_seed_single_point_axes_stay_at_their_centers(reference):
+    ec, geom = reference["ec"], reference["geom"]
+    cfg = build_system(ec, num_td_units=16)
+    theta = conjugate_phases(geom, ec.center_freq_hz, (3.0, -1.0))
+    full = delay_search._seed_position(theta, geom, cfg, (9, 17, 17))
+    assert full[0] == 0.0 and full[1] != 0.0 and full[2] != 0.0
+    assert delay_search._seed_position(theta, geom, cfg, (1, 1, 1)) == (0.0, 0.0, 0.0)
+    assert delay_search._seed_position(theta, geom, cfg, (9, 1, 17)) == (0.0, 0.0, full[2])
+    assert delay_search._seed_position(theta, geom, cfg, (9, 17, 1)) == (0.0, full[1], 0.0)
 
 
 def test_focal_delays_vanish_where_the_array_is_equidistant():
     # a point on the array axis is equally far from mirrored sub-arrays
     geom = uniform_geometry(16, 0.1)
     cfg = make_cfg(16, 4)
-    tau = focal_delays(geom, cfg, UePosition(1.0, 0.0))
+    ue = UePosition(1.0, 0.0)
+    tau = pdf_oracle(geom, ue, near_field_channel(geom, ue, cfg), cfg, None).tau
     assert tau.min() == 0.0
     assert tau[0] == pytest.approx(tau[-1], abs=1e-24)
     assert tau[1] == pytest.approx(tau[2], abs=1e-24)
