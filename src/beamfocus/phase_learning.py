@@ -16,7 +16,7 @@ import numpy as np
 from .channel import SystemConfig
 from .combiner import PhaseCodebook
 from .config import ExperimentConfig
-from .critic import initialize_critic, train_critic
+from .critic import RMS_TOL, initialize_critic, train_critic
 from .files import write_atomic
 
 
@@ -118,16 +118,20 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     stack of beams, each row the M codebook phases of one beam, to their T
     received powers at the center frequency, measured in row order; the
     critic fits those powers clipped at 0. The `learner.*` settings of `ec`
-    set the budget and the schedule. Exploration measurements number
-    exactly total_measurements; each step re-draws perturb_count distinct
-    phases (auto: M//4; 0 is a stationary probe), decaying linearly to
-    M//16 over the budget. From exploit_start on, the critic is refit on
-    the buffer every critic_refit_period measurements, each fit capped at
-    train_iters iterations (see critic.train_critic) and followed by a
-    coordinate-ascent exploitation from the earliest best beam so far,
-    which measures one more beam. The walk between two refits never
-    depends on a measurement, so it is drawn and measured WALK_BLOCK steps
-    at a time; the block size changes no result. The first fit starts from
+    set the budget and the schedule. Exploration measurements number at
+    most total_measurements, a cap; each step re-draws perturb_count
+    distinct phases (auto: M//4; 0 is a stationary probe), decaying
+    linearly to M//16 over the cap. From exploit_start on, the critic is
+    refit on the buffer every critic_refit_period measurements, each fit
+    capped at train_iters iterations (see critic.train_critic) and followed
+    by a coordinate-ascent exploitation from the earliest best beam so far,
+    which measures one more beam. The run stops after an exploit once the
+    critic's prediction is confirmed: the fit was a refit, not the first
+    fit, it met its RMS target, and the exploit beam measured within
+    critic.RMS_TOL of the predicted power. The history then holds the n
+    beams measured. The walk between two refits never depends on a
+    measurement, so it is drawn and measured WALK_BLOCK steps at a time;
+    the block size changes no result. The first fit starts from
     initialize_critic seeded with learner_seed, each refit from the
     previous fit's matrix (the buffer only grows). Deterministic per
     learner_seed, including the beams and order of every callback
@@ -194,16 +198,23 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
             # the critic is consumed only by exploitation, so fitting is
             # deferred until then; refits start from the previous fit
             clipped = np.maximum(powers[:n], 0.0)
-            if model is None:
+            refit = model is not None
+            if not refit:
                 model = initialize_critic(ec.critic_rank, beams[:n], clipped, seed=ec.learner_seed)
             model, trace = train_critic(model, beams[:n], clipped, ec.train_iters)
             loss_traces.append(trace)
 
             best = int(np.argmax(powers[:n]))  # the earliest of equal maxima
-            current, cycles, _ = coordinate_ascent(model, log[best], cb)
+            current, cycles, prediction = coordinate_ascent(model, log[best], cb)
             take(current[None])
             exploit_events.append((n, cycles, float(powers[n - 1])))
+            # a refit that met its RMS target and whose exploit measures what
+            # it predicted has nothing left to learn from more walking
+            converged = trace[-1] <= (RMS_TOL * float(np.mean(clipped))) ** 2
+            if refit and converged and abs(powers[n - 1] - prediction) <= RMS_TOL * prediction:
+                break
 
+    log, powers = log[:n], powers[:n]
     history = LearnHistory(
         iters=np.arange(1, n + 1),
         measured_powers=powers,

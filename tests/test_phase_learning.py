@@ -5,6 +5,7 @@ from beamfocus import phase_learning
 from beamfocus.channel import SystemConfig, near_field_channel
 from beamfocus.combiner import CombinerConfig, PhaseCodebook
 from beamfocus.config import ConfigError, ExperimentConfig, parse_config_text
+from beamfocus.critic import RMS_TOL
 from beamfocus.geometry import UePosition, random_geometry
 from beamfocus.phase_learning import (
     _walk,
@@ -204,6 +205,20 @@ def small_scene(M, seed=0):
     return cfg, H
 
 
+def refit_scene():
+    # the M=4 scene whose refit at 30 predicts its own exploit
+    cfg, H = small_scene(4, seed=2)
+    ec = ExperimentConfig(
+        total_measurements=40,
+        exploit_start=20,
+        critic_refit_period=10,
+        learner_seed=4,
+        critic_rank=2,
+        train_iters=50,
+    )
+    return cfg, H, PhaseCodebook(bits=2), ec
+
+
 def exhaustive_best_gain(H, cfg, cb):
     M = cfg.num_antennas
     best = 0.0
@@ -279,16 +294,7 @@ def test_learn_phases_deterministic_callback_order():
 
 
 def test_learn_phases_invocation_budget():
-    cfg, H = small_scene(4, seed=2)
-    cb = PhaseCodebook(bits=2)
-    ec = ExperimentConfig(
-        total_measurements=40,
-        exploit_start=20,
-        critic_refit_period=10,
-        learner_seed=4,
-        critic_rank=2,
-        train_iters=50,
-    )
+    cfg, H, cb, ec = refit_scene()
     calls = []
     base = center_measure(H, cfg)
 
@@ -297,27 +303,19 @@ def test_learn_phases_invocation_budget():
         return base(phases)
 
     _, history = learn_phases(measure, cfg, cb, ec)
-    n_exploits = len(history.exploit_events)
-    assert n_exploits == 3  # refits at 20, 30, 40 once exploiting starts
+    # fits at 20 and 30; the refit at 30 predicts its exploit, so the run
+    # stops before walking to 40
+    assert len(history.exploit_events) == 2
     rows = np.concatenate(calls)
-    assert len(rows) == ec.total_measurements + n_exploits == history.iters[-1]
+    assert len(rows) == 30 + 2 == history.iters[-1]
     assert np.array_equal(cb.values[history.indices], rows)
-    # the first beam, one stack per walk segment (2-20, 21-30, 31-40) and
-    # one per exploitation
-    assert [len(c) for c in calls] == [1, 19, 1, 10, 1, 10, 1]
+    # the first beam, one stack per walk segment (2-20, 21-30) and one per
+    # exploitation
+    assert [len(c) for c in calls] == [1, 19, 1, 10, 1]
 
 
 def test_learn_phases_measures_the_walk_in_blocks(monkeypatch):
-    cfg, H = small_scene(4, seed=2)
-    cb = PhaseCodebook(bits=2)
-    ec = ExperimentConfig(
-        total_measurements=40,
-        exploit_start=20,
-        critic_refit_period=10,
-        learner_seed=4,
-        critic_rank=2,
-        train_iters=50,
-    )
+    cfg, H, cb, ec = refit_scene()
     sizes = []
     base = center_measure(H, cfg)
 
@@ -328,7 +326,7 @@ def test_learn_phases_measures_the_walk_in_blocks(monkeypatch):
     theta, whole = learn_phases(center_measure(H, cfg), cfg, cb, ec)
     monkeypatch.setattr(phase_learning, "WALK_BLOCK", 8)
     blocked_theta, blocked = learn_phases(measure, cfg, cb, ec)
-    assert sizes == [1, 8, 8, 3, 1, 8, 2, 1, 8, 2, 1]
+    assert sizes == [1, 8, 8, 3, 1, 8, 2, 1]
     # the block size bounds memory and changes no result
     assert np.array_equal(blocked.indices, whole.indices)
     assert np.array_equal(blocked.measured_powers, whole.measured_powers)
@@ -336,18 +334,9 @@ def test_learn_phases_measures_the_walk_in_blocks(monkeypatch):
 
 
 def test_learn_phases_keeps_one_loss_trace_per_exploit():
-    cfg, H = small_scene(4, seed=2)
-    cb = PhaseCodebook(bits=2)
-    ec = ExperimentConfig(
-        total_measurements=40,
-        exploit_start=20,
-        critic_refit_period=10,
-        learner_seed=4,
-        critic_rank=2,
-        train_iters=50,
-    )
+    cfg, H, cb, ec = refit_scene()
     _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
-    assert len(history.critic_loss_traces) == len(history.exploit_events) == 3
+    assert len(history.critic_loss_traces) == len(history.exploit_events) == 2
     for trace in history.critic_loss_traces:
         assert 1 <= len(trace) <= ec.train_iters
         assert np.all(np.diff(trace) <= 0.0)
@@ -357,16 +346,7 @@ def test_learn_phases_warm_starts_each_refit(monkeypatch):
     # only the first fit of a run draws a random critic; each refit starts
     # from the matrix the previous fit returned, on a buffer that extends
     # the previous one
-    cfg, H = small_scene(4, seed=2)
-    cb = PhaseCodebook(bits=2)
-    ec = ExperimentConfig(
-        total_measurements=40,
-        exploit_start=20,
-        critic_refit_period=10,
-        learner_seed=4,
-        critic_rank=2,
-        train_iters=50,
-    )
+    cfg, H, cb, ec = refit_scene()
     real_init, real_train = phase_learning.initialize_critic, phase_learning.train_critic
     # seeds passed to the init; (starting matrix, beams, fitted matrix) per
     # step, the init recorded as a step with no input
@@ -388,13 +368,71 @@ def test_learn_phases_warm_starts_each_refit(monkeypatch):
         fits.clear()
         _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
         assert inits == [ec.learner_seed] * (run + 1)
-        assert len(fits) == 1 + len(history.exploit_events) == 4
+        assert len(fits) == 1 + len(history.exploit_events) == 3
         for (_, prev_beams, prev_q), (q, beams, _) in zip(fits, fits[1:]):
             assert q is prev_q
             if prev_beams is not None:
                 assert np.array_equal(beams[: len(prev_beams)], prev_beams)
                 assert len(beams) > len(prev_beams)
         assert history.final_model is fits[-1][2]
+
+
+def test_learn_phases_stops_at_a_confirmed_refit_exploit():
+    cfg, H, cb, ec = refit_scene()
+    _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+    (first, _, _), (n, _, power) = history.exploit_events
+    assert (first, n) == (21, 32)
+    # the refit met its RMS target on the n - 1 beams before its exploit
+    clipped = np.maximum(history.measured_powers[: n - 1], 0.0)
+    assert history.critic_loss_traces[-1][-1] <= (RMS_TOL * np.mean(clipped)) ** 2
+    # and its exploit measured the power it predicted
+    prediction = predicted(history.final_model, history.indices[-1], cb)
+    assert abs(power - prediction) <= RMS_TOL * prediction
+
+
+@pytest.mark.parametrize(
+    "final_loss, misprediction, exploits",
+    [
+        (0.0, 1.0, [21, 32]),  # only a refit's exploit ends the run
+        (np.inf, 1.0, [21, 32, 43]),  # no fit met its RMS target
+        (0.0, 1.0 + 2 * RMS_TOL, [21, 32, 43]),  # no exploit met its prediction
+    ],
+)
+def test_learn_phases_stops_only_on_a_confirmed_refit(monkeypatch, final_loss, misprediction, exploits):
+    # every fit ends on final_loss and every exploit measures misprediction
+    # times the power predicted for it
+    cfg, H, cb, ec = refit_scene()
+    measure = center_measure(H, cfg)
+    real_ascent, real_train = phase_learning.coordinate_ascent, phase_learning.train_critic
+
+    def ascent(q, init, cb):
+        idx, cycles, _ = real_ascent(q, init, cb)
+        return idx, cycles, float(measure(cb.values[idx][None])[0]) / misprediction
+
+    def train(q, beams, powers, max_iters):
+        q, trace = real_train(q, beams, powers, max_iters)
+        return q, np.append(trace, final_loss)
+
+    monkeypatch.setattr(phase_learning, "coordinate_ascent", ascent)
+    monkeypatch.setattr(phase_learning, "train_critic", train)
+    _, history = learn_phases(measure, cfg, cb, ec)
+    assert [n for n, _, _ in history.exploit_events] == exploits
+    assert history.iters[-1] == exploits[-1]
+
+
+def test_learn_phases_history_after_a_stop_holds_the_measured_rows(tmp_path):
+    cfg, H, cb, ec = refit_scene()
+    theta, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+    n = history.exploit_events[-1][0]
+    assert n < ec.total_measurements
+    assert np.array_equal(history.iters, np.arange(1, n + 1))
+    assert history.measured_powers.shape == history.best_powers.shape == (n,)
+    assert history.indices.shape == (n, cfg.num_antennas)
+    best = int(np.argmax(history.measured_powers))  # the first of equal maxima
+    assert np.array_equal(theta, cb.values[history.indices[best]])
+    path = tmp_path / "history.csv"
+    write_history_csv(history, cb, path)
+    assert len(path.read_text().splitlines()) == 1 + n
 
 
 def test_learn_phases_callback_failure_propagates():
