@@ -201,12 +201,14 @@ def _heatmap_names(label: str, freqs_hz) -> list[str]:
     return names
 
 
-def _load_combiner_arg(path) -> CombinerConfig:
-    """The --combiner file's configuration; a file it cannot load is a config error."""
+def _load_combiner_arg(path, cb) -> CombinerConfig:
+    """The --combiner file's configuration; a bad file or other ps_bits is a config error."""
     try:
-        cc, _ = load_combiner(path)
+        cc, file_cb = load_combiner(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"--combiner: {exc}") from exc
+    if file_cb != cb:
+        raise ConfigError(f"combiner file has ps_bits {file_cb.bits}, system.ps_bits is {cb.bits}")
     return cc
 
 
@@ -232,7 +234,7 @@ def _cmd_heatmap(ec: ExperimentConfig, args) -> list[Path]:
     _heatmap_names(label, freqs)  # fails before any combiner work
 
     if args.combiner:
-        cc = _load_combiner_arg(args.combiner)
+        cc = _load_combiner_arg(args.combiner, cb)
         if cc.theta.size != cfg.num_antennas or cc.tau.size != cfg.num_td_units:
             raise ConfigError("combiner file does not match system.M/system.N")
         # delays are stored to 1e-18 s, so a delay clipped to tau_max may
@@ -269,7 +271,7 @@ def _cmd_learn(ec: ExperimentConfig, args) -> list[Path]:
 def _cmd_search_delays(ec: ExperimentConfig, args) -> list[Path]:
     geom, cb, cfg, H = _scenario(ec)
     if args.combiner:
-        cc_in = _load_combiner_arg(args.combiner)
+        cc_in = _load_combiner_arg(args.combiner, cb)
         if cc_in.theta.size != cfg.num_antennas:
             raise ConfigError("combiner file does not match system.M")
         theta_star = cc_in.theta

@@ -11,10 +11,10 @@ spherical wave.
 The search is polar-domain (Cui & Dai 2022, arXiv:2108.07581). In the
 Fresnel coordinates u = sin(phi), v = cos(phi)^2 / (2 r) of a point at range
 r and angle phi, d_m ~ r - y_m u + y_m^2 v for element height y_m, so the
-coherence of a whole (v, u) grid is a complex matrix product of two phasor
-tables. A coarse grid (u steps lambda/D, v steps lambda/D^2, ranges from
-MIN_RANGE_M out) finds the focus; compass rounds on the exact distances
-then refine it from half the coarse steps to 1/64 of them.
+coherence of a whole (v, u) grid is one (nv, M) @ (M, nu) product of two
+phasor tables. A coarse grid (u steps lambda/D, v steps lambda/D^2, ranges
+from MIN_RANGE_M out) finds the focus; compass rounds on the exact
+distances then refine it from half the coarse steps to 1/64 of them.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from .geometry import SPEED_OF_LIGHT, ArrayGeometry, point_distances
 MIN_RANGE_M = 0.3
 # cap on the exact compass rounds after the coarse pass
 MAX_EXACT_ROUNDS = 40
-# u columns per block of the Fresnel product, bounding its (M, columns)
-# phasor table at any aperture
-FOCUS_BLOCK = 64
 
 
 def _ramp(phase0, phase_step, count: int) -> np.ndarray:
@@ -47,17 +44,13 @@ def _ramp(phase0, phase_step, count: int) -> np.ndarray:
 def _fresnel_peak(theta_conj, k, y, u0, du, nu, v0, dv, nv):
     """(u, v) of the largest Fresnel-model coherence on the grid u0 + i du, v0 + j dv.
 
-    The u columns go FOCUS_BLOCK at a time; ties keep the earliest point.
+    One (nv, M) @ (M, nu) product scores the whole grid; ties keep the
+    earliest point in (v, u) row order.
     """
     rows = (theta_conj[:, None] * _ramp(-k * y * y * v0, -k * y * y * dv, nv)).T  # (nv, M)
-    best, peak = -1.0, None
-    for start in range(0, nu, FOCUS_BLOCK):
-        cols = _ramp(k * y * (u0 + start * du), k * y * du, min(FOCUS_BLOCK, nu - start))
-        scores = np.abs(rows @ cols)
-        j, i = np.unravel_index(np.argmax(scores), scores.shape)
-        if scores[j, i] > best:
-            best, peak = scores[j, i], (u0 + (start + i) * du, v0 + j * dv)
-    return peak
+    scores = np.abs(rows @ _ramp(k * y * u0, k * y * du, nu))
+    j, i = np.unravel_index(np.argmax(scores), scores.shape)
+    return u0 + i * du, v0 + j * dv
 
 
 def _to_xy(u, v):
@@ -80,7 +73,8 @@ def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[flo
     """(x, y, coherence) of the point the phases `theta` focus on.
 
     The coarse grid spans u in (-1, 1) and v in (0, 1 / (2 MIN_RANGE_M)]
-    with steps of at most lambda/D and lambda/D^2, for aperture D. The
+    with steps of at most lambda/D and lambda/D^2, for aperture D; its one
+    product peaks near 60 MB at M = 1,024 with D = (M - 1) lambda/2. The
     exact stage stays inside that box, with v at least 1/64 of its step:
     ranges up to about 32 D^2 / lambda.
     """

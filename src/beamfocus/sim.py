@@ -57,18 +57,16 @@ def _inner_products(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> 
     Factored by sub-array: conj(w_mk) = e^{-j theta_m} e^{j 2 pi f_k tau_n} /
     sqrt(M) for element m of sub-array n, so the N per-sub-array sums of
     e^{-j theta_m} h_mk come from one batched (..., N, 1, P) @ (N, P, K)
-    product and only the delay phasors need complex exponentials (not
-    M x K), one row of K per distinct delay value of the stack. A stacked
-    configuration (leading batch dims) gives one row per configuration.
+    product and only the delay phasors need complex exponentials: N x K
+    per configuration, not M x K. A stacked configuration (leading batch
+    dims) gives one row per configuration.
     """
     N, P = cfg.num_td_units, cfg.ps_per_td
     K = H.num_subcarriers
     batch = cc.theta.shape[:-1]
     ps = np.exp(-1j * cc.theta).reshape(*batch, N, 1, P)
     partial = (ps @ H.coeffs.reshape(N, P, K))[..., 0, :]
-    taus, which = np.unique(cc.tau, return_inverse=True)
-    phasors = np.exp(1j * TWO_PI * taus[:, None] * H.freqs_hz[None, :])
-    terms = phasors[which.reshape(cc.tau.shape)]
+    terms = np.exp(1j * TWO_PI * cc.tau[..., None] * H.freqs_hz)
     terms *= partial
     return np.sum(terms, axis=-2) / np.sqrt(cfg.num_antennas)
 
@@ -170,24 +168,16 @@ def center_bin(freqs_hz: np.ndarray, center_freq_hz: float) -> int:
 def three_db_bandwidth(gp: GainProfile, cfg: SystemConfig) -> float:
     """Width of the half-gain band around the center bin, in Hz.
 
-    Grows a window symmetrically around the bin nearest f_c for as long as
-    every bin it reaches keeps at least half the center-bin gain; the window
-    is clipped at the band edges. Returns (bins in window) * (B/K).
+    The window is symmetric around the bin nearest f_c: it stops one bin
+    short of the nearest bin below half the center-bin gain, or at the
+    farther band edge if no bin is below, and is clipped at the band edges.
+    Returns (bins in window) * (B/K).
     """
     gains = gp.per_subcarrier
     K = gains.size
     c = center_bin(gp.freqs_hz, cfg.center_freq_hz)
-    threshold = 0.5 * gains[c]
-    w = 0
-    while True:
-        lo, hi = c - (w + 1), c + (w + 1)
-        if lo < 0 and hi >= K:
-            break
-        if lo >= 0 and gains[lo] < threshold:
-            break
-        if hi < K and gains[hi] < threshold:
-            break
-        w += 1
+    below = np.abs(np.flatnonzero(gains < 0.5 * gains[c]) - c)
+    w = int(below.min()) - 1 if below.size else max(c, K - 1 - c)
     count = min(K - 1, c + w) - max(0, c - w) + 1
     return count * (cfg.bandwidth_hz / cfg.num_subcarriers)
 

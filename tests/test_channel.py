@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from beamfocus.channel import (
+    PHASOR_TABLE,
     ChannelMatrix,
     SystemConfig,
     flat_amplitude_rho,
     near_field_channel,
     subcarrier_frequencies,
+    unit_phasors,
 )
 from beamfocus.geometry import (
     SPEED_OF_LIGHT,
@@ -161,3 +163,14 @@ def test_channel_degenerate_position_propagates():
 def test_channel_matrix_requires_increasing_freqs():
     with pytest.raises(ValueError):
         ChannelMatrix(coeffs=np.ones((1, 2), complex), freqs_hz=[2.0, 1.0])
+
+
+def test_unit_phasors_match_the_complex_exponential():
+    rng = np.random.default_rng(0)
+    ties = (np.arange(-3 * PHASOR_TABLE, 3 * PHASOR_TABLE) + 0.5) / PHASOR_TABLE
+    cycles = np.concatenate(
+        [rng.uniform(-1e6, 1e6, 100_000), rng.uniform(-2.0, 2.0, 10_000), ties, [0.0, 1e6, -1e6]]
+    )
+    re, im = unit_phasors(cycles)
+    want = np.exp(-2j * np.pi * (cycles - np.rint(cycles)))
+    assert np.max(np.abs(re + 1j * im - want)) <= 2e-15

@@ -14,12 +14,9 @@ from beamfocus.cli import decimate_channel, main, run_heatmap, run_profile
 from beamfocus.baselines import pdf_oracle
 from beamfocus.channel import (
     GAIN_MAP_BLOCK,
-    PHASOR_TABLE,
     ChannelMatrix,
     gain_map,
-    near_field_channel,
     spherical_wave,
-    unit_phasors,
 )
 from beamfocus.combiner import (
     CombinerConfig,
@@ -43,36 +40,9 @@ from beamfocus.sim import (
     center_bin,
     gain_profile,
     make_center_measure,
-    make_profile_measure,
     measure_power,
 )
-
-
-def tiny_config(**kw):
-    base = dict(
-        num_antennas=16,
-        num_td_units=4,
-        num_subcarriers=64,
-        geometry_kind="random",
-        geometry_seed=3,
-        total_measurements=60,
-        exploit_start=30,
-        critic_refit_period=15,
-        critic_rank=2,
-        train_iters=150,
-        ax_points=3,
-        ay_points=5,
-        b_points=5,
-        n_sweep=(0, 4),
-        search_subcarriers=32,
-        heatmap_x_min_m=1.8,
-        heatmap_x_max_m=2.2,
-        heatmap_y_min_m=-2.2,
-        heatmap_y_max_m=-1.8,
-        heatmap_resolution_m=0.2,
-    )
-    base.update(kw)
-    return ExperimentConfig(**base)
+from tiny_scenario import tiny_config
 
 
 def decimated_indices(K, target):
@@ -204,17 +174,6 @@ def test_reference_gain_maps_match_the_spherical_wave_formula(rho_mode):
     for wf, f, r, got in zip(w, freqs, rho, maps):
         want = (np.abs(spherical_wave(d, f, r) @ np.conj(wf)) ** 2).reshape(gx.shape)
         assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
-
-
-def test_unit_phasors_match_the_complex_exponential():
-    rng = np.random.default_rng(0)
-    ties = (np.arange(-3 * PHASOR_TABLE, 3 * PHASOR_TABLE) + 0.5) / PHASOR_TABLE
-    cycles = np.concatenate(
-        [rng.uniform(-1e6, 1e6, 100_000), rng.uniform(-2.0, 2.0, 10_000), ties, [0.0, 1e6, -1e6]]
-    )
-    re, im = unit_phasors(cycles)
-    want = np.exp(-2j * np.pi * (cycles - np.rint(cycles)))
-    assert np.max(np.abs(re + 1j * im - want)) <= 2e-15
 
 
 def test_gain_map_far_point_is_finite():
@@ -553,12 +512,20 @@ def test_cli_combiner_file_must_match_system_m(tmp_path, capsys):
     # delays of 1 us, far above the aperture/c bound of an M=16 array
     slow = tmp_path / "combiner_1us.txt"
     save_combiner(CombinerConfig(theta=np.zeros(16), tau=np.full(4, 1e-6)), PhaseCodebook(3), slow)
+    # phases saved at 4 bits under a 3-bit system.ps_bits
+    four_bit = tmp_path / "combiner_4bit.txt"
+    save_combiner(CombinerConfig(theta=np.zeros(16), tau=np.zeros(4)), PhaseCodebook(4), four_bit)
     heatmap = ["heatmap", "--freqs", "1e11"]
-    for cmd, path in ((["search-delays"], eight), (heatmap, eight), (heatmap, slow)):
+    cases = [(["search-delays"], eight), (heatmap, eight), (heatmap, slow)]
+    cases += [(["search-delays"], four_bit), (heatmap, four_bit)]
+    for cmd, path in cases:
         out = tmp_path / cmd[0]
         argv = ["--config", str(cfg_path), "--out", str(out), *cmd, "--combiner", str(path)]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("config error: combiner file")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: combiner file")
+        if path == four_bit:
+            assert "ps_bits 4" in err and "system.ps_bits is 3" in err
         assert not out.exists()
 
 
@@ -698,20 +665,6 @@ def test_cli_rejects_the_removed_fit_keys(tmp_path, capsys):
         assert_rejected(tmp_path, capsys, expected, (f"{key} = 1",), "learn")
 
 
-def test_noisy_measure_callbacks_draw_fresh_noise():
-    ec = tiny_config(noise_mode="snapshots", noise_power_w=1e-9, snapshots=100)
-    cfg = build_system(ec)
-    H = build_channel(ec, build_geometry(ec), cfg)
-    center = make_center_measure(ec, H, cfg)
-    phases = np.zeros(cfg.num_antennas)
-    assert center(phases) != center(phases)
-    profile = make_profile_measure(ec, decimate_channel(H, target=16), cfg)
-    cc = CombinerConfig(theta=phases, tau=np.zeros(cfg.num_td_units))
-    assert not np.array_equal(profile(cc), profile(cc))
-    # a fresh callback replays its stream from learner.seed
-    assert make_center_measure(ec, H, cfg)(phases) == make_center_measure(ec, H, cfg)(phases)
-
-
 @pytest.mark.parametrize("M", [16, 256])
 def test_center_measure_equals_the_gain_profile_kernel(M):
     # the center callback's vdot and gain_profile's sub-array-factored
@@ -747,30 +700,6 @@ def test_stacked_center_call_equals_one_call_per_beam(noise_mode):
     assert np.count_nonzero(rows) >= 5  # not all clipped to zero
 
 
-def test_noisy_center_measure_is_one_measure_power_draw():
-    # each call is one measure_power draw on the center-bin signal power from
-    # the stream keyed (learner.seed, 0), minus the noise floor, clipped at 0
-    sigma2 = 1e-9
-    ec = tiny_config(noise_mode="snapshots", noise_power_w=sigma2, snapshots=3, learner_seed=5)
-    cfg = build_system(ec)
-    H = build_channel(ec, build_geometry(ec), cfg)
-    k = center_bin(H.freqs_hz, cfg.center_freq_hz)
-    measure = make_center_measure(ec, H, cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(ec.learner_seed, spawn_key=(0,)))
-    cb = build_codebook(ec)
-    beams = np.random.default_rng(1)
-    clipped = 0
-    for _ in range(50):
-        phases = cb.values[beams.integers(0, cb.size, cfg.num_antennas)]
-        cc = CombinerConfig(theta=phases, tau=np.zeros(cfg.num_td_units))
-        signal = cfg.tx_power_w / cfg.num_subcarriers * gain_profile(cc, H, cfg).per_subcarrier[k]
-        expected = max(measure_power(signal, cfg, ec.snapshots, rng) - sigma2, 0.0)
-        got = measure(phases)
-        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * sigma2)
-        clipped += got == 0.0
-    assert 0 < clipped < 50  # both sides of the clip are exercised
-
-
 def test_noisy_callbacks_draw_through_sim_measure_power(monkeypatch):
     # the callbacks the pipelines look up on cli draw their noise through
     # sim.measure_power, so a patch there sees every noisy measurement:
@@ -792,22 +721,6 @@ def test_noisy_callbacks_draw_through_sim_measure_power(monkeypatch):
     profile = cli.make_profile_measure(ec, H_dec, cfg)(cc)
     assert center.shape == (3,) and profile.shape == (2, H_dec.num_subcarriers)
     assert shapes == [(3,), (2, H_dec.num_subcarriers)]
-
-
-def test_profile_noise_stream_is_keyed_by_td_count():
-    ec = tiny_config(noise_mode="snapshots", noise_power_w=1e-9, snapshots=100)
-    H_dec = decimate_channel(build_channel(ec, build_geometry(ec), build_system(ec)), target=16)
-    phases = np.zeros(ec.num_antennas)
-    powers = {}
-    for n in (4, 8):
-        cfg_n = build_system(ec, num_td_units=n)
-        cc = CombinerConfig(theta=phases, tau=np.zeros(n))
-        powers[n] = make_profile_measure(ec, H_dec, cfg_n)(cc)
-        # a fresh callback for the same N replays its stream
-        assert np.array_equal(make_profile_measure(ec, H_dec, cfg_n)(cc), powers[n])
-    # one beam, two searches of one sweep: different noise, not only the
-    # last bits that the N-dependent sub-array sums change
-    assert not np.allclose(powers[4], powers[8], rtol=1e-6, atol=0.0)
 
 
 def test_cli_noisy_profile_reproduces(tmp_path):

@@ -41,6 +41,16 @@ def test_conjugate_phases_locate_their_source(reference, point):
     assert fit >= 0.9999
 
 
+def test_conjugate_phases_locate_their_source_on_a_512_element_array():
+    # a uniform M = 512 array: the coarse grid scores 511 u columns in one product
+    ec = ExperimentConfig(num_antennas=512, geometry_kind="uniform")
+    geom = build_geometry(ec)
+    theta = conjugate_phases(geom, ec.center_freq_hz, (2.0, -2.0))
+    x, y, fit = locate_focus(theta, geom, ec.center_freq_hz)
+    assert np.hypot(x - 2.0, y + 2.0) <= 5e-3
+    assert fit >= 0.9999
+
+
 def test_coherence_is_one_at_the_source_only(reference):
     ec, geom = reference[0], reference[1]
     theta = conjugate_phases(geom, ec.center_freq_hz, (2.0, -2.0))

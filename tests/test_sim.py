@@ -5,7 +5,13 @@ import pytest
 
 from beamfocus.channel import ChannelMatrix, SystemConfig, near_field_channel
 from beamfocus.combiner import CombinerConfig, PhaseCodebook, effective_combiner
-from beamfocus.config import ExperimentConfig
+from beamfocus.config import (
+    ExperimentConfig,
+    build_channel,
+    build_codebook,
+    build_geometry,
+    build_system,
+)
 from beamfocus import sim
 from beamfocus.geometry import UePosition, random_geometry
 from beamfocus.sim import (
@@ -13,12 +19,14 @@ from beamfocus.sim import (
     avg_amplitude_gain,
     center_bin,
     gain_profile,
+    make_center_measure,
     make_profile_measure,
     measure_power,
     normalized_gain_db,
     three_db_bandwidth,
     write_gain_csv,
 )
+from tiny_scenario import tiny_config
 
 
 def make_cfg(M, N, K=4, fc=100e9, B=10e9, noise=0.0, P_T=1.0):
@@ -206,6 +214,65 @@ def test_measure_profile_matches_scalar_measurements(monkeypatch):
     np.testing.assert_allclose(vec, floored, rtol=1e-12)
 
 
+def every_fourth_bin(H):
+    # the 16 bins a search scores on a K = 64 channel
+    return ChannelMatrix(coeffs=H.coeffs[:, ::4], freqs_hz=H.freqs_hz[::4])
+
+
+def test_noisy_measure_callbacks_draw_fresh_noise():
+    ec = tiny_config(noise_mode="snapshots", noise_power_w=1e-9, snapshots=100)
+    cfg = build_system(ec)
+    H = build_channel(ec, build_geometry(ec), cfg)
+    center = make_center_measure(ec, H, cfg)
+    phases = np.zeros(cfg.num_antennas)
+    assert center(phases) != center(phases)
+    profile = make_profile_measure(ec, every_fourth_bin(H), cfg)
+    cc = CombinerConfig(theta=phases, tau=np.zeros(cfg.num_td_units))
+    assert not np.array_equal(profile(cc), profile(cc))
+    # a fresh callback replays its stream from learner.seed
+    assert make_center_measure(ec, H, cfg)(phases) == make_center_measure(ec, H, cfg)(phases)
+
+
+def test_noisy_center_measure_is_one_measure_power_draw():
+    # each call is one measure_power draw on the center-bin signal power from
+    # the stream keyed (learner.seed, 0), minus the noise floor, clipped at 0
+    sigma2 = 1e-9
+    ec = tiny_config(noise_mode="snapshots", noise_power_w=sigma2, snapshots=3, learner_seed=5)
+    cfg = build_system(ec)
+    H = build_channel(ec, build_geometry(ec), cfg)
+    k = center_bin(H.freqs_hz, cfg.center_freq_hz)
+    measure = make_center_measure(ec, H, cfg)
+    rng = np.random.default_rng(np.random.SeedSequence(ec.learner_seed, spawn_key=(0,)))
+    cb = build_codebook(ec)
+    beams = np.random.default_rng(1)
+    clipped = 0
+    for _ in range(50):
+        phases = cb.values[beams.integers(0, cb.size, cfg.num_antennas)]
+        cc = CombinerConfig(theta=phases, tau=np.zeros(cfg.num_td_units))
+        signal = cfg.tx_power_w / cfg.num_subcarriers * gain_profile(cc, H, cfg).per_subcarrier[k]
+        expected = max(measure_power(signal, cfg, ec.snapshots, rng) - sigma2, 0.0)
+        got = measure(phases)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * sigma2)
+        clipped += got == 0.0
+    assert 0 < clipped < 50  # both sides of the clip are exercised
+
+
+def test_profile_noise_stream_is_keyed_by_td_count():
+    ec = tiny_config(noise_mode="snapshots", noise_power_w=1e-9, snapshots=100)
+    H_dec = every_fourth_bin(build_channel(ec, build_geometry(ec), build_system(ec)))
+    phases = np.zeros(ec.num_antennas)
+    powers = {}
+    for n in (4, 8):
+        cfg_n = build_system(ec, num_td_units=n)
+        cc = CombinerConfig(theta=phases, tau=np.zeros(n))
+        powers[n] = make_profile_measure(ec, H_dec, cfg_n)(cc)
+        # a fresh callback for the same N replays its stream
+        assert np.array_equal(make_profile_measure(ec, H_dec, cfg_n)(cc), powers[n])
+    # one beam, two searches of one sweep: different noise, not only the
+    # last bits that the N-dependent sub-array sums change
+    assert not np.allclose(powers[4], powers[8], rtol=1e-6, atol=0.0)
+
+
 def stacked_scene(M=16, N=4, K=24, C=7, noise=0.0, seed=3):
     cfg = make_cfg(M, N, K=K, noise=noise)
     geom = random_geometry(M, 0.05, seed=seed)
@@ -213,7 +280,7 @@ def stacked_scene(M=16, N=4, K=24, C=7, noise=0.0, seed=3):
     rng = np.random.default_rng(seed)
     theta = PhaseCodebook(bits=3).values[rng.integers(0, 8, size=(C, M))]
     tau = rng.uniform(0.0, 1e-10, size=(C, N))
-    tau[2] = tau[1]  # repeated delay values share their phasors
+    tau[2] = tau[1]  # repeated delay values; each row still equals its single config bitwise
     tau[3, :2] = 0.0
     return cfg, H, theta, tau
 
@@ -376,6 +443,45 @@ def test_three_db_bandwidth_asymmetric_run():
     cfg = make_cfg(2, 1, K=5)
     gp = _profile(np.array([1.0, 0.6, 1.0, 0.6, 0.1]), cfg)
     assert three_db_bandwidth(gp, cfg) == pytest.approx(3 * cfg.bandwidth_hz / 5)
+
+
+def growing_window_bins(gains, c):
+    """The bin count of the 3-dB window, grown one bin per side at a time.
+
+    The reference for `three_db_bandwidth`'s closed-form rule: widen the
+    window around bin c while every bin it reaches keeps at least half the
+    center gain, and stop once both sides are past the band edges.
+    """
+    K = gains.size
+    threshold = 0.5 * gains[c]
+    w = 0
+    while True:
+        lo, hi = c - (w + 1), c + (w + 1)
+        if lo < 0 and hi >= K:
+            break
+        if lo >= 0 and gains[lo] < threshold:
+            break
+        if hi < K and gains[hi] < threshold:
+            break
+        w += 1
+    return min(K - 1, c + w) - max(0, c - w) + 1
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 16, 64])
+def test_three_db_bandwidth_equals_the_growing_window(K):
+    # random, tied (bins at exactly half the center gain), all-zero and flat
+    # profiles, with the center at every bin of the band
+    cfg = make_cfg(2, 1, K=K)
+    rng = np.random.default_rng(K)
+    profiles = [np.zeros(K), np.ones(K)]
+    for _ in range(20):
+        profiles.append(rng.uniform(0.0, 1.0, K))
+        profiles.append(rng.choice([0.0, 0.25, 0.5, 1.0], K))
+    for c in range(K):
+        freqs = cfg.center_freq_hz + (np.arange(K) - c) * 1e6
+        for gains in profiles:
+            got = three_db_bandwidth(GainProfile(per_subcarrier=gains, freqs_hz=freqs), cfg)
+            assert got == growing_window_bins(gains, c) * (cfg.bandwidth_hz / K)
 
 
 def test_normalized_gain_db():
