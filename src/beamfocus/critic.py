@@ -3,8 +3,10 @@
 The critic predicts the received power of a constant-modulus beam w as
 ||Q^H w||^2 for a learned complex matrix Q of shape (M, rank). Because the
 true single-path power is |h^H w|^2, a rank-1 Q equal to the channel
-reproduces it exactly; extra rank over-parameterizes benignly and speeds up
-the regression. Training minimizes squared error on measured powers by
+reproduces it exactly, and rank 1 is the default (`learner.critic_rank`).
+Extra rank over-parameterizes the fit without speeding it up: on the
+reference scenario rank 4 takes about as many iterations, each on a
+four-column matrix. Training minimizes squared error on measured powers by
 conjugate gradient on the exact analytic gradient.
 """
 

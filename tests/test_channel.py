@@ -1,14 +1,28 @@
 import numpy as np
 import pytest
 
+from beamfocus import channel
+from beamfocus.baselines import pdf_oracle
 from beamfocus.channel import (
+    GAIN_MAP_BLOCK,
     PHASOR_TABLE,
     ChannelMatrix,
     SystemConfig,
     flat_amplitude_rho,
+    gain_map,
     near_field_channel,
+    spherical_wave,
     subcarrier_frequencies,
     unit_phasors,
+)
+from beamfocus.combiner import CombinerConfig, effective_combiner
+from beamfocus.config import (
+    ExperimentConfig,
+    build_channel,
+    build_codebook,
+    build_geometry,
+    build_system,
+    build_ue,
 )
 from beamfocus.geometry import (
     SPEED_OF_LIGHT,
@@ -18,6 +32,8 @@ from beamfocus.geometry import (
     distances,
     random_geometry,
 )
+from beamfocus.sim import center_bin, gain_profile
+from tiny_scenario import tiny_config
 
 
 def make_cfg(M=4, N=2, K=8, fc=100e9, B=10e9, **kw):
@@ -174,3 +190,101 @@ def test_unit_phasors_match_the_complex_exponential():
     re, im = unit_phasors(cycles)
     want = np.exp(-2j * np.pi * (cycles - np.rint(cycles)))
     assert np.max(np.abs(re + 1j * im - want)) <= 2e-15
+
+
+def test_gain_map_single_point_matches_gain_profile():
+    ec = tiny_config()
+    geom = build_geometry(ec)
+    cfg = build_system(ec)
+    cb = build_codebook(ec)
+    ue = build_ue(ec)
+    H = build_channel(ec, geom, cfg)
+    cc = pdf_oracle(geom, ue, H, cfg, cb)
+    gp = gain_profile(cc, H, cfg)
+    for k in (0, 31, 63):
+        f = H.freqs_hz[k]
+        w = effective_combiner(cc, cfg, f)
+        val = gain_map(geom, w, f, np.array([ue.x]), np.array([ue.y]))
+        assert val.shape == (1, 1)
+        assert val[0, 0] == pytest.approx(gp.per_subcarrier[k], rel=1e-10)
+
+
+def test_gain_map_flat_amplitude_rho_matches_gain_profile():
+    ec = tiny_config(rho_mode="flat_amplitude")
+    geom = build_geometry(ec)
+    cfg = build_system(ec)
+    cb = build_codebook(ec)
+    ue = build_ue(ec)
+    H = build_channel(ec, geom, cfg)
+    cc = pdf_oracle(geom, ue, H, cfg, cb)
+    gp = gain_profile(cc, H, cfg)
+    for k in (0, 31, 63):
+        f = H.freqs_hz[k]
+        w = effective_combiner(cc, cfg, f)
+        rho_factor = f / cfg.center_freq_hz
+        val = gain_map(geom, w, f, np.array([ue.x]), np.array([ue.y]), rho_factor=rho_factor)
+        assert val[0, 0] == pytest.approx(gp.per_subcarrier[k], rel=1e-12)
+
+
+@pytest.mark.parametrize("M", [16, 256])
+def test_blocked_gain_map_equals_one_shot_formula(M, monkeypatch):
+    ec = tiny_config(num_antennas=M, num_td_units=16)
+    geom = build_geometry(ec)
+    cfg = build_system(ec)
+    H = build_channel(ec, geom, cfg)
+    cc = pdf_oracle(geom, build_ue(ec), H, cfg, build_codebook(ec))
+    xs, ys = np.linspace(0.5, 4.0, 37), np.linspace(-4.0, 4.0, 41)
+    assert (xs.size * ys.size) % GAIN_MAP_BLOCK != 0
+    for f, rho_factor in ((H.freqs_hz[0], 1.0), (H.freqs_hz[-1], 1.3)):
+        w = effective_combiner(cc, cfg, f)
+        blocked = gain_map(geom, w, f, xs, ys, rho_factor=rho_factor)
+        with monkeypatch.context() as m:
+            m.setattr(channel, "GAIN_MAP_BLOCK", xs.size * ys.size + 1)
+            assert np.array_equal(blocked, gain_map(geom, w, f, xs, ys, rho_factor=rho_factor))
+
+
+@pytest.mark.parametrize("rho_mode", ["unit", "flat_amplitude"])
+def test_reference_gain_maps_match_the_spherical_wave_formula(rho_mode):
+    ec = ExperimentConfig(rho_mode=rho_mode)
+    geom = build_geometry(ec)
+    cfg = build_system(ec)
+    H = build_channel(ec, geom, cfg)
+    cc = pdf_oracle(geom, build_ue(ec), H, cfg, build_codebook(ec))
+    freqs = H.freqs_hz[[0, center_bin(H.freqs_hz, cfg.center_freq_hz), -1]]
+    rho = freqs / cfg.center_freq_hz if rho_mode == "flat_amplitude" else np.ones(3)
+    w = np.array([effective_combiner(cc, cfg, f) for f in freqs])
+    xs, ys = np.linspace(0.5, 4.0, 36), np.linspace(-4.0, 4.0, 81)
+    maps = gain_map(geom, w, freqs, xs, ys, rho_factor=rho)
+    gx, gy = np.meshgrid(xs, ys)
+    elem_y = 0.5 * geom.aperture * geom.alphas
+    d = np.hypot(gx.ravel()[:, None], elem_y[None, :] - gy.ravel()[:, None])
+    for wf, f, r, got in zip(w, freqs, rho, maps):
+        want = (np.abs(spherical_wave(d, f, r) @ np.conj(wf)) ** 2).reshape(gx.shape)
+        assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+def test_gain_map_far_point_is_finite():
+    ec = tiny_config()
+    geom = build_geometry(ec)
+    cfg = build_system(ec)
+    w = effective_combiner(CombinerConfig(np.zeros(16), np.zeros(4)), cfg, 1e11)
+    # 1e15 m is about 3e17 cycles at 100 GHz, far beyond the int64 range
+    # once scaled by the table size
+    val = gain_map(geom, w, 1e11, np.array([1e15]), np.array([0.0]))
+    assert np.isfinite(val).all() and val[0, 0] > 0.0
+
+
+def test_gain_map_stacked_frequencies_equal_single_calls():
+    ec = tiny_config(rho_mode="flat_amplitude")
+    geom = build_geometry(ec)
+    cfg = build_system(ec)
+    H = build_channel(ec, geom, cfg)
+    cc = pdf_oracle(geom, build_ue(ec), H, cfg, build_codebook(ec))
+    freqs = H.freqs_hz[[0, 31, 63]]
+    rho = freqs / cfg.center_freq_hz
+    w = np.array([effective_combiner(cc, cfg, f) for f in freqs])
+    xs, ys = np.linspace(0.5, 4.0, 37), np.linspace(-4.0, 4.0, 41)
+    maps = gain_map(geom, w, freqs, xs, ys, rho_factor=rho)
+    assert maps.shape == (3, ys.size, xs.size)
+    for wf, f, r, got in zip(w, freqs, rho, maps):
+        assert np.array_equal(got, gain_map(geom, wf, f, xs, ys, rho_factor=r))
