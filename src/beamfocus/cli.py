@@ -334,6 +334,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             ec = validate(replace(ec, learner_seed=args.seed))
         args.out = args.out or ec.output_dir
+        # mkdir would fail only after the work: check the output path first
+        out = Path(args.out)
+        nearest = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+        if not nearest.is_dir():
+            raise ConfigError(f"--out: '{nearest}' is not a directory")
         handlers = {
             "profile": lambda ec, args: run_profile(ec, args.out, oracle=args.oracle),
             "heatmap": _cmd_heatmap,

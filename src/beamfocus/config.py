@@ -62,7 +62,6 @@ class ExperimentConfig:
     perturb_count: int | None = _key("learner.perturb_count", None, least=0)  # auto: M // 4
     critic_refit_period: int = _key("learner.critic_refit_period", 1000, least=1)
     exploit_start: int = _key("learner.exploit_start", 2000, least=1)
-    critic_rank: int = _key("learner.critic_rank", 1, least=1)  # 1 fits |h^H w|^2 exactly
     train_iters: int = _key("learner.train_iters", 1500, least=1)
     learner_seed: int = _key("learner.seed", 0, least=0)
     ax_points: int = _key("grid.ax_points", 9, least=1)

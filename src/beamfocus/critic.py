@@ -1,13 +1,11 @@
-"""Gram-form power critic.
+"""Single-path power critic.
 
 The critic predicts the received power of a constant-modulus beam w as
-||Q^H w||^2 for a learned complex matrix Q of shape (M, rank). Because the
-true single-path power is |h^H w|^2, a rank-1 Q equal to the channel
-reproduces it exactly, and rank 1 is the default (`learner.critic_rank`).
-Extra rank over-parameterizes the fit without speeding it up: on the
-reference scenario rank 4 takes about as many iterations, each on a
-four-column matrix. Training minimizes squared error on measured powers by
-conjugate gradient on the exact analytic gradient.
+|q^H w|^2 for a learned complex vector q of shape (M,). The true
+single-path power is |h^H w|^2, so q equal to the channel reproduces it
+exactly (up to a global phase, which no prediction sees). Training
+minimizes squared error on measured powers by conjugate gradient on the
+exact analytic gradient.
 """
 
 from __future__ import annotations
@@ -17,42 +15,36 @@ import numpy as np
 from .files import write_atomic
 
 
-def _rank_rows(beams: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # conj(beams) @ q as conj(beams @ conj(q)): bit-identical, but only the
-    # (n, rank) result is conjugated, never the (n, M) beams
+def _inner(beams: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # the (n,) inner products w_i^H q as conj(beams @ conj(q)): only the
+    # (n,) result is conjugated, never the (n, M) beams
     return (beams @ q.conj()).conj()
 
 
 def _residuals(g: np.ndarray, powers) -> np.ndarray:
-    # prediction errors ||Q^H w_i||^2 - p_i from the rank-space rows
-    # g = _rank_rows(beams, Q)
-    return np.sum(np.abs(g) ** 2, axis=1) - powers
+    # prediction errors |q^H w_i|^2 - p_i from g = _inner(beams, q)
+    return np.abs(g) ** 2 - powers
 
 
 def _gradient(beams: np.ndarray, g: np.ndarray, err: np.ndarray) -> np.ndarray:
-    # (4/n) sum_i err_i w_i (w_i^H Q), with g and err from _residuals
-    return (4.0 / err.size) * (beams.T @ (err[:, None] * g))
+    # (4/n) sum_i err_i w_i (w_i^H q), with g and err from _residuals
+    return (4.0 / err.size) * (beams.T @ (err * g))
 
 
-def initialize_critic(
-    rank: int, beams: np.ndarray, powers: np.ndarray, seed: int = 0
-) -> np.ndarray:
-    """Random (M, rank) critic whose mean predicted power matches mean(powers).
+def initialize_critic(beams: np.ndarray, powers: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Random (M,) critic whose mean predicted power matches mean(powers).
 
     `beams` holds the (n, M) unit-norm beams and `powers` their (n,)
     measured powers. Keeps the optimizer away from the stationary saddle at
-    Q = 0.
+    q = 0.
     """
     if powers.size == 0:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(seed)
     M = beams.shape[1]
-    q = (
-        rng.standard_normal((M, rank))
-        + 1j * rng.standard_normal((M, rank))
-    ) / np.sqrt(2.0 * rank)
+    q = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) / np.sqrt(2.0)
     # residuals against zero powers are the predictions themselves
-    mean_pred = float(np.mean(_residuals(_rank_rows(beams, q), 0.0)))
+    mean_pred = float(np.mean(_residuals(_inner(beams, q), 0.0)))
     mean_power = float(np.mean(powers))
     if mean_pred > 0.0 and mean_power > 0.0:
         q *= np.sqrt(mean_power / mean_pred)
@@ -93,18 +85,18 @@ def train_critic(q: np.ndarray, beams: np.ndarray, powers: np.ndarray, max_iters
     that is not a descent direction), and steps to the exact minimum of the
     loss along it, which is the root of a cubic (see _line_search). A step
     never raises the loss. Powers are rescaled to unit mean internally,
-    which rescales Q by the square root and leaves predictions consistent.
+    which rescales q by the square root and leaves predictions consistent.
 
     Stops after max_iters iterations, or earlier once the RMS power error
     is at most RMS_TOL of the mean measured power or an iteration lowers
     the loss by less than STALL_TOL of its value. Returns the trained
-    (M, rank) matrix and the loss after each iteration (original units;
+    (M,) vector and the loss after each iteration (original units;
     non-empty and non-increasing). Deterministic: no randomness is drawn.
 
-    G = conj(B) Q is carried across iterations: with D = conj(B) P the rows
-    along the step are G + alpha D, so each iteration makes two passes over
-    the (n, M) beams, one for the gradient and one for D. No (n, M)
-    conjugate of the beams is ever formed (see _rank_rows).
+    g = conj(B) q is carried across iterations: with d = conj(B) p the
+    inner products along the step are g + alpha d, so each iteration makes
+    two passes over the (n, M) beams, one for the gradient and one for d.
+    No (n, M) conjugate of the beams is ever formed (see _inner).
     """
     if powers.size == 0:
         raise ValueError("dataset is empty")
@@ -118,7 +110,7 @@ def train_critic(q: np.ndarray, beams: np.ndarray, powers: np.ndarray, max_iters
     target = (RMS_TOL * float(np.mean(powers))) ** 2
 
     q = q / np.sqrt(scale)
-    g = _rank_rows(beams, q)
+    g = _inner(beams, q)
     err = _residuals(g, powers)
     current = float(np.mean(err**2))
     trace = []
@@ -132,8 +124,8 @@ def train_critic(q: np.ndarray, beams: np.ndarray, powers: np.ndarray, max_iters
         if direction is None or not np.vdot(grad, direction).real < 0.0:
             direction = -grad
         grad_prev = grad
-        d = _rank_rows(beams, direction)
-        alpha = _line_search(err, np.sum((g.conj() * d).real, axis=1), _residuals(d, 0.0))
+        d = _inner(beams, direction)
+        alpha = _line_search(err, (g.conj() * d).real, _residuals(d, 0.0))
         previous = current
         if alpha != 0.0:
             g_new = g + alpha * d
@@ -148,13 +140,12 @@ def train_critic(q: np.ndarray, beams: np.ndarray, powers: np.ndarray, max_iters
 
 
 def save_critic(q: np.ndarray, path, header_comment: str = "") -> None:
-    """Write the header comment, then `rows cols` and one `re:im` line per row.
+    """Write the header comment, then `M 1` and one `re:im` line per antenna.
 
     Floats use shortest round-trip decimal form, so the file holds the
-    matrix bit-exactly.
+    vector bit-exactly.
     """
     with write_atomic(path) as fh:
         fh.write(header_comment)
-        fh.write(f"{q.shape[0]} {q.shape[1]}\n")
-        for row in q:
-            fh.write(" ".join(f"{float(c.real)!r}:{float(c.imag)!r}" for c in row) + "\n")
+        fh.write(f"{q.size} 1\n")
+        fh.write("".join(f"{float(c.real)!r}:{float(c.imag)!r}\n" for c in q))

@@ -1,7 +1,7 @@
 """Online phase-shifter learning from center-frequency power measurements.
 
 The loop explores quantized beams by randomly perturbing a few phases per
-step, fits the Gram-form critic to the measured (beam, power) pairs, and
+step, fits the single-path critic to the measured (beam, power) pairs, and
 periodically exploits the critic via cyclic coordinate ascent over the
 codebook. The walk between two refits is drawn and measured in blocks of
 stacked beams. Only the measurement callback touches the channel.
@@ -58,8 +58,8 @@ def coordinate_ascent(q: np.ndarray, init: np.ndarray, cb: PhaseCodebook):
     """Cyclic coordinate ascent of the predicted power over the codebook.
 
     Sweeps the antennas in order, setting each codebook index to the one
-    that maximizes the prediction ||Q^H w||^2 of the (M, rank) critic `q`
-    with the rest fixed; stops after a full cycle without change (each
+    that maximizes the prediction |q^H w|^2 of the (M,) critic `q` with
+    the rest fixed; stops after a full cycle without change (each
     accepted change strictly increases the prediction, so termination is
     guaranteed) or after MAX_ASCENT_CYCLES cycles. `init` holds one
     codebook index per antenna. Returns (indices, cycles_used,
@@ -72,17 +72,17 @@ def coordinate_ascent(q: np.ndarray, init: np.ndarray, cb: PhaseCodebook):
     M = idx.size
     if M != q.shape[0]:
         raise ValueError("init length does not match the critic")
-    q_conj = q.conj()  # rows indexed by antenna
+    q_conj = q.conj()
     phasors = _phasors(cb, M)  # (2^r,)
-    g = q_conj.T @ phasors[idx]  # (rank,)
+    g = q_conj @ phasors[idx]  # the running inner product q^H w
     best = float(np.real(np.vdot(g, g)))
     cycles = 0
     for _ in range(MAX_ASCENT_CYCLES):
         changed = False
         for m in range(M):
             g_base = g - phasors[idx[m]] * q_conj[m]
-            cand = g_base[None, :] + phasors[:, None] * q_conj[m][None, :]
-            powers = np.sum(np.abs(cand) ** 2, axis=1)
+            cand = g_base + phasors * q_conj[m]
+            powers = np.abs(cand) ** 2
             i = int(np.argmax(powers))
             if powers[i] > best * (1.0 + 1e-12):
                 idx[m] = i
@@ -93,7 +93,7 @@ def coordinate_ascent(q: np.ndarray, init: np.ndarray, cb: PhaseCodebook):
         if not changed:
             break
         # refresh the running inner product to stop incremental drift
-        g = q_conj.T @ phasors[idx]
+        g = q_conj @ phasors[idx]
         best = float(np.real(np.vdot(g, g)))
     return idx, cycles, best
 
@@ -106,7 +106,7 @@ class LearnHistory:
     measured_powers: np.ndarray
     best_powers: np.ndarray
     indices: np.ndarray  # (n, M) uint8 codebook indices
-    final_model: np.ndarray | None  # the last fit's (M, rank) critic
+    final_model: np.ndarray | None  # the last fit's (M,) critic
     exploit_events: list  # (measurement index, ascent cycles, measured power)
     critic_loss_traces: list  # one train_critic loss trace per exploit event
 
@@ -133,7 +133,7 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     measurement, so it is drawn and measured WALK_BLOCK steps at a time;
     the block size changes no result. The first fit starts from
     initialize_critic seeded with learner_seed, each refit from the
-    previous fit's matrix (the buffer only grows). Deterministic per
+    previous fit's vector (the buffer only grows). Deterministic per
     learner_seed, including the beams and order of every callback
     invocation.
     """
@@ -200,7 +200,7 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
             clipped = np.maximum(powers[:n], 0.0)
             refit = model is not None
             if not refit:
-                model = initialize_critic(ec.critic_rank, beams[:n], clipped, seed=ec.learner_seed)
+                model = initialize_critic(beams[:n], clipped, seed=ec.learner_seed)
             model, trace = train_critic(model, beams[:n], clipped, ec.train_iters)
             loss_traces.append(trace)
 

@@ -5,20 +5,20 @@ import enum
 
 import numpy as np
 
-from beamfocus.critic import _gradient, _rank_rows, _residuals
+from beamfocus.critic import _gradient, _inner, _residuals
 
 
 def critic_loss_and_gradient(q, beams, powers):
-    """Mean squared power error of the (M, rank) critic `q` and its gradient in q.
+    """Mean squared power error of the (M,) critic `q` and its gradient in q.
 
-    loss = (1/n) sum_i (||Q^H w_i||^2 - p_i)^2 over the (n, M) `beams` and
-    their (n,) `powers`. The returned complex array packs the derivative
-    with respect to the real and imaginary parts of Q (so it matches finite
-    differences on the 2*M*rank real coordinates):
-    grad = (4/n) sum_i err_i (w_i w_i^H) Q. Both come from the kernels that
+    loss = (1/n) sum_i (|q^H w_i|^2 - p_i)^2 over the (n, M) `beams` and
+    their (n,) `powers`. The returned complex (M,) vector packs the
+    derivative with respect to the real and imaginary parts of q (so it
+    matches finite differences on the 2M real coordinates):
+    grad = (4/n) sum_i err_i (w_i w_i^H) q. Both come from the kernels that
     `critic.train_critic` runs.
     """
-    g = _rank_rows(beams, q)
+    g = _inner(beams, q)
     err = _residuals(g, powers)
     return float(np.mean(err**2)), _gradient(beams, g, err)
 

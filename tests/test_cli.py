@@ -188,7 +188,6 @@ learner.total_measurements = 5000
 learner.perturb_count = auto
 learner.critic_refit_period = 1000
 learner.exploit_start = 2000
-learner.critic_rank = 1
 learner.train_iters = 1500
 learner.seed = 0
 grid.ax_points = 9
@@ -248,7 +247,6 @@ def test_cli_learn_and_search(tmp_path, capsys):
                 "learner.total_measurements = 30",
                 "learner.exploit_start = 15",
                 "learner.critic_refit_period = 15",
-                "learner.critic_rank = 2",
                 "learner.train_iters = 100",
                 "profile.n_sweep = 0,2",
                 "grid.ax_points = 2",
@@ -490,7 +488,6 @@ M16_KEYS = (
     "learner.total_measurements = 30",
     "learner.exploit_start = 15",
     "learner.critic_refit_period = 15",
-    "learner.critic_rank = 2",
     "learner.train_iters = 20",
     "grid.ax_points = 2",
     "grid.ay_points = 3",
@@ -528,7 +525,6 @@ def test_cli_rejects_learner_range_errors(tmp_path, capsys):
         ("learner.exploit_start = 31", "learner.exploit_start: "),  # the budget is 30
         ("learner.critic_refit_period = 0", "learner.critic_refit_period: "),
         ("learner.perturb_count = -1", "learner.perturb_count: "),
-        ("learner.critic_rank = 0", "learner.critic_rank: "),
         ("learner.train_iters = 0", "learner.train_iters: "),
         ("learner.seed = -1", "learner.seed: "),
     ):
@@ -558,12 +554,35 @@ def test_cli_rejects_profile_values_that_run_silently_wrong(tmp_path, capsys):
 
 
 def test_cli_rejects_the_removed_fit_keys(tmp_path, capsys):
-    # the critic fit takes no learning rate or batch size; a file that sets
-    # one is refused before anything runs
+    # the critic fit takes no learning rate or batch size, and the critic is
+    # one (M,) vector with no rank; a file that sets one is refused before
+    # anything runs, even at the old default rank 1
     lineno = len(M16_KEYS) + 1  # the line after the M16 keys
-    for key in ("learner.train_lr", "learner.train_batch"):
+    for key in ("learner.train_lr", "learner.train_batch", "learner.critic_rank"):
         expected = f"line {lineno}: unknown key '{key}'"
         assert_rejected(tmp_path, capsys, expected, (f"{key} = 1",), "learn")
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [("learn",), ("profile", "--oracle"), ("search-delays",), ("heatmap", "--source", "pdf-oracle")],
+)
+def test_cli_rejects_an_output_path_that_names_a_file(tmp_path, capsys, cmd):
+    # refused before any work, whether the file (or a dangling link) is the
+    # output path itself or an ancestor of it, or comes from output.dir;
+    # nothing is created
+    afile, link = tmp_path / "afile", tmp_path / "link"
+    afile.write_text("kept\n")
+    link.symlink_to(tmp_path / "missing")
+    cfg_path = write_m16_config(tmp_path / "exp.cfg")
+    for out, blocker in ((afile, afile), (afile / "sub" / "dir", afile), (link, link)):
+        assert main(["--config", str(cfg_path), "--out", str(out), *cmd]) == 2
+        assert capsys.readouterr().err == f"config error: --out: '{blocker}' is not a directory\n"
+    cfg_path = write_m16_config(tmp_path / "exp.cfg", f"output.dir = {afile}")
+    assert main(["--config", str(cfg_path), *cmd]) == 2
+    assert capsys.readouterr().err.startswith("config error: --out: ")
+    assert afile.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "exp.cfg", "link"]
 
 
 @pytest.mark.parametrize("M", [16, 256])
@@ -688,7 +707,6 @@ FUZZ_KEYS = {
     "learner.perturb_count": st.one_of(st.just("auto"), st.integers(-1, 40).map(str)),
     "learner.critic_refit_period": st.integers(0, 40).map(str),
     "learner.exploit_start": st.integers(0, 60).map(str),
-    "learner.critic_rank": st.integers(0, 20).map(str),
     "learner.train_iters": st.integers(0, 30).map(str),
     "learner.seed": st.integers(-1, 2**64).map(str),
 }

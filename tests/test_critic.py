@@ -4,7 +4,7 @@ import pytest
 from beamfocus.critic import (
     RMS_TOL,
     STALL_TOL,
-    _rank_rows,
+    _inner,
     _residuals,
     initialize_critic,
     save_critic,
@@ -19,29 +19,28 @@ def random_beams(rng, n, M):
 
 
 def predicted(q, beams):
-    # ||Q^H w||^2 per beam through the kernel that training runs; the
+    # |q^H w|^2 per beam through the kernel that training runs; the
     # residuals against zero powers are the predictions
-    pred = _residuals(_rank_rows(np.atleast_2d(beams), q), 0.0)
+    pred = _residuals(_inner(np.atleast_2d(beams), q), 0.0)
     return pred if np.ndim(beams) == 2 else float(pred[0])
 
 
 def test_predict_rank1_equals_true_gain():
     rng = np.random.default_rng(0)
     M = 5
-    h = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-    model = h[:, None]
+    model = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     for _ in range(10):
         w = beam_from_phases(rng.uniform(-np.pi, np.pi, M))
-        assert predicted(model, w) == pytest.approx(abs(np.vdot(w, h)) ** 2, rel=1e-12)
+        assert predicted(model, w) == pytest.approx(abs(np.vdot(w, model)) ** 2, rel=1e-12)
 
 
 def test_predict_zero_model():
-    model = np.zeros((3, 2), complex)
+    model = np.zeros(3, complex)
     assert predicted(model, beam_from_phases([0.0, 1.0, 2.0])) == 0.0
 
 
 def test_predict_hand_value():
-    model = np.array([[1.0], [1j]])
+    model = np.array([1.0, 1j])
     w = np.array([1.0, 1.0]) / np.sqrt(2)
     # |(1 - j)/sqrt(2)|^2 = 1
     assert predicted(model, w) == pytest.approx(1.0, rel=1e-12)
@@ -49,7 +48,7 @@ def test_predict_hand_value():
 
 def test_predict_nonnegative_and_quadratic_scaling():
     rng = np.random.default_rng(4)
-    model = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    model = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     p = predicted(model, w)
     assert p >= 0.0
@@ -57,16 +56,14 @@ def test_predict_nonnegative_and_quadratic_scaling():
 
 
 def test_predict_gauge_invariance():
+    # a global phase of q changes no prediction
     rng = np.random.default_rng(8)
-    M, v = 6, 3
-    q = rng.standard_normal((M, v)) + 1j * rng.standard_normal((M, v))
+    M = 6
+    q = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     for _ in range(10):
-        z = rng.standard_normal((v, v)) + 1j * rng.standard_normal((v, v))
-        u, _ = np.linalg.qr(z)  # random unitary
         w = beam_from_phases(rng.uniform(-np.pi, np.pi, M))
-        p1 = predicted(q, w)
-        p2 = predicted(q @ u, w)
-        assert p2 == pytest.approx(p1, rel=1e-10)
+        turned = np.exp(1j * rng.uniform(-np.pi, np.pi)) * q
+        assert predicted(turned, w) == pytest.approx(predicted(q, w), rel=1e-10)
 
 
 def test_loss_perfect_fit_is_stationary():
@@ -75,14 +72,14 @@ def test_loss_perfect_fit_is_stationary():
     h = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     beams = random_beams(rng, 20, M)
     powers = np.abs(beams.conj() @ h) ** 2
-    loss, grad = critic_loss_and_gradient(h[:, None], beams, powers)
+    loss, grad = critic_loss_and_gradient(h, beams, powers)
     assert loss == pytest.approx(0.0, abs=1e-24)
     assert np.max(np.abs(grad)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loss_origin_saddle():
     beams = np.array([beam_from_phases([0.0, 0.0])])
-    loss, grad = critic_loss_and_gradient(np.zeros((2, 1), complex), beams, np.array([1.0]))
+    loss, grad = critic_loss_and_gradient(np.zeros(2, complex), beams, np.array([1.0]))
     assert loss == 1.0
     assert np.all(grad == 0.0)
 
@@ -91,9 +88,8 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     for trial in range(5):
         M = int(rng.integers(2, 9))
-        v = int(rng.integers(1, 4))
         n = int(rng.integers(3, 12))
-        q = rng.standard_normal((M, v)) + 1j * rng.standard_normal((M, v))
+        q = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         beams, powers = random_beams(rng, n, M), rng.uniform(0, 2, n)
 
         def loss_at(qq):
@@ -103,24 +99,23 @@ def test_gradient_matches_finite_differences():
         h = 1e-6
         fd = np.zeros_like(q)
         for i in range(M):
-            for j in range(v):
-                for direction in (1.0, 1j):
-                    qp, qm = q.copy(), q.copy()
-                    qp[i, j] += h * direction
-                    qm[i, j] -= h * direction
-                    fd[i, j] += direction * (loss_at(qp) - loss_at(qm)) / (2 * h)
+            for direction in (1.0, 1j):
+                qp, qm = q.copy(), q.copy()
+                qp[i] += h * direction
+                qm[i] -= h * direction
+                fd[i] += direction * (loss_at(qp) - loss_at(qm)) / (2 * h)
         assert np.max(np.abs(fd - grad)) / np.max(np.abs(grad)) <= 1e-5
 
 
 def test_loss_rejects_empty_and_mismatched():
     # the fit and its init refuse an empty buffer and beams whose length is
     # not the critic's M
-    q = np.ones((2, 1), complex)
+    q = np.ones(2, complex)
     empty = np.empty((0, 2), complex), np.empty(0)
     with pytest.raises(ValueError):
         train_critic(q, *empty, 10)
     with pytest.raises(ValueError):
-        initialize_critic(1, *empty)
+        initialize_critic(*empty)
     with pytest.raises(ValueError):
         train_critic(q, np.array([beam_from_phases([0.0, 0.0, 0.0])]), np.array([1.0]), 10)
 
@@ -142,7 +137,7 @@ def test_train_recovers_hidden_rank1_channel():
     rng = np.random.default_rng(6)
     M = 8
     beams, powers = rank1_buffer(rng, 200, M)
-    q = initialize_critic(1, beams, powers, seed=7)
+    q = initialize_critic(beams, powers, seed=7)
     trained, trace = train_critic(q, beams, powers, 5000)
     pred = predicted(trained, beams)
     rel = np.linalg.norm(pred - powers) / np.linalg.norm(powers)
@@ -153,7 +148,7 @@ def test_train_recovers_hidden_rank1_channel():
 def test_train_trace_is_nonincreasing_and_capped():
     rng = np.random.default_rng(13)
     data = rank1_buffer(rng, 80, 6, noise=0.05)
-    q = initialize_critic(3, *data, seed=2)
+    q = initialize_critic(*data, seed=2)
     for cap in (1, 7, 400):
         _, trace = train_critic(q, *data, cap)
         assert 1 <= len(trace) <= cap
@@ -167,7 +162,7 @@ def test_train_step_is_the_exact_line_minimum():
     rng = np.random.default_rng(12)
     M, n = 8, 60
     beams, powers = rank1_buffer(rng, n, M, noise=0.1)
-    q0 = initialize_critic(2, beams, powers, seed=1)
+    q0 = initialize_critic(beams, powers, seed=1)
     trained, trace = train_critic(q0, beams, powers, 1)
     _, grad = critic_loss_and_gradient(q0, beams, powers)
     step = trained - q0
@@ -175,11 +170,11 @@ def test_train_step_is_the_exact_line_minimum():
     np.testing.assert_allclose(step, -alpha * grad, rtol=0.0, atol=1e-12 * np.abs(step).max())
     assert alpha > 0.0
 
-    g0, d = _rank_rows(beams, q0), _rank_rows(beams, -grad)
+    g0, d = _inner(beams, q0), _inner(beams, -grad)
 
     def scan(alphas):
-        g = g0[None] + alphas[:, None, None] * d[None]
-        err = np.sum(np.abs(g) ** 2, axis=2) - powers
+        g = g0[None] + alphas[:, None] * d[None]
+        err = np.abs(g) ** 2 - powers
         return np.mean(err**2, axis=1)
 
     coarse = np.linspace(-4.0 * alpha, 4.0 * alpha, 20001)
@@ -193,12 +188,12 @@ def test_train_step_is_the_exact_line_minimum():
 
 
 def test_train_final_trace_value_is_the_true_loss():
-    # G = conj(B) Q is carried across iterations; after any number of them
+    # g = conj(B) q is carried across iterations; after any number of them
     # it still matches the returned model, so the last trace entry is the
     # model's full loss
     rng = np.random.default_rng(14)
     data = rank1_buffer(rng, 150, 8, noise=0.2)
-    q = initialize_critic(4, *data, seed=3)
+    q = initialize_critic(*data, seed=3)
     for cap in (1, 5, 30, 300):
         trained, trace = train_critic(q, *data, cap)
         assert trace[-1] == pytest.approx(full_loss(trained, *data), rel=1e-9)
@@ -207,7 +202,7 @@ def test_train_final_trace_value_is_the_true_loss():
 def test_train_noiseless_buffer_stops_on_the_rms_rule():
     rng = np.random.default_rng(15)
     beams, powers = rank1_buffer(rng, 200, 8)
-    q = initialize_critic(2, beams, powers, seed=4)
+    q = initialize_critic(beams, powers, seed=4)
     _, trace = train_critic(q, beams, powers, 5000)
     target = (RMS_TOL * np.mean(powers)) ** 2
     assert len(trace) < 5000
@@ -217,7 +212,7 @@ def test_train_noiseless_buffer_stops_on_the_rms_rule():
 def test_train_noisy_buffer_stops_on_the_stall_rule():
     rng = np.random.default_rng(16)
     beams, powers = rank1_buffer(rng, 200, 8, noise=0.3)
-    q = initialize_critic(2, beams, powers, seed=4)
+    q = initialize_critic(beams, powers, seed=4)
     _, trace = train_critic(q, beams, powers, 5000)
     assert len(trace) < 5000
     assert trace[-1] > (RMS_TOL * np.mean(powers)) ** 2
@@ -227,7 +222,7 @@ def test_train_noisy_buffer_stops_on_the_stall_rule():
 def test_train_deterministic_per_seed():
     rng = np.random.default_rng(10)
     data = random_beams(rng, 30, 4), rng.uniform(0, 1, 30)
-    q = initialize_critic(2, *data, seed=0)
+    q = initialize_critic(*data, seed=0)
     m1, t1 = train_critic(q, *data, 50)
     m2, t2 = train_critic(q, *data, 50)
     assert np.array_equal(m1, m2)
@@ -245,20 +240,20 @@ def assert_clean_fit(q, beams, powers, max_iters=100):
 def test_train_all_zero_powers_ends_cleanly():
     rng = np.random.default_rng(17)
     data = random_beams(rng, 20, 4), np.zeros(20)
-    _, trace = assert_clean_fit(initialize_critic(2, *data, seed=0), *data)
-    assert trace[-1] < full_loss(initialize_critic(2, *data, seed=0), *data)
+    _, trace = assert_clean_fit(initialize_critic(*data, seed=0), *data)
+    assert trace[-1] < full_loss(initialize_critic(*data, seed=0), *data)
 
 
 def test_train_single_sample_ends_cleanly():
     rng = np.random.default_rng(18)
     data = random_beams(rng, 1, 4), np.array([0.7])
-    assert_clean_fit(initialize_critic(2, *data, seed=0), *data)
+    assert_clean_fit(initialize_critic(*data, seed=0), *data)
 
 
-def test_train_rank_above_sample_count_ends_cleanly():
+def test_train_more_antennas_than_samples_ends_cleanly():
     rng = np.random.default_rng(19)
     data = rank1_buffer(rng, 3, 6)
-    assert_clean_fit(initialize_critic(5, *data, seed=0), *data)
+    assert_clean_fit(initialize_critic(*data, seed=0), *data)
 
 
 def test_train_already_fitted_model_ends_at_once():
@@ -268,16 +263,15 @@ def test_train_already_fitted_model_ends_at_once():
     M = 5
     h = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     beams = random_beams(rng, 30, M)
-    q = h[:, None]
-    trained, trace = assert_clean_fit(q, beams, predicted(q, beams))
+    trained, trace = assert_clean_fit(h, beams, predicted(h, beams))
     assert len(trace) == 1
-    np.testing.assert_allclose(trained, q, rtol=1e-12)
-    trained, trace = assert_clean_fit(np.zeros((M, 2), complex), beams, np.zeros(30))
+    np.testing.assert_allclose(trained, h, rtol=1e-12)
+    trained, trace = assert_clean_fit(np.zeros(M, complex), beams, np.zeros(30))
     assert len(trace) == 1 and trace[0] == 0.0
 
 
 def test_train_rejects_empty_data_and_no_iterations():
-    q = np.ones((2, 1), complex)
+    q = np.ones(2, complex)
     with pytest.raises(ValueError):
         train_critic(q, np.empty((0, 2), complex), np.empty(0), 10)
     with pytest.raises(ValueError):
@@ -286,10 +280,10 @@ def test_train_rejects_empty_data_and_no_iterations():
 
 def test_critic_text_holds_the_matrix_bit_exactly(tmp_path):
     rng = np.random.default_rng(11)
-    q = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    q = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     path = tmp_path / "critic.txt"
     save_critic(q, path, header_comment="# run = test\n")
     lines = path.read_text().splitlines()
-    assert lines[:2] == ["# run = test", "4 3"]
-    parsed = [[complex(*map(float, e.split(":"))) for e in ln.split()] for ln in lines[2:]]
+    assert lines[:2] == ["# run = test", "4 1"]
+    parsed = [complex(*map(float, ln.split(":"))) for ln in lines[2:]]
     assert np.array_equal(np.array(parsed), q)

@@ -30,9 +30,9 @@ def make_cfg(M, K=1, B=0.0, fc=100e9):
 
 
 def predicted(model, idx, cb):
-    # the critic's prediction ||Q^H w||^2 for the beam of codebook indices
+    # the critic's prediction |q^H w|^2 for the beam of codebook indices
     # idx, formed as coordinate_ascent forms it
-    g = model.conj().T @ beam_from_phases(cb.values[np.asarray(idx)])
+    g = model.conj() @ beam_from_phases(cb.values[np.asarray(idx)])
     return float(np.real(np.vdot(g, g)))
 
 
@@ -129,7 +129,7 @@ def test_walk_drawn_in_pieces_equals_the_walk_drawn_at_once():
 def test_coordinate_ascent_single_antenna_returns_init():
     # the beam power of a single element is phase-invariant
     cb = PhaseCodebook(bits=2)
-    model = np.array([[np.exp(0.3j)]])
+    model = np.array([np.exp(0.3j)])
     idx, cycles, _ = coordinate_ascent(model, np.array([1]), cb)
     assert idx[0] == 1
     assert cycles == 1
@@ -138,8 +138,7 @@ def test_coordinate_ascent_single_antenna_returns_init():
 def test_coordinate_ascent_aligns_equal_phase_channel():
     M = 6
     cb = PhaseCodebook(bits=2)
-    h = np.full(M, np.exp(0.0j))
-    model = h[:, None]
+    model = np.full(M, np.exp(0.0j))
     rng = np.random.default_rng(3)
     init = rng.integers(0, 4, M)
     idx, _, _ = coordinate_ascent(model, init, cb)
@@ -152,8 +151,7 @@ def test_coordinate_ascent_monotone_and_near_exhaustive():
     M = 4
     hits = 0
     for trial in range(25):
-        q = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        model = q[:, None]
+        model = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         init = rng.integers(0, 2, M)
         p0 = predicted(model, init, cb)
         idx, cycles, p = coordinate_ascent(model, init, cb)
@@ -174,8 +172,7 @@ def test_exploit_with_perfect_critic_near_exhaustive_optimum():
     cfg, H = None, None
     for trial in range(5):
         cfg, H = small_scene(M, seed=20 + trial)
-        h = H.coeffs[:, 0]
-        model = h[:, None]
+        h = model = H.coeffs[:, 0]
         best = max(
             abs(np.vdot(beam_from_phases(cb.values[np.array(ix)]), h)) ** 2
             for ix in np.ndindex(*(cb.size,) * M)
@@ -190,7 +187,7 @@ def test_exploit_critic_never_decreases_prediction():
     rng = np.random.default_rng(5)
     cb = PhaseCodebook(bits=2)
     M = 5
-    model = rng.standard_normal((M, 2)) + 1j * rng.standard_normal((M, 2))
+    model = rng.standard_normal(M) + 1j * rng.standard_normal(M)
     for seed in range(10):
         init = np.random.default_rng(seed).integers(0, 4, M)
         out, _, _ = coordinate_ascent(model, init, cb)
@@ -213,7 +210,6 @@ def refit_scene():
         exploit_start=20,
         critic_refit_period=10,
         learner_seed=4,
-        critic_rank=2,
         train_iters=50,
     )
     return cfg, H, PhaseCodebook(bits=2), ec
@@ -237,7 +233,6 @@ def test_learn_phases_reaches_exhaustive_optimum_m2():
         critic_refit_period=5,
         perturb_count=1,
         learner_seed=0,
-        critic_rank=1,
         train_iters=200,
     )
     theta, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
@@ -254,7 +249,6 @@ def test_learn_phases_history_monotone_best():
         exploit_start=15,
         critic_refit_period=10,
         learner_seed=1,
-        critic_rank=2,
         train_iters=100,
     )
     theta, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
@@ -270,7 +264,6 @@ def test_learn_phases_deterministic_callback_order():
         exploit_start=20,
         critic_refit_period=10,
         learner_seed=9,
-        critic_rank=2,
         train_iters=50,
     )
 
@@ -344,17 +337,17 @@ def test_learn_phases_keeps_one_loss_trace_per_exploit():
 
 def test_learn_phases_warm_starts_each_refit(monkeypatch):
     # only the first fit of a run draws a random critic; each refit starts
-    # from the matrix the previous fit returned, on a buffer that extends
+    # from the vector the previous fit returned, on a buffer that extends
     # the previous one
     cfg, H, cb, ec = refit_scene()
     real_init, real_train = phase_learning.initialize_critic, phase_learning.train_critic
-    # seeds passed to the init; (starting matrix, beams, fitted matrix) per
+    # seeds passed to the init; (starting vector, beams, fitted vector) per
     # step, the init recorded as a step with no input
     inits, fits = [], []
 
-    def init(rank, beams, powers, seed=0):
+    def init(beams, powers, seed=0):
         inits.append(seed)
-        fits.append((None, None, real_init(rank, beams, powers, seed=seed)))
+        fits.append((None, None, real_init(beams, powers, seed=seed)))
         return fits[-1][2]
 
     def train(q, beams, powers, max_iters):
@@ -375,6 +368,7 @@ def test_learn_phases_warm_starts_each_refit(monkeypatch):
                 assert np.array_equal(beams[: len(prev_beams)], prev_beams)
                 assert len(beams) > len(prev_beams)
         assert history.final_model is fits[-1][2]
+        assert history.final_model.shape == (cfg.num_antennas,)
 
 
 def test_learn_phases_stops_at_a_confirmed_refit_exploit():
@@ -457,7 +451,6 @@ def test_learn_phases_fits_negative_readings_as_zero():
         exploit_start=20,
         critic_refit_period=10,
         learner_seed=4,
-        critic_rank=2,
         train_iters=50,
     )
     _, plain = learn_phases(center_measure(H, cfg), cfg, cb, ec)
@@ -482,7 +475,6 @@ def test_history_csv_export(tmp_path):
         exploit_start=8,
         critic_refit_period=4,
         learner_seed=2,
-        critic_rank=1,
         train_iters=20,
     )
     _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
@@ -509,7 +501,6 @@ def test_history_csv_rows_equal_the_per_row_loop(tmp_path, bits):
         exploit_start=8,
         critic_refit_period=4,
         learner_seed=2,
-        critic_rank=1,
         train_iters=20,
     )
     _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
@@ -530,7 +521,6 @@ def test_history_logs_the_measured_indices():
         exploit_start=20,
         critic_refit_period=10,
         learner_seed=3,
-        critic_rank=2,
         train_iters=20,
     )
     calls = []

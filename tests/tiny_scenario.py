@@ -14,7 +14,6 @@ def tiny_config(**kw):
         total_measurements=60,
         exploit_start=30,
         critic_refit_period=15,
-        critic_rank=2,
         train_iters=150,
         ax_points=3,
         ay_points=5,
