@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelMatrix, SystemConfig
-from .combiner import CombinerConfig, quantize_phase, recompensate_phases, wrap_angle
+from .combiner import CombinerConfig, quantize_phase, recompensate_phases
 from .delay_search import delays_from_ddf, subarray_deltas
 from .geometry import ArrayGeometry, UePosition, distance_difference
 from .sim import center_bin
@@ -21,7 +21,7 @@ def ps_only_oracle(H: ChannelMatrix, cfg: SystemConfig, cb) -> CombinerConfig:
     """Conjugate beamforming at the bin nearest f_c, quantized; zero delays."""
     k = center_bin(H.freqs_hz, cfg.center_freq_hz)
     phases = np.angle(H.coeffs[:, k])
-    theta = wrap_angle(phases) if cb is None else quantize_phase(phases, cb)
+    theta = phases if cb is None else quantize_phase(phases, cb)
     return CombinerConfig(theta=theta, tau=np.zeros(cfg.num_td_units))
 
 

@@ -106,10 +106,10 @@ def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Pat
 
     With oracle=True the learning stage is bypassed: phases come from the
     conjugate center-frequency oracle and delays from the true-geometry
-    phase-delay focusing oracle (fast acceptance path).
+    phase-delay focusing oracle (fast acceptance path). Every design is
+    computed before the directory and the files are made, so a failed run
+    writes nothing.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ue = build_ue(ec)
     # the channel and the zero-delay phases are independent of the TD-unit
     # count, so both are built once for the whole sweep
@@ -119,7 +119,7 @@ def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Pat
     else:
         theta_star, _ = learn_pipeline(ec, H, base_cfg, cb)
 
-    written = []
+    profiles = []
     summary_rows = []
     for n in ec.n_sweep:
         cfg_n = build_system(ec, num_td_units=n)
@@ -133,15 +133,19 @@ def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Pat
             cc = CombinerConfig(theta=result.theta, tau=result.tau)
 
         gp = gain_profile(cc, H, cfg_n)
-        path = out / f"profile_N{n}.csv"
-        write_gain_csv(gp, path, header_comment=stamp_lines(ec, command="profile", n=n))
-        written.append(path)
-
+        profiles.append(gp)
         amp = float(np.mean(np.sqrt(gp.per_subcarrier)))  # avg_amplitude_gain of cc
         amp_pdf = amp if cc is pdf_cc else avg_amplitude_gain(pdf_cc, H, cfg_n)
         gap_db = 20.0 * np.log10(amp / amp_pdf) if amp > 0 and amp_pdf > 0 else float("nan")
         summary_rows.append((n, three_db_bandwidth(gp, cfg_n), amp, gap_db))
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for n, gp in zip(ec.n_sweep, profiles):
+        path = out / f"profile_N{n}.csv"
+        write_gain_csv(gp, path, header_comment=stamp_lines(ec, command="profile", n=n))
+        written.append(path)
     summary = out / "summary.csv"
     with write_atomic(summary) as fh:
         fh.write(stamp_lines(ec, command="profile", oracle=oracle))
@@ -168,14 +172,14 @@ def run_heatmap(
     written.
     """
     names = _heatmap_names(label, freqs_hz)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     geom = build_geometry(ec)
     xs, ys = _heatmap_axes(ec)
     freqs = np.asarray(freqs_hz, dtype=float)
     rho = freqs / ec.center_freq_hz if ec.rho_mode == "flat_amplitude" else 1.0
     w = np.array([effective_combiner(cc, cfg, f) for f in freqs])
     maps = gain_map(geom, w, freqs, xs, ys, rho_factor=rho)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     written = []
     for f, name, gains in zip(freqs, names, maps):
         path = out / name
@@ -201,14 +205,20 @@ def _heatmap_names(label: str, freqs_hz) -> list[str]:
     return names
 
 
-def _load_combiner_arg(path, cb) -> CombinerConfig:
-    """The --combiner file's configuration; a bad file or other ps_bits is a config error."""
+def _load_combiner_arg(path, cb, cfg: SystemConfig) -> CombinerConfig:
+    """The --combiner file; one that fails to load or does not fit cb and cfg is a config error."""
     try:
         cc, file_cb = load_combiner(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"--combiner: {exc}") from exc
     if file_cb != cb:
         raise ConfigError(f"combiner file has ps_bits {file_cb.bits}, system.ps_bits is {cb.bits}")
+    if cc.theta.size != cfg.num_antennas or cc.tau.size != cfg.num_td_units:
+        raise ConfigError("combiner file does not match system.M/system.N")
+    # delays are stored to 1e-18 s, so a delay clipped to tau_max may read
+    # back above it; one full step leaves room for float rounding
+    if np.any(cc.tau > cfg.tau_max_s + 1e-18):
+        raise ConfigError(f"combiner file delays exceed system.tau_max_s = {cfg.tau_max_s:.6g}")
     return cc
 
 
@@ -234,13 +244,7 @@ def _cmd_heatmap(ec: ExperimentConfig, args) -> list[Path]:
     _heatmap_names(label, freqs)  # fails before any combiner work
 
     if args.combiner:
-        cc = _load_combiner_arg(args.combiner, cb)
-        if cc.theta.size != cfg.num_antennas or cc.tau.size != cfg.num_td_units:
-            raise ConfigError("combiner file does not match system.M/system.N")
-        # delays are stored to 1e-18 s, so a delay clipped to tau_max may
-        # read back above it; one full step leaves room for float rounding
-        if np.any(cc.tau > cfg.tau_max_s + 1e-18):
-            raise ConfigError(f"combiner file delays exceed system.tau_max_s = {cfg.tau_max_s:.6g}")
+        cc = _load_combiner_arg(args.combiner, cb, cfg)
     elif args.source == "ps-oracle":
         cc = ps_only_oracle(H, cfg, cb)
     elif args.source == "pdf-oracle":
@@ -261,20 +265,14 @@ def _cmd_learn(ec: ExperimentConfig, args) -> list[Path]:
     write_history_csv(history, cb, out / "history.csv", stamp)
     cc = CombinerConfig(theta=theta, tau=np.zeros(cfg.num_td_units))
     save_combiner(cc, cb, out / "combiner_learned.txt", header_comment=stamp)
-    written = [out / "history.csv", out / "combiner_learned.txt"]
-    if history.final_model is not None:
-        save_critic(history.final_model, out / "critic.txt", header_comment=stamp)
-        written.append(out / "critic.txt")
-    return written
+    save_critic(history.final_model, out / "critic.txt", header_comment=stamp)
+    return [out / "history.csv", out / "combiner_learned.txt", out / "critic.txt"]
 
 
 def _cmd_search_delays(ec: ExperimentConfig, args) -> list[Path]:
     geom, cb, cfg, H = _scenario(ec)
     if args.combiner:
-        cc_in = _load_combiner_arg(args.combiner, cb)
-        if cc_in.theta.size != cfg.num_antennas:
-            raise ConfigError("combiner file does not match system.M")
-        theta_star = cc_in.theta
+        theta_star = _load_combiner_arg(args.combiner, cb, cfg).theta
     else:
         theta_star = ps_only_oracle(H, cfg, cb).theta
     result = search_pipeline(ec, theta_star, geom, H, cfg, cb)
@@ -352,7 +350,3 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -108,8 +108,8 @@ class CombinerConfig:
     leading batch dims; a stack holds one configuration per batch index.
     Phases are wrapped to (-pi, pi] at construction; delays are seconds and
     must be nonnegative. The upper bound system.tau_max_s is not checked
-    here: the delay search and the oracles clip to it, and `heatmap
-    --combiner` rejects a file that exceeds it.
+    here: the delay search and the oracles clip to it, and the CLI rejects
+    a `--combiner` file that exceeds it.
     """
 
     theta: np.ndarray

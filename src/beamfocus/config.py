@@ -58,7 +58,7 @@ class ExperimentConfig:
     ue_x_m: float = _key("ue.x_m", 2.0)
     ue_y_m: float = _key("ue.y_m", -2.0)
     rho_mode: str = _key("channel.rho", "unit", choices=("unit", "flat_amplitude"))
-    total_measurements: int = _key("learner.total_measurements", 5000, least=1)
+    total_measurements: int = _key("learner.total_measurements", 5000, least=2)
     perturb_count: int | None = _key("learner.perturb_count", None, least=0)  # auto: M // 4
     critic_refit_period: int = _key("learner.critic_refit_period", 1000, least=1)
     exploit_start: int = _key("learner.exploit_start", 2000, least=1)

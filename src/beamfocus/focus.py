@@ -27,6 +27,10 @@ from .geometry import SPEED_OF_LIGHT, ArrayGeometry, point_distances
 MIN_RANGE_M = 0.3
 # cap on the exact compass rounds after the coarse pass
 MAX_EXACT_ROUNDS = 40
+# cap on the entries of each coarse-pass table, the (nv, M) and (M, nu)
+# phasors and the (nv, nu) scores; it admits M = 2,048 at the default
+# aperture (10.7M scores)
+MAX_GRID_ENTRIES = 2**25
 
 
 def _ramp(phase0, phase_step, count: int) -> np.ndarray:
@@ -76,7 +80,9 @@ def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[flo
     with steps of at most lambda/D and lambda/D^2, for aperture D; its one
     product peaks near 60 MB at M = 1,024 with D = (M - 1) lambda/2. The
     exact stage stays inside that box, with v at least 1/64 of its step:
-    ranges up to about 32 D^2 / lambda.
+    ranges up to about 32 D^2 / lambda. A grid with a table of more than
+    MAX_GRID_ENTRIES entries is not scored; the result is then no focus,
+    (nan, nan, 0.0).
     """
     theta = np.asarray(theta, dtype=float)
     lam = SPEED_OF_LIGHT / center_freq_hz
@@ -87,6 +93,9 @@ def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[flo
     v_max = 0.5 / MIN_RANGE_M
     nv = int(np.ceil(v_max * geom.aperture**2 / lam))
     dv = v_max / nv
+    M = geom.num_antennas
+    if max(nv * nu, nv * M, M * nu) > MAX_GRID_ENTRIES:
+        return float("nan"), float("nan"), 0.0
     u_lo, v_lo = -1.0 + 0.5 * du, dv / 64.0
     u, v = _fresnel_peak(np.exp(-1j * theta), k, y, u_lo, du, nu, dv, dv, nv)
 

@@ -106,7 +106,7 @@ class LearnHistory:
     measured_powers: np.ndarray
     best_powers: np.ndarray
     indices: np.ndarray  # (n, M) uint8 codebook indices
-    final_model: np.ndarray | None  # the last fit's (M,) critic
+    final_model: np.ndarray  # the last fit's (M,) critic
     exploit_events: list  # (measurement index, ascent cycles, measured power)
     critic_loss_traces: list  # one train_critic loss trace per exploit event
 
@@ -135,8 +135,12 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     initialize_critic seeded with learner_seed, each refit from the
     previous fit's vector (the buffer only grows). Deterministic per
     learner_seed, including the beams and order of every callback
-    invocation.
+    invocation. total_measurements must be at least 2 and at least
+    exploit_start, as config.validate requires (else ValueError), so every
+    run ends at a fit and the history holds its critic.
     """
+    if ec.total_measurements < 2 or ec.exploit_start > ec.total_measurements:
+        raise ValueError("learner: total_measurements < 2 or exploit_start > total_measurements")
     M = cfg.num_antennas
     rng = np.random.default_rng(ec.learner_seed)
     values = cb.values
@@ -149,23 +153,22 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     p_end = min(p0, max(1, M // 16))
 
     def scheduled_count(t: np.ndarray) -> np.ndarray:
-        if total <= 1 or p0 == 0:
+        if p0 == 0:
             return np.full(t.shape, p0)
         frac = (t - 1) / (total - 1)
         return np.maximum(1, np.rint(p0 + (p_end - p0) * frac).astype(int))
 
-    def refit_due(t: int) -> bool:
-        return t >= ec.exploit_start and (
-            t % ec.critic_refit_period == 0 or t == ec.exploit_start or t == total
-        )
-
-    # the walk stops at each refit point and at the end of the budget
-    stops = [t for t in range(2, total + 1) if refit_due(t) or t == total]
+    # the walk stops at each refit point, the end of the budget among them
+    stops = [
+        t
+        for t in range(max(2, ec.exploit_start), total + 1)
+        if t % ec.critic_refit_period == 0 or t in (ec.exploit_start, total)
+    ]
 
     # the measurement log and, beside it, the critic's training buffer of
     # the logged beams, each allocated once and filled as beams are measured
     phasors = _phasors(cb, M)
-    log = np.empty((total + sum(map(refit_due, stops)), M), np.uint8)
+    log = np.empty((total + len(stops), M), np.uint8)
     beams = np.empty(log.shape, complex)
     powers = np.empty(len(log))
     n = 0
@@ -194,25 +197,24 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
             take(rows)
             current = rows[-1]
         walked = stop
-        if refit_due(stop):
-            # the critic is consumed only by exploitation, so fitting is
-            # deferred until then; refits start from the previous fit
-            clipped = np.maximum(powers[:n], 0.0)
-            refit = model is not None
-            if not refit:
-                model = initialize_critic(beams[:n], clipped, seed=ec.learner_seed)
-            model, trace = train_critic(model, beams[:n], clipped, ec.train_iters)
-            loss_traces.append(trace)
+        # the critic is consumed only by exploitation, so fitting is
+        # deferred until then; refits start from the previous fit
+        clipped = np.maximum(powers[:n], 0.0)
+        refit = model is not None
+        if not refit:
+            model = initialize_critic(beams[:n], clipped, seed=ec.learner_seed)
+        model, trace = train_critic(model, beams[:n], clipped, ec.train_iters)
+        loss_traces.append(trace)
 
-            best = int(np.argmax(powers[:n]))  # the earliest of equal maxima
-            current, cycles, prediction = coordinate_ascent(model, log[best], cb)
-            take(current[None])
-            exploit_events.append((n, cycles, float(powers[n - 1])))
-            # a refit that met its RMS target and whose exploit measures what
-            # it predicted has nothing left to learn from more walking
-            converged = trace[-1] <= (RMS_TOL * float(np.mean(clipped))) ** 2
-            if refit and converged and abs(powers[n - 1] - prediction) <= RMS_TOL * prediction:
-                break
+        best = int(np.argmax(powers[:n]))  # the earliest of equal maxima
+        current, cycles, prediction = coordinate_ascent(model, log[best], cb)
+        take(current[None])
+        exploit_events.append((n, cycles, float(powers[n - 1])))
+        # a refit that met its RMS target and whose exploit measures what it
+        # predicted has nothing left to learn from more walking
+        converged = trace[-1] <= (RMS_TOL * float(np.mean(clipped))) ** 2
+        if refit and converged and abs(powers[n - 1] - prediction) <= RMS_TOL * prediction:
+            break
 
     log, powers = log[:n], powers[:n]
     history = LearnHistory(

@@ -161,8 +161,14 @@ def make_profile_measure(ec: ExperimentConfig, H: ChannelMatrix, cfg: SystemConf
 
 
 def center_bin(freqs_hz: np.ndarray, center_freq_hz: float) -> int:
-    """Index of the subcarrier bin nearest the given frequency."""
-    return int(np.argmin(np.abs(np.asarray(freqs_hz) - center_freq_hz)))
+    """Index of the subcarrier bin nearest the given frequency.
+
+    Of two bins that tie to within 8 ulps of the frequency, the first is
+    taken: rounding in the bin grid cannot then make f_c and the band
+    midpoint of an even grid pick different bins.
+    """
+    dist = np.abs(np.asarray(freqs_hz) - center_freq_hz)
+    return int(np.argmax(dist <= dist.min() + 8 * np.spacing(abs(center_freq_hz))))
 
 
 def three_db_bandwidth(gp: GainProfile, cfg: SystemConfig) -> float:

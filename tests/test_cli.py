@@ -104,6 +104,34 @@ def test_run_profile_learned_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch):
+    # the last search of the sweep fails after N = 0 and N = 4 are done
+    calls = []
+    search = cli.search_pipeline
+
+    def failing_search(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("search failed")
+        return search(*args)
+
+    monkeypatch.setattr(cli, "search_pipeline", failing_search)
+    out = tmp_path / "profile"
+    with pytest.raises(RuntimeError, match="search failed"):
+        run_profile(tiny_config(n_sweep=(0, 4, 8)), out)
+    assert len(calls) == 2 and not out.exists()
+
+    def failing_map(*args, **kwargs):
+        raise RuntimeError("map failed")
+
+    monkeypatch.setattr(cli, "gain_map", failing_map)
+    ec = tiny_config()
+    cc = CombinerConfig(theta=np.zeros(16), tau=np.zeros(4))
+    with pytest.raises(RuntimeError, match="map failed"):
+        run_heatmap(ec, tmp_path / "maps", cc, build_system(ec), [1e11])
+    assert not (tmp_path / "maps").exists()
+
+
 def test_run_heatmap_computes_each_block_distances_once(tmp_path, monkeypatch):
     ec = tiny_config()
     geom = build_geometry(ec)
@@ -414,9 +442,13 @@ def test_cli_combiner_file_must_match_system_m(tmp_path, capsys):
     # phases saved at 4 bits under a 3-bit system.ps_bits
     four_bit = tmp_path / "combiner_4bit.txt"
     save_combiner(CombinerConfig(theta=np.zeros(16), tau=np.zeros(4)), PhaseCodebook(4), four_bit)
+    # eight TD units under system.N = 4
+    n8 = tmp_path / "combiner_n8.txt"
+    save_combiner(CombinerConfig(theta=np.zeros(16), tau=np.zeros(8)), PhaseCodebook(3), n8)
     heatmap = ["heatmap", "--freqs", "1e11"]
     cases = [(["search-delays"], eight), (heatmap, eight), (heatmap, slow)]
     cases += [(["search-delays"], four_bit), (heatmap, four_bit)]
+    cases += [(["search-delays"], slow), (["search-delays"], n8), (heatmap, n8)]
     for cmd, path in cases:
         out = tmp_path / cmd[0]
         argv = ["--config", str(cfg_path), "--out", str(out), *cmd, "--combiner", str(path)]
@@ -522,6 +554,11 @@ def test_cli_rejects_negative_noise_power(tmp_path, capsys):
 def test_cli_rejects_learner_range_errors(tmp_path, capsys):
     for line, key in (
         ("learner.total_measurements = 0", "learner.total_measurements: "),
+        # one beam, no fit and so no critic.txt to write
+        (
+            "learner.total_measurements = 1\nlearner.exploit_start = 1",
+            "learner.total_measurements: must be at least 2, not 1",
+        ),
         ("learner.exploit_start = 31", "learner.exploit_start: "),  # the budget is 30
         ("learner.critic_refit_period = 0", "learner.critic_refit_period: "),
         ("learner.perturb_count = -1", "learner.perturb_count: "),
@@ -641,6 +678,16 @@ def test_noisy_callbacks_draw_through_sim_measure_power(monkeypatch):
     profile = cli.make_profile_measure(ec, H_dec, cfg)(cc)
     assert center.shape == (3,) and profile.shape == (2, H_dec.num_subcarriers)
     assert shapes == [(3,), (2, H_dec.num_subcarriers)]
+
+
+def test_cli_profile_on_an_aperture_too_wide_to_locate(tmp_path):
+    # the focus locator's coarse grid would hold 66,713 x 5,559,402 points:
+    # the searches take the fallback instead
+    cfg_path = write_m16_config(tmp_path / "exp.cfg", "geometry.aperture_m = 100.0")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), "profile"]) == 0
+    names = {"profile_N0.csv", "profile_N8.csv", "profile_N16.csv", "summary.csv"}
+    assert {p.name for p in out.iterdir()} == names
 
 
 def test_cli_noisy_profile_reproduces(tmp_path):
@@ -787,6 +834,7 @@ SYSTEM_GEOMETRY_UE_KEYS = {
 @example({"system.N": "3"})
 @example({"system.K": "1", "system.bandwidth_hz": "0"})
 @example({"system.K": "1", "system.bandwidth_hz": "1e9"})
+@example({"geometry.aperture_m": "100.0"})
 def test_every_accepted_system_config_runs_every_command(keys):
     lines = [*M16_KEYS, "profile.n_sweep = 0", *(f"{k} = {v}" for k, v in keys.items())]
     text = "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ from beamfocus.config import (
     build_geometry,
     build_system,
 )
+from beamfocus import focus
 from beamfocus.focus import coherence, locate_focus
 from beam_model import conjugate_phases
 
@@ -61,3 +62,24 @@ def test_coherence_is_one_at_the_source_only(reference):
     assert got[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert got[0, 1] < 0.5 and got[1, 0] < 0.5
     assert got[1, 1] == got[0, 0]
+
+
+class Scored(Exception):
+    """Raised in place of scoring the coarse grid."""
+
+
+def test_a_grid_past_the_bound_is_not_built(monkeypatch):
+    def spy(*args):
+        raise Scored
+
+    monkeypatch.setattr(focus, "_fresnel_peak", spy)
+    # a 100 m aperture of 16 elements: a 66,713 x 5,559,402 grid of 5.4 TiB
+    ec = ExperimentConfig(num_antennas=16, aperture_m=100.0)
+    geom = build_geometry(ec)
+    theta = conjugate_phases(geom, ec.center_freq_hz, (2.0, -2.0))
+    x, y, fit = locate_focus(theta, geom, ec.center_freq_hz)
+    assert np.isnan(x) and np.isnan(y) and fit == 0.0
+    # the bound still admits M = 2,048 at the default aperture
+    ec = ExperimentConfig(num_antennas=2048)
+    with pytest.raises(Scored):
+        locate_focus(np.zeros(2048), build_geometry(ec), ec.center_freq_hz)

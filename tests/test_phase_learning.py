@@ -56,6 +56,23 @@ def test_learner_options_validation():
         with pytest.raises(ConfigError, match=rf"^learner\.{key}: "):
             parse_config_text(text + "\n")
     parse_config_text("learner.perturb_count = 0\n")  # degenerate stationary probe is allowed
+    # one measurement leaves nothing to fit the critic to
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("learner.total_measurements = 1\nlearner.exploit_start = 1\n")
+    assert str(err.value) == "learner.total_measurements: must be at least 2, not 1"
+
+
+@pytest.mark.parametrize("total, start", [(1, 1), (10, 11)])
+def test_learn_phases_rejects_a_budget_that_ends_before_a_fit(total, start):
+    # the unvalidated config a library caller can build: no beam is measured
+    cfg, _ = small_scene(2, seed=1)
+    ec = ExperimentConfig(total_measurements=total, exploit_start=start)
+
+    def measure(phases):
+        raise AssertionError("measured a beam")
+
+    with pytest.raises(ValueError, match="total_measurements"):
+        learn_phases(measure, cfg, PhaseCodebook(bits=1), ec)
 
 
 class ForcedDraws:

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from beamfocus.channel import ChannelMatrix, SystemConfig, near_field_channel
+from beamfocus.channel import (
+    ChannelMatrix,
+    SystemConfig,
+    near_field_channel,
+    subcarrier_frequencies,
+)
 from beamfocus.combiner import CombinerConfig, PhaseCodebook, effective_combiner
 from beamfocus.config import (
     ExperimentConfig,
@@ -527,3 +532,19 @@ def test_center_bin_even_grid_tie():
     cfg = make_cfg(2, 1, K=4)
     freqs = subcarrier_frequencies(cfg)
     assert center_bin(freqs, cfg.center_freq_hz) in (1, 2)
+
+
+def test_center_bin_picks_one_bin_for_f_c_and_the_band_midpoint():
+    # on an even grid f_c and the band midpoint tie between the two middle
+    # bins; float rounding broke the tie both ways before
+    def bins(K, fc, B):
+        freqs = subcarrier_frequencies(make_cfg(2, 1, K=K, fc=fc, B=B))
+        return center_bin(freqs, fc), center_bin(freqs, 0.5 * (freqs[0] + freqs[-1]))
+
+    assert bins(4328, 14209318626.224792, 8911523795.329802) == (2163, 2163)
+    assert bins(2048, 100e9, 10e9) == (1023, 1023)  # the reference grid
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        K, fc = int(rng.integers(2, 5000)), 10 ** rng.uniform(8, 12)
+        c, mid = bins(K, fc, rng.uniform(0.0, 1.9) * fc)
+        assert c == mid == (K - 1) // 2  # the lower of two middle bins
