@@ -3,6 +3,10 @@
 Builds the M x K matrix of spherical-wave channel coefficients over the
 subcarrier grid: entry (m, k) has magnitude rho_k * lambda_k / (4 pi d_m)
 and phase -2 pi d_m / lambda_k, where d_m is the element-to-user distance.
+`near_field_channel` takes the phasors from a frequency recurrence on the
+uniform grid: per antenna, FREQ_BLOCK fine and ceil(K / FREQ_BLOCK) coarse
+exponentials (96 at K = 2048, not 2048) whose products give every bin,
+within 2e-12 relative of a long-double evaluation of the formula.
 `gain_map` evaluates the same spherical wave at every point of a position
 grid for the heatmaps, with phasors from a root-of-unity table
 (`unit_phasors`), within 2e-15 of the complex exponential.
@@ -106,6 +110,11 @@ def subcarrier_frequencies(cfg: SystemConfig) -> np.ndarray:
     )
 
 
+# subcarriers per block of the frequency recurrence: each antenna takes
+# FREQ_BLOCK fine and ceil(K / FREQ_BLOCK) coarse complex exponentials
+FREQ_BLOCK = 64
+
+
 def near_field_channel(
     geom: ArrayGeometry,
     ue: UePosition,
@@ -115,31 +124,39 @@ def near_field_channel(
     """Synthesize the spherical-wave channel for every element and subcarrier.
 
     `rho` optionally overrides the per-subcarrier gain factor (length K,
-    positive); it defaults to all ones. Deterministic.
+    finite and positive); it defaults to all ones. Deterministic.
+
+    The grid is uniform, f_k = f_0 + k s, so bin k = L a + b (b < L =
+    FREQ_BLOCK) has the phasor exp(-2 pi j d f_k / c) = fine[b] coarse[a],
+    with fine[b] = exp(-2 pi j d f_b / c) and coarse[a] = exp(-2 pi j d a L s
+    / c), each table entry its own exponential. One broadcast product fills
+    the (M, K) array, which is then scaled in place.
     """
     if geom.num_antennas != cfg.num_antennas:
         raise ValueError("geometry and config disagree on antenna count")
     freqs = subcarrier_frequencies(cfg)
+    K = freqs.size
     if rho is None:
-        rho = np.ones(cfg.num_subcarriers)
+        rho = np.ones(K)
     else:
         rho = np.asarray(rho, dtype=float)
         if rho.shape != freqs.shape:
             raise ValueError("rho must have one entry per subcarrier")
-        if np.any(rho <= 0.0):
-            raise ValueError("rho entries must be positive")
-    coeffs = spherical_wave(distances(geom, ue)[:, None], freqs, rho)
+        if not np.all(np.isfinite(rho) & (rho > 0.0)):
+            raise ValueError("rho entries must be finite and positive")
+    d = distances(geom, ue)[:, None]
+    L = min(FREQ_BLOCK, K)
+    blocks = K // L
+    turn = (-2j * np.pi / SPEED_OF_LIGHT) * d
+    fine = np.exp(turn * freqs[:L])
+    offsets = np.arange(-(-K // L)) * (L * cfg.bandwidth_hz / K)
+    coarse = np.exp(turn * offsets) / (4.0 * np.pi * d)
+    coeffs = np.empty((d.size, K), dtype=complex)
+    body = coeffs[:, : blocks * L].reshape(d.size, blocks, L)
+    np.multiply(coarse[:, :blocks, None], fine[:, None, :], out=body)
+    np.multiply(coarse[:, blocks:], fine[:, : K - blocks * L], out=coeffs[:, blocks * L :])
+    coeffs *= rho * (SPEED_OF_LIGHT / freqs)
     return ChannelMatrix(coeffs=coeffs, freqs_hz=freqs)
-
-
-def spherical_wave(d, freqs_hz, rho):
-    """Coefficients (rho lambda / (4 pi d)) exp(-2 pi j d / lambda).
-
-    `d` (distances in meters), `freqs_hz` and `rho` broadcast against each
-    other; lambda = c / f.
-    """
-    lam = SPEED_OF_LIGHT / freqs_hz
-    return (rho * lam) / (4.0 * np.pi * d) * np.exp(-2j * np.pi * d / lam)
 
 
 # heatmap points evaluated per block, bounding the (points x M) temporaries
@@ -188,10 +205,10 @@ def gain_map(
     `freq_hz` and `rho_factor` broadcasting to (F,); the result then has
     shape (F, len(ys), len(xs)). The points are evaluated in blocks of
     GAIN_MAP_BLOCK, each block's distances once for every frequency, so
-    memory stays bounded at any grid size. h(q') has the magnitude and
-    phase of `spherical_wave`, its phasors from `unit_phasors`
-    instead of a complex exponential; the map stays within 1e-12 of its
-    peak of the `spherical_wave` one.
+    memory stays bounded at any grid size. h(q') has the magnitude
+    rho lambda / (4 pi d) and the phase -2 pi d / lambda of the channel, its
+    phasors from `unit_phasors` instead of a complex exponential; the map
+    stays within 1e-12 of its peak of the exact formula's.
     """
     gx, gy = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float))
     px, py = gx.ravel(), gy.ravel()

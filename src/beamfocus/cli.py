@@ -32,6 +32,7 @@ from .config import (
     build_system,
     build_ue,
     emit_config,
+    heatmap_shape,
     parse_config,
     stamp_lines,
     validate,
@@ -64,12 +65,9 @@ def decimate_channel(H: ChannelMatrix, target: int) -> ChannelMatrix:
 
 
 def _heatmap_axes(ec: ExperimentConfig):
-    def axis(lo, hi, res):
-        n = int(round((hi - lo) / res)) + 1
-        return np.linspace(lo, hi, max(n, 1))
-
-    xs = axis(ec.heatmap_x_min_m, ec.heatmap_x_max_m, ec.heatmap_resolution_m)
-    ys = axis(ec.heatmap_y_min_m, ec.heatmap_y_max_m, ec.heatmap_resolution_m)
+    nx, ny = heatmap_shape(ec)
+    xs = np.linspace(ec.heatmap_x_min_m, ec.heatmap_x_max_m, int(nx))
+    ys = np.linspace(ec.heatmap_y_min_m, ec.heatmap_y_max_m, int(ny))
     return xs, ys
 
 

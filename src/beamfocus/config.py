@@ -11,8 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import Field, dataclass, field, fields
 
+import numpy as np
+
 from .channel import SystemConfig, flat_amplitude_rho, near_field_channel
 from .combiner import PhaseCodebook
+from .focus import MAX_GRID_ENTRIES
 from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
@@ -137,6 +140,11 @@ def validate(ec: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("heatmap.x_max_m/y_max_m: extent must be nonempty")
     if not ec.heatmap_resolution_m > 0.0:
         raise ConfigError("heatmap.resolution_m: must be positive")
+    nx, ny = heatmap_shape(ec)
+    if nx * ny > MAX_GRID_ENTRIES:
+        raise ConfigError(
+            f"heatmap.resolution_m: a {nx:.6g} x {ny:.6g} grid exceeds {MAX_GRID_ENTRIES} points"
+        )
     if not ec.center_freq_hz > 0.0:
         raise ConfigError("system.center_freq_hz: must be positive")
     # build the objects whose own checks would otherwise fail at run time,
@@ -153,6 +161,22 @@ def validate(ec: ExperimentConfig) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     return ec
+
+
+def heatmap_shape(ec: ExperimentConfig) -> tuple:
+    """(x, y) point counts of the heatmap grid, as floats (inf past the float range).
+
+    Each axis spans its extent in steps of heatmap.resolution_m, rounded
+    to the nearest count (half to even), with at least one point.
+    """
+
+    def count(lo, hi):
+        return max(float(np.rint((hi - lo) / ec.heatmap_resolution_m)) + 1.0, 1.0)
+
+    return (
+        count(ec.heatmap_x_min_m, ec.heatmap_x_max_m),
+        count(ec.heatmap_y_min_m, ec.heatmap_y_max_m),
+    )
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

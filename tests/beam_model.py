@@ -1,4 +1,4 @@
-"""The beam model the tests share: one constant-modulus beam per phase row."""
+"""The beam model the tests share, and the spherical-wave reference formula."""
 
 import numpy as np
 
@@ -15,3 +15,13 @@ def conjugate_phases(geom, freq_hz, point, offset=0.7):
     """Continuous phases conjugating the spherical wave from `point`, plus a common phase."""
     lam = SPEED_OF_LIGHT / freq_hz
     return offset - 2.0 * np.pi * point_distances(geom, *point) / lam
+
+
+def spherical_wave(d, freqs_hz, rho):
+    """Coefficients (rho lambda / (4 pi d)) exp(-2 pi j d / lambda), one np.exp each.
+
+    `d` (distances in meters), `freqs_hz` and `rho` broadcast against each
+    other; lambda = c / f.
+    """
+    lam = SPEED_OF_LIGHT / freqs_hz
+    return (rho * lam) / (4.0 * np.pi * d) * np.exp(-2j * np.pi * d / lam)

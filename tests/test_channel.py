@@ -4,6 +4,7 @@ import pytest
 from beamfocus import channel
 from beamfocus.baselines import pdf_oracle
 from beamfocus.channel import (
+    FREQ_BLOCK,
     GAIN_MAP_BLOCK,
     PHASOR_TABLE,
     ChannelMatrix,
@@ -11,7 +12,6 @@ from beamfocus.channel import (
     flat_amplitude_rho,
     gain_map,
     near_field_channel,
-    spherical_wave,
     subcarrier_frequencies,
     unit_phasors,
 )
@@ -33,6 +33,7 @@ from beamfocus.geometry import (
     random_geometry,
 )
 from beamfocus.sim import center_bin, gain_profile
+from beam_model import spherical_wave
 from tiny_scenario import tiny_config
 
 
@@ -150,6 +151,69 @@ def test_channel_rho_override():
     assert np.allclose(H2.coeffs, H1.coeffs * rho[None, :], rtol=1e-14)
     with pytest.raises(ValueError):
         near_field_channel(g, UePosition(1.0, 0.0), cfg, rho=np.zeros(4))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            near_field_channel(g, UePosition(1.0, 0.0), cfg, rho=np.array([1.0, bad, 3.0, 4.0]))
+
+
+def reference_channel(rho_mode="unit"):
+    """(H, d, rho) of the reference scenario: M = 256, K = 2048."""
+    ec = ExperimentConfig(rho_mode=rho_mode)
+    geom = build_geometry(ec)
+    cfg = build_system(ec)
+    H = build_channel(ec, geom, cfg)
+    rho = flat_amplitude_rho(cfg) if rho_mode == "flat_amplitude" else np.ones(H.num_subcarriers)
+    return H, distances(geom, build_ue(ec)), rho
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than float64 here"
+)
+def test_reference_channel_matches_a_long_double_evaluation():
+    H, d, _ = reference_channel()
+    d = d.astype(np.longdouble)[:, None]
+    lam = np.longdouble(SPEED_OF_LIGHT) / H.freqs_hz.astype(np.longdouble)
+    pi = np.arccos(np.longdouble(-1.0))
+    want = lam / (4 * pi * d) * np.exp(np.clongdouble(-2j) * pi * d / lam)
+    assert want.dtype == np.clongdouble
+    assert np.max(np.abs(H.coeffs - want) / np.abs(want)) <= 5e-12
+
+
+@pytest.mark.parametrize("rho_mode", ["unit", "flat_amplitude"])
+def test_reference_channel_matches_the_spherical_wave_formula(rho_mode):
+    H, d, rho = reference_channel(rho_mode)
+    want = spherical_wave(d[:, None], H.freqs_hz, rho)
+    assert np.max(np.abs(H.coeffs - want) / np.abs(want)) <= 1e-11
+
+
+@pytest.mark.parametrize("K", [1, 2, FREQ_BLOCK - 1, FREQ_BLOCK + 1, 2047, 2049])
+def test_channel_recurrence_fills_every_bin_of_one_contiguous_array(K):
+    cfg = make_cfg(M=8, N=2, K=K, B=0.0 if K == 1 else 10e9)
+    g = random_geometry(8, 0.5, seed=3)
+    ue = UePosition(2.0, -1.0)
+    H = near_field_channel(g, ue, cfg)
+    freqs = 100e9 - 0.5 * cfg.bandwidth_hz + (np.arange(K) + 0.5) * (cfg.bandwidth_hz / K)
+    assert np.array_equal(H.freqs_hz, freqs)
+    assert H.coeffs.dtype == complex and H.coeffs.flags.c_contiguous
+    assert np.shares_memory(H.coeffs, H.coeffs.reshape(2, 4, K))
+    want = spherical_wave(distances(g, ue)[:, None], freqs, 1.0)
+    assert np.max(np.abs(H.coeffs - want) / np.abs(want)) <= 1e-11
+
+
+def test_channel_takes_a_fine_and_a_coarse_table_of_exponentials(monkeypatch):
+    sizes = []
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    cfg = make_cfg(M=8, N=2, K=2049)
+    g = random_geometry(8, 0.5, seed=3)
+    monkeypatch.setattr(np, "exp", counted)
+    near_field_channel(g, UePosition(2.0, -1.0), cfg)
+    monkeypatch.undo()
+    assert sorted(sizes) == sorted([8 * FREQ_BLOCK, 8 * -(-2049 // FREQ_BLOCK)])
 
 
 def test_flat_amplitude_rho_flattens_magnitude():

@@ -350,6 +350,16 @@ def test_cli_heatmap_rejects_bad_freqs_before_building(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("resolution", ["1e-5", "1e-320"])
+def test_cli_heatmap_rejects_an_oversized_grid_before_building(
+    tmp_path, capsys, monkeypatch, resolution
+):
+    monkeypatch.setattr(cli, "build_geometry", None)  # building would raise TypeError
+    lines = ("system.K = 64", f"heatmap.resolution_m = {resolution}")
+    flags = ("--source", "pdf-oracle")
+    assert_rejected(tmp_path, capsys, "heatmap.resolution_m: ", lines, "heatmap", cmd_flags=flags)
+
+
 # K=1 has one bin for all three edge/center frequencies; at K=2 the center
 # bin ties to the lower edge
 @pytest.mark.parametrize("K, files", [(1, 1), (2, 2)])

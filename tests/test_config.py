@@ -10,11 +10,13 @@ from beamfocus.config import (
     build_system,
     build_ue,
     emit_config,
+    heatmap_shape,
     parse_config,
     parse_config_text,
     resolved_aperture,
     stamp_lines,
 )
+from beamfocus.focus import MAX_GRID_ENTRIES
 from beamfocus.geometry import SPEED_OF_LIGHT
 
 
@@ -162,3 +164,19 @@ def test_parse_rejects_geometry_and_user_that_cannot_be_built():
     ):
         with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.")):
             parse_config_text(M16 + line + "\n")
+
+
+def test_heatmap_grid_is_bounded_at_parse_time():
+    assert heatmap_shape(ExperimentConfig()) == (71.0, 161.0)  # 11,431 points
+    # 4096 x 8192 points at 1 m spacing is the bound itself
+    grid = "heatmap.resolution_m = 1.0\nheatmap.x_min_m = 1.0\nheatmap.x_max_m = 4096.0\n"
+    ec = parse_config_text(M16 + grid + "heatmap.y_min_m = 0.0\nheatmap.y_max_m = 8191.0\n")
+    assert heatmap_shape(ec) == (4096.0, 8192.0) and 4096 * 8192 == MAX_GRID_ENTRIES
+    # one row more, a fine resolution, and one whose counts overflow float64
+    for lines in (
+        grid + "heatmap.y_min_m = 0.0\nheatmap.y_max_m = 8192.0\n",
+        "heatmap.resolution_m = 1e-5\n",
+        "heatmap.resolution_m = 1e-320\n",
+    ):
+        with pytest.raises(ConfigError, match=r"^heatmap\.resolution_m: .* exceeds 33554432 points"):
+            parse_config_text(M16 + lines)
