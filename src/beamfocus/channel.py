@@ -1,13 +1,19 @@
 """Near-field wideband uplink channel synthesis.
 
 Builds the M x K matrix of spherical-wave channel coefficients over the
-subcarrier grid: entry (m, k) has magnitude rho_k * lambda_k / (4 pi d_m)
-and phase -2 pi d_m / lambda_k, where d_m is the element-to-user distance.
-`near_field_channel` takes the phasors from a frequency recurrence on the
-uniform grid: per antenna, FREQ_BLOCK fine and ceil(K / FREQ_BLOCK) coarse
-exponentials (96 at K = 2048, not 2048) whose products give every bin,
-within 2e-12 relative of a long-double evaluation of the formula.
-`gain_map` evaluates the same spherical wave at every point of a position
+subcarrier grid: entry (m, k) has magnitude lambda / (4 pi d_m) and phase
+-2 pi d_m / lambda_k, where d_m is the element-to-user distance and
+lambda_k = c / f_k. The amplitude rule lives here alone: the amplitude's
+lambda is lambda_k, or lambda_c = c / f_c on every bin when
+`SystemConfig.flat_amplitude` is set (`channel.rho = flat_amplitude`),
+which removes the 1/f amplitude roll across the band and leaves only the
+combiner's alignment to shape a gain profile.
+`near_field_channel(geom, ue, cfg)` takes the phasors from a frequency
+recurrence on the uniform grid: per antenna, FREQ_BLOCK fine and
+ceil(K / FREQ_BLOCK) coarse exponentials (96 at K = 2048, not 2048) whose
+products give every bin, within 2e-12 relative of a long-double evaluation
+of the formula. `gain_map(geom, cfg, w, freq_hz, xs, ys)` evaluates the same
+spherical wave, with the same amplitude rule, at every point of a position
 grid for the heatmaps, with phasors from a root-of-unity table
 (`unit_phasors`), within 2e-15 of the complex exponential.
 """
@@ -34,6 +40,8 @@ class SystemConfig:
     tau_max_s:       maximum delay a TD unit supports
     tx_power_w:      total transmit power, split evenly over subcarriers
     noise_power_w:   per-subcarrier receive noise power (0 = noiseless)
+    flat_amplitude:  amplitude lambda_c / (4 pi d) on every subcarrier, not
+                     lambda_k / (4 pi d) (`channel.rho = flat_amplitude`)
     """
 
     num_antennas: int
@@ -45,6 +53,7 @@ class SystemConfig:
     tau_max_s: float
     tx_power_w: float = 1.0
     noise_power_w: float = 0.0
+    flat_amplitude: bool = False
 
     def __post_init__(self):
         if self.num_antennas != self.num_td_units * self.ps_per_td:
@@ -110,40 +119,33 @@ def subcarrier_frequencies(cfg: SystemConfig) -> np.ndarray:
     )
 
 
+def _amplitude_wavelength(cfg: SystemConfig, freqs_hz):
+    """The lambda of the amplitude lambda / (4 pi d) at each of `freqs_hz`.
+
+    c / f, or c / f_c (a scalar) when cfg.flat_amplitude is set.
+    """
+    return SPEED_OF_LIGHT / (cfg.center_freq_hz if cfg.flat_amplitude else freqs_hz)
+
+
 # subcarriers per block of the frequency recurrence: each antenna takes
 # FREQ_BLOCK fine and ceil(K / FREQ_BLOCK) coarse complex exponentials
 FREQ_BLOCK = 64
 
 
-def near_field_channel(
-    geom: ArrayGeometry,
-    ue: UePosition,
-    cfg: SystemConfig,
-    rho=None,
-) -> ChannelMatrix:
+def near_field_channel(geom: ArrayGeometry, ue: UePosition, cfg: SystemConfig) -> ChannelMatrix:
     """Synthesize the spherical-wave channel for every element and subcarrier.
 
-    `rho` optionally overrides the per-subcarrier gain factor (length K,
-    finite and positive); it defaults to all ones. Deterministic.
-
-    The grid is uniform, f_k = f_0 + k s, so bin k = L a + b (b < L =
-    FREQ_BLOCK) has the phasor exp(-2 pi j d f_k / c) = fine[b] coarse[a],
-    with fine[b] = exp(-2 pi j d f_b / c) and coarse[a] = exp(-2 pi j d a L s
-    / c), each table entry its own exponential. One broadcast product fills
-    the (M, K) array, which is then scaled in place.
+    Deterministic. The grid is uniform, f_k = f_0 + k s, so bin k = L a + b
+    (b < L = FREQ_BLOCK) has the phasor exp(-2 pi j d f_k / c) = fine[b]
+    coarse[a], with fine[b] = exp(-2 pi j d f_b / c) and coarse[a] =
+    exp(-2 pi j d a L s / c), each table entry its own exponential. One
+    broadcast product fills the (M, K) array, which is then scaled in place
+    by the amplitude wavelength (`_amplitude_wavelength`).
     """
     if geom.num_antennas != cfg.num_antennas:
         raise ValueError("geometry and config disagree on antenna count")
     freqs = subcarrier_frequencies(cfg)
     K = freqs.size
-    if rho is None:
-        rho = np.ones(K)
-    else:
-        rho = np.asarray(rho, dtype=float)
-        if rho.shape != freqs.shape:
-            raise ValueError("rho must have one entry per subcarrier")
-        if not np.all(np.isfinite(rho) & (rho > 0.0)):
-            raise ValueError("rho entries must be finite and positive")
     d = distances(geom, ue)[:, None]
     L = min(FREQ_BLOCK, K)
     blocks = K // L
@@ -155,7 +157,7 @@ def near_field_channel(
     body = coeffs[:, : blocks * L].reshape(d.size, blocks, L)
     np.multiply(coarse[:, :blocks, None], fine[:, None, :], out=body)
     np.multiply(coarse[:, blocks:], fine[:, : K - blocks * L], out=coeffs[:, blocks * L :])
-    coeffs *= rho * (SPEED_OF_LIGHT / freqs)
+    coeffs *= _amplitude_wavelength(cfg, freqs)
     return ChannelMatrix(coeffs=coeffs, freqs_hz=freqs)
 
 
@@ -192,30 +194,31 @@ def unit_phasors(cycles):
 
 def gain_map(
     geom: ArrayGeometry,
+    cfg: SystemConfig,
     w: np.ndarray,
     freq_hz,
     xs: np.ndarray,
     ys: np.ndarray,
-    rho_factor=1.0,
 ) -> np.ndarray:
     """|w^H h(q')|^2 over a position grid, h(q') the spherical wave at each point.
 
     Returns shape (len(ys), len(xs)); rows follow ys, columns follow xs.
     `w` may stack one combining vector per frequency, shape (F, M), with
-    `freq_hz` and `rho_factor` broadcasting to (F,); the result then has
-    shape (F, len(ys), len(xs)). The points are evaluated in blocks of
+    `freq_hz` broadcasting to (F,); the result then has shape
+    (F, len(ys), len(xs)). The points are evaluated in blocks of
     GAIN_MAP_BLOCK, each block's distances once for every frequency, so
-    memory stays bounded at any grid size. h(q') has the magnitude
-    rho lambda / (4 pi d) and the phase -2 pi d / lambda of the channel, its
-    phasors from `unit_phasors` instead of a complex exponential; the map
-    stays within 1e-12 of its peak of the exact formula's.
+    memory stays bounded at any grid size. h(q') has the channel's
+    amplitude lambda / (4 pi d), lambda as `near_field_channel` takes it
+    from `cfg`, and the phase -2 pi d / lambda_f, its phasors from
+    `unit_phasors` instead of a complex exponential; the map stays within
+    1e-12 of its peak of the exact formula's.
     """
     gx, gy = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float))
     px, py = gx.ravel(), gy.ravel()
     w_conj = np.conj(w)
     batch = w_conj.shape[:-1]
-    lams = SPEED_OF_LIGHT / np.broadcast_to(freq_hz, batch)
-    rhos = np.broadcast_to(rho_factor, batch)
+    freqs = np.broadcast_to(freq_hz, batch)
+    lams = SPEED_OF_LIGHT / freqs
     vals = np.empty(batch + (px.size,))
     for start in range(0, px.size, GAIN_MAP_BLOCK):
         block = slice(start, start + GAIN_MAP_BLOCK)
@@ -223,18 +226,10 @@ def gain_map(
         inv_d = 1.0 / d
         for i in np.ndindex(batch):
             re, im = unit_phasors(d * (1.0 / lams[i]))
-            amp = (rhos[i] * lams[i] / (4.0 * np.pi)) * inv_d
+            amp = (_amplitude_wavelength(cfg, freqs[i]) / (4.0 * np.pi)) * inv_d
             re *= amp
             im *= amp
             u, v = w_conj[i].real, w_conj[i].imag
             vals[i + (block,)] = (re @ u - im @ v) ** 2 + (re @ v + im @ u) ** 2
     return vals.reshape(batch + gx.shape)
 
-
-def flat_amplitude_rho(cfg: SystemConfig) -> np.ndarray:
-    """rho_k = f_k / f_c, cancelling the lambda_k amplitude roll across the band.
-
-    Useful when a study should isolate combiner alignment from the physical
-    1/f amplitude slope that no combiner can influence.
-    """
-    return subcarrier_frequencies(cfg) / cfg.center_freq_hz

@@ -132,8 +132,8 @@ def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Pat
 
         gp = gain_profile(cc, H, cfg_n)
         profiles.append(gp)
-        amp = float(np.mean(np.sqrt(gp.per_subcarrier)))  # avg_amplitude_gain of cc
-        amp_pdf = amp if cc is pdf_cc else avg_amplitude_gain(pdf_cc, H, cfg_n)
+        amp = avg_amplitude_gain(cc, H, cfg_n)
+        amp_pdf = avg_amplitude_gain(pdf_cc, H, cfg_n)
         gap_db = 20.0 * np.log10(amp / amp_pdf) if amp > 0 and amp_pdf > 0 else float("nan")
         summary_rows.append((n, three_db_bandwidth(gp, cfg_n), amp, gap_db))
 
@@ -173,9 +173,8 @@ def run_heatmap(
     geom = build_geometry(ec)
     xs, ys = _heatmap_axes(ec)
     freqs = np.asarray(freqs_hz, dtype=float)
-    rho = freqs / ec.center_freq_hz if ec.rho_mode == "flat_amplitude" else 1.0
     w = np.array([effective_combiner(cc, cfg, f) for f in freqs])
-    maps = gain_map(geom, w, freqs, xs, ys, rho_factor=rho)
+    maps = gain_map(geom, cfg, w, freqs, xs, ys)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

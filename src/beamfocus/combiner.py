@@ -185,22 +185,31 @@ def save_combiner(
 
 
 def load_combiner(path):
-    """Read a `save_combiner` file; returns (CombinerConfig, PhaseCodebook)."""
+    """Read a `save_combiner` file; returns (CombinerConfig, PhaseCodebook).
+
+    Each of the fields ps_bits (one value), theta_idx and tau_ps must
+    appear exactly once, and no other field may.
+    """
     fields = {}
     with open(path) as fh:
         for ln in fh.read().splitlines():
             if not ln.strip() or ln.startswith("#"):
                 continue
             key, _, rest = ln.partition(" ")
+            if key not in ("ps_bits", "theta_idx", "tau_ps"):
+                raise ValueError(f"unknown combiner field '{key}'")
+            if key in fields:
+                raise ValueError(f"repeated combiner field '{key}'")
             fields[key] = rest.split()
     try:
-        cb = PhaseCodebook(bits=int(fields["ps_bits"][0]))
+        bits = fields["ps_bits"]
         idx = np.array([int(tok) for tok in fields["theta_idx"]])
         tau = np.array([float(tok) * 1e-12 for tok in fields["tau_ps"]])
     except KeyError as exc:
         raise ValueError(f"missing combiner field {exc}") from exc
-    except IndexError:
-        raise ValueError("combiner field 'ps_bits' has no value") from None
+    if len(bits) != 1:
+        raise ValueError("combiner field 'ps_bits' needs exactly one value")
+    cb = PhaseCodebook(bits=int(bits[0]))
     if np.any(idx < 0) or np.any(idx >= cb.size):
         raise ValueError("phase index out of codebook range")
     return CombinerConfig(theta=cb.values[idx], tau=tau), cb

@@ -13,7 +13,7 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .channel import SystemConfig, flat_amplitude_rho, near_field_channel
+from .channel import SystemConfig, near_field_channel
 from .combiner import PhaseCodebook
 from .focus import MAX_GRID_ENTRIES
 from .geometry import (
@@ -271,9 +271,9 @@ def build_system(ec: ExperimentConfig, num_td_units: int | None = None) -> Syste
         tau_max_s=tau_max,
         tx_power_w=ec.tx_power_w,
         noise_power_w=ec.noise_power_w if ec.noise_mode == "snapshots" else 0.0,
+        flat_amplitude=ec.rho_mode == "flat_amplitude",
     )
 
 
 def build_channel(ec: ExperimentConfig, geom: ArrayGeometry, cfg: SystemConfig):
-    rho = flat_amplitude_rho(cfg) if ec.rho_mode == "flat_amplitude" else None
-    return near_field_channel(geom, build_ue(ec), cfg, rho=rho)
+    return near_field_channel(geom, build_ue(ec), cfg)

@@ -81,11 +81,6 @@ def delays_from_ddf(ddf: np.ndarray, tau_max: float) -> np.ndarray:
     return np.clip(raw - raw.min(axis=-1, keepdims=True), 0.0, tau_max)
 
 
-def delays_from_approx(params, deltas: np.ndarray, tau_max: float) -> np.ndarray:
-    """Delay vector(s) sampled from the approximation row(s) at the sub-array centers."""
-    return delays_from_ddf(linear_ddf(params, np.asarray(deltas, dtype=float)), tau_max)
-
-
 @dataclass
 class DelaySearchResult:
     """Best delay configuration found plus the full scored trace."""
@@ -200,7 +195,7 @@ def search_delays(
         """Every position's score, measuring only delay vectors not yet scored."""
         nonlocal best_score, best_tau, best_theta
         params = [row(position) for position in positions]
-        taus = delays_from_approx(np.reshape(params, (-1, 3)), deltas, cfg.tau_max_s)
+        taus = delays_from_ddf(linear_ddf(np.reshape(params, (-1, 3)), deltas), cfg.tau_max_s)
         keys = [tau.tobytes() for tau in taus]
         fresh = []
         for i, key in enumerate(keys):

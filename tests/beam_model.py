@@ -17,6 +17,16 @@ def conjugate_phases(geom, freq_hz, point, offset=0.7):
     return offset - 2.0 * np.pi * point_distances(geom, *point) / lam
 
 
+def amplitude_rho(cfg, freqs_hz):
+    """The factor rho of `spherical_wave` that gives `cfg`'s amplitude rule at each frequency.
+
+    f / f_c in flat-amplitude mode, so rho lambda = lambda_c on every bin;
+    else 1.
+    """
+    freqs_hz = np.asarray(freqs_hz, dtype=float)
+    return freqs_hz / cfg.center_freq_hz if cfg.flat_amplitude else np.ones_like(freqs_hz)
+
+
 def spherical_wave(d, freqs_hz, rho):
     """Coefficients (rho lambda / (4 pi d)) exp(-2 pi j d / lambda), one np.exp each.
 

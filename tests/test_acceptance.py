@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from beamfocus.baselines import pdf_oracle, ps_only_oracle
-from beamfocus.channel import SystemConfig, flat_amplitude_rho, gain_map, near_field_channel
+from beamfocus.channel import SystemConfig, gain_map, near_field_channel
 from beamfocus import cli
 from beamfocus.cli import learn_pipeline, search_pipeline
 from beamfocus.combiner import CombinerConfig, PhaseCodebook, effective_combiner, quantize_phase
@@ -225,7 +225,7 @@ def test_criterion_6_beam_split_heatmap(scenario, searched_n16):
 
     def ue_gain_db_rel_center(cc, cfg):
         gains = [
-            gain_map(geom, effective_combiner(cc, cfg, f), f, xs, ys)[0, 0]
+            gain_map(geom, cfg, effective_combiner(cc, cfg, f), f, xs, ys)[0, 0]
             for f in freqs
         ]
         return 10 * np.log10(gains[0] / gains[1]), 10 * np.log10(gains[2] / gains[1])
@@ -297,6 +297,31 @@ def test_noisy_learner_walks_the_whole_budget(scenario):
     _, history = learn_pipeline(ec, scenario["H"], build_system(ec, num_td_units=1), scenario["cb"])
     beams = len(history.measured_powers)
     assert beams == ec.total_measurements + len(history.exploit_events) == 4984
+
+
+def test_low_snr_cliff_at_one_snapshot(scenario):
+    """The learned beam's center-bin gain against the PS-only oracle's at S = 1.
+
+    Learner seed 0, with the noise 10 dB and 15 dB above the thermal floor.
+    Only +10 dB has a bar (at least -3 dB); +15 dB, where the learner falls
+    off the cliff, is reported so that a change that moves it shows.
+    """
+    ec, H, cb, cfg1 = scenario["ec"], scenario["H"], scenario["cb"], scenario["cfg1"]
+    k = center_bin(H.freqs_hz, cfg1.center_freq_hz)
+    oracle = gain_profile(ps_only_oracle(H, cfg1, cb), H, cfg1).per_subcarrier[k]
+    rel_db = {}
+    for above_db in (10, 15):
+        sigma2 = thermal_noise_w(ec) * 10.0 ** (above_db / 10.0)
+        noisy = replace(ec, noise_mode="snapshots", snapshots=1, noise_power_w=sigma2)
+        theta, _ = learn_pipeline(noisy, H, build_system(noisy, num_td_units=1), cb)
+        got = gain_profile(CombinerConfig(theta=theta, tau=[0.0]), H, cfg1).per_subcarrier[k]
+        rel_db[above_db] = 10.0 * np.log10(got / oracle)
+    _report(
+        "low-SNR cliff (S = 1, learner seed 0)",
+        rel_db[10] >= -3.0,
+        f"center gain vs PS-only oracle {rel_db[10]:.2f} dB at +10 dB (need >= -3), "
+        f"{rel_db[15]:.2f} dB at +15 dB (reported)",
+    )
 
 
 # --- criterion 7: property suite -------------------------------------------
@@ -474,13 +499,14 @@ def test_criterion_7e_pdf_full_td_flatness():
         center_freq_hz=100e9,
         bandwidth_hz=10e9,
         tau_max_s=1e-9,
+        flat_amplitude=True,
     )
     from beamfocus.geometry import SPEED_OF_LIGHT
 
     aperture = (M - 1) * (SPEED_OF_LIGHT / cfg.center_freq_hz) / 2
     geom = random_geometry(M, aperture, seed=12)
     ue = UePosition(2.0, -2.0)
-    H = near_field_channel(geom, ue, cfg, rho=flat_amplitude_rho(cfg))
+    H = near_field_channel(geom, ue, cfg)
     cc = pdf_oracle(geom, ue, H, cfg, None)  # continuous phases
     db = normalized_gain_db(gain_profile(cc, H, cfg))
     spread = float(db.max() - db.min())

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from beamfocus.baselines import pdf_oracle, ps_only_oracle
 from beamfocus.channel import (
     ChannelMatrix,
     SystemConfig,
-    flat_amplitude_rho,
     near_field_channel,
     subcarrier_frequencies,
 )
@@ -32,7 +33,7 @@ def make_cfg(M, N, K=64, fc=100e9, B=10e9, tau_max=None):
     )
 
 
-def scene(M, N, K=64, seed=0, aperture=None, rho=None):
+def scene(M, N, K=64, seed=0, aperture=None):
     from beamfocus.geometry import SPEED_OF_LIGHT
 
     cfg = make_cfg(M, N, K=K)
@@ -40,7 +41,7 @@ def scene(M, N, K=64, seed=0, aperture=None, rho=None):
         aperture = (M - 1) * (SPEED_OF_LIGHT / cfg.center_freq_hz) / 2
     geom = random_geometry(M, aperture, seed=seed)
     ue = UePosition(2.0, -2.0)
-    H = near_field_channel(geom, ue, cfg, rho=rho)
+    H = near_field_channel(geom, ue, cfg)
     return cfg, geom, ue, H
 
 
@@ -128,13 +129,13 @@ def test_pdf_oracle_full_td_continuous_is_flat():
     # one TD unit per element with continuous phases: flat to 0.1 dB across
     # the band (flat-amplitude channel isolates the alignment itself)
     M = 32
-    cfg = make_cfg(M, M, K=128)
+    cfg = replace(make_cfg(M, M, K=128), flat_amplitude=True)
     from beamfocus.geometry import SPEED_OF_LIGHT
 
     aperture = (M - 1) * (SPEED_OF_LIGHT / cfg.center_freq_hz) / 2
     geom = random_geometry(M, aperture, seed=7)
     ue = UePosition(2.0, -2.0)
-    H = near_field_channel(geom, ue, cfg, rho=flat_amplitude_rho(cfg))
+    H = near_field_channel(geom, ue, cfg)
     cc = pdf_oracle(geom, ue, H, cfg, None)
     db = normalized_gain_db(gain_profile(cc, H, cfg))
     assert db.min() >= -0.1

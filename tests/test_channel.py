@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from beamfocus.channel import (
     PHASOR_TABLE,
     ChannelMatrix,
     SystemConfig,
-    flat_amplitude_rho,
     gain_map,
     near_field_channel,
     subcarrier_frequencies,
@@ -33,7 +34,7 @@ from beamfocus.geometry import (
     random_geometry,
 )
 from beamfocus.sim import center_bin, gain_profile
-from beam_model import spherical_wave
+from beam_model import amplitude_rho, spherical_wave
 from tiny_scenario import tiny_config
 
 
@@ -142,28 +143,13 @@ def test_channel_magnitude_and_phase_structure():
     assert np.allclose(H.coeffs / np.abs(H.coeffs), expected_phase, atol=1e-12)
 
 
-def test_channel_rho_override():
-    cfg = make_cfg(M=2, N=1, K=4)
-    g = ArrayGeometry(alphas=[1.0, -1.0], aperture=0.01)
-    rho = np.array([1.0, 2.0, 3.0, 4.0])
-    H1 = near_field_channel(g, UePosition(1.0, 0.0), cfg)
-    H2 = near_field_channel(g, UePosition(1.0, 0.0), cfg, rho=rho)
-    assert np.allclose(H2.coeffs, H1.coeffs * rho[None, :], rtol=1e-14)
-    with pytest.raises(ValueError):
-        near_field_channel(g, UePosition(1.0, 0.0), cfg, rho=np.zeros(4))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite and positive"):
-            near_field_channel(g, UePosition(1.0, 0.0), cfg, rho=np.array([1.0, bad, 3.0, 4.0]))
-
-
 def reference_channel(rho_mode="unit"):
     """(H, d, rho) of the reference scenario: M = 256, K = 2048."""
     ec = ExperimentConfig(rho_mode=rho_mode)
     geom = build_geometry(ec)
     cfg = build_system(ec)
     H = build_channel(ec, geom, cfg)
-    rho = flat_amplitude_rho(cfg) if rho_mode == "flat_amplitude" else np.ones(H.num_subcarriers)
-    return H, distances(geom, build_ue(ec)), rho
+    return H, distances(geom, build_ue(ec)), amplitude_rho(cfg, H.freqs_hz)
 
 
 @pytest.mark.skipif(
@@ -217,11 +203,14 @@ def test_channel_takes_a_fine_and_a_coarse_table_of_exponentials(monkeypatch):
 
 
 def test_flat_amplitude_rho_flattens_magnitude():
-    cfg = make_cfg(M=2, N=1, K=16)
-    g = ArrayGeometry(alphas=[1.0, -1.0], aperture=0.01)
-    H = near_field_channel(g, UePosition(1.0, 0.0), cfg, rho=flat_amplitude_rho(cfg))
-    mags = np.abs(H.coeffs)
-    assert np.allclose(mags, mags[:, :1], rtol=1e-12)
+    # every entry has the magnitude lambda_c / (4 pi d_m), across the band
+    # and past the first frequency block
+    cfg = make_cfg(M=8, N=2, K=FREQ_BLOCK + 3, flat_amplitude=True)
+    g = random_geometry(8, 0.5, seed=3)
+    ue = UePosition(2.0, -1.0)
+    H = near_field_channel(g, ue, cfg)
+    want = (SPEED_OF_LIGHT / cfg.center_freq_hz) / (4.0 * np.pi * distances(g, ue))
+    assert np.max(np.abs(np.abs(H.coeffs) / want[:, None] - 1.0)) <= 1e-15
 
 
 def test_channel_mirror_symmetry():
@@ -268,15 +257,16 @@ def test_gain_map_single_point_matches_gain_profile():
     for k in (0, 31, 63):
         f = H.freqs_hz[k]
         w = effective_combiner(cc, cfg, f)
-        val = gain_map(geom, w, f, np.array([ue.x]), np.array([ue.y]))
+        val = gain_map(geom, cfg, w, f, np.array([ue.x]), np.array([ue.y]))
         assert val.shape == (1, 1)
-        assert val[0, 0] == pytest.approx(gp.per_subcarrier[k], rel=1e-10)
+        assert val[0, 0] == pytest.approx(gp.per_subcarrier[k], rel=1e-12)
 
 
 def test_gain_map_flat_amplitude_rho_matches_gain_profile():
     ec = tiny_config(rho_mode="flat_amplitude")
     geom = build_geometry(ec)
     cfg = build_system(ec)
+    assert cfg.flat_amplitude
     cb = build_codebook(ec)
     ue = build_ue(ec)
     H = build_channel(ec, geom, cfg)
@@ -285,8 +275,7 @@ def test_gain_map_flat_amplitude_rho_matches_gain_profile():
     for k in (0, 31, 63):
         f = H.freqs_hz[k]
         w = effective_combiner(cc, cfg, f)
-        rho_factor = f / cfg.center_freq_hz
-        val = gain_map(geom, w, f, np.array([ue.x]), np.array([ue.y]), rho_factor=rho_factor)
+        val = gain_map(geom, cfg, w, f, np.array([ue.x]), np.array([ue.y]))
         assert val[0, 0] == pytest.approx(gp.per_subcarrier[k], rel=1e-12)
 
 
@@ -299,12 +288,12 @@ def test_blocked_gain_map_equals_one_shot_formula(M, monkeypatch):
     cc = pdf_oracle(geom, build_ue(ec), H, cfg, build_codebook(ec))
     xs, ys = np.linspace(0.5, 4.0, 37), np.linspace(-4.0, 4.0, 41)
     assert (xs.size * ys.size) % GAIN_MAP_BLOCK != 0
-    for f, rho_factor in ((H.freqs_hz[0], 1.0), (H.freqs_hz[-1], 1.3)):
+    for f, cfg_f in ((H.freqs_hz[0], cfg), (H.freqs_hz[-1], replace(cfg, flat_amplitude=True))):
         w = effective_combiner(cc, cfg, f)
-        blocked = gain_map(geom, w, f, xs, ys, rho_factor=rho_factor)
+        blocked = gain_map(geom, cfg_f, w, f, xs, ys)
         with monkeypatch.context() as m:
             m.setattr(channel, "GAIN_MAP_BLOCK", xs.size * ys.size + 1)
-            assert np.array_equal(blocked, gain_map(geom, w, f, xs, ys, rho_factor=rho_factor))
+            assert np.array_equal(blocked, gain_map(geom, cfg_f, w, f, xs, ys))
 
 
 @pytest.mark.parametrize("rho_mode", ["unit", "flat_amplitude"])
@@ -315,10 +304,10 @@ def test_reference_gain_maps_match_the_spherical_wave_formula(rho_mode):
     H = build_channel(ec, geom, cfg)
     cc = pdf_oracle(geom, build_ue(ec), H, cfg, build_codebook(ec))
     freqs = H.freqs_hz[[0, center_bin(H.freqs_hz, cfg.center_freq_hz), -1]]
-    rho = freqs / cfg.center_freq_hz if rho_mode == "flat_amplitude" else np.ones(3)
+    rho = amplitude_rho(cfg, freqs)
     w = np.array([effective_combiner(cc, cfg, f) for f in freqs])
     xs, ys = np.linspace(0.5, 4.0, 36), np.linspace(-4.0, 4.0, 81)
-    maps = gain_map(geom, w, freqs, xs, ys, rho_factor=rho)
+    maps = gain_map(geom, cfg, w, freqs, xs, ys)
     gx, gy = np.meshgrid(xs, ys)
     elem_y = 0.5 * geom.aperture * geom.alphas
     d = np.hypot(gx.ravel()[:, None], elem_y[None, :] - gy.ravel()[:, None])
@@ -334,7 +323,7 @@ def test_gain_map_far_point_is_finite():
     w = effective_combiner(CombinerConfig(np.zeros(16), np.zeros(4)), cfg, 1e11)
     # 1e15 m is about 3e17 cycles at 100 GHz, far beyond the int64 range
     # once scaled by the table size
-    val = gain_map(geom, w, 1e11, np.array([1e15]), np.array([0.0]))
+    val = gain_map(geom, cfg, w, 1e11, np.array([1e15]), np.array([0.0]))
     assert np.isfinite(val).all() and val[0, 0] > 0.0
 
 
@@ -345,10 +334,9 @@ def test_gain_map_stacked_frequencies_equal_single_calls():
     H = build_channel(ec, geom, cfg)
     cc = pdf_oracle(geom, build_ue(ec), H, cfg, build_codebook(ec))
     freqs = H.freqs_hz[[0, 31, 63]]
-    rho = freqs / cfg.center_freq_hz
     w = np.array([effective_combiner(cc, cfg, f) for f in freqs])
     xs, ys = np.linspace(0.5, 4.0, 37), np.linspace(-4.0, 4.0, 41)
-    maps = gain_map(geom, w, freqs, xs, ys, rho_factor=rho)
+    maps = gain_map(geom, cfg, w, freqs, xs, ys)
     assert maps.shape == (3, ys.size, xs.size)
-    for wf, f, r, got in zip(w, freqs, rho, maps):
-        assert np.array_equal(got, gain_map(geom, wf, f, xs, ys, rho_factor=r))
+    for wf, f, got in zip(w, freqs, maps):
+        assert np.array_equal(got, gain_map(geom, cfg, wf, f, xs, ys))

@@ -178,7 +178,7 @@ def test_run_heatmap_files(tmp_path):
     assert len(data_lines[0].split(",")) == 3
     # one format per row writes what a per-value f-string loop writes
     xs, ys = np.linspace(1.8, 2.2, 3), np.linspace(-2.2, -1.8, 3)
-    gains = gain_map(geom, effective_combiner(cc, cfg, freqs[0]), freqs[0], xs, ys)
+    gains = gain_map(geom, cfg, effective_combiner(cc, cfg, freqs[0]), freqs[0], xs, ys)
     assert data_lines == [",".join(f"{g:.12g}" for g in row) for row in gains]
 
 
@@ -508,6 +508,9 @@ def test_cli_combiner_file_errors_are_config_errors(tmp_path, capsys, cmd):
         "bad_index.txt": text.replace("theta_idx 3 ", "theta_idx 8 "),
         "bad_bits.txt": text.replace("ps_bits 3", "ps_bits x"),
         "bare_bits.txt": text.replace("ps_bits 3", "ps_bits"),
+        "extra_bits.txt": text.replace("ps_bits 3", "ps_bits 3 4"),
+        "repeated_field.txt": text + "theta_idx " + " ".join(["0"] * 16) + "\n",
+        "unknown_field.txt": text + "tau_ns 5\n",
     }
     paths = [tmp_path / "missing.txt"]
     for name, body in broken.items():
@@ -724,7 +727,7 @@ def test_failed_writer_leaves_no_partial_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [path]
 
     # a CLI writer that fails after its header and first row
-    def bad_gain_map(geom, w, freq_hz, *args, **kwargs):
+    def bad_gain_map(geom, cfg, w, freq_hz, *args, **kwargs):
         one_map = [[1.0, 2.0], [3.0, "not a number"]]
         return np.array([one_map] * len(freq_hz), dtype=object)
 

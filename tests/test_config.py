@@ -97,6 +97,15 @@ def test_build_system_n_zero_is_single_unit():
     assert cfg.ps_per_td == 16
 
 
+@pytest.mark.parametrize("rho_mode", ["unit", "flat_amplitude"])
+def test_build_system_carries_the_amplitude_rule_to_every_sweep_entry(rho_mode):
+    ec = ExperimentConfig(num_antennas=16, num_td_units=4, n_sweep=(0, 2, 8), rho_mode=rho_mode)
+    flat = rho_mode == "flat_amplitude"
+    assert build_system(ec).flat_amplitude is flat
+    for n in ec.n_sweep:
+        assert build_system(ec, num_td_units=n).flat_amplitude is flat
+
+
 def test_builders_produce_consistent_scene():
     ec = ExperimentConfig(
         num_antennas=16,

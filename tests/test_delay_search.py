@@ -18,7 +18,6 @@ from beamfocus.delay_search import (
     SEARCH_BLOCK,
     SEED_COHERENCE,
     DelaySearchResult,
-    delays_from_approx,
     delays_from_ddf,
     linear_ddf,
     search_delays,
@@ -109,14 +108,19 @@ def test_subarray_deltas_degenerate_groupings():
         subarray_deltas(geom, 4, 2)
 
 
+def approx_delays(params, deltas, tau_max):
+    # the delay vectors of approximation rows at `deltas`, as search_delays computes them
+    return delays_from_ddf(linear_ddf(params, deltas), tau_max)
+
+
 def test_delays_from_approx_zero_curve():
-    tau = delays_from_approx((1.0, 0.0, 0.0), np.array([0.0, 1.0, 2.0]), 1e-9)
+    tau = approx_delays((1.0, 0.0, 0.0), np.array([0.0, 1.0, 2.0]), 1e-9)
     assert np.all(tau == 0.0)
 
 
 def test_delays_from_approx_shift_by_minimum():
     D = 1.0
-    tau = delays_from_approx((1.0, -D / 2, 0.0), np.array([0.0, 1.0, 2.0]), 1.0)
+    tau = approx_delays((1.0, -D / 2, 0.0), np.array([0.0, 1.0, 2.0]), 1.0)
     c = SPEED_OF_LIGHT
     assert np.allclose(tau, [D / (2 * c), 0.0, D / (2 * c)])
     assert tau.min() == 0.0
@@ -124,10 +128,10 @@ def test_delays_from_approx_shift_by_minimum():
 
 def test_delays_from_approx_clipping():
     ap = (1.0, -0.5, 0.5)
-    tau = delays_from_approx(ap, np.array([0.0, 1.0, 2.0]), 0.0)
+    tau = approx_delays(ap, np.array([0.0, 1.0, 2.0]), 0.0)
     assert np.all(tau == 0.0)
     tau_max = 1e-12
-    tau2 = delays_from_approx(ap, np.linspace(0, 2, 7), tau_max)
+    tau2 = approx_delays(ap, np.linspace(0, 2, 7), tau_max)
     assert tau2.min() == 0.0
     assert tau2.max() <= tau_max
 
@@ -289,7 +293,7 @@ def reference_search_delays(theta_star, measure, geom, cfg, cb, grid):
     trace = []
     for start in range(0, len(params), SEARCH_BLOCK):
         rows = params[start : start + SEARCH_BLOCK]
-        tau = delays_from_approx(rows, deltas, cfg.tau_max_s)
+        tau = approx_delays(rows, deltas, cfg.tau_max_s)
         theta = recompensate_phases(theta_star, tau, cfg, cb)
         powers = np.asarray(measure(CombinerConfig(theta=theta, tau=tau)), dtype=float)
         scores = np.mean(np.sqrt(np.maximum(powers, 0.0)), axis=-1)
@@ -428,7 +432,7 @@ SEARCH_GRIDS = [
 def trace_delays(result, geom, cfg):
     # the delay vector of each scored row, computed as the search computes it
     rows = np.array([row[:3] for row in result.trace])
-    return delays_from_approx(rows, subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td), cfg.tau_max_s)
+    return approx_delays(rows, subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td), cfg.tau_max_s)
 
 
 @pytest.mark.parametrize("grid", SEARCH_GRIDS)
@@ -472,7 +476,7 @@ def test_search_coarse_pass_is_every_other_grid_point(grid, monkeypatch, no_focu
     assert np.all(dist.max(axis=-1).min(axis=1) < 1e-12)  # each coarse row is a grid row
     deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
     scored = trace_delays(result, geom, cfg)[: sizes[0]]
-    wanted = delays_from_approx(want, deltas, cfg.tau_max_s)
+    wanted = approx_delays(want, deltas, cfg.tau_max_s)
     gap = np.abs(wanted[:, None, :] - scored[None, :, :]).max(axis=-1).min(axis=1)
     assert np.all(gap <= 1e-12 * cfg.tau_max_s)  # and each grid row's delays are scored
 
@@ -498,9 +502,8 @@ def test_search_refines_down_to_an_eighth_of_the_spacing(monkeypatch, no_focus):
     geom = uniform_geometry(12, 0.02)
     D = geom.aperture
     shift = np.array([0.0, D, D])
-    monkeypatch.setattr(
-        delay_search, "delays_from_approx", lambda params, deltas, tau_max: params + shift
-    )
+    monkeypatch.setattr(delay_search, "linear_ddf", lambda params, delta: params)
+    monkeypatch.setattr(delay_search, "delays_from_ddf", lambda ddf, tau_max: ddf + shift)
     grid = (9, 17, 17)
     spacing = 2.0 * D / (grid[2] - 1)
     target = np.array([1.5, 0.25 * 0.5 * D * 1.5, -0.5 * D + 5 / 8 * spacing])
