@@ -38,7 +38,7 @@ def pdf_oracle(
     through `delay_search.delays_from_ddf`; phases are the conjugate
     center-frequency design recompensated for those delays.
     """
-    deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
+    deltas = subarray_deltas(geom, cfg.num_td_units)
     tau = delays_from_ddf(distance_difference(geom, deltas, ue), cfg.tau_max_s)
     theta_star = ps_only_oracle(H, cfg, cb).theta
     theta = recompensate_phases(theta_star, tau, cfg, cb)

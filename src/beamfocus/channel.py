@@ -31,9 +31,9 @@ from .geometry import SPEED_OF_LIGHT, ArrayGeometry, UePosition, distances, poin
 class SystemConfig:
     """Static system parameters.
 
-    num_antennas:    M, array elements (must equal num_td_units * ps_per_td)
-    num_td_units:    N, time-delay units
-    ps_per_td:       P, phase shifters driven by each TD unit
+    num_antennas:    M, array elements (a multiple of num_td_units)
+    num_td_units:    N, time-delay units, each driving ps_per_td = M / N
+                     phase shifters
     num_subcarriers: K, frequency bins tiling the band
     center_freq_hz:  f_c
     bandwidth_hz:    B (total two-sided band around f_c)
@@ -46,7 +46,6 @@ class SystemConfig:
 
     num_antennas: int
     num_td_units: int
-    ps_per_td: int
     num_subcarriers: int
     center_freq_hz: float
     bandwidth_hz: float
@@ -56,11 +55,9 @@ class SystemConfig:
     flat_amplitude: bool = False
 
     def __post_init__(self):
-        if self.num_antennas != self.num_td_units * self.ps_per_td:
-            raise ValueError(
-                "M = N*P violated "
-                f"(M={self.num_antennas}, N={self.num_td_units}, P={self.ps_per_td})"
-            )
+        M, N = self.num_antennas, self.num_td_units
+        if N < 1 or M % N:
+            raise ValueError(f"M = N*P violated (M={M}, N={N}, P={M // N if N else 0})")
         if self.num_subcarriers < 1:
             raise ValueError("need at least one subcarrier")
         if self.bandwidth_hz < 0.0:
@@ -75,6 +72,11 @@ class SystemConfig:
             raise ValueError("tx_power_w must be nonnegative")
         if self.noise_power_w < 0.0:
             raise ValueError("noise_power_w must be nonnegative")
+
+    @property
+    def ps_per_td(self) -> int:
+        """P = M / N, the phase shifters each TD unit drives."""
+        return self.num_antennas // self.num_td_units
 
 
 @dataclass(frozen=True)

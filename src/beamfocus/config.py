@@ -15,7 +15,6 @@ import numpy as np
 
 from .channel import SystemConfig, near_field_channel
 from .combiner import PhaseCodebook
-from .focus import MAX_GRID_ENTRIES
 from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
@@ -24,6 +23,13 @@ from .geometry import (
     random_geometry,
     uniform_geometry,
 )
+
+
+# cap on the heatmap's points (4,096 x 8,192)
+MAX_HEATMAP_POINTS = 2**25
+# cap on the delay search's coarse pass, prod((n + 1) // 2) over the grid.*
+# axes: 405 at the default grid; at the cap, about 8 s on the reference scene
+MAX_COARSE_ROWS = 2**15
 
 
 class ConfigError(ValueError):
@@ -128,6 +134,9 @@ def validate(ec: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{key}: must be at least {least}, not {value}")
     if ec.exploit_start > ec.total_measurements:
         raise ConfigError("learner.exploit_start: must lie within learner.total_measurements")
+    coarse_rows = math.prod((n + 1) // 2 for n in (ec.ax_points, ec.ay_points, ec.b_points))
+    if coarse_rows > MAX_COARSE_ROWS:
+        raise ConfigError(f"grid.*: a coarse pass of {coarse_rows} rows exceeds {MAX_COARSE_ROWS}")
     if not ec.n_sweep:
         raise ConfigError("profile.n_sweep: needs at least one entry")
     if any(n < 0 for n in ec.n_sweep):
@@ -141,9 +150,9 @@ def validate(ec: ExperimentConfig) -> ExperimentConfig:
     if not ec.heatmap_resolution_m > 0.0:
         raise ConfigError("heatmap.resolution_m: must be positive")
     nx, ny = heatmap_shape(ec)
-    if nx * ny > MAX_GRID_ENTRIES:
+    if nx * ny > MAX_HEATMAP_POINTS:
         raise ConfigError(
-            f"heatmap.resolution_m: a {nx:.6g} x {ny:.6g} grid exceeds {MAX_GRID_ENTRIES} points"
+            f"heatmap.resolution_m: a {nx:.6g} x {ny:.6g} grid exceeds {MAX_HEATMAP_POINTS} points"
         )
     if not ec.center_freq_hz > 0.0:
         raise ConfigError("system.center_freq_hz: must be positive")
@@ -264,7 +273,6 @@ def build_system(ec: ExperimentConfig, num_td_units: int | None = None) -> Syste
     return SystemConfig(
         num_antennas=ec.num_antennas,
         num_td_units=n,
-        ps_per_td=ec.num_antennas // n,
         num_subcarriers=ec.num_subcarriers,
         center_freq_hz=ec.center_freq_hz,
         bandwidth_hz=ec.bandwidth_hz,

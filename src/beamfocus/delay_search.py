@@ -57,14 +57,16 @@ def linear_ddf(params, delta):
     return np.where(ax == 0.0, 0.5 * b * delta_arr, np.where(delta_arr <= ax, first, second))
 
 
-def subarray_deltas(geom: ArrayGeometry, num_td_units: int, ps_per_td: int) -> np.ndarray:
+def subarray_deltas(geom: ArrayGeometry, num_td_units: int) -> np.ndarray:
     """Relative coefficient of each sub-array center, strictly increasing.
 
-    Sub-array n spans elements nP..nP+P-1; its center is the midpoint of the
-    first and last element coefficients, mapped through delta = 1 - alpha.
+    Sub-array n spans elements nP..nP+P-1, P = M / N; its center is the
+    midpoint of the first and last element coefficients, mapped through
+    delta = 1 - alpha.
     """
-    if num_td_units * ps_per_td != geom.num_antennas:
+    if num_td_units < 1 or geom.num_antennas % num_td_units:
         raise ValueError("N*P must equal the number of antennas")
+    ps_per_td = geom.num_antennas // num_td_units
     first = geom.alphas[0::ps_per_td]
     last = geom.alphas[ps_per_td - 1 :: ps_per_td]
     return 1.0 - 0.5 * (first + last)
@@ -178,7 +180,7 @@ def search_delays(
     row.
     """
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
+    deltas = subarray_deltas(geom, cfg.num_td_units)
     aperture = geom.aperture
     axes = [_axis(n) for n in points]
     trace = []

@@ -332,7 +332,7 @@ def test_criterion_7a_gradient_vs_finite_differences():
     worst = 0.0
     for _ in range(20):
         M = int(rng.integers(2, 9))
-        n = int(rng.integers(4, 16))
+        n = int(rng.integers(3, 16))
         q = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         beams = np.array(
             [beam_from_phases(rng.uniform(-np.pi, np.pi, M)) for _ in range(n)]
@@ -365,7 +365,6 @@ def test_criterion_7b_common_delay_invariance():
         cfg = SystemConfig(
             num_antennas=M,
             num_td_units=N,
-            ps_per_td=M // N,
             num_subcarriers=K,
             center_freq_hz=100e9,
             bandwidth_hz=10e9,
@@ -395,10 +394,10 @@ def test_criterion_7c_ddf_regime_monotonicity():
     failures = 0
     for regime in DdfRegime:
         for _ in range(100):
-            M = int(rng.integers(2, 10))
-            aperture = float(rng.uniform(0.3, 4.0))
+            M = int(rng.integers(2, 12))
+            aperture = float(rng.uniform(0.3, 5.0))
             geom = random_geometry(M, aperture, seed=int(rng.integers(0, 2**31)))
-            x = float(rng.uniform(0.2, 8.0))
+            x = float(rng.uniform(0.2, 10.0))
             if regime is DdfRegime.MONOTONE_INCREASING:
                 y = aperture * float(rng.uniform(0.51, 3.0))
             elif regime is DdfRegime.MONOTONE_DECREASING:
@@ -433,7 +432,6 @@ def exhaustive_runs():
     cfg = SystemConfig(
         num_antennas=4,
         num_td_units=1,
-        ps_per_td=4,
         num_subcarriers=1,
         center_freq_hz=100e9,
         bandwidth_hz=0.0,
@@ -473,7 +471,7 @@ def test_criterion_7d_exhaustive_oracle_equivalence(exhaustive_runs):
     )
 
 
-def test_criterion_7d_at_the_default_critic_rank(exhaustive_runs):
+def test_criterion_7d_critic_best_beam_is_the_oracle(exhaustive_runs):
     # the critic is one (M,) vector, the rank of the single-path power
     # |h^H w|^2; on 7d's runs its own best codebook beam is the oracle's
     beams = np.array([beam_from_phases(phases) for phases in exhaustive_runs["every"]])
@@ -494,7 +492,6 @@ def test_criterion_7e_pdf_full_td_flatness():
     cfg = SystemConfig(
         num_antennas=M,
         num_td_units=M,
-        ps_per_td=1,
         num_subcarriers=256,
         center_freq_hz=100e9,
         bandwidth_hz=10e9,
@@ -522,7 +519,7 @@ def test_criterion_7f_quantize_properties():
     ok = True
     for bits in (1, 2, 3, 4, 5):
         cb = PhaseCodebook(bits=bits)
-        phi = rng.uniform(-40.0, 40.0, size=10_000)
+        phi = rng.uniform(-50.0, 50.0, size=10_000)
         q = quantize_phase(phi, cb)
         ok &= bool(np.all(quantize_phase(q, cb) == q))
         ok &= bool(np.all(quantize_phase(phi + 2 * np.pi, cb) == q))

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,6 @@ def make_cfg(M, N, K=64, fc=100e9, B=10e9, tau_max=None):
     return SystemConfig(
         num_antennas=M,
         num_td_units=N,
-        ps_per_td=M // N,
         num_subcarriers=K,
         center_freq_hz=fc,
         bandwidth_hz=B,
@@ -88,7 +85,7 @@ def test_pdf_oracle_is_the_inline_focusing_formula(bits):
     for M, N in ((16, 4), (64, 16)):
         cfg, geom, ue, H = scene(M, N, seed=M)
         cc = pdf_oracle(geom, ue, H, cfg, cb)
-        deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
+        deltas = subarray_deltas(geom, cfg.num_td_units)
         tau = delays_from_ddf(distance_difference(geom, deltas, ue), cfg.tau_max_s)
         theta = recompensate_phases(ps_only_oracle(H, cfg, cb).theta, tau, cfg, cb)
         assert np.array_equal(cc.tau, tau)
@@ -123,23 +120,6 @@ def test_pdf_oracle_far_field_broadside_small_delays():
     assert np.allclose(
         normalized_gain_db(gp_pdf), normalized_gain_db(gp_ps), atol=0.5
     )
-
-
-def test_pdf_oracle_full_td_continuous_is_flat():
-    # one TD unit per element with continuous phases: flat to 0.1 dB across
-    # the band (flat-amplitude channel isolates the alignment itself)
-    M = 32
-    cfg = replace(make_cfg(M, M, K=128), flat_amplitude=True)
-    from beamfocus.geometry import SPEED_OF_LIGHT
-
-    aperture = (M - 1) * (SPEED_OF_LIGHT / cfg.center_freq_hz) / 2
-    geom = random_geometry(M, aperture, seed=7)
-    ue = UePosition(2.0, -2.0)
-    H = near_field_channel(geom, ue, cfg)
-    cc = pdf_oracle(geom, ue, H, cfg, None)
-    db = normalized_gain_db(gain_profile(cc, H, cfg))
-    assert db.min() >= -0.1
-    assert db.max() <= 0.1
 
 
 def test_pdf_oracle_beats_ps_only_across_band():

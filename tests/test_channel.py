@@ -42,7 +42,6 @@ def make_cfg(M=4, N=2, K=8, fc=100e9, B=10e9, **kw):
     return SystemConfig(
         num_antennas=M,
         num_td_units=N,
-        ps_per_td=M // N,
         num_subcarriers=K,
         center_freq_hz=fc,
         bandwidth_hz=B,
@@ -56,12 +55,20 @@ def test_system_config_mnp_constraint():
         SystemConfig(
             num_antennas=255,
             num_td_units=8,
-            ps_per_td=32,
             num_subcarriers=4,
             center_freq_hz=1e9,
             bandwidth_hz=1e8,
             tau_max_s=0.0,
         )
+
+
+def test_system_config_derives_p_from_m_and_n():
+    cfg = make_cfg(M=16, N=4)
+    assert cfg.ps_per_td == 4
+    assert replace(cfg, num_td_units=8).ps_per_td == 2
+    for N, P in ((0, 0), (3, 5)):
+        with pytest.raises(ValueError, match=rf"^M = N\*P violated \(M=16, N={N}, P={P}\)$"):
+            make_cfg(M=16, N=N)
 
 
 def test_system_config_rejects_bad_band():
@@ -98,7 +105,6 @@ def test_channel_single_antenna_hand_value():
     cfg = SystemConfig(
         num_antennas=1,
         num_td_units=1,
-        ps_per_td=1,
         num_subcarriers=1,
         center_freq_hz=fc,
         bandwidth_hz=0.0,
@@ -115,7 +121,6 @@ def test_channel_magnitude_formula():
     cfg = SystemConfig(
         num_antennas=1,
         num_td_units=1,
-        ps_per_td=1,
         num_subcarriers=1,
         center_freq_hz=fc,
         bandwidth_hz=0.0,

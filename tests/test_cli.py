@@ -590,6 +590,26 @@ def test_cli_rejects_learner_range_errors(tmp_path, capsys):
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "ok"), "learn"]) == 0
 
 
+def test_cli_rejects_a_delay_grid_past_the_coarse_pass_bound(tmp_path, capsys):
+    # 500,000,001 coarse positions on one axis would not fit in memory;
+    # every command refuses them before it starts, profile before learning
+    lines = ("grid.ax_points = 1000000001",)
+    for cmd in ("search-delays", "profile", "learn"):
+        assert_rejected(tmp_path, capsys, "grid.*: ", lines, cmd)
+    # the largest accepted cube, 32^3 coarse rows, runs the coarse pass from
+    # phases that focus nowhere (focus coherence 0.39)
+    cb = PhaseCodebook(3)
+    theta = cb.values[np.random.default_rng(5).integers(0, cb.size, 16)]
+    save_combiner(CombinerConfig(theta=theta, tau=np.zeros(4)), cb, tmp_path / "random.txt")
+    grid = (f"grid.{axis}_points = 63" for axis in ("ax", "ay", "b"))
+    cfg_path = write_m16_config(tmp_path / "exp.cfg", *grid)
+    out = tmp_path / "search"
+    argv = ["--config", str(cfg_path), "--out", str(out), "search-delays"]
+    assert main([*argv, "--combiner", str(tmp_path / "random.txt")]) == 0
+    trace = (out / "search_trace.csv").read_text().splitlines()
+    assert len([row for row in trace if not row.startswith("#")]) > 1 + 20_000
+
+
 def test_cli_rejects_profile_values_that_run_silently_wrong(tmp_path, capsys):
     # a repeated sweep entry would write its profile file twice and its
     # summary row twice; fewer than one search bin would score 16 bins

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from beamfocus.config import (
+    MAX_COARSE_ROWS,
+    MAX_HEATMAP_POINTS,
     ConfigError,
     ExperimentConfig,
     build_channel,
@@ -16,7 +18,6 @@ from beamfocus.config import (
     resolved_aperture,
     stamp_lines,
 )
-from beamfocus.focus import MAX_GRID_ENTRIES
 from beamfocus.geometry import SPEED_OF_LIGHT
 
 
@@ -180,7 +181,7 @@ def test_heatmap_grid_is_bounded_at_parse_time():
     # 4096 x 8192 points at 1 m spacing is the bound itself
     grid = "heatmap.resolution_m = 1.0\nheatmap.x_min_m = 1.0\nheatmap.x_max_m = 4096.0\n"
     ec = parse_config_text(M16 + grid + "heatmap.y_min_m = 0.0\nheatmap.y_max_m = 8191.0\n")
-    assert heatmap_shape(ec) == (4096.0, 8192.0) and 4096 * 8192 == MAX_GRID_ENTRIES
+    assert heatmap_shape(ec) == (4096.0, 8192.0) and 4096 * 8192 == MAX_HEATMAP_POINTS
     # one row more, a fine resolution, and one whose counts overflow float64
     for lines in (
         grid + "heatmap.y_min_m = 0.0\nheatmap.y_max_m = 8192.0\n",
@@ -189,3 +190,16 @@ def test_heatmap_grid_is_bounded_at_parse_time():
     ):
         with pytest.raises(ConfigError, match=r"^heatmap\.resolution_m: .* exceeds 33554432 points"):
             parse_config_text(M16 + lines)
+
+
+def test_delay_grid_is_bounded_at_parse_time():
+    # the coarse pass scores prod((n + 1) // 2) rows: 405 at the default grid
+    def grid(ax, ay, b):
+        return M16 + f"grid.ax_points = {ax}\ngrid.ay_points = {ay}\ngrid.b_points = {b}\n"
+
+    assert MAX_COARSE_ROWS == 32**3
+    for points in ((9, 17, 17), (5, 5, 5), (63, 63, 63), (1, 2, 2 * MAX_COARSE_ROWS)):
+        assert parse_config_text(grid(*points)).b_points == points[2]
+    for points in ((65, 63, 63), (1, 2, 2 * MAX_COARSE_ROWS + 1), (1000000001, 17, 17)):
+        with pytest.raises(ConfigError, match=rf"^grid\.\*: .* exceeds {MAX_COARSE_ROWS}$"):
+            parse_config_text(grid(*points))

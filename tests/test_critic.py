@@ -84,29 +84,6 @@ def test_loss_origin_saddle():
     assert np.all(grad == 0.0)
 
 
-def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(5)
-    for trial in range(5):
-        M = int(rng.integers(2, 9))
-        n = int(rng.integers(3, 12))
-        q = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        beams, powers = random_beams(rng, n, M), rng.uniform(0, 2, n)
-
-        def loss_at(qq):
-            return critic_loss_and_gradient(qq, beams, powers)[0]
-
-        _, grad = critic_loss_and_gradient(q, beams, powers)
-        h = 1e-6
-        fd = np.zeros_like(q)
-        for i in range(M):
-            for direction in (1.0, 1j):
-                qp, qm = q.copy(), q.copy()
-                qp[i] += h * direction
-                qm[i] -= h * direction
-                fd[i] += direction * (loss_at(qp) - loss_at(qm)) / (2 * h)
-        assert np.max(np.abs(fd - grad)) / np.max(np.abs(grad)) <= 1e-5
-
-
 def test_loss_rejects_empty_and_mismatched():
     # the fit and its init refuse an empty buffer and beams whose length is
     # not the critic's M

@@ -41,7 +41,6 @@ def make_cfg(M, N, K=16, fc=100e9, B=10e9, tau_max=2e-9, noise=0.0):
     return SystemConfig(
         num_antennas=M,
         num_td_units=N,
-        ps_per_td=M // N,
         num_subcarriers=K,
         center_freq_hz=fc,
         bandwidth_hz=B,
@@ -82,7 +81,7 @@ def test_linear_ddf_degenerate_breakpoints():
     assert linear_ddf(ap2, 2.0) == pytest.approx(0.8)
 
 
-def test_linear_approx_validation():
+def test_linear_ddf_rejects_delta_outside_the_box():
     with pytest.raises(ValueError):
         linear_ddf((1.0, 0.0, 0.0), 2.3)
     with pytest.raises(ValueError):
@@ -91,47 +90,48 @@ def test_linear_approx_validation():
 
 def test_subarray_deltas_ula():
     geom = uniform_geometry(4, 2.0)
-    assert np.allclose(subarray_deltas(geom, 2, 2), [1 / 3, 5 / 3])
+    assert np.allclose(subarray_deltas(geom, 2), [1 / 3, 5 / 3])
 
 
 def test_subarray_deltas_degenerate_groupings():
     geom = random_geometry(6, 1.0, seed=1)
     # one sub-array spanning the whole array
-    d1 = subarray_deltas(geom, 1, 6)
+    d1 = subarray_deltas(geom, 1)
     assert d1.shape == (1,)
     assert d1[0] == pytest.approx(1 - 0.5 * (geom.alphas[0] + geom.alphas[-1]))
     # one TD unit per element: delta_m = 1 - alpha_m
-    dm = subarray_deltas(geom, 6, 1)
+    dm = subarray_deltas(geom, 6)
     assert np.allclose(dm, 1 - geom.alphas)
     assert np.all(np.diff(dm) > 0)
-    with pytest.raises(ValueError):
-        subarray_deltas(geom, 4, 2)
+    for N in (4, 0):
+        with pytest.raises(ValueError):
+            subarray_deltas(geom, N)
 
 
-def approx_delays(params, deltas, tau_max):
+def row_delays(params, deltas, tau_max):
     # the delay vectors of approximation rows at `deltas`, as search_delays computes them
     return delays_from_ddf(linear_ddf(params, deltas), tau_max)
 
 
-def test_delays_from_approx_zero_curve():
-    tau = approx_delays((1.0, 0.0, 0.0), np.array([0.0, 1.0, 2.0]), 1e-9)
+def test_delays_from_ddf_zero_curve():
+    tau = row_delays((1.0, 0.0, 0.0), np.array([0.0, 1.0, 2.0]), 1e-9)
     assert np.all(tau == 0.0)
 
 
-def test_delays_from_approx_shift_by_minimum():
+def test_delays_from_ddf_shift_by_minimum():
     D = 1.0
-    tau = approx_delays((1.0, -D / 2, 0.0), np.array([0.0, 1.0, 2.0]), 1.0)
+    tau = row_delays((1.0, -D / 2, 0.0), np.array([0.0, 1.0, 2.0]), 1.0)
     c = SPEED_OF_LIGHT
     assert np.allclose(tau, [D / (2 * c), 0.0, D / (2 * c)])
     assert tau.min() == 0.0
 
 
-def test_delays_from_approx_clipping():
+def test_delays_from_ddf_clipping():
     ap = (1.0, -0.5, 0.5)
-    tau = approx_delays(ap, np.array([0.0, 1.0, 2.0]), 0.0)
+    tau = row_delays(ap, np.array([0.0, 1.0, 2.0]), 0.0)
     assert np.all(tau == 0.0)
     tau_max = 1e-12
-    tau2 = approx_delays(ap, np.linspace(0, 2, 7), tau_max)
+    tau2 = row_delays(ap, np.linspace(0, 2, 7), tau_max)
     assert tau2.min() == 0.0
     assert tau2.max() <= tau_max
 
@@ -286,14 +286,14 @@ def reference_linear_ddf(ap, delta: np.ndarray) -> np.ndarray:
 def reference_search_delays(theta_star, measure, geom, cfg, cb, grid):
     """The full-grid search: every grid_candidates row, SEARCH_BLOCK at a time."""
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
+    deltas = subarray_deltas(geom, cfg.num_td_units)
     params = grid_candidates(grid, geom.aperture)
     best_score = -np.inf
     best_tau = best_theta = None
     trace = []
     for start in range(0, len(params), SEARCH_BLOCK):
         rows = params[start : start + SEARCH_BLOCK]
-        tau = approx_delays(rows, deltas, cfg.tau_max_s)
+        tau = row_delays(rows, deltas, cfg.tau_max_s)
         theta = recompensate_phases(theta_star, tau, cfg, cb)
         powers = np.asarray(measure(CombinerConfig(theta=theta, tau=tau)), dtype=float)
         scores = np.mean(np.sqrt(np.maximum(powers, 0.0)), axis=-1)
@@ -306,7 +306,7 @@ def reference_search_delays(theta_star, measure, geom, cfg, cb, grid):
 
 def test_vectorized_linear_ddf_equals_scalar_form():
     geom = random_geometry(64, 0.05, seed=5)
-    deltas = subarray_deltas(geom, 16, 4)
+    deltas = subarray_deltas(geom, 16)
     cands = grid_candidates((9, 17, 17), geom.aperture)
     rows = linear_ddf(cands, deltas)
     assert rows.shape == (len(cands), deltas.size)
@@ -432,7 +432,7 @@ SEARCH_GRIDS = [
 def trace_delays(result, geom, cfg):
     # the delay vector of each scored row, computed as the search computes it
     rows = np.array([row[:3] for row in result.trace])
-    return approx_delays(rows, subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td), cfg.tau_max_s)
+    return row_delays(rows, subarray_deltas(geom, cfg.num_td_units), cfg.tau_max_s)
 
 
 @pytest.mark.parametrize("grid", SEARCH_GRIDS)
@@ -474,9 +474,9 @@ def test_search_coarse_pass_is_every_other_grid_point(grid, monkeypatch, no_focu
     scale = np.array([1.0, geom.aperture, geom.aperture])
     dist = np.abs(coarse[:, None, :] - want[None, :, :]) / scale
     assert np.all(dist.max(axis=-1).min(axis=1) < 1e-12)  # each coarse row is a grid row
-    deltas = subarray_deltas(geom, cfg.num_td_units, cfg.ps_per_td)
+    deltas = subarray_deltas(geom, cfg.num_td_units)
     scored = trace_delays(result, geom, cfg)[: sizes[0]]
-    wanted = approx_delays(want, deltas, cfg.tau_max_s)
+    wanted = row_delays(want, deltas, cfg.tau_max_s)
     gap = np.abs(wanted[:, None, :] - scored[None, :, :]).max(axis=-1).min(axis=1)
     assert np.all(gap <= 1e-12 * cfg.tau_max_s)  # and each grid row's delays are scored
 

@@ -76,43 +76,6 @@ def test_regimes():
     assert ddf_regime(g, UePosition(1.0, -1.0)) is DdfRegime.VALLEY
 
 
-def _regime_sign_changes(g, ue):
-    deltas = np.linspace(0.0, 2.0, 1000)
-    vals = distance_difference(g, deltas, ue)
-    return np.diff(vals)
-
-
-@pytest.mark.parametrize("regime", list(DdfRegime))
-def test_regime_monotonicity_sampled(regime):
-    rng = np.random.default_rng(17)
-    checked = 0
-    while checked < 100:
-        M = int(rng.integers(2, 12))
-        aperture = float(rng.uniform(0.5, 5.0))
-        g = random_geometry(M, aperture, seed=int(rng.integers(0, 2**31)))
-        x = float(rng.uniform(0.2, 10.0))
-        if regime is DdfRegime.MONOTONE_INCREASING:
-            y = float(rng.uniform(0.51, 3.0)) * aperture
-        elif regime is DdfRegime.MONOTONE_DECREASING:
-            y = -float(rng.uniform(0.51, 3.0)) * aperture
-        else:
-            y = float(rng.uniform(-0.49, 0.49)) * aperture
-        ue = UePosition(x, y)
-        assert ddf_regime(g, ue) is regime
-        diffs = _regime_sign_changes(g, ue)
-        if regime is DdfRegime.MONOTONE_INCREASING:
-            assert np.all(diffs >= -1e-12)
-        elif regime is DdfRegime.MONOTONE_DECREASING:
-            assert np.all(diffs <= 1e-12)
-        else:
-            signs = np.sign(diffs[np.abs(diffs) > 1e-15])
-            changes = np.count_nonzero(np.diff(signs) != 0)
-            assert changes <= 1
-            if changes == 1:  # decreasing then increasing
-                assert signs[0] < 0 and signs[-1] > 0
-        checked += 1
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     delta=st.floats(min_value=0.0, max_value=2.0),

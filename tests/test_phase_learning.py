@@ -21,7 +21,6 @@ def make_cfg(M, K=1, B=0.0, fc=100e9):
     return SystemConfig(
         num_antennas=M,
         num_td_units=1,
-        ps_per_td=M,
         num_subcarriers=K,
         center_freq_hz=fc,
         bandwidth_hz=B,

@@ -38,7 +38,6 @@ def make_cfg(M, N, K=4, fc=100e9, B=10e9, noise=0.0, P_T=1.0):
     return SystemConfig(
         num_antennas=M,
         num_td_units=N,
-        ps_per_td=M // N,
         num_subcarriers=K,
         center_freq_hz=fc,
         bandwidth_hz=B,
