@@ -168,10 +168,11 @@ def search_delays(
     2 + 6 * REFINE_ROUNDS rows from a seed, and the coarse rows plus
     6 * REFINE_ROUNDS without one.
 
-    The delay vectors of a pass come from one vectorized evaluation of the
-    approximations, before any is measured. Scored rows go through
-    `measure` SEARCH_BLOCK at a time: each block's phases are
-    recompensated, and `measure` takes the
+    The delay vectors of a pass come from vectorized evaluations of the
+    approximations, SEARCH_BLOCK rows at a time, so no pass holds more
+    than a block of them. Rows with delay vectors not yet scored go
+    through `measure` SEARCH_BLOCK at a time, in row order: each block's
+    phases are recompensated, and `measure` takes the
     stacked CombinerConfig (theta (C, M), tau (C, N)) and returns
     per-subcarrier powers, shape (C, K), row c equal to what it would
     return for candidate c alone, measured in candidate order. A candidate
@@ -193,29 +194,37 @@ def search_delays(
         # + 0.0 turns the -0.0 of a negative u at ax = 0 into 0.0
         return (ax, u * (0.5 * aperture) * ax + 0.0, v * aperture + 0.0)
 
+    def measure_block(block):
+        """Recompensate and measure the (row, tau, key) entries of one block."""
+        nonlocal best_score, best_tau, best_theta
+        tau = np.array([entry[1] for entry in block])
+        theta = recompensate_phases(theta_star, tau, cfg, cb)
+        powers = np.asarray(measure(CombinerConfig(theta=theta, tau=tau)), dtype=float)
+        scores = np.mean(np.sqrt(np.maximum(powers, 0.0)), axis=-1)
+        for (params, _, key), v in zip(block, scores.tolist()):
+            scored[key] = v
+            trace.append((*params, v))
+        i = int(np.argmax(scores))  # the earliest of tied maxima
+        if scores[i] > best_score:
+            best_score, best_tau, best_theta = float(scores[i]), tau[i], theta[i]
+
     def score(positions):
         """Every position's score, measuring only delay vectors not yet scored."""
-        nonlocal best_score, best_tau, best_theta
-        params = [row(position) for position in positions]
-        taus = delays_from_ddf(linear_ddf(np.reshape(params, (-1, 3)), deltas), cfg.tau_max_s)
-        keys = [tau.tobytes() for tau in taus]
-        fresh = []
-        for i, key in enumerate(keys):
-            if key not in scored:
-                scored[key] = None
-                fresh.append(i)
-        for start in range(0, len(fresh), SEARCH_BLOCK):
-            block = fresh[start : start + SEARCH_BLOCK]
-            tau = taus[block]
-            theta = recompensate_phases(theta_star, tau, cfg, cb)
-            powers = np.asarray(measure(CombinerConfig(theta=theta, tau=tau)), dtype=float)
-            scores = np.mean(np.sqrt(np.maximum(powers, 0.0)), axis=-1)
-            for j, v in zip(block, scores.tolist()):
-                scored[keys[j]] = v
-                trace.append((*params[j], v))
-            i = int(np.argmax(scores))  # the earliest of tied maxima
-            if scores[i] > best_score:
-                best_score, best_tau, best_theta = float(scores[i]), tau[i], theta[i]
+        keys, fresh = [], []
+        for start in range(0, len(positions), SEARCH_BLOCK):
+            params = [row(position) for position in positions[start : start + SEARCH_BLOCK]]
+            taus = delays_from_ddf(linear_ddf(np.reshape(params, (-1, 3)), deltas), cfg.tau_max_s)
+            for row_params, tau in zip(params, taus):
+                key = tau.tobytes()
+                keys.append(key)
+                if key not in scored:
+                    scored[key] = None
+                    fresh.append((row_params, tau, key))
+                    if len(fresh) == SEARCH_BLOCK:
+                        measure_block(fresh)
+                        fresh = []
+        if fresh:
+            measure_block(fresh)
         return [scored[key] for key in keys]
 
     seed = _seed_position(theta_star, geom, cfg, points)

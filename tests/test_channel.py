@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -301,9 +302,8 @@ def test_blocked_gain_map_equals_one_shot_formula(M, monkeypatch):
             assert np.array_equal(blocked, gain_map(geom, cfg_f, w, f, xs, ys))
 
 
-@pytest.mark.parametrize("rho_mode", ["unit", "flat_amplitude"])
-def test_reference_gain_maps_match_the_spherical_wave_formula(rho_mode):
-    ec = ExperimentConfig(rho_mode=rho_mode)
+def assert_maps_match_the_formula(ec, xs, ys):
+    """The maps at the band edges and center within 1e-12 of peak of spherical_wave's."""
     geom = build_geometry(ec)
     cfg = build_system(ec)
     H = build_channel(ec, geom, cfg)
@@ -311,7 +311,6 @@ def test_reference_gain_maps_match_the_spherical_wave_formula(rho_mode):
     freqs = H.freqs_hz[[0, center_bin(H.freqs_hz, cfg.center_freq_hz), -1]]
     rho = amplitude_rho(cfg, freqs)
     w = np.array([effective_combiner(cc, cfg, f) for f in freqs])
-    xs, ys = np.linspace(0.5, 4.0, 36), np.linspace(-4.0, 4.0, 81)
     maps = gain_map(geom, cfg, w, freqs, xs, ys)
     gx, gy = np.meshgrid(xs, ys)
     elem_y = 0.5 * geom.aperture * geom.alphas
@@ -319,6 +318,20 @@ def test_reference_gain_maps_match_the_spherical_wave_formula(rho_mode):
     for wf, f, r, got in zip(w, freqs, rho, maps):
         want = (np.abs(spherical_wave(d, f, r) @ np.conj(wf)) ** 2).reshape(gx.shape)
         assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+@pytest.mark.parametrize("rho_mode", ["unit", "flat_amplitude"])
+def test_reference_gain_maps_match_the_spherical_wave_formula(rho_mode):
+    xs, ys = np.linspace(0.5, 4.0, 36), np.linspace(-4.0, 4.0, 81)
+    assert_maps_match_the_formula(ExperimentConfig(rho_mode=rho_mode), xs, ys)
+
+
+def test_large_array_gain_maps_close_and_wide_match_the_formula():
+    # M = 1,024 spans 1.53 m: points a few cm from the array and past both
+    # ends see element distances, so phase offsets, spread over the aperture
+    ec = ExperimentConfig(num_antennas=1024)
+    xs, ys = np.linspace(0.02, 3.0, 25), np.linspace(-3.0, 3.0, 61)
+    assert_maps_match_the_formula(ec, xs, ys)
 
 
 def test_gain_map_far_point_is_finite():
@@ -330,6 +343,35 @@ def test_gain_map_far_point_is_finite():
     # once scaled by the table size
     val = gain_map(geom, cfg, w, 1e11, np.array([1e15]), np.array([0.0]))
     assert np.isfinite(val).all() and val[0, 0] > 0.0
+
+
+def traced_peak_beyond_result(fn):
+    """Peak traced memory while fn() runs, less the bytes of the array it returns."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - result.nbytes
+
+
+def test_gain_map_memory_beyond_the_result_does_not_grow_with_the_grid():
+    # one set of block buffers serves every grid: 100 points take one block,
+    # 20,000 points 157 blocks. The result grows by 8 bytes a point; what
+    # else the call holds may grow by under one byte a point (the
+    # interpreter's free lists keep a few small objects per block)
+    ec = ExperimentConfig()
+    geom = build_geometry(ec)
+    cfg = build_system(ec)
+    w = np.exp(1j * np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, cfg.num_antennas))
+    xs = np.linspace(0.5, 4.0, 50)
+
+    def beyond_result(ny):
+        ys = np.linspace(-4.0, 4.0, ny)
+        return traced_peak_beyond_result(lambda: gain_map(geom, cfg, w, 1e11, xs, ys))
+
+    assert beyond_result(400) - beyond_result(2) < xs.size * (400 - 2)
 
 
 def test_gain_map_stacked_frequencies_equal_single_calls():

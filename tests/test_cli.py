@@ -133,12 +133,14 @@ def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch):
 
 
 def test_run_heatmap_computes_each_block_distances_once(tmp_path, monkeypatch):
+    # each block's distances are computed once and shared by the phasors of
+    # every frequency
     ec = tiny_config()
     geom = build_geometry(ec)
     cfg = build_system(ec)
     H = build_channel(ec, geom, cfg)
     cc = pdf_oracle(geom, build_ue(ec), H, cfg, build_codebook(ec))
-    calls = {"gain_map": 0, "point_distances": 0}
+    calls = {"gain_map": 0, "_block_distances": 0, "unit_phasors": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -148,16 +150,15 @@ def test_run_heatmap_computes_each_block_distances_once(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cli, "gain_map", counted("gain_map", cli.gain_map))
-    monkeypatch.setattr(
-        channel, "point_distances", counted("point_distances", channel.point_distances)
-    )
+    for name in ("_block_distances", "unit_phasors"):
+        monkeypatch.setattr(channel, name, counted(name, getattr(channel, name)))
     ec = replace(ec, heatmap_resolution_m=0.01)
     files = run_heatmap(ec, tmp_path, cc, cfg, [H.freqs_hz[0], H.freqs_hz[31], H.freqs_hz[-1]])
     assert len(files) == 3
     xs, ys = cli._heatmap_axes(ec)
     blocks = -(-(xs.size * ys.size) // GAIN_MAP_BLOCK)
     assert blocks > 1
-    assert calls == {"gain_map": 1, "point_distances": blocks}
+    assert calls == {"gain_map": 1, "_block_distances": blocks, "unit_phasors": 3 * blocks}
 
 
 def test_run_heatmap_files(tmp_path):

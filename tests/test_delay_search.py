@@ -380,6 +380,43 @@ def test_seeded_blocked_search_equals_per_candidate_loop(M, N, grid, noisy, monk
     assert len(got.trace) <= 2 + 6 * REFINE_ROUNDS
 
 
+def test_fallback_evaluates_a_block_of_rows_at_a_time(monkeypatch, no_focus):
+    # the coarse pass of the (9, 17, 17) grid has 406 rows: linear_ddf sees
+    # at most SEARCH_BLOCK of them at once, and the measurement blocks, the
+    # trace and the result are those of one evaluation of every row
+    cfg, geom, H = scene(M=64, N=16, K=32, seed=2)
+    cb = PhaseCodebook(bits=3)
+    theta_star = ps_only_oracle(H, cfg, cb).theta
+    profile = profile_measure(H, cfg)
+    rows, sizes = [], []
+
+    def spy_ddf(params, delta):
+        rows.append(len(params))
+        return linear_ddf(params, delta)
+
+    def measure(cc):
+        sizes.append(len(cc.tau))
+        return profile(cc)
+
+    monkeypatch.setattr(delay_search, "linear_ddf", spy_ddf)
+    got = search_delays(theta_star, measure, geom, cfg, cb, (9, 17, 17))
+    assert max(rows) == SEARCH_BLOCK and sum(rows) > 3 * SEARCH_BLOCK
+    blocked_sizes = sizes[:]
+    rows.clear()
+    sizes.clear()
+    monkeypatch.setattr(delay_search, "SEARCH_BLOCK", 10**6)
+    want = search_delays(theta_star, measure, geom, cfg, cb, (9, 17, 17))
+    assert rows[0] > 3 * SEARCH_BLOCK  # every coarse row in one evaluation
+    fresh = sizes[0]
+    full, rest = divmod(fresh, SEARCH_BLOCK)
+    coarse = [SEARCH_BLOCK] * full + ([rest] if rest else [])
+    assert blocked_sizes == coarse + sizes[1:]
+    assert got.trace == want.trace
+    assert np.array_equal(got.tau, want.tau)
+    assert np.array_equal(got.theta, want.theta)
+    assert got.score == want.score
+
+
 def tie_search():
     # every candidate scores the same, so the zero-delay candidate wins
     cfg, geom, H = scene()
