@@ -10,6 +10,8 @@ exact analytic gradient.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .files import write_atomic
@@ -58,23 +60,54 @@ RMS_TOL = 0.01
 STALL_TOL = 1e-3
 
 
-def _line_search(err: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """Step alpha minimizing mean((err + 2 alpha b + alpha^2 c)^2); 0 if none lowers it.
+_THIRD_TURN = 2.0 * math.pi / 3.0
 
-    The loss along a direction is a quartic in alpha; its minimum lies at a
-    real root of the derivative, a cubic whose coefficients are the means
-    below. The real parts of all three roots are scored, which also covers
-    a real root returned with a rounding-size imaginary part.
+
+def _real_roots(a3: float, a2: float, a1: float, a0: float) -> tuple:
+    """Real roots of a3 x^3 + a2 x^2 + a1 x + a0 for a3 > 0, in closed form.
+
+    The depressed cubic t^3 + p t + q (x = t - a2 / (3 a3)) has one real
+    root when (q/2)^2 + (p/3)^3 > 0, taken by Cardano's formula from the
+    cube root of larger magnitude (no cancellation), and otherwise three,
+    taken by the trigonometric formula. A double root comes out once or
+    twice, as rounding falls.
     """
-    cubic = [np.mean(c * c), 3.0 * np.mean(b * c), np.mean(err * c + 2.0 * b * b), np.mean(err * b)]
-    if not cubic[0] > 0.0:  # the direction moves no prediction (or is not finite)
+    shift = a2 / (3.0 * a3)
+    p = a1 / a3 - a2 * shift / a3
+    q = a0 / a3 - shift * (a1 / a3 - 2.0 * shift * shift)
+    half, third = 0.5 * q, p / 3.0
+    disc = half * half + third * third * third
+    if disc > 0.0:
+        s = -half - math.copysign(math.sqrt(disc), half)
+        u = math.copysign(abs(s) ** (1.0 / 3.0), s)
+        return (u - third / u - shift,)
+    if third == 0.0:  # a triple root
+        return (-shift,)
+    r = math.sqrt(-third)
+    angle = math.acos(max(-1.0, min(1.0, -half / (r * r * r)))) / 3.0
+    return tuple(2.0 * r * math.cos(angle - k * _THIRD_TURN) - shift for k in range(3))
+
+
+def _line_search(moments: np.ndarray) -> float:
+    """Step alpha minimizing sum((err + 2 alpha b + alpha^2 c)^2); 0 if none lowers it.
+
+    `moments` is the (3, 3) Gram matrix of the rows err, b, c over the
+    samples. The loss along a direction is a quartic in alpha; its minimum
+    lies at a real root of the derivative, a cubic whose coefficients are
+    five of those moments (see _real_roots). Each root is scored on the
+    quartic by Horner's rule.
+    """
+    (_, eb, ec), (_, bb, bc), (_, _, cc) = moments.tolist()
+    if not cc > 0.0:  # the direction moves no prediction (or is not finite)
         return 0.0
-    alphas = np.roots(cubic).real
-    # the quartic's coefficients, highest power first, minus its constant
-    quartic = np.array([cubic[0], 4.0 * cubic[1] / 3.0, 2.0 * cubic[2], 4.0 * cubic[3], 0.0])
-    change = np.polyval(quartic, alphas)
-    i = int(np.argmin(change))
-    return float(alphas[i]) if change[i] < 0.0 else 0.0
+    best, step = 0.0, 0.0
+    linear, quadratic, cubic = 4.0 * eb, 2.0 * ec + 4.0 * bb, 4.0 * bc
+    for alpha in _real_roots(cc, 3.0 * bc, ec + 2.0 * bb, eb):
+        # the quartic's change from alpha = 0
+        change = alpha * (linear + alpha * (quadratic + alpha * (cubic + alpha * cc)))
+        if change < best:
+            best, step = change, alpha
+    return step
 
 
 def train_critic(q: np.ndarray, beams: np.ndarray, powers: np.ndarray, max_iters: int):
@@ -83,7 +116,7 @@ def train_critic(q: np.ndarray, beams: np.ndarray, powers: np.ndarray, max_iters
     Each iteration takes the full-dataset gradient, forms the direction
     -g + beta P with beta = max(0, Re<g, g - g_prev> / ||g_prev||^2) (-g when
     that is not a descent direction), and steps to the exact minimum of the
-    loss along it, which is the root of a cubic (see _line_search). A step
+    loss along it, which is a real root of a cubic (see _line_search). A step
     never raises the loss. Powers are rescaled to unit mean internally,
     which rescales q by the square root and leaves predictions consistent.
 
@@ -96,7 +129,11 @@ def train_critic(q: np.ndarray, beams: np.ndarray, powers: np.ndarray, max_iters
     g = conj(B) q is carried across iterations: with d = conj(B) p the
     inner products along the step are g + alpha d, so each iteration makes
     two passes over the (n, M) beams, one for the gradient and one for d.
-    No (n, M) conjugate of the beams is ever formed (see _inner).
+    No (n, M) conjugate of the beams is ever formed (see _inner). The line
+    search's rows err, b = Re(conj(g) d) and c = |d|^2 are written from
+    real and imaginary parts into a (3, n) buffer allocated once per fit;
+    one (3, n) @ (n, 3) product gives the five moments that make up the
+    cubic, whose real roots come in closed form (see _real_roots).
     """
     if powers.size == 0:
         raise ValueError("dataset is empty")
@@ -110,6 +147,9 @@ def train_critic(q: np.ndarray, beams: np.ndarray, powers: np.ndarray, max_iters
     target = (RMS_TOL * float(np.mean(powers))) ** 2
 
     q = q / np.sqrt(scale)
+    # the line search's rows err, b = Re(conj(g) d) and c = |d|^2, and a
+    # work row, written in place every iteration
+    rows, work = np.empty((3, powers.size)), np.empty(powers.size)
     g = _inner(beams, q)
     err = _residuals(g, powers)
     current = float(np.mean(err**2))
@@ -125,7 +165,12 @@ def train_critic(q: np.ndarray, beams: np.ndarray, powers: np.ndarray, max_iters
             direction = -grad
         grad_prev = grad
         d = _inner(beams, direction)
-        alpha = _line_search(err, (g.conj() * d).real, _residuals(d, 0.0))
+        rows[0] = err
+        np.multiply(g.real, d.real, out=rows[1])
+        rows[1] += np.multiply(g.imag, d.imag, out=work)
+        np.multiply(d.real, d.real, out=rows[2])
+        rows[2] += np.multiply(d.imag, d.imag, out=work)
+        alpha = _line_search(rows @ rows.T)
         previous = current
         if alpha != 0.0:
             g_new = g + alpha * d

@@ -20,6 +20,7 @@ grid's 2,330 candidates from a focus, and at most 333 + 24 without one.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass
 
@@ -164,9 +165,10 @@ def search_delays(
     the spacing. A row whose delay vector is bitwise equal to one already
     scored is not measured again (at break_delta = 0 every u gives the same
     row, and rows that differ only where the delays clip give the same
-    vector); it takes the earlier score. So a search scores at most
-    2 + 6 * REFINE_ROUNDS rows from a seed, and the coarse rows plus
-    6 * REFINE_ROUNDS without one.
+    vector); it takes the earlier score. Scored vectors are remembered by
+    a 16-byte BLAKE2b digest of their bytes, whatever N. So a search scores
+    at most 2 + 6 * REFINE_ROUNDS rows from a seed, and the coarse rows
+    plus 6 * REFINE_ROUNDS without one.
 
     The delay vectors of a pass come from vectorized evaluations of the
     approximations, SEARCH_BLOCK rows at a time, so no pass holds more
@@ -185,7 +187,7 @@ def search_delays(
     aperture = geom.aperture
     axes = [_axis(n) for n in points]
     trace = []
-    scored = {}  # delay vector bytes -> score
+    scored = {}  # delay vector digest -> score
     best_score, best_tau, best_theta = -np.inf, None, None
 
     def row(position):
@@ -215,7 +217,7 @@ def search_delays(
             params = [row(position) for position in positions[start : start + SEARCH_BLOCK]]
             taus = delays_from_ddf(linear_ddf(np.reshape(params, (-1, 3)), deltas), cfg.tau_max_s)
             for row_params, tau in zip(params, taus):
-                key = tau.tobytes()
+                key = hashlib.blake2b(tau.tobytes(), digest_size=16).digest()
                 keys.append(key)
                 if key not in scored:
                     scored[key] = None

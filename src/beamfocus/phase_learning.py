@@ -74,27 +74,32 @@ def coordinate_ascent(q: np.ndarray, init: np.ndarray, cb: PhaseCodebook):
         raise ValueError("init length does not match the critic")
     q_conj = q.conj()
     phasors = _phasors(cb, M)  # (2^r,)
+    # the sweep runs on Python scalars: row m of `terms` holds antenna m's
+    # contribution q_m^* e^{j theta} / sqrt(M) for each codebook index
+    terms = (q_conj[:, None] * phasors).tolist()
+    current = idx.tolist()
     g = q_conj @ phasors[idx]  # the running inner product q^H w
     best = float(np.real(np.vdot(g, g)))
+    g = complex(g)
     cycles = 0
     for _ in range(MAX_ASCENT_CYCLES):
         changed = False
-        for m in range(M):
-            g_base = g - phasors[idx[m]] * q_conj[m]
-            cand = g_base + phasors * q_conj[m]
-            powers = np.abs(cand) ** 2
-            i = int(np.argmax(powers))
-            if powers[i] > best * (1.0 + 1e-12):
-                idx[m] = i
-                g = cand[i]
-                best = float(powers[i])
-                changed = True
+        for m, row in enumerate(terms):
+            g_base = g - row[current[m]]
+            powers = [abs(g_base + t) ** 2 for t in row]
+            top = max(powers)
+            if top > best * (1.0 + 1e-12):
+                i = powers.index(top)  # the first of equal maxima
+                current[m] = i
+                g, best, changed = g_base + row[i], top, True
         cycles += 1
         if not changed:
             break
         # refresh the running inner product to stop incremental drift
+        idx = np.array(current, np.uint8)
         g = q_conj @ phasors[idx]
         best = float(np.real(np.vdot(g, g)))
+        g = complex(g)
     return idx, cycles, best
 
 

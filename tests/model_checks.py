@@ -1,11 +1,14 @@
-"""Quantities only the tests check: the critic's loss and gradient, and the
-monotonicity regime of the distance difference function."""
+"""Quantities only the tests check: the critic's loss and gradient, the
+monotonicity regime of the distance difference function, and the earlier
+numpy forms of the critic's line search and of the coordinate ascent, which
+the faster kernels must agree with."""
 
 import enum
 
 import numpy as np
 
 from beamfocus.critic import _gradient, _inner, _residuals
+from beamfocus.phase_learning import MAX_ASCENT_CYCLES, _phasors
 
 
 def critic_loss_and_gradient(q, beams, powers):
@@ -21,6 +24,62 @@ def critic_loss_and_gradient(q, beams, powers):
     g = _inner(beams, q)
     err = _residuals(g, powers)
     return float(np.mean(err**2)), _gradient(beams, g, err)
+
+
+def line_search_reference(err, b, c) -> float:
+    """Step alpha minimizing mean((err + 2 alpha b + alpha^2 c)^2); 0 if none lowers it.
+
+    The numpy form of `critic._line_search`: the cubic's coefficients as
+    means of the (n,) rows, its roots from `cubic_step_reference`.
+    """
+    cubic = [np.mean(c * c), 3.0 * np.mean(b * c), np.mean(err * c + 2.0 * b * b), np.mean(err * b)]
+    return cubic_step_reference(cubic)
+
+
+def cubic_step_reference(cubic) -> float:
+    """The root of the line search cubic (highest power first) that lowers the quartic most.
+
+    The roots come from `np.roots`; the real parts of all three are scored
+    on the quartic, whose derivative is 4 * cubic, by `np.polyval`. 0 when
+    the leading coefficient is not positive or no root lowers the quartic.
+    """
+    if not cubic[0] > 0.0:
+        return 0.0
+    alphas = np.roots(cubic).real
+    # the quartic's coefficients, highest power first, minus its constant
+    quartic = np.array([cubic[0], 4.0 * cubic[1] / 3.0, 2.0 * cubic[2], 4.0 * cubic[3], 0.0])
+    change = np.polyval(quartic, alphas)
+    i = int(np.argmin(change))
+    return float(alphas[i]) if change[i] < 0.0 else 0.0
+
+
+def coordinate_ascent_reference(q, init, cb):
+    """`phase_learning.coordinate_ascent` as numpy operations on each antenna's candidates."""
+    idx = np.atleast_1d(np.asarray(init)).astype(np.uint8)
+    M = idx.size
+    q_conj = q.conj()
+    phasors = _phasors(cb, M)
+    g = q_conj @ phasors[idx]
+    best = float(np.real(np.vdot(g, g)))
+    cycles = 0
+    for _ in range(MAX_ASCENT_CYCLES):
+        changed = False
+        for m in range(M):
+            g_base = g - phasors[idx[m]] * q_conj[m]
+            cand = g_base + phasors * q_conj[m]
+            powers = np.abs(cand) ** 2
+            i = int(np.argmax(powers))
+            if powers[i] > best * (1.0 + 1e-12):
+                idx[m] = i
+                g = cand[i]
+                best = float(powers[i])
+                changed = True
+        cycles += 1
+        if not changed:
+            break
+        g = q_conj @ phasors[idx]
+        best = float(np.real(np.vdot(g, g)))
+    return idx, cycles, best
 
 
 class DdfRegime(enum.Enum):

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from beamfocus.critic import (
     RMS_TOL,
     STALL_TOL,
     _inner,
+    _line_search,
+    _real_roots,
     _residuals,
     initialize_critic,
     save_critic,
     train_critic,
 )
 from beam_model import beam_from_phases
-from model_checks import critic_loss_and_gradient
+from model_checks import critic_loss_and_gradient, cubic_step_reference, line_search_reference
 
 
 def random_beams(rng, n, M):
@@ -264,3 +268,106 @@ def test_critic_text_holds_the_matrix_bit_exactly(tmp_path):
     assert lines[:2] == ["# run = test", "4 1"]
     parsed = [complex(*map(float, ln.split(":"))) for ln in lines[2:]]
     assert np.array_equal(np.array(parsed), q)
+
+
+def moments_of(err, b, c):
+    # the Gram matrix of the rows err, b, c that train_critic hands the line search
+    rows = np.array([err, b, c])
+    return rows @ rows.T
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), zero_c=st.booleans())
+def test_line_search_equals_the_np_roots_reference(seed, n, zero_c):
+    # err, b and c as one iteration forms them: c = |d|^2 >= 0, and c = 0
+    # (a direction that moves no prediction) takes no step
+    rng = np.random.default_rng(seed)
+    err, b = rng.standard_normal((2, n)) * rng.uniform(0.1, 10.0, 2)[:, None]
+    c = np.zeros(n) if zero_c else rng.uniform(0.0, 1.0, n) * rng.uniform(0.1, 10.0)
+    got, want = _line_search(moments_of(err, b, c)), line_search_reference(err, b, c)
+    if got != pytest.approx(want, rel=1e-9, abs=1e-12):
+        # the quartic's two minima tie (one sample always makes them tie, at
+        # the roots of err + 2 alpha b + alpha^2 c): either is the minimum
+        def loss(alpha):
+            return float(np.mean((err + 2.0 * alpha * b + alpha**2 * c) ** 2))
+
+        assert loss(got) == pytest.approx(loss(want), rel=1e-9, abs=1e-12)
+    if zero_c:
+        assert got == 0.0
+
+
+def cubic_from_roots(kind, r, s, u, scale):
+    """Monic-times-scale cubic, highest power first, and its real roots.
+
+    kind "three": roots r < s < u; "double": r twice and s; "one": r and
+    the complex pair s +- j u (u > 0).
+    """
+    if kind == "three":
+        roots = [r, s, u]
+    elif kind == "double":
+        roots = [r, r, s]
+    else:
+        roots = [r, s + 1j * u, s - 1j * u]
+    return scale * np.poly(roots).real, sorted(set(x for x in roots if not isinstance(x, complex)))
+
+
+def moments_for(cubic, bb):
+    # a (3, 3) moment matrix whose line search cubic is `cubic`; the split of
+    # the linear coefficient between err.c and b.b is free, so bb varies it
+    a3, a2, a1, a0 = cubic.tolist()
+    ec, bc = a1 - 2.0 * bb, a2 / 3.0
+    return np.array([[1.0, a0, ec], [a0, bb, bc], [ec, bc, a3]])
+
+
+root = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    kind=st.sampled_from(["three", "double", "one"]),
+    r=root,
+    s=root,
+    u=root,
+    scale=st.floats(1e-3, 1e3),
+    bb=st.floats(0.0, 10.0),
+)
+def test_closed_form_roots_and_step_equal_the_np_roots_reference(kind, r, s, u, scale, bb):
+    if kind == "three":
+        r, s, u = sorted((r, s, u))
+        assume(s - r > 0.25 and u - s > 0.25)
+    elif kind == "double":
+        assume(abs(r - s) > 0.25)
+    else:
+        u = abs(u)
+        assume(u > 0.25)
+    cubic, real = cubic_from_roots(kind, r, s, u, scale)
+    size = max(1.0, *(abs(x) for x in real))
+    roots = sorted(_real_roots(*cubic.tolist()))
+    reference = sorted(x.real for x in np.roots(cubic) if abs(x.imag) <= 1e-6 * size)
+    if kind == "double":
+        # a double root is ill-conditioned: one rounding of the coefficients
+        # moves it by about sqrt(eps), and it may come out once or twice, or
+        # (np.roots) as a pair with a tiny imaginary part. The simple root is
+        # well-conditioned.
+        assert min(abs(x - s) for x in roots) <= 1e-9 * size
+        assert all(min(abs(x - r), abs(x - s)) <= 1e-6 * size for x in roots)
+    else:
+        assert len(roots) == len(reference) == len(real)
+        np.testing.assert_allclose(roots, reference, rtol=0.0, atol=1e-9 * size)
+    # the quartic's two minima of a three-root cubic must not tie, or the
+    # pick between them is a matter of rounding
+    quartic = np.polyint(cubic * 4.0)
+    if kind == "three":
+        low, high = np.polyval(quartic, [r, u]) - np.polyval(quartic, 0.0)
+        assume(abs(low - high) > 1e-6 * max(abs(low), abs(high)))
+    want = cubic_step_reference(cubic.tolist())
+    assert _line_search(moments_for(cubic, bb)) == pytest.approx(want, rel=1e-9, abs=1e-9 * size)
+
+
+def test_closed_form_roots_of_hand_cubics():
+    # (x - 1)^3: a triple root
+    assert _real_roots(1.0, -3.0, 3.0, -1.0) == pytest.approx((1.0,))
+    # 2 (x^3 - x): -1, 0, 1
+    assert sorted(_real_roots(2.0, 0.0, -2.0, 0.0)) == pytest.approx([-1.0, 0.0, 1.0], abs=1e-15)
+    # x^3 + x - 2 = (x - 1)(x^2 + x + 2): one real root
+    assert _real_roots(1.0, 0.0, 1.0, -2.0) == pytest.approx((1.0,))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -415,6 +417,33 @@ def test_fallback_evaluates_a_block_of_rows_at_a_time(monkeypatch, no_focus):
     assert np.array_equal(got.tau, want.tau)
     assert np.array_equal(got.theta, want.theta)
     assert got.score == want.score
+
+
+def test_a_scored_row_keeps_far_less_memory_than_its_delay_vector(no_focus):
+    # at N = 256 a delay vector is 2,048 bytes; the search remembers each
+    # scored vector by a fixed-size key, so a scored row costs far less
+    # memory than its vector. The blocks' buffers cancel in the difference
+    # of two grids' traced peaks.
+    M = N = 256
+    cfg = make_cfg(M, N, K=4)
+    geom = random_geometry(M, 0.05, seed=0)
+    cb = PhaseCodebook(bits=3)
+
+    def stub(cc):
+        return np.ones((len(cc.tau), 1))
+
+    def peak_and_rows(points):
+        tracemalloc.start()
+        try:
+            result = search_delays(np.zeros(M), stub, geom, cfg, cb, (points,) * 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, len(result.trace)
+
+    small, large = peak_and_rows(17), peak_and_rows(33)
+    assert large[1] - small[1] > 3000
+    assert (large[0] - small[0]) / (large[1] - small[1]) < 1024
 
 
 def tie_search():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamfocus import phase_learning
 from beamfocus.channel import SystemConfig, near_field_channel
@@ -15,6 +17,7 @@ from beamfocus.phase_learning import (
 )
 from beamfocus.sim import gain_profile
 from beam_model import beam_from_phases
+from model_checks import coordinate_ascent_reference
 
 
 def make_cfg(M, K=1, B=0.0, fc=100e9):
@@ -177,6 +180,25 @@ def test_coordinate_ascent_monotone_and_near_exhaustive():
         assert p >= 0.95 * best
         hits += p >= best * (1 - 1e-12)
     assert hits >= 20  # coordinate ascent finds the global optimum almost always
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    M=st.sampled_from([4, 16, 256]),
+    bits=st.integers(1, 4),
+)
+def test_coordinate_ascent_equals_the_numpy_reference(seed, M, bits):
+    # the scalar sweep makes the choices of the per-antenna numpy sweep and
+    # returns the same indices, cycle count and prediction
+    rng = np.random.default_rng(seed)
+    cb = PhaseCodebook(bits=bits)
+    model = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) * rng.uniform(0.01, 100.0)
+    init = rng.integers(0, cb.size, M)
+    idx, cycles, prediction = coordinate_ascent(model, init, cb)
+    want_idx, want_cycles, want_prediction = coordinate_ascent_reference(model, init, cb)
+    assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
+    assert (cycles, prediction) == (want_cycles, want_prediction)
 
 
 def test_exploit_with_perfect_critic_near_exhaustive_optimum():

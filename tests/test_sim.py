@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from beamfocus.channel import (
     near_field_channel,
     subcarrier_frequencies,
 )
-from beamfocus.combiner import CombinerConfig, PhaseCodebook, effective_combiner
+from beamfocus.combiner import MAX_BITS, CombinerConfig, PhaseCodebook, effective_combiner
 from beamfocus.config import (
     ExperimentConfig,
     build_channel,
@@ -259,6 +260,46 @@ def test_noisy_center_measure_is_one_measure_power_draw():
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * sigma2)
         clipped += got == 0.0
     assert 0 < clipped < 50  # both sides of the clip are exercised
+
+
+@pytest.mark.parametrize("noise_mode", ["noiseless", "snapshots"])
+@pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
+def test_center_measure_equals_the_exponential_bit_for_bit(bits, noise_mode):
+    # the callback's e^{-j phase} table gives the powers of the exponential
+    # form, bit for bit, on stacked beams that hold every codebook member
+    ec = tiny_config(ps_bits=bits, noise_mode=noise_mode, noise_power_w=1e-9, snapshots=3)
+    cfg = build_system(ec)
+    H = build_channel(ec, build_geometry(ec), cfg)
+    M, values = cfg.num_antennas, build_codebook(ec).values
+    rows = -(-values.size // M) + 2
+    rng = np.random.default_rng(bits)
+    phases = values[rng.permutation(np.arange(rows * M) % values.size)].reshape(rows, 1, M)
+    h = H.coeffs[:, center_bin(H.freqs_hz, cfg.center_freq_hz)] / np.sqrt(M)
+    observe = sim._observer(ec, cfg, 0)  # a fresh copy of the callback's stream
+    got = make_center_measure(ec, H, cfg)(phases)
+    assert got.shape == (rows, 1)
+    assert np.array_equal(got, observe(np.exp(-1j * phases) @ h))
+
+
+def test_center_measure_rejects_phases_off_the_codebook():
+    # the codebook lies in (-pi, pi], so -pi is not a member; a rejected
+    # beam raises ValueError, alone or in a stack, and warns of nothing
+    ec = tiny_config()
+    cfg = build_system(ec)
+    H = build_channel(ec, build_geometry(ec), cfg)
+    values = build_codebook(ec).values
+    measure = make_center_measure(ec, H, cfg)
+    beam = values[np.random.default_rng(4).integers(0, values.size, cfg.num_antennas)]
+    for bad in (values[0] + 1e-9, values[-1] - 1e-12, np.nan, np.inf, -np.inf, -np.pi, 1e300, 0.5):
+        phases = beam.copy()
+        phases[1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="codebook"):
+                measure(phases)
+            with pytest.raises(ValueError, match="codebook"):
+                measure(np.stack([beam, phases]))
+    assert measure(beam) == make_center_measure(ec, H, cfg)(beam)
 
 
 def test_profile_noise_stream_is_keyed_by_td_count():
