@@ -4,12 +4,12 @@ The combiner at frequency f is (1/sqrt(M)) * exp(j(theta - 2 pi f tau_rep))
 where theta holds the M phase-shifter settings and tau_rep repeats each of
 the N delays over its P-element sub-array. Changing delays perturbs the
 center-frequency beam, so phases are re-quantized ("recompensated") to keep
-the center-frequency gain intact.
+the center-frequency gain intact. `PhaseCodebook` owns the codebook's layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,24 +31,51 @@ class PhaseCodebook:
     """The 2^bits admissible phase-shifter values, uniform over (-pi, pi].
 
     Anchored so that both 0 and pi are members (identity configurations are
-    representable). At most MAX_BITS bits.
+    representable). At most MAX_BITS bits. `values`, read-only, holds member
+    -pi + (i + 1) * 2pi/2^bits at index i, for i = 0..2^bits - 1, ascending.
     """
 
     bits: int
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.bits <= MAX_BITS:
             raise ValueError(f"need 1 to {MAX_BITS} bits, got {self.bits}")
+        n = 2**self.bits
+        values = -np.pi + TWO_PI * np.arange(1, n + 1) / n
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def size(self) -> int:
         return 2**self.bits
 
     @property
-    def values(self) -> np.ndarray:
-        """Codebook members -pi + i * 2pi/2^bits for i = 1..2^bits, ascending."""
-        n = self.size
-        return -np.pi + TWO_PI * np.arange(1, n + 1) / n
+    def phasors(self) -> np.ndarray:
+        """e^{j v} of each member v, in index order."""
+        return np.exp(1j * self.values)
+
+    def _rounded(self, phases):
+        # member i times 2^b / 2 pi is i + 1 - 2^(b-1); adding 2^(b-1) - 1 and
+        # 1.5 * 2^52 rounds a double below 2^51 in magnitude to the nearest
+        # integer (half to even) in the sum's low bits, masked to b bits: the
+        # index. NaN and inf give some index and no warning
+        n = self.values.size
+        shifted = phases * (n / TWO_PI)
+        shifted += 1.5 * 2.0**52 + n // 2 - 1
+        idx = shifted.view(np.int64)
+        idx &= n - 1
+        return idx
+
+    def index(self, phases):
+        """Each phase's codebook index, same shape; every phase must equal its
+        member exactly, else ValueError (NaN, inf and -pi never do).
+        """
+        phases = np.asarray(phases, dtype=float)
+        idx = self._rounded(phases)
+        if (self.values[idx] != phases).any():
+            raise ValueError("phase is not a codebook member")
+        return idx
 
 
 def _nearest_member(phi: np.ndarray, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -79,25 +106,12 @@ def quantize_phase(phi, cb: PhaseCodebook):
     values = cb.values
     n = values.size
     far = np.abs(phi_arr) > _GUESS_LIMIT
-    guess = np.rint(np.where(far, 0.0, phi_arr) * (n / TWO_PI)).astype(np.int64) + n // 2 - 1
+    guess = cb._rounded(np.where(far, 0.0, phi_arr))
     idx = _nearest_member(phi_arr, (guess[..., None] + np.array([-1, 0, 1])) % n, values)
     if np.any(far):
         idx = np.where(far, _nearest_member(phi_arr, np.arange(n), values), idx)
     out = values[idx]
     return float(out) if np.isscalar(phi) else out
-
-
-def phase_indices(theta, cb: PhaseCodebook) -> np.ndarray:
-    """Map codebook phases to their integer indices 0..2^bits-1.
-
-    Errors if any phase is not a codebook member (1e-9 tolerance).
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    dist = np.abs(wrap_angle(theta[:, None] - cb.values))
-    idx = np.argmin(dist, axis=1)
-    if np.any(dist[np.arange(theta.size), idx] > 1e-9):
-        raise ValueError("phase is not a codebook member")
-    return idx
 
 
 @dataclass(frozen=True)
@@ -176,7 +190,7 @@ def save_combiner(
     Indices make the phase round-trip bit-exact; delays carry 6 decimal
     digits of a picosecond.
     """
-    idx = phase_indices(cc.theta, cb)
+    idx = cb.index(cc.theta)
     with write_atomic(path) as fh:
         fh.write(header_comment)
         fh.write(f"ps_bits {cb.bits}\n")

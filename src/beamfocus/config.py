@@ -134,6 +134,8 @@ def validate(ec: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{key}: must be at least {least}, not {value}")
     if ec.exploit_start > ec.total_measurements:
         raise ConfigError("learner.exploit_start: must lie within learner.total_measurements")
+    if ec.perturb_count is not None and ec.perturb_count > ec.num_antennas:
+        raise ConfigError("learner.perturb_count: must be at most system.M")
     coarse_rows = math.prod((n + 1) // 2 for n in (ec.ax_points, ec.ay_points, ec.b_points))
     if coarse_rows > MAX_COARSE_ROWS:
         raise ConfigError(f"grid.*: a coarse pass of {coarse_rows} rows exceeds {MAX_COARSE_ROWS}")

@@ -20,11 +20,6 @@ from .critic import RMS_TOL, initialize_critic, train_critic
 from .files import write_atomic
 
 
-def _phasors(cb: PhaseCodebook, M: int) -> np.ndarray:
-    # beam element (1/sqrt(M)) exp(j theta) of each codebook index
-    return np.exp(1j * cb.values) / np.sqrt(M)
-
-
 # exploration steps walked and measured per callback invocation; bounds the
 # walk's (steps, M) temporaries at any learner.exploit_start
 WALK_BLOCK = 256
@@ -73,7 +68,7 @@ def coordinate_ascent(q: np.ndarray, init: np.ndarray, cb: PhaseCodebook):
     if M != q.shape[0]:
         raise ValueError("init length does not match the critic")
     q_conj = q.conj()
-    phasors = _phasors(cb, M)  # (2^r,)
+    phasors = cb.phasors / np.sqrt(M)  # (2^r,)
     # the sweep runs on Python scalars: row m of `terms` holds antenna m's
     # contribution q_m^* e^{j theta} / sqrt(M) for each codebook index
     terms = (q_conj[:, None] * phasors).tolist()
@@ -172,7 +167,7 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
 
     # the measurement log and, beside it, the critic's training buffer of
     # the logged beams, each allocated once and filled as beams are measured
-    phasors = _phasors(cb, M)
+    phasors = cb.phasors / np.sqrt(M)
     log = np.empty((total + len(stops), M), np.uint8)
     beams = np.empty(log.shape, complex)
     powers = np.empty(len(log))

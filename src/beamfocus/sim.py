@@ -132,31 +132,18 @@ def make_center_measure(ec: ExperimentConfig, H: ChannelMatrix, cfg: SystemConfi
 
     `phases` holds the M codebook phases of a zero-delay beam, or a (..., M)
     stack of beams; the callback returns one power per beam, shape (...), a
-    stacked call equal to one call per beam in C order. A phase that is not
-    a member of the `system.ps_bits` codebook (NaN, inf and -pi included)
-    raises ValueError.
+    stacked call equal to one call per beam in C order. `PhaseCodebook.index`
+    keys the phases: a non-member of the `system.ps_bits` codebook (NaN, inf
+    and -pi included) raises ValueError.
     """
     h = H.coeffs[:, center_bin(H.freqs_hz, cfg.center_freq_hz)] / np.sqrt(cfg.num_antennas)
     observe = _observer(ec, cfg, 0)
-    # member i of the codebook, -pi + 2 pi i / 2^b for i = 1..2^b, sits at
-    # key (i - 2^(b-1)) mod 2^b, the rounded phase in steps of 2 pi / 2^b
-    # masked to b bits; the table holds e^{-j phase} per key
-    values = build_codebook(ec).values
-    steps = values.size / TWO_PI
-    mask = values.size - 1
-    members = np.empty_like(values)
-    members[np.rint(values * steps).astype(np.intp) & mask] = values
-    table = np.exp(-1j * members)
+    cb = build_codebook(ec)
+    conj_phasors = cb.phasors.conj()
 
     def measure(phases):
         # w^H h at the center bin for w = e^{j phases} / sqrt(M) (zero delays)
-        phases = np.asarray(phases)
-        with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
-            key = np.rint(phases * steps).astype(np.intp)
-        key &= mask
-        if (members[key] != phases).any():
-            raise ValueError("center measurements take codebook phases only")
-        return observe(table[key] @ h)
+        return observe(conj_phasors[cb.index(phases)] @ h)
 
     return measure
 

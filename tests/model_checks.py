@@ -8,7 +8,7 @@ import enum
 import numpy as np
 
 from beamfocus.critic import _gradient, _inner, _residuals
-from beamfocus.phase_learning import MAX_ASCENT_CYCLES, _phasors
+from beamfocus.phase_learning import MAX_ASCENT_CYCLES
 
 
 def critic_loss_and_gradient(q, beams, powers):
@@ -58,7 +58,7 @@ def coordinate_ascent_reference(q, init, cb):
     idx = np.atleast_1d(np.asarray(init)).astype(np.uint8)
     M = idx.size
     q_conj = q.conj()
-    phasors = _phasors(cb, M)
+    phasors = cb.phasors / np.sqrt(M)
     g = q_conj @ phasors[idx]
     best = float(np.real(np.vdot(g, g)))
     cycles = 0

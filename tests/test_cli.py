@@ -576,6 +576,9 @@ def test_cli_rejects_learner_range_errors(tmp_path, capsys):
         ("learner.exploit_start = 31", "learner.exploit_start: "),  # the budget is 30
         ("learner.critic_refit_period = 0", "learner.critic_refit_period: "),
         ("learner.perturb_count = -1", "learner.perturb_count: "),
+        # a step re-draws perturb_count distinct phases of the 16
+        ("learner.perturb_count = 17", "learner.perturb_count: must be at most system.M"),
+        ("learner.perturb_count = 1000", "learner.perturb_count: "),
         ("learner.train_iters = 0", "learner.train_iters: "),
         ("learner.seed = -1", "learner.seed: "),
     ):
@@ -586,7 +589,8 @@ def test_cli_rejects_learner_range_errors(tmp_path, capsys):
     # the --seed override is checked as a config value too
     assert_rejected(tmp_path, capsys, "learner.seed: ", (), "learn", flags=("--seed", "-1"))
     # the edges of the ranges are accepted
-    for line in ("learner.perturb_count = 0", "learner.exploit_start = 30"):
+    edges = ("learner.perturb_count = 0", "learner.perturb_count = 16", "learner.exploit_start = 30")
+    for line in edges:
         cfg_path = write_m16_config(tmp_path / "exp.cfg", line)
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "ok"), "learn"]) == 0
 

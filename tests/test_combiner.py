@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from beamfocus.combiner import (
     PhaseCodebook,
     effective_combiner,
     load_combiner,
-    phase_indices,
     quantize_phase,
     recompensate_phases,
     save_combiner,
@@ -230,14 +231,28 @@ def test_serialization_roundtrip_bit_exact(tmp_path):
 
 def test_serialization_rejects_non_codebook_phase(tmp_path):
     cb = PhaseCodebook(bits=2)
-    cc = CombinerConfig(theta=[0.3], tau=[0.0])
     path = tmp_path / "combiner.txt"
-    with pytest.raises(ValueError):
-        save_combiner(cc, cb, path)
-    assert not path.exists()
+    # a phase must be a member exactly, not within a tolerance
+    for theta in (0.3, np.pi / 2 + 1e-12):
+        with pytest.raises(ValueError, match="codebook"):
+            save_combiner(CombinerConfig(theta=[theta], tau=[0.0]), cb, path)
+        assert not path.exists()
 
 
-def test_phase_indices_roundtrip():
-    cb = PhaseCodebook(bits=4)
-    idx = np.arange(16)
-    assert np.array_equal(phase_indices(cb.values[idx], cb), idx)
+def test_codebook_index_roundtrip():
+    for bits in range(1, MAX_BITS + 1):
+        cb = PhaseCodebook(bits=bits)
+        idx = np.arange(cb.size)
+        assert np.array_equal(cb.index(cb.values[idx]), idx)
+        assert np.array_equal(cb.index(cb.values[idx].reshape(2, -1)), idx.reshape(2, -1))
+        assert cb.index(cb.values[-1]) == cb.size - 1
+        assert np.array_equal(cb.phasors, np.exp(1j * cb.values))
+        with pytest.raises(ValueError, match="read-only"):
+            cb.values[0] = 0.0
+        # one ulp either side of every member, and what lies outside (-pi, pi]
+        near = np.concatenate([np.nextafter(cb.values, -np.inf), np.nextafter(cb.values, np.inf)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (*near, -np.pi, np.nan, np.inf, -np.inf, 1e300):
+                with pytest.raises(ValueError, match="codebook"):
+                    cb.index(np.array([0.0, bad]))
