@@ -53,14 +53,18 @@ from .sim import (
 )
 
 
-def decimate_channel(H: ChannelMatrix, target: int) -> ChannelMatrix:
-    """H on the subcarriers used while scoring delay candidates.
+# the delay search scores its candidates on at least this many subcarriers
+SEARCH_SUBCARRIERS = 128
 
-    Every (K/target)-th bin, but never fewer than 16 bins (all bins when K
-    is small). Final reported profiles always use every bin.
+
+def decimate_channel(H: ChannelMatrix) -> ChannelMatrix:
+    """H on every (K // SEARCH_SUBCARRIERS)-th subcarrier from bin 0 (all when K is smaller).
+
+    These are the bins delay candidates are scored on; final reported
+    profiles always use every bin.
     """
     K = H.num_subcarriers
-    idx = np.arange(0, K, max(1, K // max(target, 16)))
+    idx = np.arange(0, K, max(1, K // SEARCH_SUBCARRIERS))
     return ChannelMatrix(coeffs=H.coeffs[:, idx], freqs_hz=H.freqs_hz[idx])
 
 
@@ -93,7 +97,7 @@ def search_pipeline(
     cb,
 ):
     """Run the delay search against a decimated measurement set."""
-    H_dec = decimate_channel(H, target=ec.search_subcarriers)
+    H_dec = decimate_channel(H)
     measure = make_profile_measure(ec, H_dec, cfg)
     points = (ec.ax_points, ec.ay_points, ec.b_points)
     return search_delays(theta_star, measure, geom, cfg, cb, points)

@@ -68,7 +68,6 @@ class ExperimentConfig:
     ue_y_m: float = _key("ue.y_m", -2.0)
     rho_mode: str = _key("channel.rho", "unit", choices=("unit", "flat_amplitude"))
     total_measurements: int = _key("learner.total_measurements", 5000, least=2)
-    perturb_count: int | None = _key("learner.perturb_count", None, least=0)  # auto: M // 4
     critic_refit_period: int = _key("learner.critic_refit_period", 1000, least=1)
     exploit_start: int = _key("learner.exploit_start", 2000, least=1)
     train_iters: int = _key("learner.train_iters", 1500, least=1)
@@ -79,7 +78,6 @@ class ExperimentConfig:
     noise_mode: str = _key("noise.mode", "noiseless", choices=("noiseless", "snapshots"))
     snapshots: int = _key("noise.snapshots", 10000, least=1)
     n_sweep: tuple = _key("profile.n_sweep", (0, 8, 16))
-    search_subcarriers: int = _key("profile.search_subcarriers", 128, least=1)
     heatmap_x_min_m: float = _key("heatmap.x_min_m", 0.5)
     heatmap_x_max_m: float = _key("heatmap.x_max_m", 4.0)
     heatmap_y_min_m: float = _key("heatmap.y_min_m", -4.0)
@@ -134,8 +132,6 @@ def validate(ec: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{key}: must be at least {least}, not {value}")
     if ec.exploit_start > ec.total_measurements:
         raise ConfigError("learner.exploit_start: must lie within learner.total_measurements")
-    if ec.perturb_count is not None and ec.perturb_count > ec.num_antennas:
-        raise ConfigError("learner.perturb_count: must be at most system.M")
     coarse_rows = math.prod((n + 1) // 2 for n in (ec.ax_points, ec.ay_points, ec.b_points))
     if coarse_rows > MAX_COARSE_ROWS:
         raise ConfigError(f"grid.*: a coarse pass of {coarse_rows} rows exceeds {MAX_COARSE_ROWS}")

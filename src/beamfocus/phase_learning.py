@@ -119,13 +119,13 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     received powers at the center frequency, measured in row order; the
     critic fits those powers clipped at 0. The `learner.*` settings of `ec`
     set the budget and the schedule. Exploration measurements number at
-    most total_measurements, a cap; each step re-draws perturb_count
-    distinct phases (auto: M//4; 0 is a stationary probe), decaying
-    linearly to M//16 over the cap. From exploit_start on, the critic is
-    refit on the buffer every critic_refit_period measurements, each fit
-    capped at train_iters iterations (see critic.train_critic) and followed
-    by a coordinate-ascent exploitation from the earliest best beam so far,
-    which measures one more beam. The run stops after an exploit once the
+    most total_measurements, a cap; each step re-draws max(1, M//4)
+    distinct phases, decaying linearly to max(1, M//16) over the cap. From
+    exploit_start on, the critic is refit on the buffer every
+    critic_refit_period measurements, each fit capped at train_iters
+    iterations (see critic.train_critic) and followed by a coordinate-ascent
+    exploitation from the earliest best beam so far, which measures one
+    more beam. The run stops after an exploit once the
     critic's prediction is confirmed: the fit was a refit, not the first
     fit, it met its RMS target, and the exploit beam measured within
     critic.RMS_TOL of the predicted power. The history then holds the n
@@ -145,18 +145,16 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     rng = np.random.default_rng(ec.learner_seed)
     values = cb.values
 
-    p0 = ec.perturb_count if ec.perturb_count is not None else max(1, M // 4)
+    p0 = max(1, M // 4)
     total = ec.total_measurements
     # decaying all the way to single-phase flips leaves the late buffer too
     # correlated for the critic regression to identify the channel, so the
     # coarse-to-fine decay bottoms out at M/16
-    p_end = min(p0, max(1, M // 16))
+    p_end = max(1, M // 16)
 
     def scheduled_count(t: np.ndarray) -> np.ndarray:
-        if p0 == 0:
-            return np.full(t.shape, p0)
         frac = (t - 1) / (total - 1)
-        return np.maximum(1, np.rint(p0 + (p_end - p0) * frac).astype(int))
+        return np.rint(p0 + (p_end - p0) * frac).astype(int)
 
     # the walk stops at each refit point, the end of the budget among them
     stops = [

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamfocus import channel, cli, sim
-from beamfocus.cli import decimate_channel, main, run_heatmap, run_profile
+from beamfocus.cli import SEARCH_SUBCARRIERS, decimate_channel, main, run_heatmap, run_profile
 from beamfocus.baselines import pdf_oracle
 from beamfocus.channel import (
     GAIN_MAP_BLOCK,
@@ -44,38 +44,38 @@ from beamfocus.sim import (
 from tiny_scenario import tiny_config
 
 
-def decimated_indices(K, target):
+def decimated_indices(K):
     # the bins decimate_channel keeps, read back from a channel whose bin
     # k sits at k + 1 Hz
     H = ChannelMatrix(coeffs=np.zeros((1, K), complex), freqs_hz=np.arange(1.0, K + 1))
-    return decimate_channel(H, target).freqs_hz.astype(int) - 1
+    return decimate_channel(H).freqs_hz.astype(int) - 1
 
 
 def test_decimated_indices():
-    idx = decimated_indices(2048, target=128)
-    assert idx.size == 128
+    idx = decimated_indices(2048)
+    assert idx.size == SEARCH_SUBCARRIERS == 128
     assert idx[0] == 0 and idx[-1] == 2032
     assert np.all(np.diff(idx) == 16)
-    # small K keeps every bin
-    assert decimated_indices(12, target=128).size == 12
-    assert decimated_indices(64, target=128).size == 64
-    # any K keeps at least min(K, 16) evenly spaced bins from bin 0
-    for K in range(1, 301):
-        for target in (1, 16, 128, K):
-            idx = decimated_indices(K, target)
-            assert idx.size >= min(K, 16)
-            assert idx[0] == 0 and idx[-1] < K
-            assert np.unique(np.diff(idx)).size <= 1
+    # K below 2 * SEARCH_SUBCARRIERS keeps every bin
+    assert decimated_indices(12).size == 12
+    assert decimated_indices(255).size == 255
+    # any K keeps at least min(K, SEARCH_SUBCARRIERS) evenly spaced bins from bin 0
+    for K in range(1, 4097):
+        idx = decimated_indices(K)
+        assert idx.size >= min(K, SEARCH_SUBCARRIERS)
+        assert idx[0] == 0 and idx[-1] < K
+        assert np.unique(np.diff(idx)).size <= 1
 
 
 def test_decimate_channel_slices_consistently():
-    ec = tiny_config()
+    ec = tiny_config(num_subcarriers=4 * SEARCH_SUBCARRIERS)
     geom = build_geometry(ec)
     cfg = build_system(ec)
     H = build_channel(ec, geom, cfg)
-    H_dec = decimate_channel(H, target=16)
-    assert H_dec.num_subcarriers == 16
-    assert np.array_equal(H_dec.coeffs[:, 0], H.coeffs[:, 0])
+    H_dec = decimate_channel(H)
+    assert H_dec.num_subcarriers == SEARCH_SUBCARRIERS
+    assert np.array_equal(H_dec.coeffs, H.coeffs[:, ::4])
+    assert np.array_equal(H_dec.freqs_hz, H.freqs_hz[::4])
 
 
 def test_run_profile_oracle_outputs(tmp_path):
@@ -214,7 +214,6 @@ ue.x_m = 2.0
 ue.y_m = -2.0
 channel.rho = unit
 learner.total_measurements = 5000
-learner.perturb_count = auto
 learner.critic_refit_period = 1000
 learner.exploit_start = 2000
 learner.train_iters = 1500
@@ -225,7 +224,6 @@ grid.b_points = 17
 noise.mode = noiseless
 noise.snapshots = 10000
 profile.n_sweep = 0,8,16
-profile.search_subcarriers = 128
 heatmap.x_min_m = 0.5
 heatmap.x_max_m = 4.0
 heatmap.y_min_m = -4.0
@@ -315,7 +313,8 @@ def test_cli_learn_and_search(tmp_path, capsys):
     assert (out / "combiner_final.txt").exists()
 
 
-def test_cli_heatmap_oracle(tmp_path):
+@pytest.mark.parametrize("source", ["ps-oracle", "pdf-oracle", "learned"])
+def test_cli_heatmap_oracle(tmp_path, source):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(
         "\n".join(
@@ -334,11 +333,19 @@ def test_cli_heatmap_oracle(tmp_path):
         + "\n"
     )
     out = tmp_path / "hm"
-    rc = main(
-        ["--config", str(cfg_path), "--out", str(out), "heatmap", "--source", "pdf-oracle"]
-    )
-    assert rc == 0
-    assert len(list(out.glob("heatmap_pdf-oracle_f*.csv"))) == 3
+    assert main(["--config", str(cfg_path), "--out", str(out), "heatmap", "--source", source]) == 0
+    got = {p.name: p.read_bytes() for p in out.glob(f"heatmap_{source}_f*.csv")}
+    assert len(got) == 3
+    if source == "learned":
+        # the maps of the learned phases with the delays searched for them
+        ec = parse_config_text(cfg_path.read_text())
+        geom, cb, cfg, H = cli._scenario(ec)
+        theta, _ = cli.learn_pipeline(ec, H, cfg, cb)
+        result = cli.search_pipeline(ec, theta, geom, H, cfg, cb)
+        cc = CombinerConfig(theta=result.theta, tau=result.tau)
+        freqs = H.freqs_hz[[0, center_bin(H.freqs_hz, cfg.center_freq_hz), -1]]
+        want = run_heatmap(ec, tmp_path / "want", cc, cfg, freqs, label="heatmap_learned")
+        assert got == {p.name: p.read_bytes() for p in want}
 
 
 @pytest.mark.parametrize("freqs", ["x", "-1e9", "0", "nan", "1e11,inf"])
@@ -575,10 +582,6 @@ def test_cli_rejects_learner_range_errors(tmp_path, capsys):
         ),
         ("learner.exploit_start = 31", "learner.exploit_start: "),  # the budget is 30
         ("learner.critic_refit_period = 0", "learner.critic_refit_period: "),
-        ("learner.perturb_count = -1", "learner.perturb_count: "),
-        # a step re-draws perturb_count distinct phases of the 16
-        ("learner.perturb_count = 17", "learner.perturb_count: must be at most system.M"),
-        ("learner.perturb_count = 1000", "learner.perturb_count: "),
         ("learner.train_iters = 0", "learner.train_iters: "),
         ("learner.seed = -1", "learner.seed: "),
     ):
@@ -588,11 +591,9 @@ def test_cli_rejects_learner_range_errors(tmp_path, capsys):
         assert_rejected(tmp_path, capsys, key + ": ", (f"{key} = 0",), "search-delays")
     # the --seed override is checked as a config value too
     assert_rejected(tmp_path, capsys, "learner.seed: ", (), "learn", flags=("--seed", "-1"))
-    # the edges of the ranges are accepted
-    edges = ("learner.perturb_count = 0", "learner.perturb_count = 16", "learner.exploit_start = 30")
-    for line in edges:
-        cfg_path = write_m16_config(tmp_path / "exp.cfg", line)
-        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "ok"), "learn"]) == 0
+    # the edge of the range is accepted
+    cfg_path = write_m16_config(tmp_path / "exp.cfg", "learner.exploit_start = 30")
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "ok"), "learn"]) == 0
 
 
 def test_cli_rejects_a_delay_grid_past_the_coarse_pass_bound(tmp_path, capsys):
@@ -617,12 +618,10 @@ def test_cli_rejects_a_delay_grid_past_the_coarse_pass_bound(tmp_path, capsys):
 
 def test_cli_rejects_profile_values_that_run_silently_wrong(tmp_path, capsys):
     # a repeated sweep entry would write its profile file twice and its
-    # summary row twice; fewer than one search bin would score 16 bins
+    # summary row twice
     for line, key in (
         ("profile.n_sweep = 0,4,4", "profile.n_sweep: "),
         ("profile.n_sweep =", "profile.n_sweep: "),  # no entry: a header-only summary
-        ("profile.search_subcarriers = 0", "profile.search_subcarriers: "),
-        ("profile.search_subcarriers = -5", "profile.search_subcarriers: "),
     ):
         for flags in ((), ("--oracle",)):
             assert_rejected(tmp_path, capsys, key, (line,), "profile", cmd_flags=flags)
@@ -630,10 +629,13 @@ def test_cli_rejects_profile_values_that_run_silently_wrong(tmp_path, capsys):
 
 def test_cli_rejects_the_removed_fit_keys(tmp_path, capsys):
     # the critic fit takes no learning rate or batch size, and the critic is
-    # one (M,) vector with no rank; a file that sets one is refused before
-    # anything runs, even at the old default rank 1
+    # one (M,) vector with no rank; the walk's perturbation count comes from
+    # M and the search's scoring bins from cli.SEARCH_SUBCARRIERS. A file
+    # that sets one of these keys is refused before anything runs, even at
+    # the old default rank 1
     lineno = len(M16_KEYS) + 1  # the line after the M16 keys
-    for key in ("learner.train_lr", "learner.train_batch", "learner.critic_rank"):
+    removed = ("learner.train_lr", "learner.train_batch", "learner.critic_rank")
+    for key in (*removed, "learner.perturb_count", "profile.search_subcarriers"):
         expected = f"line {lineno}: unknown key '{key}'"
         assert_rejected(tmp_path, capsys, expected, (f"{key} = 1",), "learn")
 
@@ -702,7 +704,7 @@ def test_noisy_callbacks_draw_through_sim_measure_power(monkeypatch):
     ec = tiny_config(noise_mode="snapshots", noise_power_w=1e-9, snapshots=3)
     cfg = build_system(ec)
     H = build_channel(ec, build_geometry(ec), cfg)
-    H_dec = decimate_channel(H, target=16)
+    H_dec = decimate_channel(H)
     shapes = []
 
     def counted(signal, *args):
@@ -789,7 +791,6 @@ FUZZ_KEYS = {
     "noise.snapshots": st.integers(0, 300).map(str),
     "system.noise_power_w": st.sampled_from(["-1e-9", "0", "1e-12", "1e-9", "1.0", "nan"]),
     "learner.total_measurements": st.integers(0, 60).map(str),
-    "learner.perturb_count": st.one_of(st.just("auto"), st.integers(-1, 40).map(str)),
     "learner.critic_refit_period": st.integers(0, 40).map(str),
     "learner.exploit_start": st.integers(0, 60).map(str),
     "learner.train_iters": st.integers(0, 30).map(str),

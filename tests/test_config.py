@@ -73,7 +73,6 @@ def test_emit_parse_roundtrip_identity():
         num_td_units=4,
         num_subcarriers=64,
         tau_max_s=1.5e-9,
-        perturb_count=5,
         n_sweep=(0, 4),
         rho_mode="flat_amplitude",
         heatmap_resolution_m=0.3,

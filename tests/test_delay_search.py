@@ -604,7 +604,7 @@ def test_search_matches_the_full_grid_at_reference_scale(reference, n, monkeypat
     # of the best of all 2,330 grid candidates
     ec, geom, cb = reference["ec"], reference["geom"], reference["cb"]
     cfg = build_system(ec, num_td_units=n)
-    measure = make_profile_measure(ec, decimate_channel(reference["H"], ec.search_subcarriers), cfg)
+    measure = make_profile_measure(ec, decimate_channel(reference["H"]), cfg)
     grid = (9, 17, 17)  # the grid.* defaults
     seeded = search_delays(reference["theta"], measure, geom, cfg, cb, grid)
     full = reference_search_delays(reference["theta"], measure, geom, cfg, cb, grid)
@@ -646,7 +646,7 @@ def test_random_phases_fall_back_to_the_coarse_pass(reference, monkeypatch):
     for theta in draws:
         assert locate_focus(theta, geom, ec.center_freq_hz)[2] < SEED_COHERENCE
     cfg = build_system(ec, num_td_units=8)
-    measure = make_profile_measure(ec, decimate_channel(reference["H"], ec.search_subcarriers), cfg)
+    measure = make_profile_measure(ec, decimate_channel(reference["H"]), cfg)
     got = search_delays(draws[0], measure, geom, cfg, cb, (5, 5, 5))
     monkeypatch.setattr(delay_search, "locate_focus", focus_nowhere)
     want = search_delays(draws[0], measure, geom, cfg, cb, (5, 5, 5))

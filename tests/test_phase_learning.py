@@ -53,11 +53,9 @@ def test_learner_options_validation():
         ("learner.total_measurements = 0", "total_measurements"),
         ("learner.total_measurements = 10\nlearner.exploit_start = 11", "exploit_start"),
         ("learner.critic_refit_period = 0", "critic_refit_period"),
-        ("learner.perturb_count = -1", "perturb_count"),
     ):
         with pytest.raises(ConfigError, match=rf"^learner\.{key}: "):
             parse_config_text(text + "\n")
-    parse_config_text("learner.perturb_count = 0\n")  # degenerate stationary probe is allowed
     # one measurement leaves nothing to fit the critic to
     with pytest.raises(ConfigError) as err:
         parse_config_text("learner.total_measurements = 1\nlearner.exploit_start = 1\n")
@@ -269,7 +267,6 @@ def test_learn_phases_reaches_exhaustive_optimum_m2():
         total_measurements=20,
         exploit_start=10,
         critic_refit_period=5,
-        perturb_count=1,
         learner_seed=0,
         train_iters=200,
     )

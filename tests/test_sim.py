@@ -220,7 +220,7 @@ def test_measure_profile_matches_scalar_measurements(monkeypatch):
 
 
 def every_fourth_bin(H):
-    # the 16 bins a search scores on a K = 64 channel
+    # a decimated channel: 16 of the 64 bins of tiny_config
     return ChannelMatrix(coeffs=H.coeffs[:, ::4], freqs_hz=H.freqs_hz[::4])
 
 

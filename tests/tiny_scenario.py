@@ -19,7 +19,6 @@ def tiny_config(**kw):
         ay_points=5,
         b_points=5,
         n_sweep=(0, 4),
-        search_subcarriers=32,
         heatmap_x_min_m=1.8,
         heatmap_x_max_m=2.2,
         heatmap_y_min_m=-2.2,
