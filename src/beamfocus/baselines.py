@@ -2,8 +2,7 @@
 
 These exist only for benchmarking: the conjugate center-frequency
 phase-shifter design, and the phase-delay focusing combiner whose delays
-focus the sub-array centers on the true user position. Pass cb=None for
-continuous (unquantized) phases.
+focus the sub-array centers on the true user position.
 """
 
 from __future__ import annotations
@@ -11,17 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelMatrix, SystemConfig
-from .combiner import CombinerConfig, quantize_phase, recompensate_phases
+from .combiner import CombinerConfig, PhaseCodebook, quantize_phase, recompensate_phases
 from .delay_search import delays_from_ddf, subarray_deltas
 from .geometry import ArrayGeometry, UePosition, distance_difference
 from .sim import center_bin
 
 
-def ps_only_oracle(H: ChannelMatrix, cfg: SystemConfig, cb) -> CombinerConfig:
+def ps_only_oracle(H: ChannelMatrix, cfg: SystemConfig, cb: PhaseCodebook) -> CombinerConfig:
     """Conjugate beamforming at the bin nearest f_c, quantized; zero delays."""
     k = center_bin(H.freqs_hz, cfg.center_freq_hz)
-    phases = np.angle(H.coeffs[:, k])
-    theta = phases if cb is None else quantize_phase(phases, cb)
+    theta = quantize_phase(np.angle(H.coeffs[:, k]), cb)
     return CombinerConfig(theta=theta, tau=np.zeros(cfg.num_td_units))
 
 
@@ -30,7 +28,7 @@ def pdf_oracle(
     ue: UePosition,
     H: ChannelMatrix,
     cfg: SystemConfig,
-    cb,
+    cb: PhaseCodebook,
 ) -> CombinerConfig:
     """Phase-delay focusing from the true geometry (comparison target).
 

@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=str, default=None, help="config file path")
     parser.add_argument("--seed", type=int, default=None, help="override learner.seed")
-    parser.add_argument("--out", type=str, default=None, help="override output.dir")
+    parser.add_argument("--out", type=str, default="out", help="output directory (default: out)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="sweep TD-unit counts, export gain profiles")
@@ -332,7 +332,6 @@ def main(argv=None) -> int:
         ec = parse_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
             ec = validate(replace(ec, learner_seed=args.seed))
-        args.out = args.out or ec.output_dir
         # mkdir would fail only after the work: check the output path first
         out = Path(args.out)
         nearest = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())

@@ -164,21 +164,18 @@ def effective_combiner(cc: CombinerConfig, cfg: SystemConfig, f: float) -> np.nd
     return np.exp(1j * (cc.theta - TWO_PI * f * tau_full)) / np.sqrt(cfg.num_antennas)
 
 
-def recompensate_phases(theta_star, tau, cfg: SystemConfig, cb) -> np.ndarray:
+def recompensate_phases(theta_star, tau, cfg: SystemConfig, cb: PhaseCodebook) -> np.ndarray:
     """Re-quantize phases so delays leave the center-frequency beam intact.
 
     Each branch m in sub-array n gets the codebook value nearest
     theta_star[m] + 2 pi f_c tau[n]. A stack of delay vectors (..., N)
     gives one row of phases per vector. At f = f_c the resulting combiner then
-    equals the delay-free one up to per-element quantization error. Passing
-    cb=None skips quantization (continuous-phase mode) and only wraps.
+    equals the delay-free one up to per-element quantization error.
     """
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     shifted = theta_star + TWO_PI * cfg.center_freq_hz * repeat_delays(
         tau, cfg.ps_per_td
     )
-    if cb is None:
-        return wrap_angle(shifted)
     return quantize_phase(shifted, cb)
 
 

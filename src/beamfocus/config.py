@@ -83,7 +83,6 @@ class ExperimentConfig:
     heatmap_y_min_m: float = _key("heatmap.y_min_m", -4.0)
     heatmap_y_max_m: float = _key("heatmap.y_max_m", 4.0)
     heatmap_resolution_m: float = _key("heatmap.resolution_m", 0.05)
-    output_dir: str = _key("output.dir", "out")
 
 
 def _parse_float(text: str) -> float:
@@ -198,6 +197,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key not in KEY_TABLE:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         f = KEY_TABLE[key]
+        if f.name in values:
+            raise ConfigError(f"line {lineno}: repeated key '{key}'")
         try:
             values[f.name] = _parse_value(f, value)
         except ValueError as exc:

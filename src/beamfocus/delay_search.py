@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemConfig
-from .combiner import CombinerConfig, recompensate_phases
+from .combiner import CombinerConfig, PhaseCodebook, recompensate_phases
 from .files import write_atomic
 from .focus import locate_focus
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, UePosition, distance_difference
@@ -140,7 +140,7 @@ def search_delays(
     measure,
     geom: ArrayGeometry,
     cfg: SystemConfig,
-    cb,
+    cb: PhaseCodebook,
     points: tuple,
 ) -> DelaySearchResult:
     """Focus-seeded or coarse-to-fine search of the (break_delta, break_value, end_value) box.

@@ -27,7 +27,7 @@ from beamfocus.config import (
     build_system,
     build_ue,
 )
-from beamfocus.geometry import UePosition, distance_difference, random_geometry
+from beamfocus.geometry import SPEED_OF_LIGHT, UePosition, distance_difference, random_geometry
 from beamfocus.phase_learning import WALK_BLOCK, coordinate_ascent, learn_phases
 from beamfocus.sim import center_bin, gain_profile, normalized_gain_db, three_db_bandwidth
 from beamfocus.sim import avg_amplitude_gain
@@ -253,6 +253,36 @@ def thermal_noise_w(ec):
     return BOLTZMANN * T0_K * (ec.bandwidth_hz / ec.num_subcarriers) * 10.0 ** (NOISE_FIGURE_DB / 10.0)
 
 
+def _searched_bars(scenario, ec, theta, geom):
+    """N=8 3-dB bandwidth and N=16 gap (dB) to the true-geometry PDF oracle.
+
+    Both come from `search_pipeline` run on theta with the geometry `geom`,
+    under ec's noise settings, and are scored on the true channel.
+    """
+    H, cb = scenario["H"], scenario["cb"]
+    designs = {}
+    for n in (8, 16):
+        cfg_n = build_system(ec, num_td_units=n)
+        result = search_pipeline(ec, theta, geom, H, cfg_n, cb)
+        designs[n] = (CombinerConfig(theta=result.theta, tau=result.tau), cfg_n)
+    cc8, cfg8 = designs[8]
+    bw8 = three_db_bandwidth(gain_profile(cc8, H, cfg8), cfg8)
+    cc16, cfg16 = designs[16]
+    pdf16 = pdf_oracle(scenario["geom"], scenario["ue"], H, cfg16, cb)
+    amp_pdf, amp16 = avg_amplitude_gain(pdf16, H, cfg16), avg_amplitude_gain(cc16, H, cfg16)
+    gap16 = 20.0 * np.log10(amp_pdf / amp16)
+    return bw8, gap16
+
+
+def _noisy_learned(scenario, ec, above_db, seed):
+    # the learned phases and beam count at S snapshots, noise above_db over the floor
+    sigma2 = thermal_noise_w(ec) * 10.0 ** (above_db / 10.0)
+    noisy = replace(ec, noise_mode="snapshots", noise_power_w=sigma2, learner_seed=seed)
+    cfg1 = build_system(noisy, num_td_units=1)
+    theta, history = learn_pipeline(noisy, scenario["H"], cfg1, scenario["cb"])
+    return noisy, theta, int(history.iters[-1])
+
+
 @pytest.mark.parametrize("snapshots", [10000, 1])
 def test_noisy_learned_pipeline_meets_the_noiseless_bars(scenario, snapshots):
     """The learned pipeline under snapshot noise at the thermal floor.
@@ -262,30 +292,23 @@ def test_noisy_learned_pipeline_meets_the_noiseless_bars(scenario, snapshots):
     10 GHz / 2048 and an assumed noise figure NF = 10 dB: sigma^2 is about
     1.955e-13 W. The bars are the noiseless ones: N=8 3-dB bandwidth at
     least 5 GHz, N=16 gap to the oracle at most 1.5 dB, at most 5000
-    learner callback invocations.
+    learner callback invocations. S = 1 must meet them on learner seeds
+    0-7, each of which keys its own noise stream; S = 10000 on seed 0.
     """
-    ec = scenario["ec"]
-    sigma2 = thermal_noise_w(ec)
-    ec = replace(ec, noise_mode="snapshots", snapshots=snapshots, noise_power_w=sigma2)
-    geom, ue, cb, H = scenario["geom"], scenario["ue"], scenario["cb"], scenario["H"]
-    theta, history = learn_pipeline(ec, H, build_system(ec, num_td_units=1), cb)
-    measurements = int(history.iters[-1])
-    designs = {}
-    for n in (8, 16):
-        cfg_n = build_system(ec, num_td_units=n)
-        result = search_pipeline(ec, theta, geom, H, cfg_n, cb)
-        designs[n] = (CombinerConfig(theta=result.theta, tau=result.tau), cfg_n)
-    cc8, cfg8 = designs[8]
-    bw8 = three_db_bandwidth(gain_profile(cc8, H, cfg8), cfg8)
-    cc16, cfg16 = designs[16]
-    pdf16 = pdf_oracle(geom, ue, H, cfg16, cb)
-    amp16 = avg_amplitude_gain(cc16, H, cfg16)
-    gap16 = 20.0 * np.log10(avg_amplitude_gain(pdf16, H, cfg16) / amp16)
+    ec = replace(scenario["ec"], snapshots=snapshots)
+    ok, details = True, []
+    for seed in range(8) if snapshots == 1 else (0,):
+        noisy, theta, measurements = _noisy_learned(scenario, ec, 0.0, seed)
+        bw8, gap16 = _searched_bars(scenario, noisy, theta, scenario["geom"])
+        ok &= bw8 >= 5e9 and gap16 <= 1.5 and measurements <= 5000
+        details.append(
+            f"seed {seed}: N=8 bandwidth {bw8 / 1e9:.2f} GHz >= 5, "
+            f"N=16 gap {gap16:.3f} dB <= 1.5, {measurements} <= 5000 measurements"
+        )
     _report(
-        f"noisy gate (S = {snapshots}, sigma^2 = {sigma2:.4g} W)",
-        bw8 >= 5e9 and gap16 <= 1.5 and measurements <= 5000,
-        f"N=8 bandwidth {bw8 / 1e9:.2f} GHz >= 5, N=16 gap {gap16:.3f} dB <= 1.5, "
-        f"{measurements} <= 5000 measurements",
+        f"noisy gate (S = {snapshots}, sigma^2 = {thermal_noise_w(ec):.4g} W)",
+        ok,
+        "; ".join(details),
     )
 
 
@@ -304,23 +327,69 @@ def test_low_snr_cliff_at_one_snapshot(scenario):
 
     Learner seed 0, with the noise 10 dB and 15 dB above the thermal floor.
     Only +10 dB has a bar (at least -3 dB); +15 dB, where the learner falls
-    off the cliff, is reported so that a change that moves it shows.
+    off the cliff, is reported so that a change that moves it shows. So is
+    the N=16 gap to the oracle at +10 dB for learner seeds 0-7, with no bar:
+    seed 5's reads about 1.63 dB, past the noiseless bar of 1.5 dB.
     """
-    ec, H, cb, cfg1 = scenario["ec"], scenario["H"], scenario["cb"], scenario["cfg1"]
+    ec = replace(scenario["ec"], snapshots=1)
+    H, cb, cfg1 = scenario["H"], scenario["cb"], scenario["cfg1"]
     k = center_bin(H.freqs_hz, cfg1.center_freq_hz)
     oracle = gain_profile(ps_only_oracle(H, cfg1, cb), H, cfg1).per_subcarrier[k]
-    rel_db = {}
-    for above_db in (10, 15):
-        sigma2 = thermal_noise_w(ec) * 10.0 ** (above_db / 10.0)
-        noisy = replace(ec, noise_mode="snapshots", snapshots=1, noise_power_w=sigma2)
-        theta, _ = learn_pipeline(noisy, H, build_system(noisy, num_td_units=1), cb)
+
+    def center_db(theta):
         got = gain_profile(CombinerConfig(theta=theta, tau=[0.0]), H, cfg1).per_subcarrier[k]
-        rel_db[above_db] = 10.0 * np.log10(got / oracle)
+        return 10.0 * np.log10(got / oracle)
+
+    rel_db, gaps = {}, []
+    for seed in range(8):
+        noisy, theta, _ = _noisy_learned(scenario, ec, 10, seed)
+        gaps.append(_searched_bars(scenario, noisy, theta, scenario["geom"])[1])
+        if seed == 0:
+            rel_db[10] = center_db(theta)
+    rel_db[15] = center_db(_noisy_learned(scenario, ec, 15, 0)[1])
     _report(
-        "low-SNR cliff (S = 1, learner seed 0)",
+        "low-SNR cliff (S = 1)",
         rel_db[10] >= -3.0,
-        f"center gain vs PS-only oracle {rel_db[10]:.2f} dB at +10 dB (need >= -3), "
-        f"{rel_db[15]:.2f} dB at +15 dB (reported)",
+        f"seed 0's center gain vs PS-only oracle {rel_db[10]:.2f} dB at +10 dB (need >= -3), "
+        f"{rel_db[15]:.2f} dB at +15 dB (reported); N=16 gap at +10 dB for seeds 0-7 "
+        + ", ".join(f"{g:.3f}" for g in gaps)
+        + " dB (reported)",
+    )
+
+
+def perturbed_geometry(geom, sigma_m, seed):
+    """A copy of geom whose interior elements carry Gaussian position errors.
+
+    The errors have standard deviation sigma_m (meters); the end elements
+    stay pinned, and the interior is clipped inside them and re-sorted so
+    the coefficients stay strictly decreasing.
+    """
+    alphas = geom.alphas
+    sigma = sigma_m / (0.5 * geom.aperture)  # in alpha units
+    interior = alphas[1:-1] + np.random.default_rng(seed).normal(0.0, sigma, alphas.size - 2)
+    interior = np.clip(interior, np.nextafter(alphas[-1], 0.0), np.nextafter(alphas[0], 0.0))
+    alphas = np.concatenate(([alphas[0]], np.sort(interior)[::-1], [alphas[-1]]))
+    return replace(geom, alphas=alphas)
+
+
+def test_search_tolerates_element_position_errors(scenario):
+    """The geometry-assisted search given element positions off by 0.1 wavelength.
+
+    The channel comes from the true array; `search_pipeline` starts from
+    PS-only oracle phases but is told the element positions with seeded
+    Gaussian errors of sigma = 0.1 lambda_c. The noiseless bars hold: N=8
+    3-dB bandwidth at least 5 GHz, N=16 gap to the true-geometry oracle at
+    most 1.5 dB.
+    """
+    ec = scenario["ec"]
+    theta = ps_only_oracle(scenario["H"], scenario["cfg1"], scenario["cb"]).theta
+    lam_c = SPEED_OF_LIGHT / ec.center_freq_hz
+    geom = perturbed_geometry(scenario["geom"], 0.1 * lam_c, seed=9)
+    bw8, gap16 = _searched_bars(scenario, ec, theta, geom)
+    _report(
+        "geometry error (sigma = 0.1 lambda)",
+        bw8 >= 5e9 and gap16 <= 1.5,
+        f"N=8 bandwidth {bw8 / 1e9:.2f} GHz >= 5, N=16 gap {gap16:.3f} dB <= 1.5",
     )
 
 
@@ -498,13 +567,13 @@ def test_criterion_7e_pdf_full_td_flatness():
         tau_max_s=1e-9,
         flat_amplitude=True,
     )
-    from beamfocus.geometry import SPEED_OF_LIGHT
-
     aperture = (M - 1) * (SPEED_OF_LIGHT / cfg.center_freq_hz) / 2
     geom = random_geometry(M, aperture, seed=12)
     ue = UePosition(2.0, -2.0)
     H = near_field_channel(geom, ue, cfg)
-    cc = pdf_oracle(geom, ue, H, cfg, None)  # continuous phases
+    # with one delay per element, each element's quantization error is the
+    # same at every frequency, so it lowers the profile without tilting it
+    cc = pdf_oracle(geom, ue, H, cfg, PhaseCodebook(3))
     db = normalized_gain_db(gain_profile(cc, H, cfg))
     spread = float(db.max() - db.min())
     _report(

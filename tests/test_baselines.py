@@ -52,17 +52,6 @@ def test_ps_only_constant_phase_channel():
     assert np.all(cc.tau == 0.0)
 
 
-def test_ps_only_continuous_reaches_coherent_bound():
-    # odd K puts one bin exactly at the center frequency
-    cfg, geom, ue, H = scene(8, 2, K=5, seed=1)
-    cc = ps_only_oracle(H, cfg, None)
-    gp = gain_profile(cc, H, cfg)
-    k = 2
-    assert H.freqs_hz[k] == pytest.approx(cfg.center_freq_hz)
-    coherent = np.sum(np.abs(H.coeffs[:, k])) ** 2 / cfg.num_antennas
-    assert gp.per_subcarrier[k] == pytest.approx(coherent, rel=1e-12)
-
-
 def test_ps_only_quantization_loss_bound():
     for bits in (1, 2, 3, 4):
         cb = PhaseCodebook(bits=bits)
@@ -76,12 +65,12 @@ def test_ps_only_quantization_loss_bound():
             assert gp.per_subcarrier[k] / coherent >= bound
 
 
-@pytest.mark.parametrize("bits", [3, None])
+@pytest.mark.parametrize("bits", [3])
 def test_pdf_oracle_is_the_inline_focusing_formula(bits):
     # the oracle's delays are the exact distance differences at the
     # sub-array centers, shifted and clipped; its phases the conjugate design
     # recompensated for them, bit for bit
-    cb = None if bits is None else PhaseCodebook(bits=bits)
+    cb = PhaseCodebook(bits=bits)
     for M, N in ((16, 4), (64, 16)):
         cfg, geom, ue, H = scene(M, N, seed=M)
         cc = pdf_oracle(geom, ue, H, cfg, cb)

@@ -229,7 +229,6 @@ heatmap.x_max_m = 4.0
 heatmap.y_min_m = -4.0
 heatmap.y_max_m = 4.0
 heatmap.resolution_m = 0.05
-output.dir = out
 """
 
 
@@ -253,12 +252,11 @@ def test_cli_profile_end_to_end(tmp_path):
                 "grid.ax_points = 3",
                 "grid.ay_points = 3",
                 "grid.b_points = 3",
-                f"output.dir = {tmp_path / 'out'}",
             ]
         )
         + "\n"
     )
-    rc = main(["--config", str(cfg_path), "profile", "--oracle"])
+    rc = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "profile", "--oracle"])
     assert rc == 0
     assert (tmp_path / "out" / "summary.csv").exists()
 
@@ -549,8 +547,19 @@ M16_KEYS = (
 NOISY_KEYS = ("noise.mode = snapshots", "noise.snapshots = 100", "system.noise_power_w = 1e-9")
 
 
+def m16_text(*extra):
+    # a config sets each key once, so a line replaces any earlier line
+    # (an M16 key or an extra) that sets the same key
+    keyed = {}
+    for ln in "\n".join([*M16_KEYS, *extra]).splitlines():
+        key = ln.partition("=")[0].strip()
+        keyed.pop(key, None)
+        keyed[key] = ln
+    return "\n".join(keyed.values()) + "\n"
+
+
 def write_m16_config(path, *extra):
-    path.write_text("\n".join([*M16_KEYS, *extra]) + "\n")
+    path.write_text(m16_text(*extra))
     return path
 
 
@@ -630,23 +639,35 @@ def test_cli_rejects_profile_values_that_run_silently_wrong(tmp_path, capsys):
 def test_cli_rejects_the_removed_fit_keys(tmp_path, capsys):
     # the critic fit takes no learning rate or batch size, and the critic is
     # one (M,) vector with no rank; the walk's perturbation count comes from
-    # M and the search's scoring bins from cli.SEARCH_SUBCARRIERS. A file
-    # that sets one of these keys is refused before anything runs, even at
-    # the old default rank 1
+    # M, the search's scoring bins from cli.SEARCH_SUBCARRIERS and the output
+    # directory from --out. A file that sets one of these keys is refused
+    # before anything runs, even at the old default rank 1
     lineno = len(M16_KEYS) + 1  # the line after the M16 keys
     removed = ("learner.train_lr", "learner.train_batch", "learner.critic_rank")
-    for key in (*removed, "learner.perturb_count", "profile.search_subcarriers"):
+    later = ("learner.perturb_count", "profile.search_subcarriers", "output.dir")
+    for key in (*removed, *later):
         expected = f"line {lineno}: unknown key '{key}'"
         assert_rejected(tmp_path, capsys, expected, (f"{key} = 1",), "learn")
+
+
+def test_cli_rejects_a_key_set_twice(tmp_path, capsys):
+    # the stamp could show only one of the two values, so neither is taken
+    lines = ("system.N = 2", "system.M = 32", "# comments count as lines", "system.M = 16")
+    path = tmp_path / "exp.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), "learn"]) == 2
+    assert capsys.readouterr().err == "config error: line 4: repeated key 'system.M'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "cmd",
     [("learn",), ("profile", "--oracle"), ("search-delays",), ("heatmap", "--source", "pdf-oracle")],
 )
-def test_cli_rejects_an_output_path_that_names_a_file(tmp_path, capsys, cmd):
+def test_cli_rejects_an_output_path_that_names_a_file(tmp_path, capsys, monkeypatch, cmd):
     # refused before any work, whether the file (or a dangling link) is the
-    # output path itself or an ancestor of it, or comes from output.dir;
+    # output path itself or an ancestor of it, or is the default ./out;
     # nothing is created
     afile, link = tmp_path / "afile", tmp_path / "link"
     afile.write_text("kept\n")
@@ -655,11 +676,12 @@ def test_cli_rejects_an_output_path_that_names_a_file(tmp_path, capsys, cmd):
     for out, blocker in ((afile, afile), (afile / "sub" / "dir", afile), (link, link)):
         assert main(["--config", str(cfg_path), "--out", str(out), *cmd]) == 2
         assert capsys.readouterr().err == f"config error: --out: '{blocker}' is not a directory\n"
-    cfg_path = write_m16_config(tmp_path / "exp.cfg", f"output.dir = {afile}")
+    (tmp_path / "out").write_text("kept\n")
+    monkeypatch.chdir(tmp_path)
     assert main(["--config", str(cfg_path), *cmd]) == 2
-    assert capsys.readouterr().err.startswith("config error: --out: ")
-    assert afile.read_text() == "kept\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "exp.cfg", "link"]
+    assert capsys.readouterr().err == "config error: --out: 'out' is not a directory\n"
+    assert afile.read_text() == (tmp_path / "out").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "exp.cfg", "link", "out"]
 
 
 @pytest.mark.parametrize("M", [16, 256])
@@ -801,7 +823,7 @@ FUZZ_KEYS = {
 @settings(deadline=None, max_examples=60)
 @given(st.fixed_dictionaries({}, optional=FUZZ_KEYS))
 def test_every_accepted_config_runs_learn_and_search(keys):
-    text = "\n".join([*M16_KEYS, *(f"{k} = {v}" for k, v in keys.items())]) + "\n"
+    text = m16_text(*(f"{k} = {v}" for k, v in keys.items()))
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "exp.cfg"
         cfg_path.write_text(text)
@@ -831,7 +853,7 @@ GRID_HEATMAP_KEYS = {
 @settings(deadline=None, max_examples=25)
 @given(st.fixed_dictionaries({}, optional=GRID_HEATMAP_KEYS))
 def test_every_accepted_config_runs_search_and_heatmap(keys):
-    text = "\n".join([*M16_KEYS, *(f"{k} = {v}" for k, v in keys.items())]) + "\n"
+    text = m16_text(*(f"{k} = {v}" for k, v in keys.items()))
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "exp.cfg"
         cfg_path.write_text(text)
@@ -875,8 +897,7 @@ SYSTEM_GEOMETRY_UE_KEYS = {
 @example({"system.K": "1", "system.bandwidth_hz": "1e9"})
 @example({"geometry.aperture_m": "100.0"})
 def test_every_accepted_system_config_runs_every_command(keys):
-    lines = [*M16_KEYS, "profile.n_sweep = 0", *(f"{k} = {v}" for k, v in keys.items())]
-    text = "\n".join(lines) + "\n"
+    text = m16_text("profile.n_sweep = 0", *(f"{k} = {v}" for k, v in keys.items()))
     cmds = [["search-delays"], ["heatmap", "--source", "pdf-oracle"], ["learn"]]
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "exp.cfg"

@@ -173,13 +173,6 @@ def test_recompensate_r3_example():
     assert out[0] == pytest.approx(np.pi / 4)
 
 
-def test_recompensate_continuous_mode():
-    cfg = make_cfg(2, 1, fc=1e9)
-    out = recompensate_phases([0.1, 0.2], [1e-10], cfg, None)
-    shift = 2 * np.pi * 1e9 * 1e-10
-    assert np.allclose(out, wrap_angle(np.array([0.1, 0.2]) + shift))
-
-
 def test_center_frequency_preservation_bound():
     # delays plus recompensation may not cost more than the quantization
     # bound at the center frequency, for conjugate-matched phases

@@ -152,11 +152,22 @@ def test_parse_rejects_bad_choice():
 M16 = "system.M = 16\nsystem.N = 4\nsystem.K = 16\nprofile.n_sweep = 0,1\nue.y_m = 0.0\n"
 
 
+def m16(extra):
+    # a config sets each key once, so a line replaces any earlier line that
+    # sets the same key
+    keyed = {}
+    for ln in (M16 + extra).splitlines():
+        key = ln.partition("=")[0].strip()
+        keyed.pop(key, None)
+        keyed[key] = ln
+    return "\n".join(keyed.values()) + "\n"
+
+
 def test_parse_rejects_codebook_beyond_max_bits():
-    assert build_codebook(parse_config_text(M16 + "system.ps_bits = 8\n")).size == 256
+    assert build_codebook(parse_config_text(m16("system.ps_bits = 8\n"))).size == 256
     for bits in (9, 40):
         with pytest.raises(ConfigError, match=r"^system\.ps_bits: "):
-            parse_config_text(M16 + f"system.ps_bits = {bits}\n")
+            parse_config_text(m16(f"system.ps_bits = {bits}\n"))
 
 
 def test_parse_rejects_geometry_and_user_that_cannot_be_built():
@@ -172,14 +183,14 @@ def test_parse_rejects_geometry_and_user_that_cannot_be_built():
         ("system.center_freq_hz = 0", "system.center_freq_hz: "),
     ):
         with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.")):
-            parse_config_text(M16 + line + "\n")
+            parse_config_text(m16(line + "\n"))
 
 
 def test_heatmap_grid_is_bounded_at_parse_time():
     assert heatmap_shape(ExperimentConfig()) == (71.0, 161.0)  # 11,431 points
     # 4096 x 8192 points at 1 m spacing is the bound itself
     grid = "heatmap.resolution_m = 1.0\nheatmap.x_min_m = 1.0\nheatmap.x_max_m = 4096.0\n"
-    ec = parse_config_text(M16 + grid + "heatmap.y_min_m = 0.0\nheatmap.y_max_m = 8191.0\n")
+    ec = parse_config_text(m16(grid + "heatmap.y_min_m = 0.0\nheatmap.y_max_m = 8191.0\n"))
     assert heatmap_shape(ec) == (4096.0, 8192.0) and 4096 * 8192 == MAX_HEATMAP_POINTS
     # one row more, a fine resolution, and one whose counts overflow float64
     for lines in (
@@ -188,13 +199,13 @@ def test_heatmap_grid_is_bounded_at_parse_time():
         "heatmap.resolution_m = 1e-320\n",
     ):
         with pytest.raises(ConfigError, match=r"^heatmap\.resolution_m: .* exceeds 33554432 points"):
-            parse_config_text(M16 + lines)
+            parse_config_text(m16(lines))
 
 
 def test_delay_grid_is_bounded_at_parse_time():
     # the coarse pass scores prod((n + 1) // 2) rows: 405 at the default grid
     def grid(ax, ay, b):
-        return M16 + f"grid.ax_points = {ax}\ngrid.ay_points = {ay}\ngrid.b_points = {b}\n"
+        return m16(f"grid.ax_points = {ax}\ngrid.ay_points = {ay}\ngrid.b_points = {b}\n")
 
     assert MAX_COARSE_ROWS == 32**3
     for points in ((9, 17, 17), (5, 5, 5), (63, 63, 63), (1, 2, 2 * MAX_COARSE_ROWS)):

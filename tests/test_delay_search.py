@@ -676,7 +676,7 @@ def test_seed_row_interpolates_the_focus_distance_differences(reference, point):
     def measure(cc):
         return np.ones((len(cc.tau), 4))
 
-    result = search_delays(theta, measure, geom, cfg, None, (9, 17, 17))
+    result = search_delays(theta, measure, geom, cfg, reference["cb"], (9, 17, 17))
     seed = result.trace[1][:3]
     assert seed[0] == 1.0
     assert np.allclose(linear_ddf(seed, [0.0, 1.0, 2.0]), ddf, rtol=0.0, atol=1e-12)
@@ -698,7 +698,7 @@ def test_focal_delays_vanish_where_the_array_is_equidistant():
     geom = uniform_geometry(16, 0.1)
     cfg = make_cfg(16, 4)
     ue = UePosition(1.0, 0.0)
-    tau = pdf_oracle(geom, ue, near_field_channel(geom, ue, cfg), cfg, None).tau
+    tau = pdf_oracle(geom, ue, near_field_channel(geom, ue, cfg), cfg, PhaseCodebook(3)).tau
     assert tau.min() == 0.0
     assert tau[0] == pytest.approx(tau[-1], abs=1e-24)
     assert tau[1] == pytest.approx(tau[2], abs=1e-24)
