@@ -300,13 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="bypass learning, use oracles")
 
     p = sub.add_parser("heatmap", help="map beam gain over user positions")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group()
+    source.add_argument(
         "--source",
         choices=["learned", "ps-oracle", "pdf-oracle"],
         default="pdf-oracle",
         help="where the combiner comes from",
     )
-    p.add_argument("--combiner", type=str, default=None, help="combiner file to load")
+    source.add_argument("--combiner", type=str, default=None, help="combiner file to load")
     p.add_argument(
         "--freqs",
         type=str,

@@ -55,62 +55,39 @@ class PhaseCodebook:
         """e^{j v} of each member v, in index order."""
         return np.exp(1j * self.values)
 
-    def _rounded(self, phases):
+    def index(self, phases):
+        """Each phase's codebook index, same shape; every phase must equal its
+        member exactly, else ValueError (NaN, inf and -pi never do).
+        """
         # member i times 2^b / 2 pi is i + 1 - 2^(b-1); adding 2^(b-1) - 1 and
         # 1.5 * 2^52 rounds a double below 2^51 in magnitude to the nearest
         # integer (half to even) in the sum's low bits, masked to b bits: the
         # index. NaN and inf give some index and no warning
+        phases = np.asarray(phases, dtype=float)
         n = self.values.size
         shifted = phases * (n / TWO_PI)
         shifted += 1.5 * 2.0**52 + n // 2 - 1
         idx = shifted.view(np.int64)
         idx &= n - 1
-        return idx
-
-    def index(self, phases):
-        """Each phase's codebook index, same shape; every phase must equal its
-        member exactly, else ValueError (NaN, inf and -pi never do).
-        """
-        phases = np.asarray(phases, dtype=float)
-        idx = self._rounded(phases)
         if (self.values[idx] != phases).any():
             raise ValueError("phase is not a codebook member")
         return idx
-
-
-def _nearest_member(phi: np.ndarray, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # among the codebook indices idx (..., c): the smallest wrapped distance,
-    # exact ties to the largest index
-    dist = np.abs(wrap_angle(phi[..., None] - values[idx]))
-    tied = dist == dist.min(axis=-1, keepdims=True)
-    return np.where(tied, idx, -1).max(axis=-1)
-
-
-# beyond this magnitude rounding could move the nearest member past the
-# rounded guess's neighbours, so such phases are checked against every member
-_GUESS_LIMIT = 1e9
 
 
 def quantize_phase(phi, cb: PhaseCodebook):
     """Nearest codebook member in wrapped angular distance.
 
     Ties are broken toward the larger codebook value. Accepts scalars or
-    arrays; 2pi-periodic and idempotent. The rule is applied to the rounded
-    guess and its two neighbours, which hold the nearest member of every
-    phase up to _GUESS_LIMIT in magnitude; larger phases are compared with
-    all members.
+    arrays; 2pi-periodic and idempotent.
     """
     phi_arr = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi_arr)):
         raise ValueError("phase must be finite")
     values = cb.values
-    n = values.size
-    far = np.abs(phi_arr) > _GUESS_LIMIT
-    guess = cb._rounded(np.where(far, 0.0, phi_arr))
-    idx = _nearest_member(phi_arr, (guess[..., None] + np.array([-1, 0, 1])) % n, values)
-    if np.any(far):
-        idx = np.where(far, _nearest_member(phi_arr, np.arange(n), values), idx)
-    out = values[idx]
+    dist = np.abs(wrap_angle(phi_arr[..., None] - values))
+    # the last of the exact minima: ties go to the larger member
+    last = values.size - 1 - np.argmin(dist[..., ::-1], axis=-1)
+    out = values[last]
     return float(out) if np.isscalar(phi) else out
 
 

@@ -93,7 +93,8 @@ def _parse_float(text: str) -> float:
 
 
 def _parse_int_list(text: str) -> tuple:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    # no text is no entry, left to validate; an empty entry is a bad value
+    return tuple(int(tok) for tok in text.split(",")) if text else ()
 
 
 _PARSERS = {"int": int, "float": _parse_float, "str": str, "tuple": _parse_int_list}

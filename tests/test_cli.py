@@ -346,6 +346,19 @@ def test_cli_heatmap_oracle(tmp_path, source):
         assert got == {p.name: p.read_bytes() for p in want}
 
 
+def test_cli_heatmap_takes_a_source_or_a_combiner_file_not_both(tmp_path, capsys):
+    cb = PhaseCodebook(3)
+    save_combiner(CombinerConfig(theta=np.zeros(16), tau=np.zeros(4)), cb, tmp_path / "c.txt")
+    cfg_path = write_m16_config(tmp_path / "exp.cfg")
+    out = tmp_path / "out"
+    argv = ["--config", str(cfg_path), "--out", str(out), "heatmap", "--source", "learned"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--combiner", str(tmp_path / "c.txt")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("freqs", ["x", "-1e9", "0", "nan", "1e11,inf"])
 def test_cli_heatmap_rejects_bad_freqs_before_building(tmp_path, capsys, monkeypatch, freqs):
     cfg_path = write_m16_config(tmp_path / "exp.cfg")
@@ -627,10 +640,13 @@ def test_cli_rejects_a_delay_grid_past_the_coarse_pass_bound(tmp_path, capsys):
 
 def test_cli_rejects_profile_values_that_run_silently_wrong(tmp_path, capsys):
     # a repeated sweep entry would write its profile file twice and its
-    # summary row twice
+    # summary row twice; an empty entry would be dropped from the sweep
+    lineno = len(M16_KEYS) + 1  # the line after the M16 keys
     for line, key in (
         ("profile.n_sweep = 0,4,4", "profile.n_sweep: "),
         ("profile.n_sweep =", "profile.n_sweep: "),  # no entry: a header-only summary
+        ("profile.n_sweep = 0,,4", f"line {lineno}: profile.n_sweep: bad value '0,,4'"),
+        ("profile.n_sweep = 0,4,", f"line {lineno}: profile.n_sweep: bad value '0,4,'"),
     ):
         for flags in ((), ("--oracle",)):
             assert_rejected(tmp_path, capsys, key, (line,), "profile", cmd_flags=flags)
