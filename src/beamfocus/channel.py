@@ -1,23 +1,11 @@
 """Near-field wideband uplink channel synthesis.
 
-Builds the M x K matrix of spherical-wave channel coefficients over the
-subcarrier grid: entry (m, k) has magnitude lambda / (4 pi d_m) and phase
--2 pi d_m / lambda_k, where d_m is the element-to-user distance and
-lambda_k = c / f_k. The amplitude rule lives here alone: the amplitude's
-lambda is lambda_k, or lambda_c = c / f_c on every bin when
-`SystemConfig.flat_amplitude` is set (`channel.rho = flat_amplitude`),
-which removes the 1/f amplitude roll across the band and leaves only the
-combiner's alignment to shape a gain profile.
-`near_field_channel(geom, ue, cfg)` takes the phasors from a frequency
-recurrence on the uniform grid: per antenna, FREQ_BLOCK fine and
-ceil(K / FREQ_BLOCK) coarse exponentials (96 at K = 2048, not 2048) whose
-products give every bin, within 2e-12 relative of a long-double evaluation
-of the formula. `gain_map(geom, cfg, w, freq_hz, xs, ys)` evaluates the same
-spherical wave, with the same amplitude rule, at every point of a position
-grid for the heatmaps: 128 points at a time in one set of work buffers,
-each point's phases relative to its first element, with phasors from a
-16384-entry root-of-unity table (`unit_phasors`) within 2e-15 of the
-complex exponential.
+The system parameters, the subcarrier grid, the M x K spherical-wave
+channel and the heatmaps' gain over a grid of user positions. The amplitude
+rule lives here alone: entry (m, k) has magnitude lambda / (4 pi d_m), with
+lambda = c / f_k, or c / f_c on every bin when `SystemConfig.flat_amplitude`
+is set, and phase -2 pi d_m f_k / c, d_m being element m's distance to the
+user. README "Library layout" walks through both kernels.
 """
 
 from __future__ import annotations
@@ -139,12 +127,9 @@ FREQ_BLOCK = 64
 def near_field_channel(geom: ArrayGeometry, ue: UePosition, cfg: SystemConfig) -> ChannelMatrix:
     """Synthesize the spherical-wave channel for every element and subcarrier.
 
-    Deterministic. The grid is uniform, f_k = f_0 + k s, so bin k = L a + b
-    (b < L = FREQ_BLOCK) has the phasor exp(-2 pi j d f_k / c) = fine[b]
-    coarse[a], with fine[b] = exp(-2 pi j d f_b / c) and coarse[a] =
-    exp(-2 pi j d a L s / c), each table entry its own exponential. One
-    broadcast product fills the (M, K) array, which is then scaled in place
-    by the amplitude wavelength (`_amplitude_wavelength`).
+    Deterministic; each entry is within 1e-11 relative of the formula.
+    ValueError if `geom` and `cfg` disagree on M; DegeneratePositionError
+    for a user on an element.
     """
     if geom.num_antennas != cfg.num_antennas:
         raise ValueError("geometry and config disagree on antenna count")
@@ -185,18 +170,11 @@ def _phasor_buffers(shape) -> tuple:
 def unit_phasors(cycles, scale=1.0, work=None):
     """exp(-2 pi j scale cycles) as its (real, imaginary) parts, without np.exp.
 
-    steps = cycles * (scale PHASOR_TABLE) splits into its nearest integer q
-    and a remainder r, |r| <= 1/2. The table gives exp(-2 pi j q /
-    PHASOR_TABLE), its index q masked to the table size; the remainder's
-    angle x = 2 pi r / PHASOR_TABLE, |x| <= pi / PHASOR_TABLE, turns it by
-    cos x ~ 1 - x^2/2 and sin x ~ x - x^3/6, whose next terms are below
-    6e-17 and 3e-21. The result is within 2e-15 of exp(-2 pi j steps /
-    PHASOR_TABLE) for |steps| < 2^63, the range of the integer cast;
-    `gain_map` keeps its steps below D / lambda PHASOR_TABLE. Every step
-    writes into `work`, the arrays of `_phasor_buffers(cycles.shape)`
-    (allocated when None), so a caller that passes the same work on every
-    call allocates nothing; the two arrays returned belong to it and the
-    next call overwrites them.
+    Within 2e-15 of the complex exponential while |scale cycles
+    PHASOR_TABLE| < 2^63. `work` holds the arrays of
+    `_phasor_buffers(cycles.shape)` (allocated when None): a caller that
+    passes the same work every call allocates nothing, and the two arrays
+    returned belong to it, overwritten by the next call.
     """
     cycles = np.asarray(cycles, dtype=float)
     steps, r, sin, re, tmp, k = _phasor_buffers(cycles.shape) if work is None else work
@@ -245,21 +223,9 @@ def gain_map(
     Returns shape (len(ys), len(xs)); rows follow ys, columns follow xs.
     `w` may stack one combining vector per frequency, shape (F, M), with
     `freq_hz` broadcasting to (F,); the result then has shape
-    (F, len(ys), len(xs)). h(q') has the channel's amplitude
-    lambda / (4 pi d), lambda as `near_field_channel` takes it from `cfg`,
-    and the phase -2 pi d / lambda_f; the map stays within 1e-12 of its
-    peak of the exact formula's.
-
-    The points are evaluated in blocks of GAIN_MAP_BLOCK into one set of
-    (GAIN_MAP_BLOCK, M) work buffers, allocated once per call, so memory
-    beyond the result does not grow with the grid. Each block's distances
-    are computed once for every frequency. A phase common to one point's
-    elements cancels in |w^H h|^2, so each point's phases are taken
-    relative to its first element: |d_m - d_0| <= D keeps the cycle counts
-    below D / lambda, and `unit_phasors` turns them into phasors. The scalar
-    lambda / (4 pi) is folded into the combining vector. The three
-    reference maps (71 x 161 points, M = 256) take about 0.12 s on a 2-CPU
-    Xeon.
+    (F, len(ys), len(xs)). h(q') follows `near_field_channel`'s amplitude
+    rule for `cfg`, and the map stays within 1e-12 of its peak of the exact
+    formula's. Memory beyond the result does not grow with the grid.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)

@@ -1,14 +1,9 @@
-"""Experiment runner CLI.
+"""Experiment runner CLI: the pipelines and the command line.
 
-Subcommands build seeded scenarios from a config file and export CSV
-results: `profile` sweeps TD-unit counts and writes per-subcarrier gain
-profiles plus a summary, `heatmap` maps the beam gain over user positions
-at chosen frequencies, `learn` runs only the phase-learning stage, and
-`search-delays` runs only the delay search. Every output file starts with
-a `#` header embedding the resolved configuration, so identical configs
-reproduce byte-identical files. The module holds the pipelines and the
-command line only: the measurement callbacks come from `sim`, the heatmap
-kernel from `channel`.
+The `profile`, `heatmap`, `learn` and `search-delays` subcommands build
+the seeded scenario from a config file and write their results. Every
+output file starts with a `#` header embedding the resolved
+configuration, so identical configs reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -106,11 +101,10 @@ def search_pipeline(
 def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Path]:
     """Sweep TD-unit counts; write profile_N<k>.csv per entry plus summary.csv.
 
-    With oracle=True the learning stage is bypassed: phases come from the
-    conjugate center-frequency oracle and delays from the true-geometry
-    phase-delay focusing oracle (fast acceptance path). Every design is
-    computed before the directory and the files are made, so a failed run
-    writes nothing.
+    With oracle=True, phases come from the conjugate center-frequency oracle
+    and delays from the phase-delay focusing oracle, with no learning. Every
+    design is computed before the directory and the files are made, so a
+    failed run writes nothing.
     """
     ue = build_ue(ec)
     # the channel and the zero-delay phases are independent of the TD-unit

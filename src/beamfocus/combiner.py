@@ -1,10 +1,10 @@
 """Quantized phase codebook and the hybrid TD-PS effective combiner.
 
-The combiner at frequency f is (1/sqrt(M)) * exp(j(theta - 2 pi f tau_rep))
-where theta holds the M phase-shifter settings and tau_rep repeats each of
-the N delays over its P-element sub-array. Changing delays perturbs the
-center-frequency beam, so phases are re-quantized ("recompensated") to keep
-the center-frequency gain intact. `PhaseCodebook` owns the codebook's layout.
+The codebook and its quantizer, combiner configurations and their file
+format, and phase recompensation. The combiner at frequency f is
+(1/sqrt(M)) * exp(j(theta - 2 pi f tau_rep)), where theta holds the M
+phase-shifter settings and tau_rep repeats each of the N delays over its
+P-element sub-array.
 """
 
 from __future__ import annotations
@@ -78,16 +78,19 @@ def quantize_phase(phi, cb: PhaseCodebook):
     """Nearest codebook member in wrapped angular distance.
 
     Ties are broken toward the larger codebook value. Accepts scalars or
-    arrays; 2pi-periodic and idempotent.
+    arrays; 2pi-periodic and idempotent. ValueError for a non-finite phase.
     """
     phi_arr = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi_arr)):
         raise ValueError("phase must be finite")
-    values = cb.values
-    dist = np.abs(wrap_angle(phi_arr[..., None] - values))
-    # the last of the exact minima: ties go to the larger member
-    last = values.size - 1 - np.argmin(dist[..., ::-1], axis=-1)
-    out = values[last]
+    # a running minimum over the members in ascending order, so memory
+    # does not grow with the codebook; <= hands ties to the later member
+    best = np.full(phi_arr.shape, np.inf)
+    out = np.empty(phi_arr.shape)
+    for v in cb.values:
+        dist = np.abs(wrap_angle(phi_arr - v))
+        np.copyto(out, v, where=dist <= best)
+        np.minimum(best, dist, out=best)
     return float(out) if np.isscalar(phi) else out
 
 
@@ -145,9 +148,10 @@ def recompensate_phases(theta_star, tau, cfg: SystemConfig, cb: PhaseCodebook) -
     """Re-quantize phases so delays leave the center-frequency beam intact.
 
     Each branch m in sub-array n gets the codebook value nearest
-    theta_star[m] + 2 pi f_c tau[n]. A stack of delay vectors (..., N)
-    gives one row of phases per vector. At f = f_c the resulting combiner then
-    equals the delay-free one up to per-element quantization error.
+    theta_star[m] + 2 pi f_c tau[n]; a stack of delay vectors (..., N) gives
+    one row of phases per vector. At f = f_c the combiner then equals the
+    delay-free one up to per-element quantization error. Memory does not
+    grow with the codebook.
     """
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     shifted = theta_star + TWO_PI * cfg.center_freq_hz * repeat_delays(

@@ -28,7 +28,7 @@ from .geometry import (
 # cap on the heatmap's points (4,096 x 8,192)
 MAX_HEATMAP_POINTS = 2**25
 # cap on the delay search's coarse pass, prod((n + 1) // 2) over the grid.*
-# axes: 405 at the default grid; at the cap, about 8 s on the reference scene
+# axes: 405 at the default grid
 MAX_COARSE_ROWS = 2**15
 
 

@@ -1,11 +1,7 @@
-"""Single-path power critic.
+"""Single-path power critic: |q^H w|^2 predicts beam w's received power.
 
-The critic predicts the received power of a constant-modulus beam w as
-|q^H w|^2 for a learned complex vector q of shape (M,). The true
-single-path power is |h^H w|^2, so q equal to the channel reproduces it
-exactly (up to a global phase, which no prediction sees). Training
-minimizes squared error on measured powers by conjugate gradient on the
-exact analytic gradient.
+The critic's random start, its least-squares fit to measured powers and its
+file. README "Critic fit" walks through the fit.
 """
 
 from __future__ import annotations
@@ -37,8 +33,8 @@ def initialize_critic(beams: np.ndarray, powers: np.ndarray, seed: int = 0) -> n
     """Random (M,) critic whose mean predicted power matches mean(powers).
 
     `beams` holds the (n, M) unit-norm beams and `powers` their (n,)
-    measured powers. Keeps the optimizer away from the stationary saddle at
-    q = 0.
+    measured powers; ValueError if there are none. Keeps the optimizer away
+    from the stationary saddle at q = 0.
     """
     if powers.size == 0:
         raise ValueError("dataset is empty")
@@ -66,11 +62,8 @@ _THIRD_TURN = 2.0 * math.pi / 3.0
 def _real_roots(a3: float, a2: float, a1: float, a0: float) -> tuple:
     """Real roots of a3 x^3 + a2 x^2 + a1 x + a0 for a3 > 0, in closed form.
 
-    The depressed cubic t^3 + p t + q (x = t - a2 / (3 a3)) has one real
-    root when (q/2)^2 + (p/3)^3 > 0, taken by Cardano's formula from the
-    cube root of larger magnitude (no cancellation), and otherwise three,
-    taken by the trigonometric formula. A double root comes out once or
-    twice, as rounding falls.
+    One root or three; a double root comes out once or twice, as rounding
+    falls.
     """
     shift = a2 / (3.0 * a3)
     p = a1 / a3 - a2 * shift / a3
@@ -92,10 +85,7 @@ def _line_search(moments: np.ndarray) -> float:
     """Step alpha minimizing sum((err + 2 alpha b + alpha^2 c)^2); 0 if none lowers it.
 
     `moments` is the (3, 3) Gram matrix of the rows err, b, c over the
-    samples. The loss along a direction is a quartic in alpha; its minimum
-    lies at a real root of the derivative, a cubic whose coefficients are
-    five of those moments (see _real_roots). Each root is scored on the
-    quartic by Horner's rule.
+    samples.
     """
     (_, eb, ec), (_, bb, bc), (_, _, cc) = moments.tolist()
     if not cc > 0.0:  # the direction moves no prediction (or is not finite)
@@ -111,29 +101,16 @@ def _line_search(moments: np.ndarray) -> float:
 
 
 def train_critic(q: np.ndarray, beams: np.ndarray, powers: np.ndarray, max_iters: int):
-    """Full-batch Polak-Ribiere+ conjugate gradient with an exact line search.
+    """Fit the critic `q` to the (n,) powers of the (n, M) beams.
 
-    Each iteration takes the full-dataset gradient, forms the direction
-    -g + beta P with beta = max(0, Re<g, g - g_prev> / ||g_prev||^2) (-g when
-    that is not a descent direction), and steps to the exact minimum of the
-    loss along it, which is a real root of a cubic (see _line_search). A step
-    never raises the loss. Powers are rescaled to unit mean internally,
-    which rescales q by the square root and leaves predictions consistent.
-
-    Stops after max_iters iterations, or earlier once the RMS power error
-    is at most RMS_TOL of the mean measured power or an iteration lowers
-    the loss by less than STALL_TOL of its value. Returns the trained
-    (M,) vector and the loss after each iteration (original units;
-    non-empty and non-increasing). Deterministic: no randomness is drawn.
-
-    g = conj(B) q is carried across iterations: with d = conj(B) p the
-    inner products along the step are g + alpha d, so each iteration makes
-    two passes over the (n, M) beams, one for the gradient and one for d.
-    No (n, M) conjugate of the beams is ever formed (see _inner). The line
-    search's rows err, b = Re(conj(g) d) and c = |d|^2 are written from
-    real and imaginary parts into a (3, n) buffer allocated once per fit;
-    one (3, n) @ (n, 3) product gives the five moments that make up the
-    cubic, whose real roots come in closed form (see _real_roots).
+    Full-batch Polak-Ribiere+ conjugate gradient on the mean squared power
+    error, with an exact line search; a step never raises the loss. Stops
+    after max_iters iterations, or earlier once the RMS power error is at
+    most RMS_TOL of the mean measured power or an iteration lowers the loss
+    by less than STALL_TOL of its value. Returns the trained (M,) vector and
+    the loss after each iteration, in the powers' units: non-empty and
+    non-increasing. Deterministic: no randomness is drawn. ValueError for
+    no powers or max_iters < 1.
     """
     if powers.size == 0:
         raise ValueError("dataset is empty")

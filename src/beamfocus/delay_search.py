@@ -1,21 +1,10 @@
 """Geometry-assisted delay design.
 
-Approximates the unknown distance-difference curve with a two-piece linear
-function parameterized by its breakpoint (break_delta, break_value) and its
-endpoint value at delta = 2, samples it at the sub-array centers to obtain
-candidate delay vectors, and scores each candidate by measured wideband
-gain after phase recompensation. No user position or channel knowledge is
-consumed; only the phases, the array geometry and the measurement callback.
-
-The search starts from the focus of the phases when they have one: it
-locates the point theta* focuses on (`focus.locate_focus`, no
-measurement), takes the row that interpolates that point's
-distance-difference curve at delta = 0, 1 and 2, and refines that row
-with compass steps from the grid spacing down to 1/8 of it. Phases that
-focus nowhere get a coarse pass over every other point of the configured
-grid instead, refined the same way. Each delay vector is measured once.
-At the default 9 x 17 x 17 grid a search scores at most 2 + 24 of the
-grid's 2,330 candidates from a focus, and at most 333 + 24 without one.
+Two-piece linear approximations of the distance-difference curve, the
+delay vectors they give at the sub-array centers, and the focus-seeded
+search that scores them by measured wideband gain. The search reads the
+phases, the array geometry and the measurement callback, never the user
+position or the channel. README "Delay search" walks through it.
 """
 
 from __future__ import annotations
@@ -34,16 +23,13 @@ from .geometry import SPEED_OF_LIGHT, ArrayGeometry, UePosition, distance_differ
 
 
 def linear_ddf(params, delta):
-    """Evaluate piecewise-linear approximations at delta in [0, 2].
+    """Evaluate two-piece linear approximations at delta in [0, 2].
 
-    Each approximation is a (break_delta, break_value, end_value) row: the
-    curve runs from (0, 0) through the breakpoint (break_delta,
-    break_value) to (2, end_value), the two segments joining continuously.
-    A degenerate breakpoint at 0 leaves the single segment from (0, 0) to
-    (2, end_value); a breakpoint at 2 leaves the first segment only.
-
-    `params` has shape (..., 3); the values have shape (..., *delta's
-    shape), one set per row, equal to one call per row.
+    Each (break_delta, break_value, end_value) row of `params`, shape
+    (..., 3), is the continuous curve from (0, 0) through (break_delta,
+    break_value) to (2, end_value); a breakpoint at 0 or 2 leaves one
+    segment. Returns shape (..., *delta's shape), equal to one call per
+    row. ValueError for a delta outside [0, 2].
     """
     delta_arr = np.asarray(delta, dtype=float)
     if np.any(delta_arr < 0.0) or np.any(delta_arr > 2.0):
@@ -59,11 +45,11 @@ def linear_ddf(params, delta):
 
 
 def subarray_deltas(geom: ArrayGeometry, num_td_units: int) -> np.ndarray:
-    """Relative coefficient of each sub-array center, strictly increasing.
+    """delta = 1 - alpha of each sub-array center, strictly increasing.
 
-    Sub-array n spans elements nP..nP+P-1, P = M / N; its center is the
-    midpoint of the first and last element coefficients, mapped through
-    delta = 1 - alpha.
+    Sub-array n spans elements nP..nP+P-1, P = M / N, and its center alpha
+    is the midpoint of its first and last element's. ValueError unless
+    `num_td_units` is positive and divides M.
     """
     if num_td_units < 1 or geom.num_antennas % num_td_units:
         raise ValueError("N*P must equal the number of antennas")
@@ -105,11 +91,10 @@ SEED_COHERENCE = 0.5
 
 
 def _axis(points: int):
-    """Coarse positions and first refinement step of one axis on [-1, 1].
+    """Coarse positions and first step of a `points`-point axis on [-1, 1].
 
-    The coarse pass takes (points + 1) // 2 evenly spaced positions, every
-    other configured point for odd `points`; the first step is the
-    configured spacing. A single-point axis sits at the center, unstepped.
+    The coarse pass takes (points + 1) // 2 evenly spaced positions and the
+    first step is the spacing; a single-point axis sits at 0, unstepped.
     """
     if points == 1:
         return [0.0], 0.0
@@ -119,18 +104,16 @@ def _axis(points: int):
 
 
 def _seed_position(theta_star, geom: ArrayGeometry, cfg: SystemConfig, points: tuple):
-    """Box position of the seed row at theta_star's focus.
+    """Box position of the row (1, ddf(1), ddf(2)) at theta_star's focus.
 
-    The seed row is the two-piece interpolant of the focus's distance
-    differences at delta = 0, 1 and 2: (1, ddf(1), ddf(2)). None when the
-    focus coherence is below SEED_COHERENCE. The triangle inequality
-    (|ddf(delta)| <= delta D/2) keeps the row in the box; the clip guards
-    rounding. Single-point axes stay at their range centers.
+    None when the focus coherence is below SEED_COHERENCE. Single-point
+    axes stay at their centers.
     """
     x, y, fit = locate_focus(theta_star, geom, cfg.center_freq_hz)
     if fit < SEED_COHERENCE:
         return None
     mid, end = distance_difference(geom, np.array([1.0, 2.0]), UePosition(x, y))
+    # |ddf(delta)| <= delta D/2 keeps the row in the box; the clip guards rounding
     position = (0.0, mid / (0.5 * geom.aperture), end / geom.aperture)
     return tuple(min(max(p, -1.0), 1.0) if n > 1 else 0.0 for p, n in zip(position, points))
 
@@ -143,44 +126,24 @@ def search_delays(
     cb: PhaseCodebook,
     points: tuple,
 ) -> DelaySearchResult:
-    """Focus-seeded or coarse-to-fine search of the (break_delta, break_value, end_value) box.
+    """Search the (break_delta, break_value, end_value) box for the best delays.
 
-    A position (x, u, v) in [-1, 1]^3 is the row break_delta = 1 + x,
-    break_value = u (D/2) break_delta, end_value = v D, for aperture D; so
-    break_delta spans [0, 2], |break_value| <= (D/2) break_delta and
-    |end_value| <= D. `points` holds the `grid.*` point counts (ax, ay, b):
-    each axis spans its range with that many evenly spaced points, and a
-    single-point axis sits at its range center and is never searched. The
-    zero-delay row (1, 0, 0) is scored first. When the focus of theta_star
-    (`focus.locate_focus`) has a coherence of at least SEED_COHERENCE, the
-    seed row comes next in the same block: (1, ddf(1), ddf(2)) for the
-    distance differences ddf at that focus (`_seed_position`). Otherwise
-    the coarse grid of every other grid point per axis follows, (n + 1) // 2
-    points of an n-point axis. A walk then starts from the seed row, or else
-    from the best row of that block (the earliest of tied maxima). Each of
-    REFINE_ROUNDS rounds scores the six compass positions one step along
-    each axis from the walk's position, clipped to the box, as one block,
-    and the walk moves to the best of them on a strictly higher score; the
-    first step is the grid spacing and each round halves it, down to 1/8 of
-    the spacing. A row whose delay vector is bitwise equal to one already
-    scored is not measured again (at break_delta = 0 every u gives the same
-    row, and rows that differ only where the delays clip give the same
-    vector); it takes the earlier score. Scored vectors are remembered by
-    a 16-byte BLAKE2b digest of their bytes, whatever N. So a search scores
-    at most 2 + 6 * REFINE_ROUNDS rows from a seed, and the coarse rows
-    plus 6 * REFINE_ROUNDS without one.
-
-    The delay vectors of a pass come from vectorized evaluations of the
-    approximations, SEARCH_BLOCK rows at a time, so no pass holds more
-    than a block of them. Rows with delay vectors not yet scored go
-    through `measure` SEARCH_BLOCK at a time, in row order: each block's
-    phases are recompensated, and `measure` takes the
-    stacked CombinerConfig (theta (C, M), tau (C, N)) and returns
-    per-subcarrier powers, shape (C, K), row c equal to what it would
-    return for candidate c alone, measured in candidate order. A candidate
-    scores the mean amplitude of its row. The result is the best row scored,
-    the earliest of tied maxima, so it never scores below the zero-delay
-    row.
+    A position (x, u, v) in [-1, 1]^3 is the row (1 + x, u (D/2)(1 + x), v D)
+    for aperture D. `points` holds the (ax, ay, b) `grid.*` point counts; a
+    single-point axis stays at its center. The zero-delay row (1, 0, 0) is
+    scored first, then the seed row at theta_star's focus if its coherence
+    is at least SEED_COHERENCE, else every other grid point per axis; then
+    REFINE_ROUNDS compass rounds, with steps from the grid spacing down to
+    1/8 of it. A row whose delay vector is bitwise equal to one already
+    scored takes that score unmeasured, so a search scores at most 2 + 6 *
+    REFINE_ROUNDS rows from a seed, and the coarse rows + 6 * REFINE_ROUNDS
+    without one. Rows are built and measured SEARCH_BLOCK at a time, and a
+    scored vector is kept as a 16-byte digest. `measure` takes a stacked
+    CombinerConfig (theta (C, M), tau (C, N)) of recompensated candidates in
+    scoring order and returns (C, K) powers, row c equal to candidate c
+    alone. A row scores the mean square root of its powers clipped at 0.
+    The result is the earliest best row, never below the zero-delay row;
+    its trace lists every scored row in order. It draws no random numbers.
     """
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     deltas = subarray_deltas(geom, cfg.num_td_units)

@@ -4,17 +4,9 @@ Phases theta focus the center-frequency beam on the point q that scores
 the highest coherence |sum_m exp(-j (theta_m + 2 pi d_m(q) / lambda_c))| / M,
 where d_m(q) is element m's distance to q: 1 for the conjugate of the
 spherical wave from q, near 0 for phases that focus nowhere. The locator
-consumes the phases, the array geometry and the center frequency only, no
-measurement, channel or user position. It assumes one line-of-sight
-spherical wave.
-
-The search is polar-domain (Cui & Dai 2022, arXiv:2108.07581). In the
-Fresnel coordinates u = sin(phi), v = cos(phi)^2 / (2 r) of a point at range
-r and angle phi, d_m ~ r - y_m u + y_m^2 v for element height y_m, so the
-coherence of a whole (v, u) grid is one (nv, M) @ (M, nu) product of two
-phasor tables. A coarse grid (u steps lambda/D, v steps lambda/D^2, ranges
-from MIN_RANGE_M out) finds the focus; compass rounds on the exact
-distances then refine it from half the coarse steps to 1/64 of them.
+reads the phases, the array geometry and the center frequency only, and
+assumes one line-of-sight spherical wave. README "Delay search" walks
+through its polar-domain search (Cui & Dai 2022, arXiv:2108.07581).
 """
 
 from __future__ import annotations
@@ -36,8 +28,7 @@ MAX_GRID_ENTRIES = 2**25
 def _ramp(phase0, phase_step, count: int) -> np.ndarray:
     """exp(j (phase0 + i phase_step)) for i < count, on a new last axis.
 
-    Built by repeated multiplication, one complex exponential per step
-    size: at a few hundred steps it is within 1e-12 of the exponentials.
+    Within 1e-12 of the exponentials at a few hundred steps.
     """
     ramp = np.empty(np.shape(phase0) + (count,), dtype=complex)
     ramp[..., 0] = np.exp(1j * np.asarray(phase0))
@@ -48,8 +39,7 @@ def _ramp(phase0, phase_step, count: int) -> np.ndarray:
 def _fresnel_peak(theta_conj, k, y, u0, du, nu, v0, dv, nv):
     """(u, v) of the largest Fresnel-model coherence on the grid u0 + i du, v0 + j dv.
 
-    One (nv, M) @ (M, nu) product scores the whole grid; ties keep the
-    earliest point in (v, u) row order.
+    Ties keep the earliest point in (v, u) row order.
     """
     rows = (theta_conj[:, None] * _ramp(-k * y * y * v0, -k * y * y * dv, nv)).T  # (nv, M)
     scores = np.abs(rows @ _ramp(k * y * u0, k * y * du, nu))
@@ -76,13 +66,11 @@ def coherence(theta, geom: ArrayGeometry, center_freq_hz: float, x, y) -> np.nda
 def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[float, float, float]:
     """(x, y, coherence) of the point the phases `theta` focus on.
 
-    The coarse grid spans u in (-1, 1) and v in (0, 1 / (2 MIN_RANGE_M)]
-    with steps of at most lambda/D and lambda/D^2, for aperture D; its one
-    product peaks near 60 MB at M = 1,024 with D = (M - 1) lambda/2. The
-    exact stage stays inside that box, with v at least 1/64 of its step:
-    ranges up to about 32 D^2 / lambda. A grid with a table of more than
-    MAX_GRID_ENTRIES entries is not scored; the result is then no focus,
-    (nan, nan, 0.0).
+    The search covers u = sin(phi) in (-1, 1) and v = cos(phi)^2 / (2 r) in
+    (0, 1 / (2 MIN_RANGE_M)], so ranges r from MIN_RANGE_M out to about
+    32 D^2 / lambda for aperture D. A coarse grid with a table of more than
+    MAX_GRID_ENTRIES entries is not scored: the result is then (nan, nan,
+    0.0). Deterministic.
     """
     theta = np.asarray(theta, dtype=float)
     lam = SPEED_OF_LIGHT / center_freq_hz

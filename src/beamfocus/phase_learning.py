@@ -1,10 +1,8 @@
 """Online phase-shifter learning from center-frequency power measurements.
 
-The loop explores quantized beams by randomly perturbing a few phases per
-step, fits the single-path critic to the measured (beam, power) pairs, and
-periodically exploits the critic via cyclic coordinate ascent over the
-codebook. The walk between two refits is drawn and measured in blocks of
-stacked beams. Only the measurement callback touches the channel.
+The random walk over codebook beams, the coordinate-ascent exploitation of
+the critic, the learning loop and its history CSV. Only the measurement
+callback touches the channel. README "Phase learner" walks through the loop.
 """
 
 from __future__ import annotations
@@ -32,10 +30,8 @@ def _walk(start: np.ndarray, counts: np.ndarray, size: int, rng) -> np.ndarray:
 
     Step t re-draws counts[t] distinct uniform positions of the previous beam
     with uniform codebook indices below `size`, a power of two. Each step
-    takes 2M uniform doubles from `rng`, whatever its count: M keys whose
-    argsort orders the positions, and one candidate index per antenna. A
-    forward fill of each antenna's last hit applies the steps in order. A
-    walk drawn in pieces equals the walk drawn at once.
+    takes 2M uniform doubles from `rng`, whatever its count, so a walk drawn
+    in pieces equals the walk drawn at once.
     """
     T, M = counts.size, start.size
     u = rng.random((T, 2, M))
@@ -50,15 +46,14 @@ def _walk(start: np.ndarray, counts: np.ndarray, size: int, rng) -> np.ndarray:
 
 
 def coordinate_ascent(q: np.ndarray, init: np.ndarray, cb: PhaseCodebook):
-    """Cyclic coordinate ascent of the predicted power over the codebook.
+    """Cyclic coordinate ascent of the prediction |q^H w|^2 over the codebook.
 
-    Sweeps the antennas in order, setting each codebook index to the one
-    that maximizes the prediction |q^H w|^2 of the (M,) critic `q` with
-    the rest fixed; stops after a full cycle without change (each
-    accepted change strictly increases the prediction, so termination is
-    guaranteed) or after MAX_ASCENT_CYCLES cycles. `init` holds one
-    codebook index per antenna. Returns (indices, cycles_used,
-    predicted_power).
+    `q` is the (M,) critic and `init` holds one codebook index per antenna
+    (TypeError if not integers, ValueError if not M of them). Antenna by
+    antenna, the index that maximizes the prediction (the first of equal
+    maxima) replaces the current one if it raises the prediction by more
+    than 1e-12 relative; the ascent stops after a cycle without change or
+    MAX_ASCENT_CYCLES cycles. Returns (uint8 indices, cycles, prediction).
     """
     idx = np.atleast_1d(np.asarray(init))
     if not np.issubdtype(idx.dtype, np.integer):
@@ -112,32 +107,19 @@ class LearnHistory:
 
 
 def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentConfig):
-    """Run the online search; returns (best phases, LearnHistory).
+    """Run the online phase search; returns (best phases, LearnHistory).
 
-    The search and its log hold codebook indices; `measure` maps a (T, M)
-    stack of beams, each row the M codebook phases of one beam, to their T
-    received powers at the center frequency, measured in row order; the
-    critic fits those powers clipped at 0. The `learner.*` settings of `ec`
-    set the budget and the schedule. Exploration measurements number at
-    most total_measurements, a cap; each step re-draws max(1, M//4)
-    distinct phases, decaying linearly to max(1, M//16) over the cap. From
-    exploit_start on, the critic is refit on the buffer every
-    critic_refit_period measurements, each fit capped at train_iters
-    iterations (see critic.train_critic) and followed by a coordinate-ascent
-    exploitation from the earliest best beam so far, which measures one
-    more beam. The run stops after an exploit once the
-    critic's prediction is confirmed: the fit was a refit, not the first
-    fit, it met its RMS target, and the exploit beam measured within
-    critic.RMS_TOL of the predicted power. The history then holds the n
-    beams measured. The walk between two refits never depends on a
-    measurement, so it is drawn and measured WALK_BLOCK steps at a time;
-    the block size changes no result. The first fit starts from
-    initialize_critic seeded with learner_seed, each refit from the
-    previous fit's vector (the buffer only grows). Deterministic per
-    learner_seed, including the beams and order of every callback
-    invocation. total_measurements must be at least 2 and at least
-    exploit_start, as config.validate requires (else ValueError), so every
-    run ends at a fit and the history holds its critic.
+    `measure` maps a (T, M) stack of codebook-phase beams to their T center
+    powers, in row order (ValueError for another shape). Each walk step
+    re-draws max(1, M//4) phases, decaying to max(1, M//16), for at most
+    total_measurements beams, measured up to WALK_BLOCK steps a call. At
+    exploit_start, each later multiple of critic_refit_period and the end of
+    the budget, the critic is fit to the powers clipped at 0 (first from
+    initialize_critic at learner.seed, then from the last fit) and the ascent
+    from the earliest best beam is measured; a refit on its RMS target whose
+    beam measures within RMS_TOL of its prediction ends the run. Returns the
+    earliest best measured beam; deterministic per learner.seed, call order
+    included. ValueError if total_measurements < 2 or exploit_start > it.
     """
     if ec.total_measurements < 2 or ec.exploit_start > ec.total_measurements:
         raise ValueError("learner: total_measurements < 2 or exploit_start > total_measurements")

@@ -1,11 +1,10 @@
 """Measurement oracle: received-power evaluation and bandwidth metrics.
 
-Learners observe the true channel only through (optionally noisy) power
-measurements. This module is the one home of that measurement model: the
-center and profile callbacks the learners are given share one observation
-step (signal power, snapshot noise drawn by `measure_power`, noise-floor
-subtraction), and it also computes the reported gain profiles. The
-`baselines` oracles read the channel, for comparison only.
+The one home of the measurement model, through which alone the learners
+observe the channel: the center and profile callbacks, on one shared
+observation step, and the snapshot noise they draw. Also the noiseless
+gain profiles and bandwidth metrics that runs report. README "Measurement
+noise" describes the model.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .files import write_atomic
 
 @dataclass(frozen=True)
 class GainProfile:
-    """Per-subcarrier power gain |w_k^H h_k|^2 with the bin frequencies.
+    """Per-subcarrier power gain |w_k^H h_k|^2 with the (K,) bin frequencies.
 
     `per_subcarrier` has shape (..., K): one row per configuration of a
     stack. The bandwidth and dB helpers take a single profile.
@@ -30,18 +29,6 @@ class GainProfile:
 
     per_subcarrier: np.ndarray
     freqs_hz: np.ndarray
-
-    def __post_init__(self):
-        gains = np.atleast_1d(np.asarray(self.per_subcarrier, dtype=float))
-        freqs = np.atleast_1d(np.asarray(self.freqs_hz, dtype=float))
-        if gains.shape[-1:] != freqs.shape:
-            raise ValueError("gain and frequency lengths differ")
-        if np.any(gains < 0.0):
-            raise ValueError("gains must be nonnegative")
-        gains.setflags(write=False)
-        freqs.setflags(write=False)
-        object.__setattr__(self, "per_subcarrier", gains)
-        object.__setattr__(self, "freqs_hz", freqs)
 
 
 def _check_dims(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> None:
@@ -54,12 +41,8 @@ def _check_dims(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> None
 def _inner_products(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> np.ndarray:
     """w_k^H h_k for every subcarrier of H, shape (..., K) complex.
 
-    Factored by sub-array: conj(w_mk) = e^{-j theta_m} e^{j 2 pi f_k tau_n} /
-    sqrt(M) for element m of sub-array n, so the N per-sub-array sums of
-    e^{-j theta_m} h_mk come from one batched (..., N, 1, P) @ (N, P, K)
-    product and only the delay phasors need complex exponentials: N x K
-    per configuration, not M x K. A stacked configuration (leading batch
-    dims) gives one row per configuration.
+    A stacked configuration (leading batch dims) gives one row per
+    configuration.
     """
     N, P = cfg.num_td_units, cfg.ps_per_td
     K = H.num_subcarriers
@@ -90,15 +73,12 @@ def avg_amplitude_gain(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) 
 def measure_power(signal, cfg: SystemConfig, snapshots: int, rng: np.random.Generator):
     """Received power |y|^2 averaged over `snapshots` snapshots, per signal power.
 
-    Each snapshot transmits a constant-modulus symbol of power P_T/K through
-    the combined channel and adds combined noise n ~ CN(0, sigma^2), with
-    sigma^2 = noise_power_w > 0 (the combiner is unit-norm). For a signal power
-    a = (P_T/K) |w_k^H h_k|^2, the mean of |y|^2 over S snapshots is
-    distributed as (sigma^2 / 2S) chi'^2(2S, 2S a / sigma^2), with mean
-    a + sigma^2 and variance (sigma^4 + 2 a sigma^2) / S. It is drawn in
-    closed form, one noncentral chi-square draw from `rng` per entry of
-    `signal` (a float or an array, drawn in C order), so the cost does not
-    grow with S and successive calls are independent.
+    For a signal power a = (P_T/K) |w_k^H h_k|^2 and combined noise
+    CN(0, sigma^2), sigma^2 = noise_power_w > 0, the result is distributed
+    as (sigma^2 / 2S) chi'^2(2S, 2S a / sigma^2): mean a + sigma^2, variance
+    (sigma^4 + 2 a sigma^2) / S. `signal` is a float or an array; each entry
+    takes one draw from `rng`, in C order, whatever S, so successive calls
+    are independent.
     """
     scale = cfg.noise_power_w / (2.0 * snapshots)
     return scale * rng.noncentral_chisquare(2 * snapshots, signal / scale)
@@ -107,14 +87,11 @@ def measure_power(signal, cfg: SystemConfig, snapshots: int, rng: np.random.Gene
 def _observer(ec: ExperimentConfig, cfg: SystemConfig, *key: int):
     """The observation step of one measurement callback, amplitudes -> powers.
 
-    Each combined amplitude w^H h becomes the signal power (P_T/K)|w^H h|^2;
-    in noisy mode one `measure_power` draw per entry, in C order; then the
-    known noise floor is subtracted, clipped at zero, so the learners
-    regress calibrated signal powers. learner.seed keys one noise stream
-    per callback: (0,) for the center callback, (1, N) for the profile
-    callback of the N-TD-unit search. Each callback owns its Generator, so
-    its measurements are independent, the searches of one sweep draw
-    different noise, and a config still reproduces its files.
+    Signal powers (P_T/K)|w^H h|^2, in noisy mode one `measure_power` draw
+    per entry in C order, minus the noise floor, clipped at zero. The
+    callback owns one Generator spawned from learner.seed with spawn key
+    `key`: (0,) for the center callback, (1, N) for the profile callback of
+    the N-TD-unit search.
     """
     rng = np.random.default_rng(np.random.SeedSequence(ec.learner_seed, spawn_key=key))
 

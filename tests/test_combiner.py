@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -171,6 +172,23 @@ def test_recompensate_r3_example():
     tau = 0.4 / (2 * np.pi * fc)
     out = recompensate_phases([0.0], [tau], cfg, cb)
     assert out[0] == pytest.approx(np.pi / 4)
+
+
+def test_recompensate_memory_does_not_grow_with_the_codebook():
+    # one delay-search block at 8 bits: a (rows, M, 2^bits) distance array
+    # would take 192 MiB here
+    cfg = make_cfg(256, 16, fc=100e9, tau_max=1e-9)
+    cb = PhaseCodebook(bits=8)
+    rng = np.random.default_rng(0)
+    theta = cb.values[rng.integers(0, cb.size, 256)]
+    tau = rng.uniform(0.0, cfg.tau_max_s, (128, 16))
+    tracemalloc.start()
+    try:
+        recompensate_phases(theta, tau, cfg, cb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_center_frequency_preservation_bound():
