@@ -69,7 +69,7 @@ class ExperimentConfig:
     rho_mode: str = _key("channel.rho", "unit", choices=("unit", "flat_amplitude"))
     total_measurements: int = _key("learner.total_measurements", 5000, least=2)
     critic_refit_period: int = _key("learner.critic_refit_period", 1000, least=1)
-    exploit_start: int = _key("learner.exploit_start", 2000, least=1)
+    exploit_start: int = _key("learner.exploit_start", 2000, least=2)
     train_iters: int = _key("learner.train_iters", 1500, least=1)
     learner_seed: int = _key("learner.seed", 0, least=0)
     ax_points: int = _key("grid.ax_points", 9, least=1)

@@ -33,16 +33,16 @@ def _walk(start: np.ndarray, counts: np.ndarray, size: int, rng) -> np.ndarray:
     takes 2M uniform doubles from `rng`, whatever its count, so a walk drawn
     in pieces equals the walk drawn at once.
     """
-    T, M = counts.size, start.size
-    u = rng.random((T, 2, M))
-    order = np.argsort(u[:, 0], axis=1)[:, : counts.max()]
-    hit = np.arange(order.shape[1]) < counts[:, None]
-    steps = np.nonzero(hit)[0] + 1  # row 0 is the start
-    last = np.zeros((T + 1, M), np.intp)
-    last[steps, order[hit]] = steps
-    np.maximum.accumulate(last, axis=0, out=last)
-    values = np.vstack([start, (u[:, 1] * size).astype(np.uint8)])
-    return np.take_along_axis(values, last, axis=0)[1:]
+    u = rng.random((counts.size, 2, start.size))
+    order = np.argsort(u[:, 0], axis=1)
+    # each step's candidate indices, overwritten in turn by the step's beam
+    rows = (u[:, 1] * size).astype(np.uint8)
+    beam = start.copy()
+    for row, keys, count in zip(rows, order, counts):
+        pos = keys[:count]
+        beam[pos] = row[pos]
+        row[:] = beam
+    return rows
 
 
 def coordinate_ascent(q: np.ndarray, init: np.ndarray, cb: PhaseCodebook):
@@ -119,10 +119,10 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     from the earliest best beam is measured; a refit on its RMS target whose
     beam measures within RMS_TOL of its prediction ends the run. Returns the
     earliest best measured beam; deterministic per learner.seed, call order
-    included. ValueError if total_measurements < 2 or exploit_start > it.
+    included. ValueError unless 2 <= exploit_start <= total_measurements.
     """
-    if ec.total_measurements < 2 or ec.exploit_start > ec.total_measurements:
-        raise ValueError("learner: total_measurements < 2 or exploit_start > total_measurements")
+    if not 2 <= ec.exploit_start <= ec.total_measurements:
+        raise ValueError("learner: needs 2 <= exploit_start <= total_measurements")
     M = cfg.num_antennas
     rng = np.random.default_rng(ec.learner_seed)
     values = cb.values
@@ -141,7 +141,7 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     # the walk stops at each refit point, the end of the budget among them
     stops = [
         t
-        for t in range(max(2, ec.exploit_start), total + 1)
+        for t in range(ec.exploit_start, total + 1)
         if t % ec.critic_refit_period == 0 or t in (ec.exploit_start, total)
     ]
 

@@ -603,6 +603,8 @@ def test_cli_rejects_learner_range_errors(tmp_path, capsys):
             "learner.total_measurements: must be at least 2, not 1",
         ),
         ("learner.exploit_start = 31", "learner.exploit_start: "),  # the budget is 30
+        # a fit needs at least two beams
+        ("learner.exploit_start = 1", "learner.exploit_start: must be at least 2, not 1"),
         ("learner.critic_refit_period = 0", "learner.critic_refit_period: "),
         ("learner.train_iters = 0", "learner.train_iters: "),
         ("learner.seed = -1", "learner.seed: "),

@@ -52,6 +52,7 @@ def test_learner_options_validation():
     for text, key in (
         ("learner.total_measurements = 0", "total_measurements"),
         ("learner.total_measurements = 10\nlearner.exploit_start = 11", "exploit_start"),
+        ("learner.exploit_start = 1", "exploit_start"),
         ("learner.critic_refit_period = 0", "critic_refit_period"),
     ):
         with pytest.raises(ConfigError, match=rf"^learner\.{key}: "):
@@ -62,7 +63,7 @@ def test_learner_options_validation():
     assert str(err.value) == "learner.total_measurements: must be at least 2, not 1"
 
 
-@pytest.mark.parametrize("total, start", [(1, 1), (10, 11)])
+@pytest.mark.parametrize("total, start", [(1, 1), (10, 11), (10, 1)])
 def test_learn_phases_rejects_a_budget_that_ends_before_a_fit(total, start):
     # the unvalidated config a library caller can build: no beam is measured
     cfg, _ = small_scene(2, seed=1)
@@ -119,18 +120,25 @@ def test_walk_zero_count_is_a_stationary_probe():
 
 
 def test_walk_equals_the_stepwise_walk():
-    # the reference: the same draws applied one step at a time
-    cb = PhaseCodebook(bits=2)
+    # the reference: the same draws applied one step at a time, from the
+    # smallest codebook to the largest, with stationary and full re-draws
+    # in the same walk
     M = 6
-    start = np.arange(M, dtype=np.uint8) % cb.size
-    counts = np.random.default_rng(7).integers(0, M + 1, 50)
-    rows = _walk(start, counts, cb.size, np.random.default_rng(3))
-    u = np.random.default_rng(3).random((counts.size, 2, M))
-    beam = start.copy()
-    for t, count in enumerate(counts):
-        for m in np.argsort(u[t, 0])[:count]:
-            beam[m] = int(u[t, 1, m] * cb.size)
-        assert np.array_equal(rows[t], beam)
+    for bits in (1, 2, 3, 8):
+        cb = PhaseCodebook(bits=bits)
+        start = (np.arange(M) % cb.size).astype(np.uint8)
+        counts = np.random.default_rng(7).integers(0, M + 1, 50)
+        counts[:4] = [0, M, 0, M]
+        rows = _walk(start, counts, cb.size, np.random.default_rng(3))
+        assert rows.dtype == np.uint8
+        u = np.random.default_rng(3).random((counts.size, 2, M))
+        beam = start.copy()
+        for t, count in enumerate(counts):
+            for m in np.argsort(u[t, 0])[:count]:
+                beam[m] = int(u[t, 1, m] * cb.size)
+            assert np.array_equal(rows[t], beam)
+        if bits == 8:
+            assert rows.max() > 127  # indices past the 7-bit range occur
 
 
 def test_walk_drawn_in_pieces_equals_the_walk_drawn_at_once():
@@ -319,6 +327,22 @@ def test_learn_phases_deterministic_callback_order():
     assert np.array_equal(h1.measured_powers, h2.measured_powers)
     assert len(c1) == len(c2)
     assert all(np.array_equal(a, b) for a, b in zip(c1, c2))
+
+
+@pytest.mark.parametrize("exploit_start", [2, 3, 37])
+def test_learn_phases_first_exploit_follows_exploit_start(exploit_start):
+    # the first fit sees exploit_start beams and its exploit is the next
+    # measurement, whether or not exploit_start is a multiple of the period
+    cfg, H = small_scene(4, seed=2)
+    ec = ExperimentConfig(
+        total_measurements=60,
+        exploit_start=exploit_start,
+        critic_refit_period=25,
+        learner_seed=4,
+        train_iters=20,
+    )
+    _, history = learn_phases(center_measure(H, cfg), cfg, PhaseCodebook(bits=2), ec)
+    assert history.exploit_events[0][0] == exploit_start + 1
 
 
 def test_learn_phases_invocation_budget():
