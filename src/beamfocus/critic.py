@@ -124,9 +124,6 @@ def train_critic(q: np.ndarray, beams: np.ndarray, powers: np.ndarray, max_iters
     target = (RMS_TOL * float(np.mean(powers))) ** 2
 
     q = q / np.sqrt(scale)
-    # the line search's rows err, b = Re(conj(g) d) and c = |d|^2, and a
-    # work row, written in place every iteration
-    rows, work = np.empty((3, powers.size)), np.empty(powers.size)
     g = _inner(beams, q)
     err = _residuals(g, powers)
     current = float(np.mean(err**2))
@@ -142,11 +139,7 @@ def train_critic(q: np.ndarray, beams: np.ndarray, powers: np.ndarray, max_iters
             direction = -grad
         grad_prev = grad
         d = _inner(beams, direction)
-        rows[0] = err
-        np.multiply(g.real, d.real, out=rows[1])
-        rows[1] += np.multiply(g.imag, d.imag, out=work)
-        np.multiply(d.real, d.real, out=rows[2])
-        rows[2] += np.multiply(d.imag, d.imag, out=work)
+        rows = np.array([err, g.real * d.real + g.imag * d.imag, d.real * d.real + d.imag * d.imag])
         alpha = _line_search(rows @ rows.T)
         previous = current
         if alpha != 0.0:

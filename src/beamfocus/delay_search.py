@@ -142,8 +142,9 @@ def search_delays(
     CombinerConfig (theta (C, M), tau (C, N)) of recompensated candidates in
     scoring order and returns (C, K) powers, row c equal to candidate c
     alone. A row scores the mean square root of its powers clipped at 0.
-    The result is the earliest best row, never below the zero-delay row;
-    its trace lists every scored row in order. It draws no random numbers.
+    The result is the earliest best row, never below the zero-delay row,
+    rebuilt alone by one more recompensation (bit-equal to its block's);
+    the trace lists every scored row in order. It draws no random numbers.
     """
     theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
     deltas = subarray_deltas(geom, cfg.num_td_units)
@@ -151,7 +152,6 @@ def search_delays(
     axes = [_axis(n) for n in points]
     trace = []
     scored = {}  # delay vector digest -> score
-    best_score, best_tau, best_theta = -np.inf, None, None
 
     def row(position):
         x, u, v = position
@@ -159,9 +159,11 @@ def search_delays(
         # + 0.0 turns the -0.0 of a negative u at ax = 0 into 0.0
         return (ax, u * (0.5 * aperture) * ax + 0.0, v * aperture + 0.0)
 
+    def delays(params):
+        return delays_from_ddf(linear_ddf(np.reshape(params, (-1, 3)), deltas), cfg.tau_max_s)
+
     def measure_block(block):
         """Recompensate and measure the (row, tau, key) entries of one block."""
-        nonlocal best_score, best_tau, best_theta
         tau = np.array([entry[1] for entry in block])
         theta = recompensate_phases(theta_star, tau, cfg, cb)
         powers = np.asarray(measure(CombinerConfig(theta=theta, tau=tau)), dtype=float)
@@ -169,17 +171,13 @@ def search_delays(
         for (params, _, key), v in zip(block, scores.tolist()):
             scored[key] = v
             trace.append((*params, v))
-        i = int(np.argmax(scores))  # the earliest of tied maxima
-        if scores[i] > best_score:
-            best_score, best_tau, best_theta = float(scores[i]), tau[i], theta[i]
 
     def score(positions):
         """Every position's score, measuring only delay vectors not yet scored."""
         keys, fresh = [], []
         for start in range(0, len(positions), SEARCH_BLOCK):
             params = [row(position) for position in positions[start : start + SEARCH_BLOCK]]
-            taus = delays_from_ddf(linear_ddf(np.reshape(params, (-1, 3)), deltas), cfg.tau_max_s)
-            for row_params, tau in zip(params, taus):
+            for row_params, tau in zip(params, delays(params)):
                 key = hashlib.blake2b(tau.tobytes(), digest_size=16).digest()
                 keys.append(key)
                 if key not in scored:
@@ -215,10 +213,12 @@ def search_delays(
         if top > center_score:
             center, center_score = compass[scores.index(top)], top
         steps = [0.5 * step for step in steps]
+    *params, best = max(trace, key=lambda entry: entry[3])
+    tau = delays(params)
     return DelaySearchResult(
-        tau=best_tau,
-        theta=best_theta,
-        score=best_score,
+        tau=tau[0],
+        theta=recompensate_phases(theta_star, tau, cfg, cb)[0],
+        score=best,
         ps_only_score=trace[0][3],  # the first row is the zero-delay one
         trace=trace,
     )

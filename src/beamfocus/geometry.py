@@ -17,6 +17,10 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by definition
 # UE closer than this (in meters) to an element counts as coincident.
 _DEGENERATE_DISTANCE = 10.0 * np.finfo(float).eps
 
+# random_geometry's largest M: a draw keeps every gap with probability about
+# exp(-M^2 * 1e-9), 1.4% (some 73 draws) here and vanishingly small past it
+MAX_RANDOM_ANTENNAS = 2**16
+
 
 class DegeneratePositionError(ValueError):
     """User position numerically coincides with an array element."""
@@ -121,10 +125,12 @@ def random_geometry(M: int, aperture: float, seed: int) -> ArrayGeometry:
     equals `aperture`; the M-2 interior coefficients are drawn uniformly on
     (-1, 1) and sorted. Draws are repeated until all neighbors are at least
     1e-9 * aperture apart (avoids numerically coincident elements).
-    Deterministic per seed.
+    Deterministic per seed. ValueError unless 2 <= M <= MAX_RANDOM_ANTENNAS.
     """
     if M < 2:
         raise ValueError("need at least two elements")
+    if M > MAX_RANDOM_ANTENNAS:
+        raise ValueError(f"a random array takes at most {MAX_RANDOM_ANTENNAS} elements")
     rng = np.random.default_rng(seed)
     min_gap = 2e-9  # in alpha units: (D/2) * gap >= 1e-9 * D
     while True:

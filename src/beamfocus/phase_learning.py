@@ -169,14 +169,12 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     current = rng.integers(0, cb.size, size=M).astype(np.uint8)
     take(current[None])
 
-    walked = 1
-    for stop in stops:
+    for walked, stop in zip([1, *stops], stops):
         for start in range(walked + 1, stop + 1, WALK_BLOCK):
             steps = np.arange(start, min(start + WALK_BLOCK, stop + 1))
             rows = _walk(current, scheduled_count(steps), cb.size, rng)
             take(rows)
             current = rows[-1]
-        walked = stop
         # the critic is consumed only by exploitation, so fitting is
         # deferred until then; refits start from the previous fit
         clipped = np.maximum(powers[:n], 0.0)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from beamfocus.config import (
     resolved_aperture,
     stamp_lines,
 )
-from beamfocus.geometry import SPEED_OF_LIGHT
+from beamfocus.cli import main
+from beamfocus.geometry import MAX_RANDOM_ANTENNAS, SPEED_OF_LIGHT, random_geometry
 
 
 def test_defaults_match_reference_scenario():
@@ -184,6 +187,21 @@ def test_parse_rejects_geometry_and_user_that_cannot_be_built():
     ):
         with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.")):
             parse_config_text(m16(line + "\n"))
+
+
+def test_a_random_array_too_large_to_draw_is_rejected_promptly(tmp_path, capsys):
+    # a draw past the bound almost never keeps every neighbour gap, so it
+    # would be redrawn for ever; an error names the bound at once
+    with pytest.raises(ValueError, match=f"at most {MAX_RANDOM_ANTENNAS} elements"):
+        random_geometry(MAX_RANDOM_ANTENNAS + 1, 1.0, seed=0)
+    cfg_path = tmp_path / "large.cfg"
+    cfg_path.write_text("system.M = 200000\nsystem.N = 1\nsystem.K = 1\nprofile.n_sweep = 0,1\n")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["--config", str(cfg_path), "--out", str(out), "profile", "--oracle"]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err.startswith("config error: geometry.*: ")
+    assert not out.exists()
 
 
 def test_heatmap_grid_is_bounded_at_parse_time():

@@ -160,6 +160,15 @@ def test_coordinate_ascent_single_antenna_returns_init():
     assert cycles == 1
 
 
+def test_coordinate_ascent_rejects_an_init_that_is_not_m_indices():
+    cb = PhaseCodebook(bits=2)
+    model = np.ones(4, complex)
+    with pytest.raises(TypeError, match="codebook indices"):
+        coordinate_ascent(model, np.zeros(4), cb)
+    with pytest.raises(ValueError, match="init length"):
+        coordinate_ascent(model, np.zeros(3, int), cb)
+
+
 def test_coordinate_ascent_aligns_equal_phase_channel():
     M = 6
     cb = PhaseCodebook(bits=2)
@@ -498,6 +507,15 @@ def test_learn_phases_callback_failure_propagates():
 
     with pytest.raises(RuntimeError, match="hardware fault"):
         learn_phases(measure, cfg, cb, ec)
+
+
+@pytest.mark.parametrize("shape", [(), (1, 1), (2,)])
+def test_learn_phases_rejects_a_callback_of_another_shape(shape):
+    # the first call measures the single start beam: (1,) is its shape
+    cfg, _ = small_scene(2, seed=1)
+    ec = ExperimentConfig(total_measurements=5, exploit_start=5, critic_refit_period=5)
+    with pytest.raises(ValueError, match=r"measure returned shape"):
+        learn_phases(lambda phases: np.ones(shape), cfg, PhaseCodebook(bits=1), ec)
 
 
 def test_learn_phases_fits_negative_readings_as_zero():
