@@ -43,6 +43,7 @@ from .sim import (
     gain_profile,
     make_center_measure,
     make_profile_measure,
+    mean_amplitude,
     three_db_bandwidth,
     write_gain_csv,
 )
@@ -130,8 +131,8 @@ def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Pat
 
         gp = gain_profile(cc, H, cfg_n)
         profiles.append(gp)
-        amp = avg_amplitude_gain(cc, H, cfg_n)
-        amp_pdf = avg_amplitude_gain(pdf_cc, H, cfg_n)
+        amp = mean_amplitude(gp)
+        amp_pdf = amp if cc is pdf_cc else avg_amplitude_gain(pdf_cc, H, cfg_n)
         gap_db = 20.0 * np.log10(amp / amp_pdf) if amp > 0 and amp_pdf > 0 else float("nan")
         summary_rows.append((n, three_db_bandwidth(gp, cfg_n), amp, gap_db))
 

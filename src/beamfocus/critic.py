@@ -13,10 +13,18 @@ import numpy as np
 from .files import write_atomic
 
 
+def _product_dtype(beams: np.ndarray) -> np.dtype:
+    # the precision of the one (n, M) product in _inner and _gradient: a
+    # complex64 buffer streams half the bytes of a complex128 one, and the
+    # fit's 1% RMS target sits far above single-precision rounding
+    return np.result_type(beams.dtype, np.complex64)
+
+
 def _inner(beams: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # the (n,) inner products w_i^H q as conj(beams @ conj(q)): only the
-    # (n,) result is conjugated, never the (n, M) beams
-    return (beams @ q.conj()).conj()
+    # the (n,) complex128 inner products w_i^H q as conj(beams @ conj(q)):
+    # only the (n,) result is conjugated, never the (n, M) beams
+    q_conj = q.conj().astype(_product_dtype(beams), copy=False)
+    return (beams @ q_conj).conj().astype(complex, copy=False)
 
 
 def _residuals(g: np.ndarray, powers) -> np.ndarray:
@@ -25,8 +33,10 @@ def _residuals(g: np.ndarray, powers) -> np.ndarray:
 
 
 def _gradient(beams: np.ndarray, g: np.ndarray, err: np.ndarray) -> np.ndarray:
-    # (4/n) sum_i err_i w_i (w_i^H q), with g and err from _residuals
-    return (4.0 / err.size) * (beams.T @ (err * g))
+    # (4/n) sum_i err_i w_i (w_i^H q) as a complex128 (M,) vector, with g
+    # and err from _residuals
+    weights = (err * g).astype(_product_dtype(beams), copy=False)
+    return (4.0 / err.size) * (beams.T @ weights).astype(complex, copy=False)
 
 
 def initialize_critic(beams: np.ndarray, powers: np.ndarray, seed: int = 0) -> np.ndarray:

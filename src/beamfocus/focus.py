@@ -79,7 +79,8 @@ def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[flo
     nu = int(np.ceil(2.0 * geom.aperture / lam))
     du = 2.0 / nu
     v_max = 0.5 / MIN_RANGE_M
-    nv = int(np.ceil(v_max * geom.aperture**2 / lam))
+    # at least one row, also where aperture**2 underflows to zero
+    nv = max(1, int(np.ceil(v_max * geom.aperture**2 / lam)))
     dv = v_max / nv
     M = geom.num_antennas
     if max(nv * nu, nv * M, M * nu) > MAX_GRID_ENTRIES:

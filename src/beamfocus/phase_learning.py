@@ -145,11 +145,12 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
         if t % ec.critic_refit_period == 0 or t in (ec.exploit_start, total)
     ]
 
-    # the measurement log and, beside it, the critic's training buffer of
-    # the logged beams, each allocated once and filled as beams are measured
-    phasors = cb.phasors / np.sqrt(M)
+    # the measurement log and, beside it, the critic's complex64 training
+    # buffer of the logged beams, each allocated once and filled as beams
+    # are measured
+    phasors = (cb.phasors / np.sqrt(M)).astype(np.complex64)
     log = np.empty((total + len(stops), M), np.uint8)
-    beams = np.empty(log.shape, complex)
+    beams = np.empty(log.shape, np.complex64)
     powers = np.empty(len(log))
     n = 0
     exploit_events: list[tuple[int, int, float]] = []

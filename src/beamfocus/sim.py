@@ -64,10 +64,14 @@ def gain_profile(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> Gai
     return GainProfile(per_subcarrier=vals, freqs_hz=H.freqs_hz)
 
 
+def mean_amplitude(gp: GainProfile) -> float:
+    """Mean amplitude gain (1/K) sum_k |w_k^H h_k| of a single profile."""
+    return float(np.mean(np.sqrt(gp.per_subcarrier)))
+
+
 def avg_amplitude_gain(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> float:
     """Mean amplitude gain (1/K) sum_k |w_k^H h_k| (the design objective)."""
-    gp = gain_profile(cc, H, cfg)
-    return float(np.mean(np.sqrt(gp.per_subcarrier)))
+    return mean_amplitude(gain_profile(cc, H, cfg))
 
 
 def measure_power(signal, cfg: SystemConfig, snapshots: int, rng: np.random.Generator):

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from beamfocus.combiner import PhaseCodebook
 from beamfocus.critic import (
     RMS_TOL,
     STALL_TOL,
+    _gradient,
     _inner,
     _line_search,
     _real_roots,
@@ -68,6 +70,38 @@ def test_predict_gauge_invariance():
         w = beam_from_phases(rng.uniform(-np.pi, np.pi, M))
         turned = np.exp(1j * rng.uniform(-np.pi, np.pi)) * q
         assert predicted(turned, w) == pytest.approx(predicted(q, w), rel=1e-10)
+
+
+def codebook_buffer(rng, n, M, bits=3):
+    # n beams of uniform codebook indices, each phasor over sqrt(M), as the
+    # learner fills its training buffer
+    return PhaseCodebook(bits).phasors[rng.integers(0, 2**bits, (n, M))] / np.sqrt(M)
+
+
+def test_products_run_in_the_buffers_precision():
+    # a complex64 buffer's two products run in single precision and come
+    # back as complex128; a complex128 or real buffer keeps the double
+    # products bit for bit
+    rng = np.random.default_rng(21)
+    n, M = 400, 64
+    double = codebook_buffer(rng, n, M)
+    q = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    powers = rng.uniform(0.0, 2.0, n)
+    g = _inner(double, q)
+    err = _residuals(g, powers)
+
+    single = double.astype(np.complex64)
+    assert np.array_equal(_inner(single, q), (single @ q.conj().astype(np.complex64)).conj())
+    pairs = (_inner(single, q), g), (_gradient(single, g, err), _gradient(double, g, err))
+    for got, want in pairs:
+        assert got.dtype == np.complex128
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+    for beams in (double, rng.standard_normal((n, M))):
+        g = _inner(beams, q)
+        err = _residuals(g, powers)
+        assert np.array_equal(g, (beams @ q.conj()).conj())
+        assert np.array_equal(_gradient(beams, g, err), (4.0 / n) * (beams.T @ (err * g)))
 
 
 def test_loss_perfect_fit_is_stationary():
