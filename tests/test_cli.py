@@ -761,8 +761,9 @@ def test_noisy_callbacks_draw_through_sim_measure_power(monkeypatch):
 
 
 def test_cli_profile_on_an_aperture_too_wide_to_locate(tmp_path):
-    # the focus locator's coarse grid would hold 66,713 x 5,559,402 points:
-    # the searches take the fallback instead
+    # 16 elements over 100 m sit too far apart to focus on one point: the
+    # located focus scores a coherence below the seed threshold, and the
+    # searches take the fallback
     cfg_path = write_m16_config(tmp_path / "exp.cfg", "geometry.aperture_m = 100.0")
     out = tmp_path / "out"
     assert main(["--config", str(cfg_path), "--out", str(out), "profile"]) == 0

@@ -721,3 +721,16 @@ def test_noisy_search_stays_near_the_oracle(reference):
     design = avg_amplitude_gain(CombinerConfig(theta=result.theta, tau=result.tau), H, cfg)
     oracle = avg_amplitude_gain(pdf_oracle(geom, reference["ue"], H, cfg, cb), H, cfg)
     assert 20.0 * np.log10(oracle / design) <= 0.5
+
+
+def test_large_array_search_starts_from_the_located_focus():
+    # M = 1,024 at the default aperture: the oracle phases' focus seeds the
+    # search, which scores the zero-delay row, the seed row and 24 compass
+    # rows, and ends above the zero-delay row
+    ec = ExperimentConfig(num_antennas=1024, num_subcarriers=256)
+    geom, cb = build_geometry(ec), build_codebook(ec)
+    H = build_channel(ec, geom, build_system(ec, num_td_units=1))
+    theta = ps_only_oracle(H, build_system(ec, num_td_units=1), cb).theta
+    result = search_pipeline(ec, theta, geom, H, build_system(ec), cb)
+    assert len(result.trace) == 2 + 6 * REFINE_ROUNDS
+    assert result.score > result.trace[0][3] == result.ps_only_score
