@@ -75,7 +75,8 @@ def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[flo
 
         # compass search: move to the best of the 3 x 3 stencil while it
         # improves, else halve the steps, from half the stage's grid steps
-        # to 1/64 of them
+        # to a quarter of them, where the next stage's steps start, and to
+        # 1/64 of them in the last stage
         step_u, step_v = 0.5 * du, 0.5 * dv
         best = float(coherence(th, sub, center_freq_hz, *_to_xy(u, v)))
         for _ in range(MAX_EXACT_ROUNDS):
@@ -85,7 +86,7 @@ def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[flo
             j, i = np.unravel_index(np.argmax(scores), scores.shape)
             if scores[j, i] > best:
                 best, u, v = float(scores[j, i]), float(us[0, i]), float(vs[j, 0])
-            elif step_u > du / 64.0:
+            elif step_u > du / (64.0 if f == 1.0 else 4.0):
                 step_u, step_v = 0.5 * step_u, 0.5 * step_v
             else:
                 break

@@ -1,8 +1,9 @@
 """Online phase-shifter learning from center-frequency power measurements.
 
-The random walk over codebook beams, the coordinate-ascent exploitation of
-the critic, the learning loop and its history CSV. Only the measurement
-callback touches the channel. README "Phase learner" walks through the loop.
+The exploration by independent random codebook beams, the coordinate-ascent
+exploitation of the critic, the learning loop and its history CSV. Only the
+measurement callback touches the channel. README "Phase learner" walks
+through the loop.
 """
 
 from __future__ import annotations
@@ -18,31 +19,12 @@ from .critic import RMS_TOL, initialize_critic, train_critic
 from .files import write_atomic
 
 
-# exploration steps walked and measured per callback invocation; bounds the
-# walk's (steps, M) temporaries at any learner.exploit_start
+# exploration beams drawn and measured per callback invocation; bounds the
+# (rows, M) temporaries at any learner.exploit_start. A multiple of four, so
+# a segment drawn in blocks of uint8 indices equals the segment drawn at once
 WALK_BLOCK = 256
 # coordinate_ascent's cap on full cycles over the antennas
 MAX_ASCENT_CYCLES = 1000
-
-
-def _walk(start: np.ndarray, counts: np.ndarray, size: int, rng) -> np.ndarray:
-    """The (T, M) uint8 beams of a random walk from `start`, one per step.
-
-    Step t re-draws counts[t] distinct uniform positions of the previous beam
-    with uniform codebook indices below `size`, a power of two. Each step
-    takes 2M uniform doubles from `rng`, whatever its count, so a walk drawn
-    in pieces equals the walk drawn at once.
-    """
-    u = rng.random((counts.size, 2, start.size))
-    order = np.argsort(u[:, 0], axis=1)
-    # each step's candidate indices, overwritten in turn by the step's beam
-    rows = (u[:, 1] * size).astype(np.uint8)
-    beam = start.copy()
-    for row, keys, count in zip(rows, order, counts):
-        pos = keys[:count]
-        beam[pos] = row[pos]
-        row[:] = beam
-    return rows
 
 
 def coordinate_ascent(q: np.ndarray, init: np.ndarray, cb: PhaseCodebook):
@@ -110,9 +92,9 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     """Run the online phase search; returns (best phases, LearnHistory).
 
     `measure` maps a (T, M) stack of codebook-phase beams to their T center
-    powers, in row order (ValueError for another shape). Each walk step
-    re-draws max(1, M//4) phases, decaying to max(1, M//16), for at most
-    total_measurements beams, measured up to WALK_BLOCK steps a call. At
+    powers, in row order (ValueError for another shape). Each exploration
+    beam holds M independent uniform codebook indices, for at most
+    total_measurements beams, measured up to WALK_BLOCK beams a call. At
     exploit_start, each later multiple of critic_refit_period and the end of
     the budget, the critic is fit to the powers clipped at 0 (first from
     initialize_critic at learner.seed, then from the last fit) and the ascent
@@ -127,18 +109,8 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     rng = np.random.default_rng(ec.learner_seed)
     values = cb.values
 
-    p0 = max(1, M // 4)
     total = ec.total_measurements
-    # decaying all the way to single-phase flips leaves the late buffer too
-    # correlated for the critic regression to identify the channel, so the
-    # coarse-to-fine decay bottoms out at M/16
-    p_end = max(1, M // 16)
-
-    def scheduled_count(t: np.ndarray) -> np.ndarray:
-        frac = (t - 1) / (total - 1)
-        return np.rint(p0 + (p_end - p0) * frac).astype(int)
-
-    # the walk stops at each refit point, the end of the budget among them
+    # exploration stops at each refit point, the end of the budget among them
     stops = [
         t
         for t in range(ec.exploit_start, total + 1)
@@ -167,15 +139,9 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
         powers[n : n + len(rows)] = got
         n += len(rows)
 
-    current = rng.integers(0, cb.size, size=M).astype(np.uint8)
-    take(current[None])
-
-    for walked, stop in zip([1, *stops], stops):
-        for start in range(walked + 1, stop + 1, WALK_BLOCK):
-            steps = np.arange(start, min(start + WALK_BLOCK, stop + 1))
-            rows = _walk(current, scheduled_count(steps), cb.size, rng)
-            take(rows)
-            current = rows[-1]
+    for explored, stop in zip([0, *stops], stops):
+        for start in range(explored, stop, WALK_BLOCK):
+            take(rng.integers(0, cb.size, (min(WALK_BLOCK, stop - start), M), dtype=np.uint8))
         # the critic is consumed only by exploitation, so fitting is
         # deferred until then; refits start from the previous fit
         clipped = np.maximum(powers[:n], 0.0)
@@ -186,11 +152,11 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
         loss_traces.append(trace)
 
         best = int(np.argmax(powers[:n]))  # the earliest of equal maxima
-        current, cycles, prediction = coordinate_ascent(model, log[best], cb)
-        take(current[None])
+        beam, cycles, prediction = coordinate_ascent(model, log[best], cb)
+        take(beam[None])
         exploit_events.append((n, cycles, float(powers[n - 1])))
         # a refit that met its RMS target and whose exploit measures what it
-        # predicted has nothing left to learn from more walking
+        # predicted has nothing left to learn from more exploration
         converged = trace[-1] <= (RMS_TOL * float(np.mean(clipped))) ** 2
         if refit and converged and abs(powers[n - 1] - prediction) <= RMS_TOL * prediction:
             break

@@ -656,10 +656,11 @@ def test_cli_rejects_profile_values_that_run_silently_wrong(tmp_path, capsys):
 
 def test_cli_rejects_the_removed_fit_keys(tmp_path, capsys):
     # the critic fit takes no learning rate or batch size, and the critic is
-    # one (M,) vector with no rank; the walk's perturbation count comes from
-    # M, the search's scoring bins from cli.SEARCH_SUBCARRIERS and the output
-    # directory from --out. A file that sets one of these keys is refused
-    # before anything runs, even at the old default rank 1
+    # one (M,) vector with no rank; the learner draws every phase of each
+    # exploration beam, so no count of perturbed phases is set, the search's
+    # scoring bins come from cli.SEARCH_SUBCARRIERS and the output directory
+    # from --out. A file that sets one of these keys is refused before
+    # anything runs, even at the old default rank 1
     lineno = len(M16_KEYS) + 1  # the line after the M16 keys
     removed = ("learner.train_lr", "learner.train_batch", "learner.critic_rank")
     later = ("learner.perturb_count", "profile.search_subcarriers", "output.dir")

@@ -9,12 +9,7 @@ from beamfocus.combiner import CombinerConfig, PhaseCodebook
 from beamfocus.config import ConfigError, ExperimentConfig, parse_config_text
 from beamfocus.critic import RMS_TOL
 from beamfocus.geometry import UePosition, random_geometry
-from beamfocus.phase_learning import (
-    _walk,
-    coordinate_ascent,
-    learn_phases,
-    write_history_csv,
-)
+from beamfocus.phase_learning import coordinate_ascent, learn_phases, write_history_csv
 from beamfocus.sim import gain_profile
 from beam_model import beam_from_phases
 from model_checks import coordinate_ascent_reference
@@ -74,81 +69,6 @@ def test_learn_phases_rejects_a_budget_that_ends_before_a_fit(total, start):
 
     with pytest.raises(ValueError, match="total_measurements"):
         learn_phases(measure, cfg, PhaseCodebook(bits=1), ec)
-
-
-class ForcedDraws:
-    """A Generator whose candidate codebook indices are all the top one."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-
-    def random(self, size):
-        u = self.rng.random(size)
-        u[:, 1] = 1.0 - 1e-9  # (steps, keys / candidates, M)
-        return u
-
-
-def test_walk_steps_change_at_most_the_scheduled_count():
-    cb = PhaseCodebook(bits=3)
-    rng = np.random.default_rng(0)
-    start = rng.integers(0, cb.size, 10).astype(np.uint8)
-    counts = rng.integers(0, 11, 200)
-    rows = _walk(start, counts, cb.size, rng)
-    assert rows.dtype == np.uint8 and rows.shape == (200, 10)
-    assert rows.max() < cb.size
-    changed = np.count_nonzero(rows != np.vstack([start, rows[:-1]]), axis=1)
-    assert np.all(changed <= counts)
-    assert np.any(changed == 10)  # full re-draws do occur
-
-
-def test_walk_draws_exactly_the_scheduled_count():
-    # with every candidate index off the start's, a single step changes
-    # exactly the positions it draws
-    M = 8
-    start = np.zeros(M, dtype=np.uint8)
-    for count in range(M + 1):
-        rows = _walk(start, np.array([count]), 4, ForcedDraws(count))
-        assert np.count_nonzero(rows[0]) == count
-        assert rows[0].max(initial=0) <= 3
-
-
-def test_walk_zero_count_is_a_stationary_probe():
-    start = np.array([0, 1, 2, 3], dtype=np.uint8)
-    rows = _walk(start, np.zeros(5, dtype=int), 4, np.random.default_rng(0))
-    assert rows.dtype == np.uint8
-    assert np.array_equal(rows, np.tile(start, (5, 1)))
-
-
-def test_walk_equals_the_stepwise_walk():
-    # the reference: the same draws applied one step at a time, from the
-    # smallest codebook to the largest, with stationary and full re-draws
-    # in the same walk
-    M = 6
-    for bits in (1, 2, 3, 8):
-        cb = PhaseCodebook(bits=bits)
-        start = (np.arange(M) % cb.size).astype(np.uint8)
-        counts = np.random.default_rng(7).integers(0, M + 1, 50)
-        counts[:4] = [0, M, 0, M]
-        rows = _walk(start, counts, cb.size, np.random.default_rng(3))
-        assert rows.dtype == np.uint8
-        u = np.random.default_rng(3).random((counts.size, 2, M))
-        beam = start.copy()
-        for t, count in enumerate(counts):
-            for m in np.argsort(u[t, 0])[:count]:
-                beam[m] = int(u[t, 1, m] * cb.size)
-            assert np.array_equal(rows[t], beam)
-        if bits == 8:
-            assert rows.max() > 127  # indices past the 7-bit range occur
-
-
-def test_walk_drawn_in_pieces_equals_the_walk_drawn_at_once():
-    start = np.zeros(5, dtype=np.uint8)
-    counts = np.random.default_rng(2).integers(0, 6, 30)
-    whole = _walk(start, counts, 8, np.random.default_rng(1))
-    rng = np.random.default_rng(1)
-    first = _walk(start, counts[:11], 8, rng)
-    second = _walk(first[-1], counts[11:], 8, rng)
-    assert np.array_equal(whole, np.vstack([first, second]))
 
 
 def test_coordinate_ascent_single_antenna_returns_init():
@@ -365,14 +285,36 @@ def test_learn_phases_invocation_budget():
 
     _, history = learn_phases(measure, cfg, cb, ec)
     # fits at 20 and 30; the refit at 30 predicts its exploit, so the run
-    # stops before walking to 40
+    # stops before exploring to 40
     assert len(history.exploit_events) == 2
     rows = np.concatenate(calls)
     assert len(rows) == 30 + 2 == history.iters[-1]
     assert np.array_equal(cb.values[history.indices], rows)
-    # the first beam, one stack per walk segment (2-20, 21-30) and one per
+    # one stack per exploration segment (1-20, 21-30) and one per
     # exploitation
-    assert [len(c) for c in calls] == [1, 19, 1, 10, 1]
+    assert [len(c) for c in calls] == [20, 1, 10, 1]
+
+
+@pytest.mark.parametrize("M, exploit_start", [(4, 2), (3, 20), (5, 37)])
+def test_learn_phases_explores_with_independent_beams(monkeypatch, M, exploit_start):
+    # the beams before the first fit are one draw of M uniform uint8
+    # codebook indices per beam from the learner.seed stream, also when
+    # they are measured in blocks of WALK_BLOCK beams at an odd M
+    monkeypatch.setattr(phase_learning, "WALK_BLOCK", 8)
+    cfg, H = small_scene(M, seed=2)
+    cb = PhaseCodebook(bits=2)
+    ec = ExperimentConfig(
+        total_measurements=60,
+        exploit_start=exploit_start,
+        critic_refit_period=25,
+        learner_seed=4,
+        train_iters=20,
+    )
+    _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+    want = np.random.default_rng(ec.learner_seed).integers(
+        0, cb.size, (exploit_start, cfg.num_antennas), dtype=np.uint8
+    )
+    assert np.array_equal(history.indices[:exploit_start], want)
 
 
 def test_learn_phases_measures_the_walk_in_blocks(monkeypatch):
@@ -387,7 +329,7 @@ def test_learn_phases_measures_the_walk_in_blocks(monkeypatch):
     theta, whole = learn_phases(center_measure(H, cfg), cfg, cb, ec)
     monkeypatch.setattr(phase_learning, "WALK_BLOCK", 8)
     blocked_theta, blocked = learn_phases(measure, cfg, cb, ec)
-    assert sizes == [1, 8, 8, 3, 1, 8, 2, 1]
+    assert sizes == [8, 8, 4, 1, 8, 2, 1]
     # the block size bounds memory and changes no result
     assert np.array_equal(blocked.indices, whole.indices)
     assert np.array_equal(blocked.measured_powers, whole.measured_powers)
@@ -511,7 +453,7 @@ def test_learn_phases_callback_failure_propagates():
 
 @pytest.mark.parametrize("shape", [(), (1, 1), (2,)])
 def test_learn_phases_rejects_a_callback_of_another_shape(shape):
-    # the first call measures the single start beam: (1,) is its shape
+    # the first call measures the five beams before the fit: (5,) is its shape
     cfg, _ = small_scene(2, seed=1)
     ec = ExperimentConfig(total_measurements=5, exploit_start=5, critic_refit_period=5)
     with pytest.raises(ValueError, match=r"measure returned shape"):
@@ -542,6 +484,24 @@ def test_learn_phases_fits_negative_readings_as_zero():
     assert np.array_equal(history.indices, clipped.indices)
     assert np.array_equal(theta, clipped_theta)
     assert np.array_equal(history.final_model, clipped.final_model)
+
+
+def test_learn_phases_is_invariant_to_the_power_scale():
+    # the critic fits powers rescaled to unit mean; at 1e-30 W its complex64
+    # products would otherwise underflow and the learned beam would move
+    cfg, H = small_scene(16)
+    cb = PhaseCodebook(bits=3)
+    ec = ExperimentConfig(
+        total_measurements=400,
+        exploit_start=200,
+        critic_refit_period=100,
+        learner_seed=0,
+    )
+    measure = center_measure(H, cfg)
+    theta, history = learn_phases(measure, cfg, cb, ec)
+    tiny_theta, tiny = learn_phases(lambda ph: 1e-30 * measure(ph), cfg, cb, ec)
+    assert np.array_equal(tiny_theta, theta)
+    assert np.array_equal(tiny.indices, history.indices)
 
 
 def test_history_csv_export(tmp_path):
