@@ -98,7 +98,7 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     exploit_start, each later multiple of critic_refit_period and the end of
     the budget, the critic is fit to the powers clipped at 0 (first from
     initialize_critic at learner.seed, then from the last fit) and the ascent
-    from the earliest best beam is measured; a refit on its RMS target whose
+    from the earliest best beam is measured; a fit on its RMS target whose
     beam measures within RMS_TOL of its prediction ends the run. Returns the
     earliest best measured beam; deterministic per learner.seed, call order
     included. ValueError unless 2 <= exploit_start <= total_measurements.
@@ -145,8 +145,7 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
         # the critic is consumed only by exploitation, so fitting is
         # deferred until then; refits start from the previous fit
         clipped = np.maximum(powers[:n], 0.0)
-        refit = model is not None
-        if not refit:
+        if model is None:
             model = initialize_critic(beams[:n], clipped, seed=ec.learner_seed)
         model, trace = train_critic(model, beams[:n], clipped, ec.train_iters)
         loss_traces.append(trace)
@@ -155,10 +154,10 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
         beam, cycles, prediction = coordinate_ascent(model, log[best], cb)
         take(beam[None])
         exploit_events.append((n, cycles, float(powers[n - 1])))
-        # a refit that met its RMS target and whose exploit measures what it
+        # a fit that met its RMS target and whose exploit measures what it
         # predicted has nothing left to learn from more exploration
         converged = trace[-1] <= (RMS_TOL * float(np.mean(clipped))) ** 2
-        if refit and converged and abs(powers[n - 1] - prediction) <= RMS_TOL * prediction:
+        if converged and abs(powers[n - 1] - prediction) <= RMS_TOL * prediction:
             break
 
     log, powers = log[:n], powers[:n]

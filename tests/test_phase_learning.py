@@ -176,13 +176,14 @@ def small_scene(M, seed=0):
 
 
 def refit_scene():
-    # the M=4 scene whose refit at 30 predicts its own exploit
-    cfg, H = small_scene(4, seed=2)
+    # the M=4 scene whose first exploit, at 21, misses its prediction and
+    # whose refit at 30 predicts its own exploit
+    cfg, H = small_scene(4, seed=7)
     ec = ExperimentConfig(
         total_measurements=40,
         exploit_start=20,
         critic_refit_period=10,
-        learner_seed=4,
+        learner_seed=12,
         train_iters=50,
     )
     return cfg, H, PhaseCodebook(bits=2), ec
@@ -397,7 +398,7 @@ def test_learn_phases_stops_at_a_confirmed_refit_exploit():
 @pytest.mark.parametrize(
     "final_loss, misprediction, exploits",
     [
-        (0.0, 1.0, [21, 32]),  # only a refit's exploit ends the run
+        (0.0, 1.0, [21]),  # a confirmed first fit ends the run
         (np.inf, 1.0, [21, 32, 43]),  # no fit met its RMS target
         (0.0, 1.0 + 2 * RMS_TOL, [21, 32, 43]),  # no exploit met its prediction
     ],
