@@ -98,10 +98,10 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     exploit_start, each later multiple of critic_refit_period and the end of
     the budget, the critic is fit to the powers clipped at 0 (first from
     initialize_critic at learner.seed, then from the last fit) and the ascent
-    from the earliest best beam is measured; a fit on its RMS target whose
-    beam measures within RMS_TOL of its prediction ends the run. Returns the
-    earliest best measured beam; deterministic per learner.seed, call order
-    included. ValueError unless 2 <= exploit_start <= total_measurements.
+    from the earliest best beam is measured; an ascent beam that measures
+    within RMS_TOL of its prediction ends the run. Returns the earliest best
+    measured beam; deterministic per learner.seed, call order included.
+    ValueError unless 2 <= exploit_start <= total_measurements.
     """
     if not 2 <= ec.exploit_start <= ec.total_measurements:
         raise ValueError("learner: needs 2 <= exploit_start <= total_measurements")
@@ -154,10 +154,9 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
         beam, cycles, prediction = coordinate_ascent(model, log[best], cb)
         take(beam[None])
         exploit_events.append((n, cycles, float(powers[n - 1])))
-        # a fit that met its RMS target and whose exploit measures what it
-        # predicted has nothing left to learn from more exploration
-        converged = trace[-1] <= (RMS_TOL * float(np.mean(clipped))) ** 2
-        if converged and abs(powers[n - 1] - prediction) <= RMS_TOL * prediction:
+        # an exploit that measures what the critic predicted for it leaves
+        # nothing to learn from more exploration
+        if abs(powers[n - 1] - prediction) <= RMS_TOL * prediction:
             break
 
     log, powers = log[:n], powers[:n]
