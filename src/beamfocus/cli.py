@@ -30,7 +30,6 @@ from .config import (
     heatmap_shape,
     parse_config,
     stamp_lines,
-    validate,
 )
 from .critic import save_critic
 from .delay_search import search_delays, write_search_trace_csv
@@ -327,7 +326,7 @@ def main(argv=None) -> int:
     try:
         ec = parse_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
-            ec = validate(replace(ec, learner_seed=args.seed))
+            ec = replace(ec, learner_seed=args.seed)
         # mkdir would fail only after the work: check the output path first
         out = Path(args.out)
         nearest = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())

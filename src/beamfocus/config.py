@@ -50,6 +50,8 @@ class ExperimentConfig:
     """One field per config key, in the order of the canonical text form.
 
     A field's type selects its parser (`X | None` fields also take `auto`).
+    Construction, by `dataclasses.replace` too, raises ConfigError unless
+    every command can run on the config.
     """
 
     num_antennas: int = _key("system.M", 256, least=2)
@@ -84,6 +86,9 @@ class ExperimentConfig:
     heatmap_y_max_m: float = _key("heatmap.y_max_m", 4.0)
     heatmap_resolution_m: float = _key("heatmap.resolution_m", 0.05)
 
+    def __post_init__(self):
+        _validate(self)
+
 
 def _parse_float(text: str) -> float:
     value = float(text)
@@ -93,7 +98,7 @@ def _parse_float(text: str) -> float:
 
 
 def _parse_int_list(text: str) -> tuple:
-    # no text is no entry, left to validate; an empty entry is a bad value
+    # no text is no entry, which construction rejects; an empty entry is a bad value
     return tuple(int(tok) for tok in text.split(",")) if text else ()
 
 
@@ -121,8 +126,8 @@ def _fmt(value) -> str:
 KEY_TABLE = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
-def validate(ec: ExperimentConfig) -> ExperimentConfig:
-    """Return ec if every command can run on it; else raise ConfigError."""
+def _validate(ec: ExperimentConfig) -> None:
+    """Raise ConfigError unless every command can run on ec."""
     for key, f in KEY_TABLE.items():
         allowed, least = f.metadata["choices"], f.metadata["least"]
         value = getattr(ec, f.name)
@@ -167,7 +172,6 @@ def validate(ec: ExperimentConfig) -> ExperimentConfig:
             build(ec)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    return ec
 
 
 def heatmap_shape(ec: ExperimentConfig) -> tuple:
@@ -204,7 +208,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             values[f.name] = _parse_value(f, value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: bad value '{value}'") from exc
-    return validate(ExperimentConfig(**values))
+    return ExperimentConfig(**values)
 
 
 def parse_config(path) -> ExperimentConfig:

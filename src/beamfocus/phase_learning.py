@@ -101,10 +101,7 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     from the earliest best beam is measured; an ascent beam that measures
     within RMS_TOL of its prediction ends the run. Returns the earliest best
     measured beam; deterministic per learner.seed, call order included.
-    ValueError unless 2 <= exploit_start <= total_measurements.
     """
-    if not 2 <= ec.exploit_start <= ec.total_measurements:
-        raise ValueError("learner: needs 2 <= exploit_start <= total_measurements")
     M = cfg.num_antennas
     rng = np.random.default_rng(ec.learner_seed)
     values = cb.values

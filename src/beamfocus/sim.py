@@ -174,12 +174,10 @@ def three_db_bandwidth(gp: GainProfile, cfg: SystemConfig) -> float:
 
 
 def normalized_gain_db(gp: GainProfile) -> np.ndarray:
-    """Per-subcarrier gain in dB relative to the bin nearest band center."""
+    """Per-subcarrier gain in dB relative to the bin nearest band center; nan if its gain is 0."""
     mid = 0.5 * (gp.freqs_hz[0] + gp.freqs_hz[-1])
     c = center_bin(gp.freqs_hz, mid)
-    ref = gp.per_subcarrier[c]
-    if ref == 0.0:
-        raise ValueError("zero gain at the center bin")
+    ref = gp.per_subcarrier[c] or np.nan
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(gp.per_subcarrier / ref)
 

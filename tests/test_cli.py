@@ -917,9 +917,10 @@ SYSTEM_GEOMETRY_UE_KEYS = {
 @example({"system.K": "1", "system.bandwidth_hz": "1e9"})
 @example({"geometry.aperture_m": "100.0"})
 @example({"geometry.aperture_m": "3.6062934306820756e-217"})
+@example({"ue.x_m": "1e200"})  # every gain underflows to 0
 def test_every_accepted_system_config_runs_every_command(keys):
     text = m16_text("profile.n_sweep = 0", *(f"{k} = {v}" for k, v in keys.items()))
-    cmds = [["search-delays"], ["heatmap", "--source", "pdf-oracle"], ["learn"]]
+    cmds = [["search-delays"], ["heatmap", "--source", "pdf-oracle"], ["learn"], ["profile"]]
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "exp.cfg"
         cfg_path.write_text(text)

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,3 +232,30 @@ def test_delay_grid_is_bounded_at_parse_time():
     for points in ((65, 63, 63), (1, 2, 2 * MAX_COARSE_ROWS + 1), (1000000001, 17, 17)):
         with pytest.raises(ConfigError, match=rf"^grid\.\*: .* exceeds {MAX_COARSE_ROWS}$"):
             parse_config_text(grid(*points))
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        ("grid.ax_points = 0", {"ax_points": 0}),
+        ("noise.snapshots = 0", {"snapshots": 0}),
+        (
+            "learner.total_measurements = 40\nlearner.exploit_start = 60",
+            {"total_measurements": 40, "exploit_start": 60},
+        ),
+        ("profile.n_sweep =", {"n_sweep": ()}),
+        ("heatmap.resolution_m = 0", {"heatmap_resolution_m": 0.0}),
+        ("system.N = 3", {"num_td_units": 3}),
+    ],
+    ids=["ax_points", "snapshots", "exploit_start", "n_sweep", "resolution_m", "N"],
+)
+def test_a_config_the_parser_rejects_cannot_be_built(text, values):
+    # parsed, built directly or replaced, a config runs one set of checks
+    with pytest.raises(ConfigError) as parsed:
+        parse_config_text(text + "\n")
+    with pytest.raises(ConfigError) as built:
+        ExperimentConfig(**values)
+    with pytest.raises(ConfigError) as replaced:
+        replace(ExperimentConfig(), **values)
+    assert str(built.value) == str(replaced.value) == str(parsed.value)
+    assert str(parsed.value).startswith(text.partition(".")[0] + ".")

@@ -538,8 +538,9 @@ def test_normalized_gain_db():
     assert db[0] == pytest.approx(-10.0)
     assert db[1] == pytest.approx(-20.0)
     assert db[2] == 0.0
-    with pytest.raises(ValueError):
-        normalized_gain_db(_profile(np.array([1.0, 0.0, 1.0]), make_cfg(2, 1, K=3)))
+    # a zero center gain leaves nothing to be relative to
+    db = normalized_gain_db(_profile(np.array([1.0, 0.0, 1.0]), make_cfg(2, 1, K=3)))
+    assert np.isnan(db).all()
 
 
 def test_gain_csv_export(tmp_path):
