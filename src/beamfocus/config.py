@@ -71,7 +71,7 @@ class ExperimentConfig:
     rho_mode: str = _key("channel.rho", "unit", choices=("unit", "flat_amplitude"))
     total_measurements: int = _key("learner.total_measurements", 5000, least=2)
     critic_refit_period: int = _key("learner.critic_refit_period", 1000, least=1)
-    exploit_start: int = _key("learner.exploit_start", 2000, least=2)
+    exploit_start: int | None = _key("learner.exploit_start", None, least=2)  # auto: min(4M, total)
     train_iters: int = _key("learner.train_iters", 1500, least=1)
     learner_seed: int = _key("learner.seed", 0, least=0)
     ax_points: int = _key("grid.ax_points", 9, least=1)
@@ -135,7 +135,7 @@ def _validate(ec: ExperimentConfig) -> None:
             raise ConfigError(f"{key}: '{value}' is not one of {allowed}")
         if least is not None and value is not None and value < least:
             raise ConfigError(f"{key}: must be at least {least}, not {value}")
-    if ec.exploit_start > ec.total_measurements:
+    if ec.exploit_start is not None and ec.exploit_start > ec.total_measurements:
         raise ConfigError("learner.exploit_start: must lie within learner.total_measurements")
     coarse_rows = math.prod((n + 1) // 2 for n in (ec.ax_points, ec.ay_points, ec.b_points))
     if coarse_rows > MAX_COARSE_ROWS:
@@ -243,6 +243,13 @@ def resolved_aperture(ec: ExperimentConfig) -> float:
         return ec.aperture_m
     lam_c = SPEED_OF_LIGHT / ec.center_freq_hz
     return (ec.num_antennas - 1) * lam_c / 2.0
+
+
+def resolved_exploit_start(ec: ExperimentConfig) -> int:
+    if ec.exploit_start is not None:
+        return ec.exploit_start
+    # the critic's 2M - 1 real unknowns take about 4M phaseless measurements
+    return min(4 * ec.num_antennas, ec.total_measurements)
 
 
 def build_geometry(ec: ExperimentConfig) -> ArrayGeometry:

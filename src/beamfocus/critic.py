@@ -1,6 +1,6 @@
 """Single-path power critic: |q^H w|^2 predicts beam w's received power.
 
-The critic's random start, its least-squares fit to measured powers and its
+The critic's spectral start, its least-squares fit to measured powers and its
 file. README "Critic fit" walks through the fit.
 """
 
@@ -39,18 +39,44 @@ def _gradient(beams: np.ndarray, g: np.ndarray, err: np.ndarray) -> np.ndarray:
     return (4.0 / err.size) * (beams.T @ weights).astype(complex, copy=False)
 
 
+# power iterations of the spectral start
+SPECTRAL_ITERS = 30
+# spawn key of the start vector's generator; sim._observer's measurement
+# callbacks use (0,) and (1, N)
+START_KEY = (2,)
+
+
 def initialize_critic(beams: np.ndarray, powers: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Random (M,) critic whose mean predicted power matches mean(powers).
+    """Spectral (M,) critic whose mean predicted power matches mean(powers).
 
     `beams` holds the (n, M) unit-norm beams and `powers` their (n,)
-    measured powers; ValueError if there are none. Keeps the optimizer away
-    from the stationary saddle at q = 0.
+    measured powers; ValueError if there are none. SPECTRAL_ITERS power
+    iterations of C = sum_i (p_i - mean(p)) w_i w_i^H, started from a
+    random vector drawn from `seed` under START_KEY, estimate the channel's
+    direction (its leading eigenvector). The random vector is kept if the
+    centred powers are all zero or an iteration does not stay finite.
+    Keeps the optimizer away from the stationary saddle at q = 0.
     """
     if powers.size == 0:
         raise ValueError("dataset is empty")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=START_KEY))
     M = beams.shape[1]
     q = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) / np.sqrt(2.0)
+    centred = powers - np.mean(powers)
+    peak = float(np.max(np.abs(centred)))
+    if 0.0 < peak < math.inf:
+        # C's scale does not move its eigenvectors; unit peak weights keep
+        # the single-precision products clear of underflow and overflow
+        centred /= peak
+        v = q
+        for _ in range(SPECTRAL_ITERS):
+            v = _gradient(beams, _inner(beams, v), centred)
+            norm = float(np.linalg.norm(v))
+            if not 0.0 < norm < math.inf:
+                break
+            v /= norm
+        else:
+            q = v
     # residuals against zero powers are the predictions themselves
     mean_pred = float(np.mean(_residuals(_inner(beams, q), 0.0)))
     mean_power = float(np.mean(powers))

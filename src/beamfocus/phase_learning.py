@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import SystemConfig
 from .combiner import PhaseCodebook
-from .config import ExperimentConfig
+from .config import ExperimentConfig, resolved_exploit_start
 from .critic import RMS_TOL, initialize_critic, train_critic
 from .files import write_atomic
 
@@ -95,23 +95,25 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     powers, in row order (ValueError for another shape). Each exploration
     beam holds M independent uniform codebook indices, for at most
     total_measurements beams, measured up to WALK_BLOCK beams a call. At
-    exploit_start, each later multiple of critic_refit_period and the end of
-    the budget, the critic is fit to the powers clipped at 0 (first from
-    initialize_critic at learner.seed, then from the last fit) and the ascent
-    from the earliest best beam is measured; an ascent beam that measures
-    within RMS_TOL of its prediction ends the run. Returns the earliest best
-    measured beam; deterministic per learner.seed, call order included.
+    learner.exploit_start (auto: min(4M, total_measurements)), each later
+    multiple of critic_refit_period and the end of the budget, the critic
+    is fit to the powers clipped at 0 (first from initialize_critic at
+    learner.seed, then from the last fit) and the ascent from the earliest
+    best beam is measured; an ascent beam that measures within RMS_TOL of
+    its prediction ends the run. Returns the earliest best measured beam;
+    deterministic per learner.seed, call order included.
     """
     M = cfg.num_antennas
     rng = np.random.default_rng(ec.learner_seed)
     values = cb.values
 
     total = ec.total_measurements
+    first = resolved_exploit_start(ec)
     # exploration stops at each refit point, the end of the budget among them
     stops = [
         t
-        for t in range(ec.exploit_start, total + 1)
-        if t % ec.critic_refit_period == 0 or t in (ec.exploit_start, total)
+        for t in range(first, total + 1)
+        if t % ec.critic_refit_period == 0 or t in (first, total)
     ]
 
     # the measurement log and, beside it, the critic's complex64 training

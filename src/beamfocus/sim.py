@@ -95,7 +95,7 @@ def _observer(ec: ExperimentConfig, cfg: SystemConfig, *key: int):
     per entry in C order, minus the noise floor, clipped at zero. The
     callback owns one Generator spawned from learner.seed with spawn key
     `key`: (0,) for the center callback, (1, N) for the profile callback of
-    the N-TD-unit search.
+    the N-TD-unit search; critic.START_KEY, (2,), keys the critic's start.
     """
     rng = np.random.default_rng(np.random.SeedSequence(ec.learner_seed, spawn_key=key))
 
@@ -162,11 +162,14 @@ def three_db_bandwidth(gp: GainProfile, cfg: SystemConfig) -> float:
     The window is symmetric around the bin nearest f_c: it stops one bin
     short of the nearest bin below half the center-bin gain, or at the
     farther band edge if no bin is below, and is clipped at the band edges.
-    Returns (bins in window) * (B/K).
+    Returns (bins in window) * (B/K); nan if the center-bin gain is 0, as
+    a beam with no gain has no half-gain band.
     """
     gains = gp.per_subcarrier
     K = gains.size
     c = center_bin(gp.freqs_hz, cfg.center_freq_hz)
+    if gains[c] == 0.0:
+        return float("nan")
     below = np.abs(np.flatnonzero(gains < 0.5 * gains[c]) - c)
     w = int(below.min()) - 1 if below.size else max(c, K - 1 - c)
     count = min(K - 1, c + w) - max(0, c - w) + 1

@@ -215,7 +215,7 @@ ue.y_m = -2.0
 channel.rho = unit
 learner.total_measurements = 5000
 learner.critic_refit_period = 1000
-learner.exploit_start = 2000
+learner.exploit_start = auto
 learner.train_iters = 1500
 learner.seed = 0
 grid.ax_points = 9
@@ -834,7 +834,7 @@ FUZZ_KEYS = {
     "system.noise_power_w": st.sampled_from(["-1e-9", "0", "1e-12", "1e-9", "1.0", "nan"]),
     "learner.total_measurements": st.integers(0, 60).map(str),
     "learner.critic_refit_period": st.integers(0, 40).map(str),
-    "learner.exploit_start": st.integers(0, 60).map(str),
+    "learner.exploit_start": st.one_of(st.just("auto"), st.integers(0, 60).map(str)),
     "learner.train_iters": st.integers(0, 30).map(str),
     "learner.seed": st.integers(-1, 2**64).map(str),
 }

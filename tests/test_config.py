@@ -19,6 +19,7 @@ from beamfocus.config import (
     parse_config,
     parse_config_text,
     resolved_aperture,
+    resolved_exploit_start,
     stamp_lines,
 )
 from beamfocus.cli import main
@@ -35,6 +36,22 @@ def test_defaults_match_reference_scenario():
     lam_c = SPEED_OF_LIGHT / 100e9
     assert resolved_aperture(ec) == pytest.approx(255 * lam_c / 2)
     assert build_system(ec).tau_max_s == pytest.approx(resolved_aperture(ec) / SPEED_OF_LIGHT)
+
+
+@pytest.mark.parametrize(
+    "text, start",
+    [
+        ("", 1024),  # 4M at the reference M = 256
+        ("system.M = 16", 64),
+        ("system.M = 16\nlearner.total_measurements = 40", 40),  # the budget caps auto
+        ("learner.exploit_start = 37", 37),
+        ("learner.total_measurements = 10\nlearner.exploit_start = 10", 10),
+    ],
+)
+def test_exploit_start_auto_is_4m_within_the_budget(text, start):
+    # the critic's 2M - 1 real unknowns take about 4M phaseless
+    # measurements; only an explicit value must lie within the budget
+    assert resolved_exploit_start(parse_config_text(text)) == start
 
 
 def test_parse_minimal_file_gets_defaults(tmp_path):

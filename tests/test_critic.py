@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from beamfocus import critic
 from beamfocus.combiner import PhaseCodebook
 from beamfocus.critic import (
     RMS_TOL,
@@ -405,3 +406,26 @@ def test_closed_form_roots_of_hand_cubics():
     assert sorted(_real_roots(2.0, 0.0, -2.0, 0.0)) == pytest.approx([-1.0, 0.0, 1.0], abs=1e-15)
     # x^3 + x - 2 = (x - 1)(x^2 + x + 2): one real root
     assert _real_roots(1.0, 0.0, 1.0, -2.0) == pytest.approx((1.0,))
+
+
+def alignment(q, h):
+    # |cos| of the angle between q and h, blind to scale and global phase
+    return abs(np.vdot(q, h)) / (np.linalg.norm(q) * np.linalg.norm(h))
+
+
+@pytest.mark.parametrize("M, seed", [(16, 1), (64, 2), (256, 3)])
+def test_spectral_start_points_along_the_channel(monkeypatch, M, seed):
+    # on noiseless rank-1 powers of 4M random codebook beams, the power
+    # iterations turn the random vector they start from toward the hidden
+    # channel h; with no iterations the start is that random vector
+    rng = np.random.default_rng(40 + seed)
+    h = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    beams = codebook_buffer(rng, 4 * M, M)
+    powers = np.abs(beams.conj() @ h) ** 2
+    buffer = beams.astype(np.complex64)
+    spectral = initialize_critic(buffer, powers, seed=seed)
+    monkeypatch.setattr(critic, "SPECTRAL_ITERS", 0)
+    random = initialize_critic(buffer, powers, seed=seed)
+    for q in (spectral, random):
+        assert np.mean(predicted(q, beams)) == pytest.approx(np.mean(powers), rel=1e-5)
+    assert alignment(spectral, h) > alignment(random, h)

@@ -173,12 +173,12 @@ def small_scene(M, seed=0):
 def refit_scene():
     # the M=4 scene whose first exploit, at 21, misses its prediction and
     # whose refit at 30 predicts its own exploit
-    cfg, H = small_scene(4, seed=7)
+    cfg, H = small_scene(4, seed=9)
     ec = ExperimentConfig(
         total_measurements=40,
         exploit_start=20,
         critic_refit_period=10,
-        learner_seed=12,
+        learner_seed=28,
         train_iters=50,
     )
     return cfg, H, PhaseCodebook(bits=2), ec

@@ -515,7 +515,8 @@ def growing_window_bins(gains, c):
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 16, 64])
 def test_three_db_bandwidth_equals_the_growing_window(K):
     # random, tied (bins at exactly half the center gain), all-zero and flat
-    # profiles, with the center at every bin of the band
+    # profiles, with the center at every bin of the band; a zero center
+    # gain has no half-gain band, so its bandwidth is nan
     cfg = make_cfg(2, 1, K=K)
     rng = np.random.default_rng(K)
     profiles = [np.zeros(K), np.ones(K)]
@@ -526,7 +527,10 @@ def test_three_db_bandwidth_equals_the_growing_window(K):
         freqs = cfg.center_freq_hz + (np.arange(K) - c) * 1e6
         for gains in profiles:
             got = three_db_bandwidth(GainProfile(per_subcarrier=gains, freqs_hz=freqs), cfg)
-            assert got == growing_window_bins(gains, c) * (cfg.bandwidth_hz / K)
+            if gains[c] == 0.0:
+                assert np.isnan(got)
+            else:
+                assert got == growing_window_bins(gains, c) * (cfg.bandwidth_hz / K)
 
 
 def test_normalized_gain_db():
