@@ -124,23 +124,26 @@ def _amplitude_wavelength(cfg: SystemConfig, freqs_hz):
 FREQ_BLOCK = 64
 
 
-def near_field_channel(geom: ArrayGeometry, ue: UePosition, cfg: SystemConfig) -> ChannelMatrix:
+def near_field_channel(
+    geom: ArrayGeometry, ue: UePosition, cfg: SystemConfig, stride: int = 1
+) -> ChannelMatrix:
     """Synthesize the spherical-wave channel for every element and subcarrier.
 
+    With a `stride` above 1, only every stride-th subcarrier from bin 0.
     Deterministic; each entry is within 1e-11 relative of the formula.
     ValueError if `geom` and `cfg` disagree on M; DegeneratePositionError
     for a user on an element.
     """
     if geom.num_antennas != cfg.num_antennas:
         raise ValueError("geometry and config disagree on antenna count")
-    freqs = subcarrier_frequencies(cfg)
+    freqs = subcarrier_frequencies(cfg)[::stride]
     K = freqs.size
     d = distances(geom, ue)[:, None]
     L = min(FREQ_BLOCK, K)
     blocks = K // L
     turn = (-2j * np.pi / SPEED_OF_LIGHT) * d
     fine = np.exp(turn * freqs[:L])
-    offsets = np.arange(-(-K // L)) * (L * cfg.bandwidth_hz / K)
+    offsets = np.arange(-(-K // L)) * (L * stride * cfg.bandwidth_hz / cfg.num_subcarriers)
     coarse = np.exp(turn * offsets) / (4.0 * np.pi * d)
     coeffs = np.empty((d.size, K), dtype=complex)
     body = coeffs[:, : blocks * L].reshape(d.size, blocks, L)

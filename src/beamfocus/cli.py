@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import pdf_oracle, ps_only_oracle
-from .channel import ChannelMatrix, SystemConfig, gain_map
+from .channel import ChannelMatrix, SystemConfig, gain_map, near_field_channel
 from .combiner import CombinerConfig, effective_combiner, load_combiner, save_combiner
 from .config import (
     ConfigError,
@@ -32,9 +32,10 @@ from .config import (
     stamp_lines,
 )
 from .critic import save_critic
-from .delay_search import search_delays, write_search_trace_csv
+from .delay_search import SEED_COHERENCE, check_prediction, search_delays, write_search_trace_csv
 from .files import write_atomic
-from .geometry import ArrayGeometry
+from .focus import locate_focus
+from .geometry import ArrayGeometry, UePosition
 from .phase_learning import learn_phases, write_history_csv
 from .sim import (
     avg_amplitude_gain,
@@ -52,14 +53,18 @@ from .sim import (
 SEARCH_SUBCARRIERS = 128
 
 
+def _search_stride(num_subcarriers: int) -> int:
+    """K // SEARCH_SUBCARRIERS, or 1 when K is smaller."""
+    return max(1, num_subcarriers // SEARCH_SUBCARRIERS)
+
+
 def decimate_channel(H: ChannelMatrix) -> ChannelMatrix:
     """H on every (K // SEARCH_SUBCARRIERS)-th subcarrier from bin 0 (all when K is smaller).
 
     These are the bins delay candidates are scored on; final reported
     profiles always use every bin.
     """
-    K = H.num_subcarriers
-    idx = np.arange(0, K, max(1, K // SEARCH_SUBCARRIERS))
+    idx = np.arange(0, H.num_subcarriers, _search_stride(H.num_subcarriers))
     return ChannelMatrix(coeffs=H.coeffs[:, idx], freqs_hz=H.freqs_hz[idx])
 
 
@@ -91,11 +96,41 @@ def search_pipeline(
     cfg: SystemConfig,
     cb,
 ):
-    """Run the delay search against a decimated measurement set."""
+    """Design the delays for theta_star, measuring on the decimated channel.
+
+    theta_star's focus is located once. If its coherence reaches
+    SEED_COHERENCE, the search first runs on the noiseless one-path model
+    built from the located point on the search's bins, which it scores
+    without measuring, and `check_prediction` measures only the model's
+    winner and the zero-delay row. If the check fails, or the focus is
+    too weak to seed, the measured search runs. The result's trace holds
+    every row measured: the check's rows (2, or 1 when the winner is the
+    zero-delay row), then the measured search's rows if it ran. The model
+    reads theta_star, the geometry and the located point only.
+    """
     H_dec = decimate_channel(H)
     measure = make_profile_measure(ec, H_dec, cfg)
     points = (ec.ax_points, ec.ay_points, ec.b_points)
-    return search_delays(theta_star, measure, geom, cfg, cb, points)
+    focus = locate_focus(theta_star, geom, cfg.center_freq_hz)
+    checked = []
+    if focus[2] >= SEED_COHERENCE:
+        stride = _search_stride(H.num_subcarriers)
+        model = near_field_channel(geom, UePosition(*focus[:2]), cfg, stride)
+        predicted = search_delays(
+            theta_star,
+            lambda cc: gain_profile(cc, model, cfg).per_subcarrier,
+            geom,
+            cfg,
+            cb,
+            points,
+            focus,
+        )
+        result, passed = check_prediction(predicted, theta_star, measure, cfg, cb)
+        if passed:
+            return result
+        checked = result.trace
+    result = search_delays(theta_star, measure, geom, cfg, cb, points, focus)
+    return replace(result, trace=checked + result.trace)
 
 
 def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Path]:

@@ -1,10 +1,11 @@
 """Geometry-assisted delay design.
 
 Two-piece linear approximations of the distance-difference curve, the
-delay vectors they give at the sub-array centers, and the focus-seeded
-search that scores them by measured wideband gain. The search reads the
-phases, the array geometry and the measurement callback, never the user
-position or the channel. README "Delay search" walks through it.
+delay vectors they give at the sub-array centers, the focus-seeded search
+that scores them by wideband gain, and the measured check of a search
+scored on a model. The search reads the phases, the array geometry and
+its scoring callback, never the user position or the channel. README
+"Delay search" walks through it.
 """
 
 from __future__ import annotations
@@ -72,13 +73,13 @@ def delays_from_ddf(ddf: np.ndarray, tau_max: float) -> np.ndarray:
 
 @dataclass
 class DelaySearchResult:
-    """Best delay configuration found plus the full scored trace."""
+    """Best delay configuration found plus the trace of every row measured."""
 
     tau: np.ndarray
     theta: np.ndarray
     score: float
     ps_only_score: float
-    trace: list  # (break_delta, break_value, end_value, score) per scored row, in order
+    trace: list  # (break_delta, break_value, end_value, score) per measured row, in order
 
 
 # candidates recompensated and measured per callback invocation
@@ -88,6 +89,14 @@ REFINE_ROUNDS = 4
 # focus coherence (focus.locate_focus) from which the search starts from
 # the seed row; below it the phases focus nowhere and the coarse pass runs
 SEED_COHERENCE = 0.5
+# a model-scored winner stands when its measured amplitude ratio to the
+# zero-delay row is at least (1 - CHECK_TOL) times the model's ratio
+CHECK_TOL = 0.05
+
+
+def _amplitude_scores(powers) -> np.ndarray:
+    """Each row's score: the mean square root of its powers clipped at 0."""
+    return np.mean(np.sqrt(np.maximum(np.asarray(powers, dtype=float), 0.0)), axis=-1)
 
 
 def _axis(points: int):
@@ -103,13 +112,13 @@ def _axis(points: int):
     return positions, 2.0 / (points - 1)
 
 
-def _seed_position(theta_star, geom: ArrayGeometry, cfg: SystemConfig, points: tuple):
-    """Box position of the row (1, ddf(1), ddf(2)) at theta_star's focus.
+def _seed_position(focus: tuple, geom: ArrayGeometry, points: tuple):
+    """Box position of the row (1, ddf(1), ddf(2)) at the located focus.
 
-    None when the focus coherence is below SEED_COHERENCE. Single-point
-    axes stay at their centers.
+    `focus` is `locate_focus`'s (x, y, coherence); None when the coherence
+    is below SEED_COHERENCE. Single-point axes stay at their centers.
     """
-    x, y, fit = locate_focus(theta_star, geom, cfg.center_freq_hz)
+    x, y, fit = focus
     if fit < SEED_COHERENCE:
         return None
     mid, end = distance_difference(geom, np.array([1.0, 2.0]), UePosition(x, y))
@@ -125,23 +134,26 @@ def search_delays(
     cfg: SystemConfig,
     cb: PhaseCodebook,
     points: tuple,
+    focus: tuple | None = None,
 ) -> DelaySearchResult:
     """Search the (break_delta, break_value, end_value) box for the best delays.
 
     A position (x, u, v) in [-1, 1]^3 is the row (1 + x, u (D/2)(1 + x), v D)
     for aperture D. `points` holds the (ax, ay, b) `grid.*` point counts; a
-    single-point axis stays at its center. The zero-delay row (1, 0, 0) is
-    scored first, then the seed row at theta_star's focus if its coherence
-    is at least SEED_COHERENCE, else every other grid point per axis; then
-    REFINE_ROUNDS compass rounds, with steps from the grid spacing down to
-    1/8 of it. A row whose delay vector is bitwise equal to one already
-    scored takes that score unmeasured, so a search scores at most 2 + 6 *
-    REFINE_ROUNDS rows from a seed, and the coarse rows + 6 * REFINE_ROUNDS
-    without one. Rows are built and measured SEARCH_BLOCK at a time, and a
-    scored vector is kept as a 16-byte digest. `measure` takes a stacked
-    CombinerConfig (theta (C, M), tau (C, N)) of recompensated candidates in
-    scoring order and returns (C, K) powers, row c equal to candidate c
-    alone. A row scores the mean square root of its powers clipped at 0.
+    single-point axis stays at its center. `focus` is theta_star's
+    `locate_focus` result, located here when None. The zero-delay row
+    (1, 0, 0) is scored first, then the seed row at the focus if its
+    coherence is at least SEED_COHERENCE, else every other grid point per
+    axis; then REFINE_ROUNDS compass rounds, with steps from the grid
+    spacing down to 1/8 of it. A row whose delay vector is bitwise equal
+    to one already scored takes that score unmeasured, so a search scores
+    at most 2 + 6 * REFINE_ROUNDS rows from a seed, and the coarse rows +
+    6 * REFINE_ROUNDS without one. Rows are built and measured SEARCH_BLOCK
+    at a time, and a scored vector is kept as a 16-byte digest. `measure`
+    takes a stacked CombinerConfig (theta (C, M), tau (C, N)) of
+    recompensated candidates in scoring order and returns (C, K) powers,
+    row c equal to candidate c alone: measured ones, or a model's gains.
+    A row scores the mean square root of its powers clipped at 0.
     The result is the earliest best row, never below the zero-delay row,
     rebuilt alone by one more recompensation (bit-equal to its block's);
     the trace lists every scored row in order. It draws no random numbers.
@@ -166,8 +178,7 @@ def search_delays(
         """Recompensate and measure the (row, tau, key) entries of one block."""
         tau = np.array([entry[1] for entry in block])
         theta = recompensate_phases(theta_star, tau, cfg, cb)
-        powers = np.asarray(measure(CombinerConfig(theta=theta, tau=tau)), dtype=float)
-        scores = np.mean(np.sqrt(np.maximum(powers, 0.0)), axis=-1)
+        scores = _amplitude_scores(measure(CombinerConfig(theta=theta, tau=tau)))
         for (params, _, key), v in zip(block, scores.tolist()):
             scored[key] = v
             trace.append((*params, v))
@@ -190,7 +201,9 @@ def search_delays(
             measure_block(fresh)
         return [scored[key] for key in keys]
 
-    seed = _seed_position(theta_star, geom, cfg, points)
+    if focus is None:
+        focus = locate_focus(theta_star, geom, cfg.center_freq_hz)
+    seed = _seed_position(focus, geom, points)
     if seed is None:
         first = [(0.0, 0.0, 0.0), *itertools.product(*(positions for positions, _ in axes))]
     else:
@@ -222,6 +235,39 @@ def search_delays(
         ps_only_score=trace[0][3],  # the first row is the zero-delay one
         trace=trace,
     )
+
+
+def check_prediction(
+    predicted: DelaySearchResult, theta_star, measure, cfg: SystemConfig, cb: PhaseCodebook
+) -> tuple[DelaySearchResult, bool]:
+    """Measure a model-scored search's winner beside its zero-delay row.
+
+    `predicted` is `search_delays` run on a model's callback. Its
+    zero-delay row and its winner are measured by `measure` in one stacked
+    call, or the zero-delay row alone when it is the winner. Returns the
+    winner's design scored and traced with these measured rows, and
+    whether it passed: it measures at least the zero-delay row, and its
+    measured ratio to that row is at least (1 - CHECK_TOL) times the
+    predicted one. The ratios are compared cross-multiplied, so zero
+    scores divide nothing.
+    """
+    winner = max(range(len(predicted.trace)), key=lambda i: predicted.trace[i][3])
+    rows = [predicted.trace[0]] + ([predicted.trace[winner]] if winner else [])
+    tau = np.stack([np.zeros_like(predicted.tau), predicted.tau][: len(rows)])
+    theta = recompensate_phases(theta_star, tau, cfg, cb)
+    measured = _amplitude_scores(measure(CombinerConfig(theta=theta, tau=tau))).tolist()
+    zero, best = measured[0], measured[-1]
+    passed = best >= zero and (
+        best * predicted.ps_only_score >= (1.0 - CHECK_TOL) * predicted.score * zero
+    )
+    result = DelaySearchResult(
+        tau=predicted.tau,
+        theta=predicted.theta,
+        score=best,
+        ps_only_score=zero,
+        trace=[(*row[:3], v) for row, v in zip(rows, measured)],
+    )
+    return result, passed
 
 
 def write_search_trace_csv(result: DelaySearchResult, path, header_comment: str = "") -> None:

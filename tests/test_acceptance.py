@@ -296,18 +296,30 @@ def thermal_noise_w(ec):
     return BOLTZMANN * T0_K * (ec.bandwidth_hz / ec.num_subcarriers) * 10.0 ** (NOISE_FIGURE_DB / 10.0)
 
 
-def _searched_bars(scenario, ec, theta, geom):
+def _route(result, fit):
+    """The route a `search_pipeline` call took, from its focus coherence and trace."""
+    if fit < SEED_COHERENCE:
+        return "coarse pass"
+    # an accepted check measures its 2 rows (1 if they coincide) and nothing more
+    return "accepted" if len(result.trace) <= 2 else "check failed"
+
+
+def _searched_bars(scenario, ec, theta, geom, routes=None):
     """N=8 3-dB bandwidth and N=16 gap (dB) to the true-geometry PDF oracle.
 
     Both come from `search_pipeline` run on theta with the geometry `geom`,
-    under ec's noise settings, and are scored on the true channel.
+    under ec's noise settings, and are scored on the true channel. The
+    route each search takes is appended to `routes` when given.
     """
     H, cb = scenario["H"], scenario["cb"]
+    fit = locate_focus(theta, geom, ec.center_freq_hz)[2]
     designs = {}
     for n in (8, 16):
         cfg_n = build_system(ec, num_td_units=n)
         result = search_pipeline(ec, theta, geom, H, cfg_n, cb)
         designs[n] = (CombinerConfig(theta=result.theta, tau=result.tau), cfg_n)
+        if routes is not None:
+            routes.append(f"N={n} {_route(result, fit)}")
     cc8, cfg8 = designs[8]
     bw8 = three_db_bandwidth(gain_profile(cc8, H, cfg8), cfg8)
     cc16, cfg16 = designs[16]
@@ -392,7 +404,7 @@ def test_low_snr_cliff_at_one_snapshot(scenario):
 
     On learner seeds 0-7 the noiseless bars hold at +10 dB: N=8 3-dB
     bandwidth at least 5 GHz, N=16 gap to the oracle at most 1.5 dB (they
-    read 6.54-7.10 GHz and 0.29-0.66 dB). Seed 0's learned center-bin gain
+    read 6.54-7.10 GHz and 0.29-0.61 dB). Seed 0's learned center-bin gain
     against the PS-only oracle's must be at least -3 dB at +10 dB; at
     +15 dB, where the learned beam falls about 18 dB short of the oracle's,
     it is reported with no bar, so that a change that moves it shows.
@@ -423,6 +435,34 @@ def test_low_snr_cliff_at_one_snapshot(scenario):
         + ", ".join(f"{gap16:.3f}" for _, gap16 in bars)
         + " dB (need <= 1.5)",
     )
+
+
+def test_oracle_phases_search_20_db_above_the_floor(scenario):
+    """The delay search from PS-only oracle phases at S = 1, 20 dB over the floor.
+
+    The learner is skipped, so the noise falls on the search's
+    measurements alone: on the model's measured check, and on the measured
+    search where the check fails. The noiseless bars hold on learner seeds
+    0-7, each keying its own noise stream: N=8 3-dB bandwidth at least
+    5 GHz, N=16 gap to the oracle at most 1.5 dB. The report names the
+    route each search takes.
+    """
+    ec = scenario["ec"]
+    theta = ps_only_oracle(scenario["H"], scenario["cfg1"], scenario["cb"]).theta
+    sigma2 = thermal_noise_w(ec) * 10.0 ** (20.0 / 10.0)
+    ok, details = True, []
+    for seed in range(8):
+        noisy = replace(
+            ec, noise_mode="snapshots", snapshots=1, noise_power_w=sigma2, learner_seed=seed
+        )
+        routes = []
+        bw8, gap16 = _searched_bars(scenario, noisy, theta, scenario["geom"], routes)
+        ok &= bw8 >= 5e9 and gap16 <= 1.5
+        details.append(
+            f"seed {seed} ({', '.join(routes)}): N=8 bandwidth {bw8 / 1e9:.2f} GHz >= 5, "
+            f"N=16 gap {gap16:.3f} dB <= 1.5"
+        )
+    _report("oracle phases at +20 dB (S = 1)", ok, "; ".join(details))
 
 
 def test_m1024_learner_comes_within_1_db_of_the_oracle():
@@ -482,8 +522,10 @@ def test_search_tolerates_element_position_errors(scenario):
     0.2 lambda_c with error seeds 0-7. The noiseless bars hold on each: N=8
     3-dB bandwidth at least 5 GHz, N=16 gap to the true-geometry oracle at
     most 1.5 dB. The report names each draw's focus coherence on the
-    erroneous geometry and whether the search starts from the seed row or
-    from the coarse pass. Errors of 0.5 lambda_c still build an array.
+    erroneous geometry and the route each search takes: the model's pick
+    accepted by its measured check, the check failed and the measured
+    search run, or the coarse pass. Errors of 0.5 lambda_c still build an
+    array.
     """
     ec = scenario["ec"]
     theta = ps_only_oracle(scenario["H"], scenario["cfg1"], scenario["cb"]).theta
@@ -494,11 +536,11 @@ def test_search_tolerates_element_position_errors(scenario):
     for sigma, seed in [(0.1, 9), *((0.2, seed) for seed in range(8))]:
         geom = perturbed_geometry(scenario["geom"], sigma * lam_c, seed)
         fit = locate_focus(theta, geom, ec.center_freq_hz)[2]
-        bw8, gap16 = _searched_bars(scenario, ec, theta, geom)
+        routes = []
+        bw8, gap16 = _searched_bars(scenario, ec, theta, geom, routes)
         ok &= bw8 >= 5e9 and gap16 <= 1.5
         details.append(
-            f"sigma {sigma} seed {seed}: coherence {fit:.3f}, "
-            f"{'seed row' if fit >= SEED_COHERENCE else 'coarse pass'}, "
+            f"sigma {sigma} seed {seed}: coherence {fit:.3f}, {', '.join(routes)}, "
             f"N=8 bandwidth {bw8 / 1e9:.2f} GHz >= 5, N=16 gap {gap16:.3f} dB <= 1.5"
         )
     _report("geometry error (sigma = 0.1-0.2 lambda)", ok, "; ".join(details))

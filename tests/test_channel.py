@@ -192,6 +192,21 @@ def test_channel_recurrence_fills_every_bin_of_one_contiguous_array(K):
     assert np.max(np.abs(H.coeffs - want) / np.abs(want)) <= 1e-11
 
 
+@pytest.mark.parametrize("K, stride", [(2048, 16), (257, 2), (2049, 3), (64, 64)])
+@pytest.mark.parametrize("flat", [False, True])
+def test_strided_channel_is_every_stride_th_bin(K, stride, flat):
+    cfg = replace(make_cfg(M=8, N=2, K=K), flat_amplitude=flat)
+    g = random_geometry(8, 0.5, seed=3)
+    ue = UePosition(2.0, -1.0)
+    H = near_field_channel(g, ue, cfg, stride)
+    full = near_field_channel(g, ue, cfg)
+    assert np.array_equal(H.freqs_hz, full.freqs_hz[::stride])
+    assert H.coeffs.shape == (8, -(-K // stride))
+    rho = amplitude_rho(cfg, H.freqs_hz)
+    want = spherical_wave(distances(g, ue)[:, None], H.freqs_hz, rho)
+    assert np.max(np.abs(H.coeffs - want) / np.abs(want)) <= 1e-11
+
+
 def test_channel_takes_a_fine_and_a_coarse_table_of_exponentials(monkeypatch):
     sizes = []
     exp = np.exp

@@ -1,10 +1,11 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from beamfocus import delay_search
-from beamfocus.channel import SystemConfig, near_field_channel
+from beamfocus import cli, delay_search
+from beamfocus.channel import ChannelMatrix, SystemConfig, near_field_channel
 from beamfocus.cli import decimate_channel, search_pipeline
 from beamfocus.combiner import CombinerConfig, PhaseCodebook, recompensate_phases
 from beamfocus.config import (
@@ -16,10 +17,12 @@ from beamfocus.config import (
     build_ue,
 )
 from beamfocus.delay_search import (
+    CHECK_TOL,
     REFINE_ROUNDS,
     SEARCH_BLOCK,
     SEED_COHERENCE,
     DelaySearchResult,
+    check_prediction,
     delays_from_ddf,
     linear_ddf,
     search_delays,
@@ -686,11 +689,12 @@ def test_seed_single_point_axes_stay_at_their_centers(reference):
     ec, geom = reference["ec"], reference["geom"]
     cfg = build_system(ec, num_td_units=16)
     theta = conjugate_phases(geom, ec.center_freq_hz, (3.0, -1.0))
-    full = delay_search._seed_position(theta, geom, cfg, (9, 17, 17))
+    focus = locate_focus(theta, geom, ec.center_freq_hz)
+    full = delay_search._seed_position(focus, geom, (9, 17, 17))
     assert full[0] == 0.0 and full[1] != 0.0 and full[2] != 0.0
-    assert delay_search._seed_position(theta, geom, cfg, (1, 1, 1)) == (0.0, 0.0, 0.0)
-    assert delay_search._seed_position(theta, geom, cfg, (9, 1, 17)) == (0.0, 0.0, full[2])
-    assert delay_search._seed_position(theta, geom, cfg, (9, 17, 1)) == (0.0, full[1], 0.0)
+    assert delay_search._seed_position(focus, geom, (1, 1, 1)) == (0.0, 0.0, 0.0)
+    assert delay_search._seed_position(focus, geom, (9, 1, 17)) == (0.0, 0.0, full[2])
+    assert delay_search._seed_position(focus, geom, (9, 17, 1)) == (0.0, full[1], 0.0)
 
 
 def test_focal_delays_vanish_where_the_array_is_equidistant():
@@ -723,14 +727,180 @@ def test_noisy_search_stays_near_the_oracle(reference):
     assert 20.0 * np.log10(oracle / design) <= 0.5
 
 
-def test_large_array_search_starts_from_the_located_focus():
+def test_large_array_search_starts_from_the_located_focus(monkeypatch):
     # M = 1,024 at the default aperture: the oracle phases' focus seeds the
-    # search, which scores the zero-delay row, the seed row and 24 compass
-    # rows, and ends above the zero-delay row
+    # search on the model, which scores the zero-delay row, the seed row and
+    # 24 compass rows without measuring them; the check measures the
+    # zero-delay row and the model's winner, which reads 0.986 of the
+    # model's ratio, inside CHECK_TOL, and ends above the zero-delay row
     ec = ExperimentConfig(num_antennas=1024, num_subcarriers=256)
     geom, cb = build_geometry(ec), build_codebook(ec)
     H = build_channel(ec, geom, build_system(ec, num_td_units=1))
     theta = ps_only_oracle(H, build_system(ec, num_td_units=1), cb).theta
+    searches = recorded_searches(monkeypatch)
     result = search_pipeline(ec, theta, geom, H, build_system(ec), cb)
-    assert len(result.trace) == 2 + 6 * REFINE_ROUNDS
+    (model,) = searches
+    assert len(model.trace) == 2 + 6 * REFINE_ROUNDS
+    assert [row[:3] for row in result.trace] == [
+        model.trace[0][:3],
+        max(model.trace, key=lambda row: row[3])[:3],
+    ]
     assert result.score > result.trace[0][3] == result.ps_only_score
+
+
+def recorded_searches(monkeypatch):
+    """The results of every search_delays call search_pipeline makes, in order."""
+    results = []
+    search = cli.search_delays
+
+    def recorded(*args):
+        results.append(search(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "search_delays", recorded)
+    return results
+
+
+def counted_rows(monkeypatch):
+    """The rows each real measurement callback call measures, in order."""
+    rows = []
+    make = cli.make_profile_measure
+
+    def counted(*args):
+        measure = make(*args)
+
+        def count(cc):
+            rows.append(int(np.prod(cc.tau.shape[:-1])))
+            return measure(cc)
+
+        return count
+
+    monkeypatch.setattr(cli, "make_profile_measure", counted)
+    return rows
+
+
+def two_path(reference, point=(2.0, 0.5), gain=0.7):
+    """The reference channel plus a second spherical wave from `point`."""
+    cfg1 = build_system(reference["ec"], num_td_units=1)
+    echo = near_field_channel(reference["geom"], UePosition(*point), cfg1).coeffs
+    H = reference["H"]
+    return ChannelMatrix(coeffs=H.coeffs + gain * echo, freqs_hz=H.freqs_hz)
+
+
+def test_search_pipeline_measures_only_the_rows_it_traces(reference, monkeypatch):
+    # every route's trace lists exactly the rows the real callback measured
+    ec, geom, cb = reference["ec"], reference["geom"], reference["cb"]
+    cfg = build_system(ec, num_td_units=16)
+    rows = counted_rows(monkeypatch)
+    searches = recorded_searches(monkeypatch)
+
+    # accepted: the one-path model of the located focus predicts the
+    # reference channel, so only its check is measured
+    accepted = search_pipeline(ec, reference["theta"], geom, reference["H"], cfg, cb)
+    assert rows == [2] and len(accepted.trace) == 2
+    assert accepted.score >= accepted.ps_only_score == accepted.trace[0][3]
+
+    # check failed: a second path makes the one-path model mispredict, so
+    # the measured search runs after the 2 check rows
+    rows.clear()
+    searches.clear()
+    H = two_path(reference)
+    theta = ps_only_oracle(H, build_system(ec, num_td_units=1), cb).theta
+    failed = search_pipeline(ec, theta, geom, H, cfg, cb)
+    model, measured = searches
+    assert sum(rows) == len(failed.trace) == 2 + len(measured.trace)
+    assert failed.trace[2:] == measured.trace
+    assert failed.trace[0][:3] == failed.trace[2][:3] == (1.0, 0.0, 0.0)
+    assert failed.score >= failed.ps_only_score
+
+    # coarse pass: random phases focus nowhere, so only the measured search runs
+    rows.clear()
+    searches.clear()
+    theta = cb.values[np.random.default_rng(0).integers(0, cb.size, geom.num_antennas)]
+    coarse = search_pipeline(ec, theta, geom, reference["H"], cfg, cb)
+    assert len(searches) == 1
+    assert sum(rows) == len(coarse.trace) > 2 + 6 * REFINE_ROUNDS
+    assert coarse.score >= coarse.ps_only_score
+
+
+def test_model_reads_only_the_located_focus(reference, monkeypatch):
+    # the model is the spherical wave from the point the phases focus on,
+    # on the search's bins, whatever the channel and the user position;
+    # both channels keep near_field_channel's 1e-11 of the formula
+    ec, geom, cb = reference["ec"], reference["geom"], reference["cb"]
+    cfg = build_system(ec, num_td_units=8)
+    built = []
+    synth = cli.near_field_channel
+
+    def recorded(*args):
+        built.append(synth(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "near_field_channel", recorded)
+    H = two_path(reference)
+    theta = ps_only_oracle(H, build_system(ec, num_td_units=1), cb).theta
+    search_pipeline(ec, theta, geom, H, cfg, cb)
+    x, y, _ = locate_focus(theta, geom, ec.center_freq_hz)
+    want = near_field_channel(geom, UePosition(x, y), cfg)
+    (model,) = built
+    assert np.array_equal(model.freqs_hz, decimate_channel(H).freqs_hz)
+    assert np.allclose(model.coeffs, decimate_channel(want).coeffs, rtol=1e-10, atol=0.0)
+
+
+def test_check_fails_when_the_winner_measures_below_its_prediction(reference):
+    # the check compares the measured ratio with (1 - CHECK_TOL) times the
+    # predicted one: a winner that measures just inside passes, just
+    # outside fails, and one below the zero-delay row fails whatever its ratio
+    ec, geom, cb = reference["ec"], reference["geom"], reference["cb"]
+    cfg = build_system(ec, num_td_units=16)
+    tau = np.zeros(16)
+    tau[0] = 1e-12
+    predicted = DelaySearchResult(
+        tau=tau,
+        theta=reference["theta"],
+        score=2.0,
+        ps_only_score=1.0,
+        trace=[(1.0, 0.0, 0.0, 1.0), (1.0, 0.1, 0.2, 2.0)],
+    )
+
+    def measure_as(zero, best):
+        return lambda cc: np.array([[zero**2] * 4, [best**2] * 4])
+
+    inside = 2.0 * (1.0 - CHECK_TOL) * 1.001
+    outside = 2.0 * (1.0 - CHECK_TOL) * 0.999
+    assert check_prediction(predicted, reference["theta"], measure_as(1.0, inside), cfg, cb)[1]
+    assert not check_prediction(predicted, reference["theta"], measure_as(1.0, outside), cfg, cb)[1]
+    assert not check_prediction(predicted, reference["theta"], measure_as(1.0, 0.5), cfg, cb)[1]
+    result, passed = check_prediction(predicted, reference["theta"], measure_as(1.0, 2.0), cfg, cb)
+    assert passed and result.trace == [(1.0, 0.0, 0.0, 1.0), (1.0, 0.1, 0.2, 2.0)]
+    assert result.score == 2.0 and result.ps_only_score == 1.0
+
+
+def test_check_of_zero_scores_divides_nothing(reference):
+    # a user so far away that every power underflows to 0 (`ue.x_m = 1e200`):
+    # the model still predicts gain at the focus, every measured score is 0,
+    # and the check accepts without a warning (warnings are errors here)
+    ec = replace(reference["ec"], ue_x_m=1e200)
+    geom, cb = reference["geom"], reference["cb"]
+    cfg1 = build_system(ec, num_td_units=1)
+    H = build_channel(ec, geom, cfg1)
+    theta = conjugate_phases(geom, ec.center_freq_hz, (2.0, -2.0))
+    result = search_pipeline(ec, theta, geom, H, build_system(ec, num_td_units=16), cb)
+    assert len(result.trace) == 2
+    assert result.score == result.ps_only_score == 0.0
+
+
+@pytest.mark.parametrize("n, points", [(1, (9, 17, 17)), (16, (1, 1, 1))])
+def test_all_zero_candidates_measure_one_row(reference, monkeypatch, n, points):
+    # one TD unit, or single-point grid axes: every candidate delay vector
+    # is the zero one, so the model's winner is the zero-delay row and the
+    # check measures that row alone
+    ec = replace(reference["ec"], ax_points=points[0], ay_points=points[1], b_points=points[2])
+    rows = counted_rows(monkeypatch)
+    result = search_pipeline(
+        ec, reference["theta"], reference["geom"], reference["H"],
+        build_system(ec, num_td_units=n), reference["cb"],
+    )
+    assert rows == [1] and len(result.trace) == 1
+    assert np.all(result.tau == 0.0)
+    assert result.score == result.ps_only_score
