@@ -153,6 +153,17 @@ def near_field_channel(
     return ChannelMatrix(coeffs=coeffs, freqs_hz=freqs)
 
 
+def check_finite(geom: ArrayGeometry, ue: UePosition, cfg: SystemConfig) -> None:
+    """ValueError unless the channel's largest phase 2 pi f_K max(d) / c and
+    amplitude lambda_1 / (4 pi min(d)) are finite, without synthesizing it."""
+    d, freqs = distances(geom, ue), subcarrier_frequencies(cfg)
+    with np.errstate(over="ignore"):
+        phase = (2.0 * np.pi / SPEED_OF_LIGHT) * d.max() * freqs[-1]
+        amplitude = _amplitude_wavelength(cfg, freqs[0]) / (4.0 * np.pi * d.min())
+    if not np.isfinite(phase) or not np.isfinite(amplitude):
+        raise ValueError("the channel's phases or amplitudes overflow")
+
+
 # heatmap points evaluated per block, bounding the (points x M) work buffers
 GAIN_MAP_BLOCK = 128
 # the roots of unity exp(-2 pi j k / PHASOR_TABLE) that gain_map's phasors

@@ -32,7 +32,7 @@ from .config import (
     stamp_lines,
 )
 from .critic import save_critic
-from .delay_search import SEED_COHERENCE, check_prediction, search_delays, write_search_trace_csv
+from .delay_search import check_prediction, search_delays, seed_position, write_search_trace_csv
 from .files import write_atomic
 from .focus import locate_focus
 from .geometry import ArrayGeometry, UePosition
@@ -98,38 +98,35 @@ def search_pipeline(
 ):
     """Design the delays for theta_star, measuring on the decimated channel.
 
-    theta_star's focus is located once. If its coherence reaches
-    SEED_COHERENCE, the search first runs on the noiseless one-path model
-    built from the located point on the search's bins, which it scores
-    without measuring, and `check_prediction` measures only the model's
-    winner and the zero-delay row. If the check fails, or the focus is
-    too weak to seed, the measured search runs. The result's trace holds
-    every row measured: the check's rows (2, or 1 when the winner is the
-    zero-delay row), then the measured search's rows if it ran. The model
-    reads theta_star, the geometry and the located point only.
+    theta_star's focus is located here alone, and `seed_position` picks
+    the search's start from it. With a seed, the search first runs on the
+    noiseless one-path model built from the located point on the search's
+    bins, which it scores without measuring, and `check_prediction`
+    measures only the model's winner and the zero-delay row. If the check
+    fails, or there is no seed, the measured search runs. The result's
+    trace holds every row measured: the check's rows (2, or 1 when the
+    winner is the zero-delay row), then the measured search's rows if it
+    ran. The model reads theta_star, the geometry and the located point only.
     """
     H_dec = decimate_channel(H)
     measure = make_profile_measure(ec, H_dec, cfg)
     points = (ec.ax_points, ec.ay_points, ec.b_points)
     focus = locate_focus(theta_star, geom, cfg.center_freq_hz)
+    seed = seed_position(focus, geom, points)
     checked = []
-    if focus[2] >= SEED_COHERENCE:
+    if seed is not None:
         stride = _search_stride(H.num_subcarriers)
         model = near_field_channel(geom, UePosition(*focus[:2]), cfg, stride)
-        predicted = search_delays(
-            theta_star,
-            lambda cc: gain_profile(cc, model, cfg).per_subcarrier,
-            geom,
-            cfg,
-            cb,
-            points,
-            focus,
-        )
+
+        def predict(cc):
+            return gain_profile(cc, model, cfg).per_subcarrier
+
+        predicted = search_delays(theta_star, predict, geom, cfg, cb, points, seed)
         result, passed = check_prediction(predicted, theta_star, measure, cfg, cb)
         if passed:
             return result
         checked = result.trace
-    result = search_delays(theta_star, measure, geom, cfg, cb, points, focus)
+    result = search_delays(theta_star, measure, geom, cfg, cb, points, seed)
     return replace(result, trace=checked + result.trace)
 
 
@@ -165,7 +162,7 @@ def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Pat
 
         gp = gain_profile(cc, H, cfg_n)
         profiles.append(gp)
-        amp = mean_amplitude(gp)
+        amp = mean_amplitude(gp.per_subcarrier)
         amp_pdf = amp if cc is pdf_cc else avg_amplitude_gain(pdf_cc, H, cfg_n)
         gap_db = 20.0 * np.log10(amp / amp_pdf) if amp > 0 and amp_pdf > 0 else float("nan")
         summary_rows.append((n, three_db_bandwidth(gp, cfg_n), amp, gap_db))

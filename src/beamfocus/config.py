@@ -13,13 +13,12 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .channel import SystemConfig, near_field_channel
+from .channel import SystemConfig, check_finite, near_field_channel
 from .combiner import PhaseCodebook
 from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     UePosition,
-    distances,
     random_geometry,
     uniform_geometry,
 )
@@ -159,12 +158,12 @@ def _validate(ec: ExperimentConfig) -> None:
         )
     if not ec.center_freq_hz > 0.0:
         raise ConfigError("system.center_freq_hz: must be positive")
-    # build the objects whose own checks would otherwise fail at run time,
-    # among them M = N*P for system.N and for every sweep entry
+    # build the objects whose own checks would otherwise fail at run time, among
+    # them M = N*P for system.N and every sweep entry, and a finite channel
     for key, build in (
         ("geometry.*", build_geometry),
-        ("ue.*", lambda ec: distances(build_geometry(ec), build_ue(ec))),
         ("system.*", build_system),
+        ("ue.*", lambda ec: check_finite(build_geometry(ec), build_ue(ec), build_system(ec))),
         *(("profile.n_sweep", lambda ec, n=n: build_system(ec, n)) for n in ec.n_sweep),
         ("system.ps_bits", build_codebook),
     ):

@@ -184,7 +184,7 @@ def train_critic(q: np.ndarray, beams: np.ndarray, powers: np.ndarray, max_iters
             loss_new = float(np.mean(err_new**2))
             if loss_new <= current:
                 q, g, err, current = q + alpha * direction, g_new, err_new, loss_new
-        trace.append(current * scale**2)
+        trace.append(current * (scale * scale))
         if current <= target or previous - current < STALL_TOL * previous:
             break
     return q * np.sqrt(scale), np.array(trace)

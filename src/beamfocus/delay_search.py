@@ -19,8 +19,8 @@ import numpy as np
 from .channel import SystemConfig
 from .combiner import CombinerConfig, PhaseCodebook, recompensate_phases
 from .files import write_atomic
-from .focus import locate_focus
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, UePosition, distance_difference
+from .sim import mean_amplitude
 
 
 def linear_ddf(params, delta):
@@ -94,11 +94,6 @@ SEED_COHERENCE = 0.5
 CHECK_TOL = 0.05
 
 
-def _amplitude_scores(powers) -> np.ndarray:
-    """Each row's score: the mean square root of its powers clipped at 0."""
-    return np.mean(np.sqrt(np.maximum(np.asarray(powers, dtype=float), 0.0)), axis=-1)
-
-
 def _axis(points: int):
     """Coarse positions and first step of a `points`-point axis on [-1, 1].
 
@@ -112,11 +107,10 @@ def _axis(points: int):
     return positions, 2.0 / (points - 1)
 
 
-def _seed_position(focus: tuple, geom: ArrayGeometry, points: tuple):
-    """Box position of the row (1, ddf(1), ddf(2)) at the located focus.
+def seed_position(focus: tuple, geom: ArrayGeometry, points: tuple):
+    """Box position of the row (1, ddf(1), ddf(2)) at `focus`, `locate_focus`'s (x, y, coherence).
 
-    `focus` is `locate_focus`'s (x, y, coherence); None when the coherence
-    is below SEED_COHERENCE. Single-point axes stay at their centers.
+    None when the coherence is below SEED_COHERENCE. Single-point axes stay at their centers.
     """
     x, y, fit = focus
     if fit < SEED_COHERENCE:
@@ -134,17 +128,16 @@ def search_delays(
     cfg: SystemConfig,
     cb: PhaseCodebook,
     points: tuple,
-    focus: tuple | None = None,
+    seed: tuple | None,
 ) -> DelaySearchResult:
     """Search the (break_delta, break_value, end_value) box for the best delays.
 
     A position (x, u, v) in [-1, 1]^3 is the row (1 + x, u (D/2)(1 + x), v D)
     for aperture D. `points` holds the (ax, ay, b) `grid.*` point counts; a
-    single-point axis stays at its center. `focus` is theta_star's
-    `locate_focus` result, located here when None. The zero-delay row
-    (1, 0, 0) is scored first, then the seed row at the focus if its
-    coherence is at least SEED_COHERENCE, else every other grid point per
-    axis; then REFINE_ROUNDS compass rounds, with steps from the grid
+    single-point axis stays at its center. `seed` is the box position to
+    start from (`seed_position`), or None. The zero-delay row (1, 0, 0) is
+    scored first, then the seed row, or without one every other grid point
+    per axis; then REFINE_ROUNDS compass rounds, with steps from the grid
     spacing down to 1/8 of it. A row whose delay vector is bitwise equal
     to one already scored takes that score unmeasured, so a search scores
     at most 2 + 6 * REFINE_ROUNDS rows from a seed, and the coarse rows +
@@ -153,7 +146,7 @@ def search_delays(
     takes a stacked CombinerConfig (theta (C, M), tau (C, N)) of
     recompensated candidates in scoring order and returns (C, K) powers,
     row c equal to candidate c alone: measured ones, or a model's gains.
-    A row scores the mean square root of its powers clipped at 0.
+    A row scores their `sim.mean_amplitude`.
     The result is the earliest best row, never below the zero-delay row,
     rebuilt alone by one more recompensation (bit-equal to its block's);
     the trace lists every scored row in order. It draws no random numbers.
@@ -178,7 +171,7 @@ def search_delays(
         """Recompensate and measure the (row, tau, key) entries of one block."""
         tau = np.array([entry[1] for entry in block])
         theta = recompensate_phases(theta_star, tau, cfg, cb)
-        scores = _amplitude_scores(measure(CombinerConfig(theta=theta, tau=tau)))
+        scores = mean_amplitude(measure(CombinerConfig(theta=theta, tau=tau)))
         for (params, _, key), v in zip(block, scores.tolist()):
             scored[key] = v
             trace.append((*params, v))
@@ -201,9 +194,6 @@ def search_delays(
             measure_block(fresh)
         return [scored[key] for key in keys]
 
-    if focus is None:
-        focus = locate_focus(theta_star, geom, cfg.center_freq_hz)
-    seed = _seed_position(focus, geom, points)
     if seed is None:
         first = [(0.0, 0.0, 0.0), *itertools.product(*(positions for positions, _ in axes))]
     else:
@@ -255,7 +245,7 @@ def check_prediction(
     rows = [predicted.trace[0]] + ([predicted.trace[winner]] if winner else [])
     tau = np.stack([np.zeros_like(predicted.tau), predicted.tau][: len(rows)])
     theta = recompensate_phases(theta_star, tau, cfg, cb)
-    measured = _amplitude_scores(measure(CombinerConfig(theta=theta, tau=tau))).tolist()
+    measured = mean_amplitude(measure(CombinerConfig(theta=theta, tau=tau))).tolist()
     zero, best = measured[0], measured[-1]
     passed = best >= zero and (
         best * predicted.ps_only_score >= (1.0 - CHECK_TOL) * predicted.score * zero

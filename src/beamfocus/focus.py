@@ -61,8 +61,9 @@ def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[flo
         keep = radii <= max(f, least)
         th, sub = theta[keep], ArrayGeometry(geom.alphas[keep], D)
         nu = int(np.ceil(2.0 * f * D / lam))
-        # at least one row, also where (f D)**2 underflows to zero
-        nv = max(1, int(np.ceil(v_max * (f * D) ** 2 / lam)))
+        # at least one row where (f D)**2 underflows to 0, a row step of 0 where it overflows
+        with np.errstate(over="ignore"):
+            nv = max(1.0, np.ceil(v_max * np.float64(f * D) ** 2 / lam))
         du, dv = 2.0 / nu, v_max / nv
         u_lo, v_lo = -1.0 + 0.5 * du, dv / 64.0
         if u is None:
@@ -70,7 +71,7 @@ def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[flo
             # the earliest of ties in row order
             us, vs = u_lo + du * np.arange(nu), dv * np.arange(1, nv + 1)
             scores = [coherence(th, sub, center_freq_hz, *_to_xy(us, row)) for row in vs]
-            j, i = np.unravel_index(np.argmax(scores), (nv, nu))
+            j, i = np.unravel_index(np.argmax(scores), (vs.size, nu))
             u, v = float(us[i]), float(vs[j])
 
         # compass search: move to the best of the 3 x 3 stencil while it

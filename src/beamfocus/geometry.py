@@ -45,8 +45,8 @@ class ArrayGeometry:
             raise ValueError("alphas must lie in [-1, 1]")
         if alphas.size > 1 and not np.all(np.diff(alphas) < 0.0):
             raise ValueError("alphas must be strictly decreasing")
-        if not self.aperture > 0.0:
-            raise ValueError("aperture must be positive")
+        if not 0.0 < self.aperture < np.inf:
+            raise ValueError("aperture must be finite and positive")
         alphas.setflags(write=False)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "aperture", float(self.aperture))

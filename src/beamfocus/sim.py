@@ -64,14 +64,15 @@ def gain_profile(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> Gai
     return GainProfile(per_subcarrier=vals, freqs_hz=H.freqs_hz)
 
 
-def mean_amplitude(gp: GainProfile) -> float:
-    """Mean amplitude gain (1/K) sum_k |w_k^H h_k| of a single profile."""
-    return float(np.mean(np.sqrt(gp.per_subcarrier)))
+def mean_amplitude(powers):
+    """Mean square root over the last axis of powers clipped at 0, one score per row;
+    of a profile's `per_subcarrier`, the mean amplitude gain (1/K) sum_k |w_k^H h_k|."""
+    return np.mean(np.sqrt(np.maximum(np.asarray(powers, dtype=float), 0.0)), axis=-1)
 
 
 def avg_amplitude_gain(cc: CombinerConfig, H: ChannelMatrix, cfg: SystemConfig) -> float:
     """Mean amplitude gain (1/K) sum_k |w_k^H h_k| (the design objective)."""
-    return mean_amplitude(gain_profile(cc, H, cfg))
+    return float(mean_amplitude(gain_profile(cc, H, cfg).per_subcarrier))
 
 
 def measure_power(signal, cfg: SystemConfig, snapshots: int, rng: np.random.Generator):

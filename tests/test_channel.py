@@ -33,6 +33,7 @@ from beamfocus.geometry import (
     UePosition,
     distances,
     random_geometry,
+    uniform_geometry,
 )
 from beamfocus.sim import center_bin, gain_profile
 from beam_model import amplitude_rho, spherical_wave
@@ -248,6 +249,34 @@ def test_channel_degenerate_position_propagates():
     g = ArrayGeometry(alphas=[1.0, -1.0], aperture=2.0)
     with pytest.raises(DegeneratePositionError):
         near_field_channel(g, UePosition(1e-300, 1.0), cfg)
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_check_finite_accepts_exactly_the_finite_channels(flat):
+    # users from 1e304 m to 1e306 m at 100 GHz, across the distance where
+    # the phases overflow, and center frequencies down to where the
+    # amplitude lambda / (4 pi d) does; the channel itself is built only
+    # to compare
+    geom = uniform_geometry(4, 0.01)
+    cfg = SystemConfig(4, 1, 8, 100e9, 10e9, 1e-9, flat_amplitude=flat)
+    cases = [(UePosition(float(x), 0.0), cfg) for x in np.geomspace(1e304, 1e306, 41)]
+    cases += [
+        (UePosition(1.0, 0.0), replace(cfg, center_freq_hz=f, bandwidth_hz=0.0, num_subcarriers=1))
+        for f in np.geomspace(1e-300, 1e-290, 21).tolist()
+    ]
+    verdicts = set()
+    for ue, system in cases:
+        try:
+            channel.check_finite(geom, ue, system)
+            accepted = True
+        except ValueError as exc:
+            assert "overflow" in str(exc)
+            accepted = False
+        with np.errstate(all="ignore"):
+            coeffs = near_field_channel(geom, ue, system).coeffs
+        assert accepted == bool(np.all(np.isfinite(coeffs)))
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
 
 
 def test_channel_matrix_requires_increasing_freqs():

@@ -831,17 +831,34 @@ def test_cli_noisy_search_reproduces_per_seed(tmp_path):
 FUZZ_KEYS = {
     "noise.mode": st.sampled_from(["noiseless", "snapshots"]),
     "noise.snapshots": st.integers(0, 300).map(str),
-    "system.noise_power_w": st.sampled_from(["-1e-9", "0", "1e-12", "1e-9", "1.0", "nan"]),
+    "system.noise_power_w": st.sampled_from(
+        ["-1e-9", "0", "1e-12", "1e-9", "1.0", "nan", "1e300"]
+    ),
     "learner.total_measurements": st.integers(0, 60).map(str),
     "learner.critic_refit_period": st.integers(0, 40).map(str),
     "learner.exploit_start": st.one_of(st.just("auto"), st.integers(0, 60).map(str)),
     "learner.train_iters": st.integers(0, 30).map(str),
     "learner.seed": st.integers(-1, 2**64).map(str),
+    # every gain underflows to 0 at 1e200; the phases overflow at 1e306
+    "ue.x_m": st.sampled_from(["2.0", "1e200", "1e306"]),
+    "geometry.aperture_m": st.sampled_from(["auto", "0.05", "1e300"]),
+    # with system.K = 1 and a zero band, f_c = 1e-300 makes the auto aperture
+    # overflow
+    "system.center_freq_hz": st.sampled_from(["1e11", "1e-300"]),
+    "system.bandwidth_hz": st.sampled_from(["1e10", "0"]),
+    "system.K": st.sampled_from(["16", "1"]),
 }
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.fixed_dictionaries({}, optional=FUZZ_KEYS))
+# configs that once crashed after learning: a non-finite channel is rejected
+# at construction, and the focus locator and the critic's loss trace no
+# longer overflow
+@example({"ue.x_m": "1e306"})
+@example({"system.center_freq_hz": "1e-300", "system.bandwidth_hz": "0", "system.K": "1"})
+@example({"geometry.aperture_m": "1e300"})
+@example({"noise.mode": "snapshots", "system.noise_power_w": "1e300"})
 def test_every_accepted_config_runs_learn_and_search(keys):
     text = m16_text(*(f"{k} = {v}" for k, v in keys.items()))
     with tempfile.TemporaryDirectory() as tmp:

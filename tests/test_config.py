@@ -202,6 +202,16 @@ def test_parse_rejects_geometry_and_user_that_cannot_be_built():
         ("geometry.seed = -1", "geometry."),
         ("system.M = 1\nsystem.N = 1", "system.M: "),
         ("system.center_freq_hz = 0", "system.center_freq_hz: "),
+        # the channel's phases overflow
+        ("ue.x_m = 1e306", "ue."),
+        # the auto aperture (M - 1) lambda_c / 2 overflows
+        ("system.center_freq_hz = 1e-300\nsystem.bandwidth_hz = 0\nsystem.K = 1", "geometry."),
+        # the channel's amplitudes lambda / (4 pi d) overflow
+        (
+            "system.center_freq_hz = 1e-300\nsystem.bandwidth_hz = 0\nsystem.K = 1\n"
+            "geometry.aperture_m = 0.5",
+            "ue.",
+        ),
     ):
         with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.")):
             parse_config_text(m16(line + "\n"))

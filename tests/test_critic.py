@@ -286,6 +286,16 @@ def test_train_already_fitted_model_ends_at_once():
     assert len(trace) == 1 and trace[0] == 0.0
 
 
+def test_train_on_powers_whose_loss_overflows_ends_cleanly():
+    # powers near 1e300 W (`system.noise_power_w = 1e300`): the fit runs on
+    # the rescaled powers, and only the loss trace, in W^2, overflows
+    rng = np.random.default_rng(21)
+    beams, powers = rank1_buffer(rng, 30, 4)
+    powers *= 1e300
+    trained, trace = train_critic(initialize_critic(beams, powers, seed=0), beams, powers, 50)
+    assert np.all(np.isfinite(trained)) and np.all(trace == np.inf)
+
+
 def test_train_rejects_empty_data_and_no_iterations():
     q = np.ones(2, complex)
     with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from beamfocus.delay_search import (
     delays_from_ddf,
     linear_ddf,
     search_delays,
+    seed_position,
     subarray_deltas,
     write_search_trace_csv,
 )
@@ -191,24 +192,17 @@ def profile_measure(H, cfg):
     return make_profile_measure(ExperimentConfig(), H, cfg)
 
 
-def focus_nowhere(theta, geom, freq):
-    """A locator stand-in that finds no focus: coherence 0."""
-    return 1.0, 0.0, 0.0
-
-
-@pytest.fixture
-def no_focus(monkeypatch):
-    """The locator finds no focus, so every search runs the coarse pass."""
-    monkeypatch.setattr(delay_search, "locate_focus", focus_nowhere)
+def focus_seed(theta, geom, cfg, points):
+    """The start search_pipeline picks for theta: its focus's seed row, or None."""
+    return seed_position(locate_focus(theta, geom, cfg.center_freq_hz), geom, points)
 
 
 def test_search_single_point_grid_scores_ps_only():
     cfg, geom, H = scene()
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
-    result = search_delays(
-        theta_star, profile_measure(H, cfg), geom, cfg, cb, (1, 1, 1)
-    )
+    seed = focus_seed(theta_star, geom, cfg, (1, 1, 1))
+    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (1, 1, 1), seed)
     assert np.all(result.tau == 0.0)
     assert result.score == result.ps_only_score
 
@@ -218,9 +212,8 @@ def test_search_never_below_ps_only():
     for seed in range(5):
         cfg, geom, H = scene(seed=seed)
         theta_star = ps_only_oracle(H, cfg, cb).theta
-        result = search_delays(
-            theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 5, 5)
-        )
+        seed = focus_seed(theta_star, geom, cfg, (3, 5, 5))
+        result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 5, 5), seed)
         assert result.score >= result.ps_only_score
         assert result.tau.min() >= 0.0
         assert result.tau.max() <= cfg.tau_max_s
@@ -231,9 +224,8 @@ def test_search_single_td_unit_matches_ps_only_score():
     cfg, geom, H = scene(M=8, N=1)
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
-    result = search_delays(
-        theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 3, 3)
-    )
+    seed = focus_seed(theta_star, geom, cfg, (3, 3, 3))
+    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 3, 3), seed)
     assert result.score == pytest.approx(result.ps_only_score, rel=1e-9)
 
 
@@ -241,8 +233,9 @@ def test_search_deterministic():
     cfg, geom, H = scene(seed=2)
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
-    r1 = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 5, 5))
-    r2 = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 5, 5))
+    seed = focus_seed(theta_star, geom, cfg, (3, 5, 5))
+    r1 = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 5, 5), seed)
+    r2 = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 5, 5), seed)
     assert np.array_equal(r1.tau, r2.tau)
     assert np.array_equal(r1.theta, r2.theta)
     assert r1.score == r2.score
@@ -254,9 +247,8 @@ def test_search_improves_wideband_gain():
     cfg, geom, H = scene(M=32, N=8, K=64, seed=4)
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
-    result = search_delays(
-        theta_star, profile_measure(H, cfg), geom, cfg, cb, (9, 17, 17)
-    )
+    seed = focus_seed(theta_star, geom, cfg, (9, 17, 17))
+    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (9, 17, 17), seed)
     assert result.score > result.ps_only_score
 
 
@@ -264,9 +256,8 @@ def test_search_trace_csv(tmp_path):
     cfg, geom, H = scene(M=8, N=2, K=8)
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
-    result = search_delays(
-        theta_star, profile_measure(H, cfg), geom, cfg, cb, (2, 3, 3)
-    )
+    seed = focus_seed(theta_star, geom, cfg, (2, 3, 3))
+    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (2, 3, 3), seed)
     path = tmp_path / "trace.csv"
     write_search_trace_csv(result, path, header_comment="# run = test\n")
     lines = path.read_text().splitlines()
@@ -324,8 +315,12 @@ def noisy_profile_measure(H, cfg, seed):
     return make_profile_measure(ExperimentConfig(learner_seed=seed, snapshots=50), H, cfg)
 
 
-def blocked_and_per_candidate_searches(M, N, grid, noisy, monkeypatch):
-    """The same search blocked and with one candidate per measurement call."""
+def blocked_and_per_candidate_searches(M, N, grid, noisy, monkeypatch, seeded):
+    """The same search blocked and with one candidate per measurement call.
+
+    It starts from the located focus's seed row if `seeded`, else from the
+    coarse pass.
+    """
     cfg = make_cfg(M, N, K=32, noise=1e-9 if noisy else 0.0)
     geom = random_geometry(M, 0.02 * M / 16, seed=M + N)
     H = near_field_channel(geom, UePosition(1.0, -0.7), cfg)
@@ -342,11 +337,12 @@ def blocked_and_per_candidate_searches(M, N, grid, noisy, monkeypatch):
 
         return counted
 
-    got = search_delays(theta_star, measure(11), geom, cfg, cb, grid)
+    seed = focus_seed(theta_star, geom, cfg, grid) if seeded else None
+    got = search_delays(theta_star, measure(11), geom, cfg, cb, grid, seed)
     blocked_calls = len(calls)
     calls.clear()
     monkeypatch.setattr(delay_search, "SEARCH_BLOCK", 1)
-    want = search_delays(theta_star, measure(11), geom, cfg, cb, grid)
+    want = search_delays(theta_star, measure(11), geom, cfg, cb, grid, seed)
     assert calls == [1] * len(want.trace)
     assert blocked_calls < len(calls)
     assert got.trace == want.trace
@@ -370,10 +366,10 @@ BLOCKED_SCENES = pytest.mark.parametrize(
 
 @pytest.mark.parametrize("noisy", [False, True])
 @BLOCKED_SCENES
-def test_blocked_search_equals_per_candidate_loop(M, N, grid, noisy, monkeypatch, no_focus):
+def test_blocked_search_equals_per_candidate_loop(M, N, grid, noisy, monkeypatch):
     # the coarse pass of the (9, 17, 17) grids spans several SEARCH_BLOCK
     # blocks; under noise the random stream carries on across them
-    got = blocked_and_per_candidate_searches(M, N, grid, noisy, monkeypatch)
+    got = blocked_and_per_candidate_searches(M, N, grid, noisy, monkeypatch, seeded=False)
     if grid == (9, 17, 17):
         assert len(got.trace) > SEARCH_BLOCK
 
@@ -381,11 +377,11 @@ def test_blocked_search_equals_per_candidate_loop(M, N, grid, noisy, monkeypatch
 @pytest.mark.parametrize("noisy", [False, True])
 @BLOCKED_SCENES
 def test_seeded_blocked_search_equals_per_candidate_loop(M, N, grid, noisy, monkeypatch):
-    got = blocked_and_per_candidate_searches(M, N, grid, noisy, monkeypatch)
+    got = blocked_and_per_candidate_searches(M, N, grid, noisy, monkeypatch, seeded=True)
     assert len(got.trace) <= 2 + 6 * REFINE_ROUNDS
 
 
-def test_fallback_evaluates_a_block_of_rows_at_a_time(monkeypatch, no_focus):
+def test_fallback_evaluates_a_block_of_rows_at_a_time(monkeypatch):
     # the coarse pass of the (9, 17, 17) grid has 406 rows: linear_ddf sees
     # at most SEARCH_BLOCK of them at once, and the measurement blocks, the
     # trace and the result are those of one evaluation of every row
@@ -404,13 +400,13 @@ def test_fallback_evaluates_a_block_of_rows_at_a_time(monkeypatch, no_focus):
         return profile(cc)
 
     monkeypatch.setattr(delay_search, "linear_ddf", spy_ddf)
-    got = search_delays(theta_star, measure, geom, cfg, cb, (9, 17, 17))
+    got = search_delays(theta_star, measure, geom, cfg, cb, (9, 17, 17), None)
     assert max(rows) == SEARCH_BLOCK and sum(rows) > 3 * SEARCH_BLOCK
     blocked_sizes = sizes[:]
     rows.clear()
     sizes.clear()
     monkeypatch.setattr(delay_search, "SEARCH_BLOCK", 10**6)
-    want = search_delays(theta_star, measure, geom, cfg, cb, (9, 17, 17))
+    want = search_delays(theta_star, measure, geom, cfg, cb, (9, 17, 17), None)
     assert rows[0] > 3 * SEARCH_BLOCK  # every coarse row in one evaluation
     fresh = sizes[0]
     full, rest = divmod(fresh, SEARCH_BLOCK)
@@ -422,7 +418,7 @@ def test_fallback_evaluates_a_block_of_rows_at_a_time(monkeypatch, no_focus):
     assert got.score == want.score
 
 
-def test_a_scored_row_keeps_far_less_memory_than_its_delay_vector(no_focus):
+def test_a_scored_row_keeps_far_less_memory_than_its_delay_vector():
     # at N = 256 a delay vector is 2,048 bytes; the search remembers each
     # scored vector by a fixed-size key, so a scored row costs far less
     # memory than its vector. The blocks' buffers cancel in the difference
@@ -438,7 +434,7 @@ def test_a_scored_row_keeps_far_less_memory_than_its_delay_vector(no_focus):
     def peak_and_rows(points):
         tracemalloc.start()
         try:
-            result = search_delays(np.zeros(M), stub, geom, cfg, cb, (points,) * 3)
+            result = search_delays(np.zeros(M), stub, geom, cfg, cb, (points,) * 3, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -449,29 +445,31 @@ def test_a_scored_row_keeps_far_less_memory_than_its_delay_vector(no_focus):
     assert (large[0] - small[0]) / (large[1] - small[1]) < 1024
 
 
-def tie_search():
+def tie_search(seeded):
     # every candidate scores the same, so the zero-delay candidate wins
     cfg, geom, H = scene()
     cb = PhaseCodebook(bits=3)
+    theta, grid = np.zeros(cfg.num_antennas), (9, 17, 17)
 
     def flat(cc):
         return np.ones(cc.theta.shape[:-1] + (4,))
 
-    result = search_delays(np.zeros(cfg.num_antennas), flat, geom, cfg, cb, (9, 17, 17))
+    seed = focus_seed(theta, geom, cfg, grid) if seeded else None
+    result = search_delays(theta, flat, geom, cfg, cb, grid, seed)
     assert result.trace[0][:3] == (1.0, 0.0, 0.0)
     assert result.score == result.ps_only_score == 1.0
     assert np.all(result.tau == 0.0)
     return result
 
 
-def test_search_ties_keep_the_earliest_candidate(no_focus):
+def test_search_ties_keep_the_earliest_candidate():
     # the ties span more than one block of the coarse pass
-    assert len(tie_search().trace) > SEARCH_BLOCK
+    assert len(tie_search(seeded=False).trace) > SEARCH_BLOCK
 
 
 def test_seeded_search_ties_keep_the_earliest_candidate():
     # zero phases focus far out on broadside, so the search starts from a seed
-    assert len(tie_search().trace) <= 2 + 6 * REFINE_ROUNDS
+    assert len(tie_search(seeded=True).trace) <= 2 + 6 * REFINE_ROUNDS
 
 
 def coarse_count(grid: tuple) -> int:
@@ -505,11 +503,11 @@ def trace_delays(result, geom, cfg):
 
 
 @pytest.mark.parametrize("grid", SEARCH_GRIDS)
-def test_search_budget_and_unique_rows(grid, no_focus):
+def test_search_budget_and_unique_rows(grid):
     cfg, geom, H = scene(M=32, N=8, K=32, seed=3)
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
-    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid)
+    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid, None)
     rows = [row[:3] for row in result.trace]
     assert len(rows) <= coarse_count(grid) + 6 * REFINE_ROUNDS
     assert len(set(rows)) == len(rows)
@@ -519,7 +517,7 @@ def test_search_budget_and_unique_rows(grid, no_focus):
 
 
 @pytest.mark.parametrize("grid", SEARCH_GRIDS)
-def test_search_coarse_pass_is_every_other_grid_point(grid, monkeypatch, no_focus):
+def test_search_coarse_pass_is_every_other_grid_point(grid, monkeypatch):
     # the coarse pass with (n + 1) // 2 points per axis is the full grid of
     # that size: every other configured point for odd n, ends included. It
     # is one measurement when blocks hold every row; the rows it skips
@@ -535,7 +533,7 @@ def test_search_coarse_pass_is_every_other_grid_point(grid, monkeypatch, no_focu
         return profile(cc)
 
     monkeypatch.setattr(delay_search, "SEARCH_BLOCK", 10**6)
-    result = search_delays(theta_star, measure, geom, cfg, cb, grid)
+    result = search_delays(theta_star, measure, geom, cfg, cb, grid, None)
     coarse = np.array([row[:3] for row in result.trace[: sizes[0]]])
     assert coarse[0].tolist() == [1.0, 0.0, 0.0]
     halved = tuple((n + 1) // 2 for n in grid)
@@ -551,17 +549,17 @@ def test_search_coarse_pass_is_every_other_grid_point(grid, monkeypatch, no_focu
 
 
 @pytest.mark.parametrize("grid", SEARCH_GRIDS)
-def test_search_final_score_at_least_best_coarse_score(grid, no_focus):
+def test_search_final_score_at_least_best_coarse_score(grid):
     cb = PhaseCodebook(bits=3)
     for seed in range(3):
         cfg, geom, H = scene(M=32, N=8, K=32, seed=seed)
         theta_star = ps_only_oracle(H, cfg, cb).theta
-        result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid)
+        result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid, None)
         coarse = [row[3] for row in result.trace[: coarse_count(grid)]]
         assert result.score >= max(coarse)
 
 
-def test_search_refines_down_to_an_eighth_of_the_spacing(monkeypatch, no_focus):
+def test_search_refines_down_to_an_eighth_of_the_spacing(monkeypatch):
     # Delay vectors are replaced by the (ax, ay, b) rows themselves, shifted
     # to be nonnegative, so the measurement can score each row by its
     # distance to a target row. The target sits on the coarse grid in ax and
@@ -582,7 +580,7 @@ def test_search_refines_down_to_an_eighth_of_the_spacing(monkeypatch, no_focus):
         dist = np.abs(cc.tau - shift - target) / scale
         return (1.0 / (1.0 + dist.sum(axis=-1)))[:, None] ** 2
 
-    result = search_delays(np.zeros(12), measure, geom, cfg, PhaseCodebook(bits=3), grid)
+    result = search_delays(np.zeros(12), measure, geom, cfg, PhaseCodebook(bits=3), grid, None)
     best = max(result.trace, key=lambda row: row[3])
     assert result.score == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(best[:3], target, rtol=0.0, atol=1e-12 * D)
@@ -601,7 +599,7 @@ def reference():
 
 
 @pytest.mark.parametrize("n", [8, 16])
-def test_search_matches_the_full_grid_at_reference_scale(reference, n, monkeypatch):
+def test_search_matches_the_full_grid_at_reference_scale(reference, n):
     # on the 128-bin decimated channel the search from the focus of the
     # oracle phases and the coarse-to-fine fallback each score within 0.1 dB
     # of the best of all 2,330 grid candidates
@@ -609,10 +607,10 @@ def test_search_matches_the_full_grid_at_reference_scale(reference, n, monkeypat
     cfg = build_system(ec, num_td_units=n)
     measure = make_profile_measure(ec, decimate_channel(reference["H"]), cfg)
     grid = (9, 17, 17)  # the grid.* defaults
-    seeded = search_delays(reference["theta"], measure, geom, cfg, cb, grid)
+    seed = focus_seed(reference["theta"], geom, cfg, grid)
+    seeded = search_delays(reference["theta"], measure, geom, cfg, cb, grid, seed)
     full = reference_search_delays(reference["theta"], measure, geom, cfg, cb, grid)
-    monkeypatch.setattr(delay_search, "locate_focus", focus_nowhere)
-    fallback = search_delays(reference["theta"], measure, geom, cfg, cb, grid)
+    fallback = search_delays(reference["theta"], measure, geom, cfg, cb, grid, None)
     assert len(full.trace) == 2330
     assert len(seeded.trace) <= 2 + 6 * REFINE_ROUNDS
     assert len(fallback.trace) <= coarse_count(grid) + 6 * REFINE_ROUNDS
@@ -627,8 +625,9 @@ def test_seeded_search_budget_and_unique_rows(grid):
     cfg, geom, H = scene(M=32, N=8, K=32, seed=3)
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
-    assert locate_focus(theta_star, geom, cfg.center_freq_hz)[2] >= SEED_COHERENCE
-    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid)
+    seed = focus_seed(theta_star, geom, cfg, grid)
+    assert seed is not None
+    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid, seed)
     rows = [row[:3] for row in result.trace]
     assert rows[0] == (1.0, 0.0, 0.0)
     assert result.ps_only_score == result.trace[0][3]
@@ -638,22 +637,20 @@ def test_seeded_search_budget_and_unique_rows(grid):
     assert result.score >= result.ps_only_score
 
 
-def test_random_phases_fall_back_to_the_coarse_pass(reference, monkeypatch):
+def test_random_phases_fall_back_to_the_coarse_pass(reference):
     # random codebook phases focus nowhere: their coherence stays below the
-    # seed threshold, and the search is the one without a focus
+    # seed threshold, so they give no seed and the search takes its coarse pass
     ec, geom, cb = reference["ec"], reference["geom"], reference["cb"]
     draws = [
         cb.values[np.random.default_rng(seed).integers(0, cb.size, geom.num_antennas)]
         for seed in range(8)
     ]
+    cfg = build_system(ec, num_td_units=8)
     for theta in draws:
         assert locate_focus(theta, geom, ec.center_freq_hz)[2] < SEED_COHERENCE
-    cfg = build_system(ec, num_td_units=8)
+        assert focus_seed(theta, geom, cfg, (5, 5, 5)) is None
     measure = make_profile_measure(ec, decimate_channel(reference["H"]), cfg)
-    got = search_delays(draws[0], measure, geom, cfg, cb, (5, 5, 5))
-    monkeypatch.setattr(delay_search, "locate_focus", focus_nowhere)
-    want = search_delays(draws[0], measure, geom, cfg, cb, (5, 5, 5))
-    assert got.trace == want.trace
+    got = search_delays(draws[0], measure, geom, cfg, cb, (5, 5, 5), None)
     assert len(got.trace) > 2 + 6 * REFINE_ROUNDS
 
 
@@ -679,7 +676,9 @@ def test_seed_row_interpolates_the_focus_distance_differences(reference, point):
     def measure(cc):
         return np.ones((len(cc.tau), 4))
 
-    result = search_delays(theta, measure, geom, cfg, reference["cb"], (9, 17, 17))
+    grid = (9, 17, 17)
+    start = focus_seed(theta, geom, cfg, grid)
+    result = search_delays(theta, measure, geom, cfg, reference["cb"], grid, start)
     seed = result.trace[1][:3]
     assert seed[0] == 1.0
     assert np.allclose(linear_ddf(seed, [0.0, 1.0, 2.0]), ddf, rtol=0.0, atol=1e-12)
@@ -690,11 +689,11 @@ def test_seed_single_point_axes_stay_at_their_centers(reference):
     cfg = build_system(ec, num_td_units=16)
     theta = conjugate_phases(geom, ec.center_freq_hz, (3.0, -1.0))
     focus = locate_focus(theta, geom, ec.center_freq_hz)
-    full = delay_search._seed_position(focus, geom, (9, 17, 17))
+    full = seed_position(focus, geom, (9, 17, 17))
     assert full[0] == 0.0 and full[1] != 0.0 and full[2] != 0.0
-    assert delay_search._seed_position(focus, geom, (1, 1, 1)) == (0.0, 0.0, 0.0)
-    assert delay_search._seed_position(focus, geom, (9, 1, 17)) == (0.0, 0.0, full[2])
-    assert delay_search._seed_position(focus, geom, (9, 17, 1)) == (0.0, full[1], 0.0)
+    assert seed_position(focus, geom, (1, 1, 1)) == (0.0, 0.0, 0.0)
+    assert seed_position(focus, geom, (9, 1, 17)) == (0.0, 0.0, full[2])
+    assert seed_position(focus, geom, (9, 17, 1)) == (0.0, full[1], 0.0)
 
 
 def test_focal_delays_vanish_where_the_array_is_equidistant():

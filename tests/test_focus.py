@@ -13,6 +13,7 @@ from beamfocus.config import (
 )
 from beamfocus.delay_search import SEED_COHERENCE
 from beamfocus.focus import coherence, locate_focus
+from beamfocus.geometry import uniform_geometry
 from beam_model import conjugate_phases
 
 
@@ -121,3 +122,11 @@ def test_sparse_wide_arrays_locate_in_little_memory(keys, focused):
     assert peak < 2**20
     assert np.isfinite([x, y]).all() and x > 0.0
     assert fit >= 0.9999 if focused else fit < SEED_COHERENCE
+
+
+def test_an_aperture_past_the_float_range_squared_locates_without_overflow():
+    # the stages' (f D)^2 overflows past D of about 1.3e154 m; their v step
+    # is then 0, and the search still ends on a finite point
+    geom = uniform_geometry(16, 1e300)
+    x, y, fit = locate_focus(np.zeros(16), geom, 100e9)
+    assert np.isfinite([x, y, fit]).all() and x > 0.0

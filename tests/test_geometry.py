@@ -21,6 +21,8 @@ def test_geometry_invariants_enforced():
         ArrayGeometry(alphas=[1.5, 0.0], aperture=1.0)  # outside [-1, 1]
     with pytest.raises(ValueError):
         ArrayGeometry(alphas=[1.0, -1.0], aperture=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        ArrayGeometry(alphas=[1.0, -1.0], aperture=np.inf)
 
 
 def test_ue_position_requires_positive_x():
