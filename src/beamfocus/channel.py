@@ -164,6 +164,15 @@ def check_finite(geom: ArrayGeometry, ue: UePosition, cfg: SystemConfig) -> None
         raise ValueError("the channel's phases or amplitudes overflow")
 
 
+def check_power(geom: ArrayGeometry, ue: UePosition, cfg: SystemConfig) -> None:
+    """ValueError unless the largest gain M max|h|^2 and power (P_T/K) M max|h|^2 are finite."""
+    lam, d = _amplitude_wavelength(cfg, subcarrier_frequencies(cfg)[0]), distances(geom, ue)
+    with np.errstate(over="ignore"):
+        gain = cfg.num_antennas * (lam / (4.0 * np.pi * d.min())) ** 2
+        if not np.isfinite([gain, cfg.tx_power_w / cfg.num_subcarriers * gain]).all():
+            raise ValueError("the largest gain or received power overflows")
+
+
 # heatmap points evaluated per block, bounding the (points x M) work buffers
 GAIN_MAP_BLOCK = 128
 # the roots of unity exp(-2 pi j k / PHASOR_TABLE) that gain_map's phasors
@@ -174,6 +183,21 @@ PHASOR_TABLE = 16384
 _STEP = 2.0 * np.pi / PHASOR_TABLE
 _ROOTS_RE = np.cos(_STEP * np.arange(PHASOR_TABLE))
 _ROOTS_IM = -np.sin(_STEP * np.arange(PHASOR_TABLE))
+
+
+def check_gain_map(aperture, cfg: SystemConfig, freqs_hz, x_min, x_max, y_min, y_max) -> None:
+    """ValueError unless `gain_map` at `freqs_hz` over x in [x_min, x_max], y in [y_min, y_max]
+    has finite squared distances and gains M max|h|^2 (at x_min > 0) and phase steps (d_m - d_1)
+    f / c PHASOR_TABLE within 2^62, half the index cast's bound, without evaluating it."""
+    x_min, x_max, reach = np.array([x_min, x_max, max(-y_min, y_max) + 0.5 * aperture])
+    f_lo, f_hi = np.min(freqs_hz), np.max(freqs_hz)
+    with np.errstate(over="ignore"):
+        far = np.sqrt(x_max * x_max + reach * reach)
+        steps = (aperture + 4.0 * np.finfo(float).eps * far) * f_hi / SPEED_OF_LIGHT * PHASOR_TABLE
+        amplitude = _amplitude_wavelength(cfg, f_lo) / (4.0 * np.pi) * (1.0 / x_min)
+        gain = cfg.num_antennas * amplitude**2
+        if not (np.isfinite([far, SPEED_OF_LIGHT / f_lo, gain]).all() and steps <= 2.0**62):
+            raise ValueError("its gain maps leave the float range (distances, phases or gains)")
 
 
 def _phasor_buffers(shape) -> tuple:

@@ -26,13 +26,15 @@ from .config import (
     build_geometry,
     build_system,
     build_ue,
+    check_heatmap,
     emit_config,
     heatmap_shape,
     parse_config,
     stamp_lines,
 )
 from .critic import save_critic
-from .delay_search import check_prediction, search_delays, seed_position, write_search_trace_csv
+from .delay_search import ScoredRows, check_prediction, search_delays, seed_position
+from .delay_search import write_search_trace_csv
 from .files import write_atomic
 from .focus import locate_focus
 from .geometry import ArrayGeometry, UePosition
@@ -99,21 +101,21 @@ def search_pipeline(
     """Design the delays for theta_star, measuring on the decimated channel.
 
     theta_star's focus is located here alone, and `seed_position` picks
-    the search's start from it. With a seed, the search first runs on the
+    the search's start from it. One `ScoredRows` measures every row, so no
+    row is measured twice. With a seed, the search first runs on the
     noiseless one-path model built from the located point on the search's
     bins, which it scores without measuring, and `check_prediction`
     measures only the model's winner and the zero-delay row. If the check
-    fails, or there is no seed, the measured search runs. The result's
-    trace holds every row measured: the check's rows (2, or 1 when the
-    winner is the zero-delay row), then the measured search's rows if it
-    ran. The model reads theta_star, the geometry and the located point only.
+    fails, or there is no seed, the measured search runs on the same
+    scorer, and the check's rows compete for its result. The result's trace
+    holds every row measured, the zero-delay row first. The model reads
+    theta_star, the geometry and the located point only.
     """
     H_dec = decimate_channel(H)
-    measure = make_profile_measure(ec, H_dec, cfg)
+    rows = ScoredRows(theta_star, make_profile_measure(ec, H_dec, cfg), geom, cfg, cb)
     points = (ec.ax_points, ec.ay_points, ec.b_points)
     focus = locate_focus(theta_star, geom, cfg.center_freq_hz)
     seed = seed_position(focus, geom, points)
-    checked = []
     if seed is not None:
         stride = _search_stride(H.num_subcarriers)
         model = near_field_channel(geom, UePosition(*focus[:2]), cfg, stride)
@@ -121,13 +123,10 @@ def search_pipeline(
         def predict(cc):
             return gain_profile(cc, model, cfg).per_subcarrier
 
-        predicted = search_delays(theta_star, predict, geom, cfg, cb, points, seed)
-        result, passed = check_prediction(predicted, theta_star, measure, cfg, cb)
-        if passed:
-            return result
-        checked = result.trace
-    result = search_delays(theta_star, measure, geom, cfg, cb, points, seed)
-    return replace(result, trace=checked + result.trace)
+        predicted = search_delays(ScoredRows(theta_star, predict, geom, cfg, cb), points, seed)
+        if check_prediction(predicted, rows):
+            return rows.best()
+    return search_delays(rows, points, seed)
 
 
 def run_profile(ec: ExperimentConfig, out_dir, oracle: bool = False) -> list[Path]:
@@ -249,19 +248,20 @@ def _load_combiner_arg(path, cb, cfg: SystemConfig) -> CombinerConfig:
     return cc
 
 
-def _parse_freqs(text: str) -> list[float]:
-    """The --freqs list in Hz; each entry must be a finite positive number."""
+def _parse_freqs(text: str, ec: ExperimentConfig) -> list[float]:
+    """The --freqs list in Hz: finite positive numbers at which ec's heatmaps stay in range."""
     try:
         freqs = [float(tok) for tok in text.split(",")]
         if not all(0.0 < f < np.inf for f in freqs):
             raise ValueError(f"'{text}' holds a frequency that is not finite and positive")
+        check_heatmap(ec, freqs)
     except ValueError as exc:
         raise ConfigError(f"--freqs: {exc}") from exc
     return freqs
 
 
 def _cmd_heatmap(ec: ExperimentConfig, args) -> list[Path]:
-    freqs = None if args.freqs == "edges" else _parse_freqs(args.freqs)
+    freqs = None if args.freqs == "edges" else _parse_freqs(args.freqs, ec)
     geom, cb, cfg, H = _scenario(ec)
     if freqs is None:  # the lowest, center and highest bins
         freqs = H.freqs_hz[[0, center_bin(H.freqs_hz, cfg.center_freq_hz), -1]]

@@ -13,7 +13,8 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .channel import SystemConfig, check_finite, near_field_channel
+from .channel import SystemConfig, check_finite, check_gain_map, check_power
+from .channel import near_field_channel, subcarrier_frequencies
 from .combiner import PhaseCodebook
 from .geometry import (
     SPEED_OF_LIGHT,
@@ -158,12 +159,14 @@ def _validate(ec: ExperimentConfig) -> None:
         )
     if not ec.center_freq_hz > 0.0:
         raise ConfigError("system.center_freq_hz: must be positive")
-    # build the objects whose own checks would otherwise fail at run time, among
-    # them M = N*P for system.N and every sweep entry, and a finite channel
+    # build the objects whose own checks would otherwise fail at run time, among them M = N*P
+    # for system.N and every sweep entry, a finite channel, powers and band-edge heatmaps
     for key, build in (
         ("geometry.*", build_geometry),
         ("system.*", build_system),
         ("ue.*", lambda ec: check_finite(build_geometry(ec), build_ue(ec), build_system(ec))),
+        ("system.*", lambda ec: check_power(build_geometry(ec), build_ue(ec), build_system(ec))),
+        ("heatmap.*", lambda ec: check_heatmap(ec, subcarrier_frequencies(build_system(ec)))),
         *(("profile.n_sweep", lambda ec, n=n: build_system(ec, n)) for n in ec.n_sweep),
         ("system.ps_bits", build_codebook),
     ):
@@ -187,6 +190,12 @@ def heatmap_shape(ec: ExperimentConfig) -> tuple:
         count(ec.heatmap_x_min_m, ec.heatmap_x_max_m),
         count(ec.heatmap_y_min_m, ec.heatmap_y_max_m),
     )
+
+
+def check_heatmap(ec: ExperimentConfig, freqs_hz) -> None:
+    """`channel.check_gain_map` over ec's heatmap grid at `freqs_hz`, without building it."""
+    extent = (ec.heatmap_x_min_m, ec.heatmap_x_max_m, ec.heatmap_y_min_m, ec.heatmap_y_max_m)
+    check_gain_map(resolved_aperture(ec), build_system(ec), freqs_hz, *extent)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -1,11 +1,12 @@
 """Geometry-assisted delay design.
 
 Two-piece linear approximations of the distance-difference curve, the
-delay vectors they give at the sub-array centers, the focus-seeded search
-that scores them by wideband gain, and the measured check of a search
-scored on a model. The search reads the phases, the array geometry and
-its scoring callback, never the user position or the channel. README
-"Delay search" walks through it.
+delay vectors they give at the sub-array centers, the row scorer that
+measures them by wideband gain, the focus-seeded search that walks the
+rows through it, and the measured check of a search scored on a model.
+The search reads the phases, the array geometry and its scoring
+callback, never the user position or the channel. README "Delay search"
+walks through it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SystemConfig
-from .combiner import CombinerConfig, PhaseCodebook, recompensate_phases
+from .combiner import CombinerConfig, recompensate_phases
 from .files import write_atomic
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, UePosition, distance_difference
 from .sim import mean_amplitude
@@ -121,15 +122,69 @@ def seed_position(focus: tuple, geom: ArrayGeometry, points: tuple):
     return tuple(min(max(p, -1.0), 1.0) if n > 1 else 0.0 for p, n in zip(position, points))
 
 
-def search_delays(
-    theta_star,
-    measure,
-    geom: ArrayGeometry,
-    cfg: SystemConfig,
-    cb: PhaseCodebook,
-    points: tuple,
-    seed: tuple | None,
-) -> DelaySearchResult:
+class ScoredRows:
+    """Scores (break_delta, break_value, end_value) rows of theta_star by wideband gain.
+
+    `measure` takes a stacked CombinerConfig (theta (C, M), tau (C, N)) of
+    theta_star recompensated for C rows' delays, in scoring order, and
+    returns (C, K) powers, row c equal to candidate c alone: measured ones,
+    or a model's gains. A row scores their `sim.mean_amplitude`. A row whose
+    delay vector is bitwise equal to one already scored, kept as a 16-byte
+    digest, takes that score unmeasured, so every search sharing the scorer
+    measures a vector once. `trace` lists each measured row and its score in
+    order; the first is taken as the zero-delay row. Draws no random numbers.
+    """
+
+    def __init__(self, theta_star, measure, geom: ArrayGeometry, cfg: SystemConfig, cb):
+        self.theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
+        self.measure, self.geom, self.cfg, self.cb = measure, geom, cfg, cb
+        self.deltas = subarray_deltas(geom, cfg.num_td_units)
+        self.trace = []
+        self._scored = {}  # delay vector digest -> score
+        self._best = None  # (score, tau, theta) of the earliest best row measured
+
+    def delays(self, rows):
+        """The (C, N) delay vectors of C rows."""
+        ddf = linear_ddf(np.reshape(rows, (-1, 3)), self.deltas)
+        return delays_from_ddf(ddf, self.cfg.tau_max_s)
+
+    def _measure_block(self, block):
+        """Recompensate and measure the (row, tau, key) entries of one block."""
+        tau = np.array([entry[1] for entry in block])
+        theta = recompensate_phases(self.theta_star, tau, self.cfg, self.cb)
+        scores = mean_amplitude(self.measure(CombinerConfig(theta=theta, tau=tau)))
+        i = int(np.argmax(scores))  # the earliest of equal maxima
+        if self._best is None or scores[i] > self._best[0]:
+            self._best = (float(scores[i]), tau[i], theta[i].copy())
+        for (row, _, key), v in zip(block, scores.tolist()):
+            self._scored[key] = v
+            self.trace.append((*row, v))
+
+    def score(self, rows) -> list:
+        """Every row's score; rows become delays and are measured SEARCH_BLOCK at a time."""
+        keys, fresh = [], []
+        for start in range(0, len(rows), SEARCH_BLOCK):
+            block = rows[start : start + SEARCH_BLOCK]
+            for row, tau in zip(block, self.delays(block)):
+                key = hashlib.blake2b(tau.tobytes(), digest_size=16).digest()
+                keys.append(key)
+                if key not in self._scored:
+                    self._scored[key] = None
+                    fresh.append((row, tau, key))
+                    if len(fresh) == SEARCH_BLOCK:
+                        self._measure_block(fresh)
+                        fresh = []
+        if fresh:
+            self._measure_block(fresh)
+        return [self._scored[key] for key in keys]
+
+    def best(self) -> DelaySearchResult:
+        """The earliest best row of the trace so far, with the design its block measured."""
+        score, tau, theta = self._best
+        return DelaySearchResult(tau, theta, score, self.trace[0][3], list(self.trace))
+
+
+def search_delays(rows: ScoredRows, points: tuple, seed: tuple | None) -> DelaySearchResult:
     """Search the (break_delta, break_value, end_value) box for the best delays.
 
     A position (x, u, v) in [-1, 1]^3 is the row (1 + x, u (D/2)(1 + x), v D)
@@ -138,25 +193,13 @@ def search_delays(
     start from (`seed_position`), or None. The zero-delay row (1, 0, 0) is
     scored first, then the seed row, or without one every other grid point
     per axis; then REFINE_ROUNDS compass rounds, with steps from the grid
-    spacing down to 1/8 of it. A row whose delay vector is bitwise equal
-    to one already scored takes that score unmeasured, so a search scores
-    at most 2 + 6 * REFINE_ROUNDS rows from a seed, and the coarse rows +
-    6 * REFINE_ROUNDS without one. Rows are built and measured SEARCH_BLOCK
-    at a time, and a scored vector is kept as a 16-byte digest. `measure`
-    takes a stacked CombinerConfig (theta (C, M), tau (C, N)) of
-    recompensated candidates in scoring order and returns (C, K) powers,
-    row c equal to candidate c alone: measured ones, or a model's gains.
-    A row scores their `sim.mean_amplitude`.
-    The result is the earliest best row, never below the zero-delay row,
-    rebuilt alone by one more recompensation (bit-equal to its block's);
-    the trace lists every scored row in order. It draws no random numbers.
+    spacing down to 1/8 of it. `rows` scores them, so a fresh scorer
+    measures at most 2 + 6 * REFINE_ROUNDS rows from a seed, and the coarse
+    rows + 6 * REFINE_ROUNDS without one. Returns `rows.best()`, which
+    counts rows an earlier caller measured, never below the zero-delay row.
     """
-    theta_star = np.atleast_1d(np.asarray(theta_star, dtype=float))
-    deltas = subarray_deltas(geom, cfg.num_td_units)
-    aperture = geom.aperture
+    aperture = rows.geom.aperture
     axes = [_axis(n) for n in points]
-    trace = []
-    scored = {}  # delay vector digest -> score
 
     def row(position):
         x, u, v = position
@@ -164,35 +207,8 @@ def search_delays(
         # + 0.0 turns the -0.0 of a negative u at ax = 0 into 0.0
         return (ax, u * (0.5 * aperture) * ax + 0.0, v * aperture + 0.0)
 
-    def delays(params):
-        return delays_from_ddf(linear_ddf(np.reshape(params, (-1, 3)), deltas), cfg.tau_max_s)
-
-    def measure_block(block):
-        """Recompensate and measure the (row, tau, key) entries of one block."""
-        tau = np.array([entry[1] for entry in block])
-        theta = recompensate_phases(theta_star, tau, cfg, cb)
-        scores = mean_amplitude(measure(CombinerConfig(theta=theta, tau=tau)))
-        for (params, _, key), v in zip(block, scores.tolist()):
-            scored[key] = v
-            trace.append((*params, v))
-
     def score(positions):
-        """Every position's score, measuring only delay vectors not yet scored."""
-        keys, fresh = [], []
-        for start in range(0, len(positions), SEARCH_BLOCK):
-            params = [row(position) for position in positions[start : start + SEARCH_BLOCK]]
-            for row_params, tau in zip(params, delays(params)):
-                key = hashlib.blake2b(tau.tobytes(), digest_size=16).digest()
-                keys.append(key)
-                if key not in scored:
-                    scored[key] = None
-                    fresh.append((row_params, tau, key))
-                    if len(fresh) == SEARCH_BLOCK:
-                        measure_block(fresh)
-                        fresh = []
-        if fresh:
-            measure_block(fresh)
-        return [scored[key] for key in keys]
+        return rows.score([row(position) for position in positions])
 
     if seed is None:
         first = [(0.0, 0.0, 0.0), *itertools.product(*(positions for positions, _ in axes))]
@@ -216,48 +232,23 @@ def search_delays(
         if top > center_score:
             center, center_score = compass[scores.index(top)], top
         steps = [0.5 * step for step in steps]
-    *params, best = max(trace, key=lambda entry: entry[3])
-    tau = delays(params)
-    return DelaySearchResult(
-        tau=tau[0],
-        theta=recompensate_phases(theta_star, tau, cfg, cb)[0],
-        score=best,
-        ps_only_score=trace[0][3],  # the first row is the zero-delay one
-        trace=trace,
-    )
+    return rows.best()
 
 
-def check_prediction(
-    predicted: DelaySearchResult, theta_star, measure, cfg: SystemConfig, cb: PhaseCodebook
-) -> tuple[DelaySearchResult, bool]:
-    """Measure a model-scored search's winner beside its zero-delay row.
+def check_prediction(predicted: DelaySearchResult, rows: ScoredRows) -> bool:
+    """Score a model-scored search's zero-delay row and winner through `rows`.
 
-    `predicted` is `search_delays` run on a model's callback. Its
-    zero-delay row and its winner are measured by `measure` in one stacked
-    call, or the zero-delay row alone when it is the winner. Returns the
-    winner's design scored and traced with these measured rows, and
-    whether it passed: it measures at least the zero-delay row, and its
-    measured ratio to that row is at least (1 - CHECK_TOL) times the
-    predicted one. The ratios are compared cross-multiplied, so zero
-    scores divide nothing.
+    `predicted` is `search_delays` run on a model's scorer, and `rows`
+    measures. True if the winner measures at least the zero-delay row and
+    its measured ratio to that row is at least (1 - CHECK_TOL) times the
+    predicted one; the caller then keeps `rows.best()`. The ratios are
+    compared cross-multiplied, so zero scores divide nothing.
     """
-    winner = max(range(len(predicted.trace)), key=lambda i: predicted.trace[i][3])
-    rows = [predicted.trace[0]] + ([predicted.trace[winner]] if winner else [])
-    tau = np.stack([np.zeros_like(predicted.tau), predicted.tau][: len(rows)])
-    theta = recompensate_phases(theta_star, tau, cfg, cb)
-    measured = mean_amplitude(measure(CombinerConfig(theta=theta, tau=tau))).tolist()
-    zero, best = measured[0], measured[-1]
-    passed = best >= zero and (
+    winner = max(predicted.trace, key=lambda entry: entry[3])[:3]
+    zero, best = rows.score([predicted.trace[0][:3], winner])
+    return best >= zero and (
         best * predicted.ps_only_score >= (1.0 - CHECK_TOL) * predicted.score * zero
     )
-    result = DelaySearchResult(
-        tau=predicted.tau,
-        theta=predicted.theta,
-        score=best,
-        ps_only_score=zero,
-        trace=[(*row[:3], v) for row, v in zip(rows, measured)],
-    )
-    return result, passed
 
 
 def write_search_trace_csv(result: DelaySearchResult, path, header_comment: str = "") -> None:

@@ -359,9 +359,11 @@ def test_cli_heatmap_takes_a_source_or_a_combiner_file_not_both(tmp_path, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("freqs", ["x", "-1e9", "0", "nan", "1e11,inf"])
+@pytest.mark.parametrize("freqs", ["x", "-1e9", "0", "nan", "1e11,inf", "1e24"])
 def test_cli_heatmap_rejects_bad_freqs_before_building(tmp_path, capsys, monkeypatch, freqs):
-    cfg_path = write_m16_config(tmp_path / "exp.cfg")
+    # the default 256-element array, whose 1e24 Hz map would take phase
+    # steps past the table index's integer cast
+    cfg_path = write_m16_config(tmp_path / "exp.cfg", "system.M = 256")
     monkeypatch.setattr(cli, "build_geometry", None)  # building would raise TypeError
     out = tmp_path / "out"
     assert main(["--config", str(cfg_path), "--out", str(out), "heatmap", f"--freqs={freqs}"]) == 2
@@ -935,6 +937,17 @@ SYSTEM_GEOMETRY_UE_KEYS = {
 @example({"geometry.aperture_m": "100.0"})
 @example({"geometry.aperture_m": "3.6062934306820756e-217"})
 @example({"ue.x_m": "1e200"})  # every gain underflows to 0
+# a finite channel whose largest power overflows
+@example(
+    {
+        "system.center_freq_hz": "1e-150",
+        "system.bandwidth_hz": "0",
+        "system.K": "1",
+        "geometry.aperture_m": "0.5",
+    }
+)
+@example({"geometry.aperture_m": "1e20"})  # heatmap phase steps past the index cast
+@example({"heatmap.x_min_m": "1e200", "heatmap.x_max_m": "1e200"})  # distances overflow
 def test_every_accepted_system_config_runs_every_command(keys):
     text = m16_text("profile.n_sweep = 0", *(f"{k} = {v}" for k, v in keys.items()))
     cmds = [["search-delays"], ["heatmap", "--source", "pdf-oracle"], ["learn"], ["profile"]]

@@ -22,6 +22,7 @@ from beamfocus.delay_search import (
     SEARCH_BLOCK,
     SEED_COHERENCE,
     DelaySearchResult,
+    ScoredRows,
     check_prediction,
     delays_from_ddf,
     linear_ddf,
@@ -202,7 +203,8 @@ def test_search_single_point_grid_scores_ps_only():
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
     seed = focus_seed(theta_star, geom, cfg, (1, 1, 1))
-    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (1, 1, 1), seed)
+    scorer = ScoredRows(theta_star, profile_measure(H, cfg), geom, cfg, cb)
+    result = search_delays(scorer, (1, 1, 1), seed)
     assert np.all(result.tau == 0.0)
     assert result.score == result.ps_only_score
 
@@ -213,7 +215,8 @@ def test_search_never_below_ps_only():
         cfg, geom, H = scene(seed=seed)
         theta_star = ps_only_oracle(H, cfg, cb).theta
         seed = focus_seed(theta_star, geom, cfg, (3, 5, 5))
-        result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 5, 5), seed)
+        scorer = ScoredRows(theta_star, profile_measure(H, cfg), geom, cfg, cb)
+        result = search_delays(scorer, (3, 5, 5), seed)
         assert result.score >= result.ps_only_score
         assert result.tau.min() >= 0.0
         assert result.tau.max() <= cfg.tau_max_s
@@ -225,7 +228,8 @@ def test_search_single_td_unit_matches_ps_only_score():
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
     seed = focus_seed(theta_star, geom, cfg, (3, 3, 3))
-    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 3, 3), seed)
+    scorer = ScoredRows(theta_star, profile_measure(H, cfg), geom, cfg, cb)
+    result = search_delays(scorer, (3, 3, 3), seed)
     assert result.score == pytest.approx(result.ps_only_score, rel=1e-9)
 
 
@@ -234,8 +238,10 @@ def test_search_deterministic():
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
     seed = focus_seed(theta_star, geom, cfg, (3, 5, 5))
-    r1 = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 5, 5), seed)
-    r2 = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (3, 5, 5), seed)
+    scorer = ScoredRows(theta_star, profile_measure(H, cfg), geom, cfg, cb)
+    r1 = search_delays(scorer, (3, 5, 5), seed)
+    scorer = ScoredRows(theta_star, profile_measure(H, cfg), geom, cfg, cb)
+    r2 = search_delays(scorer, (3, 5, 5), seed)
     assert np.array_equal(r1.tau, r2.tau)
     assert np.array_equal(r1.theta, r2.theta)
     assert r1.score == r2.score
@@ -248,7 +254,8 @@ def test_search_improves_wideband_gain():
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
     seed = focus_seed(theta_star, geom, cfg, (9, 17, 17))
-    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (9, 17, 17), seed)
+    scorer = ScoredRows(theta_star, profile_measure(H, cfg), geom, cfg, cb)
+    result = search_delays(scorer, (9, 17, 17), seed)
     assert result.score > result.ps_only_score
 
 
@@ -257,7 +264,8 @@ def test_search_trace_csv(tmp_path):
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
     seed = focus_seed(theta_star, geom, cfg, (2, 3, 3))
-    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, (2, 3, 3), seed)
+    scorer = ScoredRows(theta_star, profile_measure(H, cfg), geom, cfg, cb)
+    result = search_delays(scorer, (2, 3, 3), seed)
     path = tmp_path / "trace.csv"
     write_search_trace_csv(result, path, header_comment="# run = test\n")
     lines = path.read_text().splitlines()
@@ -338,11 +346,11 @@ def blocked_and_per_candidate_searches(M, N, grid, noisy, monkeypatch, seeded):
         return counted
 
     seed = focus_seed(theta_star, geom, cfg, grid) if seeded else None
-    got = search_delays(theta_star, measure(11), geom, cfg, cb, grid, seed)
+    got = search_delays(ScoredRows(theta_star, measure(11), geom, cfg, cb), grid, seed)
     blocked_calls = len(calls)
     calls.clear()
     monkeypatch.setattr(delay_search, "SEARCH_BLOCK", 1)
-    want = search_delays(theta_star, measure(11), geom, cfg, cb, grid, seed)
+    want = search_delays(ScoredRows(theta_star, measure(11), geom, cfg, cb), grid, seed)
     assert calls == [1] * len(want.trace)
     assert blocked_calls < len(calls)
     assert got.trace == want.trace
@@ -400,13 +408,13 @@ def test_fallback_evaluates_a_block_of_rows_at_a_time(monkeypatch):
         return profile(cc)
 
     monkeypatch.setattr(delay_search, "linear_ddf", spy_ddf)
-    got = search_delays(theta_star, measure, geom, cfg, cb, (9, 17, 17), None)
+    got = search_delays(ScoredRows(theta_star, measure, geom, cfg, cb), (9, 17, 17), None)
     assert max(rows) == SEARCH_BLOCK and sum(rows) > 3 * SEARCH_BLOCK
     blocked_sizes = sizes[:]
     rows.clear()
     sizes.clear()
     monkeypatch.setattr(delay_search, "SEARCH_BLOCK", 10**6)
-    want = search_delays(theta_star, measure, geom, cfg, cb, (9, 17, 17), None)
+    want = search_delays(ScoredRows(theta_star, measure, geom, cfg, cb), (9, 17, 17), None)
     assert rows[0] > 3 * SEARCH_BLOCK  # every coarse row in one evaluation
     fresh = sizes[0]
     full, rest = divmod(fresh, SEARCH_BLOCK)
@@ -434,7 +442,8 @@ def test_a_scored_row_keeps_far_less_memory_than_its_delay_vector():
     def peak_and_rows(points):
         tracemalloc.start()
         try:
-            result = search_delays(np.zeros(M), stub, geom, cfg, cb, (points,) * 3, None)
+            scorer = ScoredRows(np.zeros(M), stub, geom, cfg, cb)
+            result = search_delays(scorer, (points,) * 3, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -455,7 +464,7 @@ def tie_search(seeded):
         return np.ones(cc.theta.shape[:-1] + (4,))
 
     seed = focus_seed(theta, geom, cfg, grid) if seeded else None
-    result = search_delays(theta, flat, geom, cfg, cb, grid, seed)
+    result = search_delays(ScoredRows(theta, flat, geom, cfg, cb), grid, seed)
     assert result.trace[0][:3] == (1.0, 0.0, 0.0)
     assert result.score == result.ps_only_score == 1.0
     assert np.all(result.tau == 0.0)
@@ -507,7 +516,8 @@ def test_search_budget_and_unique_rows(grid):
     cfg, geom, H = scene(M=32, N=8, K=32, seed=3)
     cb = PhaseCodebook(bits=3)
     theta_star = ps_only_oracle(H, cfg, cb).theta
-    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid, None)
+    scorer = ScoredRows(theta_star, profile_measure(H, cfg), geom, cfg, cb)
+    result = search_delays(scorer, grid, None)
     rows = [row[:3] for row in result.trace]
     assert len(rows) <= coarse_count(grid) + 6 * REFINE_ROUNDS
     assert len(set(rows)) == len(rows)
@@ -533,7 +543,7 @@ def test_search_coarse_pass_is_every_other_grid_point(grid, monkeypatch):
         return profile(cc)
 
     monkeypatch.setattr(delay_search, "SEARCH_BLOCK", 10**6)
-    result = search_delays(theta_star, measure, geom, cfg, cb, grid, None)
+    result = search_delays(ScoredRows(theta_star, measure, geom, cfg, cb), grid, None)
     coarse = np.array([row[:3] for row in result.trace[: sizes[0]]])
     assert coarse[0].tolist() == [1.0, 0.0, 0.0]
     halved = tuple((n + 1) // 2 for n in grid)
@@ -554,7 +564,8 @@ def test_search_final_score_at_least_best_coarse_score(grid):
     for seed in range(3):
         cfg, geom, H = scene(M=32, N=8, K=32, seed=seed)
         theta_star = ps_only_oracle(H, cfg, cb).theta
-        result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid, None)
+        scorer = ScoredRows(theta_star, profile_measure(H, cfg), geom, cfg, cb)
+        result = search_delays(scorer, grid, None)
         coarse = [row[3] for row in result.trace[: coarse_count(grid)]]
         assert result.score >= max(coarse)
 
@@ -580,7 +591,8 @@ def test_search_refines_down_to_an_eighth_of_the_spacing(monkeypatch):
         dist = np.abs(cc.tau - shift - target) / scale
         return (1.0 / (1.0 + dist.sum(axis=-1)))[:, None] ** 2
 
-    result = search_delays(np.zeros(12), measure, geom, cfg, PhaseCodebook(bits=3), grid, None)
+    scorer = ScoredRows(np.zeros(12), measure, geom, cfg, PhaseCodebook(bits=3))
+    result = search_delays(scorer, grid, None)
     best = max(result.trace, key=lambda row: row[3])
     assert result.score == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(best[:3], target, rtol=0.0, atol=1e-12 * D)
@@ -608,9 +620,9 @@ def test_search_matches_the_full_grid_at_reference_scale(reference, n):
     measure = make_profile_measure(ec, decimate_channel(reference["H"]), cfg)
     grid = (9, 17, 17)  # the grid.* defaults
     seed = focus_seed(reference["theta"], geom, cfg, grid)
-    seeded = search_delays(reference["theta"], measure, geom, cfg, cb, grid, seed)
+    seeded = search_delays(ScoredRows(reference["theta"], measure, geom, cfg, cb), grid, seed)
     full = reference_search_delays(reference["theta"], measure, geom, cfg, cb, grid)
-    fallback = search_delays(reference["theta"], measure, geom, cfg, cb, grid, None)
+    fallback = search_delays(ScoredRows(reference["theta"], measure, geom, cfg, cb), grid, None)
     assert len(full.trace) == 2330
     assert len(seeded.trace) <= 2 + 6 * REFINE_ROUNDS
     assert len(fallback.trace) <= coarse_count(grid) + 6 * REFINE_ROUNDS
@@ -627,7 +639,8 @@ def test_seeded_search_budget_and_unique_rows(grid):
     theta_star = ps_only_oracle(H, cfg, cb).theta
     seed = focus_seed(theta_star, geom, cfg, grid)
     assert seed is not None
-    result = search_delays(theta_star, profile_measure(H, cfg), geom, cfg, cb, grid, seed)
+    scorer = ScoredRows(theta_star, profile_measure(H, cfg), geom, cfg, cb)
+    result = search_delays(scorer, grid, seed)
     rows = [row[:3] for row in result.trace]
     assert rows[0] == (1.0, 0.0, 0.0)
     assert result.ps_only_score == result.trace[0][3]
@@ -650,7 +663,7 @@ def test_random_phases_fall_back_to_the_coarse_pass(reference):
         assert locate_focus(theta, geom, ec.center_freq_hz)[2] < SEED_COHERENCE
         assert focus_seed(theta, geom, cfg, (5, 5, 5)) is None
     measure = make_profile_measure(ec, decimate_channel(reference["H"]), cfg)
-    got = search_delays(draws[0], measure, geom, cfg, cb, (5, 5, 5), None)
+    got = search_delays(ScoredRows(draws[0], measure, geom, cfg, cb), (5, 5, 5), None)
     assert len(got.trace) > 2 + 6 * REFINE_ROUNDS
 
 
@@ -678,7 +691,7 @@ def test_seed_row_interpolates_the_focus_distance_differences(reference, point):
 
     grid = (9, 17, 17)
     start = focus_seed(theta, geom, cfg, grid)
-    result = search_delays(theta, measure, geom, cfg, reference["cb"], grid, start)
+    result = search_delays(ScoredRows(theta, measure, geom, cfg, reference["cb"]), grid, start)
     seed = result.trace[1][:3]
     assert seed[0] == 1.0
     assert np.allclose(linear_ddf(seed, [0.0, 1.0, 2.0]), ddf, rtol=0.0, atol=1e-12)
@@ -800,17 +813,21 @@ def test_search_pipeline_measures_only_the_rows_it_traces(reference, monkeypatch
     assert accepted.score >= accepted.ps_only_score == accepted.trace[0][3]
 
     # check failed: a second path makes the one-path model mispredict, so
-    # the measured search runs after the 2 check rows
+    # the measured search runs on the check's scorer: its trace starts with
+    # the 2 check rows, and it measures 24 more, not the zero-delay row again
     rows.clear()
     searches.clear()
     H = two_path(reference)
     theta = ps_only_oracle(H, build_system(ec, num_td_units=1), cb).theta
     failed = search_pipeline(ec, theta, geom, H, cfg, cb)
     model, measured = searches
-    assert sum(rows) == len(failed.trace) == 2 + len(measured.trace)
-    assert failed.trace[2:] == measured.trace
-    assert failed.trace[0][:3] == failed.trace[2][:3] == (1.0, 0.0, 0.0)
-    assert failed.score >= failed.ps_only_score
+    assert rows[0] == 2 and sum(rows) == len(failed.trace) == 2 + 24
+    assert failed.trace == measured.trace
+    assert [row[:3] for row in failed.trace[:2]] == [
+        model.trace[0][:3],
+        max(model.trace, key=lambda row: row[3])[:3],
+    ]
+    assert failed.score >= failed.ps_only_score == failed.trace[0][3]
 
     # coarse pass: random phases focus nowhere, so only the measured search runs
     rows.clear()
@@ -820,6 +837,56 @@ def test_search_pipeline_measures_only_the_rows_it_traces(reference, monkeypatch
     assert len(searches) == 1
     assert sum(rows) == len(coarse.trace) > 2 + 6 * REFINE_ROUNDS
     assert coarse.score >= coarse.ps_only_score
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_a_failed_check_traces_the_zero_delay_row_once(reference, monkeypatch, n):
+    # the two-path scene fails the check at N = 8 and 16; the measured
+    # search takes the check's zero-delay score instead of measuring it again
+    ec, geom, cb = reference["ec"], reference["geom"], reference["cb"]
+    cfg = build_system(ec, num_td_units=n)
+    H = two_path(reference)
+    theta = ps_only_oracle(H, build_system(ec, num_td_units=1), cb).theta
+    searches = recorded_searches(monkeypatch)
+    result = search_pipeline(ec, theta, geom, H, cfg, cb)
+    assert len(searches) == 2  # the model's search, then the measured one
+    zero = [i for i, row in enumerate(result.trace) if row[:3] == (1.0, 0.0, 0.0)]
+    assert zero == [0] and result.ps_only_score == result.trace[0][3]
+    assert np.flatnonzero(~trace_delays(result, geom, cfg).any(axis=1)).tolist() == [0]
+
+
+def test_a_failed_check_keeps_a_winner_that_outscores_the_walk(reference):
+    # the measurement scores the model's winner 1.5 and every other row 1:
+    # the check fails (1.5 against a predicted 2), and the measured walk
+    # from the seed ties at 1 and never meets the winner, which differs
+    # from the seed on every axis; the search still returns that winner
+    ec, geom, cb, theta = reference["ec"], reference["geom"], reference["cb"], reference["theta"]
+    cfg = build_system(ec, num_td_units=16)
+    D = geom.aperture
+    winner = (1.5, -0.5 * (0.5 * D) * 1.5, -0.5 * D)  # box position (0.5, -0.5, -0.5)
+    seed = (0.0, 0.5, 0.5)
+    predicted = DelaySearchResult(
+        tau=np.zeros(16),
+        theta=theta,
+        score=2.0,
+        ps_only_score=1.0,
+        trace=[(1.0, 0.0, 0.0, 1.0), (*winner, 2.0)],
+    )
+    probe = ScoredRows(theta, None, geom, cfg, cb)
+    winner_tau = probe.delays(winner)[0]
+
+    def measure(cc):
+        hit = np.all(cc.tau == winner_tau, axis=-1)
+        return np.where(hit, 1.5**2, 1.0)[:, None] * np.ones(4)
+
+    rows = ScoredRows(theta, measure, geom, cfg, cb)
+    assert not check_prediction(predicted, rows)
+    assert rows.trace == [(1.0, 0.0, 0.0, 1.0), (*winner, 1.5)]
+    result = search_delays(rows, (9, 17, 17), seed)
+    assert len(result.trace) > 3 and winner not in [row[:3] for row in result.trace[2:]]
+    assert result.trace[1][:3] == winner and result.score == 1.5
+    assert np.array_equal(result.tau, winner_tau)
+    assert np.array_equal(result.theta, recompensate_phases(theta, winner_tau[None], cfg, cb)[0])
 
 
 def test_model_reads_only_the_located_focus(reference, monkeypatch):
@@ -850,13 +917,13 @@ def test_check_fails_when_the_winner_measures_below_its_prediction(reference):
     # the check compares the measured ratio with (1 - CHECK_TOL) times the
     # predicted one: a winner that measures just inside passes, just
     # outside fails, and one below the zero-delay row fails whatever its ratio
-    ec, geom, cb = reference["ec"], reference["geom"], reference["cb"]
+    ec, geom, cb, theta = reference["ec"], reference["geom"], reference["cb"], reference["theta"]
     cfg = build_system(ec, num_td_units=16)
     tau = np.zeros(16)
     tau[0] = 1e-12
     predicted = DelaySearchResult(
         tau=tau,
-        theta=reference["theta"],
+        theta=theta,
         score=2.0,
         ps_only_score=1.0,
         trace=[(1.0, 0.0, 0.0, 1.0), (1.0, 0.1, 0.2, 2.0)],
@@ -867,10 +934,16 @@ def test_check_fails_when_the_winner_measures_below_its_prediction(reference):
 
     inside = 2.0 * (1.0 - CHECK_TOL) * 1.001
     outside = 2.0 * (1.0 - CHECK_TOL) * 0.999
-    assert check_prediction(predicted, reference["theta"], measure_as(1.0, inside), cfg, cb)[1]
-    assert not check_prediction(predicted, reference["theta"], measure_as(1.0, outside), cfg, cb)[1]
-    assert not check_prediction(predicted, reference["theta"], measure_as(1.0, 0.5), cfg, cb)[1]
-    result, passed = check_prediction(predicted, reference["theta"], measure_as(1.0, 2.0), cfg, cb)
+
+    def check(zero, best):
+        rows = ScoredRows(theta, measure_as(zero, best), geom, cfg, cb)
+        return check_prediction(predicted, rows), rows
+
+    assert check(1.0, inside)[0]
+    assert not check(1.0, outside)[0]
+    assert not check(1.0, 0.5)[0]
+    passed, rows = check(1.0, 2.0)
+    result = rows.best()
     assert passed and result.trace == [(1.0, 0.0, 0.0, 1.0), (1.0, 0.1, 0.2, 2.0)]
     assert result.score == 2.0 and result.ps_only_score == 1.0
 
