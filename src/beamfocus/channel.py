@@ -164,13 +164,19 @@ def check_finite(geom: ArrayGeometry, ue: UePosition, cfg: SystemConfig) -> None
         raise ValueError("the channel's phases or amplitudes overflow")
 
 
-def check_power(geom: ArrayGeometry, ue: UePosition, cfg: SystemConfig) -> None:
-    """ValueError unless the largest gain M max|h|^2 and power (P_T/K) M max|h|^2 are finite."""
+def check_power(geom: ArrayGeometry, ue: UePosition, cfg: SystemConfig, snapshots: int) -> None:
+    """ValueError unless the largest gain M max|h|^2 and power (P_T/K) M max|h|^2 are finite and,
+    with noise, that power over sigma^2 / 2S, the scale of an S-snapshot noisy measurement, is at
+    most a quarter of the float range, where `sim.measure_power`'s draw stays finite."""
     lam, d = _amplitude_wavelength(cfg, subcarrier_frequencies(cfg)[0]), distances(geom, ue)
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         gain = cfg.num_antennas * (lam / (4.0 * np.pi * d.min())) ** 2
-        if not np.isfinite([gain, cfg.tx_power_w / cfg.num_subcarriers * gain]).all():
+        power = cfg.tx_power_w / cfg.num_subcarriers * gain
+        if not np.isfinite([gain, power]).all():
             raise ValueError("the largest gain or received power overflows")
+        ratio = power / (cfg.noise_power_w / (2.0 * snapshots))
+    if cfg.noise_power_w > 0.0 and not ratio <= 0.25 * np.finfo(float).max:
+        raise ValueError("the largest received power over the snapshot noise overflows")
 
 
 # heatmap points evaluated per block, bounding the (points x M) work buffers

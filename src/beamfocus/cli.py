@@ -85,9 +85,9 @@ def _scenario(ec: ExperimentConfig):
 
 
 def learn_pipeline(ec: ExperimentConfig, H: ChannelMatrix, cfg: SystemConfig, cb):
-    """Run the measurement-only phase learner; returns (theta, history)."""
+    """Run the measurement-only phase learner on ec's array; returns (theta, history)."""
     measure = make_center_measure(ec, H, cfg)
-    return learn_phases(measure, cfg, cb, ec)
+    return learn_phases(measure, build_geometry(ec), cfg, cb, ec)
 
 
 def search_pipeline(

@@ -165,7 +165,12 @@ def _validate(ec: ExperimentConfig) -> None:
         ("geometry.*", build_geometry),
         ("system.*", build_system),
         ("ue.*", lambda ec: check_finite(build_geometry(ec), build_ue(ec), build_system(ec))),
-        ("system.*", lambda ec: check_power(build_geometry(ec), build_ue(ec), build_system(ec))),
+        (
+            "system.*",
+            lambda ec: check_power(
+                build_geometry(ec), build_ue(ec), build_system(ec), ec.snapshots
+            ),
+        ),
         ("heatmap.*", lambda ec: check_heatmap(ec, subcarrier_frequencies(build_system(ec)))),
         *(("profile.n_sweep", lambda ec, n=n: build_system(ec, n)) for n in ec.n_sweep),
         ("system.ps_bits", build_codebook),

@@ -6,10 +6,14 @@ where d_m(q) is element m's distance to q: 1 for the conjugate of the
 spherical wave from q, near 0 for phases that focus nowhere. The locator
 reads the phases, the array geometry and the center frequency only, and
 assumes one line-of-sight spherical wave. README "Delay search" walks
-through its polar-domain search (Cui & Dai 2022, arXiv:2108.07581).
+through its polar-domain search (Cui & Dai 2022, arXiv:2108.07581), which
+`_polar_search` runs over any score; the learner's one-path model critic
+(`critic.model_critic`) runs it over measured powers.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +23,7 @@ from .geometry import SPEED_OF_LIGHT, ArrayGeometry, point_distances
 MIN_RANGE_M = 0.3
 # cap on the exact compass rounds of each stage
 MAX_EXACT_ROUNDS = 40
-# the first stage's sub-array spans this many half-wavelengths, and its
+# locate_focus's first stage spans this many half-wavelengths, and its
 # grid has at most this many points per axis
 FIRST_SPAN = 32
 
@@ -48,18 +52,34 @@ def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[flo
     32 D^2 / lambda for aperture D. Deterministic.
     """
     theta = np.asarray(theta, dtype=float)
+
+    def stage(keep, sub):
+        return partial(coherence, theta[keep], sub, center_freq_hz)
+
+    return _polar_search(stage, geom, center_freq_hz, FIRST_SPAN)
+
+
+def _polar_search(stage, geom: ArrayGeometry, center_freq_hz: float, first_span: float):
+    """(x, y, score) of the point that `stage`'s scores put highest, by a staged polar search.
+
+    `stage(keep, sub)` returns the scorer of one stage: it maps points (x, y),
+    broadcast to a shape S, to their shape-S scores on the sub-array `sub`,
+    the elements `keep` of geom. The first stage's sub-array spans
+    `first_span` half-wavelengths of the center frequency, and each later
+    stage doubles it, up to the whole array.
+    """
     lam = SPEED_OF_LIGHT / center_freq_hz
     v_max = 0.5 / MIN_RANGE_M
     D = geom.aperture
     radii = np.abs(geom.alphas)
     # every stage keeps at least the two central elements
     least = np.sort(radii)[min(1, radii.size - 1)]
-    f = min(1.0, FIRST_SPAN * lam / (2.0 * D), np.sqrt(FIRST_SPAN * lam / v_max) / D)
+    f = min(1.0, first_span * lam / (2.0 * D), np.sqrt(first_span * lam / v_max) / D)
     offsets = np.array([-1.0, 0.0, 1.0])
     u = v = None
     while True:
         keep = radii <= max(f, least)
-        th, sub = theta[keep], ArrayGeometry(geom.alphas[keep], D)
+        score = stage(keep, ArrayGeometry(geom.alphas[keep], D))
         nu = int(np.ceil(2.0 * f * D / lam))
         # at least one row where (f D)**2 underflows to 0, a row step of 0 where it overflows
         with np.errstate(over="ignore"):
@@ -70,7 +90,7 @@ def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[flo
             # start from the best point of the first stage's (v, u) grid,
             # the earliest of ties in row order
             us, vs = u_lo + du * np.arange(nu), dv * np.arange(1, nv + 1)
-            scores = [coherence(th, sub, center_freq_hz, *_to_xy(us, row)) for row in vs]
+            scores = [score(*_to_xy(us, row)) for row in vs]
             j, i = np.unravel_index(np.argmax(scores), (vs.size, nu))
             u, v = float(us[i]), float(vs[j])
 
@@ -79,11 +99,11 @@ def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[flo
         # to a quarter of them, where the next stage's steps start, and to
         # 1/64 of them in the last stage
         step_u, step_v = 0.5 * du, 0.5 * dv
-        best = float(coherence(th, sub, center_freq_hz, *_to_xy(u, v)))
+        best = float(score(*_to_xy(u, v)))
         for _ in range(MAX_EXACT_ROUNDS):
             us = np.clip(u + step_u * offsets, u_lo, -u_lo)[None, :]
             vs = np.clip(v + step_v * offsets, v_lo, v_max)[:, None]
-            scores = coherence(th, sub, center_freq_hz, *_to_xy(us, vs))
+            scores = score(*_to_xy(us, vs))
             j, i = np.unravel_index(np.argmax(scores), scores.shape)
             if scores[j, i] > best:
                 best, u, v = float(scores[j, i]), float(us[0, i]), float(vs[j, 0])

@@ -1,9 +1,9 @@
 """Online phase-shifter learning from center-frequency power measurements.
 
 The exploration by independent random codebook beams, the coordinate-ascent
-exploitation of the critic, the learning loop and its history CSV. Only the
-measurement callback touches the channel. README "Phase learner" walks
-through the loop.
+exploitation of a critic (the one-path model's or a fit's), the learning
+loop and its history CSV. Only the measurement callback touches the
+channel. README "Phase learner" walks through the loop.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import numpy as np
 from .channel import SystemConfig
 from .combiner import PhaseCodebook
 from .config import ExperimentConfig, resolved_exploit_start
-from .critic import RMS_TOL, initialize_critic, train_critic
+from .critic import RMS_TOL, initialize_critic, model_critic, train_critic
 from .files import write_atomic
+from .geometry import ArrayGeometry
 
 
 # exploration beams drawn and measured per callback invocation; bounds the
@@ -77,30 +78,37 @@ def coordinate_ascent(q: np.ndarray, init: np.ndarray, cb: PhaseCodebook):
 
 @dataclass
 class LearnHistory:
-    """Per-measurement log plus the final critic and exploitation stats."""
+    """Per-measurement log, the final critic and, per exploit, its stats and
+    whether the one-path model or a fit of the critic produced it."""
 
     iters: np.ndarray
     measured_powers: np.ndarray
     best_powers: np.ndarray
     indices: np.ndarray  # (n, M) uint8 codebook indices
-    final_model: np.ndarray  # the last fit's (M,) critic
+    final_model: np.ndarray  # the (M,) critic of the last exploit
     exploit_events: list  # (measurement index, ascent cycles, measured power)
-    critic_loss_traces: list  # one train_critic loss trace per exploit event
+    exploit_routes: list  # per exploit event, "model" or "fit": the critic it ascended
+    critic_loss_traces: list  # one train_critic loss trace per fit
 
 
-def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentConfig):
+def learn_phases(
+    measure, geom: ArrayGeometry, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentConfig
+):
     """Run the online phase search; returns (best phases, LearnHistory).
 
     `measure` maps a (T, M) stack of codebook-phase beams to their T center
     powers, in row order (ValueError for another shape). Each exploration
     beam holds M independent uniform codebook indices, for at most
-    total_measurements beams, measured up to WALK_BLOCK beams a call. At
-    learner.exploit_start (auto: min(4M, total_measurements)), each later
+    total_measurements beams, measured up to WALK_BLOCK beams a call.
+    Powers reach the critics clipped at 0. When 2M beams come before
+    learner.exploit_start (auto: min(4M, total_measurements)), the
+    one-path model critic of the array `geom` (critic.model_critic) is
+    exploited first, at 2M beams. At learner.exploit_start, each later
     multiple of critic_refit_period and the end of the budget, the critic
-    is fit to the powers clipped at 0 (first from initialize_critic at
-    learner.seed, then from the last fit) and the ascent from the earliest
-    best beam is measured; an ascent beam that measures within RMS_TOL of
-    its prediction ends the run. Returns the earliest best measured beam;
+    is fit (first from initialize_critic at learner.seed, then from the
+    last fit) and exploited. An exploit is the ascent from the earliest
+    best beam, measured at once; one that measures within RMS_TOL of its
+    prediction ends the run. Returns the earliest best measured beam;
     deterministic per learner.seed, call order included.
     """
     M = cfg.num_antennas
@@ -109,8 +117,11 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
 
     total = ec.total_measurements
     first = resolved_exploit_start(ec)
-    # exploration stops at each refit point, the end of the budget among them
-    stops = [
+    # exploration stops at the model's try, if any, and at each refit
+    # point, the end of the budget among them
+    model_stop = 2 * M if 2 * M < first else None
+    stops = [model_stop] if model_stop else []
+    stops += [
         t
         for t in range(first, total + 1)
         if t % ec.critic_refit_period == 0 or t in (first, total)
@@ -125,6 +136,7 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     powers = np.empty(len(log))
     n = 0
     exploit_events: list[tuple[int, int, float]] = []
+    routes: list[str] = []
     loss_traces: list[np.ndarray] = []
     model = None
 
@@ -141,19 +153,27 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
     for explored, stop in zip([0, *stops], stops):
         for start in range(explored, stop, WALK_BLOCK):
             take(rng.integers(0, cb.size, (min(WALK_BLOCK, stop - start), M), dtype=np.uint8))
-        # the critic is consumed only by exploitation, so fitting is
-        # deferred until then; refits start from the previous fit
+        # critics are consumed only by exploitation, so fitting is deferred
+        # until then; refits start from the previous fit
         clipped = np.maximum(powers[:n], 0.0)
-        if model is None:
-            model = initialize_critic(beams[:n], clipped, seed=ec.learner_seed)
-        model, trace = train_critic(model, beams[:n], clipped, ec.train_iters)
-        loss_traces.append(trace)
+        if stop == model_stop:
+            q = model_critic(beams[:n], clipped, geom, cfg.center_freq_hz)
+            if q is None:
+                continue
+            routes.append("model")
+        else:
+            if model is None:
+                model = initialize_critic(beams[:n], clipped, seed=ec.learner_seed)
+            model, trace = train_critic(model, beams[:n], clipped, ec.train_iters)
+            loss_traces.append(trace)
+            q = model
+            routes.append("fit")
 
         best = int(np.argmax(powers[:n]))  # the earliest of equal maxima
-        beam, cycles, prediction = coordinate_ascent(model, log[best], cb)
+        beam, cycles, prediction = coordinate_ascent(q, log[best], cb)
         take(beam[None])
         exploit_events.append((n, cycles, float(powers[n - 1])))
-        # an exploit that measures what the critic predicted for it leaves
+        # an exploit that measures what its critic predicted for it leaves
         # nothing to learn from more exploration
         if abs(powers[n - 1] - prediction) <= RMS_TOL * prediction:
             break
@@ -164,8 +184,9 @@ def learn_phases(measure, cfg: SystemConfig, cb: PhaseCodebook, ec: ExperimentCo
         measured_powers=powers,
         best_powers=np.maximum.accumulate(powers),
         indices=log,
-        final_model=model,
+        final_model=q,
         exploit_events=exploit_events,
+        exploit_routes=routes,
         critic_loss_traces=loss_traces,
     )
     return values[log[int(np.argmax(powers))]], history

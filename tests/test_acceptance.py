@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from beamfocus.baselines import pdf_oracle, ps_only_oracle
-from beamfocus.channel import SystemConfig, gain_map, near_field_channel
+from beamfocus.channel import ChannelMatrix, SystemConfig, gain_map, near_field_channel
 from beamfocus import cli, phase_learning
 from beamfocus.cli import learn_pipeline, search_pipeline
 from beamfocus.combiner import CombinerConfig, PhaseCodebook, effective_combiner, quantize_phase
@@ -79,6 +79,24 @@ def learned(scenario):
         )
     seconds = time.time() - t0
     return {"theta": theta, "history": history, "seconds": seconds, "calls": calls}
+
+
+def _decline(*args):
+    # the one-path model route declining, as it does on powers with no
+    # positive peak: the run is the critic's own route
+    return None
+
+
+@pytest.fixture(scope="module")
+def fitted(scenario):
+    # the reference run on the critic's own route, whose first fit the
+    # paper's model-free learner makes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phase_learning, "model_critic", _decline)
+        theta, history = learn_pipeline(
+            scenario["ec"], scenario["H"], scenario["cfg1"], scenario["cb"]
+        )
+    return {"theta": theta, "history": history}
 
 
 def _searched(scenario, learned, n):
@@ -161,7 +179,7 @@ def test_criterion_4_learned_vs_oracle_gap(scenario, searched_n16):
     )
 
 
-def test_criterion_5_learning_convergence(scenario, learned):
+def test_criterion_5_learning_convergence(scenario, learned, fitted):
     cfg, H, cb = scenario["cfg1"], scenario["H"], scenario["cb"]
     k = center_bin(H.freqs_hz, cfg.center_freq_hz)
     g_oracle = gain_profile(ps_only_oracle(H, cfg, cb), H, cfg).per_subcarrier[k]
@@ -172,7 +190,8 @@ def test_criterion_5_learning_convergence(scenario, learned):
     measurements = int(history.iters[-1])
     ratio = g_learned / g_oracle
 
-    model = history.final_model
+    # the ascent bar holds the critic of the paper's route, a fit
+    model = fitted["history"].final_model
     rng = np.random.default_rng(2024)
     init = rng.integers(0, cb.size, cfg.num_antennas)
     _, cycles, _ = coordinate_ascent(model, init, cb)
@@ -186,15 +205,16 @@ def test_criterion_5_learning_convergence(scenario, learned):
     )
 
 
-# critic iterations over all fits of the reference run, a cost guard that
-# needs no timer: the run stops after one fit of 31 iterations; over learner
-# seeds 0-31 every run stops after one fit of 25-40. The warm start of a
-# refit is checked directly by test_learn_phases_warm_starts_each_refit
+# critic iterations over all fits of the reference run on the critic's own
+# route, a cost guard that needs no timer: the run stops after one fit of 31
+# iterations; over learner seeds 0-31 every run stops after one fit of
+# 25-40. The warm start of a refit is checked directly by
+# test_learn_phases_warm_starts_each_refit
 CRITIC_ITERATION_BUDGET = 80
 
 
-def test_learned_critic_fit_cost(learned):
-    iters = [len(trace) for trace in learned["history"].critic_loss_traces]
+def test_learned_critic_fit_cost(fitted):
+    iters = [len(trace) for trace in fitted["history"].critic_loss_traces]
     _report(
         "critic fit cost",
         sum(iters) <= CRITIC_ITERATION_BUDGET,
@@ -221,6 +241,7 @@ def test_reference_first_fit_in_single_precision(scenario):
         raise _FirstFitTaken
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phase_learning, "model_critic", _decline)
         mp.setattr(phase_learning, "train_critic", fit)
         mp.setattr(phase_learning, "coordinate_ascent", ascent)
         with pytest.raises(_FirstFitTaken):
@@ -242,9 +263,9 @@ def test_reference_first_fit_in_single_precision(scenario):
 
 def test_learned_measurement_call_cost(learned):
     # callback invocations of the reference run, a cost guard that needs no
-    # timer: one call per WALK_BLOCK exploration beams between refits, one
-    # per exploitation: 4 blocks and 1 exploit, 5 in all. Measuring every
-    # beam in its own call (1,025 calls) fails it.
+    # timer: one call per WALK_BLOCK exploration beams between exploits, one
+    # per exploit: 2 blocks and the model's exploit, 3 in all. Measuring
+    # every beam in its own call (513 calls) fails it.
     events = learned["history"].exploit_events
     # exploration beams up to each refit: measurements so far minus exploits
     stops = [0] + [inv - i for i, (inv, _, _) in enumerate(events, start=1)]
@@ -254,8 +275,77 @@ def test_learned_measurement_call_cost(learned):
     rows = sum(calls)
     _report(
         "measurement call cost",
-        len(calls) == budget == 5 and rows == int(learned["history"].iters[-1]),
-        f"{len(calls)} calls for {rows} beams (need {budget} == 5)",
+        len(calls) == budget == 3 and rows == int(learned["history"].iters[-1]) == 513,
+        f"{len(calls)} calls for {rows} beams (need {budget} == 3 for 513)",
+    )
+
+
+def test_reference_learner_confirms_the_one_path_model(scenario, learned):
+    # the model critic of the first 2M = 512 beams, sqrt(g) times the
+    # spherical wave from the point it locates, focuses within 1 cm of the
+    # user; its exploit measures within RMS_TOL of its prediction, so the run
+    # ends at 513 beams without a fit
+    geom, cb, ue = scenario["geom"], scenario["cb"], scenario["ue"]
+    history = learned["history"]
+    q = history.final_model
+    x, y, _ = locate_focus(np.angle(q), geom, scenario["ec"].center_freq_hz)
+    miss_mm = 1e3 * np.hypot(x - ue.x, y - ue.y)
+    g = q.conj() @ (cb.phasors[history.indices[-1]] / np.sqrt(geom.num_antennas))
+    prediction = float(np.real(np.vdot(g, g)))
+    ratio = history.measured_powers[-1] / prediction
+    _report(
+        "one-path model route",
+        history.exploit_routes == ["model"]
+        and not history.critic_loss_traces
+        and len(history.iters) == 513
+        and np.allclose(np.abs(q), np.abs(q[0]))
+        and miss_mm <= 10.0
+        and abs(ratio - 1.0) <= RMS_TOL,
+        f"routes {history.exploit_routes} over {len(history.iters)} beams (need ['model'], 513); "
+        f"focus ({x:.4f}, {y:.4f}) m, {miss_mm:.1f} mm from the user (need <= 10); "
+        f"exploit measures {ratio:.4f} of its prediction (need within {RMS_TOL})",
+    )
+
+
+# the second wave's amplitudes of the off-model gate, against the user's 1
+SECOND_PATH_GAINS = (0.3, 0.5, 0.7, 1.0)
+
+
+def test_off_model_scenes_fall_back_to_the_critic(scenario):
+    """The learner on two-path scenes, which the one-path model cannot explain.
+
+    Each scene is the reference channel plus a second spherical wave from
+    (2.0, 0.5) m, of amplitude 0.3, 0.5, 0.7 or 1.0 times the user's. On
+    learner seeds 0-3 the model's exploit must not measure its prediction,
+    so the run goes on to the critic's fit, and the learned beam's
+    center-bin gain must come within 0.1 dB of the same run with the model
+    route declined. Test-only: no config key builds a second path.
+    """
+    ec, geom, cb, cfg1, H = (scenario[key] for key in ("ec", "geom", "cb", "cfg1", "H"))
+    k = center_bin(H.freqs_hz, cfg1.center_freq_hz)
+    echo = near_field_channel(geom, UePosition(2.0, 0.5), cfg1).coeffs
+    ok, details = True, []
+    for gain in SECOND_PATH_GAINS:
+        H2 = ChannelMatrix(coeffs=H.coeffs + gain * echo, freqs_hz=H.freqs_hz)
+
+        def center(theta):
+            cc = CombinerConfig(theta=theta, tau=[0.0])
+            return gain_profile(cc, H2, cfg1).per_subcarrier[k]
+
+        for seed in range(4):
+            ec_seed = replace(ec, learner_seed=seed)
+            theta, history = learn_pipeline(ec_seed, H2, cfg1, cb)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(phase_learning, "model_critic", _decline)
+                alone, _ = learn_pipeline(ec_seed, H2, cfg1, cb)
+            diff_db = 10.0 * np.log10(center(theta) / center(alone))
+            routes = history.exploit_routes
+            ok &= routes[0] == "model" and len(routes) > 1 and abs(diff_db) <= 0.1
+            details.append(f"gain {gain} seed {seed}: routes {routes}, {diff_db:+.4f} dB")
+    _report(
+        "off-model gate (model exploit unconfirmed, center within 0.1 dB of the critic's)",
+        ok,
+        "; ".join(details),
     )
 
 
@@ -369,8 +459,8 @@ def test_noisy_learned_pipeline_meets_the_noiseless_bars(scenario, snapshots):
 
 def test_noisy_learner_stops_on_a_confirmed_exploit(scenario):
     # at the thermal floor with one snapshot no fit meets its RMS target,
-    # yet seed 1's second refit predicts its exploit, and that alone ends
-    # the run
+    # yet on the critic's own route seed 1's second refit predicts its
+    # exploit, and that alone ends the run
     ec = scenario["ec"]
     ec = replace(
         ec,
@@ -380,7 +470,9 @@ def test_noisy_learner_stops_on_a_confirmed_exploit(scenario):
         learner_seed=1,
     )
     cb = scenario["cb"]
-    _, history = learn_pipeline(ec, scenario["H"], build_system(ec, num_td_units=1), cb)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phase_learning, "model_critic", _decline)
+        _, history = learn_pipeline(ec, scenario["H"], build_system(ec, num_td_units=1), cb)
     n = len(history.measured_powers)
     assert n == 3003 and len(history.exploit_events) == 3
     clipped = np.maximum(history.measured_powers[: n - 1], 0.0)
@@ -391,11 +483,13 @@ def test_noisy_learner_stops_on_a_confirmed_exploit(scenario):
 
 
 def test_noisy_learner_walks_the_whole_budget(scenario):
-    # 10 dB above the thermal floor with one snapshot no exploit measures
-    # its prediction, so the learner measures every exploration beam and
-    # every exploit
+    # 10 dB above the thermal floor with one snapshot no fit's exploit
+    # measures its prediction, so the learner on the critic's own route
+    # measures every exploration beam and every exploit
     ec = replace(scenario["ec"], snapshots=1)
-    beams = _noisy_learned(scenario, ec, 10, 0)[2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phase_learning, "model_critic", _decline)
+        beams = _noisy_learned(scenario, ec, 10, 0)[2]
     assert beams == 4985
 
 
@@ -404,9 +498,9 @@ def test_low_snr_cliff_at_one_snapshot(scenario):
 
     On learner seeds 0-7 the noiseless bars hold at +10 dB: N=8 3-dB
     bandwidth at least 5 GHz, N=16 gap to the oracle at most 1.5 dB (they
-    read 6.54-7.10 GHz and 0.29-0.61 dB). Seed 0's learned center-bin gain
-    against the PS-only oracle's must be at least -3 dB at +10 dB; at
-    +15 dB, where the learned beam falls about 18 dB short of the oracle's,
+    read 6.44-7.05 GHz and -0.07 to +0.69 dB). Seed 0's learned center-bin
+    gain against the PS-only oracle's must be at least -3 dB at +10 dB; at
+    +15 dB, where the learned beam falls about 7 dB short of the oracle's,
     it is reported with no bar, so that a change that moves it shows.
     """
     ec = replace(scenario["ec"], snapshots=1)
@@ -469,8 +563,9 @@ def test_m1024_learner_comes_within_1_db_of_the_oracle():
     """The learner on a 1,024-element array (K = 256, budget 4,980), learner seeds 0-3.
 
     The critic's 2M - 1 real unknowns take about 4M phaseless measurements,
-    and the default first fit comes at 4M = 4,096 beams. Each learned
-    beam's center-bin gain must come within 1 dB of the PS-only oracle's.
+    and the default first fit comes at 4M = 4,096 beams, after the one-path
+    model's try at 2M = 2,048. Each learned beam's center-bin gain must
+    come within 1 dB of the PS-only oracle's.
     """
     ec = ExperimentConfig(num_antennas=1024, num_subcarriers=256, total_measurements=4980)
     geom, cb = build_geometry(ec), build_codebook(ec)
@@ -485,7 +580,7 @@ def test_m1024_learner_comes_within_1_db_of_the_oracle():
         rel_db.append(10.0 * np.log10(got / oracle))
         details.append(
             f"seed {seed}: {rel_db[-1]:+.3f} dB after {len(history.iters)} beams, "
-            f"{len(history.exploit_events)} fit(s)"
+            f"exploits {'/'.join(history.exploit_routes)}"
         )
     _report(
         "M = 1,024 learner (center gain vs PS-only oracle >= -1 dB)",
@@ -676,7 +771,7 @@ def exhaustive_runs():
             learner_seed=seed,
             train_iters=150,
         )
-        theta, history = learn_phases(measure, cfg, cb, ec)
+        theta, history = learn_phases(measure, geom, cfg, cb, ec)
         got = gain_profile(CombinerConfig(theta=theta, tau=[0.0]), H, cfg).per_subcarrier[0]
         runs.append((measure(every), got, history.final_model))
     return {"every": every, "runs": runs}

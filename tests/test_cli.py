@@ -596,6 +596,26 @@ def test_cli_rejects_negative_noise_power(tmp_path, capsys):
     assert_rejected(tmp_path, capsys, "system.", lines, "search-delays")
 
 
+def test_cli_rejects_a_noise_power_under_which_the_measured_power_overflows(tmp_path, capsys):
+    # at a subnormal noise power the largest center power over sigma^2 / 2S,
+    # the noncentral parameter of sim.measure_power's draw, overflows: the
+    # learner would fit nan powers, so construction rejects the config
+    text = (
+        "noise.mode = snapshots\nsystem.noise_power_w = 1e-310\n"
+        "system.tx_power_w = 1000\nsystem.M = 16\nsystem.K = 32\n"
+    )
+    with pytest.raises(ConfigError, match=r"^system\.\*: .* over the snapshot noise overflows"):
+        parse_config_text(text)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), "learn"]) == 2
+    assert capsys.readouterr().err.startswith("config error: system.*: ")
+    assert not out.exists()
+    # ten orders of magnitude more noise keeps the ratio in range
+    parse_config_text(text.replace("1e-310", "1e-300"))
+
+
 def test_cli_rejects_learner_range_errors(tmp_path, capsys):
     for line, key in (
         ("learner.total_measurements = 0", "learner.total_measurements: "),

@@ -14,9 +14,12 @@ from beamfocus.critic import (
     _real_roots,
     _residuals,
     initialize_critic,
+    model_critic,
     save_critic,
     train_critic,
 )
+from beamfocus.focus import locate_focus
+from beamfocus.geometry import SPEED_OF_LIGHT, point_distances, random_geometry
 from beam_model import beam_from_phases
 from model_checks import critic_loss_and_gradient, cubic_step_reference, line_search_reference
 
@@ -439,3 +442,47 @@ def test_spectral_start_points_along_the_channel(monkeypatch, M, seed):
     for q in (spectral, random):
         assert np.mean(predicted(q, beams)) == pytest.approx(np.mean(powers), rel=1e-5)
     assert alignment(spectral, h) > alignment(random, h)
+
+
+def one_path_scene(M, point, seed):
+    # 2M random 3-bit codebook beams of an M-element random array spanning
+    # (M - 1) half-wavelengths at 100 GHz, and the noiseless powers
+    # |w^H h|^2 of the spherical wave h = exp(-j k d) / d from `point`
+    f_c = 100e9
+    geom = random_geometry(M, (M - 1) * SPEED_OF_LIGHT / f_c / 2.0, seed=seed)
+    d = point_distances(geom, *point)
+    h = np.exp(-2j * np.pi * f_c / SPEED_OF_LIGHT * d) / d
+    beams = codebook_buffer(np.random.default_rng(seed), 2 * M, M)
+    return geom, f_c, h, beams.astype(np.complex64), np.abs(beams.conj() @ h) ** 2
+
+
+@pytest.mark.parametrize("M, point, seed", [(128, (1.0, -0.5), 0), (256, (2.0, -2.0), 1)])
+def test_model_critic_locates_a_one_path_user_from_2m_beams(M, point, seed):
+    # the model critic of 2M beams is a unit-modulus wave times sqrt(g)
+    # whose phases focus within 1 cm of the user, and it predicts the
+    # power of the channel's own conjugate beam within RMS_TOL
+    geom, f_c, h, beams, powers = one_path_scene(M, point, seed)
+    q = model_critic(beams, powers, geom, f_c)
+    assert np.allclose(np.abs(q), np.abs(q[0]), rtol=1e-12)
+    x, y, _ = locate_focus(np.angle(q), geom, f_c)
+    assert np.hypot(x - point[0], y - point[1]) <= 0.01
+    matched = beam_from_phases(np.angle(h))
+    truth = abs(np.vdot(matched, h)) ** 2
+    assert predicted(q, matched) == pytest.approx(truth, rel=RMS_TOL)
+
+
+def test_model_critic_scales_with_the_powers():
+    # the search runs on powers over their peak, so scaling the powers
+    # scales g alone, even where the scores would underflow
+    geom, f_c, _, beams, powers = one_path_scene(128, (1.0, -0.5), 0)
+    q = model_critic(beams, powers, geom, f_c)
+    assert np.allclose(model_critic(beams, 1e-300 * powers, geom, f_c), 1e-150 * q, rtol=1e-12)
+
+
+@pytest.mark.parametrize("peak", [0.0, np.inf, np.nan])
+def test_model_critic_declines_powers_without_a_positive_finite_peak(peak):
+    geom, f_c, _, beams, powers = one_path_scene(128, (1.0, -0.5), 0)
+    powers = np.zeros_like(powers)
+    powers[3] = peak
+    assert model_critic(beams, powers, geom, f_c) is None
+    assert model_critic(beams[:0], powers[:0], geom, f_c) is None

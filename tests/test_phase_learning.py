@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,7 +141,7 @@ def test_exploit_with_perfect_critic_near_exhaustive_optimum():
     cb = PhaseCodebook(bits=2)
     cfg, H = None, None
     for trial in range(5):
-        cfg, H = small_scene(M, seed=20 + trial)
+        cfg, H, _ = small_scene(M, seed=20 + trial)
         h = model = H.coeffs[:, 0]
         best = max(
             abs(np.vdot(beam_from_phases(cb.values[np.array(ix)]), h)) ** 2
@@ -163,17 +165,25 @@ def test_exploit_critic_never_decreases_prediction():
         assert all(0 <= i < cb.size for i in out)
 
 
+@pytest.fixture
+def critic_route(monkeypatch):
+    # the critic's own route, which these tests pin: the one-path model
+    # declines, as it does on powers with no positive peak, so every exploit
+    # comes from a fit
+    monkeypatch.setattr(phase_learning, "model_critic", lambda *args: None)
+
+
 def small_scene(M, seed=0):
     cfg = make_cfg(M)
     geom = random_geometry(M, 0.02, seed=seed)
     H = near_field_channel(geom, UePosition(1.0, -0.5), cfg)
-    return cfg, H
+    return cfg, H, geom
 
 
 def refit_scene():
     # the M=4 scene whose first exploit, at 21, misses its prediction and
     # whose refit at 30 predicts its own exploit
-    cfg, H = small_scene(4, seed=9)
+    cfg, H, geom = small_scene(4, seed=9)
     ec = ExperimentConfig(
         total_measurements=40,
         exploit_start=20,
@@ -181,7 +191,7 @@ def refit_scene():
         learner_seed=28,
         train_iters=50,
     )
-    return cfg, H, PhaseCodebook(bits=2), ec
+    return cfg, H, geom, PhaseCodebook(bits=2), ec
 
 
 def exhaustive_best_gain(H, cfg, cb):
@@ -194,7 +204,7 @@ def exhaustive_best_gain(H, cfg, cb):
 
 
 def test_learn_phases_reaches_exhaustive_optimum_m2():
-    cfg, H = small_scene(2, seed=11)
+    cfg, H, geom = small_scene(2, seed=11)
     cb = PhaseCodebook(bits=1)
     ec = ExperimentConfig(
         total_measurements=20,
@@ -203,14 +213,14 @@ def test_learn_phases_reaches_exhaustive_optimum_m2():
         learner_seed=0,
         train_iters=200,
     )
-    theta, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+    theta, history = learn_phases(center_measure(H, cfg), geom, cfg, cb, ec)
     best = exhaustive_best_gain(H, cfg, cb)
     measured = gain_profile(CombinerConfig(theta=theta, tau=[0.0]), H, cfg).per_subcarrier[0]
     assert measured == pytest.approx(best, rel=1e-9)
 
 
 def test_learn_phases_history_monotone_best():
-    cfg, H = small_scene(4, seed=3)
+    cfg, H, geom = small_scene(4, seed=3)
     cb = PhaseCodebook(bits=2)
     ec = ExperimentConfig(
         total_measurements=30,
@@ -219,13 +229,13 @@ def test_learn_phases_history_monotone_best():
         learner_seed=1,
         train_iters=100,
     )
-    theta, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+    theta, history = learn_phases(center_measure(H, cfg), geom, cfg, cb, ec)
     assert np.all(np.diff(history.best_powers) >= 0)
     assert history.best_powers[-1] == np.max(history.measured_powers)
 
 
 def test_learn_phases_deterministic_callback_order():
-    cfg, H = small_scene(4, seed=6)
+    cfg, H, geom = small_scene(4, seed=6)
     cb = PhaseCodebook(bits=2)
     ec = ExperimentConfig(
         total_measurements=25,
@@ -243,7 +253,7 @@ def test_learn_phases_deterministic_callback_order():
             calls.append(np.array(phases))
             return base(phases)
 
-        theta, history = learn_phases(measure, cfg, cb, ec)
+        theta, history = learn_phases(measure, geom, cfg, cb, ec)
         return theta, history, calls
 
     t1, h1, c1 = run()
@@ -255,10 +265,10 @@ def test_learn_phases_deterministic_callback_order():
 
 
 @pytest.mark.parametrize("exploit_start", [2, 3, 37])
-def test_learn_phases_first_exploit_follows_exploit_start(exploit_start):
+def test_learn_phases_first_exploit_follows_exploit_start(exploit_start, critic_route):
     # the first fit sees exploit_start beams and its exploit is the next
     # measurement, whether or not exploit_start is a multiple of the period
-    cfg, H = small_scene(4, seed=2)
+    cfg, H, geom = small_scene(4, seed=2)
     ec = ExperimentConfig(
         total_measurements=60,
         exploit_start=exploit_start,
@@ -266,12 +276,12 @@ def test_learn_phases_first_exploit_follows_exploit_start(exploit_start):
         learner_seed=4,
         train_iters=20,
     )
-    _, history = learn_phases(center_measure(H, cfg), cfg, PhaseCodebook(bits=2), ec)
+    _, history = learn_phases(center_measure(H, cfg), geom, cfg, PhaseCodebook(bits=2), ec)
     assert history.exploit_events[0][0] == exploit_start + 1
 
 
-def test_learn_phases_invocation_budget():
-    cfg, H, cb, ec = refit_scene()
+def test_learn_phases_invocation_budget(critic_route):
+    cfg, H, geom, cb, ec = refit_scene()
     calls = []
     base = center_measure(H, cfg)
 
@@ -279,25 +289,27 @@ def test_learn_phases_invocation_budget():
         calls.append(np.array(phases))
         return base(phases)
 
-    _, history = learn_phases(measure, cfg, cb, ec)
+    _, history = learn_phases(measure, geom, cfg, cb, ec)
     # fits at 20 and 30; the refit at 30 predicts its exploit, so the run
     # stops before exploring to 40
     assert len(history.exploit_events) == 2
     rows = np.concatenate(calls)
     assert len(rows) == 30 + 2 == history.iters[-1]
     assert np.array_equal(cb.values[history.indices], rows)
-    # one stack per exploration segment (1-20, 21-30) and one per
-    # exploitation
-    assert [len(c) for c in calls] == [20, 1, 10, 1]
+    # one stack per exploration segment (1-8 up to the model's try at 2M,
+    # which declines, then 9-20 and 21-30) and one per exploitation
+    assert [len(c) for c in calls] == [8, 12, 1, 10, 1]
 
 
 @pytest.mark.parametrize("M, exploit_start", [(4, 2), (3, 20), (5, 37)])
-def test_learn_phases_explores_with_independent_beams(monkeypatch, M, exploit_start):
-    # the beams before the first fit are one draw of M uniform uint8
-    # codebook indices per beam from the learner.seed stream, also when
-    # they are measured in blocks of WALK_BLOCK beams at an odd M
+def test_learn_phases_explores_with_independent_beams(monkeypatch, M, exploit_start, critic_route):
+    # the beams before the first fit are drawn from the learner.seed stream
+    # as M uniform uint8 codebook indices per beam, each segment (up to the
+    # model's try at 2M beams, when that comes first, then up to the fit)
+    # in one draw, also when measured in blocks of WALK_BLOCK beams at an
+    # odd M
     monkeypatch.setattr(phase_learning, "WALK_BLOCK", 8)
-    cfg, H = small_scene(M, seed=2)
+    cfg, H, geom = small_scene(M, seed=2)
     cb = PhaseCodebook(bits=2)
     ec = ExperimentConfig(
         total_measurements=60,
@@ -306,15 +318,15 @@ def test_learn_phases_explores_with_independent_beams(monkeypatch, M, exploit_st
         learner_seed=4,
         train_iters=20,
     )
-    _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
-    want = np.random.default_rng(ec.learner_seed).integers(
-        0, cb.size, (exploit_start, cfg.num_antennas), dtype=np.uint8
-    )
-    assert np.array_equal(history.indices[:exploit_start], want)
+    _, history = learn_phases(center_measure(H, cfg), geom, cfg, cb, ec)
+    rng = np.random.default_rng(ec.learner_seed)
+    stops = [0, 2 * M, exploit_start] if 2 * M < exploit_start else [0, exploit_start]
+    want = [rng.integers(0, cb.size, (b - a, M), dtype=np.uint8) for a, b in zip(stops, stops[1:])]
+    assert np.array_equal(history.indices[:exploit_start], np.concatenate(want))
 
 
-def test_learn_phases_measures_the_walk_in_blocks(monkeypatch):
-    cfg, H, cb, ec = refit_scene()
+def test_learn_phases_measures_the_walk_in_blocks(monkeypatch, critic_route):
+    cfg, H, geom, cb, ec = refit_scene()
     sizes = []
     base = center_measure(H, cfg)
 
@@ -322,9 +334,9 @@ def test_learn_phases_measures_the_walk_in_blocks(monkeypatch):
         sizes.append(len(phases))
         return base(phases)
 
-    theta, whole = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+    theta, whole = learn_phases(center_measure(H, cfg), geom, cfg, cb, ec)
     monkeypatch.setattr(phase_learning, "WALK_BLOCK", 8)
-    blocked_theta, blocked = learn_phases(measure, cfg, cb, ec)
+    blocked_theta, blocked = learn_phases(measure, geom, cfg, cb, ec)
     assert sizes == [8, 8, 4, 1, 8, 2, 1]
     # the block size bounds memory and changes no result
     assert np.array_equal(blocked.indices, whole.indices)
@@ -332,20 +344,20 @@ def test_learn_phases_measures_the_walk_in_blocks(monkeypatch):
     assert np.array_equal(blocked_theta, theta)
 
 
-def test_learn_phases_keeps_one_loss_trace_per_exploit():
-    cfg, H, cb, ec = refit_scene()
-    _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+def test_learn_phases_keeps_one_loss_trace_per_exploit(critic_route):
+    cfg, H, geom, cb, ec = refit_scene()
+    _, history = learn_phases(center_measure(H, cfg), geom, cfg, cb, ec)
     assert len(history.critic_loss_traces) == len(history.exploit_events) == 2
     for trace in history.critic_loss_traces:
         assert 1 <= len(trace) <= ec.train_iters
         assert np.all(np.diff(trace) <= 0.0)
 
 
-def test_learn_phases_warm_starts_each_refit(monkeypatch):
+def test_learn_phases_warm_starts_each_refit(monkeypatch, critic_route):
     # only the first fit of a run draws a random critic; each refit starts
     # from the vector the previous fit returned, on a buffer that extends
     # the previous one
-    cfg, H, cb, ec = refit_scene()
+    cfg, H, geom, cb, ec = refit_scene()
     real_init, real_train = phase_learning.initialize_critic, phase_learning.train_critic
     # seeds passed to the init; (starting vector, beams, fitted vector) per
     # step, the init recorded as a step with no input
@@ -365,7 +377,7 @@ def test_learn_phases_warm_starts_each_refit(monkeypatch):
     monkeypatch.setattr(phase_learning, "train_critic", train)
     for run in range(2):
         fits.clear()
-        _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+        _, history = learn_phases(center_measure(H, cfg), geom, cfg, cb, ec)
         assert inits == [ec.learner_seed] * (run + 1)
         assert len(fits) == 1 + len(history.exploit_events) == 3
         for (_, prev_beams, prev_q), (q, beams, _) in zip(fits, fits[1:]):
@@ -377,9 +389,9 @@ def test_learn_phases_warm_starts_each_refit(monkeypatch):
         assert history.final_model.shape == (cfg.num_antennas,)
 
 
-def test_learn_phases_stops_at_a_confirmed_refit_exploit():
-    cfg, H, cb, ec = refit_scene()
-    _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+def test_learn_phases_stops_at_a_confirmed_refit_exploit(critic_route):
+    cfg, H, geom, cb, ec = refit_scene()
+    _, history = learn_phases(center_measure(H, cfg), geom, cfg, cb, ec)
     (first, _, _), (n, _, power) = history.exploit_events
     assert (first, n) == (21, 32)
     # the refit met its RMS target on the n - 1 beams before its exploit
@@ -398,10 +410,12 @@ def test_learn_phases_stops_at_a_confirmed_refit_exploit():
         (0.0, 1.0 + 2 * RMS_TOL, [21, 32, 43]),  # no exploit met its prediction
     ],
 )
-def test_learn_phases_stops_only_on_a_confirmed_refit(monkeypatch, final_loss, misprediction, exploits):
+def test_learn_phases_stops_only_on_a_confirmed_refit(
+    monkeypatch, final_loss, misprediction, exploits, critic_route
+):
     # every fit ends on final_loss and every exploit measures misprediction
     # times the power predicted for it
-    cfg, H, cb, ec = refit_scene()
+    cfg, H, geom, cb, ec = refit_scene()
     measure = center_measure(H, cfg)
     real_ascent, real_train = phase_learning.coordinate_ascent, phase_learning.train_critic
 
@@ -415,14 +429,82 @@ def test_learn_phases_stops_only_on_a_confirmed_refit(monkeypatch, final_loss, m
 
     monkeypatch.setattr(phase_learning, "coordinate_ascent", ascent)
     monkeypatch.setattr(phase_learning, "train_critic", train)
-    _, history = learn_phases(measure, cfg, cb, ec)
+    _, history = learn_phases(measure, geom, cfg, cb, ec)
     assert [n for n, _, _ in history.exploit_events] == exploits
     assert history.iters[-1] == exploits[-1]
 
 
+def channel_critic(H):
+    # a model route that returns the channel itself: its exploit measures
+    # exactly what it predicts
+    def model(beams, powers, geom, center_freq_hz):
+        return H.coeffs[:, 0].copy()
+
+    return model
+
+
+def test_learn_phases_ends_on_a_confirmed_model_exploit(monkeypatch):
+    # 2M = 8 beams come before the fit at 20: the model critic of those 8
+    # beams is exploited once, and a confirmed exploit ends the run before
+    # any fit, with the model as the final critic
+    cfg, H, geom, cb, ec = refit_scene()
+    tried = []
+
+    def model(beams, powers, g, f_c):
+        tried.append((len(beams), beams.dtype, g, f_c))
+        return channel_critic(H)(beams, powers, g, f_c)
+
+    monkeypatch.setattr(phase_learning, "model_critic", model)
+    calls = []
+    base = center_measure(H, cfg)
+
+    def measure(phases):
+        calls.append(len(phases))
+        return base(phases)
+
+    theta, history = learn_phases(measure, geom, cfg, cb, ec)
+    assert tried == [(8, np.complex64, geom, cfg.center_freq_hz)]
+    assert calls == [8, 1] and history.iters[-1] == 9
+    assert history.exploit_routes == ["model"] and history.critic_loss_traces == []
+    assert np.array_equal(history.final_model, H.coeffs[:, 0])
+    (n, _, power), = history.exploit_events
+    prediction = predicted(history.final_model, history.indices[-1], cb)
+    assert n == 9 and abs(power - prediction) <= RMS_TOL * prediction
+    best = int(np.argmax(history.measured_powers))  # the first of equal maxima
+    assert np.array_equal(theta, cb.values[history.indices[best]])
+
+
+def test_learn_phases_goes_on_to_the_fit_after_an_unconfirmed_model_exploit(monkeypatch):
+    # a model exploit that misses its prediction costs one beam: the run
+    # explores the beams of the critic's own route and fits them with the
+    # model's beam among them
+    cfg, H, geom, cb, ec = refit_scene()
+    monkeypatch.setattr(phase_learning, "model_critic", lambda *args: None)
+    _, alone = learn_phases(center_measure(H, cfg), geom, cfg, cb, ec)
+    monkeypatch.setattr(phase_learning, "model_critic", lambda *args: 3.0 * H.coeffs[:, 0])
+    _, history = learn_phases(center_measure(H, cfg), geom, cfg, cb, ec)
+    assert history.exploit_routes[:2] == ["model", "fit"]
+    assert [n for n, _, _ in history.exploit_events][:2] == [9, 22]
+    assert len(history.critic_loss_traces) == len(history.exploit_events) - 1
+    explored = np.delete(history.indices[:21], 8, axis=0)
+    assert np.array_equal(explored, alone.indices[:20])
+
+
+@pytest.mark.parametrize("exploit_start", [8, 5])
+def test_learn_phases_tries_no_model_unless_2m_beams_come_before_the_fit(
+    monkeypatch, exploit_start
+):
+    cfg, H, geom, cb, ec = refit_scene()
+    ec = replace(ec, exploit_start=exploit_start)
+    monkeypatch.setattr(phase_learning, "model_critic", None)  # calling it raises TypeError
+    _, history = learn_phases(center_measure(H, cfg), geom, cfg, cb, ec)
+    assert history.exploit_routes[0] == "fit"
+    assert history.exploit_events[0][0] == exploit_start + 1
+
+
 def test_learn_phases_history_after_a_stop_holds_the_measured_rows(tmp_path):
-    cfg, H, cb, ec = refit_scene()
-    theta, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+    cfg, H, geom, cb, ec = refit_scene()
+    theta, history = learn_phases(center_measure(H, cfg), geom, cfg, cb, ec)
     n = history.exploit_events[-1][0]
     assert n < ec.total_measurements
     assert np.array_equal(history.iters, np.arange(1, n + 1))
@@ -436,7 +518,7 @@ def test_learn_phases_history_after_a_stop_holds_the_measured_rows(tmp_path):
 
 
 def test_learn_phases_callback_failure_propagates():
-    cfg, H = small_scene(2, seed=1)
+    cfg, H, geom = small_scene(2, seed=1)
     cb = PhaseCodebook(bits=1)
     ec = ExperimentConfig(total_measurements=5, exploit_start=5, critic_refit_period=5)
 
@@ -444,22 +526,22 @@ def test_learn_phases_callback_failure_propagates():
         raise RuntimeError("hardware fault")
 
     with pytest.raises(RuntimeError, match="hardware fault"):
-        learn_phases(measure, cfg, cb, ec)
+        learn_phases(measure, geom, cfg, cb, ec)
 
 
 @pytest.mark.parametrize("shape", [(), (1, 1), (2,)])
 def test_learn_phases_rejects_a_callback_of_another_shape(shape):
     # the first call measures the five beams before the fit: (5,) is its shape
-    cfg, _ = small_scene(2, seed=1)
+    cfg, _, geom = small_scene(2, seed=1)
     ec = ExperimentConfig(total_measurements=5, exploit_start=5, critic_refit_period=5)
     with pytest.raises(ValueError, match=r"measure returned shape"):
-        learn_phases(lambda phases: np.ones(shape), cfg, PhaseCodebook(bits=1), ec)
+        learn_phases(lambda phases: np.ones(shape), geom, cfg, PhaseCodebook(bits=1), ec)
 
 
 def test_learn_phases_fits_negative_readings_as_zero():
     # a reading below zero (a noisy or offset detector) reaches the critic
     # as 0, so the run is the one a clipping callback gives
-    cfg, H = small_scene(4, seed=1)
+    cfg, H, geom = small_scene(4, seed=1)
     cb = PhaseCodebook(bits=2)
     ec = ExperimentConfig(
         total_measurements=40,
@@ -468,14 +550,16 @@ def test_learn_phases_fits_negative_readings_as_zero():
         learner_seed=4,
         train_iters=50,
     )
-    _, plain = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+    _, plain = learn_phases(center_measure(H, cfg), geom, cfg, cb, ec)
     offset = float(np.median(plain.measured_powers))
 
     def shifted(phases):
         return center_measure(H, cfg)(phases) - offset
 
-    theta, history = learn_phases(shifted, cfg, cb, ec)
-    clipped_theta, clipped = learn_phases(lambda ph: np.maximum(shifted(ph), 0.0), cfg, cb, ec)
+    theta, history = learn_phases(shifted, geom, cfg, cb, ec)
+    clipped_theta, clipped = learn_phases(
+        lambda ph: np.maximum(shifted(ph), 0.0), geom, cfg, cb, ec
+    )
     assert history.measured_powers.min() < 0.0
     assert np.array_equal(history.indices, clipped.indices)
     assert np.array_equal(theta, clipped_theta)
@@ -485,7 +569,7 @@ def test_learn_phases_fits_negative_readings_as_zero():
 def test_learn_phases_is_invariant_to_the_power_scale():
     # the critic fits powers rescaled to unit mean; at 1e-30 W its complex64
     # products would otherwise underflow and the learned beam would move
-    cfg, H = small_scene(16)
+    cfg, H, geom = small_scene(16)
     cb = PhaseCodebook(bits=3)
     ec = ExperimentConfig(
         total_measurements=400,
@@ -494,14 +578,14 @@ def test_learn_phases_is_invariant_to_the_power_scale():
         learner_seed=0,
     )
     measure = center_measure(H, cfg)
-    theta, history = learn_phases(measure, cfg, cb, ec)
-    tiny_theta, tiny = learn_phases(lambda ph: 1e-30 * measure(ph), cfg, cb, ec)
+    theta, history = learn_phases(measure, geom, cfg, cb, ec)
+    tiny_theta, tiny = learn_phases(lambda ph: 1e-30 * measure(ph), geom, cfg, cb, ec)
     assert np.array_equal(tiny_theta, theta)
     assert np.array_equal(tiny.indices, history.indices)
 
 
 def test_history_csv_export(tmp_path):
-    cfg, H = small_scene(3, seed=5)
+    cfg, H, geom = small_scene(3, seed=5)
     cb = PhaseCodebook(bits=2)
     ec = ExperimentConfig(
         total_measurements=8,
@@ -510,7 +594,7 @@ def test_history_csv_export(tmp_path):
         learner_seed=2,
         train_iters=20,
     )
-    _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+    _, history = learn_phases(center_measure(H, cfg), geom, cfg, cb, ec)
     path = tmp_path / "history.csv"
     write_history_csv(history, cb, path, header_comment="# seed = 2\n")
     lines = path.read_text().splitlines()
@@ -527,7 +611,7 @@ def test_history_csv_export(tmp_path):
 def test_history_csv_rows_equal_the_per_row_loop(tmp_path, bits):
     # the one-format-per-row writer against the per-row f-string loop, with
     # one hex digit per index up to 4 bits and two from 5 bits
-    cfg, H = small_scene(3, seed=5)
+    cfg, H, geom = small_scene(3, seed=5)
     cb = PhaseCodebook(bits=bits)
     ec = ExperimentConfig(
         total_measurements=8,
@@ -536,7 +620,7 @@ def test_history_csv_rows_equal_the_per_row_loop(tmp_path, bits):
         learner_seed=2,
         train_iters=20,
     )
-    _, history = learn_phases(center_measure(H, cfg), cfg, cb, ec)
+    _, history = learn_phases(center_measure(H, cfg), geom, cfg, cb, ec)
     path = tmp_path / "history.csv"
     write_history_csv(history, cb, path)
     want = []
@@ -547,7 +631,7 @@ def test_history_csv_rows_equal_the_per_row_loop(tmp_path, bits):
 
 
 def test_history_logs_the_measured_indices():
-    cfg, H = small_scene(4, seed=6)
+    cfg, H, geom = small_scene(4, seed=6)
     cb = PhaseCodebook(bits=2)
     ec = ExperimentConfig(
         total_measurements=25,
@@ -563,7 +647,7 @@ def test_history_logs_the_measured_indices():
         calls.append(np.array(phases))
         return base(phases)
 
-    theta, history = learn_phases(measure, cfg, cb, ec)
+    theta, history = learn_phases(measure, geom, cfg, cb, ec)
     assert history.indices.dtype == np.uint8
     rows = np.concatenate(calls)
     assert history.indices.shape == (len(rows), cfg.num_antennas)
