@@ -254,7 +254,7 @@ def _parse_freqs(text: str, ec: ExperimentConfig) -> list[float]:
         freqs = [float(tok) for tok in text.split(",")]
         if not all(0.0 < f < np.inf for f in freqs):
             raise ValueError(f"'{text}' holds a frequency that is not finite and positive")
-        check_heatmap(ec, freqs)
+        check_heatmap(ec, build_system(ec), freqs)
     except ValueError as exc:
         raise ConfigError(f"--freqs: {exc}") from exc
     return freqs

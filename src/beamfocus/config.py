@@ -159,26 +159,27 @@ def _validate(ec: ExperimentConfig) -> None:
         )
     if not ec.center_freq_hz > 0.0:
         raise ConfigError("system.center_freq_hz: must be positive")
-    # build the objects whose own checks would otherwise fail at run time, among them M = N*P
-    # for system.N and every sweep entry, a finite channel, powers and band-edge heatmaps
-    for key, build in (
-        ("geometry.*", build_geometry),
-        ("system.*", build_system),
-        ("ue.*", lambda ec: check_finite(build_geometry(ec), build_ue(ec), build_system(ec))),
-        (
-            "system.*",
-            lambda ec: check_power(
-                build_geometry(ec), build_ue(ec), build_system(ec), ec.snapshots
-            ),
-        ),
-        ("heatmap.*", lambda ec: check_heatmap(ec, subcarrier_frequencies(build_system(ec)))),
-        *(("profile.n_sweep", lambda ec, n=n: build_system(ec, n)) for n in ec.n_sweep),
-        ("system.ps_bits", build_codebook),
-    ):
-        try:
-            build(ec)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
+    # build the scenario once, then check what would otherwise fail at run time: M = N*P for
+    # system.N and every sweep entry, a finite channel, powers and band-edge heatmaps
+    key = "geometry.*"
+    try:
+        geom = build_geometry(ec)
+        key = "system.*"
+        cfg = build_system(ec)
+        key = "ue.*"
+        ue = build_ue(ec)
+        check_finite(geom, ue, cfg)
+        key = "system.*"
+        check_power(geom, ue, cfg, ec.snapshots)
+        key = "heatmap.*"
+        check_heatmap(ec, cfg, subcarrier_frequencies(cfg))
+        key = "profile.n_sweep"
+        for n in ec.n_sweep:
+            build_system(ec, n)
+        key = "system.ps_bits"
+        build_codebook(ec)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def heatmap_shape(ec: ExperimentConfig) -> tuple:
@@ -197,10 +198,10 @@ def heatmap_shape(ec: ExperimentConfig) -> tuple:
     )
 
 
-def check_heatmap(ec: ExperimentConfig, freqs_hz) -> None:
-    """`channel.check_gain_map` over ec's heatmap grid at `freqs_hz`, without building it."""
+def check_heatmap(ec: ExperimentConfig, cfg: SystemConfig, freqs_hz) -> None:
+    """`channel.check_gain_map` of ec's system `cfg` over ec's heatmap grid at `freqs_hz`."""
     extent = (ec.heatmap_x_min_m, ec.heatmap_x_max_m, ec.heatmap_y_min_m, ec.heatmap_y_max_m)
-    check_gain_map(resolved_aperture(ec), build_system(ec), freqs_hz, *extent)
+    check_gain_map(resolved_aperture(ec), cfg, freqs_hz, *extent)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -1,7 +1,8 @@
 """Single-path power critic: |q^H w|^2 predicts beam w's received power.
 
 The critic's spectral start, its least-squares fit to measured powers, the
-one-path model critic read off the same powers, and the critic's file.
+one-path model critic read off the same powers by `focus.wave_powers`, and
+the critic's file.
 README "Critic fit" walks through the fit, README "Phase learner" through
 the model critic.
 """
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from .files import write_atomic
-from .focus import _polar_search
+from .focus import _polar_search, wave_powers
 from .geometry import SPEED_OF_LIGHT, ArrayGeometry, point_distances
 
 
@@ -97,7 +98,8 @@ def model_critic(beams: np.ndarray, powers: np.ndarray, geom: ArrayGeometry, cen
     """One-path (M,) critic sqrt(g) a(q) of the (n,) powers of the (n, M) beams, or None.
 
     a(q) is the unit-modulus spherical wave exp(-j k d_m(q)) from a point q
-    at the center frequency, and s_i = |a(q)^H w_i|^2. `focus._polar_search`
+    at the center frequency, and s_i = |a(q)^H w_i|^2 (`focus.wave_powers`,
+    single precision on the learner's complex64 beams). `focus._polar_search`
     finds the q whose least-squares fit p_i ~ g s_i leaves the least
     residual, the q of the largest (sum p s)^2 / sum s^2, on each stage's
     sub-array; the first stage spans MODEL_FIRST_SPAN half-wavelengths.
@@ -109,33 +111,14 @@ def model_critic(beams: np.ndarray, powers: np.ndarray, geom: ArrayGeometry, cen
     if not 0.0 < peak < math.inf:
         return None
     p = powers / peak
-    k = 2.0 * np.pi * center_freq_hz / SPEED_OF_LIGHT
-
-    def fit(beams_sub, sub, x, y):
-        # (sum p s, sum s^2) of each point (x, y) on the sub-array's beams;
-        # the waves exp(j k d) are single precision, from phases reduced to
-        # [-pi, pi] in double, so the phases' size costs no precision
-        phase = k * point_distances(sub, x, y)
-        phase = (phase - 2.0 * np.pi * np.rint(phase / (2.0 * np.pi))).astype(np.float32)
-        waves = np.cos(phase) + 1j * np.sin(phase)
-        s = np.abs(waves.reshape(-1, sub.num_antennas) @ beams_sub.T) ** 2
-        shape = phase.shape[:-1]
-        return (s @ p).reshape(shape), np.sum(s * s, axis=-1).reshape(shape)
-
-    def stage(keep, sub):
-        beams_sub = beams if keep.all() else beams[:, keep]  # sliced once per stage
-
-        def score(x, y):
-            ps, ss = fit(beams_sub, sub, x, y)
-            return ps * ps / ss
-
-        return score
-
-    x, y, _ = _polar_search(stage, geom, center_freq_hz, MODEL_FIRST_SPAN)
-    ps, ss = fit(beams, geom, x, y)
-    g = peak * float(ps) / float(ss)
+    x, y, _ = _polar_search(
+        beams, lambda s: (s @ p) ** 2 / np.sum(s * s, -1), geom, center_freq_hz, MODEL_FIRST_SPAN
+    )
+    s = wave_powers(beams, geom, center_freq_hz, x, y)
+    g = peak * float(s @ p) / float(np.sum(s * s))
     if not 0.0 < g < math.inf:
         return None
+    k = 2.0 * np.pi * center_freq_hz / SPEED_OF_LIGHT
     return np.sqrt(g) * np.exp(-1j * k * point_distances(geom, x, y))
 
 

@@ -117,8 +117,9 @@ def seed_position(focus: tuple, geom: ArrayGeometry, points: tuple):
     if fit < SEED_COHERENCE:
         return None
     mid, end = distance_difference(geom, np.array([1.0, 2.0]), UePosition(x, y))
-    # |ddf(delta)| <= delta D/2 keeps the row in the box; the clip guards rounding
-    position = (0.0, mid / (0.5 * geom.aperture), end / geom.aperture)
+    # |ddf(delta)| <= delta D/2 keeps the row in the box; the clip guards rounding.
+    # 2 mid / D, not mid / (D/2): D/2 underflows to 0 at the smallest subnormal D
+    position = (0.0, 2.0 * mid / geom.aperture, end / geom.aperture)
     return tuple(min(max(p, -1.0), 1.0) if n > 1 else 0.0 for p, n in zip(position, points))
 
 

@@ -6,14 +6,15 @@ where d_m(q) is element m's distance to q: 1 for the conjugate of the
 spherical wave from q, near 0 for phases that focus nowhere. The locator
 reads the phases, the array geometry and the center frequency only, and
 assumes one line-of-sight spherical wave. README "Delay search" walks
-through its polar-domain search (Cui & Dai 2022, arXiv:2108.07581), which
-`_polar_search` runs over any score; the learner's one-path model critic
-(`critic.model_critic`) runs it over measured powers.
+through its polar-domain search (Cui & Dai 2022, arXiv:2108.07581),
+`_polar_search`. Its one scorer is `wave_powers`, the powers |a(q)^H w|^2
+that a stack of beams w receives from the spherical wave a(q) of each
+point: the locator's one beam is exp(j theta), and the learner's one-path
+model critic (`critic.model_critic`) scores its measured beams. README
+"Library layout" says why `channel.gain_map` keeps its own phasors.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -34,14 +35,22 @@ def _to_xy(u, v):
     return r * np.sqrt(1.0 - u * u), r * u
 
 
-def coherence(theta, geom: ArrayGeometry, center_freq_hz: float, x, y) -> np.ndarray:
-    """Coherence of the phases with the spherical wave from each point (x, y).
+def wave_powers(beams, geom: ArrayGeometry, center_freq_hz: float, x, y) -> np.ndarray:
+    """|a(q)^H w_i|^2 of each of the (n, M) beams w_i at each point q = (x, y).
 
-    `x` and `y` broadcast to a shape S; the result has shape S.
+    a(q) is the unit-modulus spherical wave exp(-j k d_m(q)) from q at the
+    center frequency. `x` and `y` broadcast to a shape S; the result has
+    shape (*S, n). The waves take the beams' precision, from phases reduced
+    to [-pi, pi] in double, so the phases' size costs no precision.
     """
-    k = 2.0 * np.pi * center_freq_hz / SPEED_OF_LIGHT
-    d = point_distances(geom, x, y)
-    return np.abs(np.exp(-1j * (theta + k * d)).sum(axis=-1)) / geom.num_antennas
+    phase = (2.0 * np.pi * center_freq_hz / SPEED_OF_LIGHT) * point_distances(geom, x, y)
+    phase -= 2.0 * np.pi * np.rint(phase / (2.0 * np.pi))
+    phase = phase.astype(np.finfo(beams.dtype).dtype, copy=False)
+    waves = np.empty(phase.shape, beams.dtype)
+    np.cos(phase, out=waves.real)
+    np.sin(phase, out=waves.imag)
+    s = np.abs(waves.reshape(-1, geom.num_antennas) @ beams.T) ** 2
+    return s.reshape(phase.shape[:-1] + beams.shape[:1])
 
 
 def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[float, float, float]:
@@ -51,22 +60,19 @@ def locate_focus(theta, geom: ArrayGeometry, center_freq_hz: float) -> tuple[flo
     (0, 1 / (2 MIN_RANGE_M)], so ranges r from MIN_RANGE_M out to about
     32 D^2 / lambda for aperture D. Deterministic.
     """
-    theta = np.asarray(theta, dtype=float)
-
-    def stage(keep, sub):
-        return partial(coherence, theta[keep], sub, center_freq_hz)
-
-    return _polar_search(stage, geom, center_freq_hz, FIRST_SPAN)
+    beam = np.exp(1j * np.asarray(theta, dtype=float))[None]
+    x, y, best = _polar_search(beam, lambda s: s[..., 0], geom, center_freq_hz, FIRST_SPAN)
+    return x, y, float(np.sqrt(best)) / geom.num_antennas
 
 
-def _polar_search(stage, geom: ArrayGeometry, center_freq_hz: float, first_span: float):
-    """(x, y, score) of the point that `stage`'s scores put highest, by a staged polar search.
+def _polar_search(beams, reduce, geom: ArrayGeometry, center_freq_hz: float, first_span: float):
+    """(x, y, score) of the point that scores highest, by a staged polar search.
 
-    `stage(keep, sub)` returns the scorer of one stage: it maps points (x, y),
-    broadcast to a shape S, to their shape-S scores on the sub-array `sub`,
-    the elements `keep` of geom. The first stage's sub-array spans
-    `first_span` half-wavelengths of the center frequency, and each later
-    stage doubles it, up to the whole array.
+    A stage scores points (x, y), broadcast to a shape S, as
+    reduce(wave_powers(...)) of the (n, M) beams on its sub-array: `reduce`
+    maps the (*S, n) powers to shape-S scores. The first stage's sub-array
+    spans `first_span` half-wavelengths of the center frequency, and each
+    later stage doubles it, up to the whole array.
     """
     lam = SPEED_OF_LIGHT / center_freq_hz
     v_max = 0.5 / MIN_RANGE_M
@@ -74,13 +80,20 @@ def _polar_search(stage, geom: ArrayGeometry, center_freq_hz: float, first_span:
     radii = np.abs(geom.alphas)
     # every stage keeps at least the two central elements
     least = np.sort(radii)[min(1, radii.size - 1)]
-    f = min(1.0, first_span * lam / (2.0 * D), np.sqrt(first_span * lam / v_max) / D)
+    # at a subnormal D the spans' quotients overflow to inf, and nu's underflows to 0
+    with np.errstate(over="ignore"):
+        f = min(1.0, first_span * lam / (2.0 * D), np.sqrt(first_span * lam / v_max) / D)
     offsets = np.array([-1.0, 0.0, 1.0])
     u = v = None
     while True:
         keep = radii <= max(f, least)
-        score = stage(keep, ArrayGeometry(geom.alphas[keep], D))
-        nu = int(np.ceil(2.0 * f * D / lam))
+        sub = ArrayGeometry(geom.alphas[keep], D)
+        beams_sub = beams if keep.all() else beams[:, keep]  # sliced once per stage
+
+        def score(x, y):
+            return reduce(wave_powers(beams_sub, sub, center_freq_hz, x, y))
+
+        nu = max(1, int(np.ceil(2.0 * f * D / lam)))
         # at least one row where (f D)**2 underflows to 0, a row step of 0 where it overflows
         with np.errstate(over="ignore"):
             nv = max(1.0, np.ceil(v_max * np.float64(f * D) ** 2 / lam))

@@ -956,6 +956,8 @@ SYSTEM_GEOMETRY_UE_KEYS = {
 @example({"system.K": "1", "system.bandwidth_hz": "1e9"})
 @example({"geometry.aperture_m": "100.0"})
 @example({"geometry.aperture_m": "3.6062934306820756e-217"})
+# the smallest subnormal aperture: the polar search's span quotients overflow, D/2 underflows
+@example({"geometry.aperture_m": "5e-324"})
 @example({"ue.x_m": "1e200"})  # every gain underflows to 0
 # a finite channel whose largest power overflows
 @example(

@@ -855,6 +855,37 @@ def test_a_failed_check_traces_the_zero_delay_row_once(reference, monkeypatch, n
     assert np.flatnonzero(~trace_delays(result, geom, cfg).any(axis=1)).tolist() == [0]
 
 
+# the second wave's amplitudes of the delay side's off-model gate, against the user's 1
+SECOND_PATH_GAINS = (0.3, 0.5, 0.7, 1.0)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_off_model_scenes_keep_the_measured_search_amplitude(reference, n):
+    """search_pipeline on two-path scenes, which the one-path model cannot explain.
+
+    Each scene is the reference channel plus a second spherical wave from
+    (2.0, 0.5) m, of 0.3 to 1.0 times the user's amplitude, searched from
+    its own PS-only oracle phases. Whether the model's check accepts or
+    fails, the pick's mean amplitude must come within 0.1 dB of the
+    measured search's from the same seed on a fresh scorer. Test-only: no
+    config key builds a second path.
+    """
+    ec, geom, cb = reference["ec"], reference["geom"], reference["cb"]
+    cfg, cfg1 = build_system(ec, num_td_units=n), build_system(ec, num_td_units=1)
+    points = (ec.ax_points, ec.ay_points, ec.b_points)
+    diffs, details = [], []
+    for gain in SECOND_PATH_GAINS:
+        H = two_path(reference, gain=gain)
+        theta = ps_only_oracle(H, cfg1, cb).theta
+        picked = search_pipeline(ec, theta, geom, H, cfg, cb)
+        seed = seed_position(locate_focus(theta, geom, ec.center_freq_hz), geom, points)
+        rows = ScoredRows(theta, make_profile_measure(ec, decimate_channel(H), cfg), geom, cfg, cb)
+        measured = search_delays(rows, points, seed)
+        diffs.append(20.0 * np.log10(picked.score / measured.score))
+        details.append(f"gain {gain}: {len(picked.trace)} rows measured, {diffs[-1]:+.4f} dB")
+    assert max(np.abs(diffs)) <= 0.1, "; ".join(details)
+
+
 def test_a_failed_check_keeps_a_winner_that_outscores_the_walk(reference):
     # the measurement scores the model's winner 1.5 and every other row 1:
     # the check fails (1.5 against a predicted 2), and the measured walk

@@ -12,8 +12,8 @@ from beamfocus.config import (
     build_system,
 )
 from beamfocus.delay_search import SEED_COHERENCE
-from beamfocus.focus import coherence, locate_focus
-from beamfocus.geometry import uniform_geometry
+from beamfocus.focus import locate_focus, wave_powers
+from beamfocus.geometry import SPEED_OF_LIGHT, point_distances, uniform_geometry
 from beam_model import conjugate_phases
 
 
@@ -56,15 +56,39 @@ def test_conjugate_phases_locate_their_source_on_a_512_element_array():
 
 
 def test_coherence_is_one_at_the_source_only(reference):
+    # the coherence is sqrt(s) / M of the powers s of the one beam exp(j theta)
     ec, geom = reference[0], reference[1]
     theta = conjugate_phases(geom, ec.center_freq_hz, (2.0, -2.0))
     xs = np.array([[2.0, 2.0], [2.5, 2.0]])
     ys = np.array([[-2.0, -1.0], [-2.0, -2.0]])
-    got = coherence(theta, geom, ec.center_freq_hz, xs, ys)
-    assert got.shape == (2, 2)
-    assert got[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert got[0, 1] < 0.5 and got[1, 0] < 0.5
-    assert got[1, 1] == got[0, 0]
+    s = wave_powers(np.exp(1j * theta)[None], geom, ec.center_freq_hz, xs, ys)
+    got = np.sqrt(s) / geom.num_antennas
+    assert got.shape == (2, 2, 1)
+    assert got[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert got[0, 1, 0] < 0.5 and got[1, 0, 0] < 0.5
+    assert got[1, 1, 0] == got[0, 0, 0]
+
+
+def test_wave_powers_follow_the_beams_precision_and_give_the_locators_coherence(reference):
+    ec, geom, cb, cfg, H = reference
+    f_c, M = ec.center_freq_hz, geom.num_antennas
+    # codebook beams, as the learner measures them, at points around the user
+    rng = np.random.default_rng(0)
+    beams = cb.phasors[rng.integers(0, cb.size, (64, M))] / np.sqrt(M)
+    xs, ys = np.meshgrid(np.linspace(0.5, 4.0, 5), np.linspace(-3.0, 3.0, 7))
+    single = wave_powers(beams.astype(np.complex64), geom, f_c, xs, ys)
+    double = wave_powers(beams.astype(np.complex128), geom, f_c, xs, ys)
+    assert single.dtype == np.float32 and double.dtype == np.float64
+    assert single.shape == double.shape == (7, 5, 64)
+    assert np.max(np.abs(single - double)) <= 1e-5 * np.max(double)
+
+    # the locator's third value is the exact coherence at its own point,
+    # the number SEED_COHERENCE is compared with
+    theta = ps_only_oracle(H, cfg, cb).theta
+    x, y, fit = locate_focus(theta, geom, f_c)
+    k = 2.0 * np.pi * f_c / SPEED_OF_LIGHT
+    exact = np.abs(np.sum(np.exp(-1j * (theta + k * point_distances(geom, x, y))))) / M
+    assert fit == pytest.approx(exact, abs=1e-12)
 
 
 # the three fixed points the large-array cases focus on
